@@ -1,89 +1,18 @@
 package appgen
 
 import (
-	"fmt"
-
-	"outliner/internal/frontend"
-	"outliner/internal/llir"
-	"outliner/internal/obs"
-	"outliner/internal/par"
 	"outliner/internal/pipeline"
 )
 
-// CompileModules lowers generated modules to per-module LLIR, applying the
-// Objective-C flavour to modules marked ObjC: their reference-counting calls
-// become objc_retain/objc_release and their GC module flag carries the clang
-// identity — the §VI-2 mixed-compiler situation.
-func CompileModules(mods []Module, cfg pipeline.Config) ([]*llir.Module, error) {
+// Sources returns the generated modules as pipeline sources. Modules marked
+// ObjC keep the mark: pipeline.Build gives their lowered bodies the
+// Objective-C flavour — the §VI-2 mixed-compiler situation.
+func Sources(mods []Module) []pipeline.Source {
 	sources := make([]pipeline.Source, len(mods))
 	for i, m := range mods {
-		sources[i] = pipeline.Source{Name: m.Name, Files: m.Files}
+		sources[i] = pipeline.Source{Name: m.Name, Files: m.Files, ObjC: m.ObjC}
 	}
-	parsed, err := par.MapLanes(cfg.Parallelism, len(mods), func(lane, i int) ([]*frontend.File, error) {
-		files, perr := pipeline.ParseSource(sources[i])
-		if perr != nil {
-			return nil, fmt.Errorf("appgen: module %s: %w", sources[i].Name, perr)
-		}
-		return files, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The import index shares AST nodes across modules and synthesizes
-	// memberwise initializers in place, so it is built serially once;
-	// per-module lowering then fans out over private ASTs (CompileToLLIR
-	// re-parses the module's own files), collecting results in module order.
-	ix := frontend.NewImportsIndex(parsed...)
-	imports := make([]*frontend.Imports, len(mods))
-	for i := range mods {
-		imports[i] = ix.For(i)
-	}
-	bc, err := pipeline.OpenBuildCache(cfg)
-	if err != nil {
-		return nil, err
-	}
-	var keys *pipeline.ModuleKeys
-	if bc != nil {
-		keys = pipeline.ComputeModuleKeys(sources, parsed, cfg.Tracer)
-	}
-	return par.MapLanes(cfg.Parallelism, len(mods), func(lane, i int) (*llir.Module, error) {
-		m := mods[i]
-		sp := cfg.Tracer.StartSpan("frontend "+m.Name, lane+1)
-		defer sp.End()
-		// The cached artifact is the pre-flavour module; the ObjC rewrite is
-		// deterministic and cheap, and both cold and warm paths return a
-		// private module, so re-applying it after a hit is safe and keeps
-		// the flavour out of the cache key.
-		lm, err := bc.CompileToLLIRCached(sources[i], cfg, imports[i], i, keys, lane+1)
-		if err != nil {
-			return nil, fmt.Errorf("appgen: module %s: %w", m.Name, err)
-		}
-		if m.ObjC {
-			applyObjCFlavour(lm)
-		}
-		return lm, nil
-	})
-}
-
-// applyObjCFlavour rewrites a module as if clang had produced it.
-func applyObjCFlavour(m *llir.Module) {
-	m.Metadata["Objective-C Garbage Collection"] = "clang abi-v11.0 bits-0x17"
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			for i := range b.Insts {
-				in := &b.Insts[i]
-				if in.Op != llir.Call {
-					continue
-				}
-				switch in.Sym {
-				case llir.RTRetain:
-					in.Sym = llir.RTObjCRetain
-				case llir.RTRelease:
-					in.Sym = llir.RTObjCRelease
-				}
-			}
-		}
-	}
+	return sources
 }
 
 // BuildApp generates, compiles, and links an app profile at the given scale
@@ -96,20 +25,6 @@ func BuildApp(p Profile, scale float64, cfg pipeline.Config) (*pipeline.Result, 
 // Benchmarks use it to keep corpus generation (and deterministic edits to the
 // corpus) out of the timed build.
 func BuildGenerated(generated []Module, cfg pipeline.Config) (*pipeline.Result, error) {
-	tr := obs.Ensure(cfg.Tracer)
-	cfg.Tracer = tr
-	mark := tr.Mark()
-	sp := tr.StartStage("frontend+permodule", 0)
-	tr.Add("appgen/modules", int64(len(generated)))
-	mods, err := CompileModules(generated, cfg)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	res, err := pipeline.BuildFromLLIR(mods, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Timings = tr.StageTotalsSince(mark)
-	return res, nil
+	cfg.Tracer.Add("appgen/modules", int64(len(generated)))
+	return pipeline.Build(Sources(generated), cfg)
 }

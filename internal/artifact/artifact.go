@@ -1,8 +1,9 @@
 // Package artifact is the binary codec for the per-module build artifacts
-// the incremental build cache stores: lowered LLIR modules (the output of
-// the per-module frontend→SIL→LLIR stage, both pipelines) and machine
-// programs with their outlining statistics (the output of the default
-// pipeline's per-module codegen+outline stage).
+// the incremental build cache stores: exported-interface stubs (what a
+// module's importers can observe), lowered LLIR modules behind a summary
+// header (the output of the per-module frontend→SIL→LLIR stage, both
+// pipelines) and machine programs with their outlining statistics (the
+// output of the default pipeline's per-module codegen+outline stage).
 //
 // The format is a compact varint encoding with a fixed header carrying a
 // magic, the schema version, and an artifact kind. Decoding is defensive:
@@ -28,12 +29,16 @@ import (
 // invalidates all previously stored artifacts instead of misreading them.
 // Version 2: the llir stage's dependency hash became interface-scoped
 // (imports' exported-interface digests instead of their full source hashes).
-const SchemaVersion = 2
+// Version 3: LLIR artifacts carry a summary header ahead of the body, the
+// interface digest became the hash of the encoded stub, and the machine
+// stage's input became the stored LLIR bytes plus the ObjC-flavour bit.
+const SchemaVersion = 3
 
 // Artifact kinds (the byte after the header magic).
 const (
 	kindLLIR    = 'L'
 	kindMachine = 'M'
+	kindStub    = 'I'
 )
 
 var magic = [3]byte{'S', 'L', 'A'}
@@ -164,6 +169,15 @@ func (d *dec) count() int {
 	return int(n)
 }
 
+// section reads a length-prefixed section and returns its bytes, advancing
+// past it.
+func (d *dec) section() []byte {
+	n := d.count()
+	sec := d.b[:n]
+	d.b = d.b[n:]
+	return sec
+}
+
 func (d *dec) done() error {
 	if d.err != nil {
 		return d.err
@@ -176,9 +190,11 @@ func (d *dec) done() error {
 
 // ---- LLIR modules ----
 
-// EncodeModule serializes one lowered LLIR module.
+// EncodeModule serializes one lowered LLIR module: its summary header (see
+// Summary), then the body.
 func EncodeModule(m *llir.Module) []byte {
 	e := newEnc(kindLLIR)
+	encodeSummary(e, Summarize(m))
 	e.s(m.Name)
 	e.u(uint64(len(m.Funcs)))
 	for _, f := range m.Funcs {
@@ -241,10 +257,12 @@ func encodeLLIRInst(e *enc, in *llir.Inst) {
 	}
 }
 
-// DecodeModule reconstructs a module encoded by EncodeModule. Any corruption
-// is reported as an error (the cache treats it as a miss).
+// DecodeModule reconstructs a module encoded by EncodeModule, skipping the
+// summary header. Any corruption is reported as an error (the cache treats it
+// as a miss).
 func DecodeModule(data []byte) (*llir.Module, error) {
 	d := newDec(data, kindLLIR)
+	d.section()
 	m := llir.NewModule(d.s())
 	nf := d.count()
 	for i := 0; i < nf && d.err == nil; i++ {

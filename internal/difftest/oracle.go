@@ -8,7 +8,6 @@ import (
 	"outliner/internal/exec"
 	"outliner/internal/layout"
 	"outliner/internal/mir"
-	"outliner/internal/pipeline"
 	"outliner/internal/profile"
 )
 
@@ -93,11 +92,7 @@ func (o *Oracle) maxSteps() int64 {
 func (o *Oracle) Build(mods []appgen.Module, pt Point) (*mir.Program, error) {
 	cfg := pt.Config
 	cfg.Verify = true
-	llmods, err := appgen.CompileModules(mods, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := pipeline.BuildFromLLIR(llmods, cfg)
+	res, err := appgen.BuildGenerated(mods, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,10 @@ package frontend
 // exactly once and hands each module a view that shares the underlying maps,
 // hiding the module's own declarations by owner tag.
 //
+// The index holds stub declarations only (see Stub): it never aliases a
+// module's AST, so a module's parsed files can be type-checked while other
+// modules import it.
+//
 // Cross-module duplicate top-level names are not meaningfully supported by
 // either construction (the checker rejects duplicate classes, and duplicate
 // functions would collide at link time); both resolve to the
@@ -18,28 +22,33 @@ type ImportsIndex struct {
 	funcOwner  map[string]int
 }
 
-// NewImportsIndex indexes the declarations of all modules in a build.
-// Like NewImports it synthesizes missing memberwise initializers in place.
+// NewImportsIndex indexes the exported interfaces of all modules in a build,
+// given their parsed files.
 func NewImportsIndex(modules ...[]*File) *ImportsIndex {
+	stubs := make([]*Stub, len(modules))
+	for i, files := range modules {
+		stubs[i] = NewStub(files...)
+	}
+	return NewStubIndex(stubs...)
+}
+
+// NewStubIndex indexes the modules of a build by their stubs, in module
+// order. The index takes ownership of the stubs.
+func NewStubIndex(stubs ...*Stub) *ImportsIndex {
 	ix := &ImportsIndex{
 		classes:    make(map[string]*ClassDecl),
 		funcs:      make(map[string]*FuncDecl),
 		classOwner: make(map[string]int),
 		funcOwner:  make(map[string]int),
 	}
-	for i, files := range modules {
-		for _, f := range files {
-			for _, cd := range f.Classes {
-				ensureMemberwiseInit(cd)
-				ix.classes[cd.Name] = cd
-				ix.classOwner[cd.Name] = i
-			}
-			for _, fn := range f.Funcs {
-				if len(fn.Generics) == 0 {
-					ix.funcs[fn.Name] = fn
-					ix.funcOwner[fn.Name] = i
-				}
-			}
+	for i, s := range stubs {
+		for _, cd := range s.Classes {
+			ix.classes[cd.Name] = cd
+			ix.classOwner[cd.Name] = i
+		}
+		for _, fn := range s.Funcs {
+			ix.funcs[fn.Name] = fn
+			ix.funcOwner[fn.Name] = i
 		}
 	}
 	return ix

@@ -25,31 +25,19 @@ type Imports struct {
 	Funcs   map[string]*FuncDecl
 
 	// Views handed out by ImportsIndex.For share the maps of the whole-build
-	// index; owner tags hide the viewing module's own declarations. All three
-	// fields are zero for sets built by NewImports (no exclusion).
+	// index; owner tags hide the viewing module's own declarations (exclude is
+	// -1, matching no owner, for sets built by NewImports). Sets assembled by
+	// hand leave all three zero: no exclusion.
 	classOwner map[string]int
 	funcOwner  map[string]int
 	exclude    int
 }
 
-// NewImports builds an import set from previously parsed modules' files.
+// NewImports builds an import set from previously parsed modules' files. Like
+// every import set it exposes stub declarations (see Stub), never the files'
+// own AST nodes.
 func NewImports(files ...*File) *Imports {
-	imp := &Imports{
-		Classes: make(map[string]*ClassDecl),
-		Funcs:   make(map[string]*FuncDecl),
-	}
-	for _, f := range files {
-		for _, cd := range f.Classes {
-			ensureMemberwiseInit(cd)
-			imp.Classes[cd.Name] = cd
-		}
-		for _, fn := range f.Funcs {
-			if len(fn.Generics) == 0 {
-				imp.Funcs[fn.Name] = fn
-			}
-		}
-	}
-	return imp
+	return NewStubIndex(NewStub(files...)).For(-1) // no module to hide
 }
 
 // ensureMemberwiseInit synthesizes the memberwise initializer if the class

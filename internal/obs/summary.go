@@ -84,6 +84,19 @@ func (t *Tracer) WriteSummary(w io.Writer) error {
 			probes, hits, counters["cache/misses"],
 			100*float64(hits)/float64(probes),
 			counters["cache/bytes_read"], counters["cache/bytes_written"])
+		// Per-stage attribution, then the work the misses actually cost: a
+		// warm build parses and decodes only what an edit invalidated.
+		rows := [][]string{{"stage", "probes", "hits", "misses"}}
+		for _, stage := range []string{"iface", "llir", "machine"} {
+			if n := counters["cache/"+stage+"/probes"]; n > 0 {
+				rows = append(rows, []string{stage, fmt.Sprintf("%d", n),
+					fmt.Sprintf("%d", counters["cache/"+stage+"/hits"]),
+					fmt.Sprintf("%d", counters["cache/"+stage+"/misses"])})
+			}
+		}
+		writeTable(w, rows)
+		fmt.Fprintf(w, "cache work: %d modules parsed, %d llir bodies decoded\n",
+			counters["frontend/modules_parsed"], counters["cache/llir/bodies_decoded"])
 		if ns := counters["cache/key_hash_ns"]; ns > 0 {
 			fmt.Fprintf(w, "cache keys: %s hashing sources and interface digests\n",
 				time.Duration(ns).Round(time.Microsecond))
@@ -113,8 +126,9 @@ func (t *Tracer) WriteSummary(w io.Writer) error {
 	// in-flight build's result.
 	if computes, deduped := counters["flight/computes"], counters["flight/deduped"]; computes > 0 || deduped > 0 {
 		fmt.Fprintf(w, "\nsingle-flight: %d stage computes, %d deduped "+
-			"(llir %d/%d, machine %d/%d)\n",
+			"(iface %d/%d, llir %d/%d, machine %d/%d)\n",
 			computes, deduped,
+			counters["flight/iface/computes"], counters["flight/iface/deduped"],
 			counters["flight/llir/computes"], counters["flight/llir/deduped"],
 			counters["flight/machine/computes"], counters["flight/machine/deduped"])
 	}

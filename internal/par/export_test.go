@@ -1,0 +1,5 @@
+package par
+
+// SetRecordedHook installs (or, with nil, removes) the hook runLanes calls
+// after recording a task failure.
+func SetRecordedHook(f func(i int)) { recordedHook = f }

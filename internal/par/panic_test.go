@@ -97,15 +97,21 @@ func TestLowestIndexMixedFailures(t *testing.T) {
 
 // TestEarlyCancellation: after the first failure the pool stops claiming
 // work. Index 0 fails immediately while every other task blocks on a gate
-// that only opens once the failure is recorded; the pool must skip the
-// remaining thousands of tasks instead of draining them.
+// that opens only once the pool has recorded the failure (closing it from
+// task 0 itself would race the record: the task returns first); the pool
+// must skip the remaining thousands of tasks instead of draining them.
 func TestEarlyCancellation(t *testing.T) {
 	const n = 10000
 	gate := make(chan struct{})
+	par.SetRecordedHook(func(i int) {
+		if i == 0 {
+			close(gate)
+		}
+	})
+	defer par.SetRecordedHook(nil)
 	var executed atomic.Int64
 	_, err := par.Map(4, n, func(i int) (int, error) {
 		if i == 0 {
-			defer close(gate)
 			return 0, fmt.Errorf("fail at 0")
 		}
 		<-gate

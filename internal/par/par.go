@@ -88,6 +88,11 @@ func Workers(p, n int) int {
 	return p
 }
 
+// recordedHook, when a test of this package sets it, is called after a task's
+// failure has been recorded and made visible to the claim loop — the one
+// moment of a pool's life a test cannot otherwise observe.
+var recordedHook func(i int)
+
 // runLanes is the shared pool: it executes f(lane, i) for every i in [0, n)
 // with at most p workers, recovering panics into *PanicError. It returns a
 // per-index error slice, or nil when every task succeeded (the common path
@@ -124,14 +129,14 @@ func runLanes(ctx context.Context, stage string, p, n int, keepGoing bool, f fun
 		}
 		errs[i] = err
 		errsMu.Unlock()
-		if keepGoing {
-			return
-		}
-		for {
+		for !keepGoing {
 			cur := failedAt.Load()
 			if int64(i) >= cur || failedAt.CompareAndSwap(cur, int64(i)) {
-				return
+				break
 			}
+		}
+		if recordedHook != nil {
+			recordedHook(i)
 		}
 	}
 	var cancelOnce sync.Once

@@ -22,22 +22,25 @@ import (
 // misses, so call sites stay unconditional — the same nil-safety contract
 // obs.Tracer follows.
 //
-// What is cached, and under which key:
+// Three per-module stages are cached, all through runStage:
 //
+//   - stage "iface" (both pipelines): the module's exported-interface stub
+//     (frontend.Stub via artifact.EncodeStub). Input: the module's own
+//     sources, nothing else — so an unchanged module is never even lexed.
+//     The hash of the stored bytes is the module's interface digest.
 //   - stage "llir" (both pipelines): the lowered LLIR module produced by the
-//     per-module frontend→SIL→LLIR stage. Input: the module's own sources
-//     plus every other module's exported-interface digest (imports expose
-//     declarations, not bodies — see frontend.InterfaceDigest), so a
-//     body-only edit in one module leaves every other module's entry valid.
-//     Config: only the fields that stage reads —
-//     SILOutline, SpecializeClosures, Verify — so builds differing in
-//     backend-only knobs (outlining rounds, merge passes, pipeline choice)
-//     share frontend artifacts.
+//     per-module frontend→SIL→LLIR stage, behind a summary header. Input: the
+//     module's own sources plus every other module's interface digest
+//     (imports expose stub declarations, not bodies), so a body-only edit in
+//     one module leaves every other module's entry valid. Config: only the
+//     fields that stage reads — SILOutline, SpecializeClosures, Verify — so
+//     builds differing in backend-only knobs (outlining rounds, merge passes,
+//     pipeline choice) share frontend artifacts.
 //   - stage "machine" (default pipeline only): the per-module machine
 //     program after codegen and per-module outlining, plus its outlining
-//     stats. Input: the canonical encoding of the (pre-merge) LLIR module
-//     plus the cross-module-referenced symbols the merge passes must
-//     preserve. Config: MergeFunctions, FMSA, OutlineRounds,
+//     stats. Input: the stored llir bytes as they are (never a re-encoding),
+//     the ObjC-flavour bit, and the cross-module-referenced symbols the merge
+//     passes must preserve. Config: MergeFunctions, FMSA, OutlineRounds,
 //     FlatOutlineCost, Verify.
 //
 // Post-irlink whole-program stages are deliberately uncached: they consume
@@ -109,24 +112,35 @@ func SourceHash(src Source) string {
 type ModuleKeys struct {
 	// Src[i] is SourceHash of module i — the full content fingerprint.
 	Src []string
-	// Iface[i] is frontend.InterfaceDigest of module i's parsed files — the
+	// Iface[i] is artifact.InterfaceDigest of module i's encoded stub — the
 	// dependency fingerprint importers see. Body edits leave it unchanged.
 	Iface []string
 }
 
-// ComputeModuleKeys derives the build's shared digest table from the
-// already-parsed modules. The cost is recorded under cache/key_hash_ns.
+// ComputeModuleKeys derives the digest table of a build from its parsed
+// modules — the table Build itself assembles from the iface stage without
+// parsing unchanged modules. The cost is recorded under cache/key_hash_ns.
 func ComputeModuleKeys(sources []Source, parsed [][]*frontend.File, tr *obs.Tracer) *ModuleKeys {
 	start := time.Now()
-	keys := &ModuleKeys{
-		Src:   make([]string, len(sources)),
-		Iface: make([]string, len(sources)),
-	}
+	ifaces := make([]*moduleIface, len(sources))
 	for i, src := range sources {
-		keys.Src[i] = SourceHash(src)
-		keys.Iface[i] = frontend.InterfaceDigest(parsed[i]...)
+		ifaces[i] = &moduleIface{srcHash: SourceHash(src), enc: artifact.EncodeStub(frontend.NewStub(parsed[i]...))}
 	}
+	keys := moduleKeys(ifaces)
 	tr.Add("cache/key_hash_ns", time.Since(start).Nanoseconds())
+	return keys
+}
+
+// moduleKeys assembles the digest table from the iface stage's results.
+func moduleKeys(ifaces []*moduleIface) *ModuleKeys {
+	keys := &ModuleKeys{
+		Src:   make([]string, len(ifaces)),
+		Iface: make([]string, len(ifaces)),
+	}
+	for i, mi := range ifaces {
+		keys.Src[i] = mi.srcHash
+		keys.Iface[i] = artifact.InterfaceDigest(mi.enc)
+	}
 	return keys
 }
 
@@ -193,10 +207,20 @@ func faultFingerprint(cfg Config) string {
 	return " fault=" + cfg.Fault.String()
 }
 
+// ifaceKey keys a module's stub by its own source content alone.
+func ifaceKey(srcHash string, cfg Config) cache.Key {
+	return cache.Key{
+		Stage:  "iface",
+		Input:  srcHash,
+		Config: faultFingerprint(cfg),
+		Schema: artifact.SchemaVersion,
+	}
+}
+
 // llirKey scopes module self's dependency fingerprint to its imports'
 // exported interfaces: the input hash covers self's own sources in full plus
 // only the interface digests of the other modules, in module order.
-func (bc *BuildCache) llirKey(self int, keys *ModuleKeys, cfg Config) cache.Key {
+func llirKey(self int, keys *ModuleKeys, cfg Config) cache.Key {
 	h := cache.NewHasher().WriteString(keys.Src[self])
 	for j, d := range keys.Iface {
 		if j != self {
@@ -212,17 +236,21 @@ func (bc *BuildCache) llirKey(self int, keys *ModuleKeys, cfg Config) cache.Key 
 }
 
 // machineKey derives the default pipeline's per-module codegen+outline key
-// from the module's canonical encoding and the cross-module-referenced
-// symbols the merge passes must keep.
-func machineKey(encModule []byte, crossRefs map[string]bool, lm *llir.Module, cfg Config) cache.Key {
-	h := cache.NewHasher().Write(encModule)
+// from the module's stored pre-flavour encoding, whether the ObjC flavour
+// will be applied to it, and the cross-module-referenced symbols the merge
+// passes must keep.
+func machineKey(u *lowered, crossRefs map[string]bool, cfg Config) cache.Key {
+	h := cache.NewHasher().Write(u.stored())
+	if u.objc {
+		h.WriteString("objc")
+	}
 	if len(crossRefs) > 0 {
 		// Only the refs that name this module's functions influence the
 		// stage; sorting keeps the hash independent of map order.
 		var keep []string
-		for _, f := range lm.Funcs {
-			if crossRefs[f.Name] {
-				keep = append(keep, f.Name)
+		for _, name := range u.summary().Funcs {
+			if crossRefs[name] {
+				keep = append(keep, name)
 			}
 		}
 		sort.Strings(keep)
@@ -312,60 +340,61 @@ func (bc *BuildCache) decodeFault(key cache.Key) error {
 	return bc.fault.MaybeError(fault.ArtifactDecode, key.Stage+"/"+key.Input)
 }
 
-// CompileToLLIRCached is CompileToLLIR behind the build cache: on a hit the
-// stored module is decoded instead of recompiled; on a miss (or a corrupted
-// entry) the module is compiled and published. keys must be the build's
-// ComputeModuleKeys table and self the index of src. Cold and warm paths
-// yield structurally identical modules, so the built image is byte-identical
-// either way.
-func (bc *BuildCache) CompileToLLIRCached(src Source, cfg Config, imports *frontend.Imports, self int, keys *ModuleKeys, lane int) (*llir.Module, error) {
-	if !bc.enabled() {
-		return CompileToLLIR(src, cfg, imports)
-	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tr := cfg.Tracer
-	keyStart := time.Now()
-	key := bc.llirKey(self, keys, cfg)
-	tr.Add("cache/key_hash_ns", time.Since(keyStart).Nanoseconds())
-	sp := tr.StartSpan("cache llir "+src.Name, lane)
-	cacheProbe(tr, "llir")
+// runStage is the one path every cached stage takes: probe the cache and
+// decode; on a miss (an absent, damaged or undecodable entry) compute, encode
+// and publish — through the single-flight layer in service mode, so
+// concurrent builds compute each key once and every waiter decodes a private
+// copy of the shared bytes. bc must be enabled.
+//
+// sp is the stage's "cache <stage> <module>" span; runStage records hit and
+// tier on it and ends it when the probe is over, before any computing.
+// compute runs at most once per call. A cancelled build publishes nothing.
+func runStage[T any](ctx context.Context, bc *BuildCache, tr *obs.Tracer, key cache.Key, sp *obs.Span,
+	decode func([]byte) (T, error), compute func() (T, error), encode func(T) []byte) (T, error) {
+	var zero T
+	stage := key.Stage
+	cacheProbe(tr, stage)
 	data, ok, pr := bc.c.GetProbeCtx(ctx, key)
 	probeCounters(tr, pr)
 	if ok {
 		derr := bc.decodeFault(key)
-		var m *llir.Module
+		var v T
 		if derr == nil {
-			m, derr = artifact.DecodeModule(data)
+			v, derr = decode(data)
 		}
 		if derr == nil {
-			cacheHit(tr, "llir", len(data))
+			cacheHit(tr, stage, len(data))
 			tierCounter(tr, pr.Tier)
 			sp.Arg("hit", true).Arg("tier", pr.Tier).End()
-			return m, nil
+			return v, nil
 		}
-		cacheMiss(tr, "llir", true)
-	} else {
-		cacheMiss(tr, "llir", pr.Corrupt)
 	}
+	cacheMiss(tr, stage, ok || pr.Corrupt)
 	sp.Arg("hit", false).End()
+
+	publish := func() (T, []byte, error) {
+		v, err := compute()
+		if err == nil {
+			// Cancelled mid-compute: discard the result unpublished so a later
+			// clean build can never observe a cancelled build's artifact.
+			err = ctx.Err()
+		}
+		if err != nil {
+			return zero, nil, err
+		}
+		enc := encode(v)
+		probeCounters(tr, bc.c.PutProbeCtx(ctx, key, enc))
+		cacheStore(tr, stage, len(enc))
+		return v, enc, nil
+	}
 	if bc.flight == nil {
-		m, err := CompileToLLIR(src, cfg, imports)
-		if err != nil {
-			return nil, err
-		}
-		enc := artifact.EncodeModule(m)
-		probeCounters(tr, bc.c.PutProbeCtx(ctx, key, enc))
-		cacheStore(tr, "llir", len(enc))
-		return m, nil
+		v, _, err := publish()
+		return v, err
 	}
-	// Service mode: route the miss through the single-flight layer so
-	// concurrent builds compiling the same key do the work once. The flight's
-	// currency is the encoded artifact — each waiter decodes a private copy,
-	// so no mutable structure is ever shared across builds.
-	var computed *llir.Module
+	// Service mode. The flight's currency is the encoded artifact, so no
+	// mutable structure is ever shared across builds.
+	var led bool
+	var v T
 	enc, shared, err := bc.flight.Do(key, func() ([]byte, error) {
 		// A cancelled leader must not compute or publish: returning the
 		// context error here makes flight.Do hand waiters ErrFlightAborted
@@ -374,144 +403,162 @@ func (bc *BuildCache) CompileToLLIRCached(src Source, cfg Config, imports *front
 			return nil, cerr
 		}
 		// Re-probe under the flight: an earlier leader may have published and
-		// left the group between this build's probe and its turn here.
-		if data, ok, _ := bc.c.GetProbeCtx(ctx, key); ok {
-			return data, nil
+		// left the group between this build's probe and its turn here. Not
+		// after an undecodable entry, which the probe would only find again:
+		// that one is computed afresh and published over.
+		if !ok {
+			if data, ok, _ := bc.c.GetProbeCtx(ctx, key); ok {
+				return data, nil
+			}
 		}
-		flightCompute(tr, "llir")
-		m, cerr := CompileToLLIR(src, cfg, imports)
-		if cerr != nil {
-			return nil, cerr
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			// Cancelled mid-compute: discard the result unpublished so a later
-			// clean build can never observe a cancelled build's artifact.
-			return nil, cerr
-		}
-		enc := artifact.EncodeModule(m)
-		probeCounters(tr, bc.c.PutProbeCtx(ctx, key, enc))
-		cacheStore(tr, "llir", len(enc))
-		computed = m
-		return enc, nil
+		flightCompute(tr, stage)
+		var enc []byte
+		var err error
+		v, enc, err = publish()
+		led = err == nil
+		return enc, err
 	})
 	if shared {
-		flightDeduped(tr, "llir")
+		flightDeduped(tr, stage)
 	}
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
-	if computed != nil {
-		// This build led the flight: return the module it compiled directly,
+	if led {
+		// This build led the flight: return what it computed directly,
 		// exactly the non-flight cold path.
-		return computed, nil
+		return v, nil
 	}
-	m, derr := artifact.DecodeModule(enc)
-	if derr != nil {
-		// The shared bytes failed this build's decode — compile privately,
-		// the degraded path of last resort (the leader already published).
-		return CompileToLLIR(src, cfg, imports)
+	if v, derr := decode(enc); derr == nil {
+		return v, nil
 	}
-	return m, nil
+	// The shared bytes failed this build's decode. compute has not run in
+	// this build, so computing privately is safe — the degraded path of last
+	// resort; the leader already published, so nothing is re-published.
+	return compute()
 }
 
-// getMachine probes the per-module machine-stage entry. The bool reports a
-// usable hit and tier names the tier that served it; stats may be nil (a
-// build with OutlineRounds == 0).
-func (bc *BuildCache) getMachine(ctx context.Context, key cache.Key, tr *obs.Tracer) (*mir.Program, *outline.Stats, string, bool) {
-	cacheProbe(tr, "machine")
-	data, ok, pr := bc.c.GetProbeCtx(ctx, key)
-	probeCounters(tr, pr)
-	if !ok {
-		cacheMiss(tr, "machine", pr.Corrupt)
-		return nil, nil, "", false
-	}
-	derr := bc.decodeFault(key)
-	var p *mir.Program
-	var st *outline.Stats
-	if derr == nil {
-		p, st, derr = artifact.DecodeMachine(data)
-	}
-	if derr != nil {
-		cacheMiss(tr, "machine", true)
-		return nil, nil, "", false
-	}
-	cacheHit(tr, "machine", len(data))
-	tierCounter(tr, pr.Tier)
-	return p, st, pr.Tier, true
+// moduleIface is the iface stage's result for one module.
+type moduleIface struct {
+	srcHash string
+	stub    *frontend.Stub
+	// enc is the encoded stub (nil when no cache is configured).
+	enc []byte
+	// files is the module's AST when this build had to parse it for the
+	// stub; the llir stage type-checks the same files instead of reparsing.
+	files []*frontend.File
 }
 
-func (bc *BuildCache) putMachine(ctx context.Context, key cache.Key, p *mir.Program, st *outline.Stats, tr *obs.Tracer) {
-	enc := artifact.EncodeMachine(p, st)
-	probeCounters(tr, bc.c.PutProbeCtx(ctx, key, enc))
-	cacheStore(tr, "machine", len(enc))
-}
-
-// machineMiss runs the per-module machine-stage computation on a cache miss
-// and publishes the artifact — through the single-flight layer when one is
-// configured, so concurrent service-mode builds compute each key once.
-// compute must be single-shot: it mutates its module in place (the merge
-// passes), and machineMiss guarantees at most one invocation per call.
-func (bc *BuildCache) machineMiss(ctx context.Context, key cache.Key, tr *obs.Tracer, compute func() (*mir.Program, *outline.Stats, error)) (*mir.Program, error) {
-	if !bc.enabled() || bc.flight == nil {
-		p, st, err := compute()
+// interfaceOf returns src's exported interface: the cached stub when src is
+// unchanged, otherwise parsed from source (and published).
+func (bc *BuildCache) interfaceOf(src Source, cfg Config, lane int) (*moduleIface, error) {
+	tr := cfg.Tracer
+	parse := func() (*moduleIface, error) {
+		files, err := parseModule(src, tr)
 		if err != nil {
 			return nil, err
 		}
-		if bc.enabled() {
-			bc.putMachine(ctx, key, p, st, tr)
-		}
-		return p, nil
+		return &moduleIface{stub: frontend.NewStub(files...), files: files}, nil
 	}
-	var computed *mir.Program
-	enc, shared, err := bc.flight.Do(key, func() ([]byte, error) {
-		// A cancelled leader must not compute or publish: returning the
-		// context error here makes flight.Do hand waiters ErrFlightAborted
-		// while this build reports its own cancellation.
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		// Re-probe under the flight: an earlier leader may have published and
-		// left the group between this build's probe and its turn here.
-		if data, ok, _ := bc.c.GetProbeCtx(ctx, key); ok {
-			return data, nil
-		}
-		flightCompute(tr, "machine")
-		p, st, cerr := compute()
-		if cerr != nil {
-			return nil, cerr
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			// Cancelled mid-compute: discard the result unpublished so a later
-			// clean build can never observe a cancelled build's artifact.
-			return nil, cerr
-		}
-		enc := artifact.EncodeMachine(p, st)
-		probeCounters(tr, bc.c.PutProbeCtx(ctx, key, enc))
-		cacheStore(tr, "machine", len(enc))
-		computed = p
-		return enc, nil
-	})
-	if shared {
-		flightDeduped(tr, "machine")
+	if !bc.enabled() {
+		return parse()
 	}
+	start := time.Now()
+	srcHash := SourceHash(src)
+	key := ifaceKey(srcHash, cfg)
+	tr.Add("cache/key_hash_ns", time.Since(start).Nanoseconds())
+	mi, err := runStage(cfg.Ctx, bc, tr, key, tr.StartSpan("cache iface "+src.Name, lane),
+		func(data []byte) (*moduleIface, error) {
+			stub, err := artifact.DecodeStub(data)
+			return &moduleIface{stub: stub, enc: data}, err
+		},
+		parse,
+		func(mi *moduleIface) []byte {
+			mi.enc = artifact.EncodeStub(mi.stub)
+			return mi.enc
+		})
 	if err != nil {
 		return nil, err
 	}
-	if computed != nil {
-		// This build led the flight: its compute emitted outlining counters
-		// live, so return its program directly.
-		return computed, nil
+	mi.srcHash = srcHash
+	return mi, nil
+}
+
+// lower is CompileToLLIR behind the build cache. keys must be the build's
+// digest table and self the index of src; files is src's AST when the iface
+// stage parsed it (lower takes ownership), nil when it must be parsed on a
+// miss. In the default pipeline a hit decodes only the summary header — the
+// body waits for a machine-stage miss that may never come; the whole-program
+// pipeline, whose IR link consumes every body, decodes it here in the
+// parallel stage. Cold and warm paths yield identical modules, so the built
+// image is byte-identical either way.
+func (bc *BuildCache) lower(src Source, cfg Config, imports *frontend.Imports, self int, keys *ModuleKeys, files []*frontend.File, lane int) (*lowered, error) {
+	tr := cfg.Tracer
+	recompile := func() (*llir.Module, error) { return CompileToLLIR(src, cfg, imports) }
+	compile := func() (*lowered, error) {
+		u := &lowered{name: src.Name, objc: src.ObjC}
+		var err error
+		if files != nil {
+			u.body, err = lowerToLLIR(src.Name, files, cfg, imports)
+			files = nil
+		} else {
+			u.body, err = recompile()
+		}
+		return u, err
 	}
-	p, st, derr := artifact.DecodeMachine(enc)
-	if derr != nil {
-		// The shared bytes failed this build's decode. compute is single-shot
-		// and has not run in this build, so the private fallback is safe; the
-		// leader already published, so nothing is re-published.
-		p, _, cerr := compute()
-		return p, cerr
+	if !bc.enabled() {
+		return compile()
 	}
-	replayOutlineCounters(tr, st)
-	return p, nil
+	start := time.Now()
+	key := llirKey(self, keys, cfg)
+	tr.Add("cache/key_hash_ns", time.Since(start).Nanoseconds())
+	// The span's body arg records whether lowering left a materialised body
+	// behind: always on a miss, on a hit only for the whole-program pipeline.
+	sp := tr.StartSpan("cache llir "+src.Name, lane).Arg("body", true)
+	return runStage(cfg.Ctx, bc, tr, key, sp,
+		func(data []byte) (*lowered, error) {
+			u := &lowered{name: src.Name, objc: src.ObjC, enc: data, recompile: recompile}
+			var err error
+			if cfg.WholeProgram {
+				tr.Add("cache/llir/bodies_decoded", 1)
+				u.body, err = artifact.DecodeModule(data)
+			} else if u.sum, err = artifact.DecodeSummary(data); err == nil {
+				sp.Arg("body", false)
+			}
+			return u, err
+		},
+		compile,
+		(*lowered).stored)
+}
+
+// machineCode is the machine stage's artifact: a module's machine program and
+// the outlining statistics that produced it (nil when outlining did not run).
+type machineCode struct {
+	prog  *mir.Program
+	stats *outline.Stats
+}
+
+// machine is the default pipeline's per-module codegen+outline stage behind
+// the build cache. The key is derived from u's stored bytes before anything
+// touches its body; a hit replays the outlining counters the skipped compute
+// would have emitted, keeping counter-derived reports equal between cold and
+// warm runs.
+func (bc *BuildCache) machine(u *lowered, crossRefs map[string]bool, cfg Config, lane int, compute func() (*machineCode, error)) (*machineCode, error) {
+	if !bc.enabled() {
+		return compute()
+	}
+	tr := cfg.Tracer
+	sp := tr.StartSpan("cache machine "+u.name, lane)
+	return runStage(cfg.Ctx, bc, tr, machineKey(u, crossRefs, cfg), sp,
+		func(data []byte) (*machineCode, error) {
+			p, st, err := artifact.DecodeMachine(data)
+			if err == nil {
+				replayOutlineCounters(tr, st)
+			}
+			return &machineCode{prog: p, stats: st}, err
+		},
+		compute,
+		func(mc *machineCode) []byte { return artifact.EncodeMachine(mc.prog, mc.stats) })
 }
 
 // replayOutlineCounters re-emits the per-round outlining counters a cache

@@ -77,12 +77,21 @@ func TestScriptedCancelStep(t *testing.T) {
 		cfg := pipeline.Default
 		cfg.OutlineRounds = 1
 		cfg.Fault = fault.Exact(fault.At{Site: fault.CancelStep, Key: "step:" + step, Kind: fault.CancelKind})
+		cfg.CacheDir = t.TempDir()
 		_, err := pipeline.Build(chaosSources(), cfg)
 		if err == nil {
 			t.Fatalf("step %s: cancelled build succeeded", step)
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("step %s: error %v does not wrap context.Canceled", step, err)
+		}
+		// Each stage publishes only what it finished before the cut: nothing
+		// at all when the build is cancelled entering the iface ("parse")
+		// stage, stubs alone entering lowering, and never a machine entry.
+		entries, _ := filepath.Glob(filepath.Join(cfg.CacheDir, "*.art"))
+		want := map[string]int{"parse": 0, "frontend": len(chaosSources()), "llc": 2 * len(chaosSources())}[step]
+		if len(entries) != want {
+			t.Fatalf("step %s: cancelled build left %d cache entries, want %d", step, len(entries), want)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"time"
 
-	"outliner/internal/artifact"
 	"outliner/internal/binimg"
 	"outliner/internal/cache"
 	"outliner/internal/codegen"
@@ -204,10 +203,13 @@ var Default = Config{
 	SILOutline:    true,
 }
 
-// Source is one source module: named SwiftLite files.
+// Source is one source module: named SwiftLite files. ObjC marks a module
+// the app's other compiler produced (§VI-2's mixed-compiler situation): its
+// lowered body is given the Objective-C flavour (see applyObjCFlavour).
 type Source struct {
 	Name  string
 	Files map[string]string
+	ObjC  bool
 }
 
 // Result is a finished build.
@@ -237,12 +239,25 @@ func (r *Result) BinarySize() int { return r.Image.TotalSize }
 // CompileToSIR runs the frontend and SILGen (plus SIL passes) for one
 // module. imports may be nil for a self-contained module.
 func CompileToSIR(src Source, cfg Config, imports *frontend.Imports) (*sir.Module, error) {
-	files, err := ParseSource(src)
+	files, err := parseModule(src, cfg.Tracer)
 	if err != nil {
 		return nil, err
 	}
+	return lowerToSIR(src.Name, files, cfg, imports)
+}
+
+// parseModule is ParseSource counted under frontend/modules_parsed — the
+// work-done counter that shows a warm build lexing only what an edit touched.
+func parseModule(src Source, tr *obs.Tracer) ([]*frontend.File, error) {
+	tr.Add("frontend/modules_parsed", 1)
+	return ParseSource(src)
+}
+
+// lowerToSIR type-checks a module's parsed files (which it takes ownership
+// of: the checker annotates them in place) and generates optimized SIR.
+func lowerToSIR(module string, files []*frontend.File, cfg Config, imports *frontend.Imports) (*sir.Module, error) {
 	cfg.Tracer.Add("frontend/files", int64(len(files)))
-	prog, err := frontend.CheckModule(src.Name, imports, files...)
+	prog, err := frontend.CheckModule(module, imports, files...)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +313,16 @@ func ParseSource(src Source) ([]*frontend.File, error) {
 // CompileToLLIR lowers one source module to LLIR with per-module mid-level
 // cleanup (always-on CFG simplification and DCE, like -Osize).
 func CompileToLLIR(src Source, cfg Config, imports *frontend.Imports) (*llir.Module, error) {
-	sm, err := CompileToSIR(src, cfg, imports)
+	files, err := parseModule(src, cfg.Tracer)
+	if err != nil {
+		return nil, err
+	}
+	return lowerToLLIR(src.Name, files, cfg, imports)
+}
+
+// lowerToLLIR is CompileToLLIR from already-parsed files (see lowerToSIR).
+func lowerToLLIR(module string, files []*frontend.File, cfg Config, imports *frontend.Imports) (*llir.Module, error) {
+	sm, err := lowerToSIR(module, files, cfg, imports)
 	if err != nil {
 		return nil, err
 	}
@@ -326,10 +350,33 @@ func CompileToLLIR(src Source, cfg Config, imports *frontend.Imports) (*llir.Mod
 // panic anywhere in the build surfaces as an error carrying a structured
 // *par.PanicError (stage, task index, stack) in its chain. A cancelled
 // cfg.Ctx surfaces the same way, as an error wrapping the context's error.
-func Build(sources []Source, cfg Config) (res *Result, err error) {
+func Build(sources []Source, cfg Config) (*Result, error) {
+	return runBuild(cfg, func(b *build) (*Result, error) {
+		front := b.cfg.Tracer.StartStage("frontend+permodule", 0)
+		units, err := b.lowerAll(sources)
+		front.End()
+		if err != nil {
+			return nil, err
+		}
+		return b.finish(units)
+	})
+}
+
+// build is the state one Build or BuildFromLLIR call threads through its
+// stages: the config with Tracer and Ctx resolved (neither is nil), and the
+// handle that cancels the build at a scripted step.
+type build struct {
+	cfg    Config
+	cancel context.CancelFunc
+}
+
+// runBuild is the frame every build entry point shares: tracer and context
+// resolution, fault-counter mirroring, the panic-to-error boundary, and
+// Result.Timings scoped to this build.
+func runBuild(cfg Config, body func(*build) (*Result, error)) (res *Result, err error) {
 	tr := obs.Ensure(cfg.Tracer)
 	cfg.Tracer = tr
-	ctx, cancel := buildContext(&cfg)
+	cancel := buildContext(&cfg)
 	defer cancel()
 	defer mirrorFaults(tr, cfg.Fault)
 	defer func() {
@@ -339,115 +386,109 @@ func Build(sources []Source, cfg Config) (res *Result, err error) {
 		}
 	}()
 	mark := tr.Mark()
-	front := tr.StartStage("frontend+permodule", 0)
-
-	// Parse every module in parallel, then build the whole-build import index
-	// serially: the index shares AST nodes across modules and synthesizes
-	// missing memberwise initializers in place, so it is constructed once
-	// before workers start; after this point the imported declarations are
-	// only read. Under KeepGoing every module is still parsed (and every
-	// parse error reported), but a parse failure remains fatal: the import
-	// index needs all modules' declarations.
-	stepCancel(cfg, cancel, "parse")
-	parseModule := func(lane, i int) ([]*frontend.File, error) {
-		cfg.Fault.MaybePanic(fault.WorkerTask, "parse "+sources[i].Name)
-		files, perr := ParseSource(sources[i])
-		if perr != nil {
-			return nil, fmt.Errorf("pipeline: module %s: %w", sources[i].Name, perr)
-		}
-		return files, nil
-	}
-	var parsed [][]*frontend.File
-	if cfg.KeepGoing {
-		var errs []error
-		parsed, errs = par.MapAllLanesStageCtx(ctx, "parse", cfg.Parallelism, len(sources), parseModule)
-		if kerr := gatherKeepGoing(tr, errs); kerr != nil {
-			front.End()
-			return nil, kerr
-		}
-	} else {
-		parsed, err = par.MapLanesStageCtx(ctx, "parse", cfg.Parallelism, len(sources), parseModule)
-		if err != nil {
-			front.End()
-			notePanics(tr, err)
-			return nil, err
-		}
-	}
-	ix := frontend.NewImportsIndex(parsed...)
-	imports := make([]*frontend.Imports, len(sources))
-	for i := range sources {
-		imports[i] = ix.For(i)
-	}
-
-	bc, err := OpenBuildCache(cfg)
-	if err != nil {
-		front.End()
-		return nil, err
-	}
-	var keys *ModuleKeys
-	if bc != nil {
-		keys = ComputeModuleKeys(sources, parsed, tr)
-	}
-
-	// Each module compiles to LLIR independently given its import set
-	// (CompileToLLIR re-parses the module's own files, so every worker
-	// type-checks private ASTs); results are collected in source order, so
-	// irlink.Link sees the same module sequence as the serial build.
-	stepCancel(cfg, cancel, "frontend")
-	lowerModule := func(lane, i int) (*llir.Module, error) {
-		cfg.Fault.MaybePanic(fault.WorkerTask, sources[i].Name)
-		if err := workerHang(ctx, cfg, sources[i].Name); err != nil {
-			return nil, fmt.Errorf("pipeline: module %s: %w", sources[i].Name, err)
-		}
-		sp := tr.StartSpan("frontend "+sources[i].Name, lane+1)
-		defer sp.End()
-		lm, lerr := bc.CompileToLLIRCached(sources[i], cfg, imports[i], i, keys, lane+1)
-		if lerr != nil {
-			return nil, fmt.Errorf("pipeline: module %s: %w", sources[i].Name, lerr)
-		}
-		return lm, nil
-	}
-	var mods []*llir.Module
-	if cfg.KeepGoing {
-		var errs []error
-		mods, errs = par.MapAllLanesStageCtx(ctx, "frontend", cfg.Parallelism, len(sources), lowerModule)
-		front.End()
-		if kerr := gatherKeepGoing(tr, errs); kerr != nil {
-			return nil, kerr
-		}
-	} else {
-		mods, err = par.MapLanesStageCtx(ctx, "frontend", cfg.Parallelism, len(sources), lowerModule)
-		front.End()
-		if err != nil {
-			notePanics(tr, err)
-			return nil, err
-		}
-	}
-	res, err = BuildFromLLIR(mods, cfg)
-	if err != nil {
+	if res, err = body(&build{cfg: cfg, cancel: cancel}); err != nil {
 		return nil, err
 	}
 	res.Timings = tr.StageTotalsSince(mark)
 	return res, nil
 }
 
-// buildContext resolves cfg.Ctx (nil means Background) and, when fault
-// injection is armed, wraps it in a cancellable child so CancelStep
-// decisions can cancel the build at a stage boundary. cfg.Ctx is rewritten
-// in place so every downstream consumer — cache probes, worker pools,
-// BuildFromLLIR when called from Build — observes the same cancellation.
-func buildContext(cfg *Config) (context.Context, context.CancelFunc) {
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+// mapModules runs one per-module parallel stage. Under KeepGoing every module
+// runs and the failures are aggregated into a *BuildErrors; otherwise the
+// lowest-index failure is returned.
+func mapModules[T any](b *build, stage string, n int, f func(lane, i int) (T, error)) ([]T, error) {
+	cfg := b.cfg
+	if cfg.KeepGoing {
+		out, errs := par.MapAllLanesStageCtx(cfg.Ctx, stage, cfg.Parallelism, n, f)
+		return out, gatherKeepGoing(cfg.Tracer, errs)
+	}
+	out, err := par.MapLanesStageCtx(cfg.Ctx, stage, cfg.Parallelism, n, f)
+	if err != nil {
+		notePanics(cfg.Tracer, err)
+	}
+	return out, err
+}
+
+// lowerAll is the front half of Build: every module's interface stub, then
+// every module's LLIR, each from the cache where the cache has it. A module's
+// source is parsed at most once: only when its iface entry misses (its source
+// changed) or its llir entry does (its source or an imported interface
+// changed) — and the files parsed for the stub are the files type-checked.
+func (b *build) lowerAll(sources []Source) ([]*lowered, error) {
+	cfg, tr := b.cfg, b.cfg.Tracer
+	bc, err := OpenBuildCache(cfg)
+	if err != nil {
+		return nil, err
+	}
+	moduleErr := func(i int, err error) error {
+		return fmt.Errorf("pipeline: module %s: %w", sources[i].Name, err)
+	}
+
+	// Under KeepGoing every module is still parsed (and every parse error
+	// reported), but a parse failure remains fatal: the import index needs
+	// all modules' declarations.
+	stepCancel(cfg, b.cancel, "parse")
+	ifaces, err := mapModules(b, "parse", len(sources), func(lane, i int) (*moduleIface, error) {
+		cfg.Fault.MaybePanic(fault.WorkerTask, "parse "+sources[i].Name)
+		mi, err := bc.interfaceOf(sources[i], cfg, lane+1)
+		if err != nil {
+			return nil, moduleErr(i, err)
+		}
+		return mi, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// The index holds stub declarations only, never a module's AST, so it is
+	// shared read-only by the workers below while each type-checks its own
+	// parsed files in place.
+	stubs := make([]*frontend.Stub, len(sources))
+	for i, mi := range ifaces {
+		stubs[i] = mi.stub
+	}
+	ix := frontend.NewStubIndex(stubs...)
+	var keys *ModuleKeys
+	if bc.enabled() {
+		start := time.Now()
+		keys = moduleKeys(ifaces)
+		tr.Add("cache/key_hash_ns", time.Since(start).Nanoseconds())
+	}
+
+	// Results are collected in source order, so irlink.Link sees the same
+	// module sequence as the serial build.
+	stepCancel(cfg, b.cancel, "frontend")
+	return mapModules(b, "frontend", len(sources), func(lane, i int) (*lowered, error) {
+		cfg.Fault.MaybePanic(fault.WorkerTask, sources[i].Name)
+		if err := workerHang(cfg.Ctx, cfg, sources[i].Name); err != nil {
+			return nil, moduleErr(i, err)
+		}
+		sp := tr.StartSpan("frontend "+sources[i].Name, lane+1)
+		defer sp.End()
+		files := ifaces[i].files
+		ifaces[i].files = nil // the AST dies with this module's lowering
+		u, err := bc.lower(sources[i], cfg, ix.For(i), i, keys, files, lane+1)
+		if err != nil {
+			return nil, moduleErr(i, err)
+		}
+		return u, nil
+	})
+}
+
+// buildContext resolves cfg.Ctx in place (nil means Background) and, when
+// fault injection is armed, wraps it in a cancellable child so CancelStep
+// decisions can cancel the build at a stage boundary. Every downstream
+// consumer — cache probes, worker pools — reads the one resolved cfg.Ctx and
+// so observes the same cancellation.
+func buildContext(cfg *Config) context.CancelFunc {
+	if cfg.Ctx == nil {
+		cfg.Ctx = context.Background()
 	}
 	if cfg.Fault == nil {
-		cfg.Ctx = ctx
-		return ctx, func() {}
+		return func() {}
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	cfg.Ctx = ctx
-	return ctx, cancel
+	var cancel context.CancelFunc
+	cfg.Ctx, cancel = context.WithCancel(cfg.Ctx)
+	return cancel
 }
 
 // stepCancel consults the CancelStep fault site at a stage boundary,
@@ -518,29 +559,38 @@ func mirrorFaults(tr *obs.Tracer, inj *fault.Injector) {
 	}
 }
 
-// BuildFromLLIR finishes a build from per-module LLIR (used by the synthetic
-// app generator, which fabricates IR directly). Like Build, it converts any
-// panic — its own or a worker's — into an error carrying a structured
-// *par.PanicError instead of crashing the process.
-func BuildFromLLIR(mods []*llir.Module, cfg Config) (res *Result, err error) {
-	tr := obs.Ensure(cfg.Tracer)
-	cfg.Tracer = tr
-	ctx, cancel := buildContext(&cfg)
-	defer cancel()
-	defer mirrorFaults(tr, cfg.Fault)
-	defer func() {
-		if r := recover(); r != nil {
-			tr.Add("fault/recovered_panics", 1)
-			res, err = nil, fmt.Errorf("pipeline: %w", par.Recovered("build", -1, r))
+// BuildFromLLIR finishes a build from already-materialised per-module LLIR
+// (for callers that fabricate or transform IR themselves). Like Build, it
+// converts any panic — its own or a worker's — into an error carrying a
+// structured *par.PanicError instead of crashing the process.
+func BuildFromLLIR(mods []*llir.Module, cfg Config) (*Result, error) {
+	return runBuild(cfg, func(b *build) (*Result, error) {
+		units := make([]*lowered, len(mods))
+		for i, m := range mods {
+			units[i] = &lowered{name: m.Name, body: m}
 		}
-	}()
-	mark := tr.Mark()
+		return b.finish(units)
+	})
+}
+
+// finish is the back half of a build: everything after per-module lowering.
+func (b *build) finish(units []*lowered) (*Result, error) {
+	cfg, ctx, cancel, tr := b.cfg, b.cfg.Ctx, b.cancel, b.cfg.Tracer
 	var prog *mir.Program
 
 	if cfg.WholeProgram {
 		stepCancel(cfg, cancel, "link")
 		if err := ctxErr(ctx, "before llvm-link"); err != nil {
 			return nil, err
+		}
+		// The IR link consumes every body; lowering already materialised
+		// them in its parallel workers.
+		mods := make([]*llir.Module, len(units))
+		for i, u := range units {
+			var err error
+			if mods[i], err = u.materialise(tr); err != nil {
+				return nil, fmt.Errorf("pipeline: module %s: %w", u.name, err)
+			}
 		}
 		sp := tr.StartStage("llvm-link", 0)
 		merged, err := irlink.Link(mods, irlink.Options{
@@ -605,44 +655,35 @@ func BuildFromLLIR(mods []*llir.Module, cfg Config) (res *Result, err error) {
 			sp.End()
 			return nil, err
 		}
-		extern := externSyms(mods) // shared, read-only across workers
+		// What one module needs to know of the others comes from their
+		// summaries, so a module whose machine entry hits never has its
+		// LLIR body decoded.
+		extern := externSyms(units) // shared, read-only across workers
 		var crossRefs map[string]bool
 		if cfg.MergeFunctions || cfg.FMSA {
 			// Per-module merging must not delete a function some other
 			// module calls: the system link would then resolve that call to
 			// nothing. Symbols referenced across module boundaries keep
 			// their definitions.
-			crossRefs = crossModuleRefs(mods)
+			crossRefs = crossModuleRefs(units)
 		}
-		compileModule := func(lane, i int) (*mir.Program, error) {
-			lm := mods[i]
-			cfg.Fault.MaybePanic(fault.WorkerTask, lm.Name)
-			if err := workerHang(ctx, cfg, lm.Name); err != nil {
-				return nil, fmt.Errorf("pipeline: module %s: %w", lm.Name, err)
+		parts, err := mapModules(b, "llc", len(units), func(lane, i int) (*mir.Program, error) {
+			u := units[i]
+			cfg.Fault.MaybePanic(fault.WorkerTask, u.name)
+			if err := workerHang(ctx, cfg, u.name); err != nil {
+				return nil, fmt.Errorf("pipeline: module %s: %w", u.name, err)
 			}
-			wsp := tr.StartSpan("module "+lm.Name, lane+1)
+			wsp := tr.StartSpan("module "+u.name, lane+1)
 			defer wsp.End()
-			// Probe the cache before touching lm: the key is derived from
-			// the module's pre-merge canonical encoding, and a hit skips
-			// merging, codegen, outlining, and the per-module verify (the
-			// final whole-program verify still runs). The replayed counters
-			// keep counter-derived reports equal between cold and warm runs.
-			var mkey cache.Key
-			if bc.enabled() {
-				csp := tr.StartSpan("cache machine "+lm.Name, lane+1)
-				mkey = machineKey(artifact.EncodeModule(lm), crossRefs, lm, cfg)
-				p, st, tier, ok := bc.getMachine(ctx, mkey, tr)
-				csp.Arg("hit", ok).Arg("tier", tier).End()
-				if ok {
-					replayOutlineCounters(tr, st)
-					return p, nil
+			// The miss path: materialise the body, merge, codegen, outline,
+			// verify. A hit skips all of it (the final whole-program verify
+			// still runs). It runs at most once per module: merging mutates
+			// the body in place.
+			compute := func() (*machineCode, error) {
+				lm, err := u.materialise(tr)
+				if err != nil {
+					return nil, fmt.Errorf("pipeline: module %s: %w", u.name, err)
 				}
-			}
-			// The miss path: merge, codegen, outline, verify. machineMiss
-			// runs it directly, or — in service mode — behind the
-			// single-flight layer so concurrent builds compute each key once.
-			// It is invoked at most once per module (it mutates lm in place).
-			compute := func() (*mir.Program, *outline.Stats, error) {
 				if cfg.MergeFunctions {
 					llir.MergeFunctionsKeeping(lm, crossRefs)
 				}
@@ -651,20 +692,20 @@ func BuildFromLLIR(mods []*llir.Module, cfg Config) (res *Result, err error) {
 				}
 				p, cerr := codegen.CompileTraced(lm, 1, tr, lane+1, cfg.Fault)
 				if cerr != nil {
-					return nil, nil, fmt.Errorf("pipeline: module %s: %w", lm.Name, cerr)
+					return nil, fmt.Errorf("pipeline: module %s: %w", u.name, cerr)
 				}
 				var st *outline.Stats
 				if cfg.OutlineRounds > 0 {
 					st, cerr = outline.Outline(p, outline.Options{
 						Rounds:          cfg.OutlineRounds,
 						FlatCostModel:   cfg.FlatOutlineCost,
-						FuncPrefix:      "OUTLINED_FUNCTION_" + lm.Name + "_",
+						FuncPrefix:      "OUTLINED_FUNCTION_" + u.name + "_",
 						Verify:          cfg.Verify,
 						ExternSyms:      extern,
 						Parallelism:     1,
 						Tracer:          tr,
 						TraceLane:       lane + 1,
-						RemarkModule:    lm.Name,
+						RemarkModule:    u.name,
 						OnVerifyFailure: cfg.OnVerifyFailure,
 						Fault:           cfg.Fault,
 						Profile:         cfg.Profile,
@@ -672,42 +713,34 @@ func BuildFromLLIR(mods []*llir.Module, cfg Config) (res *Result, err error) {
 						ColdThreshold:   cfg.OutlineColdThreshold,
 					})
 					if cerr != nil {
-						return nil, nil, fmt.Errorf("pipeline: module %s: %w", lm.Name, cerr)
+						return nil, fmt.Errorf("pipeline: module %s: %w", u.name, cerr)
 					}
 				}
 				if cfg.Verify {
 					// Cross-module references are external at this point,
 					// exactly as the system linker would see them.
-					if err := runVerify(p, extern, tr, "module "+lm.Name+" after codegen"); err != nil {
-						return nil, nil, err
+					if err := runVerify(p, extern, tr, "module "+u.name+" after codegen"); err != nil {
+						return nil, err
 					}
 				}
-				return p, st, nil
+				return &machineCode{prog: p, stats: st}, nil
 			}
-			return bc.machineMiss(ctx, mkey, tr, compute)
-		}
-		var parts []*mir.Program
-		if cfg.KeepGoing {
-			var errs []error
-			parts, errs = par.MapAllLanesStageCtx(ctx, "llc", cfg.Parallelism, len(mods), compileModule)
-			sp.End()
-			if kerr := gatherKeepGoing(tr, errs); kerr != nil {
-				return nil, kerr
-			}
-		} else {
-			parts, err = par.MapLanesStageCtx(ctx, "llc", cfg.Parallelism, len(mods), compileModule)
-			sp.End()
+			mc, err := bc.machine(u, crossRefs, cfg, lane+1, compute)
 			if err != nil {
-				notePanics(tr, err)
 				return nil, err
 			}
+			return mc.prog, nil
+		})
+		sp.End()
+		if err != nil {
+			return nil, err
 		}
 		sp = tr.StartStage("ld", 0)
 		prog = linkMachine(parts)
 		sp.End()
 	}
 
-	res = &Result{Prog: prog}
+	res := &Result{Prog: prog}
 
 	if cfg.WholeProgram && cfg.CanonicalizeSequences {
 		outline.CanonicalizeCommutative(prog)
@@ -789,7 +822,6 @@ func BuildFromLLIR(mods []*llir.Module, cfg Config) (res *Result, err error) {
 		tr.Set("layout/touched_pages_before", int64(before.TouchedPages))
 		tr.Set("layout/touched_pages_after", int64(after.TouchedPages))
 	}
-	res.Timings = tr.StageTotalsSince(mark)
 	return res, nil
 }
 
@@ -806,18 +838,20 @@ func runVerify(prog *mir.Program, extern map[string]bool, tr *obs.Tracer, what s
 	return nil
 }
 
-func externSyms(mods []*llir.Module) map[string]bool {
+// externSyms returns the symbols that are external during per-module
+// outlining: the runtime's plus everything any module defines.
+func externSyms(units []*lowered) map[string]bool {
 	syms := make(map[string]bool, len(llir.RuntimeSyms))
 	for s := range llir.RuntimeSyms {
 		syms[s] = true
 	}
-	// Cross-module references are external during per-module outlining.
-	for _, m := range mods {
-		for _, f := range m.Funcs {
-			syms[f.Name] = true
+	for _, u := range units {
+		sum := u.summary()
+		for _, name := range sum.Funcs {
+			syms[name] = true
 		}
-		for _, g := range m.Globals {
-			syms[g.Name] = true
+		for _, name := range sum.Globals {
+			syms[name] = true
 		}
 	}
 	return syms
@@ -826,26 +860,18 @@ func externSyms(mods []*llir.Module) map[string]bool {
 // crossModuleRefs returns the function names referenced (by call or taken
 // address) from a module other than the one defining them — the symbols a
 // per-module transformation must leave resolvable for the system link.
-func crossModuleRefs(mods []*llir.Module) map[string]bool {
+func crossModuleRefs(units []*lowered) map[string]bool {
 	defIn := make(map[string]string)
-	for _, m := range mods {
-		for _, f := range m.Funcs {
-			defIn[f.Name] = m.Name
+	for _, u := range units {
+		for _, name := range u.summary().Funcs {
+			defIn[name] = u.name
 		}
 	}
 	refs := make(map[string]bool)
-	for _, m := range mods {
-		for _, f := range m.Funcs {
-			for _, b := range f.Blocks {
-				for i := range b.Insts {
-					in := &b.Insts[i]
-					if in.Op != llir.Call && in.Op != llir.GlobalAddr {
-						continue
-					}
-					if def, ok := defIn[in.Sym]; ok && def != m.Name {
-						refs[in.Sym] = true
-					}
-				}
+	for _, u := range units {
+		for _, sym := range u.summary().Refs {
+			if def, ok := defIn[sym]; ok && def != u.name {
+				refs[sym] = true
 			}
 		}
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"strings"
 	"testing"
 
+	"outliner/internal/cache"
 	"outliner/internal/obs"
 	"outliner/internal/pipeline"
 )
@@ -138,5 +140,83 @@ func TestRemarksCoverBuild(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Error("trace has no events")
+	}
+}
+
+// TestTelemetryDoesNotPerturbCachedBuild: the warm path — stubs, summary
+// headers, lazily decoded bodies — is as indifferent to the tracer as the
+// cold one, and its "cache llir" spans say whether lowering left a body
+// behind: a miss always does, a default-pipeline hit does not.
+func TestTelemetryDoesNotPerturbCachedBuild(t *testing.T) {
+	dir := t.TempDir()
+	defer cache.Forget(dir)
+	cfg := pipeline.Config{OutlineRounds: 1, SILOutline: true, MergeFunctions: true, Verify: true}
+	srcs := cacheTestSources()
+	ref, _ := buildListing(t, cfg, "", srcs)
+
+	bodies := func(tr *obs.Tracer) map[string]any {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := tr.WriteTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var tf struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]any{}
+		for _, e := range tf.TraceEvents {
+			if strings.HasPrefix(e.Name, "cache llir ") {
+				out[e.Name] = e.Args["body"]
+			}
+		}
+		return out
+	}
+	for _, pass := range []struct {
+		name string
+		body bool
+	}{{"cold", true}, {"warm", false}} {
+		full := cfg
+		full.CacheDir = dir
+		full.Tracer = obs.NewWith(obs.Config{FineSpans: true, MemStats: true})
+		res, err := pipeline.Build(srcs, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteImageListing(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != ref {
+			t.Fatalf("%s cached build under a full tracer differs from the untraced uncached build", pass.name)
+		}
+		got := bodies(full.Tracer)
+		if len(got) != len(srcs) {
+			t.Fatalf("%s: want one cache llir span per module, got %v", pass.name, got)
+		}
+		for span, body := range got {
+			if body != pass.body {
+				t.Errorf("%s: span %q has body=%v, want %v", pass.name, span, body, pass.body)
+			}
+		}
+	}
+	// And with no tracer at all over the same warm directory.
+	untraced := cfg
+	untraced.CacheDir = dir
+	res, err := pipeline.Build(srcs, untraced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.WriteImageListing(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != ref {
+		t.Fatal("warm cached build without a tracer differs from the uncached build")
 	}
 }

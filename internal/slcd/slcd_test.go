@@ -118,9 +118,12 @@ func TestServerDedupesConcurrentRequests(t *testing.T) {
 			t.Fatalf("wave 1 request %d listing differs from the serial build", i)
 		}
 	}
-	// The strict dedupe equation: each of the app's stage keys (one llir and
-	// one machine entry per module) was computed exactly once across all
-	// eight concurrent requests.
+	// The strict dedupe equation: each of the app's stage keys (one iface, one
+	// llir and one machine entry per module) was computed exactly once across
+	// all eight concurrent requests.
+	if got := sum(resps, "flight/iface/computes"); got != int64(modules) {
+		t.Fatalf("iface stage computes = %d across wave 1, want exactly %d (one per module)", got, modules)
+	}
 	if got := sum(resps, "flight/llir/computes"); got != int64(modules) {
 		t.Fatalf("llir stage computes = %d across wave 1, want exactly %d (one per module)", got, modules)
 	}
@@ -130,8 +133,8 @@ func TestServerDedupesConcurrentRequests(t *testing.T) {
 
 	// Wave 2: four warm identical requests plus four near-identical ones
 	// (distinct body edits). A body edit changes only the edited module's
-	// llir key — the comment compiles to nothing, so the lowered LLIR, the
-	// machine key, and the image all stay identical.
+	// iface and llir keys — the comment compiles to nothing, so the stub, the
+	// lowered LLIR, the machine key, and the image all stay identical.
 	reqs = reqs[:0]
 	for i := 0; i < 4; i++ {
 		reqs = append(reqs, &slcd.BuildRequest{Modules: app, Config: testConfig()})
@@ -152,6 +155,9 @@ func TestServerDedupesConcurrentRequests(t *testing.T) {
 			t.Fatalf("wave 2 request %d listing differs from the serial build", i)
 		}
 	}
+	if got := sum(resps, "flight/iface/computes"); got != edits {
+		t.Fatalf("iface stage computes = %d across wave 2, want exactly %d (one per distinct edit)", got, edits)
+	}
 	if got := sum(resps, "flight/llir/computes"); got != edits {
 		t.Fatalf("llir stage computes = %d across wave 2, want exactly %d (one per distinct edit)", got, edits)
 	}
@@ -164,8 +170,8 @@ func TestServerDedupesConcurrentRequests(t *testing.T) {
 	if stats.Builds != 16 || stats.Failures != 0 {
 		t.Fatalf("daemon stats = %d builds, %d failures; want 16, 0", stats.Builds, stats.Failures)
 	}
-	if got := stats.Counters["flight/computes"]; got != int64(2*modules+edits) {
-		t.Fatalf("aggregated flight/computes = %d, want %d", got, 2*modules+edits)
+	if got := stats.Counters["flight/computes"]; got != int64(3*modules+2*edits) {
+		t.Fatalf("aggregated flight/computes = %d, want %d", got, 3*modules+2*edits)
 	}
 }
 
