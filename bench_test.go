@@ -18,13 +18,16 @@ import (
 
 	"outliner/internal/appgen"
 	"outliner/internal/benchkit"
+	"outliner/internal/codegen"
 	"outliner/internal/exec"
 	"outliner/internal/experiments"
 	"outliner/internal/isa"
+	"outliner/internal/llir"
 	"outliner/internal/mir"
 	"outliner/internal/outline"
 	"outliner/internal/perf"
 	"outliner/internal/pipeline"
+	"outliner/internal/sir"
 	"outliner/internal/suffixtree"
 )
 
@@ -221,6 +224,86 @@ func BenchmarkDataLayout(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.RegressionPct, "interleave-regression-%")
+	}
+}
+
+// ---- Compile-path layers ----
+//
+// One benchmark per layer of the compile path, each over the 24-module
+// UberRider corpus with allocations reported, so a change to one layer has a
+// number that does not need the end-to-end benchmark:
+//
+//	go test -run '^$' -bench 'FromSIR|MergeFunctions|CodegenCompile|Liveness' -benchmem .
+
+// layerSIR lowers the 24-module corpus to SIR.
+func layerSIR(b *testing.B) []*sir.Module {
+	b.Helper()
+	mods := appgen.Generate(appgen.UberRider, appgen.ScaleForModules(appgen.UberRider, 24))
+	sirs, err := appgen.CompileToSIR(mods, pipeline.OSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sirs
+}
+
+// layerLinked lowers and IR-links the SIR modules: the input of
+// whole-program function merging and codegen. Each call builds a fresh module.
+func layerLinked(b *testing.B, sirs []*sir.Module) *llir.Module {
+	b.Helper()
+	merged, err := appgen.LowerAndLink(sirs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return merged
+}
+
+func BenchmarkFromSIR(b *testing.B) {
+	sirs := layerSIR(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sm := range sirs {
+			if _, err := llir.FromSIR(sm); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+func BenchmarkMergeFunctions(b *testing.B) {
+	sirs := layerSIR(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		merged := layerLinked(b, sirs) // merging consumes its input
+		b.StartTimer()
+		llir.MergeFunctions(merged)
+	}
+}
+
+func BenchmarkCodegenCompile(b *testing.B) {
+	merged := layerLinked(b, layerSIR(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := codegen.CompileWith(merged, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLiveness(b *testing.B) {
+	prog, err := codegen.CompileWith(layerLinked(b, layerSIR(b)), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range prog.Funcs {
+			mir.ComputeLiveness(f, mir.DefaultExternLive)
+		}
 	}
 }
 

@@ -135,7 +135,7 @@ func TestSpilling(t *testing.T) {
 
 	// The compiled function must actually contain spill traffic.
 	m := llir.NewModule("T2")
-	m.AddFunc(cloneFunc(f))
+	m.AddFunc(f)
 	prog, err := Compile(m)
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestShiftStrengthReduction(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 	m := llir.NewModule("T2")
-	m.AddFunc(cloneFunc(f))
+	m.AddFunc(f)
 	prog, err := Compile(m)
 	if err != nil {
 		t.Fatal(err)
@@ -363,10 +363,10 @@ func TestCriticalEdgeSplitting(t *testing.T) {
 			{Op: llir.Ret, A: phi},
 		}},
 	}
-	if got := compileAndRun(t, cloneFunc(f), 5); got != "111\n" {
+	if got := compileAndRun(t, f, 5); got != "111\n" {
 		t.Errorf("lt path got %q", got)
 	}
-	if got := compileAndRun(t, cloneFunc(f), 50); got != "222\n" {
+	if got := compileAndRun(t, f, 50); got != "222\n" {
 		t.Errorf("ge path got %q", got)
 	}
 }
@@ -409,11 +409,11 @@ func TestCriticalEdgeBothTargets(t *testing.T) {
 		}},
 	}
 	// x>0: entry->ja (phiA=1) -> jb (phiB=phiA=1) -> ret 2.
-	if got := compileAndRun(t, cloneFunc(f), 7); got != "2\n" {
+	if got := compileAndRun(t, f, 7); got != "2\n" {
 		t.Errorf("taken path got %q", got)
 	}
 	// x<=0: entry->jb directly (phiB=2) -> ret 3.
-	if got := compileAndRun(t, cloneFunc(f), -1); got != "3\n" {
+	if got := compileAndRun(t, f, -1); got != "3\n" {
 		t.Errorf("fallthrough path got %q", got)
 	}
 }

@@ -9,86 +9,106 @@ import (
 // scratch registers for spill reloads (never allocated).
 var scratchRegs = [3]isa.Reg{isa.X8, isa.X17, isa.X16}
 
+// frame is a function's stack frame (16-byte aligned):
+//
+//	[sp+0]                fp, lr pair
+//	[sp+16 ...]           callee-saved pairs
+//	[sp+csEnd ...]        spill slots (8 bytes each)
+type frame struct {
+	needed bool
+	usedCS []isa.Reg
+	csEnd  int
+	size   int
+}
+
+func (fr *frame) slotOff(slot int32) int64 { return int64(fr.csEnd + 8*int(slot)) }
+
+func (fr *frame) prologue(out []isa.Inst) []isa.Inst {
+	if !fr.needed {
+		return out
+	}
+	out = append(out, isa.Inst{
+		Op: isa.STPpre, Rd: isa.FP, Rd2: isa.LR, Rn: isa.SP, Imm: -int64(fr.size),
+	})
+	for i := 0; i < len(fr.usedCS); i += 2 {
+		off := int64(16 + 8*i)
+		if i+1 < len(fr.usedCS) {
+			out = append(out, isa.Inst{
+				Op: isa.STPui, Rd: fr.usedCS[i], Rd2: fr.usedCS[i+1], Rn: isa.SP, Imm: off,
+			})
+		} else {
+			out = append(out, isa.Inst{
+				Op: isa.STRui, Rd: fr.usedCS[i], Rn: isa.SP, Imm: off,
+			})
+		}
+	}
+	return append(out, isa.Inst{Op: isa.ADDri, Rd: isa.FP, Rn: isa.SP, Imm: 0})
+}
+
+func (fr *frame) epilogue(out []isa.Inst) []isa.Inst {
+	if !fr.needed {
+		return out
+	}
+	for i := ((len(fr.usedCS) - 1) / 2) * 2; i >= 0 && len(fr.usedCS) > 0; i -= 2 {
+		off := int64(16 + 8*i)
+		if i+1 < len(fr.usedCS) {
+			out = append(out, isa.Inst{
+				Op: isa.LDPui, Rd: fr.usedCS[i], Rd2: fr.usedCS[i+1], Rn: isa.SP, Imm: off,
+			})
+		} else {
+			out = append(out, isa.Inst{
+				Op: isa.LDRui, Rd: fr.usedCS[i], Rn: isa.SP, Imm: off,
+			})
+		}
+	}
+	return append(out, isa.Inst{
+		Op: isa.LDPpost, Rd: isa.FP, Rd2: isa.LR, Rn: isa.SP, Imm: int64(fr.size),
+	})
+}
+
+func hasVreg(list []vreg, v vreg) bool {
+	for _, u := range list {
+		if u == v {
+			return true
+		}
+	}
+	return false
+}
+
 // emit produces the final machine function: virtual registers are replaced
 // by their assignments, spill code is inserted around uses/defs, the frame
 // (prologue/epilogue) is materialized, and branches to the immediately
-// following block are elided.
-func emit(f *llir.Func, blocks []*vblock, alloc *allocation) *mir.Function {
-	needsFrame := alloc.hasCalls || alloc.numSpills > 0 || len(alloc.usedCS) > 0
-
-	// Frame layout (16-byte aligned):
-	//   [sp+0]                fp, lr pair
-	//   [sp+16 ...]           callee-saved pairs
-	//   [sp+csEnd ...]        spill slots (8 bytes each)
+// following block are elided. The code is assembled flat in the scratch and
+// then copied into one exactly-sized slab the function's blocks window into.
+func (sc *scratch) emit(f *llir.Func) *mir.Function {
+	alloc := &sc.alloc
 	csPairs := (len(alloc.usedCS) + 1) / 2
-	csEnd := 16 + 16*csPairs
-	frameSize := csEnd + 16*((alloc.numSpills*8+15)/16)
-
-	out := &mir.Function{Name: f.Name, Module: f.Module}
-
-	prologue := func(blk *mir.Block) {
-		if !needsFrame {
-			return
-		}
-		blk.Insts = append(blk.Insts, isa.Inst{
-			Op: isa.STPpre, Rd: isa.FP, Rd2: isa.LR, Rn: isa.SP, Imm: -int64(frameSize),
-		})
-		for i := 0; i < len(alloc.usedCS); i += 2 {
-			off := int64(16 + 8*i)
-			if i+1 < len(alloc.usedCS) {
-				blk.Insts = append(blk.Insts, isa.Inst{
-					Op: isa.STPui, Rd: alloc.usedCS[i], Rd2: alloc.usedCS[i+1], Rn: isa.SP, Imm: off,
-				})
-			} else {
-				blk.Insts = append(blk.Insts, isa.Inst{
-					Op: isa.STRui, Rd: alloc.usedCS[i], Rn: isa.SP, Imm: off,
-				})
-			}
-		}
-		blk.Insts = append(blk.Insts, isa.Inst{Op: isa.ADDri, Rd: isa.FP, Rn: isa.SP, Imm: 0})
+	fr := frame{
+		needed: alloc.hasCalls || alloc.numSpills > 0 || len(alloc.usedCS) > 0,
+		usedCS: alloc.usedCS,
+		csEnd:  16 + 16*csPairs,
 	}
-	epilogue := func(blk *mir.Block) {
-		if !needsFrame {
-			return
-		}
-		for i := ((len(alloc.usedCS) - 1) / 2) * 2; i >= 0 && len(alloc.usedCS) > 0; i -= 2 {
-			off := int64(16 + 8*i)
-			if i+1 < len(alloc.usedCS) {
-				blk.Insts = append(blk.Insts, isa.Inst{
-					Op: isa.LDPui, Rd: alloc.usedCS[i], Rd2: alloc.usedCS[i+1], Rn: isa.SP, Imm: off,
-				})
-			} else {
-				blk.Insts = append(blk.Insts, isa.Inst{
-					Op: isa.LDRui, Rd: alloc.usedCS[i], Rn: isa.SP, Imm: off,
-				})
-			}
-		}
-		blk.Insts = append(blk.Insts, isa.Inst{
-			Op: isa.LDPpost, Rd: isa.FP, Rd2: isa.LR, Rn: isa.SP, Imm: int64(frameSize),
-		})
-	}
-	slotOff := func(slot int) int64 { return int64(csEnd + 8*slot) }
+	fr.size = fr.csEnd + 16*((alloc.numSpills*8+15)/16)
 
-	for bi, vb := range blocks {
-		blk := &mir.Block{Label: vb.label}
+	nb := len(sc.vblocks)
+	out := sc.out[:0]
+	outStart := zeroed(sc.outStart, nb)
+	outEnd := zeroed(sc.outEnd, nb)
+	for bi, vb := range sc.vblocks {
+		outStart[bi] = int32(len(out))
 		if bi == 0 {
-			prologue(blk)
+			out = fr.prologue(out)
 		}
-		for ii := range vb.insts {
-			vi := &vb.insts[ii]
+		for p := vb.start; p < vb.end; p++ {
+			vi := &sc.vinsts[p]
 			if vi.op == isa.RET {
-				epilogue(blk)
-				blk.Insts = append(blk.Insts, isa.Inst{Op: isa.RET})
+				out = fr.epilogue(out)
+				out = append(out, isa.Inst{Op: isa.RET})
 				continue
 			}
 			// Map operands: reload spilled uses into scratch registers,
 			// write spilled defs through a scratch register.
 			scratchNext := 0
-			takeScratch := func() isa.Reg {
-				r := scratchRegs[scratchNext]
-				scratchNext++
-				return r
-			}
 			regFor := func(v vreg, isUse bool) isa.Reg {
 				if v == vnone {
 					return isa.Reg(0)
@@ -96,87 +116,67 @@ func emit(f *llir.Func, blocks []*vblock, alloc *allocation) *mir.Function {
 				if v.isPhys() {
 					return v.physReg()
 				}
-				if r, ok := alloc.regOf[v]; ok {
+				if r := alloc.regOf[v]; r != isa.NoReg {
 					return r
 				}
-				slot, ok := alloc.spillSlot[v]
-				if !ok {
-					// A def-only value with no interval use: scratch.
-					return takeScratch()
-				}
-				r := takeScratch()
-				if isUse {
-					blk.Insts = append(blk.Insts, isa.Inst{
-						Op: isa.LDRui, Rd: r, Rn: isa.SP, Imm: slotOff(slot),
+				r := scratchRegs[scratchNext]
+				scratchNext++
+				// A def-only value with no interval use has no slot either:
+				// it just lands in the scratch register.
+				if slot := alloc.spillSlot[v]; slot >= 0 && isUse {
+					out = append(out, isa.Inst{
+						Op: isa.LDRui, Rd: r, Rn: isa.SP, Imm: fr.slotOff(slot),
 					})
 				}
 				return r
 			}
 
 			in := isa.Inst{Op: vi.op, Imm: vi.imm, Sym: vi.sym, Cond: vi.cond}
-			uses := vinstUses(vi)
-			defs := vinstDefs(vi)
-			isUseField := func(v vreg, list []vreg) bool {
-				for _, u := range list {
-					if u == v {
-						return true
-					}
-				}
-				return false
-			}
+			useArr, n := vi.uses()
+			uses := useArr[:n]
+			def := vi.def()
 			// Resolve use operands first (loads), then the def.
-			fields := []struct {
-				src vreg
-				dst *isa.Reg
-			}{
-				{vi.rn, &in.Rn}, {vi.rm, &in.Rm}, {vi.rd2, &in.Rd2},
-			}
-			for _, fd := range fields {
-				if fd.src == vnone {
-					*fd.dst = isa.Reg(0)
-					continue
-				}
-				*fd.dst = regFor(fd.src, isUseField(fd.src, uses))
-			}
+			in.Rn = regFor(vi.rn, hasVreg(uses, vi.rn))
+			in.Rm = regFor(vi.rm, hasVreg(uses, vi.rm))
+			in.Rd2 = regFor(vi.rd2, hasVreg(uses, vi.rd2))
 			// rd can be a use (STRui) or a def.
 			if vi.rd != vnone {
-				if isUseField(vi.rd, uses) && !isUseField(vi.rd, defs) {
-					in.Rd = regFor(vi.rd, true)
-				} else {
-					in.Rd = regFor(vi.rd, false)
-				}
+				in.Rd = regFor(vi.rd, hasVreg(uses, vi.rd) && vi.rd != def)
 			}
-			blk.Insts = append(blk.Insts, in)
+			out = append(out, in)
 			// Spill the def if needed.
-			for _, d := range defs {
-				if d == vnone || d.isPhys() {
-					continue
-				}
-				if slot, ok := alloc.spillSlot[d]; ok {
-					blk.Insts = append(blk.Insts, isa.Inst{
-						Op: isa.STRui, Rd: in.Rd, Rn: isa.SP, Imm: slotOff(slot),
+			if def > 0 {
+				if slot := alloc.spillSlot[def]; slot >= 0 {
+					out = append(out, isa.Inst{
+						Op: isa.STRui, Rd: in.Rd, Rn: isa.SP, Imm: fr.slotOff(slot),
 					})
 				}
 			}
 		}
-		out.Blocks = append(out.Blocks, blk)
+		outEnd[bi] = int32(len(out))
+	}
+	sc.out, sc.outStart, sc.outEnd = out, outStart, outEnd
+
+	// Elide a block-final "B next" when next is the physically following
+	// block.
+	total := 0
+	for bi := range sc.vblocks {
+		if s, e := outStart[bi], outEnd[bi]; bi+1 < nb && e > s {
+			if last := &out[e-1]; last.Op == isa.B && last.Sym == sc.vblocks[bi+1].label {
+				outEnd[bi]--
+			}
+		}
+		total += int(outEnd[bi] - outStart[bi])
 	}
 
-	elideFallthroughBranches(out)
-	return out
-}
-
-// elideFallthroughBranches removes a block-final "B next" when next is the
-// physically following block.
-func elideFallthroughBranches(f *mir.Function) {
-	for i := 0; i+1 < len(f.Blocks); i++ {
-		b := f.Blocks[i]
-		if len(b.Insts) == 0 {
-			continue
-		}
-		last := b.Insts[len(b.Insts)-1]
-		if last.Op == isa.B && last.Sym == f.Blocks[i+1].Label {
-			b.Insts = b.Insts[:len(b.Insts)-1]
-		}
+	mf := &mir.Function{Name: f.Name, Module: f.Module, Blocks: make([]*mir.Block, nb)}
+	blocks := make([]mir.Block, nb)
+	slab := make([]isa.Inst, total)
+	for bi, vb := range sc.vblocks {
+		n := copy(slab, out[outStart[bi]:outEnd[bi]])
+		blocks[bi] = mir.Block{Label: vb.label, Insts: slab[:n:n]}
+		slab = slab[n:]
+		mf.Blocks[bi] = &blocks[bi]
 	}
+	return mf
 }

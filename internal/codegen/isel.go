@@ -10,7 +10,7 @@ import (
 
 // vreg is a register operand during selection: positive ids are virtual
 // registers (llir value numbers), negative ids encode physical registers.
-type vreg int
+type vreg int32
 
 const vnone vreg = 0
 
@@ -21,114 +21,69 @@ func (v vreg) physReg() isa.Reg { return isa.Reg(-v - 1) }
 // vinst is a machine instruction with (possibly) virtual register operands.
 type vinst struct {
 	op   isa.Op
+	cond isa.Cond
 	rd   vreg
 	rd2  vreg
 	rn   vreg
 	rm   vreg
 	imm  int64
 	sym  string
-	cond isa.Cond
 }
 
-// vblock is a pre-RA basic block.
+// vblock is a pre-RA basic block: a label and a window into the lane's flat
+// vinst buffer.
 type vblock struct {
-	label string
-	insts []vinst
+	label      string
+	start, end int32
 }
 
-// succs extracts the control-flow successors of the block (labels only;
-// RET/BRK and tail-calls have none).
-func (b *vblock) succs(labels map[string]bool) []string {
-	var out []string
-	for i := len(b.insts) - 1; i >= 0; i-- {
-		in := b.insts[i]
-		switch in.op {
-		case isa.B, isa.Bcc, isa.CBZ, isa.CBNZ:
-			if labels[in.sym] {
-				out = append(out, in.sym)
-			}
-		case isa.RET, isa.BRK:
-		default:
-			return out
-		}
-		if i == len(b.insts)-1 && (in.op == isa.RET || in.op == isa.BRK) {
-			return nil
-		}
-	}
-	return out
+// useRef is one operand occurrence in a value's use list: the using
+// instruction and the block holding it.
+type useRef struct {
+	in    *llir.Inst
+	block int32
 }
 
-type selector struct {
-	f       *llir.Func
-	useCnt  map[llir.Value]int
-	defOf   map[llir.Value]*llir.Inst
-	skipped map[llir.Value]bool // Const defs fully folded; Cmp defs fused
-}
-
-// selectInstructions lowers the (post-SSA) LLIR function to vinsts.
-func selectInstructions(f *llir.Func) ([]*vblock, error) {
-	s := &selector{
-		f:       f,
-		useCnt:  make(map[llir.Value]int),
-		defOf:   make(map[llir.Value]*llir.Inst),
-		skipped: make(map[llir.Value]bool),
+// selectInstructions lowers the (post-SSA) LLIR function into sc.vblocks /
+// sc.vinsts.
+func (sc *scratch) selectInstructions(f *llir.Func) error {
+	if f.NumParams > isa.NumArgRegs {
+		return fmt.Errorf("%d parameters exceed the %d argument registers",
+			f.NumParams, isa.NumArgRegs)
 	}
-	for _, b := range f.Blocks {
-		for i := range b.Insts {
-			in := &b.Insts[i]
-			if in.Dst != llir.None {
-				s.defOf[in.Dst] = in
-			}
-			if in.Op == llir.Call && in.ErrDst != llir.None {
-				s.defOf[in.ErrDst] = in
-			}
-			for _, u := range uses(in) {
-				s.useCnt[u]++
-			}
-		}
-	}
-	s.planFolding()
+	sc.indexUses(f)
+	sc.planFolding(f)
 
-	var out []*vblock
+	sc.vinsts = sc.vinsts[:0]
+	sc.vblocks = sc.vblocks[:0]
 	for bi, b := range f.Blocks {
-		vb := &vblock{label: b.Label}
+		start := int32(len(sc.vinsts))
 		if bi == 0 {
 			// Materialize incoming parameters from the argument registers.
-			if f.NumParams > isa.NumArgRegs {
-				return nil, fmt.Errorf("%d parameters exceed the %d argument registers",
-					f.NumParams, isa.NumArgRegs)
-			}
 			for i := 0; i < f.NumParams; i++ {
-				vb.insts = append(vb.insts, vinst{
-					op: isa.ORRrs, rd: vreg(f.Param(i)), rn: phys(isa.XZR), rm: phys(isa.ArgReg(i)),
-				})
+				sc.mov(vreg(f.Param(i)), phys(isa.ArgReg(i)))
 			}
 		}
 		for i := range b.Insts {
-			if err := s.lower(vb, b, i); err != nil {
-				return nil, err
+			if err := sc.lower(f, &b.Insts[i]); err != nil {
+				return err
 			}
 		}
-		out = append(out, vb)
+		sc.vblocks = append(sc.vblocks, vblock{label: b.Label, start: start, end: int32(len(sc.vinsts))})
 	}
-	return out, nil
+	return nil
 }
 
-func uses(in *llir.Inst) []llir.Value {
-	var out []llir.Value
+// appendUses appends the values in reads to dst, one entry per operand
+// occurrence.
+func appendUses(dst []llir.Value, in *llir.Inst) []llir.Value {
 	add := func(v llir.Value) {
 		if v != llir.None {
-			out = append(out, v)
+			dst = append(dst, v)
 		}
 	}
 	switch in.Op {
 	case llir.Const, llir.GlobalAddr, llir.Br, llir.Unreachable:
-	case llir.Ret:
-		add(in.A)
-		add(in.B)
-	case llir.Store:
-		add(in.A)
-		add(in.B)
 	case llir.Call:
 		// Args only.
 	case llir.CallInd:
@@ -143,67 +98,89 @@ func uses(in *llir.Inst) []llir.Value {
 	for _, inc := range in.Incomings {
 		add(inc.Val)
 	}
-	return out
+	return dst
+}
+
+// indexUses fills the by-value tables in two passes over the function: the
+// defining instructions and per-value use counts first, then (from the
+// counts' prefix sums) every value's use list, so that folding decisions cost
+// O(uses) instead of a scan of the whole function per candidate.
+func (sc *scratch) indexUses(f *llir.Func) {
+	n := f.NumValues + 1
+	defOf := zeroed(sc.defOf, n)
+	sc.skipped = zeroed(sc.skipped, n)
+	off := zeroed(sc.useOff, n+1) // off[v+1] counts v's uses, then becomes its list's end
+	buf := sc.useBuf
+	for _, b := range f.Blocks {
+		for i := range b.Insts {
+			in := &b.Insts[i]
+			if in.Dst != llir.None {
+				defOf[in.Dst] = in
+			}
+			if in.Op == llir.Call && in.ErrDst != llir.None {
+				defOf[in.ErrDst] = in
+			}
+			buf = appendUses(buf[:0], in)
+			for _, u := range buf {
+				off[u+1]++
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	list := zeroed(sc.useList, int(off[n]))
+	for bi, b := range f.Blocks {
+		for i := range b.Insts {
+			in := &b.Insts[i]
+			buf = appendUses(buf[:0], in)
+			for _, u := range buf {
+				list[off[u]] = useRef{in: in, block: int32(bi)}
+				off[u]++
+			}
+		}
+	}
+	// The fill advanced off[v] to the end of v's list: shift back down.
+	copy(off[1:], off[:n])
+	off[0] = 0
+	sc.defOf, sc.useOff, sc.useList, sc.useBuf = defOf, off, list, buf
+}
+
+func (sc *scratch) usersOf(v llir.Value) []useRef {
+	return sc.useList[sc.useOff[v]:sc.useOff[v+1]]
 }
 
 // planFolding decides which Const definitions vanish entirely into immediate
 // operands, and which Cmp definitions fuse into their consuming conditional
 // branch.
-func (s *selector) planFolding() {
-	for _, b := range s.f.Blocks {
+func (sc *scratch) planFolding(f *llir.Func) {
+	for bi, b := range f.Blocks {
 		for i := range b.Insts {
 			in := &b.Insts[i]
 			switch in.Op {
 			case llir.Const:
-				if s.useCnt[in.Dst] > 0 && s.allUsesFoldable(in.Dst, in.Imm) {
-					s.skipped[in.Dst] = true
+				if len(sc.usersOf(in.Dst)) > 0 && sc.allUsesFoldable(in.Dst, in.Imm) {
+					sc.skipped[in.Dst] = true
 				}
 			case llir.Cmp:
-				if s.useCnt[in.Dst] == 1 {
-					if user := s.singleUserInBlock(b, in.Dst); user != nil && user.Op == llir.CondBr {
-						s.skipped[in.Dst] = true
-					}
+				// Fuse when the only use is a CondBr of the same block.
+				if us := sc.usersOf(in.Dst); len(us) == 1 && us[0].block == int32(bi) && us[0].in.Op == llir.CondBr {
+					sc.skipped[in.Dst] = true
 				}
 			}
 		}
 	}
-}
-
-func (s *selector) singleUserInBlock(b *llir.Block, v llir.Value) *llir.Inst {
-	var found *llir.Inst
-	for i := range b.Insts {
-		in := &b.Insts[i]
-		for _, u := range uses(in) {
-			if u == v {
-				if found != nil {
-					return nil
-				}
-				found = in
-			}
-		}
-	}
-	return found
 }
 
 // allUsesFoldable reports whether every use of a Const can take the
 // immediate form.
-func (s *selector) allUsesFoldable(v llir.Value, imm int64) bool {
-	folds := 0
-	for _, b := range s.f.Blocks {
-		for i := range b.Insts {
-			in := &b.Insts[i]
-			for _, u := range uses(in) {
-				if u != v {
-					continue
-				}
-				if !useFoldable(in, v, imm) {
-					return false
-				}
-				folds++
-			}
+func (sc *scratch) allUsesFoldable(v llir.Value, imm int64) bool {
+	for _, u := range sc.usersOf(v) {
+		if !useFoldable(u.in, v, imm) {
+			return false
 		}
 	}
-	return folds > 0
+	return true
 }
 
 func useFoldable(user *llir.Inst, v llir.Value, imm int64) bool {
@@ -246,135 +223,138 @@ func argOnly(call *llir.Inst, v llir.Value) bool {
 	return false
 }
 
-func (s *selector) constImm(v llir.Value) (int64, bool) {
-	d := s.defOf[v]
-	if d != nil && d.Op == llir.Const {
+// foldedImm returns v's immediate when v is a Const that planFolding folded
+// into its users.
+func (sc *scratch) foldedImm(v llir.Value) (int64, bool) {
+	if d := sc.defOf[v]; d != nil && d.Op == llir.Const && sc.skipped[v] {
 		return d.Imm, true
 	}
 	return 0, false
 }
 
-// lower translates f.Blocks[?].Insts[i] into vb.
-func (s *selector) lower(vb *vblock, b *llir.Block, idx int) error {
-	in := &b.Insts[idx]
-	emit := func(vi vinst) { vb.insts = append(vb.insts, vi) }
-	mov := func(dst, src vreg) { emit(vinst{op: isa.ORRrs, rd: dst, rn: phys(isa.XZR), rm: src}) }
-	v := func(x llir.Value) vreg { return vreg(x) }
+func (sc *scratch) emitV(vi vinst) { sc.vinsts = append(sc.vinsts, vi) }
 
-	// Argument moves for calls: constants can be moved as immediates.
-	emitArgs := func(args []llir.Value) error {
-		if len(args) > isa.NumArgRegs {
-			return fmt.Errorf("call with %d arguments exceeds the %d argument registers",
-				len(args), isa.NumArgRegs)
-		}
-		for i, a := range args {
-			dst := phys(isa.ArgReg(i))
-			if imm, ok := s.constImm(a); ok && s.skipped[a] {
-				emit(vinst{op: isa.MOVZ, rd: dst, imm: imm})
-			} else {
-				mov(dst, v(a))
-			}
-		}
-		return nil
+func (sc *scratch) mov(dst, src vreg) {
+	sc.emitV(vinst{op: isa.ORRrs, rd: dst, rn: phys(isa.XZR), rm: src})
+}
+
+// emitArgs emits the argument moves of a call: constants can be moved as
+// immediates.
+func (sc *scratch) emitArgs(args []llir.Value) error {
+	if len(args) > isa.NumArgRegs {
+		return fmt.Errorf("call with %d arguments exceeds the %d argument registers",
+			len(args), isa.NumArgRegs)
 	}
+	for i, a := range args {
+		dst := phys(isa.ArgReg(i))
+		if imm, ok := sc.foldedImm(a); ok {
+			sc.emitV(vinst{op: isa.MOVZ, rd: dst, imm: imm})
+		} else {
+			sc.mov(dst, vreg(a))
+		}
+	}
+	return nil
+}
 
+// lower translates one LLIR instruction, appending to sc.vinsts.
+func (sc *scratch) lower(f *llir.Func, in *llir.Inst) error {
 	switch in.Op {
 	case llir.Const:
-		if s.skipped[in.Dst] {
+		if sc.skipped[in.Dst] {
 			return nil
 		}
-		emit(vinst{op: isa.MOVZ, rd: v(in.Dst), imm: in.Imm})
+		sc.emitV(vinst{op: isa.MOVZ, rd: vreg(in.Dst), imm: in.Imm})
 	case llir.GlobalAddr:
-		emit(vinst{op: isa.ADR, rd: v(in.Dst), sym: in.Sym})
+		sc.emitV(vinst{op: isa.ADR, rd: vreg(in.Dst), sym: in.Sym})
 	case llir.Bin:
-		if imm, ok := s.constImm(in.B); ok && s.skipped[in.B] {
+		if imm, ok := sc.foldedImm(in.B); ok {
 			switch in.BinOp {
 			case llir.Add:
-				emit(vinst{op: isa.ADDri, rd: v(in.Dst), rn: v(in.A), imm: imm})
+				sc.emitV(vinst{op: isa.ADDri, rd: vreg(in.Dst), rn: vreg(in.A), imm: imm})
 				return nil
 			case llir.Sub:
-				emit(vinst{op: isa.SUBri, rd: v(in.Dst), rn: v(in.A), imm: imm})
+				sc.emitV(vinst{op: isa.SUBri, rd: vreg(in.Dst), rn: vreg(in.A), imm: imm})
 				return nil
 			case llir.Mul:
-				emit(vinst{op: isa.LSLri, rd: v(in.Dst), rn: v(in.A), imm: int64(bits.TrailingZeros64(uint64(imm)))})
+				sc.emitV(vinst{op: isa.LSLri, rd: vreg(in.Dst), rn: vreg(in.A), imm: int64(bits.TrailingZeros64(uint64(imm)))})
 				return nil
 			}
 		}
 		switch in.BinOp {
 		case llir.Add:
-			emit(vinst{op: isa.ADDrs, rd: v(in.Dst), rn: v(in.A), rm: v(in.B)})
+			sc.emitV(vinst{op: isa.ADDrs, rd: vreg(in.Dst), rn: vreg(in.A), rm: vreg(in.B)})
 		case llir.Sub:
-			emit(vinst{op: isa.SUBrs, rd: v(in.Dst), rn: v(in.A), rm: v(in.B)})
+			sc.emitV(vinst{op: isa.SUBrs, rd: vreg(in.Dst), rn: vreg(in.A), rm: vreg(in.B)})
 		case llir.Mul:
-			emit(vinst{op: isa.MUL, rd: v(in.Dst), rn: v(in.A), rm: v(in.B)})
+			sc.emitV(vinst{op: isa.MUL, rd: vreg(in.Dst), rn: vreg(in.A), rm: vreg(in.B)})
 		case llir.Div:
-			emit(vinst{op: isa.SDIV, rd: v(in.Dst), rn: v(in.A), rm: v(in.B)})
+			sc.emitV(vinst{op: isa.SDIV, rd: vreg(in.Dst), rn: vreg(in.A), rm: vreg(in.B)})
 		case llir.Rem:
-			q := vreg(s.f.NewValue())
-			emit(vinst{op: isa.SDIV, rd: q, rn: v(in.A), rm: v(in.B)})
-			emit(vinst{op: isa.MSUB, rd: v(in.Dst), rn: q, rm: v(in.B), rd2: v(in.A)})
+			q := vreg(f.NewValue())
+			sc.emitV(vinst{op: isa.SDIV, rd: q, rn: vreg(in.A), rm: vreg(in.B)})
+			sc.emitV(vinst{op: isa.MSUB, rd: vreg(in.Dst), rn: q, rm: vreg(in.B), rd2: vreg(in.A)})
 		}
 	case llir.Cmp:
-		if s.skipped[in.Dst] {
+		if sc.skipped[in.Dst] {
 			return nil // fused into the conditional branch
 		}
-		s.emitCompare(vb, in)
-		emit(vinst{op: isa.CSET, rd: v(in.Dst), cond: lowerCond(in.Cond)})
+		sc.emitCompare(in)
+		sc.emitV(vinst{op: isa.CSET, rd: vreg(in.Dst), cond: lowerCond(in.Cond)})
 	case llir.Not:
-		emit(vinst{op: isa.CMPri, rn: v(in.A), imm: 0})
-		emit(vinst{op: isa.CSET, rd: v(in.Dst), cond: isa.EQ})
+		sc.emitV(vinst{op: isa.CMPri, rn: vreg(in.A), imm: 0})
+		sc.emitV(vinst{op: isa.CSET, rd: vreg(in.Dst), cond: isa.EQ})
 	case llir.Neg:
-		emit(vinst{op: isa.SUBrs, rd: v(in.Dst), rn: phys(isa.XZR), rm: v(in.A)})
+		sc.emitV(vinst{op: isa.SUBrs, rd: vreg(in.Dst), rn: phys(isa.XZR), rm: vreg(in.A)})
 	case llir.Load:
-		emit(vinst{op: isa.LDRui, rd: v(in.Dst), rn: v(in.A), imm: in.Imm})
+		sc.emitV(vinst{op: isa.LDRui, rd: vreg(in.Dst), rn: vreg(in.A), imm: in.Imm})
 	case llir.Store:
-		emit(vinst{op: isa.STRui, rd: v(in.B), rn: v(in.A), imm: in.Imm})
+		sc.emitV(vinst{op: isa.STRui, rd: vreg(in.B), rn: vreg(in.A), imm: in.Imm})
 	case llir.Call:
-		if err := emitArgs(in.Args); err != nil {
+		if err := sc.emitArgs(in.Args); err != nil {
 			return err
 		}
-		emit(vinst{op: isa.BL, sym: in.Sym})
+		sc.emitV(vinst{op: isa.BL, sym: in.Sym})
 		if in.Dst != llir.None {
-			mov(v(in.Dst), phys(isa.X0))
+			sc.mov(vreg(in.Dst), phys(isa.X0))
 		}
 		if in.Throws && in.ErrDst != llir.None {
-			mov(v(in.ErrDst), phys(isa.ErrReg))
+			sc.mov(vreg(in.ErrDst), phys(isa.ErrReg))
 		}
 	case llir.CallInd:
-		mov(phys(isa.X16), v(in.A))
-		if err := emitArgs(in.Args); err != nil {
+		sc.mov(phys(isa.X16), vreg(in.A))
+		if err := sc.emitArgs(in.Args); err != nil {
 			return err
 		}
-		emit(vinst{op: isa.BLR, rn: phys(isa.X16)})
+		sc.emitV(vinst{op: isa.BLR, rn: phys(isa.X16)})
 		if in.Dst != llir.None {
-			mov(v(in.Dst), phys(isa.X0))
+			sc.mov(vreg(in.Dst), phys(isa.X0))
 		}
 	case llir.Ret:
 		if in.A != llir.None {
-			mov(phys(isa.X0), v(in.A))
+			sc.mov(phys(isa.X0), vreg(in.A))
 		}
-		if s.f.Throws {
-			if imm, ok := s.constImm(in.B); ok && s.skipped[in.B] {
-				emit(vinst{op: isa.MOVZ, rd: phys(isa.ErrReg), imm: imm})
+		if f.Throws {
+			if imm, ok := sc.foldedImm(in.B); ok {
+				sc.emitV(vinst{op: isa.MOVZ, rd: phys(isa.ErrReg), imm: imm})
 			} else if in.B != llir.None {
-				mov(phys(isa.ErrReg), v(in.B))
+				sc.mov(phys(isa.ErrReg), vreg(in.B))
 			}
 		}
-		emit(vinst{op: isa.RET})
+		sc.emitV(vinst{op: isa.RET})
 	case llir.Br:
-		emit(vinst{op: isa.B, sym: in.Sym})
+		sc.emitV(vinst{op: isa.B, sym: in.Sym})
 	case llir.CondBr:
-		if d := s.defOf[in.A]; d != nil && d.Op == llir.Cmp && s.skipped[in.A] {
-			s.emitCompare(vb, d)
-			emit(vinst{op: isa.Bcc, cond: lowerCond(d.Cond), sym: in.Sym})
+		if d := sc.defOf[in.A]; d != nil && d.Op == llir.Cmp && sc.skipped[in.A] {
+			sc.emitCompare(d)
+			sc.emitV(vinst{op: isa.Bcc, cond: lowerCond(d.Cond), sym: in.Sym})
 		} else {
-			emit(vinst{op: isa.CBNZ, rn: v(in.A), sym: in.Sym})
+			sc.emitV(vinst{op: isa.CBNZ, rn: vreg(in.A), sym: in.Sym})
 		}
-		emit(vinst{op: isa.B, sym: in.Sym2})
+		sc.emitV(vinst{op: isa.B, sym: in.Sym2})
 	case opCopy:
-		mov(v(in.Dst), v(in.A))
+		sc.mov(vreg(in.Dst), vreg(in.A))
 	case llir.Unreachable:
-		emit(vinst{op: isa.BRK, imm: 1})
+		sc.emitV(vinst{op: isa.BRK, imm: 1})
 	case llir.Phi:
 		return fmt.Errorf("phi survived out-of-SSA")
 	default:
@@ -383,12 +363,12 @@ func (s *selector) lower(vb *vblock, b *llir.Block, idx int) error {
 	return nil
 }
 
-func (s *selector) emitCompare(vb *vblock, cmp *llir.Inst) {
-	if imm, ok := s.constImm(cmp.B); ok && s.skipped[cmp.B] {
-		vb.insts = append(vb.insts, vinst{op: isa.CMPri, rn: vreg(cmp.A), imm: imm})
+func (sc *scratch) emitCompare(cmp *llir.Inst) {
+	if imm, ok := sc.foldedImm(cmp.B); ok {
+		sc.emitV(vinst{op: isa.CMPri, rn: vreg(cmp.A), imm: imm})
 		return
 	}
-	vb.insts = append(vb.insts, vinst{op: isa.CMPrs, rn: vreg(cmp.A), rm: vreg(cmp.B)})
+	sc.emitV(vinst{op: isa.CMPrs, rn: vreg(cmp.A), rm: vreg(cmp.B)})
 }
 
 func lowerCond(c llir.CondKind) isa.Cond {

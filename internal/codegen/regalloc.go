@@ -1,282 +1,322 @@
 package codegen
 
 import (
-	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"outliner/internal/isa"
 )
 
-// allocation is the result of register allocation.
+// allocation is the result of register allocation. regOf and spillSlot are
+// indexed by virtual register: a vreg holds a register, a spill slot, or (if
+// it never appeared as an operand) neither.
 type allocation struct {
-	regOf     map[vreg]isa.Reg
-	spillSlot map[vreg]int
+	regOf     []isa.Reg // isa.NoReg when not in a register
+	spillSlot []int32   // -1 when not spilled
 	numSpills int
-	usedCS    []isa.Reg // callee-saved registers the function writes
+	usedCS    []isa.Reg // callee-saved registers the function writes, ascending
 	hasCalls  bool
 }
 
 // operand roles: which vinst fields are written and read, per opcode.
-func vinstDefs(in *vinst) []vreg {
+
+// def returns the register in writes (vnone when it writes none).
+func (in *vinst) def() vreg {
 	switch in.op {
 	case isa.MOVZ, isa.ORRrs, isa.ANDrs, isa.EORrs, isa.ADDrs, isa.ADDri,
 		isa.SUBrs, isa.SUBri, isa.MUL, isa.SDIV, isa.MSUB, isa.LSLri,
 		isa.LSRri, isa.ASRri, isa.CSET, isa.LDRui, isa.ADR:
-		return []vreg{in.rd}
+		return in.rd
 	}
-	return nil
+	return vnone
 }
 
-func vinstUses(in *vinst) []vreg {
+// uses returns the registers in reads: the first n entries of u.
+func (in *vinst) uses() (u [3]vreg, n int) {
 	switch in.op {
 	case isa.ORRrs, isa.ANDrs, isa.EORrs, isa.ADDrs, isa.SUBrs, isa.MUL, isa.SDIV, isa.CMPrs:
-		return []vreg{in.rn, in.rm}
+		return [3]vreg{in.rn, in.rm}, 2
 	case isa.MSUB:
-		return []vreg{in.rn, in.rm, in.rd2}
+		return [3]vreg{in.rn, in.rm, in.rd2}, 3
 	case isa.ADDri, isa.SUBri, isa.LSLri, isa.LSRri, isa.ASRri, isa.CMPri, isa.LDRui:
-		return []vreg{in.rn}
+		return [3]vreg{in.rn}, 1
 	case isa.STRui:
-		return []vreg{in.rd, in.rn}
+		return [3]vreg{in.rd, in.rn}, 2
 	case isa.CBZ, isa.CBNZ, isa.BLR:
-		return []vreg{in.rn}
+		return [3]vreg{in.rn}, 1
 	}
-	return nil
+	return u, 0
 }
 
 func isCallOp(op isa.Op) bool { return op == isa.BL || op == isa.BLR }
 
-// interval is a live interval over linearized instruction positions.
+// interval is a virtual register's live interval over linearized instruction
+// positions. Intervals are indexed by the vreg's dense id.
 type interval struct {
-	v          vreg
-	start, end int
-	crossCall  bool
+	start, end int32 // start < 0: not touched yet
 }
 
-// allocateRegisters runs a Poletto-style linear scan. Values live across
-// calls go to callee-saved registers (producing the STP/LDP prologue
-// patterns of the paper's Listings 7-8); short-lived values use caller-saved
-// temporaries; overflow spills to the stack.
-func allocateRegisters(f interface{ String() string }, blocks []*vblock) (*allocation, error) {
-	alloc := &allocation{
-		regOf:     make(map[vreg]isa.Reg),
-		spillSlot: make(map[vreg]int),
+func (iv *interval) touch(p int32) {
+	if iv.start < 0 {
+		iv.start, iv.end = p, p
+		return
 	}
+	if p < iv.start {
+		iv.start = p
+	}
+	if p > iv.end {
+		iv.end = p
+	}
+}
 
-	// Linearize and record positions.
-	type pos struct{ b, i int }
-	var linear []pos
-	blockStart := make([]int, len(blocks))
-	blockEnd := make([]int, len(blocks))
-	labels := make(map[string]bool, len(blocks))
-	labelIdx := make(map[string]int, len(blocks))
-	for bi, b := range blocks {
-		labels[b.label] = true
-		labelIdx[b.label] = bi
-	}
-	var callPositions []int
-	for bi, b := range blocks {
-		blockStart[bi] = len(linear)
-		for ii := range b.insts {
-			if isCallOp(b.insts[ii].op) {
-				callPositions = append(callPositions, len(linear))
-			}
-			linear = append(linear, pos{bi, ii})
-		}
-		blockEnd[bi] = len(linear) - 1
-	}
-	alloc.hasCalls = len(callPositions) > 0
+type activeEntry struct {
+	end int32
+	reg isa.Reg
+}
 
-	// Per-block use/def sets over virtual registers.
-	useSet := make([]map[vreg]bool, len(blocks))
-	defSet := make([]map[vreg]bool, len(blocks))
-	for bi, b := range blocks {
-		useSet[bi] = make(map[vreg]bool)
-		defSet[bi] = make(map[vreg]bool)
-		for ii := range b.insts {
-			in := &b.insts[ii]
-			for _, u := range vinstUses(in) {
-				if u > 0 && !defSet[bi][u] {
-					useSet[bi][u] = true
-				}
-			}
-			for _, d := range vinstDefs(in) {
-				if d > 0 {
-					defSet[bi][d] = true
-				}
-			}
-		}
-	}
-
-	// Backward liveness to a fixed point.
-	liveIn := make([]map[vreg]bool, len(blocks))
-	liveOut := make([]map[vreg]bool, len(blocks))
-	for i := range blocks {
-		liveIn[i] = make(map[vreg]bool)
-		liveOut[i] = make(map[vreg]bool)
-	}
-	succIdx := make([][]int, len(blocks))
-	for bi, b := range blocks {
-		for _, s := range b.succs(labels) {
-			succIdx[bi] = append(succIdx[bi], labelIdx[s])
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for bi := len(blocks) - 1; bi >= 0; bi-- {
-			out := make(map[vreg]bool)
-			for _, s := range succIdx[bi] {
-				for v := range liveIn[s] {
-					out[v] = true
-				}
-			}
-			in := make(map[vreg]bool, len(out))
-			for v := range out {
-				if !defSet[bi][v] {
-					in[v] = true
-				}
-			}
-			for v := range useSet[bi] {
-				in[v] = true
-			}
-			if len(out) != len(liveOut[bi]) || len(in) != len(liveIn[bi]) {
-				liveOut[bi], liveIn[bi] = out, in
-				changed = true
-			}
-		}
-	}
-
-	// Build intervals.
-	ivals := make(map[vreg]*interval)
-	touch := func(v vreg, p int) {
-		if v <= 0 {
-			return
-		}
-		iv, ok := ivals[v]
-		if !ok {
-			ivals[v] = &interval{v: v, start: p, end: p}
-			return
-		}
-		if p < iv.start {
-			iv.start = p
-		}
-		if p > iv.end {
-			iv.end = p
-		}
-	}
-	for bi, b := range blocks {
-		for ii := range b.insts {
-			p := blockStart[bi] + ii
-			in := &b.insts[ii]
-			for _, d := range vinstDefs(in) {
-				touch(d, p)
-			}
-			for _, u := range vinstUses(in) {
-				touch(u, p)
-			}
-		}
-		for v := range liveIn[bi] {
-			touch(v, blockStart[bi])
-		}
-		for v := range liveOut[bi] {
-			touch(v, blockEnd[bi])
-		}
-	}
-	for _, c := range callPositions {
-		for _, iv := range ivals {
-			if iv.start < c && c < iv.end {
-				iv.crossCall = true
-			}
-		}
-	}
-
-	sorted := make([]*interval, 0, len(ivals))
-	for _, iv := range ivals {
-		sorted = append(sorted, iv)
-	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].start != sorted[j].start {
-			return sorted[i].start < sorted[j].start
-		}
-		return sorted[i].v < sorted[j].v
-	})
-
-	// Register pools.
-	var temps []isa.Reg
+// The allocatable register pools as bitmasks (bit r = register r). Taking
+// the lowest set bit hands registers out in ascending order.
+var tempPool, savedPool = func() (temps, saved uint64) {
 	for r := isa.FirstTemp; r <= isa.LastTemp; r++ {
-		temps = append(temps, r)
+		temps |= 1 << r
 	}
-	var saved []isa.Reg
 	for r := isa.FirstCalleeSaved; r <= isa.LastCalleeSaved; r++ {
 		if r.IsAllocatable() {
-			saved = append(saved, r)
+			saved |= 1 << r
+		}
+	}
+	return
+}()
+
+// allocateRegisters runs a Poletto-style linear scan over sc.vblocks and
+// leaves the result in sc.alloc. Values live across calls go to callee-saved
+// registers (producing the STP/LDP prologue patterns of the paper's Listings
+// 7-8); short-lived values use caller-saved temporaries; overflow spills to
+// the stack. maxVreg is the largest virtual register number in use.
+//
+// The virtual registers that actually appear as operands are renumbered
+// densely, so block liveness is a fixed point over small bitsets and the
+// intervals are a slice; a prefix count of call positions answers "does this
+// interval span a call" in O(1).
+func (sc *scratch) allocateRegisters(maxVreg int) {
+	blocks, vinsts := sc.vblocks, sc.vinsts
+	nb := len(blocks)
+	alloc := &sc.alloc
+
+	// The flat buffer holds the blocks back to back, so a linear position is
+	// an index into it: block b covers positions b.start..b.end-1, and
+	// callPrefix[p] counts the calls at positions below p.
+	callPrefix := zeroed(sc.callPrefix, len(vinsts)+1)
+	sc.callPrefix = callPrefix
+	calls := int32(0)
+	for p := range vinsts {
+		callPrefix[p] = calls
+		if isCallOp(vinsts[p].op) {
+			calls++
+		}
+	}
+	callPrefix[len(vinsts)] = calls
+	alloc.hasCalls = calls > 0
+
+	// Dense renumbering, in order of first appearance.
+	denseOf := zeroed(sc.denseOf, maxVreg+1)
+	vregOf := sc.vregOf[:0]
+	dense := func(v vreg) int32 {
+		d := denseOf[v]
+		if d == 0 {
+			vregOf = append(vregOf, v)
+			d = int32(len(vregOf))
+			denseOf[v] = d
+		}
+		return d - 1
+	}
+	for i := range vinsts {
+		in := &vinsts[i]
+		us, n := in.uses()
+		for _, u := range us[:n] {
+			if u > 0 {
+				dense(u)
+			}
+		}
+		if d := in.def(); d > 0 {
+			dense(d)
+		}
+	}
+	sc.denseOf, sc.vregOf = denseOf, vregOf
+	nv := len(vregOf)
+
+	// Per-block use/def sets and the intervals' in-block extents.
+	words := (nv + 63) / 64
+	sc.bits = zeroed(sc.bits, 4*nb*words)
+	row := func(set, bi int) []uint64 {
+		at := (set*nb + bi) * words
+		return sc.bits[at : at+words]
+	}
+	const useSet, defSet, liveIn, liveOut = 0, 1, 2, 3
+	ivals := zeroed(sc.ivals, nv)
+	sc.ivals = ivals
+	for i := range ivals {
+		ivals[i].start = -1
+	}
+	for bi, b := range blocks {
+		use, def := row(useSet, bi), row(defSet, bi)
+		for p := b.start; p < b.end; p++ {
+			in := &vinsts[p]
+			us, n := in.uses()
+			for _, u := range us[:n] {
+				if u > 0 {
+					d := denseOf[u] - 1
+					if def[d/64]&(1<<(d%64)) == 0 {
+						use[d/64] |= 1 << (d % 64)
+					}
+					ivals[d].touch(p)
+				}
+			}
+			if v := in.def(); v > 0 {
+				d := denseOf[v] - 1
+				def[d/64] |= 1 << (d % 64)
+				ivals[d].touch(p)
+			}
 		}
 	}
 
-	type activeEntry struct {
-		iv  *interval
-		reg isa.Reg
+	// Successors, resolved to block indices once.
+	succOff := zeroed(sc.succOff, nb+1)
+	succs := sc.succs[:0]
+	for bi, b := range blocks {
+		succOff[bi] = int32(len(succs))
+		succs = sc.appendSuccs(succs, vinsts[b.start:b.end])
 	}
-	var active []activeEntry
-	free := make(map[isa.Reg]bool)
-	for _, r := range temps {
-		free[r] = true
-	}
-	for _, r := range saved {
-		free[r] = true
-	}
-	usedCS := make(map[isa.Reg]bool)
+	succOff[nb] = int32(len(succs))
+	sc.succOff, sc.succs = succOff, succs
 
-	expire := func(p int) {
+	// Backward liveness to a fixed point: out = ∪ in(succ), in = use ∪ (out − def).
+	for changed := true; changed; {
+		changed = false
+		for bi := nb - 1; bi >= 0; bi-- {
+			in, out := row(liveIn, bi), row(liveOut, bi)
+			use, def := row(useSet, bi), row(defSet, bi)
+			for _, s := range succs[succOff[bi]:succOff[bi+1]] {
+				for w, bitsIn := range row(liveIn, int(s)) {
+					out[w] |= bitsIn
+				}
+			}
+			for w := range in {
+				if v := use[w] | out[w]&^def[w]; v != in[w] {
+					in[w] = v
+					changed = true
+				}
+			}
+		}
+	}
+
+	// Values live into or out of a block span it end to end.
+	for bi, b := range blocks {
+		touchAll(ivals, row(liveIn, bi), b.start)
+		touchAll(ivals, row(liveOut, bi), b.end-1)
+	}
+	order := sc.order[:0]
+	for d := range ivals {
+		order = append(order, int32(d))
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if sa, sb := ivals[a].start, ivals[b].start; sa != sb {
+			return int(sa - sb)
+		}
+		return int(vregOf[a] - vregOf[b])
+	})
+	sc.order = order
+
+	regOf := zeroed(alloc.regOf, maxVreg+1)
+	spillSlot := zeroed(alloc.spillSlot, maxVreg+1)
+	alloc.regOf, alloc.spillSlot = regOf, spillSlot
+	for i := range regOf {
+		regOf[i], spillSlot[i] = isa.NoReg, -1
+	}
+	alloc.numSpills = 0
+
+	free := tempPool | savedPool
+	usedCS := uint64(0)
+	active := sc.active[:0]
+	takeFrom := func(pool uint64) (isa.Reg, bool) {
+		avail := free & pool
+		if avail == 0 {
+			return 0, false
+		}
+		r := isa.Reg(bits.TrailingZeros64(avail))
+		free &^= 1 << r
+		return r, true
+	}
+	for _, d := range order {
+		iv := &ivals[d]
+		// Expire the intervals that ended before this one starts.
 		kept := active[:0]
 		for _, ae := range active {
-			if ae.iv.end < p {
-				free[ae.reg] = true
+			if ae.end < iv.start {
+				free |= 1 << ae.reg
 			} else {
 				kept = append(kept, ae)
 			}
 		}
 		active = kept
-	}
-	takeFrom := func(pool []isa.Reg) (isa.Reg, bool) {
-		for _, r := range pool {
-			if free[r] {
-				free[r] = false
-				return r, true
-			}
-		}
-		return 0, false
-	}
 
-	for _, iv := range sorted {
-		expire(iv.start)
 		var reg isa.Reg
 		var ok bool
-		if iv.crossCall {
-			reg, ok = takeFrom(saved)
+		// A call strictly inside (start, end) forces a callee-saved register.
+		if callPrefix[iv.end] > callPrefix[iv.start+1] {
+			reg, ok = takeFrom(savedPool)
 		} else {
-			if reg, ok = takeFrom(temps); !ok {
-				reg, ok = takeFrom(saved)
+			if reg, ok = takeFrom(tempPool); !ok {
+				reg, ok = takeFrom(savedPool)
 			}
 		}
 		if !ok {
 			// Spill the current interval.
-			alloc.spillSlot[iv.v] = alloc.numSpills
+			spillSlot[vregOf[d]] = int32(alloc.numSpills)
 			alloc.numSpills++
 			continue
 		}
 		if reg.IsCalleeSaved() {
-			usedCS[reg] = true
+			usedCS |= 1 << reg
 		}
-		alloc.regOf[iv.v] = reg
-		active = append(active, activeEntry{iv: iv, reg: reg})
+		regOf[vregOf[d]] = reg
+		active = append(active, activeEntry{end: iv.end, reg: reg})
 	}
+	sc.active = active
 
-	for r := range usedCS {
-		alloc.usedCS = append(alloc.usedCS, r)
+	alloc.usedCS = alloc.usedCS[:0]
+	for ; usedCS != 0; usedCS &= usedCS - 1 {
+		alloc.usedCS = append(alloc.usedCS, isa.Reg(bits.TrailingZeros64(usedCS)))
 	}
-	sort.Slice(alloc.usedCS, func(i, j int) bool { return alloc.usedCS[i] < alloc.usedCS[j] })
-	if len(alloc.regOf)+len(alloc.spillSlot) != len(ivals) {
-		return nil, fmt.Errorf("allocation bookkeeping mismatch")
+}
+
+// touchAll extends the interval of every dense id in set to position p.
+func touchAll(ivals []interval, set []uint64, p int32) {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			ivals[w*64+bits.TrailingZeros64(word)].touch(p)
+		}
 	}
-	return alloc, nil
+}
+
+// appendSuccs appends the indices of the blocks a block's trailing branches
+// can reach (RET/BRK and tail-calls reach none).
+func (sc *scratch) appendSuccs(dst []int32, insts []vinst) []int32 {
+	base := len(dst)
+	for i := len(insts) - 1; i >= 0; i-- {
+		in := &insts[i]
+		switch in.op {
+		case isa.B, isa.Bcc, isa.CBZ, isa.CBNZ:
+			if t, ok := sc.labelIdx[in.sym]; ok {
+				dst = append(dst, t)
+			}
+		case isa.RET, isa.BRK:
+			if i == len(insts)-1 {
+				return dst[:base]
+			}
+		default:
+			return dst
+		}
+	}
+	return dst
 }

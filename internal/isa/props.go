@@ -1,76 +1,80 @@
 package isa
 
-import "hash/maphash"
+import (
+	"hash/maphash"
+	"math/bits"
+)
 
-// Defs appends the registers written by in to dst and returns it. The NZCV
-// flags are tracked separately (see SetsFlags/ReadsFlags). Calls clobber the
-// caller-saved set; that is handled by callers that care (liveness), not
-// here, because it depends on the calling convention rather than on the
-// instruction encoding.
-func (in Inst) Defs(dst []Reg) []Reg {
+// regBit is r's bit in a def/use mask. NoReg and XZR have none: the zero
+// register reads as zero and discards writes, so it is never tracked.
+func regBit(r Reg) uint64 {
+	if r == NoReg || r == XZR {
+		return 0
+	}
+	return 1 << r
+}
+
+// DefMask returns the registers written by in as a bitset (bit r set for
+// register r), without allocating. The NZCV flags are tracked separately
+// (see SetsFlags/ReadsFlags). Calls clobber the caller-saved set; that is
+// handled by callers that care (liveness), not here, because it depends on
+// the calling convention rather than on the instruction encoding.
+func (in Inst) DefMask() uint64 {
 	switch in.Op {
 	case MOVZ, ORRrs, ANDrs, EORrs, ADDrs, ADDri, SUBrs, SUBri,
 		MUL, SDIV, MSUB, LSLri, LSRri, ASRri, CSET, LDRui, ADR:
-		dst = appendReg(dst, in.Rd)
+		return regBit(in.Rd)
 	case LDPui:
-		dst = appendReg(dst, in.Rd)
-		dst = appendReg(dst, in.Rd2)
+		return regBit(in.Rd) | regBit(in.Rd2)
 	case LDPpost:
-		dst = appendReg(dst, in.Rd)
-		dst = appendReg(dst, in.Rd2)
-		dst = appendReg(dst, in.Rn) // writeback
+		return regBit(in.Rd) | regBit(in.Rd2) | regBit(in.Rn) // writeback
 	case LDRpost:
-		dst = appendReg(dst, in.Rd)
-		dst = appendReg(dst, in.Rn) // writeback
+		return regBit(in.Rd) | regBit(in.Rn) // writeback
 	case STPpre, STRpre:
-		dst = appendReg(dst, in.Rn) // writeback
+		return regBit(in.Rn) // writeback
 	case BL, BLR:
-		dst = appendReg(dst, LR)
+		return regBit(LR)
 	}
-	return dst
+	return 0
 }
 
-// Uses appends the registers read by in to dst and returns it.
-func (in Inst) Uses(dst []Reg) []Reg {
+// UseMask returns the registers read by in as a bitset, without allocating.
+func (in Inst) UseMask() uint64 {
 	switch in.Op {
 	case ORRrs, ANDrs, EORrs, ADDrs, SUBrs, MUL, SDIV, CMPrs:
-		dst = appendReg(dst, in.Rn)
-		dst = appendReg(dst, in.Rm)
+		return regBit(in.Rn) | regBit(in.Rm)
 	case MSUB:
 		// Rd = Ra - Rn*Rm with Ra in Rd pre-state is not modeled; our MSUB
 		// reads Rn, Rm and the accumulator carried in Rd2.
-		dst = appendReg(dst, in.Rn)
-		dst = appendReg(dst, in.Rm)
-		dst = appendReg(dst, in.Rd2)
+		return regBit(in.Rn) | regBit(in.Rm) | regBit(in.Rd2)
 	case ADDri, SUBri, LSLri, LSRri, ASRri, CMPri, LDRui:
-		dst = appendReg(dst, in.Rn)
-	case STRui:
-		dst = appendReg(dst, in.Rd)
-		dst = appendReg(dst, in.Rn)
-	case LDPui:
-		dst = appendReg(dst, in.Rn)
+		return regBit(in.Rn)
+	case STRui, STRpre:
+		return regBit(in.Rd) | regBit(in.Rn)
 	case STPui, STPpre:
-		dst = appendReg(dst, in.Rd)
-		dst = appendReg(dst, in.Rd2)
-		dst = appendReg(dst, in.Rn)
-	case STRpre:
-		dst = appendReg(dst, in.Rd)
-		dst = appendReg(dst, in.Rn)
-	case LDPpost, LDRpost:
-		dst = appendReg(dst, in.Rn)
+		return regBit(in.Rd) | regBit(in.Rd2) | regBit(in.Rn)
+	case LDPui, LDPpost, LDRpost:
+		return regBit(in.Rn)
 	case CBZ, CBNZ, BLR:
-		dst = appendReg(dst, in.Rn)
+		return regBit(in.Rn)
 	case RET:
-		dst = appendReg(dst, LR)
+		return regBit(LR)
 	}
-	return dst
+	return 0
 }
 
-func appendReg(dst []Reg, r Reg) []Reg {
-	if r == NoReg || r == XZR {
-		return dst
+// Defs appends the registers of DefMask to dst in ascending register order.
+// Tests and tools use it; the compile path reads the masks.
+func (in Inst) Defs(dst []Reg) []Reg { return appendMask(dst, in.DefMask()) }
+
+// Uses appends the registers of UseMask to dst in ascending register order.
+func (in Inst) Uses(dst []Reg) []Reg { return appendMask(dst, in.UseMask()) }
+
+func appendMask(dst []Reg, mask uint64) []Reg {
+	for ; mask != 0; mask &= mask - 1 {
+		dst = append(dst, Reg(bits.TrailingZeros64(mask)))
 	}
-	return append(dst, r)
+	return dst
 }
 
 // SetsFlags reports whether in writes the NZCV flags.
@@ -128,17 +132,11 @@ func (in Inst) ReadsSP() bool {
 // UsesLR reports whether in explicitly reads or writes the link register
 // outside of the implicit call/return semantics.
 func (in Inst) UsesLR() bool {
-	for _, r := range in.Uses(nil) {
-		if r == LR {
-			return in.Op != RET // RET's implicit LR read is handled by strategy
-		}
+	lr := regBit(LR)
+	if in.UseMask()&lr != 0 {
+		return in.Op != RET // RET's implicit LR read is handled by strategy
 	}
-	for _, r := range in.Defs(nil) {
-		if r == LR && !in.IsCall() {
-			return true
-		}
-	}
-	return false
+	return in.DefMask()&lr != 0 && !in.IsCall()
 }
 
 var fingerprintSeed = maphash.MakeSeed()

@@ -52,13 +52,16 @@ func MergeBySequenceAlignmentKeeping(m *Module, keep map[string]bool) FMSAStats 
 		}
 	}
 
+	// Functions share a shape iff they are identical modulo integer
+	// constants: the merge key with Const immediates erased.
+	hasher := funcHasher{eraseConsts: true}
 	byShape := make(map[string][]*Func)
 	var shapes []string
 	for _, f := range m.Funcs {
 		if f.Name == "main" || addressTaken[f.Name] || keep[f.Name] || f.NumInsts() < fmsaMinBodyInsts {
 			continue
 		}
-		h := hashFuncShape(f)
+		h := string(hasher.key(f))
 		if len(byShape[h]) == 0 {
 			shapes = append(shapes, h)
 		}
@@ -161,24 +164,6 @@ func MergeBySequenceAlignmentKeeping(m *Module, keep map[string]bool) FMSAStats 
 		}
 	}
 	return stats
-}
-
-// hashFuncShape is hashFunc with Const immediates erased — two functions
-// share a shape iff they are identical modulo integer constants.
-func hashFuncShape(f *Func) string {
-	clone := &Func{Name: "shape", Module: f.Module, NumParams: f.NumParams,
-		Throws: f.Throws, NumValues: f.NumValues}
-	for _, b := range f.Blocks {
-		nb := &Block{Label: b.Label, Insts: make([]Inst, len(b.Insts))}
-		copy(nb.Insts, b.Insts)
-		for i := range nb.Insts {
-			if nb.Insts[i].Op == Const {
-				nb.Insts[i].Imm = 0
-			}
-		}
-		clone.Blocks = append(clone.Blocks, nb)
-	}
-	return hashFunc(clone)
 }
 
 // constSites lists Const immediates in traversal order.

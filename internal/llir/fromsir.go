@@ -2,7 +2,7 @@ package llir
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"outliner/internal/sir"
 )
@@ -49,8 +49,9 @@ func FromSIR(m *sir.Module) (*Module, error) {
 		words := append([]int64(nil), g.Words...)
 		out.Globals = append(out.Globals, &Global{Name: g.Name, Module: m.Name, Words: words})
 	}
+	var lo lowerer // its tables are reused from function to function
 	for _, f := range m.Funcs {
-		lf, err := lowerFunc(f)
+		lf, err := lo.lowerFunc(f)
 		if err != nil {
 			return nil, fmt.Errorf("llir: lowering @%s: %w", f.Name, err)
 		}
@@ -59,224 +60,378 @@ func FromSIR(m *sir.Module) (*Module, error) {
 	return out, nil
 }
 
+// lowerer holds one function's SSA-construction state. Blocks are numbered
+// once, in SIR order, and every table is a slice indexed by block number,
+// SIR variable or LLIR value number; the slices keep their storage from one
+// function of the module to the next. What the lowered function keeps —
+// its instructions, argument lists and phi incomings — is carved from fresh
+// chunks the lowerer never reuses.
 type lowerer struct {
 	src *sir.Func
 	dst *Func
 
-	blocks map[string]*blockState
-	order  []string // SIR block order
+	blockIdx map[string]int32 // SIR label -> block number
+	blocks   []blockState
+	predOff  []int32 // preds[predOff[b]:predOff[b+1]] are block b's predecessors
+	preds    []int32
 
-	// currentDef[variable][block] = SSA value (Braun's construction).
-	currentDef map[sir.Value]map[string]Value
+	// currentDef of Braun's construction: per SIR variable a chain of
+	// (block, value) definitions, most recent first. A variable is defined
+	// in few blocks, and almost every lookup asks for the block being
+	// filled, whose entry heads the chain.
+	defHead []int32 // by variable: index+1 into defs, 0 = undefined
+	defs    []varDef
 
-	phis map[Value]*Inst // phi dst -> its (heap-allocated) instruction
+	phis     []Inst  // every phi of the function, in creation order
+	phiBlock []int32 // aligned with phis: the block that owns it
+	phiOf    []int32 // by LLIR value: index+1 into phis, 0 = not a phi
+	pending  []pendingPhi
+	sealBuf  []pendingPhi
+
+	body        []Inst // block bodies back to back, in fill order
+	entryConsts []Inst // zero constants for never-written variables, newest last
+	caps        []Value
+
+	// Output chunks (see newVals / newIncomings).
+	valChunk []Value
+	incChunk []Incoming
+
+	// assemble's grouping of phis by block.
+	phiOrder []int32
+	phiOff   []int32
+
+	// removeTrivialPhis' substitution, by LLIR value, and the values it set.
+	subst     []Value
+	substKeys []Value
+}
+
+type varDef struct {
+	block int32
+	val   Value
+	next  int32 // index+1 into defs
+}
+
+// pendingPhi is an operand-less phi created in a block that was not sealed
+// yet, chained per block.
+type pendingPhi struct {
+	variable sir.Value
+	phi      Value
+	next     int32 // index+1 into pending
 }
 
 type blockState struct {
-	label  string
-	phis   []*Inst
-	body   []Inst
-	preds  []string
-	sealed bool
-	filled bool
-	// incomplete phis created while unsealed: variable -> phi dst
-	incomplete map[sir.Value]Value
+	sealed, filled     bool
+	pendingHead        int32 // index+1 into lowerer.pending
+	bodyStart, bodyEnd int32 // window of lowerer.body
 }
 
-func lowerFunc(f *sir.Func) (*Func, error) {
-	lo := &lowerer{
-		src: f,
-		dst: &Func{
-			Name:      f.Name,
-			Module:    f.Module,
-			NumParams: f.NumParams,
-			Throws:    f.Throws,
-			NumValues: f.NumParams,
-		},
-		blocks:     make(map[string]*blockState),
-		currentDef: make(map[sir.Value]map[string]Value),
-		phis:       make(map[Value]*Inst),
+func (lo *lowerer) lowerFunc(f *sir.Func) (*Func, error) {
+	lo.src = f
+	lo.dst = &Func{
+		Name:      f.Name,
+		Module:    f.Module,
+		NumParams: f.NumParams,
+		Throws:    f.Throws,
+		NumValues: f.NumParams,
 	}
-	for _, b := range f.Blocks {
-		lo.blocks[b.Label] = &blockState{label: b.Label, incomplete: make(map[sir.Value]Value)}
-		lo.order = append(lo.order, b.Label)
+	nb := len(f.Blocks)
+	if lo.blockIdx == nil {
+		lo.blockIdx = make(map[string]int32)
 	}
-	// Predecessors from the SIR CFG.
+	clear(lo.blockIdx)
+	for i, b := range f.Blocks {
+		lo.blockIdx[b.Label] = int32(i)
+	}
+	lo.blocks = zeroed(lo.blocks, nb)
+	lo.defHead = zeroed(lo.defHead, f.NumValues+1)
+	lo.defs = lo.defs[:0]
+	lo.phis, lo.phiBlock = lo.phis[:0], lo.phiBlock[:0]
+	lo.phiOf = lo.phiOf[:0]
+	lo.pending = lo.pending[:0]
+	lo.body, lo.entryConsts = lo.body[:0], lo.entryConsts[:0]
+
+	// Predecessors from the SIR CFG, grouped by target block.
+	off := zeroed(lo.predOff, nb+1)
+	lo.predOff = off
+	nSucc := 0
 	for _, b := range f.Blocks {
-		last := b.Insts[len(b.Insts)-1]
-		switch last.Op {
-		case sir.Br:
-			lo.blocks[last.Sym].preds = append(lo.blocks[last.Sym].preds, b.Label)
-		case sir.CondBr:
-			lo.blocks[last.Sym].preds = append(lo.blocks[last.Sym].preds, b.Label)
-			lo.blocks[last.Sym2].preds = append(lo.blocks[last.Sym2].preds, b.Label)
+		succs, n := blockSuccs(b)
+		for _, s := range succs[:n] {
+			t, ok := lo.blockIdx[s]
+			if !ok {
+				return nil, fmt.Errorf("block %s branches to unknown block %s", b.Label, s)
+			}
+			off[t+1]++
+			nSucc++
 		}
 	}
+	for b := 0; b < nb; b++ {
+		off[b+1] += off[b]
+	}
+	lo.preds = zeroed(lo.preds, nSucc)
+	for bi, b := range f.Blocks {
+		succs, n := blockSuccs(b)
+		for _, s := range succs[:n] {
+			t := lo.blockIdx[s]
+			lo.preds[off[t]] = int32(bi)
+			off[t]++
+		}
+	}
+	// The fill advanced off[b] to the end of b's group: shift back down.
+	copy(off[1:], off[:nb])
+	off[0] = 0
 
 	// Parameters are SSA values 1..N, defined at entry.
-	entry := f.Blocks[0].Label
 	for i := 0; i < f.NumParams; i++ {
-		lo.writeVar(sir.Value(i+1), entry, Value(i+1))
+		lo.writeVar(sir.Value(i+1), 0, Value(i+1))
 	}
-	lo.trySeal(lo.blocks[entry])
+	lo.trySeal(0)
 
-	for _, b := range f.Blocks {
-		if err := lo.fillBlock(b); err != nil {
+	for bi, b := range f.Blocks {
+		if err := lo.fillBlock(int32(bi), b); err != nil {
 			return nil, err
 		}
-		bs := lo.blocks[b.Label]
-		bs.filled = true
+		lo.blocks[bi].filled = true
 		// Seal successors whose predecessors are all filled.
-		for _, s := range blockSuccs(b) {
-			lo.trySeal(lo.blocks[s])
+		succs, n := blockSuccs(b)
+		for _, s := range succs[:n] {
+			lo.trySeal(lo.blockIdx[s])
 		}
-		lo.trySeal(bs)
+		lo.trySeal(int32(bi))
 	}
 	// Seal anything left (blocks with unreachable predecessors).
-	for _, label := range lo.order {
-		lo.seal(lo.blocks[label])
+	for bi := range f.Blocks {
+		lo.seal(int32(bi))
 	}
 
-	// Assemble: phis first, then the body.
-	for _, label := range lo.order {
-		bs := lo.blocks[label]
-		blk := &Block{Label: label}
-		for _, p := range bs.phis {
-			blk.Insts = append(blk.Insts, *p)
-		}
-		blk.Insts = append(blk.Insts, bs.body...)
-		lo.dst.Blocks = append(lo.dst.Blocks, blk)
-	}
-	removeTrivialPhis(lo.dst)
+	lo.assemble()
+	lo.removeTrivialPhis()
 	return lo.dst, nil
 }
 
-func blockSuccs(b *sir.Block) []string {
-	last := b.Insts[len(b.Insts)-1]
-	switch last.Op {
-	case sir.Br:
-		return []string{last.Sym}
-	case sir.CondBr:
-		return []string{last.Sym, last.Sym2}
+// assemble builds the function's blocks — phis first, then the body — as
+// windows into one instruction slab.
+func (lo *lowerer) assemble() {
+	nb := len(lo.src.Blocks)
+	// Group the phis by owning block, keeping creation order.
+	off := zeroed(lo.phiOff, nb+1)
+	lo.phiOff = off
+	for _, b := range lo.phiBlock {
+		off[b+1]++
 	}
-	return nil
+	for b := 0; b < nb; b++ {
+		off[b+1] += off[b]
+	}
+	order := zeroed(lo.phiOrder, len(lo.phis))
+	lo.phiOrder = order
+	for i, b := range lo.phiBlock {
+		order[off[b]] = int32(i)
+		off[b]++
+	}
+	// off[b] is now the end of b's group.
+
+	slab := make([]Inst, 0, len(lo.phis)+len(lo.entryConsts)+len(lo.body))
+	blocks := make([]Block, nb)
+	lo.dst.Blocks = make([]*Block, nb)
+	at := int32(0)
+	for bi, b := range lo.src.Blocks {
+		start := len(slab)
+		for _, pi := range order[at:off[bi]] {
+			slab = append(slab, lo.phis[pi])
+		}
+		at = off[bi]
+		if bi == 0 {
+			for i := len(lo.entryConsts) - 1; i >= 0; i-- {
+				slab = append(slab, lo.entryConsts[i])
+			}
+		}
+		bs := &lo.blocks[bi]
+		slab = append(slab, lo.body[bs.bodyStart:bs.bodyEnd]...)
+		blocks[bi] = Block{Label: b.Label, Insts: slab[start:len(slab):len(slab)]}
+		lo.dst.Blocks[bi] = &blocks[bi]
+	}
 }
 
-func (lo *lowerer) trySeal(bs *blockState) {
-	if bs.sealed {
+// blockSuccs returns the labels b's terminator names: the first n of succs.
+func blockSuccs(b *sir.Block) (succs [2]string, n int) {
+	last := &b.Insts[len(b.Insts)-1]
+	switch last.Op {
+	case sir.Br:
+		return [2]string{last.Sym}, 1
+	case sir.CondBr:
+		return [2]string{last.Sym, last.Sym2}, 2
+	}
+	return succs, 0
+}
+
+func (lo *lowerer) predsOf(block int32) []int32 {
+	return lo.preds[lo.predOff[block]:lo.predOff[block+1]]
+}
+
+func (lo *lowerer) trySeal(block int32) {
+	if lo.blocks[block].sealed {
 		return
 	}
-	for _, p := range bs.preds {
+	for _, p := range lo.predsOf(block) {
 		if !lo.blocks[p].filled {
 			return
 		}
 	}
-	lo.seal(bs)
+	lo.seal(block)
 }
 
-func (lo *lowerer) seal(bs *blockState) {
+func (lo *lowerer) seal(block int32) {
+	bs := &lo.blocks[block]
 	if bs.sealed {
 		return
 	}
 	bs.sealed = true
 	// addPhiOperands can allocate fresh values (new phis in predecessors),
-	// so the iteration order here decides value numbering. Sort the pending
-	// variables: map order would make the numbering vary run to run.
-	vars := make([]sir.Value, 0, len(bs.incomplete))
-	for variable := range bs.incomplete {
-		vars = append(vars, variable)
+	// so the iteration order here decides value numbering: ascending
+	// variable, whatever order the reads came in.
+	todo := lo.sealBuf[:0]
+	for e := bs.pendingHead; e != 0; e = lo.pending[e-1].next {
+		todo = append(todo, lo.pending[e-1])
 	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	for _, variable := range vars {
-		lo.addPhiOperands(variable, bs.incomplete[variable], bs)
+	bs.pendingHead = 0
+	slices.SortFunc(todo, func(a, b pendingPhi) int { return int(a.variable - b.variable) })
+	lo.sealBuf = todo[:0]
+	for _, p := range todo {
+		lo.addPhiOperands(p.variable, p.phi, block)
 	}
-	bs.incomplete = make(map[sir.Value]Value)
 }
 
-func (lo *lowerer) writeVar(variable sir.Value, block string, val Value) {
-	defs, ok := lo.currentDef[variable]
-	if !ok {
-		defs = make(map[string]Value)
-		lo.currentDef[variable] = defs
+func (lo *lowerer) writeVar(variable sir.Value, block int32, val Value) {
+	if int(variable) >= len(lo.defHead) {
+		lo.defHead = append(lo.defHead, make([]int32, int(variable)+1-len(lo.defHead))...)
 	}
-	defs[block] = val
+	for e := lo.defHead[variable]; e != 0; e = lo.defs[e-1].next {
+		if d := &lo.defs[e-1]; d.block == block {
+			d.val = val
+			return
+		}
+	}
+	lo.defs = append(lo.defs, varDef{block: block, val: val, next: lo.defHead[variable]})
+	lo.defHead[variable] = int32(len(lo.defs))
 }
 
-func (lo *lowerer) readVar(variable sir.Value, block string) Value {
-	if defs, ok := lo.currentDef[variable]; ok {
-		if v, ok := defs[block]; ok {
-			return v
+func (lo *lowerer) readVar(variable sir.Value, block int32) Value {
+	if int(variable) < len(lo.defHead) {
+		for e := lo.defHead[variable]; e != 0; e = lo.defs[e-1].next {
+			if d := &lo.defs[e-1]; d.block == block {
+				return d.val
+			}
 		}
 	}
 	return lo.readVarRecursive(variable, block)
 }
 
-func (lo *lowerer) readVarRecursive(variable sir.Value, block string) Value {
-	bs := lo.blocks[block]
+func (lo *lowerer) readVarRecursive(variable sir.Value, block int32) Value {
 	var val Value
+	preds := lo.predsOf(block)
 	switch {
-	case !bs.sealed:
-		val = lo.newPhi(bs)
-		bs.incomplete[variable] = val
-	case len(bs.preds) == 1:
-		val = lo.readVar(variable, bs.preds[0])
-	case len(bs.preds) == 0:
-		// Read of a variable never written on this path: materialize zero.
-		// SwiftLite locals are always initialized before use, but registers
-		// reused across short-circuit arms can reach here.
+	case !lo.blocks[block].sealed:
+		val = lo.newPhi(block)
+		lo.pending = append(lo.pending, pendingPhi{variable: variable, phi: val, next: lo.blocks[block].pendingHead})
+		lo.blocks[block].pendingHead = int32(len(lo.pending))
+	case len(preds) == 1:
+		val = lo.readVar(variable, preds[0])
+	case len(preds) == 0:
+		// Read of a variable never written on this path: materialize zero
+		// at the top of the entry block. SwiftLite locals are always
+		// initialized before use, but registers reused across short-circuit
+		// arms can reach here.
 		val = lo.dst.NewValue()
-		entry := lo.blocks[lo.order[0]]
-		entry.body = append([]Inst{{Op: Const, Dst: val, Imm: 0}}, entry.body...)
+		lo.entryConsts = append(lo.entryConsts, Inst{Op: Const, Dst: val, Imm: 0})
 	default:
-		val = lo.newPhi(bs)
+		val = lo.newPhi(block)
 		lo.writeVar(variable, block, val)
-		lo.addPhiOperands(variable, val, bs)
+		lo.addPhiOperands(variable, val, block)
 	}
 	lo.writeVar(variable, block, val)
 	return val
 }
 
-func (lo *lowerer) newPhi(bs *blockState) Value {
+func (lo *lowerer) newPhi(block int32) Value {
 	dst := lo.dst.NewValue()
-	phi := &Inst{Op: Phi, Dst: dst}
-	bs.phis = append(bs.phis, phi)
-	lo.phis[dst] = phi
+	lo.phis = append(lo.phis, Inst{Op: Phi, Dst: dst})
+	lo.phiBlock = append(lo.phiBlock, block)
+	if int(dst) >= len(lo.phiOf) {
+		lo.phiOf = append(lo.phiOf, make([]int32, int(dst)+1-len(lo.phiOf))...)
+	}
+	lo.phiOf[dst] = int32(len(lo.phis))
 	return dst
 }
 
-func (lo *lowerer) addPhiOperands(variable sir.Value, phiDst Value, bs *blockState) {
-	phi := lo.phis[phiDst]
-	for _, p := range bs.preds {
-		phi.Incomings = append(phi.Incomings, Incoming{Pred: p, Val: lo.readVar(variable, p)})
+func (lo *lowerer) addPhiOperands(variable sir.Value, phiDst Value, block int32) {
+	preds := lo.predsOf(block)
+	incs := lo.newIncomings(len(preds))
+	for _, p := range preds {
+		// Reading the predecessor can create further phis, moving lo.phis:
+		// the phi is addressed by index only after the loop.
+		incs = append(incs, Incoming{Pred: lo.src.Blocks[p].Label, Val: lo.readVar(variable, p)})
 	}
+	lo.phis[lo.phiOf[phiDst]-1].Incomings = incs
 }
 
-// fillBlock translates one SIR block.
-func (lo *lowerer) fillBlock(b *sir.Block) error {
-	bs := lo.blocks[b.Label]
-	label := b.Label
-	emit := func(in Inst) { bs.body = append(bs.body, in) }
-	newVal := func() Value { return lo.dst.NewValue() }
-	read := func(v sir.Value) Value { return lo.readVar(v, label) }
-	def := func(v sir.Value) Value {
-		nv := newVal()
-		lo.writeVar(v, label, nv)
-		return nv
+// newVals returns an empty argument list of capacity n carved from a chunk
+// the lowered function will own: one allocation serves many instructions.
+// The capacity is exact, so a later append cannot reach a neighbour.
+func (lo *lowerer) newVals(n int) []Value {
+	if len(lo.valChunk) < n {
+		lo.valChunk = make([]Value, max(n, 512))
 	}
-	cnst := func(imm int64) Value {
-		v := newVal()
-		emit(Inst{Op: Const, Dst: v, Imm: imm})
-		return v
-	}
-	readArgs := func(args []sir.Value) []Value {
-		out := make([]Value, len(args))
-		for i, a := range args {
-			out[i] = read(a)
-		}
-		return out
-	}
+	s := lo.valChunk[:0:n]
+	lo.valChunk = lo.valChunk[n:]
+	return s
+}
 
-	for _, in := range b.Insts {
+// newIncomings is newVals for phi incoming lists.
+func (lo *lowerer) newIncomings(n int) []Incoming {
+	if len(lo.incChunk) < n {
+		lo.incChunk = make([]Incoming, max(n, 128))
+	}
+	s := lo.incChunk[:0:n]
+	lo.incChunk = lo.incChunk[n:]
+	return s
+}
+
+func (lo *lowerer) emit(in Inst) { lo.body = append(lo.body, in) }
+
+// def allocates the SSA value a write of variable v in block produces.
+func (lo *lowerer) def(v sir.Value, block int32) Value {
+	nv := lo.dst.NewValue()
+	lo.writeVar(v, block, nv)
+	return nv
+}
+
+func (lo *lowerer) cnst(imm int64) Value {
+	v := lo.dst.NewValue()
+	lo.emit(Inst{Op: Const, Dst: v, Imm: imm})
+	return v
+}
+
+// readArgs appends the current values of args to dst, in order.
+func (lo *lowerer) readArgs(dst []Value, args []sir.Value, block int32) []Value {
+	for _, a := range args {
+		dst = append(dst, lo.readVar(a, block))
+	}
+	return dst
+}
+
+// arg1 is the one-element argument list of the runtime calls.
+func (lo *lowerer) arg1(v Value) []Value { return append(lo.newVals(1), v) }
+
+// fillBlock translates one SIR block.
+func (lo *lowerer) fillBlock(label int32, b *sir.Block) error {
+	lo.blocks[label].bodyStart = int32(len(lo.body))
+	read := func(v sir.Value) Value { return lo.readVar(v, label) }
+	def := func(v sir.Value) Value { return lo.def(v, label) }
+	emit, cnst := lo.emit, lo.cnst
+	readArgs := func(args []sir.Value) []Value { return lo.readArgs(lo.newVals(len(args)), args, label) }
+
+	for i := range b.Insts {
+		in := &b.Insts[i]
 		switch in.Op {
 		case sir.ConstInt:
 			emit(Inst{Op: Const, Dst: def(in.Dst), Imm: in.Imm})
@@ -311,9 +466,10 @@ func (lo *lowerer) fillBlock(b *sir.Block) error {
 			emit(call)
 		case sir.CallClosure:
 			clo := read(in.A)
-			fp := newVal()
+			fp := lo.dst.NewValue()
 			emit(Inst{Op: Load, Dst: fp, A: clo, Imm: 8})
-			call := Inst{Op: CallInd, A: fp, Args: append([]Value{clo}, readArgs(in.Args)...)}
+			args := append(lo.newVals(1+len(in.Args)), clo)
+			call := Inst{Op: CallInd, A: fp, Args: lo.readArgs(args, in.Args, label)}
 			if in.Dst != sir.None {
 				call.Dst = def(in.Dst)
 			}
@@ -333,77 +489,81 @@ func (lo *lowerer) fillBlock(b *sir.Block) error {
 		case sir.Throw:
 			emit(Inst{Op: Ret, B: read(in.A)})
 		case sir.Retain:
-			emit(Inst{Op: Call, Sym: RTRetain, Args: []Value{read(in.A)}})
+			emit(Inst{Op: Call, Sym: RTRetain, Args: lo.arg1(read(in.A))})
 		case sir.Release:
-			emit(Inst{Op: Call, Sym: RTRelease, Args: []Value{read(in.A)}})
+			emit(Inst{Op: Call, Sym: RTRelease, Args: lo.arg1(read(in.A))})
 		case sir.AllocObject:
 			n := cnst(in.Imm)
-			emit(Inst{Op: Call, Sym: RTAllocObject, Dst: def(in.Dst), Args: []Value{n}})
+			emit(Inst{Op: Call, Sym: RTAllocObject, Dst: def(in.Dst), Args: lo.arg1(n)})
 		case sir.FieldGet:
 			emit(Inst{Op: Load, Dst: def(in.Dst), A: read(in.A), Imm: 8 * (1 + in.Imm)})
 		case sir.FieldSet:
 			a, bv := read(in.A), read(in.B)
 			emit(Inst{Op: Store, A: a, Imm: 8 * (1 + in.Imm), B: bv})
 		case sir.AllocArray:
-			emit(Inst{Op: Call, Sym: RTAllocArray, Dst: def(in.Dst), Args: []Value{read(in.A)}})
+			emit(Inst{Op: Call, Sym: RTAllocArray, Dst: def(in.Dst), Args: lo.arg1(read(in.A))})
 		case sir.ArrayGet:
-			addr := lo.arrayAddr(bs, read(in.A), read(in.B))
+			addr := lo.arrayAddr(read(in.A), read(in.B))
 			emit(Inst{Op: Load, Dst: def(in.Dst), A: addr, Imm: 16})
 		case sir.ArraySet:
-			addr := lo.arrayAddr(bs, read(in.A), read(in.B))
+			addr := lo.arrayAddr(read(in.A), read(in.B))
 			emit(Inst{Op: Store, A: addr, Imm: 16, B: read(in.C)})
 		case sir.ArrayLen:
 			emit(Inst{Op: Load, Dst: def(in.Dst), A: read(in.A), Imm: 8})
 		case sir.StrGet:
-			addr := lo.arrayAddr(bs, read(in.A), read(in.B))
+			addr := lo.arrayAddr(read(in.A), read(in.B))
 			emit(Inst{Op: Load, Dst: def(in.Dst), A: addr, Imm: 8})
 		case sir.StrLen:
 			emit(Inst{Op: Load, Dst: def(in.Dst), A: read(in.A), Imm: 0})
 		case sir.Append:
 			a, bv := read(in.A), read(in.B)
-			emit(Inst{Op: Call, Sym: RTArrayAppend, Dst: def(in.Dst), Args: []Value{a, bv}})
+			emit(Inst{Op: Call, Sym: RTArrayAppend, Dst: def(in.Dst), Args: append(lo.newVals(2), a, bv)})
 		case sir.MakeClosure:
-			caps := readArgs(in.Args)
+			lo.caps = lo.readArgs(lo.caps[:0], in.Args, label)
 			n := cnst(int64(1 + len(in.Args)))
 			p := def(in.Dst)
-			emit(Inst{Op: Call, Sym: RTAllocObject, Dst: p, Args: []Value{n}})
-			fa := newVal()
+			emit(Inst{Op: Call, Sym: RTAllocObject, Dst: p, Args: lo.arg1(n)})
+			fa := lo.dst.NewValue()
 			emit(Inst{Op: GlobalAddr, Dst: fa, Sym: in.Sym})
 			emit(Inst{Op: Store, A: p, Imm: 8, B: fa})
-			for i, cv := range caps {
+			for i, cv := range lo.caps {
 				emit(Inst{Op: Store, A: p, Imm: int64(16 + 8*i), B: cv})
 			}
 		case sir.PrintInt:
-			emit(Inst{Op: Call, Sym: RTPrintInt, Args: []Value{read(in.A)}})
+			emit(Inst{Op: Call, Sym: RTPrintInt, Args: lo.arg1(read(in.A))})
 		case sir.PrintBool:
-			emit(Inst{Op: Call, Sym: RTPrintBool, Args: []Value{read(in.A)}})
+			emit(Inst{Op: Call, Sym: RTPrintBool, Args: lo.arg1(read(in.A))})
 		case sir.PrintStr:
-			emit(Inst{Op: Call, Sym: RTPrintStr, Args: []Value{read(in.A)}})
+			emit(Inst{Op: Call, Sym: RTPrintStr, Args: lo.arg1(read(in.A))})
 		case sir.Unreachable:
 			emit(Inst{Op: Unreachable})
 		default:
 			return fmt.Errorf("unhandled SIR op %d", in.Op)
 		}
 	}
+	lo.blocks[label].bodyEnd = int32(len(lo.body))
 	return nil
 }
 
-// arrayAddr computes base + 8*index, emitting into bs.
-func (lo *lowerer) arrayAddr(bs *blockState, base, index Value) Value {
+// arrayAddr computes base + 8*index, emitting into the current block.
+func (lo *lowerer) arrayAddr(base, index Value) Value {
 	eight := lo.dst.NewValue()
-	bs.body = append(bs.body, Inst{Op: Const, Dst: eight, Imm: 8})
+	lo.emit(Inst{Op: Const, Dst: eight, Imm: 8})
 	off := lo.dst.NewValue()
-	bs.body = append(bs.body, Inst{Op: Bin, Dst: off, BinOp: Mul, A: index, B: eight})
+	lo.emit(Inst{Op: Bin, Dst: off, BinOp: Mul, A: index, B: eight})
 	addr := lo.dst.NewValue()
-	bs.body = append(bs.body, Inst{Op: Bin, Dst: addr, BinOp: Add, A: base, B: off})
+	lo.emit(Inst{Op: Bin, Dst: addr, BinOp: Add, A: base, B: off})
 	return addr
 }
 
 // removeTrivialPhis iteratively removes phis whose incomings are all the
 // same value (or the phi itself), rewriting uses.
-func removeTrivialPhis(f *Func) {
+func (lo *lowerer) removeTrivialPhis() {
+	f := lo.dst
+	subst := zeroed(lo.subst, f.NumValues+1) // None = not substituted
+	lo.subst = subst
+	keys := lo.substKeys[:0]
 	for {
-		subst := make(map[Value]Value)
 		for _, b := range f.Blocks {
 			kept := b.Insts[:0]
 			for _, in := range b.Insts {
@@ -429,21 +589,23 @@ func removeTrivialPhis(f *Func) {
 						same = in.Dst // degenerate: keep as-is, drops below
 					}
 					subst[in.Dst] = same
+					keys = append(keys, in.Dst)
 					continue
 				}
 				kept = append(kept, in)
 			}
 			b.Insts = kept
 		}
-		if len(subst) == 0 {
+		if len(keys) == 0 {
+			lo.substKeys = keys
 			return
 		}
 		resolve := func(v Value) Value {
 			// Bounded walk: mutually-trivial phi pairs (possible around
 			// unreachable loops) would otherwise cycle forever.
-			for steps := 0; steps <= len(subst); steps++ {
-				nv, ok := subst[v]
-				if !ok || nv == v {
+			for steps := 0; steps <= len(keys); steps++ {
+				nv := subst[v]
+				if nv == None || nv == v {
 					return v
 				}
 				v = nv
@@ -463,5 +625,9 @@ func removeTrivialPhis(f *Func) {
 				}
 			}
 		}
+		for _, k := range keys {
+			subst[k] = None
+		}
+		keys = keys[:0]
 	}
 }

@@ -179,17 +179,6 @@ func (f *Func) NumInsts() int {
 	return n
 }
 
-// Preds maps each block label to its predecessor labels.
-func (f *Func) Preds() map[string][]string {
-	preds := make(map[string][]string, len(f.Blocks))
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b.Label)
-		}
-	}
-	return preds
-}
-
 // Global is a data-section constant with module provenance.
 type Global struct {
 	Name   string

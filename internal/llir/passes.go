@@ -1,8 +1,8 @@
 package llir
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -32,13 +32,13 @@ func pure(in *Inst) bool {
 // DCE removes pure instructions whose results are never used, iterating to a
 // fixed point.
 func DCE(f *Func) {
-	for {
-		used := make(map[Value]bool)
-		mark := func(v Value) {
-			if v != None {
-				used[v] = true
-			}
+	used := make([]bool, f.NumValues+1) // by value number
+	mark := func(v Value) {
+		if uint(v) < uint(len(used)) {
+			used[v] = true
 		}
+	}
+	for {
 		for _, b := range f.Blocks {
 			for i := range b.Insts {
 				in := &b.Insts[i]
@@ -59,19 +59,24 @@ func DCE(f *Func) {
 		}
 		removed := 0
 		for _, b := range f.Blocks {
-			kept := b.Insts[:0]
-			for _, in := range b.Insts {
-				if pure(&in) && in.Dst != None && !used[in.Dst] {
+			w := 0
+			for r := range b.Insts {
+				in := &b.Insts[r]
+				if pure(in) && in.Dst != None && uint(in.Dst) < uint(len(used)) && !used[in.Dst] {
 					removed++
 					continue
 				}
-				kept = append(kept, in)
+				if w != r {
+					b.Insts[w] = *in
+				}
+				w++
 			}
-			b.Insts = kept
+			b.Insts = b.Insts[:w]
 		}
 		if removed == 0 {
 			return
 		}
+		clear(used)
 	}
 }
 
@@ -79,50 +84,108 @@ func DCE(f *Func) {
 
 // SimplifyCFG removes unreachable blocks, threads jumps through empty
 // forwarding blocks, and merges single-successor/single-predecessor pairs.
+//
+// Labels are resolved to block indices once. The indices stay valid through
+// all four steps because a removed block only leaves a nil hole in f.Blocks,
+// closed in one sweep at the end.
 func SimplifyCFG(f *Func) {
-	removeUnreachable(f)
-	threadEmptyBlocks(f)
-	mergeStraightPairs(f)
-	removeUnreachable(f)
-}
+	n := len(f.Blocks)
+	if n == 0 || n == 1 && !startsWithPhi(f.Blocks[0]) {
+		return // a lone block without phis has nothing to remove, thread or merge
+	}
+	c := cfg{f: f, idx: make(map[string]int32, n)}
+	for i, b := range f.Blocks {
+		c.idx[b.Label] = int32(i)
+	}
+	tables := make([]int32, 3*n)
+	c.fwd, c.predCnt, c.stack = tables[:n], tables[n:2*n], tables[2*n:2*n]
+	c.reach = make([]bool, n)
 
-func removeUnreachable(f *Func) {
-	if len(f.Blocks) == 0 {
-		return
-	}
-	reach := make(map[string]bool)
-	var stack []string
-	push := func(l string) {
-		if !reach[l] {
-			reach[l] = true
-			stack = append(stack, l)
-		}
-	}
-	push(f.Blocks[0].Label)
-	for len(stack) > 0 {
-		l := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range f.Block(l).Succs() {
-			push(s)
-		}
-	}
+	c.removeUnreachable()
+	c.threadEmptyBlocks()
+	c.mergeStraightPairs()
+	c.removeUnreachable()
+
 	kept := f.Blocks[:0]
 	for _, b := range f.Blocks {
-		if reach[b.Label] {
+		if b != nil {
 			kept = append(kept, b)
 		}
 	}
+	clear(f.Blocks[len(kept):])
 	f.Blocks = kept
+}
+
+// cfg is SimplifyCFG's view of a function: blocks by index (nil once
+// removed) and per-block tables.
+type cfg struct {
+	f       *Func
+	idx     map[string]int32 // label -> index in f.Blocks
+	reach   []bool
+	fwd     []int32 // threadEmptyBlocks: the block a forwarding block jumps to, or -1
+	predCnt []int32 // mergeStraightPairs: CFG edges entering each block
+	stack   []int32
+}
+
+func startsWithPhi(b *Block) bool { return len(b.Insts) > 0 && b.Insts[0].Op == Phi }
+
+// succs returns the indices of the blocks b's terminator names: the first n
+// of s. A label that names no block is skipped.
+func (c *cfg) succs(b *Block) (s [2]int32, n int) {
+	t := b.Terminator()
+	if t == nil {
+		return s, 0
+	}
+	add := func(label string) {
+		if i, ok := c.idx[label]; ok && c.f.Blocks[i] != nil {
+			s[n] = i
+			n++
+		}
+	}
+	switch t.Op {
+	case Br:
+		add(t.Sym)
+	case CondBr:
+		add(t.Sym)
+		add(t.Sym2)
+	}
+	return s, n
+}
+
+func (c *cfg) removeUnreachable() {
+	blocks := c.f.Blocks
+	clear(c.reach)
+	c.reach[0] = true
+	c.stack = append(c.stack[:0], 0)
+	for len(c.stack) > 0 {
+		b := blocks[c.stack[len(c.stack)-1]]
+		c.stack = c.stack[:len(c.stack)-1]
+		succs, n := c.succs(b)
+		for _, s := range succs[:n] {
+			if !c.reach[s] {
+				c.reach[s] = true
+				c.stack = append(c.stack, s)
+			}
+		}
+	}
+	for i := range blocks {
+		if !c.reach[i] {
+			blocks[i] = nil
+		}
+	}
 	// Prune phi incomings from removed predecessors.
-	for _, b := range f.Blocks {
+	for _, b := range blocks {
+		if b == nil {
+			continue
+		}
 		for i := range b.Insts {
 			in := &b.Insts[i]
 			if in.Op != Phi {
-				continue
+				break // phis always come first
 			}
 			keptInc := in.Incomings[:0]
 			for _, inc := range in.Incomings {
-				if reach[inc.Pred] {
+				if p, ok := c.idx[inc.Pred]; ok && c.reach[p] {
 					keptInc = append(keptInc, inc)
 				}
 			}
@@ -134,31 +197,38 @@ func removeUnreachable(f *Func) {
 // threadEmptyBlocks redirects branches that target a block containing only
 // "br X" to X directly, provided the final target has no phis (phi
 // incomings would need repair).
-func threadEmptyBlocks(f *Func) {
-	target := make(map[string]string)
-	hasPhi := make(map[string]bool)
-	for _, b := range f.Blocks {
-		if len(b.Insts) > 0 && b.Insts[0].Op == Phi {
-			hasPhi[b.Label] = true
+func (c *cfg) threadEmptyBlocks() {
+	blocks := c.f.Blocks
+	nFwd := 0
+	for i, b := range blocks {
+		c.fwd[i] = -1
+		if b == nil || len(b.Insts) != 1 || b.Insts[0].Op != Br {
+			continue
+		}
+		if t, ok := c.idx[b.Insts[0].Sym]; ok && blocks[t] != nil && !startsWithPhi(blocks[t]) {
+			c.fwd[i] = t
+			nFwd++
 		}
 	}
-	for _, b := range f.Blocks {
-		if len(b.Insts) == 1 && b.Insts[0].Op == Br && !hasPhi[b.Insts[0].Sym] {
-			target[b.Label] = b.Insts[0].Sym
-		}
+	if nFwd == 0 {
+		return
 	}
-	resolve := func(l string) string {
-		seen := 0
-		for {
-			t, ok := target[l]
-			if !ok || seen > len(target) {
-				return l
-			}
-			l = t
-			seen++
+	resolve := func(label string) string {
+		l, ok := c.idx[label]
+		if !ok || blocks[l] == nil {
+			return label
 		}
+		// Bounded walk: a cycle of forwarding blocks is an empty infinite
+		// loop and must stay one.
+		for seen := 0; seen <= nFwd && c.fwd[l] >= 0; seen++ {
+			l = c.fwd[l]
+		}
+		return blocks[l].Label
 	}
-	for _, b := range f.Blocks {
+	for _, b := range blocks {
+		if b == nil {
+			continue
+		}
 		t := b.Terminator()
 		if t == nil {
 			continue
@@ -174,55 +244,56 @@ func threadEmptyBlocks(f *Func) {
 }
 
 // mergeStraightPairs merges B into A when A ends "br B" and B's only
-// predecessor is A.
-func mergeStraightPairs(f *Func) {
-	for {
-		preds := f.Preds()
-		merged := false
-		for _, a := range f.Blocks {
-			t := a.Terminator()
-			if t == nil || t.Op != Br {
-				continue
-			}
-			bLabel := t.Sym
-			if bLabel == a.Label || len(preds[bLabel]) != 1 {
-				continue
-			}
-			b := f.Block(bLabel)
-			if b == nil || (len(b.Insts) > 0 && b.Insts[0].Op == Phi) {
-				continue
-			}
-			// Splice B's instructions over A's terminator.
-			a.Insts = append(a.Insts[:len(a.Insts)-1], b.Insts...)
-			// Phi incomings naming B as pred now come from A.
-			for _, blk := range f.Blocks {
-				for i := range blk.Insts {
-					in := &blk.Insts[i]
-					if in.Op != Phi {
-						continue
-					}
-					for j := range in.Incomings {
-						if in.Incomings[j].Pred == bLabel {
-							in.Incomings[j].Pred = a.Label
-						}
+// predecessor is A. One forward scan suffices: a merge leaves every other
+// block's predecessor count, phis and terminator as they were, so no block
+// before A becomes mergeable, and A itself is retried with B's terminator.
+func (c *cfg) mergeStraightPairs() {
+	blocks := c.f.Blocks
+	clear(c.predCnt)
+	for _, b := range blocks {
+		if b == nil {
+			continue
+		}
+		succs, n := c.succs(b)
+		for _, s := range succs[:n] {
+			c.predCnt[s]++
+		}
+	}
+	for ai := 0; ai < len(blocks); {
+		a := blocks[ai]
+		var t *Inst
+		if a != nil {
+			t = a.Terminator()
+		}
+		if t == nil || t.Op != Br {
+			ai++
+			continue
+		}
+		bi, ok := c.idx[t.Sym]
+		if !ok || int(bi) == ai || blocks[bi] == nil || c.predCnt[bi] != 1 || startsWithPhi(blocks[bi]) {
+			ai++
+			continue
+		}
+		b := blocks[bi]
+		// Splice B's instructions over A's terminator.
+		a.Insts = append(a.Insts[:len(a.Insts)-1], b.Insts...)
+		blocks[bi] = nil
+		// Phi incomings naming B as pred now come from A; only B's
+		// successors — now A's — can hold any.
+		succs, n := c.succs(a)
+		for _, s := range succs[:n] {
+			blk := blocks[s]
+			for i := range blk.Insts {
+				in := &blk.Insts[i]
+				if in.Op != Phi {
+					break
+				}
+				for j := range in.Incomings {
+					if in.Incomings[j].Pred == b.Label {
+						in.Incomings[j].Pred = a.Label
 					}
 				}
 			}
-			f.removeBlock(bLabel)
-			merged = true
-			break
-		}
-		if !merged {
-			return
-		}
-	}
-}
-
-func (f *Func) removeBlock(label string) {
-	for i, b := range f.Blocks {
-		if b.Label == label {
-			f.Blocks = append(f.Blocks[:i], f.Blocks[i+1:]...)
-			return
 		}
 	}
 }
@@ -250,36 +321,63 @@ func MergeFunctions(m *Module) MergeStats {
 // rewrite, and deleting a kept function would leave other modules calling
 // an undefined symbol.
 func MergeFunctionsKeeping(m *Module, keep map[string]bool) MergeStats {
-	byHash := make(map[string][]*Func)
-	for _, f := range m.Funcs {
+	// Group the functions by structural key. The key is exact — equal keys
+	// mean identical functions up to value and label naming — so the map
+	// compares whole keys and no digest stands in for them; only a key seen
+	// for the first time is copied out of the hasher's buffer.
+	var h funcHasher
+	groupOf := make(map[string]int32)
+	group := make([]int32, len(m.Funcs)) // by function: its group, -1 for main
+	var size []int32                     // by group
+	for i, f := range m.Funcs {
 		if f.Name == "main" {
+			group[i] = -1
 			continue
 		}
-		byHash[hashFunc(f)] = append(byHash[hashFunc(f)], f)
+		key := h.key(f)
+		g, ok := groupOf[string(key)]
+		if !ok {
+			g = int32(len(size))
+			groupOf[string(key)] = g
+			size = append(size, 0)
+		}
+		group[i] = g
+		size[g]++
 	}
+	// Lay the groups out back to back, members in module order.
+	off := make([]int32, len(size)+1)
+	for g, n := range size {
+		off[g+1] = off[g] + n
+	}
+	members := make([]*Func, off[len(size)])
+	for i, f := range m.Funcs {
+		if g := group[i]; g >= 0 {
+			members[off[g+1]-size[g]] = f
+			size[g]--
+		}
+	}
+
 	replace := make(map[string]string)
 	var stats MergeStats
-	hashes := make([]string, 0, len(byHash))
-	for h := range byHash {
-		hashes = append(hashes, h)
-	}
-	sort.Strings(hashes)
-	for _, h := range hashes {
-		group := byHash[h]
-		if len(group) < 2 {
+	for g := range size {
+		dups := members[off[g]:off[g+1]]
+		if len(dups) < 2 {
 			continue
 		}
 		// A kept function is the preferred representative: the duplicates
 		// merged into it then resolve to a symbol that survives the link.
-		sort.Slice(group, func(i, j int) bool {
-			if keep[group[i].Name] != keep[group[j].Name] {
-				return keep[group[i].Name]
+		slices.SortFunc(dups, func(a, b *Func) int {
+			if keep[a.Name] != keep[b.Name] {
+				if keep[a.Name] {
+					return -1
+				}
+				return 1
 			}
-			return group[i].Name < group[j].Name
+			return strings.Compare(a.Name, b.Name)
 		})
-		rep := group[0]
+		rep := dups[0]
 		removed := 0
-		for _, dup := range group[1:] {
+		for _, dup := range dups[1:] {
 			if keep[dup.Name] {
 				continue
 			}
@@ -294,19 +392,21 @@ func MergeFunctionsKeeping(m *Module, keep map[string]bool) MergeStats {
 	if len(replace) == 0 {
 		return stats
 	}
-	for name := range replace {
-		m.RemoveFunc(name)
+	kept := m.Funcs[:0]
+	for _, f := range m.Funcs {
+		if _, gone := replace[f.Name]; gone {
+			delete(m.funcIndex, f.Name)
+			continue
+		}
+		kept = append(kept, f)
 	}
+	clear(m.Funcs[len(kept):])
+	m.Funcs = kept
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
 			for i := range b.Insts {
 				in := &b.Insts[i]
-				if in.Op == Call {
-					if to, ok := replace[in.Sym]; ok {
-						in.Sym = to
-					}
-				}
-				if in.Op == GlobalAddr {
+				if in.Op == Call || in.Op == GlobalAddr {
 					if to, ok := replace[in.Sym]; ok {
 						in.Sym = to
 					}
@@ -317,58 +417,122 @@ func MergeFunctionsKeeping(m *Module, keep map[string]bool) MergeStats {
 	return stats
 }
 
-// hashFunc produces a normalized structural key: value numbers and labels
-// renamed in traversal order, so two functions differing only in naming or
-// value numbering hash equal.
-func hashFunc(f *Func) string {
-	var sb strings.Builder
-	valNames := make(map[Value]int)
-	valName := func(v Value) int {
-		if v == None {
-			return 0
-		}
-		id, ok := valNames[v]
-		if !ok {
-			id = len(valNames) + 1
-			valNames[v] = id
-		}
-		return id
+// funcHasher renders functions into structural keys: value numbers and
+// labels renamed in traversal order, so two functions differing only in
+// naming or value numbering get equal keys. The key buffer and the renaming
+// tables are reused from function to function.
+type funcHasher struct {
+	eraseConsts bool // render every Const's immediate as 0 (FMSA's shape key)
+
+	buf      []byte
+	valNames []int32 // by value number: traversal-order name, 0 = not seen
+	nVals    int32
+	labNames map[string]int
+}
+
+// key returns f's key. The bytes are valid until the next call.
+func (h *funcHasher) key(f *Func) []byte {
+	h.valNames = zeroed(h.valNames, f.NumValues+1)
+	h.nVals = 0
+	if h.labNames == nil {
+		h.labNames = make(map[string]int)
 	}
-	labNames := make(map[string]int)
-	labName := func(l string) int {
-		id, ok := labNames[l]
-		if !ok {
-			id = len(labNames) + 1
-			labNames[l] = id
-		}
-		return id
-	}
-	fmt.Fprintf(&sb, "p%d t%v;", f.NumParams, f.Throws)
+	clear(h.labNames)
+
+	b := h.buf[:0]
+	b = append(b, 'p')
+	b = strconv.AppendInt(b, int64(f.NumParams), 10)
+	b = append(b, " t"...)
+	b = strconv.AppendBool(b, f.Throws)
+	b = append(b, ';')
 	for i := 0; i < f.NumParams; i++ {
-		valName(f.Param(i))
+		h.valName(f.Param(i))
 	}
-	for _, b := range f.Blocks {
-		fmt.Fprintf(&sb, "L%d:", labName(b.Label))
-		for i := range b.Insts {
-			in := &b.Insts[i]
-			fmt.Fprintf(&sb, "%d(%d,%d,%d,%d,%d,%d,%d", in.Op, valName(in.Dst),
-				valName(in.A), valName(in.B), valName(in.ErrDst), in.Imm, in.BinOp, in.Cond)
+	for _, blk := range f.Blocks {
+		b = h.label(append(b, 'L'), blk.Label)
+		b = append(b, ':')
+		for i := range blk.Insts {
+			in := &blk.Insts[i]
+			b = strconv.AppendUint(b, uint64(in.Op), 10)
+			b = h.value(append(b, '('), in.Dst)
+			b = h.value(append(b, ','), in.A)
+			b = h.value(append(b, ','), in.B)
+			b = h.value(append(b, ','), in.ErrDst)
+			imm := in.Imm
+			if h.eraseConsts && in.Op == Const {
+				imm = 0
+			}
+			b = strconv.AppendInt(append(b, ','), imm, 10)
+			b = strconv.AppendUint(append(b, ','), uint64(in.BinOp), 10)
+			b = strconv.AppendUint(append(b, ','), uint64(in.Cond), 10)
 			switch in.Op {
 			case Call, GlobalAddr:
-				fmt.Fprintf(&sb, ",@%s", in.Sym)
+				b = append(append(b, ",@"...), in.Sym...)
 			case Br:
-				fmt.Fprintf(&sb, ",L%d", labName(in.Sym))
+				b = h.label(append(b, ",L"...), in.Sym)
 			case CondBr:
-				fmt.Fprintf(&sb, ",L%d,L%d", labName(in.Sym), labName(in.Sym2))
+				b = h.label(append(b, ",L"...), in.Sym)
+				b = h.label(append(b, ",L"...), in.Sym2)
 			}
 			for _, a := range in.Args {
-				fmt.Fprintf(&sb, ",a%d", valName(a))
+				b = h.value(append(b, ",a"...), a)
 			}
 			for _, inc := range in.Incomings {
-				fmt.Fprintf(&sb, ",[L%d:%d]", labName(inc.Pred), valName(inc.Val))
+				b = h.label(append(b, ",[L"...), inc.Pred)
+				b = h.value(append(b, ':'), inc.Val)
+				b = append(b, ']')
 			}
-			sb.WriteString(");")
+			b = append(b, ");"...)
 		}
 	}
-	return sb.String()
+	h.buf = b
+	return b
+}
+
+// valName returns v's traversal-order name, assigning the next one on first
+// sight. None is 0. A value number past the function's declared range (which
+// only a malformed function has) is reported by ok == false.
+func (h *funcHasher) valName(v Value) (name int32, ok bool) {
+	if v == None {
+		return 0, true
+	}
+	if uint(v) >= uint(len(h.valNames)) {
+		return 0, false
+	}
+	if h.valNames[v] == 0 {
+		h.nVals++
+		h.valNames[v] = h.nVals
+	}
+	return h.valNames[v], true
+}
+
+// value appends v's name. An out-of-range value is appended raw behind an
+// 'x', which no name can start with: such functions only ever equal
+// themselves up to naming of their in-range values, so the key stays exact.
+func (h *funcHasher) value(b []byte, v Value) []byte {
+	if name, ok := h.valName(v); ok {
+		return strconv.AppendInt(b, int64(name), 10)
+	}
+	return strconv.AppendInt(append(b, 'x'), int64(v), 10)
+}
+
+func (h *funcHasher) label(b []byte, l string) []byte {
+	id, ok := h.labNames[l]
+	if !ok {
+		id = len(h.labNames) + 1
+		h.labNames[l] = id
+	}
+	return strconv.AppendInt(b, int64(id), 10)
+}
+
+// zeroed returns s resized to n zero elements, reusing s's backing array
+// when it is large enough (and growing it with headroom when it is not, so a
+// run of ever larger functions regrows it a logarithmic number of times).
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/2)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -17,26 +17,71 @@ func (m *Module) Verify() error {
 	return nil
 }
 
-// Verify checks one function.
+// Verify checks one function. Labels resolve to block indices once; the
+// definition counts and predecessor lists are slices indexed by value
+// number and block.
 func (f *Func) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("llir: @%s: no blocks", f.Name)
 	}
-	labels := make(map[string]bool)
-	for _, b := range f.Blocks {
-		if labels[b.Label] {
+	nb := len(f.Blocks)
+	idx := make(map[string]int32, nb)
+	for i, b := range f.Blocks {
+		if _, dup := idx[b.Label]; dup {
 			return fmt.Errorf("llir: @%s: duplicate label %s", f.Name, b.Label)
 		}
-		labels[b.Label] = true
+		idx[b.Label] = int32(i)
 	}
-	defs := make(map[Value]int)
-	for i := 0; i < f.NumParams; i++ {
-		defs[f.Param(i)]++
-	}
-	preds := f.Preds()
+	// Predecessors grouped by block: preds[predOff[b]:predOff[b+1]]. Branches
+	// to unknown labels are reported below, at the branch.
+	predOff := make([]int32, nb+1)
 	for _, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			if t, ok := idx[s]; ok {
+				predOff[t+1]++
+			}
+		}
+	}
+	for b := 0; b < nb; b++ {
+		predOff[b+1] += predOff[b]
+	}
+	preds := make([]int32, predOff[nb])
+	fill := append([]int32(nil), predOff[:nb]...)
+	for bi, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			if t, ok := idx[s]; ok {
+				preds[fill[t]] = int32(bi)
+				fill[t]++
+			}
+		}
+	}
+	// isPred[p] == b+1 marks p as a predecessor of the block b being checked.
+	isPred := make([]int32, nb)
+
+	defs := make([]int32, f.NumValues+1)
+	define := func(b *Block, v Value) error {
+		if uint(v) >= uint(len(defs)) {
+			return fmt.Errorf("llir: @%s/%s: value %%%d outside the function's %d values",
+				f.Name, b.Label, v, f.NumValues)
+		}
+		defs[v]++
+		return nil
+	}
+	for i := 0; i < f.NumParams; i++ {
+		if err := define(f.Blocks[0], f.Param(i)); err != nil {
+			return err
+		}
+	}
+	for bi, b := range f.Blocks {
 		if len(b.Insts) == 0 {
 			return fmt.Errorf("llir: @%s: empty block %s", f.Name, b.Label)
+		}
+		nPreds := 0 // distinct predecessors
+		for _, p := range preds[predOff[bi]:predOff[bi+1]] {
+			if isPred[p] != int32(bi)+1 {
+				isPred[p] = int32(bi) + 1
+				nPreds++
+			}
 		}
 		inPhis := true
 		for i := range b.Insts {
@@ -50,16 +95,12 @@ func (f *Func) Verify() error {
 				if !inPhis {
 					return fmt.Errorf("llir: @%s/%s: phi after non-phi", f.Name, b.Label)
 				}
-				want := make(map[string]bool)
-				for _, p := range preds[b.Label] {
-					want[p] = true
-				}
-				if len(in.Incomings) != len(want) {
+				if len(in.Incomings) != nPreds {
 					return fmt.Errorf("llir: @%s/%s: phi has %d incomings, %d preds",
-						f.Name, b.Label, len(in.Incomings), len(want))
+						f.Name, b.Label, len(in.Incomings), nPreds)
 				}
 				for _, inc := range in.Incomings {
-					if !want[inc.Pred] {
+					if p, ok := idx[inc.Pred]; !ok || isPred[p] != int32(bi)+1 {
 						return fmt.Errorf("llir: @%s/%s: phi incoming from non-pred %s",
 							f.Name, b.Label, inc.Pred)
 					}
@@ -68,18 +109,24 @@ func (f *Func) Verify() error {
 				inPhis = false
 			}
 			if in.Dst != None {
-				defs[in.Dst]++
+				if err := define(b, in.Dst); err != nil {
+					return err
+				}
 			}
 			if in.Op == Call && in.ErrDst != None {
-				defs[in.ErrDst]++
+				if err := define(b, in.ErrDst); err != nil {
+					return err
+				}
 			}
 			switch in.Op {
 			case Br:
-				if !labels[in.Sym] {
+				if _, ok := idx[in.Sym]; !ok {
 					return fmt.Errorf("llir: @%s/%s: br to unknown %s", f.Name, b.Label, in.Sym)
 				}
 			case CondBr:
-				if !labels[in.Sym] || !labels[in.Sym2] {
+				_, ok1 := idx[in.Sym]
+				_, ok2 := idx[in.Sym2]
+				if !ok1 || !ok2 {
 					return fmt.Errorf("llir: @%s/%s: condbr to unknown label", f.Name, b.Label)
 				}
 			}

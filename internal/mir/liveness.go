@@ -78,48 +78,61 @@ type Liveness struct {
 // ComputeLiveness runs backward dataflow to a fixed point over f.
 // externLive is the set assumed live at every function exit (typically the
 // callee-saved registers plus the result register).
+//
+// Labels are resolved to block indices once, up front; the fixed point and
+// the per-instruction sweep then run on integers and register masks only, and
+// every table is one slice for the whole function: the analysis allocates a
+// fixed number of times per function, never per block or per instruction.
 func ComputeLiveness(f *Function, externLive RegSet) *Liveness {
 	n := len(f.Blocks)
 	blockIdx := make(map[string]int, n)
 	for i, b := range f.Blocks {
 		blockIdx[b.Label] = i
 	}
-	liveIn := make([]RegSet, n)
-	liveOut := make([]RegSet, n)
+	sets := make([]RegSet, 3*n)
+	liveIn, liveOut := sets[:n], sets[n:2*n]
+	// exitLive[i] is what block i contributes from leaving the function
+	// (zero when control cannot leave from it).
+	exitLive := sets[2*n:]
 
-	succs := make([][]int, n)
+	// Successor lists in one flat slice: block i's are succs[succOff[i]:succOff[i+1]].
+	succOff := make([]int32, n+1)
+	succs := make([]int32, 0, 2*n)
+	total := 0
 	for i, b := range f.Blocks {
-		for _, in := range b.Insts {
+		total += len(b.Insts)
+		succOff[i] = int32(len(succs))
+		for j := range b.Insts {
+			in := &b.Insts[j]
 			if !in.IsTerminator() || in.Op == isa.RET || in.Op == isa.BRK {
 				continue
 			}
 			if t, ok := blockIdx[in.Sym]; ok {
-				succs[i] = append(succs[i], t)
+				succs = append(succs, int32(t))
 			}
 		}
 		// Fallthrough to the next block when not ended by an unconditional
 		// transfer.
 		if i+1 < n && !endsUnconditional(b) {
-			succs[i] = append(succs[i], i+1)
+			succs = append(succs, int32(i+1))
+		}
+		if exits(b, blockIdx, i == n-1) {
+			exitLive[i] = externLive
+			// A tail call returns through the caller's LR, so LR is
+			// live at the exit point.
+			if insts := b.Insts; len(insts) > 0 && insts[len(insts)-1].Op == isa.B {
+				exitLive[i] = externLive.Add(isa.LR).Union(callUses)
+			}
 		}
 	}
+	succOff[n] = int32(len(succs))
 
-	localLabel := func(s string) bool { _, ok := blockIdx[s]; return ok }
 	changed := true
 	for changed {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
-			out := RegSet(0)
-			if exits(f.Blocks[i], localLabel, i == n-1) {
-				out = externLive
-				// A tail call returns through the caller's LR, so LR is
-				// live at the exit point.
-				if insts := f.Blocks[i].Insts; len(insts) > 0 && insts[len(insts)-1].Op == isa.B {
-					out = out.Add(isa.LR)
-					out = out.Union(callUses)
-				}
-			}
-			for _, s := range succs[i] {
+			out := exitLive[i]
+			for _, s := range succs[succOff[i]:succOff[i+1]] {
 				out = out.Union(liveIn[s])
 			}
 			in := transferBlock(f.Blocks[i], out)
@@ -130,31 +143,34 @@ func ComputeLiveness(f *Function, externLive RegSet) *Liveness {
 		}
 	}
 
+	// One slab for every row: LiveAfter[i] is a window into it.
 	lv := &Liveness{LiveAfter: make([][]RegSet, n)}
+	slab := make([]RegSet, total)
 	for i, b := range f.Blocks {
-		lv.LiveAfter[i] = make([]RegSet, len(b.Insts))
+		row := slab[:len(b.Insts):len(b.Insts)]
+		slab = slab[len(b.Insts):]
 		live := liveOut[i]
 		for j := len(b.Insts) - 1; j >= 0; j-- {
-			lv.LiveAfter[i][j] = live
-			live = step(b.Insts[j], live)
+			row[j] = live
+			live = step(&b.Insts[j], live)
 		}
+		lv.LiveAfter[i] = row
 	}
 	return lv
 }
 
-// ComputeLivenessFuncs computes liveness for the selected functions of prog
-// using at most parallelism workers (0 = one per CPU, 1 = serial). Entry i
-// of the result holds prog.Funcs[i]'s liveness when want(i) is true and nil
-// otherwise; want == nil selects every function. Each function's analysis
-// is independent, so the result is identical for any worker count.
-func ComputeLivenessFuncs(prog *Program, externLive RegSet, parallelism int, want func(i int) bool) []*Liveness {
-	out := make([]*Liveness, len(prog.Funcs))
+// ComputeLivenessFuncs fills live (one entry per function of prog) using at
+// most parallelism workers (0 = one per CPU, 1 = serial): entry i is computed
+// when want(i) is true and live[i] is still nil; every other entry is left as
+// it is, so a caller that knows a function is unchanged keeps its analysis.
+// Each function's analysis is independent, so the result is identical for
+// any worker count.
+func ComputeLivenessFuncs(prog *Program, externLive RegSet, parallelism int, live []*Liveness, want func(i int) bool) {
 	par.Do(parallelism, len(prog.Funcs), func(i int) {
-		if want == nil || want(i) {
-			out[i] = ComputeLiveness(prog.Funcs[i], externLive)
+		if live[i] == nil && want(i) {
+			live[i] = ComputeLiveness(prog.Funcs[i], externLive)
 		}
 	})
-	return out
 }
 
 func endsUnconditional(b *Block) bool {
@@ -171,7 +187,7 @@ func endsUnconditional(b *Block) bool {
 // exits reports whether control can leave the function from this block:
 // return, trap, a tail-call B whose target is not a local label, or running
 // off the end of the last block.
-func exits(b *Block, localLabel func(string) bool, last bool) bool {
+func exits(b *Block, blockIdx map[string]int, last bool) bool {
 	if len(b.Insts) == 0 {
 		return last
 	}
@@ -180,34 +196,33 @@ func exits(b *Block, localLabel func(string) bool, last bool) bool {
 	case isa.RET, isa.BRK:
 		return true
 	case isa.B:
-		return !localLabel(term.Sym)
+		_, local := blockIdx[term.Sym]
+		return !local
 	}
 	return last && !endsUnconditional(b)
 }
 
 func transferBlock(b *Block, live RegSet) RegSet {
 	for j := len(b.Insts) - 1; j >= 0; j-- {
-		live = step(b.Insts[j], live)
+		live = step(&b.Insts[j], live)
 	}
 	return live
 }
 
-// step computes live-before from live-after for one instruction.
-func step(in isa.Inst, live RegSet) RegSet {
+// step computes live-before from live-after for one instruction, from the
+// instruction's def/use masks (isa.Inst.DefMask/UseMask share RegSet's bit
+// layout: bit r is register r, and neither ever carries XZR or NoReg).
+func step(in *isa.Inst, live RegSet) RegSet {
 	if in.IsCall() {
 		live &^= callerSaved
 		live = live.RemoveFlags()
 		live = live.Union(callUses)
 	}
-	for _, d := range in.Defs(nil) {
-		live = live.Remove(d)
-	}
+	live &^= RegSet(in.DefMask())
 	if in.SetsFlags() {
 		live = live.RemoveFlags()
 	}
-	for _, u := range in.Uses(nil) {
-		live = live.Add(u)
-	}
+	live |= RegSet(in.UseMask())
 	if in.ReadsFlags() {
 		live = live.AddFlags()
 	}

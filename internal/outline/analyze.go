@@ -25,11 +25,12 @@ type Pattern struct {
 
 // Analyze logs every repeated, profitably-outlinable pattern in the program,
 // sorted by repetition frequency high-to-low (the ordering of the paper's
-// Figure 5). The program is not modified.
+// Figure 5). The program is not modified. A program too large for the
+// outliner to address (see checkLocRange) has no loggable patterns.
 func Analyze(prog *mir.Program, opts Options) []Pattern {
 	opts = opts.withDefaults()
-	m := mapProgram(prog)
-	if len(m.str) == 0 {
+	m, err := mapProgram(prog)
+	if err != nil || len(m.str) == 0 {
 		return nil
 	}
 	tree := suffixtree.New(m.str)

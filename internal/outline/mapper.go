@@ -8,15 +8,30 @@
 package outline
 
 import (
+	"fmt"
+	"math"
+
 	"outliner/internal/isa"
 	"outliner/internal/mir"
 )
 
-// loc addresses one instruction inside a program.
+// loc addresses one instruction inside a program. There is one per symbol of
+// the flattened program, so it is kept to three int32 (like the suffix
+// tree's slabs); remap checks once per function that the indices fit.
 type loc struct {
-	fn    int // index into prog.Funcs
-	block int // index into fn.Blocks
-	inst  int // index into block.Insts
+	fn    int32 // index into prog.Funcs
+	block int32 // index into fn.Blocks
+	inst  int32 // index into block.Insts
+}
+
+// checkLocRange reports whether function fi, with nBlocks blocks of at most
+// maxInsts instructions, can be addressed by a loc.
+func checkLocRange(name string, fi, nBlocks, maxInsts int) error {
+	if fi > math.MaxInt32 || nBlocks > math.MaxInt32 || maxInsts > math.MaxInt32 {
+		return fmt.Errorf("outline: @%s (function %d: %d blocks, longest %d instructions) exceeds the outliner's 2^31 addressing range",
+			name, fi, nBlocks, maxInsts)
+	}
+	return nil
 }
 
 // mapping is the flattened view of a program that the suffix tree consumes:
@@ -64,15 +79,37 @@ func legalForOutlining(in isa.Inst) bool {
 // included: that inclusion is what lets round N outline the bodies of
 // round N-1's functions (and call sites referring to them), producing the
 // cascade the paper's Figure 11 illustrates.
-func mapProgram(prog *mir.Program) *mapping {
+func mapProgram(prog *mir.Program) (*mapping, error) {
 	m := &mapping{}
-	m.remap(prog)
-	return m
+	if err := m.remap(prog); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // remap rebuilds the flattened view in place, reusing str/locs storage and
-// the persistent intern table from the previous round.
-func (m *mapping) remap(prog *mir.Program) {
+// the persistent intern table from the previous round. The storage is sized
+// from the program's instruction count (one symbol per instruction plus one
+// sentinel per block) the first time, and rounds only shrink the program, so
+// neither slice ever regrows. It fails only on a program too large to address.
+func (m *mapping) remap(prog *mir.Program) error {
+	symbols := 0
+	for fi, f := range prog.Funcs {
+		longest := 0
+		for _, b := range f.Blocks {
+			symbols += len(b.Insts) + 1
+			longest = max(longest, len(b.Insts))
+		}
+		if err := checkLocRange(f.Name, fi, len(f.Blocks), longest); err != nil {
+			return err
+		}
+	}
+	if cap(m.str) < symbols {
+		m.str = make([]int, 0, symbols)
+	}
+	if cap(m.locs) < symbols {
+		m.locs = make([]loc, 0, symbols)
+	}
 	m.str = m.str[:0]
 	m.locs = m.locs[:0]
 	if m.idByInst == nil {
@@ -82,7 +119,7 @@ func (m *mapping) remap(prog *mir.Program) {
 	for fi, f := range prog.Funcs {
 		for bi, b := range f.Blocks {
 			for ii, in := range b.Insts {
-				l := loc{fn: fi, block: bi, inst: ii}
+				l := loc{fn: int32(fi), block: int32(bi), inst: int32(ii)}
 				if legalForOutlining(in) {
 					id, ok := m.idByInst[in]
 					if !ok {
@@ -104,6 +141,7 @@ func (m *mapping) remap(prog *mir.Program) {
 			sentinel--
 		}
 	}
+	return nil
 }
 
 // instsAt returns the instruction sequence covered by [start, start+n) of
@@ -112,7 +150,7 @@ func (m *mapping) remap(prog *mir.Program) {
 func (m *mapping) instsAt(prog *mir.Program, start, n int) []isa.Inst {
 	l := m.locs[start]
 	b := prog.Funcs[l.fn].Blocks[l.block]
-	return b.Insts[l.inst : l.inst+n]
+	return b.Insts[l.inst : int(l.inst)+n]
 }
 
 // spSensitiveFuncs computes, for repeated rounds, which outlined functions

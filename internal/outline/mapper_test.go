@@ -36,7 +36,10 @@ entry:
   RET
 }
 `)
-	m := mapProgram(p)
+	m, err := mapProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(m.str) != len(m.locs) {
 		t.Fatalf("str (%d) and locs (%d) misaligned", len(m.str), len(m.locs))
 	}
@@ -161,11 +164,14 @@ func TestMapperIncludesOutlinedFunctions(t *testing.T) {
 
 	// The post-cascade mapping must cover every outlined function's body so
 	// a further round could keep harvesting.
-	m := mapProgram(p)
+	m, err := mapProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	covered := map[int]bool{}
 	for _, l := range m.locs {
 		if l.fn >= 0 {
-			covered[l.fn] = true
+			covered[int(l.fn)] = true
 		}
 	}
 	for fi, f := range p.Funcs {

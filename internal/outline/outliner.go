@@ -383,14 +383,15 @@ type repeatResult struct {
 // scratch holds outlineOnce's round-local state so round one's allocations
 // serve every later round of the same Outline call: the flattened mapping
 // (with its persistent instruction-intern table), the suffix-tree builder's
-// arena, per-lane candidate buffers, and the block-splice buffer all carry
-// over. Rounds shrink the program, so the first round's capacities are the
+// arena, per-lane candidate buffers, the block-splice buffer, and the liveness
+// of every function no round has edited all carry over. Rounds shrink the program, so the first round's capacities are the
 // high-water mark and later rounds allocate (almost) nothing.
 type scratch struct {
 	m        mapping
 	stb      suffixtree.Builder
 	repeats  []suffixtree.Repeat
 	needLive []bool
+	live     []*mir.Liveness // by function; nil = not analysed since its last edit
 	byRepeat []repeatResult
 	sets     []*candSet
 	used     []bool
@@ -477,7 +478,9 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 	remarks := tr.RemarksEnabled()
 	var rs RoundStats
 	var rems []obs.Remark
-	sc.m.remap(prog)
+	if err := sc.m.remap(prog); err != nil {
+		return rs, nil, err
+	}
 	m := &sc.m
 	if len(m.str) == 0 {
 		return rs, nil, nil
@@ -510,9 +513,17 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 			}
 		}
 	}
-	live := mir.ComputeLivenessFuncs(prog, mir.DefaultExternLive, opts.Parallelism,
+	// Liveness is a function of a function's own instructions, so a function
+	// no round has edited since it was analysed keeps its result: sc.live[i]
+	// is dropped below for exactly the functions this round's edits touch,
+	// indices are stable (outlined functions are only ever appended), and a
+	// new function starts with no entry.
+	for len(sc.live) < len(prog.Funcs) {
+		sc.live = append(sc.live, nil)
+	}
+	mir.ComputeLivenessFuncs(prog, mir.DefaultExternLive, opts.Parallelism, sc.live,
 		func(i int) bool { return needLive[i] })
-	liveness := func(fi int) *mir.Liveness { return live[fi] }
+	liveness := func(fi int) *mir.Liveness { return sc.live[fi] }
 
 	tr.Add("outline/candidates/found", int64(len(repeats)))
 
@@ -638,6 +649,9 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 	tr.Add("outline/candidates/rejected", int64(len(repeats)-rs.FunctionsCreated))
 
 	applyEdits(prog, edits, &sc.blockBuf)
+	for _, e := range edits {
+		sc.live[e.where.fn] = nil
+	}
 	for _, fn := range newFuncs {
 		prog.AddFunc(fn)
 	}
@@ -731,8 +745,8 @@ func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, liveness func(
 			continue
 		}
 		if set.strat == stratPlain {
-			lv := liveness(c.where.fn)
-			endIdx := c.where.inst + r.Length - 1
+			lv := liveness(int(c.where.fn))
+			endIdx := int(c.where.inst) + r.Length - 1
 			c.lrLive = lv.LiveAfter[c.where.block][endIdx].Has(isa.LR) || opts.FlatCostModel
 			if c.lrLive && set.readsSP {
 				// Saving LR at the call site moves SP under the candidate's
@@ -883,7 +897,7 @@ func applyEdits(prog *mir.Program, edits []edit, buf *[]isa.Inst) {
 		for _, e := range edits[i:j] {
 			out = append(out, blk.Insts[pos:e.where.inst]...)
 			out = append(out, e.repl...)
-			pos = e.where.inst + e.length
+			pos = int(e.where.inst) + e.length
 		}
 		out = append(out, blk.Insts[pos:]...)
 		*buf = out

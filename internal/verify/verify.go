@@ -532,13 +532,12 @@ func (fv *funcVerifier) stepFrame(bi, ii int, in isa.Inst, st frameState) frameS
 		st.lrEntry = false
 	default:
 		// Any other write to SP or LR is outside the verifier's model.
-		for _, d := range in.Defs(nil) {
-			switch d {
-			case isa.SP:
-				fv.violatef(bi, ii, "unmodeled write to SP by %s", in)
-			case isa.LR:
-				st.lrEntry = false
-			}
+		defs := in.DefMask()
+		if defs&(1<<isa.SP) != 0 {
+			fv.violatef(bi, ii, "unmodeled write to SP by %s", in)
+		}
+		if defs&(1<<isa.LR) != 0 {
+			st.lrEntry = false
 		}
 	}
 	return st
