@@ -235,10 +235,10 @@ func BenchmarkDataLayout(b *testing.B) {
 //
 //	go test -run '^$' -bench 'FromSIR|MergeFunctions|CodegenCompile|Liveness' -benchmem .
 
-// layerSIR lowers the 24-module corpus to SIR.
-func layerSIR(b *testing.B) []*sir.Module {
+// layerSIR lowers the UberRider corpus of the given module count to SIR.
+func layerSIR(b *testing.B, modules int) []*sir.Module {
 	b.Helper()
-	mods := appgen.Generate(appgen.UberRider, appgen.ScaleForModules(appgen.UberRider, 24))
+	mods := appgen.Generate(appgen.UberRider, appgen.ScaleForModules(appgen.UberRider, modules))
 	sirs, err := appgen.CompileToSIR(mods, pipeline.OSize)
 	if err != nil {
 		b.Fatal(err)
@@ -258,7 +258,7 @@ func layerLinked(b *testing.B, sirs []*sir.Module) *llir.Module {
 }
 
 func BenchmarkFromSIR(b *testing.B) {
-	sirs := layerSIR(b)
+	sirs := layerSIR(b, 24)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -271,7 +271,7 @@ func BenchmarkFromSIR(b *testing.B) {
 }
 
 func BenchmarkMergeFunctions(b *testing.B) {
-	sirs := layerSIR(b)
+	sirs := layerSIR(b, 24)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -283,7 +283,7 @@ func BenchmarkMergeFunctions(b *testing.B) {
 }
 
 func BenchmarkCodegenCompile(b *testing.B) {
-	merged := layerLinked(b, layerSIR(b))
+	merged := layerLinked(b, layerSIR(b, 24))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -294,7 +294,7 @@ func BenchmarkCodegenCompile(b *testing.B) {
 }
 
 func BenchmarkLiveness(b *testing.B) {
-	prog, err := codegen.CompileWith(layerLinked(b, layerSIR(b)), 1)
+	prog, err := codegen.CompileWith(layerLinked(b, layerSIR(b, 24)), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -304,6 +304,34 @@ func BenchmarkLiveness(b *testing.B) {
 		for _, f := range prog.Funcs {
 			mir.ComputeLiveness(f, mir.DefaultExternLive)
 		}
+	}
+}
+
+// BenchmarkOutlineRounds measures repeated whole-program outlining alone: the
+// 80-module corpus linked and compiled once, then outlined serially with the
+// per-round verifier on, for 1, 2 and 5 rounds. The differences between the
+// sub-benchmarks are what the later rounds cost:
+//
+//	go test -run '^$' -bench OutlineRounds -benchmem .
+func BenchmarkOutlineRounds(b *testing.B) {
+	base, err := codegen.CompileWith(layerLinked(b, layerSIR(b, 80)), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rounds := range []int{1, 2, 5} {
+		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				prog := base.Clone()
+				b.StartTimer()
+				if _, err := outline.Outline(prog, outline.Options{
+					Rounds: rounds, Verify: true, ExternSyms: llir.RuntimeSyms, Parallelism: 1,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -68,8 +68,10 @@ func (t *Tracer) WriteSummary(w io.Writer) error {
 		writeTable(w, rows)
 	}
 
-	// The machine-verifier scoreboard: pass counts accumulate across every
-	// stage and outlining round that ran the verifier.
+	// The machine-verifier scoreboard: counts accumulate across every stage
+	// and outlining round that ran the verifier. The function count is of
+	// checks actually run: an outlining round after the first re-checks only
+	// the functions it wrote to, and adds only those.
 	if fn, ok := counters["verify/functions"]; ok {
 		fmt.Fprintf(w, "\nverified %d functions, %d violations\n",
 			fn, counters["verify/violations"])

@@ -45,11 +45,12 @@ func Analyze(prog *mir.Program, opts Options) []Pattern {
 		return lv
 	}
 
-	spSensitive := spSensitiveFuncs(prog)
+	m.buildSums(spSensitiveFuncs(prog))
+	fnCount := profileCounts(nil, prog, opts.Profile)
 	var patterns []Pattern
 	var ls laneScratch
 	tree.ForEachRepeat(opts.MinLength, 2, func(r suffixtree.Repeat) {
-		set, reject := buildSet(prog, m, r, liveness, spSensitive, nil, opts, &ls)
+		set, reject := buildSet(prog, m, r, liveness, fnCount, false, opts, &ls)
 		if reject != "" {
 			return
 		}
@@ -65,7 +66,7 @@ func Analyze(prog *mir.Program, opts Options) []Pattern {
 			if len(pat.Funcs) >= maxFuncs {
 				break
 			}
-			pat.Funcs = append(pat.Funcs, prog.Funcs[c.where.fn].Name)
+			pat.Funcs = append(pat.Funcs, prog.Funcs[m.locs[c.start].fn].Name)
 		}
 		patterns = append(patterns, pat)
 	})

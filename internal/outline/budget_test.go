@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,7 +13,8 @@ import (
 )
 
 // carryProgram has two kinds of function. The hot ones share a long
-// sequence that round one outlines (so they are edited); the bystanders share
+// sequence, or its tail, that round one outlines in two pieces (so they are
+// edited) and round two outlines the calls to the pieces; the bystanders share
 // a two-instruction sequence that repeats — so every round wants their
 // liveness — but only twice, which never pays for an outlined function, so no
 // round edits them.
@@ -30,6 +32,10 @@ func carryProgram(t *testing.T) *mir.Program {
 		src.WriteString(framedFunc(fmt.Sprintf("hot%d", i),
 			append(append([]string{}, long...), fmt.Sprintf("MOVZXi $x6, #%d", i))...))
 	}
+	for i := 0; i < 12; i++ {
+		src.WriteString(framedFunc(fmt.Sprintf("hottail%d", i),
+			append(append([]string{}, long[2:]...), fmt.Sprintf("MOVZXi $x7, #%d", 200+i))...))
+	}
 	for i := 0; i < 2; i++ {
 		src.WriteString(framedFunc(fmt.Sprintf("bystander%d", i),
 			"SUBXrs $x9, $x10, $x11", "MULXrr $x12, $x9, $x9", fmt.Sprintf("MOVZXi $x7, #%d", 100+i)))
@@ -37,26 +43,53 @@ func carryProgram(t *testing.T) *mir.Program {
 	return mustParse(t, src.String())
 }
 
-// TestAllocBudgetRoundsCarryLiveness drives two rounds by hand and checks the
+// TestAllocBudgetRoundsCarryLiveness drives the rounds by hand and checks the
 // state carried between them: the mapping's storage is sized once from the
 // program and never regrows, and a function the previous round did not edit
 // keeps its *mir.Liveness while an edited one is analysed again — with every
-// kept analysis equal to a fresh one of the function as it now stands.
+// kept analysis equal to a fresh one of the function as it now stands. Each
+// round, verifier included, is also held to a budget: no round allocates more
+// than the first, and one that edits nothing verifies nothing, for free.
 func TestAllocBudgetRoundsCarryLiveness(t *testing.T) {
 	prog := carryProgram(t)
-	opts := Options{Rounds: 2}.withDefaults()
+	opts := Options{Rounds: 5, Verify: true, ExternSyms: externRT}.withDefaults()
 	var sc scratch
 	counter := 0
+
+	// runRound is a round as Outline runs it, verifier included; allocs
+	// records what each one allocated.
+	var allocs []uint64
+	runRound := func(round int) RoundStats {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rs, _, err := outlineOnce(prog, opts, &counter, round, &sc)
+		rep := verifyRound(prog, opts, round, sc.frontier)
+		runtime.ReadMemStats(&after)
+		allocs = append(allocs, after.Mallocs-before.Mallocs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		if rep != nil {
+			checked = rep.FuncsChecked
+			if !rep.OK() {
+				t.Errorf("round %d: %v", round, rep.Err())
+			}
+		}
+		if want := len(sc.frontier); round > 1 && checked != want {
+			t.Errorf("round %d wrote to %d functions and verified %d", round, want, checked)
+		} else if round == 1 && checked != len(prog.Funcs) {
+			t.Errorf("round one verified %d of %d functions", checked, len(prog.Funcs))
+		}
+		return rs
+	}
 
 	symbols := prog.NumInsts()
 	for _, f := range prog.Funcs {
 		symbols += len(f.Blocks)
 	}
-	rs, _, err := outlineOnce(prog, opts, &counter, 1, &sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.FunctionsCreated == 0 {
+	if rs := runRound(1); rs.FunctionsCreated == 0 {
 		t.Fatal("round one outlined nothing; the fixture no longer exercises carry-over")
 	}
 	if cap(sc.m.str) != symbols || cap(sc.m.locs) != symbols {
@@ -92,8 +125,8 @@ func TestAllocBudgetRoundsCarryLiveness(t *testing.T) {
 	}
 
 	strCap, locCap := cap(sc.m.str), cap(sc.m.locs)
-	if _, _, err := outlineOnce(prog, opts, &counter, 2, &sc); err != nil {
-		t.Fatal(err)
+	if rs := runRound(2); rs.FunctionsCreated == 0 {
+		t.Fatal("round two outlined nothing; the fixture no longer has a second round with a frontier")
 	}
 	if cap(sc.m.str) != strCap || cap(sc.m.locs) != locCap {
 		t.Error("round two regrew the mapping storage")
@@ -105,8 +138,28 @@ func TestAllocBudgetRoundsCarryLiveness(t *testing.T) {
 	}
 	checkFresh("after round two")
 
+	// On to the fixed point: the round that finds nothing is the one that
+	// must cost nothing to verify.
+	idle := 0
+	for round := 3; round <= opts.Rounds && idle == 0; round++ {
+		if runRound(round).SequencesOutlined == 0 {
+			idle = round
+		}
+	}
+	if idle == 0 {
+		t.Fatalf("no fixed point within %d rounds; the fixture no longer has an idle round", opts.Rounds)
+	}
+
 	if raceflag.Enabled {
 		return // the race detector inflates allocation counts
+	}
+	for i, n := range allocs[1:] {
+		if n > allocs[0] {
+			t.Errorf("round %d allocates %d times, round one %d", i+2, n, allocs[0])
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() { verifyRound(prog, opts, idle, sc.frontier) }); n != 0 {
+		t.Errorf("verifying round %d, which edited nothing, allocates %.0f times", idle, n)
 	}
 	if n := testing.AllocsPerRun(5, func() { _ = sc.m.remap(prog) }); n != 0 {
 		t.Errorf("remapping a program that fits the mapping's storage allocates %.0f times", n)

@@ -42,6 +42,13 @@ type mapping struct {
 	str  []int
 	locs []loc // aligned with str; sentinel entries hold fn == -1
 
+	// sums[p] counts, over str[:p], the instruction properties buildSet asks
+	// of a candidate, so any substring answers in two reads. buildSums fills
+	// it; remap leaves it stale.
+	sums []posSum
+	// symProps is buildSums's per-symbol scratch, aligned with insts.
+	symProps []posSum
+
 	// insts holds the canonical instruction for each non-negative symbol.
 	insts []isa.Inst
 	// idByInst interns instructions to symbols. It persists across remap
@@ -142,6 +149,59 @@ func (m *mapping) remap(prog *mir.Program) error {
 		}
 	}
 	return nil
+}
+
+// posSum is one entry of mapping.sums: the code bytes before a position, and
+// how many of the instructions before it depend on SP pointing at the frame
+// of the function they sit in, and how many are calls. The counts are bounded
+// by the string length, which the suffix tree limits to int32; bytes may wrap
+// on a program past 2 GiB of code, and the difference of two entries — all
+// that is ever read — is still exact for any sequence shorter than that.
+type posSum struct {
+	bytes, sp, call int32
+}
+
+// buildSums rebuilds sums for the current str. Each interned instruction is
+// classified once — in particular a B/BL is looked up in spSensitive (see
+// spSensitiveFuncs) once per symbol, not once per occurrence — and the
+// classes are then summed along the string. The set of SP-sensitive callees
+// changes from round to round, so the table is rebuilt every round. Sentinel
+// positions count nothing: no candidate contains one.
+func (m *mapping) buildSums(spSensitive map[string]bool) {
+	props := m.symProps[:0]
+	for _, in := range m.insts {
+		p := posSum{bytes: int32(in.Size())}
+		if in.ReadsSP() || ((in.Op == isa.BL || in.Op == isa.B) && spSensitive[in.Sym]) {
+			p.sp = 1
+		}
+		if in.IsCall() {
+			p.call = 1
+		}
+		props = append(props, p)
+	}
+	m.symProps = props
+	if cap(m.sums) < len(m.str)+1 {
+		m.sums = make([]posSum, 0, cap(m.str)+1)
+	}
+	sums := m.sums[:len(m.str)+1]
+	var run posSum
+	for p, id := range m.str {
+		sums[p] = run
+		if id >= 0 {
+			sp := props[id]
+			run.bytes += sp.bytes
+			run.sp += sp.sp
+			run.call += sp.call
+		}
+	}
+	sums[len(m.str)] = run
+	m.sums = sums
+}
+
+// between returns the property counts of str[start:end).
+func (m *mapping) between(start, end int) posSum {
+	a, b := m.sums[start], m.sums[end]
+	return posSum{bytes: b.bytes - a.bytes, sp: b.sp - a.sp, call: b.call - a.call}
 }
 
 // instsAt returns the instruction sequence covered by [start, start+n) of

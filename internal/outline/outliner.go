@@ -1,8 +1,9 @@
 package outline
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"outliner/internal/fault"
 	"outliner/internal/isa"
@@ -182,12 +183,11 @@ func (s strategy) String() string {
 	}
 }
 
-// candidate is one occurrence of a repeated sequence.
+// candidate is one occurrence of a repeated sequence. Its length is its
+// set's, and mapping.locs says where in the program it sits.
 type candidate struct {
-	start  int // position in the flattened string
-	length int
-	where  loc
-	lrLive bool // LR holds a live value after the candidate
+	start  int32 // position in the flattened string
+	lrLive bool  // LR holds a live value after the candidate
 }
 
 // candSet is a repeated sequence plus every (non-overlapping) occurrence.
@@ -257,19 +257,14 @@ func Outline(prog *mir.Program, opts Options) (*Stats, error) {
 			opts.Fault.MaybeCorruptPoint(fault.OutlineRound, fmt.Sprintf("%s/round:%d", opts.RemarkModule, round)) {
 			corruptNewFunc(sc.newFuncs[0])
 		}
-		if opts.Verify {
-			// The machine verifier runs after every round: a bad rewrite is
-			// diagnosed at the instruction that broke, not at the eventual
-			// output divergence.
-			rep := verify.Program(prog, opts.ExternSyms)
+		if rep := verifyRound(prog, opts, round, sc.frontier); rep != nil {
 			tr.Add("verify/functions", int64(rep.FuncsChecked))
 			tr.Add("verify/violations", int64(len(rep.Violations)))
 			if err := rep.Err(); err != nil {
+				sp.End()
 				if degrade {
-					sp.End()
 					return rollback(prog, opts, stats, tr, round, err, preAll, preRound)
 				}
-				sp.End()
 				return stats, fmt.Errorf("outline round %d broke the program: %w", round, err)
 			}
 		}
@@ -302,6 +297,25 @@ func Outline(prog *mir.Program, opts Options) (*Stats, error) {
 		}
 	}
 	return stats, nil
+}
+
+// verifyRound runs the machine verifier after a round, so that a bad rewrite
+// is diagnosed at the instruction that broke, not at the eventual output
+// divergence. Round one checks the whole program. From then on every function
+// outside the round's frontier is one the previous check passed and nothing
+// has written to since, so only the frontier is checked (verify.Funcs has the
+// argument); a round that wrote to nothing has nothing to check. It returns
+// nil when it checked nothing, which is also what it does with Verify off.
+func verifyRound(prog *mir.Program, opts Options, round int, frontier []int) *verify.Report {
+	switch {
+	case !opts.Verify:
+		return nil
+	case round == 1:
+		return verify.Program(prog, opts.ExternSyms)
+	case len(frontier) > 0:
+		return verify.Funcs(prog, opts.ExternSyms, frontier)
+	}
+	return nil
 }
 
 // rollback implements the degraded OnVerifyFailure modes: restore prog from
@@ -392,11 +406,15 @@ type scratch struct {
 	repeats  []suffixtree.Repeat
 	needLive []bool
 	live     []*mir.Liveness // by function; nil = not analysed since its last edit
+	fnCount  []int64         // by function: profile entry count, this round
 	byRepeat []repeatResult
 	sets     []*candSet
-	used     []bool
-	edits    []edit
+	owner    []int32 // by position: which call site replaces it (see site), 0 = free
+	sites    []site
 	newFuncs []*mir.Function
+	// frontier lists, ascending, the functions the last round wrote to: the
+	// ones it edited, then the ones it created.
+	frontier []int
 	lanes    []laneScratch
 	blockBuf []isa.Inst
 }
@@ -494,10 +512,12 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 	// read-only over prog/m, so workers never interact; results land at
 	// their repeat index, keeping the order the serial loop produced.
 	if sc.repeats == nil {
-		// Each reported repeat is a distinct internal suffix-tree node, so
-		// the node count bounds the repeat count; sizing up front avoids the
-		// append-regrow copies on the first (largest) round.
-		sc.repeats = make([]suffixtree.Repeat, 0, tree.NodeCount())
+		// Each reported repeat is a distinct internal suffix-tree node, and
+		// the string ends in a sentinel, so every one of its suffixes is a
+		// leaf: what is left of the node count bounds the repeat count.
+		// Sizing up front avoids the append-regrow copies on the first
+		// (largest) round.
+		sc.repeats = make([]suffixtree.Repeat, 0, tree.NodeCount()-len(m.str))
 	}
 	repeats := sc.repeats[:0]
 	tree.ForEachRepeat(opts.MinLength, 2, func(r suffixtree.Repeat) {
@@ -527,18 +547,14 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 
 	tr.Add("outline/candidates/found", int64(len(repeats)))
 
-	// hotFns marks the functions cold-only gating must protect. Computed per
-	// round: earlier rounds' outlined functions appear in prog.Funcs but not
-	// in the profile, so they count as cold and stay outlinable.
-	var hotFns []bool
-	if opts.ColdOnly && opts.Profile != nil && opts.ColdThreshold > 0 {
-		hotFns = make([]bool, len(prog.Funcs))
-		for fi, f := range prog.Funcs {
-			hotFns[fi] = opts.Profile.Count(f.Name) >= opts.ColdThreshold
-		}
-	}
+	// One profile lookup per function per round, shared by remark annotation
+	// and cold-only gating. Per round because earlier rounds' outlined
+	// functions appear in prog.Funcs but not in the profile: they count as
+	// cold and stay outlinable.
+	sc.fnCount = profileCounts(sc.fnCount[:0], prog, opts.Profile)
+	gate := opts.ColdOnly && opts.Profile != nil && opts.ColdThreshold > 0
 
-	spSensitive := spSensitiveFuncs(prog)
+	m.buildSums(spSensitiveFuncs(prog))
 	if cap(sc.byRepeat) < len(repeats) {
 		sc.byRepeat = make([]repeatResult, len(repeats))
 	}
@@ -552,7 +568,7 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 		}
 	}
 	par.DoLanes(opts.Parallelism, len(repeats), func(lane, i int) {
-		set, reject := buildSet(prog, m, repeats[i], liveness, spSensitive, hotFns, opts, &sc.lanes[lane])
+		set, reject := buildSet(prog, m, repeats[i], liveness, sc.fnCount, gate, opts, &sc.lanes[lane])
 		byRepeat[i] = repeatResult{set, reject}
 	})
 	// Collect in repeat (suffix-tree) order: both the greedy input and the
@@ -581,27 +597,22 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 
 	// Greedy: most beneficial first. Ties resolve to longer sequences, then
 	// earliest occurrence, for determinism.
-	sort.SliceStable(sets, func(i, j int) bool {
-		bi, bj := sets[i].ben, sets[j].ben
-		if bi != bj {
-			return bi > bj
-		}
-		if len(sets[i].seq) != len(sets[j].seq) {
-			return len(sets[i].seq) > len(sets[j].seq)
-		}
-		return sets[i].cands[0].start < sets[j].cands[0].start
-	})
+	slices.SortFunc(sets, greedyOrder)
 
-	used := zeroedBools(sc.used, len(m.str))
-	sc.used = used
-	edits := sc.edits[:0]
+	if cap(sc.owner) < len(m.str) {
+		sc.owner = make([]int32, cap(m.str))
+	}
+	owner := sc.owner[:len(m.str)]
+	clear(owner)
+	sites := sc.sites[:0]
 	newFuncs := sc.newFuncs[:0]
 	for _, set := range sets {
+		n := int32(len(set.seq))
 		kept := set.cands[:0]
 		for _, c := range set.cands {
 			free := true
-			for p := c.start; p < c.start+c.length; p++ {
-				if used[p] {
+			for p := c.start; p < c.start+n; p++ {
+				if owner[p] != 0 {
 					free = false
 					break
 				}
@@ -630,11 +641,20 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 		*counter++
 		fn := set.makeFunction(name)
 		newFuncs = append(newFuncs, fn)
+		sites = append(sites, site{length: len(set.seq)})
+		st := &sites[len(sites)-1]
 		for _, c := range set.cands {
-			for p := c.start; p < c.start+c.length; p++ {
-				used[p] = true
+			v := int32(0)
+			if c.lrLive {
+				v = 1
 			}
-			edits = append(edits, edit{where: c.where, length: c.length, repl: set.callSite(name, c)})
+			if st.repl[v] == nil {
+				st.repl[v] = set.callSite(name, c.lrLive)
+			}
+			id := int32(len(sites))<<1 | v
+			for p := c.start; p < c.start+n; p++ {
+				owner[p] = id
+			}
 			rs.SequencesOutlined++
 		}
 		rs.FunctionsCreated++
@@ -648,46 +668,69 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 	tr.Add("outline/candidates/selected", int64(rs.FunctionsCreated))
 	tr.Add("outline/candidates/rejected", int64(len(repeats)-rs.FunctionsCreated))
 
-	applyEdits(prog, edits, &sc.blockBuf)
-	for _, e := range edits {
-		sc.live[e.where.fn] = nil
+	frontier := applyEdits(prog, m.locs, owner, sites, &sc.blockBuf, sc.frontier[:0])
+	for _, fi := range frontier {
+		sc.live[fi] = nil
 	}
 	for _, fn := range newFuncs {
+		frontier = append(frontier, len(prog.Funcs))
 		prog.AddFunc(fn)
 	}
-	sc.edits = edits
+	sc.sites = sites
 	sc.newFuncs = newFuncs
+	sc.frontier = frontier
 	return rs, rems, nil
+}
+
+// greedyOrder sorts candidate sets for greedy selection: benefit descending,
+// then sequence length descending, then first occurrence ascending. The order
+// is total — two sets of one length starting at one position would be the
+// same substring, hence the same repeat — so no stable sort is needed to make
+// the result unique.
+func greedyOrder(a, b *candSet) int {
+	if a.ben != b.ben {
+		return cmp.Compare(b.ben, a.ben)
+	}
+	if len(a.seq) != len(b.seq) {
+		return cmp.Compare(len(b.seq), len(a.seq))
+	}
+	return cmp.Compare(a.cands[0].start, b.cands[0].start)
+}
+
+// profileCounts appends to buf the profile entry count of every function of
+// prog, or returns nil when there is no profile.
+func profileCounts(buf []int64, prog *mir.Program, prof *profile.Profile) []int64 {
+	if prof == nil {
+		return nil
+	}
+	for _, f := range prog.Funcs {
+		buf = append(buf, prof.Count(f.Name))
+	}
+	return buf
 }
 
 // buildSet classifies one repeated substring into a costed candidate set.
 // A non-empty reject reason means the set can never be profitably outlined;
 // the partially-built set is still returned so the decision can be reported
-// as a remark. spSensitive lists outlined functions whose execution depends
-// on SP pointing at the original frame (see spSensitiveFuncs). ls is the
-// calling worker's reusable storage: the returned set and its occurrence
-// list live in ls's arenas (valid until its next reset), and the sorted
-// occurrence list is staged in ls.starts — r.Starts aliases suffix-tree
-// storage shared between repeats and must not be sorted in place.
-func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, liveness func(int) *mir.Liveness, spSensitive map[string]bool, hotFns []bool, opts Options, ls *laneScratch) (*candSet, string) {
+// as a remark. The sequence's size, whether it depends on SP pointing at the
+// original frame, and whether it calls come from m.sums (see buildSums).
+// fnCount holds every function's profile entry count (nil without a profile)
+// and gate turns cold-only gating on. ls is the calling worker's reusable
+// storage: the returned set and its occurrence list live in ls's arenas
+// (valid until its next reset), and the sorted occurrence list is staged in
+// ls.starts — r.Starts is unordered and aliases suffix-tree storage shared
+// between repeats, so it must not be sorted in place.
+func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, liveness func(int) *mir.Liveness, fnCount []int64, gate bool, opts Options, ls *laneScratch) (*candSet, string) {
 	seq := m.instsAt(prog, r.Starts[0], r.Length)
 	set := ls.newSet()
 	set.seq = seq
-	for _, in := range seq {
-		set.seqBytes += in.Size()
-		if in.ReadsSP() {
-			set.readsSP = true
-		}
-		if (in.Op == isa.BL || in.Op == isa.B) && spSensitive[in.Sym] {
-			set.readsSP = true
-		}
-	}
+	all := m.between(r.Starts[0], r.Starts[0]+r.Length)
+	set.seqBytes = int(all.bytes)
+	set.readsSP = all.sp > 0
+	// A trailing BL can become the thunk's tail call; every other call
+	// (a trailing BLR too) is made from inside the sequence.
 	last := seq[len(seq)-1]
-	for i, in := range seq {
-		if in.IsCall() && !(i == len(seq)-1 && in.Op == isa.BL) {
-			set.hasCall = true
-		}
-	}
+	set.hasCall = all.call > 1 || (all.call == 1 && last.Op != isa.BL)
 	switch {
 	case last.Op == isa.RET:
 		set.strat = stratTailCall
@@ -697,9 +740,6 @@ func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, liveness func(
 		set.frameBytes = 0
 	default:
 		set.strat = stratPlain
-		if last.IsCall() { // trailing BLR counts as an interior call
-			set.hasCall = true
-		}
 		if set.hasCall {
 			// The outlined function must preserve LR around its own calls:
 			// STRXpre $x30 / LDRXpost $x30 / RET.
@@ -721,7 +761,7 @@ func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, liveness func(
 
 	// Sort and de-overlap occurrences (e.g. "AAAA" matching "AA" at 0,1,2).
 	starts := append(ls.starts[:0], r.Starts...)
-	sort.Ints(starts)
+	slices.Sort(starts)
 	ls.starts = starts
 	tmp := ls.candTmp[:0]
 	lastEnd := -1
@@ -729,15 +769,13 @@ func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, liveness func(
 		if st < lastEnd {
 			continue
 		}
-		c := candidate{start: st, length: r.Length, where: m.locs[st]}
-		if opts.Profile != nil {
+		c, where := candidate{start: int32(st)}, m.locs[st]
+		if fnCount != nil {
 			// Annotate before gating: the remark reports the hottest host
 			// even when gating then drops that occurrence.
-			if n := opts.Profile.Count(prog.Funcs[c.where.fn].Name); n > set.execCount {
-				set.execCount = n
-			}
+			set.execCount = max(set.execCount, fnCount[where.fn])
 		}
-		if hotFns != nil && hotFns[c.where.fn] {
+		if gate && fnCount[where.fn] >= opts.ColdThreshold {
 			// Cold-only gating: never extract from a hot function — the
 			// extra dynamic call would tax exactly the paths the profile
 			// says dominate execution.
@@ -745,9 +783,9 @@ func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, liveness func(
 			continue
 		}
 		if set.strat == stratPlain {
-			lv := liveness(int(c.where.fn))
-			endIdx := int(c.where.inst) + r.Length - 1
-			c.lrLive = lv.LiveAfter[c.where.block][endIdx].Has(isa.LR) || opts.FlatCostModel
+			lv := liveness(int(where.fn))
+			endIdx := int(where.inst) + r.Length - 1
+			c.lrLive = lv.LiveAfter[where.block][endIdx].Has(isa.LR) || opts.FlatCostModel
 			if c.lrLive && set.readsSP {
 				// Saving LR at the call site moves SP under the candidate's
 				// SP-relative accesses; skip this occurrence.
@@ -816,15 +854,16 @@ func (s *candSet) benefit() int {
 	return saved - (s.seqBytes + frame)
 }
 
-// callSite builds the instructions that replace one candidate.
-func (s *candSet) callSite(name string, c candidate) []isa.Inst {
+// callSite builds the instructions that replace one candidate, after which
+// LR is live or not.
+func (s *candSet) callSite(name string, lrLive bool) []isa.Inst {
 	switch s.strat {
 	case stratTailCall:
 		return []isa.Inst{{Op: isa.B, Sym: name}}
 	case stratThunk:
 		return []isa.Inst{{Op: isa.BL, Sym: name}}
 	default:
-		if c.lrLive {
+		if lrLive {
 			return []isa.Inst{
 				{Op: isa.STRpre, Rd: isa.LR, Rn: isa.SP, Imm: -16},
 				{Op: isa.BL, Sym: name},
@@ -861,47 +900,56 @@ func (s *candSet) makeFunction(name string) *mir.Function {
 	}
 }
 
-// edit replaces length instructions at where with repl.
-type edit struct {
-	where  loc
+// site is how one selected set's occurrences are rewritten: length
+// instructions give way to repl[0] where LR is dead after the occurrence and
+// to repl[1] where it is live (built when the first such occurrence is met;
+// every occurrence shares them, applyEdits only copies). The greedy loop
+// claims an occurrence by writing (1 + the site's index)<<1 | the variant
+// into scratch.owner at each of its positions.
+type site struct {
 	length int
-	repl   []isa.Inst
+	repl   [2][]isa.Inst
 }
 
-// applyEdits splices all replacements. Edits never overlap, so each touched
-// block is rebuilt exactly once: its edits (ascending) interleave with the
+// applyEdits splices all replacements and appends the index of every
+// function it wrote to, ascending, to touched. Positions of the flattened
+// string run in program order, so walking owner meets the claimed occurrences
+// sorted by function, block and instruction without sorting anything, and
+// locs says where each one sits. Occurrences never overlap, so each touched
+// block is rebuilt exactly once: its replacements interleave with the
 // untouched runs between them into buf, which is then copied back over the
-// block. One pass per block replaces the per-edit tail copies that dominated
-// allocation at scale.
-func applyEdits(prog *mir.Program, edits []edit, buf *[]isa.Inst) {
-	sort.Slice(edits, func(i, j int) bool {
-		a, b := edits[i].where, edits[j].where
-		if a.fn != b.fn {
-			return a.fn < b.fn
+// block.
+func applyEdits(prog *mir.Program, locs []loc, owner []int32, sites []site, buf *[]isa.Inst, touched []int) []int {
+	var blk *mir.Block // the block being rebuilt, nil before the first edit
+	var at loc         // its address
+	out, pos := (*buf)[:0], 0
+	finish := func() {
+		if blk != nil {
+			out = append(out, blk.Insts[pos:]...)
+			blk.Insts = append(blk.Insts[:0], out...)
 		}
-		if a.block != b.block {
-			return a.block < b.block
-		}
-		return a.inst < b.inst
-	})
-	for i := 0; i < len(edits); {
-		j := i
-		for j < len(edits) &&
-			edits[j].where.fn == edits[i].where.fn &&
-			edits[j].where.block == edits[i].where.block {
-			j++
-		}
-		blk := prog.Funcs[edits[i].where.fn].Blocks[edits[i].where.block]
-		out := (*buf)[:0]
-		pos := 0
-		for _, e := range edits[i:j] {
-			out = append(out, blk.Insts[pos:e.where.inst]...)
-			out = append(out, e.repl...)
-			pos = int(e.where.inst) + e.length
-		}
-		out = append(out, blk.Insts[pos:]...)
-		*buf = out
-		blk.Insts = append(blk.Insts[:0], out...)
-		i = j
 	}
+	for p := 0; p < len(owner); p++ {
+		id := owner[p]
+		if id == 0 {
+			continue
+		}
+		st, where := &sites[id>>1-1], locs[p]
+		if blk == nil || where.fn != at.fn || where.block != at.block {
+			finish()
+			at = where
+			blk = prog.Funcs[at.fn].Blocks[at.block]
+			out, pos = out[:0], 0
+			if n := len(touched); n == 0 || touched[n-1] != int(at.fn) {
+				touched = append(touched, int(at.fn))
+			}
+		}
+		out = append(out, blk.Insts[pos:where.inst]...)
+		out = append(out, st.repl[id&1]...)
+		pos = int(where.inst) + st.length
+		p += st.length - 1
+	}
+	finish()
+	*buf = out
+	return touched
 }

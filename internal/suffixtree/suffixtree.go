@@ -12,8 +12,6 @@
 // are int32) — far beyond any whole-program instruction string.
 package suffixtree
 
-import "sort"
-
 const (
 	noNode  = int32(-1)
 	leafEnd = int32(-2) // sentinel edge end meaning "grows with the string"
@@ -25,7 +23,7 @@ type node struct {
 	link  int32 // suffix link
 
 	// Filled in by groupEdges(): this node's outgoing edges are
-	// edges[edgeLo:edgeHi), sorted by first symbol. Equal means leaf.
+	// edges[edgeLo:edgeHi), in creation order. Equal means leaf.
 	edgeLo, edgeHi int32
 
 	// Filled in by annotate():
@@ -92,6 +90,9 @@ func (b *Builder) Build(s []int) *Tree {
 	}
 	b.nodes = b.nodes[:0]
 	b.nodes = append(b.nodes, node{start: -1, end: -1, link: noNode, suffixIx: -1})
+	if cap(b.edges) < 1 {
+		b.edges = make([]edge, 0, 2*len(s)+2) // one edge per non-root node
+	}
 	b.edges = b.edges[:0]
 	b.resetTable(4 * (len(s) + 1))
 	b.build()
@@ -254,17 +255,17 @@ func (b *Builder) build() {
 }
 
 // groupEdges arranges edges so each node's children are the contiguous run
-// edges[edgeLo:edgeHi), sorted by first symbol: a counting sort by parent
-// (edges arrive in insertion order) followed by an insertion sort of each
-// node's few children. This replaces both the per-node child maps and the
-// per-node sorted-symbol allocations of the DFS.
+// edges[edgeLo:edgeHi): one counting sort by parent. The sort is stable and
+// edges arrive in Ukkonen's (deterministic) insertion order, so the children
+// of a node stay in the order they were created. No consumer needs them
+// ordered by symbol: node numbering — and with it ForEachRepeat's order —
+// comes from construction, and child order only decides the order of the
+// leaves below a node, that is the order inside Repeat.Starts.
 func (b *Builder) groupEdges() {
 	n := len(b.nodes)
 	if cap(b.cnt) >= n+1 {
 		b.cnt = b.cnt[:n+1]
-		for i := range b.cnt {
-			b.cnt[i] = 0
-		}
+		clear(b.cnt)
 	} else {
 		b.cnt = make([]int32, n+1)
 	}
@@ -288,25 +289,6 @@ func (b *Builder) groupEdges() {
 		b.cnt[e.parent]++
 	}
 	b.edges, b.scratch = b.scratch, b.edges
-	for v := range b.nodes {
-		lo, hi := b.nodes[v].edgeLo, b.nodes[v].edgeHi
-		if hi-lo > 16 {
-			// The root's fanout is the whole alphabet — insertion sort
-			// would be quadratic there.
-			g := b.edges[lo:hi]
-			sort.Slice(g, func(i, j int) bool { return g[i].sym < g[j].sym })
-			continue
-		}
-		for i := lo + 1; i < hi; i++ {
-			e := b.edges[i]
-			j := i
-			for j > lo && b.edges[j-1].sym > e.sym {
-				b.edges[j] = b.edges[j-1]
-				j--
-			}
-			b.edges[j] = e
-		}
-	}
 }
 
 // annotate computes string depths, suffix indices for leaves, and the
@@ -354,8 +336,11 @@ func (b *Builder) annotate() {
 }
 
 // Repeat is one repeated substring: its length and the start index of every
-// occurrence in the input. Starts aliases internal storage; callers must not
-// modify it, and it is invalidated by the Builder's next Build.
+// occurrence in the input. Starts is unordered — it lists the leaves below
+// the repeat's node in tree order, which follows construction, not position —
+// so a caller that needs ascending positions sorts a copy. Starts aliases
+// internal storage; callers must not modify it, and it is invalidated by the
+// Builder's next Build.
 type Repeat struct {
 	Length int
 	Starts []int

@@ -1,7 +1,11 @@
 package suffixtree
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -298,6 +302,49 @@ func TestBuilderReuseMatchesFresh(t *testing.T) {
 					t.Fatalf("round %d: repeat %q starts %v vs fresh %v", round, key, got, starts)
 				}
 			}
+		}
+	}
+}
+
+// TestGoldenIdentityRepeats pins what the outliner's output depends on — the
+// node count, the order ForEachRepeat reports repeats in, and each repeat's
+// length and set of starts — to digests recorded when every node's children
+// were still sorted by symbol. The order inside Starts is deliberately left
+// out: it is the one thing child order decides, and no caller may rely on it.
+func TestGoldenIdentityRepeats(t *testing.T) {
+	recorded := map[int64]string{
+		1: "08328879dde21f2106b045cf8175ffd864e1eb36aef39913a252aa00466fa1c5",
+		2: "eacd94be46bc87e070c1c54fa8d23f0b3995327636997967f3740c830569a2be",
+		3: "c27db2b20a9187b14d53445da3d24729184bd4d8dd1fe4b71cc0fe657cef0a4e",
+	}
+	for seed, want := range recorded {
+		rng := rand.New(rand.NewSource(seed))
+		h := sha256.New()
+		var b Builder
+		for trial := 0; trial < 60; trial++ {
+			n := 1 + rng.Intn(3000)
+			alphabet := 1 + rng.Intn(40)
+			s := make([]int, 0, n+1)
+			sentinel := -1
+			for i := 0; i < n; i++ {
+				if rng.Intn(12) == 0 {
+					s = append(s, sentinel)
+					sentinel--
+				} else {
+					s = append(s, rng.Intn(alphabet))
+				}
+			}
+			s = append(s, sentinel)
+			tree := b.Build(s)
+			fmt.Fprintf(h, "nodes %d\n", tree.NodeCount())
+			tree.ForEachRepeat(2, 2, func(r Repeat) {
+				starts := slices.Clone(r.Starts)
+				slices.Sort(starts)
+				fmt.Fprintf(h, "%d %v\n", r.Length, starts)
+			})
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("seed %d: repeats digest %s, recorded %s", seed, got, want)
 		}
 	}
 }

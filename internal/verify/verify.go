@@ -110,93 +110,166 @@ func (r *Report) addf(fn, block string, inst int, pc int64, format string, args 
 // definition (runtime entry points; cross-module symbols during per-module
 // verification).
 func Program(prog *mir.Program, externSyms map[string]bool) *Report {
-	r := &Report{}
-
-	globals := make(map[string]bool, len(prog.Globals))
-	for _, g := range prog.Globals {
-		if g.Name == "" {
-			r.addf("", "", -1, -1, "unnamed global")
-			continue
-		}
-		if globals[g.Name] {
-			r.addf("", "", -1, -1, "duplicate global %q", g.Name)
-		}
-		globals[g.Name] = true
+	fv := newFuncVerifier(prog, externSyms, true)
+	fv.checkNames(true, nil)
+	for fi := range prog.Funcs {
+		fv.run(fi)
 	}
-
-	// Function start addresses, binimg-style: code-section byte offsets.
-	funcStart := make(map[string]int64, len(prog.Funcs))
-	addr := int64(0)
-	seen := make(map[string]bool, len(prog.Funcs))
-	for _, f := range prog.Funcs {
-		if f.Name == "" {
-			r.addf("", "", -1, addr, "unnamed function")
-		}
-		if seen[f.Name] {
-			r.addf(f.Name, "", -1, addr, "duplicate function symbol")
-		}
-		seen[f.Name] = true
-		funcStart[f.Name] = addr
-		addr += int64(f.CodeSize())
-	}
-
-	for _, f := range prog.Funcs {
-		fv := &funcVerifier{
-			r: r, prog: prog, f: f,
-			extern:  externSyms,
-			globals: globals,
-			start:   funcStart[f.Name],
-		}
-		fv.run()
-		r.FuncsChecked++
-	}
-	return r
+	return fv.r
 }
 
-// funcVerifier checks one function: structure first, then the SP/LR dataflow.
+// Funcs verifies the functions prog.Funcs[i] for the ascending indices in
+// funcs, each with every check Program applies to a function: structure,
+// SP/LR dataflow, and branch, call and address targets resolved against the
+// whole program's functions and globals, plus the unnamed- and
+// duplicate-symbol checks for their names. It is the verifier for a pass
+// that knows which functions it touched: every per-function check reads only
+// the function's own instructions and whether a symbol exists, so as long as
+// the pass removes and renames no function, and the rest of the program
+// passed Program before it, Funcs over the touched and the added functions
+// reports exactly what Program would. The global table is not re-checked.
+func Funcs(prog *mir.Program, externSyms map[string]bool, funcs []int) *Report {
+	fv := newFuncVerifier(prog, externSyms, false)
+	fv.checkNames(false, funcs)
+	for _, fi := range funcs {
+		fv.run(fi)
+	}
+	return fv.r
+}
+
+// funcVerifier is the state of one Program or Funcs call: the report, the
+// symbol tables every function is resolved against, and the tables one
+// function's check needs (structure first, then the SP/LR dataflow), which
+// run clears and reuses from function to function.
 type funcVerifier struct {
 	r       *Report
 	prog    *mir.Program
-	f       *mir.Function
 	extern  map[string]bool
 	globals map[string]bool
-	start   int64 // code-section offset of the function
+	// starts[i] is the code-section offset of prog.Funcs[i], binimg-style.
+	// Only a violation needs an address, so it is built on first use.
+	starts []int64
 
+	fi     int // the function being checked
+	f      *mir.Function
 	labels map[string]int // block label -> block index
-	pcs    [][]int64      // pcs[block][inst] = code-section offset
+	// pcs[blockOff[b]+i] is the code-section offset of instruction i of block
+	// b. Like starts it is built once a violation asks.
+	pcs      []int64
+	blockOff []int
+	havePCs  bool
+	// Worklist state of checkFrameDiscipline.
+	in   []frameState
+	have []bool
+	work []int
+}
+
+func newFuncVerifier(prog *mir.Program, externSyms map[string]bool, reportGlobals bool) *funcVerifier {
+	fv := &funcVerifier{
+		r: &Report{}, prog: prog, extern: externSyms,
+		globals: make(map[string]bool, len(prog.Globals)),
+		labels:  make(map[string]int),
+	}
+	for _, g := range prog.Globals {
+		if g.Name == "" {
+			if reportGlobals {
+				fv.r.addf("", "", -1, -1, "unnamed global")
+			}
+			continue
+		}
+		if reportGlobals && fv.globals[g.Name] {
+			fv.r.addf("", "", -1, -1, "duplicate global %q", g.Name)
+		}
+		fv.globals[g.Name] = true
+	}
+	return fv
+}
+
+// start returns the code-section offset of function fi. The first call sizes
+// every function, once.
+func (fv *funcVerifier) start(fi int) int64 {
+	if fv.starts == nil {
+		fv.starts = make([]int64, len(fv.prog.Funcs))
+		addr := int64(0)
+		for i, f := range fv.prog.Funcs {
+			fv.starts[i] = addr
+			addr += int64(f.CodeSize())
+		}
+	}
+	return fv.starts[fi]
+}
+
+// pc returns the code-section offset of instruction ii of block bi of the
+// function being checked; ii may be one past the block's last instruction.
+func (fv *funcVerifier) pc(bi, ii int) int64 {
+	if !fv.havePCs {
+		fv.havePCs = true
+		fv.pcs, fv.blockOff = fv.pcs[:0], fv.blockOff[:0]
+		pc := fv.start(fv.fi)
+		for _, b := range fv.f.Blocks {
+			fv.blockOff = append(fv.blockOff, len(fv.pcs))
+			for _, in := range b.Insts {
+				fv.pcs = append(fv.pcs, pc)
+				pc += int64(in.Size())
+			}
+		}
+		fv.pcs = append(fv.pcs, pc) // the address an empty last block has
+	}
+	return fv.pcs[fv.blockOff[bi]+ii]
+}
+
+// checkNames reports unnamed functions and every function whose name an
+// earlier function of the program already carries — among all functions, or
+// among the ascending indices in only.
+func (fv *funcVerifier) checkNames(all bool, only []int) {
+	seen := make(map[string]bool, len(fv.prog.Funcs))
+	for fi, f := range fv.prog.Funcs {
+		dup := seen[f.Name]
+		seen[f.Name] = true
+		if !all {
+			if len(only) == 0 {
+				return
+			}
+			if only[0] != fi {
+				continue
+			}
+			only = only[1:]
+		}
+		if f.Name == "" {
+			fv.r.addf("", "", -1, fv.start(fi), "unnamed function")
+		}
+		if dup {
+			fv.r.addf(f.Name, "", -1, fv.start(fi), "duplicate function symbol")
+		}
+	}
 }
 
 func (fv *funcVerifier) violatef(bi, ii int, format string, args ...any) {
 	block := ""
-	pc := fv.start
+	pc := fv.start(fv.fi)
 	if bi >= 0 && bi < len(fv.f.Blocks) {
 		block = fv.f.Blocks[bi].Label
-		if ii >= 0 && ii < len(fv.pcs[bi]) {
-			pc = fv.pcs[bi][ii]
+		if ii >= 0 && ii < len(fv.f.Blocks[bi].Insts) {
+			pc = fv.pc(bi, ii)
 		}
 	}
 	fv.r.addf(fv.f.Name, block, ii, pc, format, args...)
 }
 
-func (fv *funcVerifier) run() {
-	f := fv.f
-	// PC layout and label table.
-	fv.labels = make(map[string]int, len(f.Blocks))
-	fv.pcs = make([][]int64, len(f.Blocks))
-	pc := fv.start
+// run checks function fi.
+func (fv *funcVerifier) run(fi int) {
+	f := fv.prog.Funcs[fi]
+	fv.fi, fv.f, fv.havePCs = fi, f, false
+	fv.r.FuncsChecked++
+	clear(fv.labels)
 	for bi, b := range f.Blocks {
 		if b.Label == "" {
-			fv.r.addf(f.Name, "", -1, pc, "unnamed block")
+			fv.r.addf(f.Name, "", -1, fv.pc(bi, 0), "unnamed block")
 		}
 		if _, dup := fv.labels[b.Label]; dup {
-			fv.r.addf(f.Name, b.Label, -1, pc, "duplicate block label")
+			fv.r.addf(f.Name, b.Label, -1, fv.pc(bi, 0), "duplicate block label")
 		}
 		fv.labels[b.Label] = bi
-		fv.pcs[bi] = make([]int64, len(b.Insts))
-		for ii, in := range b.Insts {
-			fv.pcs[bi][ii] = pc
-			pc += int64(in.Size())
-		}
 	}
 
 	structureOK := fv.checkStructure()
@@ -341,11 +414,12 @@ func (s frameState) equal(o frameState) bool {
 // checkFrameDiscipline walks the CFG tracking the SP delta and the LR state.
 func (fv *funcVerifier) checkFrameDiscipline() {
 	f := fv.f
-	in := make([]frameState, len(f.Blocks))
-	have := make([]bool, len(f.Blocks))
+	in := append(fv.in[:0], make([]frameState, len(f.Blocks))...)
+	have := append(fv.have[:0], make([]bool, len(f.Blocks))...)
 	in[0] = frameState{lrEntry: true}
 	have[0] = true
-	work := []int{0}
+	work := append(fv.work[:0], 0)
+	fv.in, fv.have = in, have
 
 	flow := func(bi int, st frameState, target string, ii int) {
 		ti, ok := fv.labels[target]
@@ -412,6 +486,7 @@ func (fv *funcVerifier) checkFrameDiscipline() {
 			flow(bi, st, f.Blocks[bi+1].Label, len(b.Insts)-1)
 		}
 	}
+	fv.work = work
 }
 
 // stepFrame applies one instruction's effect on the frame state, reporting

@@ -1,12 +1,16 @@
 package verify
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"outliner/internal/binimg"
+	"outliner/internal/isa"
 	"outliner/internal/llir"
 	"outliner/internal/mir"
+	"outliner/internal/raceflag"
 )
 
 func parse(t *testing.T, src string) *mir.Program {
@@ -45,6 +49,14 @@ func expectViolation(t *testing.T, src, want string) {
 	}
 	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "verify:") {
 		t.Fatalf("Err() = %v, want a verify error", err)
+	}
+	// Checking every function by index is checking the program.
+	all := make([]int, len(p.Funcs))
+	for i := range all {
+		all[i] = i
+	}
+	if part := Funcs(p, llir.RuntimeSyms, all); !reflect.DeepEqual(part, r) {
+		t.Errorf("Funcs over every function reports %+v, Program %+v", part, r)
 	}
 }
 
@@ -326,5 +338,134 @@ global @g = [1, 2]
 	img2.CodeSize += 8
 	if Image(img2, p).OK() {
 		t.Fatal("image with wrong code-section size accepted")
+	}
+}
+
+// manyViolations has violations in three of its four functions, several per
+// function and in more than one block, after a clean function and an 8-byte
+// instruction that shift every address.
+const manyViolations = `
+func @clean {
+entry:
+  ADRP $x1, @clean
+  RET
+}
+func @a {
+entry:
+  MOVZXi $x0, #1
+  BL @missing_a
+  Bcc.eq @nowhere
+mid:
+  BL @missing_b
+  RET
+}
+func @b {
+entry:
+  STPXpre $x29, $x30, $sp, #-16
+  RET
+}
+func @c {
+entry:
+  MOVZXi $x0, #1
+  MOVZXi $x0, #2
+}
+`
+
+// TestFrontierSubsetOfViolations: Funcs reports, for the functions it is
+// given, exactly the violations Program reports for them — text, order and
+// addresses — whichever functions come before them in the call.
+func TestFrontierSubsetOfViolations(t *testing.T) {
+	p := parse(t, manyViolations)
+	full := Program(p, nil)
+	if full.FuncsChecked != 4 {
+		t.Fatalf("Program checked %d functions, want 4", full.FuncsChecked)
+	}
+	wantPCs := map[string][]int64{"a": {0x10, 0x14, 0x18}, "b": {0x24}, "c": {0x2c}}
+	for name, pcs := range wantPCs {
+		var got []int64
+		for _, v := range full.Violations {
+			if v.Func == name {
+				got = append(got, v.PC)
+			}
+		}
+		if !reflect.DeepEqual(got, pcs) {
+			t.Errorf("@%s: violation addresses %#x, want %#x (%v)", name, got, pcs, full.Violations)
+		}
+	}
+	for _, subset := range [][]int{{0}, {1}, {3}, {0, 2}, {1, 3}, {1, 2, 3}} {
+		var want []Violation
+		for _, v := range full.Violations {
+			for _, fi := range subset {
+				if v.Func == p.Funcs[fi].Name {
+					want = append(want, v)
+				}
+			}
+		}
+		part := Funcs(p, nil, subset)
+		if part.FuncsChecked != len(subset) || !reflect.DeepEqual(part.Violations, want) {
+			t.Errorf("Funcs%v: checked %d, reports %v; Program reports %v for them",
+				subset, part.FuncsChecked, part.Violations, want)
+		}
+	}
+	if part := Funcs(p, nil, nil); part.FuncsChecked != 0 || !part.OK() {
+		t.Errorf("Funcs over no functions reports %+v", part)
+	}
+}
+
+// TestFrontierDuplicateSymbol: a function appended under a name the program
+// already uses — what an outlined function colliding with a user function
+// called OUTLINED_FUNCTION_0 would be — is reported by the subset check just
+// as by the whole-program one. (mir.Program.AddFunc refuses such a function
+// outright, so the collision is staged by appending to Funcs.)
+func TestFrontierDuplicateSymbol(t *testing.T) {
+	p := parse(t, `
+func @OUTLINED_FUNCTION_0 {
+entry:
+  RET
+}
+func @main {
+entry:
+  RET
+}
+`)
+	p.Funcs = append(p.Funcs, &mir.Function{
+		Name: "OUTLINED_FUNCTION_0", Outlined: true,
+		Blocks: []*mir.Block{{Label: "entry", Insts: []isa.Inst{{Op: isa.RET}}}},
+	})
+	full, part := Program(p, nil), Funcs(p, nil, []int{2})
+	if len(full.Violations) != 1 || full.Violations[0].Msg != "duplicate function symbol" || full.Violations[0].PC != 8 {
+		t.Fatalf("Program reports %v, want one duplicate function symbol at +0x8", full.Violations)
+	}
+	if !reflect.DeepEqual(part.Violations, full.Violations) {
+		t.Errorf("Funcs reports %v, Program %v", part.Violations, full.Violations)
+	}
+	if first := Funcs(p, nil, []int{0, 1}); !first.OK() {
+		t.Errorf("the first bearer of the name is not the duplicate, yet Funcs reports %v", first.Violations)
+	}
+	if none := Funcs(p, nil, nil); !none.OK() {
+		t.Errorf("Funcs over no functions reports %v", none.Violations)
+	}
+}
+
+// TestAllocBudgetProgram: the label table, the address tables and the
+// worklist are one per call, not one per function. What remains per function
+// is the entry-LR slot set of a frame and of a join.
+func TestAllocBudgetProgram(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	const n = 500
+	var src strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&src, "func @leaf%d {\nentry:\n  MOVZXi $x0, #1\n  CBZX $x0, @done\nmid:\n  ADRP $x1, @leaf%d\ndone:\n  RET\n}\n", i, i)
+		fmt.Fprintf(&src, "func @framed%d {\nentry:\n  STPXpre $x29, $x30, $sp, #-16\n  BL @leaf%d\n  LDPXpost $x29, $x30, $sp, #16\n  RET\n}\n", i, i)
+	}
+	p := parse(t, src.String())
+	if r := Program(p, nil); !r.OK() {
+		t.Fatal(r.Err())
+	}
+	perFunc := testing.AllocsPerRun(5, func() { Program(p, nil) }) / (2 * n)
+	if perFunc > 2 { // 1.5 measured; 9 with per-function tables
+		t.Errorf("Program allocates %.2f times per function, budget 2", perFunc)
 	}
 }
