@@ -335,6 +335,26 @@ func BenchmarkOutlineRounds(b *testing.B) {
 	}
 }
 
+// BenchmarkImageListing measures rendering the image listing alone — what
+// slcd pays per reply and slc -o per image: the 80-module corpus built once
+// per module, then listed into io.Discard. MB/s is listing text produced:
+//
+//	go test -run '^$' -bench ImageListing -benchmem .
+func BenchmarkImageListing(b *testing.B) {
+	res, err := appgen.BuildApp(appgen.UberRider, appgen.ScaleForModules(appgen.UberRider, 80), pipeline.Default)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(res.ImageListing())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := res.WriteImageListing(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---- Ablations ----
 
 // benchProgram builds a mid-sized machine program once for the ablations.

@@ -180,7 +180,9 @@ func main() {
 // identically for fresh and cache-hit results.
 func report(prog *mir.Program, stats *outline.Stats, before int, quiet bool) {
 	if !quiet {
-		fmt.Print(prog.String())
+		if _, err := prog.WriteTo(os.Stdout); err != nil {
+			fatal(err)
+		}
 	}
 	after := prog.CodeSize()
 	fmt.Fprintf(os.Stderr, "code size: %d -> %d bytes (%.1f%% saving)\n",

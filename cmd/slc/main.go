@@ -254,7 +254,9 @@ func main() {
 			fmt.Print(lm.String())
 		}
 	case "mir":
-		fmt.Print(res.Prog.String())
+		if _, err := res.Prog.WriteTo(os.Stdout); err != nil {
+			fatal(err)
+		}
 	case "sizes":
 		fmt.Println(res.Image.Summary())
 		for _, s := range res.Image.LargestCodeSymbols(15) {

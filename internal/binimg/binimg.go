@@ -6,9 +6,8 @@
 package binimg
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"outliner/internal/mir"
 )
@@ -75,23 +74,36 @@ func Build(p *mir.Program) *Image {
 
 func align(n, a int) int { return (n + a - 1) / a * a }
 
-// Summary renders a size report.
-func (img *Image) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "binary: %s (code %s, data %s, %d symbols)",
-		FormatSize(img.TotalSize), FormatSize(img.CodeSize), FormatSize(img.DataSize), img.SymCount)
-	return b.String()
+// AppendSummary appends a one-line size report.
+func (img *Image) AppendSummary(dst []byte) []byte {
+	dst = append(dst, "binary: "...)
+	dst = appendSize(dst, img.TotalSize)
+	dst = append(dst, " (code "...)
+	dst = appendSize(dst, img.CodeSize)
+	dst = append(dst, ", data "...)
+	dst = appendSize(dst, img.DataSize)
+	dst = append(dst, ", "...)
+	dst = strconv.AppendInt(dst, int64(img.SymCount), 10)
+	return append(dst, " symbols)"...)
 }
 
+// Summary renders the size report of AppendSummary.
+func (img *Image) Summary() string { return string(img.AppendSummary(nil)) }
+
 // FormatSize renders n in human units.
-func FormatSize(n int) string {
+func FormatSize(n int) string { return string(appendSize(nil, n)) }
+
+func appendSize(dst []byte, n int) []byte {
 	switch {
 	case n >= 1<<20:
-		return fmt.Sprintf("%.2fMB", float64(n)/(1<<20))
+		dst = strconv.AppendFloat(dst, float64(n)/(1<<20), 'f', 2, 64)
+		return append(dst, "MB"...)
 	case n >= 1<<10:
-		return fmt.Sprintf("%.2fKB", float64(n)/(1<<10))
+		dst = strconv.AppendFloat(dst, float64(n)/(1<<10), 'f', 2, 64)
+		return append(dst, "KB"...)
 	}
-	return fmt.Sprintf("%dB", n)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	return append(dst, 'B')
 }
 
 // LargestCodeSymbols returns the n biggest code symbols (size triage tool).

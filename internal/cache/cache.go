@@ -29,6 +29,7 @@
 package cache
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -362,6 +363,12 @@ func (c *Cache) remember(id string, data []byte) {
 // republish after a corrupt payload was promoted does not leave the bad
 // bytes shadowing the good ones.
 func (c *Cache) store(id string, data []byte) {
+	// The tier keeps an entry for the life of the process, so it keeps the
+	// bytes and not the spare capacity an encoder's append-grown buffer
+	// carries with them (about 30 % on top of an llir artifact).
+	if cap(data)-len(data) > len(data)/8 {
+		data = bytes.Clone(data)
+	}
 	c.mu.Lock()
 	if old, ok := c.mem[id]; ok {
 		c.memBytes -= len(old)

@@ -29,6 +29,26 @@ func TestPutGetMemory(t *testing.T) {
 	}
 }
 
+// TestMemoryTierDropsSpareCapacity: an entry lives in the memory tier for as
+// long as the process does, so the tier must not also hold the unused tail of
+// the buffer its encoder grew by appending.
+func TestMemoryTierDropsSpareCapacity(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := append(make([]byte, 0, 64<<10), bytes.Repeat([]byte("artifact"), 2048)...)
+	want := bytes.Clone(data)
+	c.Put(testKey(), data)
+	got, ok := c.Get(testKey())
+	if !ok || !bytes.Equal(got, want) {
+		t.Fatalf("Get returned %d bytes, ok=%v; want the %d put", len(got), ok, len(want))
+	}
+	if spare := cap(got) - len(got); spare > len(got)/8 {
+		t.Errorf("memory tier holds %d spare bytes behind a %d-byte entry", spare, len(got))
+	}
+}
+
 func TestDiskTierSurvivesMemoryDrop(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir)

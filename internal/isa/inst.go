@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // Op is an instruction opcode. The mnemonic spellings follow LLVM's MIR
 // conventions for AArch64 (ORRXrs, STPXpre, ...) so that dumps resemble the
@@ -77,23 +74,13 @@ const (
 	CondNone Cond = 255
 )
 
+var condNames = [...]string{EQ: "eq", NE: "ne", LT: "lt", LE: "le", GT: "gt", GE: "ge"}
+
 func (c Cond) String() string {
-	switch c {
-	case EQ:
-		return "eq"
-	case NE:
-		return "ne"
-	case LT:
-		return "lt"
-	case LE:
-		return "le"
-	case GT:
-		return "gt"
-	case GE:
-		return "ge"
-	default:
-		return "al"
+	if int(c) < len(condNames) {
+		return condNames[c]
 	}
+	return "al"
 }
 
 // Negate returns the inverse condition.
@@ -201,84 +188,88 @@ func (in Inst) Size() int {
 	return 4
 }
 
-// String renders the instruction in an LLVM-MIR-like syntax, e.g.
+// AppendText appends the instruction in an LLVM-MIR-like syntax, e.g.
 //
 //	ORRXrs $x0, $xzr, $x20
 //	BL @swift_release
 //	STPXpre $x26, $x25, $sp, #-64
-func (in Inst) String() string {
-	var b strings.Builder
-	b.WriteString(opNames[in.Op])
-	sep := " "
-	emitReg := func(r Reg) {
-		b.WriteString(sep)
-		b.WriteByte('$')
-		b.WriteString(r.String())
-		sep = ", "
-	}
-	emitImm := func(v int64) {
-		fmt.Fprintf(&b, "%s#%d", sep, v)
-		sep = ", "
-	}
-	emitSym := func(s string) {
-		fmt.Fprintf(&b, "%s@%s", sep, s)
-		sep = ", "
-	}
+//
+// It is the one renderer of machine code: String, the mir text format and the
+// image listing are all built on it. Operands print whatever they hold — an
+// out-of-range opcode is "BAD", an out-of-range register "badreg(n)" — because
+// the paths that report a malformed instruction print it.
+func (in Inst) AppendText(dst []byte) []byte {
+	dst = append(dst, OpName(in.Op)...)
+	const first, next = " ", ", "
 	switch in.Op {
 	case MOVZ:
-		emitReg(in.Rd)
-		emitImm(in.Imm)
+		dst = appendReg(dst, first, in.Rd)
+		dst = appendImm(dst, next, in.Imm)
 	case ORRrs, ANDrs, EORrs, ADDrs, SUBrs, MUL, SDIV, MSUB:
-		emitReg(in.Rd)
-		emitReg(in.Rn)
-		emitReg(in.Rm)
-	case ADDri, SUBri, LSLri, LSRri, ASRri:
-		emitReg(in.Rd)
-		emitReg(in.Rn)
-		emitImm(in.Imm)
+		dst = appendReg(dst, first, in.Rd)
+		dst = appendReg(dst, next, in.Rn)
+		dst = appendReg(dst, next, in.Rm)
+	case ADDri, SUBri, LSLri, LSRri, ASRri, LDRui, STRui, STRpre, LDRpost:
+		dst = appendReg(dst, first, in.Rd)
+		dst = appendReg(dst, next, in.Rn)
+		dst = appendImm(dst, next, in.Imm)
 	case CMPrs:
-		emitReg(in.Rn)
-		emitReg(in.Rm)
+		dst = appendReg(dst, first, in.Rn)
+		dst = appendReg(dst, next, in.Rm)
 	case CMPri:
-		emitReg(in.Rn)
-		emitImm(in.Imm)
+		dst = appendReg(dst, first, in.Rn)
+		dst = appendImm(dst, next, in.Imm)
 	case CSET:
-		emitReg(in.Rd)
-		b.WriteString(sep)
-		b.WriteString(in.Cond.String())
-		sep = ", "
-	case LDRui, STRui:
-		emitReg(in.Rd)
-		emitReg(in.Rn)
-		emitImm(in.Imm)
+		dst = appendReg(dst, first, in.Rd)
+		dst = append(dst, next...)
+		dst = append(dst, in.Cond.String()...)
 	case LDPui, STPui, STPpre, LDPpost:
-		emitReg(in.Rd)
-		emitReg(in.Rd2)
-		emitReg(in.Rn)
-		emitImm(in.Imm)
-	case STRpre, LDRpost:
-		emitReg(in.Rd)
-		emitReg(in.Rn)
-		emitImm(in.Imm)
+		dst = appendReg(dst, first, in.Rd)
+		dst = appendReg(dst, next, in.Rd2)
+		dst = appendReg(dst, next, in.Rn)
+		dst = appendImm(dst, next, in.Imm)
 	case ADR:
-		emitReg(in.Rd)
-		emitSym(in.Sym)
+		dst = appendReg(dst, first, in.Rd)
+		dst = appendSym(dst, next, in.Sym)
 	case B, BL:
-		emitSym(in.Sym)
+		dst = appendSym(dst, first, in.Sym)
 	case Bcc:
-		b.WriteString(".")
-		b.WriteString(in.Cond.String())
-		emitSym(in.Sym)
+		dst = append(dst, '.')
+		dst = append(dst, in.Cond.String()...)
+		dst = appendSym(dst, first, in.Sym)
 	case CBZ, CBNZ:
-		emitReg(in.Rn)
-		emitSym(in.Sym)
+		dst = appendReg(dst, first, in.Rn)
+		dst = appendSym(dst, next, in.Sym)
 	case BLR:
-		emitReg(in.Rn)
+		dst = appendReg(dst, first, in.Rn)
 	case BRK:
-		emitImm(in.Imm)
-	case RET, NOP:
+		dst = appendImm(dst, first, in.Imm)
 	}
-	return b.String()
+	return dst
+}
+
+func appendReg(dst []byte, sep string, r Reg) []byte {
+	dst = append(dst, sep...)
+	dst = append(dst, '$')
+	return r.appendName(dst)
+}
+
+func appendImm(dst []byte, sep string, v int64) []byte {
+	dst = append(dst, sep...)
+	dst = append(dst, '#')
+	return strconv.AppendInt(dst, v, 10)
+}
+
+func appendSym(dst []byte, sep, sym string) []byte {
+	dst = append(dst, sep...)
+	dst = append(dst, '@')
+	return append(dst, sym...)
+}
+
+// String renders the instruction as AppendText does.
+func (in Inst) String() string {
+	var buf [64]byte
+	return string(in.AppendText(buf[:0]))
 }
 
 // MoveRR builds the canonical AArch64 register move "ORRXrs Rd, xzr, Rm".

@@ -13,7 +13,10 @@
 // relies on when counting size savings.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg names a machine register. X0..X28 are general purpose; FP, LR, SP and
 // XZR have their usual AArch64 roles. NoReg marks an unused operand slot.
@@ -90,24 +93,32 @@ func (r Reg) IsAllocatable() bool {
 	return r <= X28 && r != X16 && r != X17 && r != X18 && r != X8 && r != ErrReg
 }
 
-func (r Reg) String() string {
-	switch r {
-	case FP:
-		return "x29"
-	case LR:
-		return "x30"
-	case SP:
-		return "sp"
-	case XZR:
-		return "xzr"
-	case NoReg:
-		return "noreg"
-	default:
-		if r < FP {
-			return fmt.Sprintf("x%d", int(r))
-		}
-		return fmt.Sprintf("badreg(%d)", int(r))
+var regNames = [NumRegs]string{
+	"x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9",
+	"x10", "x11", "x12", "x13", "x14", "x15", "x16", "x17", "x18", "x19",
+	"x20", "x21", "x22", "x23", "x24", "x25", "x26", "x27", "x28",
+	FP: "x29", LR: "x30", SP: "sp", XZR: "xzr",
+}
+
+// appendName appends the register's name; a value that names no register
+// prints as "badreg(n)".
+func (r Reg) appendName(dst []byte) []byte {
+	switch {
+	case r < NumRegs:
+		return append(dst, regNames[r]...)
+	case r == NoReg:
+		return append(dst, "noreg"...)
 	}
+	dst = append(dst, "badreg("...)
+	dst = strconv.AppendUint(dst, uint64(r), 10)
+	return append(dst, ')')
+}
+
+func (r Reg) String() string {
+	if r < NumRegs {
+		return regNames[r]
+	}
+	return string(r.appendName(nil))
 }
 
 // ArgReg returns the i-th integer argument register (i < NumArgRegs).

@@ -11,7 +11,6 @@ package mir
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"outliner/internal/isa"
 )
@@ -203,53 +202,6 @@ func (p *Program) Modules() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// String renders the program in the textual MIR format accepted by Parse.
-func (p *Program) String() string {
-	var b strings.Builder
-	for i, f := range p.Funcs {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		writeFunc(&b, f)
-	}
-	for _, g := range p.Globals {
-		fmt.Fprintf(&b, "\nglobal @%s module %q = [", g.Name, g.Module)
-		for i, w := range g.Words {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%d", w)
-		}
-		b.WriteString("]\n")
-	}
-	return b.String()
-}
-
-func writeFunc(b *strings.Builder, f *Function) {
-	fmt.Fprintf(b, "func @%s", f.Name)
-	if f.Module != "" {
-		fmt.Fprintf(b, " module %q", f.Module)
-	}
-	if f.Outlined {
-		b.WriteString(" outlined")
-	}
-	b.WriteString(" {\n")
-	for _, blk := range f.Blocks {
-		fmt.Fprintf(b, "%s:\n", blk.Label)
-		for _, in := range blk.Insts {
-			fmt.Fprintf(b, "  %s\n", in.String())
-		}
-	}
-	b.WriteString("}\n")
-}
-
-// String renders a single function.
-func (f *Function) String() string {
-	var b strings.Builder
-	writeFunc(&b, f)
-	return b.String()
 }
 
 // ReindexFuncs rebuilds the name index after external reordering of Funcs.

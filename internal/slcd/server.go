@@ -172,7 +172,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
+	body, err := readBody(r)
 	if err != nil || len(body) > maxRequestBody {
 		http.Error(w, "unreadable or oversized request body", http.StatusBadRequest)
 		return
@@ -197,6 +197,21 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	json.NewEncoder(w).Encode(resp)
+}
+
+// readBody reads a request body of at most maxRequestBody+1 bytes, so the
+// caller can tell an oversized body from one that fits. A declared
+// Content-Length within the bound sizes the buffer up front; the length is
+// only a hint, and a body longer or shorter than declared still reads in full.
+func readBody(r *http.Request) ([]byte, error) {
+	body := io.LimitReader(r.Body, maxRequestBody+1)
+	if n := r.ContentLength; n > 0 && n <= maxRequestBody {
+		// bytes.MinRead of headroom lets ReadFrom see EOF without regrowing.
+		buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+		_, err := buf.ReadFrom(body)
+		return buf.Bytes(), err
+	}
+	return io.ReadAll(body)
 }
 
 // Build runs one build request against the daemon's shared state with no
@@ -264,16 +279,10 @@ func (s *Server) BuildCtx(ctx context.Context, req *BuildRequest) *BuildResponse
 		resp.Error = berr.Error()
 		resp.ErrorClass = classifyError(berr)
 	} else {
-		var buf bytes.Buffer
-		if lerr := res.WriteImageListing(&buf); lerr != nil {
-			resp.Error = fmt.Sprintf("slcd: rendering listing: %v", lerr)
-			resp.ErrorClass = "build"
-		} else {
-			resp.OK = true
-			resp.Listing = buf.String()
-			resp.CodeSize = res.CodeSize()
-			resp.TotalSize = res.BinarySize()
-		}
+		resp.OK = true
+		resp.Listing = res.ImageListing()
+		resp.CodeSize = res.CodeSize()
+		resp.TotalSize = res.BinarySize()
 	}
 	s.finish(resp, queueWait)
 	return resp
