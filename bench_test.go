@@ -11,13 +11,10 @@ package outliner_test
 import (
 	"fmt"
 	"io"
-	"os"
 	"runtime"
-	"strconv"
 	"testing"
 
 	"outliner/internal/appgen"
-	"outliner/internal/benchkit"
 	"outliner/internal/codegen"
 	"outliner/internal/exec"
 	"outliner/internal/experiments"
@@ -156,51 +153,6 @@ func BenchmarkParallelBuild(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkColdVsWarmBuild measures the incremental build cache on both
-// pipelines: the uncached baseline, a cold build into a fresh cache (write
-// path included), and a fully warm rebuild (the warm runs report their cache
-// hit rate, which must be 100). The bodies live in internal/benchkit so
-// cmd/bench emits the same measurements as machine-readable JSON
-// (BENCH_pr4.json is the committed baseline).
-func BenchmarkColdVsWarmBuild(b *testing.B) {
-	for _, pc := range []struct {
-		name string
-		cfg  pipeline.Config
-	}{
-		{"default", pipeline.Default},
-		{"wholeprog", pipeline.OSize},
-	} {
-		b.Run(pc.name+"/uncached", benchkit.UncachedBuild(pc.cfg, benchScale))
-		b.Run(pc.name+"/cold", benchkit.ColdBuild(pc.cfg, benchScale))
-		b.Run(pc.name+"/warm", benchkit.WarmBuild(pc.cfg, benchScale))
-	}
-}
-
-// BenchmarkPaperScaleBuild measures incremental builds on a paper-sized
-// corpus: cold build, fully-warm rebuild, and a rebuild after a one-module
-// body edit (which interface-scoped cache keys keep at a near-perfect warm
-// hit rate). The corpus defaults to a CI-sized 120 modules; set
-// SCALE_MODULES=476 to reproduce the paper's flagship app (the nightly CI
-// job does). Bodies live in internal/benchkit; cmd/bench -suite scale emits
-// the same measurements as JSON (BENCH_scale.json is the committed
-// baseline).
-func BenchmarkPaperScaleBuild(b *testing.B) {
-	modules := 120
-	if env := os.Getenv("SCALE_MODULES"); env != "" {
-		n, err := strconv.Atoi(env)
-		if err != nil {
-			b.Fatalf("SCALE_MODULES=%q: %v", env, err)
-		}
-		modules = n
-	}
-	s := benchkit.NewScaleSuite(pipeline.Default, modules)
-	defer s.Close()
-	b.Logf("corpus: %d modules, %d lines", s.Modules(), s.Lines())
-	b.Run("cold", s.Cold())
-	b.Run("warm", s.Warm())
-	b.Run("edit", s.Edit())
 }
 
 // BenchmarkGenerality regenerates §VII-E's other-subjects table.

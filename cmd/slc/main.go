@@ -16,6 +16,7 @@
 //	slc -rounds 5 -emit mir prog.sl       # outlined machine code to stdout
 //	slc -rounds 0 -size prog.sl           # size report without outlining
 //	slc -profile-in app.prof -layout c3 prog.sl  # profile-guided function layout
+//	slc -profile-in a.prof,b.prof -layout c3 prog.sl  # shards merged, any order
 package main
 
 import (
@@ -66,7 +67,7 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the build to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an end-of-build heap profile to this file (go tool pprof)")
 		profOut  = flag.String("profile-out", "", "with -run: write the instrumented run's execution profile (canonical JSON, mergeable across runs) to this file")
-		profIn   = flag.String("profile-in", "", "execution profile (from -profile-out or cmd/bench -suite profile) feeding the build: annotates outliner remarks with hot/cold verdicts and enables -outline-cold-only")
+		profIn   = flag.String("profile-in", "", "execution profile from -profile-out, or a comma-separated list of them (shards, other entry points) merged in any order, feeding the build: annotates outliner remarks with hot/cold verdicts and enables -outline-cold-only")
 		coldOnly = flag.Bool("outline-cold-only", false, "outline only cold functions: with -profile-in, never extract from a function whose entry count reaches -outline-cold-threshold")
 		coldThr  = flag.Int64("outline-cold-threshold", 1, "entry count at which a profiled function counts as hot (0 disables cold-only gating)")
 		layoutP  = flag.String("layout", "", "profile-guided function layout policy: none | hot-cold | c3 (needs -profile-in to take effect)")
@@ -150,7 +151,7 @@ func main() {
 	}
 	var prof *profile.Profile
 	if *profIn != "" {
-		p, err := profile.ReadFile(*profIn)
+		p, err := profile.ReadFiles(strings.Split(*profIn, ",")...)
 		if err != nil {
 			fatal(err)
 		}
@@ -307,7 +308,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "executed %d instructions (%d calls, %.2f%% in outlined functions)\n",
 		st.DynamicInsts, st.Calls, 100*float64(st.OutlinedInsts)/float64(st.DynamicInsts))
-	_ = llir.RuntimeSyms
 }
 
 func fatal(err error) {

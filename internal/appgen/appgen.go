@@ -124,17 +124,6 @@ func editModule(mods []Module, name, suffix string) []Module {
 	panic("appgen: EditBody/EditInterface: no module named " + name)
 }
 
-// LineCount totals source lines across modules (the corpus's "LoC").
-func LineCount(mods []Module) int {
-	n := 0
-	for _, m := range mods {
-		for _, src := range m.Files {
-			n += strings.Count(src, "\n")
-		}
-	}
-	return n
-}
-
 // Generate produces the app's modules at the given scale (1.0 = the base
 // app; Figure 1's growth sweep raises it week over week). Above scale 1.0
 // modules also grow internally — more utilities, types, and handler steps per

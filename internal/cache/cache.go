@@ -206,23 +206,19 @@ func (c *Cache) DropMemory() {
 // valid entry was found; corrupted disk entries are deleted and reported as
 // a miss. The returned slice is shared — callers must treat it as read-only.
 func (c *Cache) Get(k Key) ([]byte, bool) {
-	data, ok, _ := c.GetProbe(k)
+	data, ok, _ := c.GetProbeCtx(context.Background(), k)
 	return data, ok
 }
 
-// GetProbe is Get plus a Probe describing what the lookup survived:
-// transient-I/O retries, corruption, a failed delete of the damaged entry.
-// Every failure mode degrades to a miss — the probe exists for telemetry,
-// not control flow. Tiers are consulted hottest-first (memory, disk, remote
-// shard) and the probe's Tier names the one that served a hit.
-func (c *Cache) GetProbe(k Key) ([]byte, bool, Probe) {
-	return c.GetProbeCtx(context.Background(), k)
-}
-
-// GetProbeCtx is GetProbe under a context: a done context aborts disk retry
-// loops between attempts and cancels in-flight remote shard requests, so a
-// cancelled build stops paying cache latency promptly. Cancellation is just
-// one more degraded mode — the lookup reports a miss, never an error.
+// GetProbeCtx is Get under a context, plus a Probe describing what the lookup
+// survived: transient-I/O retries, corruption, a failed delete of the damaged
+// entry. Every failure mode degrades to a miss — the probe exists for
+// telemetry, not control flow. Tiers are consulted hottest-first (memory,
+// disk, remote shard) and the probe's Tier names the one that served a hit.
+// A done context aborts disk retry loops between attempts and cancels
+// in-flight remote shard requests, so a cancelled build stops paying cache
+// latency promptly. Cancellation is just one more degraded mode — the lookup
+// reports a miss, never an error.
 func (c *Cache) GetProbeCtx(ctx context.Context, k Key) ([]byte, bool, Probe) {
 	var pr Probe
 	if c == nil {
@@ -272,7 +268,7 @@ func (c *Cache) GetProbeCtx(ctx context.Context, k Key) ([]byte, bool, Probe) {
 	return nil, false, pr
 }
 
-// getDisk is the disk-tier half of GetProbe: read, validate, and on damage
+// getDisk is the disk-tier half of GetProbeCtx: read, validate, and on damage
 // delete-and-miss.
 func (c *Cache) getDisk(ctx context.Context, id string, pr *Probe) ([]byte, bool) {
 	path := c.entryPath(id)
@@ -304,23 +300,19 @@ func (c *Cache) getDisk(ctx context.Context, id string, pr *Probe) ([]byte, bool
 // Disk-tier failures are swallowed: a cache that cannot persist degrades to
 // the memory tier rather than failing the build.
 func (c *Cache) Put(k Key, data []byte) {
-	c.PutProbe(k, data)
+	c.PutProbeCtx(context.Background(), k, data)
 }
 
-// PutProbe is Put plus a Probe describing retries and the final disk (or
-// remote-shard) error the publication degraded over, if any. The entry is
-// published to every configured tier: memory, disk, and the owning remote
-// shard — any tier can fail independently without failing the others.
-func (c *Cache) PutProbe(k Key, data []byte) Probe {
-	return c.PutProbeCtx(context.Background(), k, data)
-}
-
-// PutProbeCtx is PutProbe under a context. A context that is already done
-// refuses the publication entirely — no tier, not even memory, sees the
-// entry — which is the cache-side half of the "a cancelled build never
-// publishes" contract (the pipeline also gates its publications). A context
-// that fires mid-publication aborts the remaining retries and tiers; the
-// atomic rename protocol means a torn publication is impossible either way.
+// PutProbeCtx is Put under a context, plus a Probe describing retries and the
+// final disk (or remote-shard) error the publication degraded over, if any.
+// The entry is published to every configured tier: memory, disk, and the
+// owning remote shard — any tier can fail independently without failing the
+// others. A context that is already done refuses the publication entirely —
+// no tier, not even memory, sees the entry — which is the cache-side half of
+// the "a cancelled build never publishes" contract (the pipeline also gates
+// its publications). A context that fires mid-publication aborts the
+// remaining retries and tiers; the atomic rename protocol means a torn
+// publication is impossible either way.
 func (c *Cache) PutProbeCtx(ctx context.Context, k Key, data []byte) Probe {
 	var pr Probe
 	if c == nil {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -72,7 +73,7 @@ func TestRemotePutThenRemoteHit(t *testing.T) {
 	fx.c.Put(k, []byte("artifact-alpha"))
 
 	other := fx.freshCache(t)
-	data, ok, pr := other.GetProbe(k)
+	data, ok, pr := other.GetProbeCtx(context.Background(), k)
 	if !ok || string(data) != "artifact-alpha" {
 		t.Fatalf("remote probe = %q, %v", data, ok)
 	}
@@ -81,20 +82,20 @@ func TestRemotePutThenRemoteHit(t *testing.T) {
 		t.Fatalf("Probe.Tier = %q, want %q", pr.Tier, wantTier)
 	}
 	// Promotion: the same cache's next probe must be served locally.
-	if _, ok, pr := other.GetProbe(k); !ok || pr.Tier != "memory" {
+	if _, ok, pr := other.GetProbeCtx(context.Background(), k); !ok || pr.Tier != "memory" {
 		t.Fatalf("post-promotion probe tier = %q, %v; want memory hit", pr.Tier, ok)
 	}
 	// And a third cache (fresh memory, fresh disk) hits disk after its own
 	// remote promotion round-trips through the entry file.
 	third := fx.freshCache(t)
-	if _, ok, pr := third.GetProbe(k); !ok || !strings.HasPrefix(pr.Tier, "remote-shard-") {
+	if _, ok, pr := third.GetProbeCtx(context.Background(), k); !ok || !strings.HasPrefix(pr.Tier, "remote-shard-") {
 		t.Fatalf("third machine probe tier = %q, %v; want remote hit", pr.Tier, ok)
 	}
 	third.mu.Lock()
 	third.mem = map[string][]byte{}
 	third.memBytes = 0
 	third.mu.Unlock()
-	if _, ok, pr := third.GetProbe(k); !ok || pr.Tier != "disk" {
+	if _, ok, pr := third.GetProbeCtx(context.Background(), k); !ok || pr.Tier != "disk" {
 		t.Fatalf("promoted-to-disk probe tier = %q, %v; want disk hit", pr.Tier, ok)
 	}
 }
@@ -108,12 +109,12 @@ func TestRemoteDeadShardDegradesToMiss(t *testing.T) {
 	shard := fx.remote.ShardFor(k.id())
 	fx.srvs[shard].Close()
 
-	pr := fx.c.PutProbe(k, []byte("artifact-beta"))
+	pr := fx.c.PutProbeCtx(context.Background(), k, []byte("artifact-beta"))
 	if pr.RemoteErr == nil {
 		t.Fatal("publication to a dead shard reported no RemoteErr")
 	}
 	other := fx.freshCache(t)
-	data, ok, pr := other.GetProbe(k)
+	data, ok, pr := other.GetProbeCtx(context.Background(), k)
 	if ok {
 		t.Fatalf("dead shard served a hit: %q", data)
 	}
@@ -121,7 +122,7 @@ func TestRemoteDeadShardDegradesToMiss(t *testing.T) {
 		t.Fatal("probe against a dead shard reported no RemoteErr")
 	}
 	// The local tiers still work: the publisher's own probe is a memory hit.
-	if _, ok, pr := fx.c.GetProbe(k); !ok || pr.Tier != "memory" {
+	if _, ok, pr := fx.c.GetProbeCtx(context.Background(), k); !ok || pr.Tier != "memory" {
 		t.Fatalf("publisher's local probe = %q, %v", pr.Tier, ok)
 	}
 }
@@ -152,7 +153,7 @@ func TestRemoteCorruptEntryDeletedAndRepublished(t *testing.T) {
 	// The shard's own validator catches this on Get — so the client sees a
 	// plain miss and the shard deletes the entry itself.
 	other := fx.freshCache(t)
-	if _, ok, _ := other.GetProbe(k); ok {
+	if _, ok, _ := other.GetProbeCtx(context.Background(), k); ok {
 		t.Fatal("damaged remote entry served as a hit")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -161,7 +162,7 @@ func TestRemoteCorruptEntryDeletedAndRepublished(t *testing.T) {
 	// Republish and the remote path works again end to end.
 	other.Put(k, []byte("artifact-gamma"))
 	third := fx.freshCache(t)
-	if data, ok, _ := third.GetProbe(k); !ok || string(data) != "artifact-gamma" {
+	if data, ok, _ := third.GetProbeCtx(context.Background(), k); !ok || string(data) != "artifact-gamma" {
 		t.Fatalf("republished entry = %q, %v", data, ok)
 	}
 }
@@ -179,7 +180,7 @@ func TestRemoteClientSideCorruptionDropsEntry(t *testing.T) {
 	inj := fault.Exact(fault.At{Site: fault.RemoteGet, Key: id, Kind: fault.CorruptKind})
 	fx.remote.SetFault(inj)
 	defer fx.remote.SetFault(nil)
-	_, ok, pr := other.GetProbe(k)
+	_, ok, pr := other.GetProbeCtx(context.Background(), k)
 	if ok {
 		t.Fatal("in-flight-damaged response served as a hit")
 	}
@@ -224,7 +225,7 @@ func TestRemoteTransientErrorRetriesThenHits(t *testing.T) {
 	inj := fault.Exact(fault.At{Site: fault.RemoteGet, Key: id + "#0", Kind: fault.ErrorKind, Transient: true})
 	fx.remote.SetFault(inj)
 	defer fx.remote.SetFault(nil)
-	data, ok, pr := other.GetProbe(k)
+	data, ok, pr := other.GetProbeCtx(context.Background(), k)
 	if !ok || !bytes.Equal(data, []byte("artifact-epsilon")) {
 		t.Fatalf("probe after transient blip = %q, %v", data, ok)
 	}

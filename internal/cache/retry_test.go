@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -41,7 +42,7 @@ func TestReadRetryThenSucceed(t *testing.T) {
 	c.SetFault(fault.Exact(
 		fault.At{Site: fault.CacheRead, Key: id + "#0", Kind: fault.ErrorKind, Transient: true},
 	))
-	got, ok, pr := c.GetProbe(k)
+	got, ok, pr := c.GetProbeCtx(context.Background(), k)
 	if !ok || string(got) != "artifact" {
 		t.Fatalf("GetProbe = %q, %v after transient blip", got, ok)
 	}
@@ -70,7 +71,7 @@ func TestReadAlwaysFailingDegradesToMiss(t *testing.T) {
 		})
 	}
 	c.SetFault(fault.Exact(points...))
-	_, ok, pr := c.GetProbe(k)
+	_, ok, pr := c.GetProbeCtx(context.Background(), k)
 	if ok {
 		t.Fatal("hit through a fully failing read path")
 	}
@@ -89,7 +90,7 @@ func TestReadAlwaysFailingDegradesToMiss(t *testing.T) {
 	}
 	// The entry itself is intact: with the fault gone, the next probe hits.
 	c.SetFault(nil)
-	if _, ok, _ := c.GetProbe(k); !ok {
+	if _, ok, _ := c.GetProbeCtx(context.Background(), k); !ok {
 		t.Fatal("entry lost after degraded miss")
 	}
 }
@@ -103,7 +104,7 @@ func TestReadFatalErrorSkipsRetry(t *testing.T) {
 	c.SetFault(fault.Exact(
 		fault.At{Site: fault.CacheRead, Key: k.id() + "#0", Kind: fault.ErrorKind, Transient: false},
 	))
-	_, ok, pr := c.GetProbe(k)
+	_, ok, pr := c.GetProbeCtx(context.Background(), k)
 	if ok || pr.Retries != 0 || len(*sleeps) != 0 {
 		t.Fatalf("fatal error retried: ok=%v probe=%+v sleeps=%v", ok, pr, *sleeps)
 	}
@@ -132,7 +133,7 @@ func TestCorruptEntryUndeletable(t *testing.T) {
 	denied := &fs.PathError{Op: "remove", Path: ents[0], Err: syscall.EACCES}
 	c.remove = func(string) error { return denied }
 
-	_, ok, pr := c.GetProbe(k)
+	_, ok, pr := c.GetProbeCtx(context.Background(), k)
 	if ok {
 		t.Fatal("corrupt entry reported as hit")
 	}
@@ -144,7 +145,7 @@ func TestCorruptEntryUndeletable(t *testing.T) {
 	}
 	// Once deletes work again the entry is discarded and a republish heals it.
 	c.remove = nil
-	if _, ok, _ := c.GetProbe(k); ok {
+	if _, ok, _ := c.GetProbeCtx(context.Background(), k); ok {
 		t.Fatal("still hitting the corrupt entry")
 	}
 	if _, err := os.Stat(ents[0]); !errors.Is(err, fs.ErrNotExist) {
@@ -152,7 +153,7 @@ func TestCorruptEntryUndeletable(t *testing.T) {
 	}
 	c.Put(k, []byte("artifact"))
 	c.DropMemory()
-	if got, ok, _ := c.GetProbe(k); !ok || string(got) != "artifact" {
+	if got, ok, _ := c.GetProbeCtx(context.Background(), k); !ok || string(got) != "artifact" {
 		t.Fatalf("republish after corruption = %q, %v", got, ok)
 	}
 }
@@ -168,7 +169,7 @@ func TestInjectedCorruptionAlwaysDetected(t *testing.T) {
 	c.SetFault(fault.Exact(
 		fault.At{Site: fault.CacheRead, Key: k.id(), Kind: fault.CorruptKind},
 	))
-	got, ok, pr := c.GetProbe(k)
+	got, ok, pr := c.GetProbeCtx(context.Background(), k)
 	if ok {
 		t.Fatalf("injected corruption returned a hit: %q", got)
 	}
@@ -185,13 +186,13 @@ func TestWriteRetryThenSucceed(t *testing.T) {
 	c.SetFault(fault.Exact(
 		fault.At{Site: fault.CacheWrite, Key: k.id() + "#0", Kind: fault.ErrorKind, Transient: true},
 	))
-	pr := c.PutProbe(k, []byte("artifact"))
+	pr := c.PutProbeCtx(context.Background(), k, []byte("artifact"))
 	if pr.Retries != 1 || pr.IOErr != nil {
 		t.Fatalf("probe = %+v", pr)
 	}
 	c.SetFault(nil)
 	c.DropMemory()
-	if got, ok, _ := c.GetProbe(k); !ok || string(got) != "artifact" {
+	if got, ok, _ := c.GetProbeCtx(context.Background(), k); !ok || string(got) != "artifact" {
 		t.Fatalf("disk entry after retried Put = %q, %v", got, ok)
 	}
 }
@@ -204,7 +205,7 @@ func TestWriteFatalDegradesToMemoryTier(t *testing.T) {
 	c.SetFault(fault.Exact(
 		fault.At{Site: fault.CacheWrite, Key: k.id() + "#0", Kind: fault.ErrorKind, Transient: false},
 	))
-	pr := c.PutProbe(k, []byte("artifact"))
+	pr := c.PutProbeCtx(context.Background(), k, []byte("artifact"))
 	if pr.IOErr == nil || pr.Retries != 0 || len(*sleeps) != 0 {
 		t.Fatalf("probe = %+v sleeps=%v", pr, *sleeps)
 	}

@@ -55,7 +55,8 @@ func CompileTraced(m *llir.Module, parallelism int, tr *obs.Tracer, baseLane int
 	// when a larger function comes along.
 	lanes := make([]scratch, par.Workers(parallelism, len(m.Funcs)))
 	fine := tr.FineEnabled()
-	funcs, err := par.MapLanesStage("llc", parallelism, len(m.Funcs), func(lane, i int) (*mir.Function, error) {
+	funcs := make([]*mir.Function, len(m.Funcs))
+	errs := par.Run(nil, "llc", parallelism, len(m.Funcs), false, func(lane, i int) error {
 		inj.MaybePanic(fault.CodegenFunc, m.Funcs[i].Name)
 		var sp *obs.Span
 		if fine { // the span name is built only when someone will read it
@@ -64,13 +65,16 @@ func CompileTraced(m *llir.Module, parallelism int, tr *obs.Tracer, baseLane int
 		mf, err := lanes[lane].compileFunc(m.Funcs[i])
 		sp.End()
 		if err != nil {
-			return nil, fmt.Errorf("codegen: @%s: %w", m.Funcs[i].Name, err)
+			return fmt.Errorf("codegen: @%s: %w", m.Funcs[i].Name, err)
 		}
-		return mf, nil
+		funcs[i] = mf
+		return nil
 	})
 	tr.Add("codegen/functions", int64(len(m.Funcs)))
-	if err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	prog := mir.NewProgram()
 	for _, mf := range funcs {

@@ -38,8 +38,9 @@ const (
 	// CacheWrite covers the cache's temp-write/publish path, keyed like
 	// CacheRead.
 	CacheWrite Site = "cache/write"
-	// WorkerTask fires at parallel worker task start (per-module pipeline
-	// stages), keyed by module name.
+	// WorkerTask fires at parallel worker task start: per-module pipeline
+	// stages, keyed by module name ("parse <module>" for the parse stage), and
+	// the whole-program opt loop, keyed "opt <function>".
 	WorkerTask Site = "worker/task"
 	// CodegenFunc fires at per-function code generation, keyed by function
 	// name.

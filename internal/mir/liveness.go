@@ -166,11 +166,16 @@ func ComputeLiveness(f *Function, externLive RegSet) *Liveness {
 // Each function's analysis is independent, so the result is identical for
 // any worker count.
 func ComputeLivenessFuncs(prog *Program, externLive RegSet, parallelism int, live []*Liveness, want func(i int) bool) {
-	par.Do(parallelism, len(prog.Funcs), func(i int) {
+	for _, err := range par.Run(nil, "", parallelism, len(prog.Funcs), false, func(_, i int) error {
 		if live[i] == nil && want(i) {
 			live[i] = ComputeLiveness(prog.Funcs[i], externLive)
 		}
-	})
+		return nil
+	}) {
+		if err != nil {
+			panic(err) // a recovered worker panic, re-raised for the build's recovery boundary
+		}
+	}
 }
 
 func endsUnconditional(b *Block) bool {

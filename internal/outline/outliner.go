@@ -567,10 +567,15 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 			sc.lanes[i].reset()
 		}
 	}
-	par.DoLanes(opts.Parallelism, len(repeats), func(lane, i int) {
+	for _, err := range par.Run(nil, "", opts.Parallelism, len(repeats), false, func(lane, i int) error {
 		set, reject := buildSet(prog, m, repeats[i], liveness, sc.fnCount, gate, opts, &sc.lanes[lane])
 		byRepeat[i] = repeatResult{set, reject}
-	})
+		return nil
+	}) {
+		if err != nil {
+			panic(err) // a recovered worker panic, re-raised for the build's recovery boundary
+		}
+	}
 	// Collect in repeat (suffix-tree) order: both the greedy input and the
 	// remark stream stay deterministic for any worker count.
 	sets := sc.sets[:0]

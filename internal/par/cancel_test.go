@@ -19,10 +19,10 @@ func TestMapLanesStageCtxPreCancelled(t *testing.T) {
 	cancel()
 	var ran atomic.Int64
 	for _, p := range []int{1, 4} {
-		_, err := par.MapLanesStageCtx(ctx, "frontend", p, 16, func(lane, i int) (int, error) {
+		err := first(par.Run(ctx, "frontend", p, 16, false, func(lane, i int) error {
 			ran.Add(1)
-			return i, nil
-		})
+			return nil
+		}))
 		if err == nil {
 			t.Fatalf("p=%d: pre-cancelled context produced no error", p)
 		}
@@ -41,11 +41,13 @@ func TestMapLanesStageCtxPreCancelled(t *testing.T) {
 // TestMapLanesStageCtxNilNeverCancels: nil means "no context", the historic
 // behavior every pre-context call site relies on.
 func TestMapLanesStageCtxNilNeverCancels(t *testing.T) {
-	out, err := par.MapLanesStageCtx[int](nil, "s", 4, 8, func(lane, i int) (int, error) {
-		return i * i, nil
+	out := make([]int, 8)
+	errs := par.Run(nil, "s", 4, 8, false, func(lane, i int) error {
+		out[i] = i * i
+		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	if errs != nil {
+		t.Fatal(errs)
 	}
 	for i, v := range out {
 		if v != i*i {
@@ -65,17 +67,19 @@ func TestMapAllLanesStageCtxCancelMidWaveKeepsEarlierFailures(t *testing.T) {
 	defer cancel()
 	boom0 := fmt.Errorf("module 0 broken")
 	boom2 := fmt.Errorf("module 2 broken")
-	out, errs := par.MapAllLanesStageCtx(ctx, "frontend", 1, 5, func(lane, i int) (string, error) {
+	out := make([]string, 5)
+	errs := par.Run(ctx, "frontend", 1, 5, true, func(lane, i int) error {
 		switch i {
 		case 0:
-			return "", boom0
+			return boom0
 		case 2:
 			cancel() // the wave is cancelled while task 2 runs
-			return "", boom2
+			return boom2
 		case 4:
 			t.Error("task 4 claimed after cancellation")
 		}
-		return fmt.Sprintf("ok%d", i), nil
+		out[i] = fmt.Sprintf("ok%d", i)
+		return nil
 	})
 	if errs == nil {
 		t.Fatal("no errors recorded")
@@ -112,9 +116,9 @@ func TestMapAllLanesStageCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	_, errs := par.MapAllLanesStageCtx(ctx, "parse", 4, 8, func(lane, i int) (int, error) {
+	errs := par.Run(ctx, "parse", 4, 8, true, func(lane, i int) error {
 		ran.Add(1)
-		return i, nil
+		return nil
 	})
 	if ran.Load() != 0 {
 		t.Fatalf("%d tasks ran, want 0", ran.Load())

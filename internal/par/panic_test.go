@@ -12,12 +12,12 @@ import (
 
 func TestMapPanicBecomesPanicError(t *testing.T) {
 	for _, p := range []int{1, 4, 0} {
-		_, err := par.MapStage("llc", p, 50, func(i int) (int, error) {
+		err := first(par.Run(nil, "llc", p, 50, false, func(_, i int) error {
 			if i == 17 {
 				panic("compiler bug")
 			}
-			return i, nil
-		})
+			return nil
+		}))
 		var pe *par.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("p=%d: got %T (%v), want *par.PanicError", p, err, err)
@@ -38,19 +38,21 @@ func TestMapPanicBecomesPanicError(t *testing.T) {
 
 func TestPanicErrorUnwrapsErrorValues(t *testing.T) {
 	sentinel := errors.New("inner failure")
-	_, err := par.Map(4, 10, func(i int) (int, error) {
+	err := run(4, 10, func(i int) error {
 		if i == 3 {
 			panic(sentinel)
 		}
-		return i, nil
+		return nil
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("panic(err) not visible through errors.Is: %v", err)
 	}
 }
 
-// TestDoRePanicsStructured: Do must not crash the process on a worker panic;
-// it re-raises the lowest-index panic as a *PanicError on the caller.
+// TestDoRePanicsStructured: a worker panic must not crash the process; the
+// lowest-index one comes back as a *PanicError the caller re-raises with
+// panic(err) — the idiom of every call site whose tasks cannot fail — and a
+// recovery boundary on the calling goroutine sees that same value.
 func TestDoRePanicsStructured(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		func() {
@@ -63,12 +65,17 @@ func TestDoRePanicsStructured(t *testing.T) {
 					t.Fatalf("p=%d: panic index = %d, want 5", p, pe.Index)
 				}
 			}()
-			par.Do(p, 20, func(i int) {
+			for _, err := range par.Run(nil, "", p, 20, false, func(_, i int) error {
 				if i == 5 || i == 15 {
 					panic(fmt.Sprintf("boom at %d", i))
 				}
-			})
-			t.Fatalf("p=%d: Do returned without re-panicking", p)
+				return nil
+			}) {
+				if err != nil {
+					panic(err)
+				}
+			}
+			t.Fatalf("p=%d: Run reported no panic", p)
 		}()
 	}
 }
@@ -79,14 +86,14 @@ func TestLowestIndexMixedFailures(t *testing.T) {
 	sentinel := errors.New("plain error at 20")
 	for _, p := range []int{1, 2, 8, 0} {
 		for trial := 0; trial < 10; trial++ {
-			_, err := par.Map(p, 100, func(i int) (int, error) {
+			err := run(p, 100, func(i int) error {
 				switch i {
 				case 20:
-					return 0, sentinel
+					return sentinel
 				case 40:
 					panic("later panic")
 				}
-				return i, nil
+				return nil
 			})
 			if !errors.Is(err, sentinel) {
 				t.Fatalf("p=%d: got %v, want the index-20 error", p, err)
@@ -110,13 +117,13 @@ func TestEarlyCancellation(t *testing.T) {
 	})
 	defer par.SetRecordedHook(nil)
 	var executed atomic.Int64
-	_, err := par.Map(4, n, func(i int) (int, error) {
+	err := run(4, n, func(i int) error {
 		if i == 0 {
-			return 0, fmt.Errorf("fail at 0")
+			return fmt.Errorf("fail at 0")
 		}
 		<-gate
 		executed.Add(1)
-		return i, nil
+		return nil
 	})
 	if err == nil || err.Error() != "fail at 0" {
 		t.Fatalf("got error %v, want fail at 0", err)
@@ -132,36 +139,38 @@ func TestEarlyCancellation(t *testing.T) {
 // panic path: with one worker, nothing past the panicking index runs.
 func TestSerialSkipsAfterPanic(t *testing.T) {
 	var calls int
-	_, err := par.Map(1, 100, func(i int) (int, error) {
+	err := run(1, 100, func(i int) error {
 		calls++
 		if i == 5 {
 			panic("boom")
 		}
-		return i, nil
+		return nil
 	})
 	var pe *par.PanicError
 	if !errors.As(err, &pe) || pe.Index != 5 {
 		t.Fatalf("got %v", err)
 	}
 	if calls != 6 {
-		t.Fatalf("serial Map made %d calls after panic at index 5, want 6", calls)
+		t.Fatalf("serial Run made %d calls after panic at index 5, want 6", calls)
 	}
 }
 
-// TestMapAllLanesKeepGoing: the keep-going variant runs every task despite
-// failures and reports each error at its index.
+// TestMapAllLanesKeepGoing: under keepGoing every task runs despite failures
+// and each error is reported at its index.
 func TestMapAllLanesKeepGoing(t *testing.T) {
 	for _, p := range []int{1, 4, 0} {
 		var ran atomic.Int64
-		out, errs := par.MapAllLanesStage("frontend", p, 50, func(_, i int) (int, error) {
+		out := make([]int, 50)
+		errs := par.Run(nil, "frontend", p, 50, true, func(_, i int) error {
 			ran.Add(1)
 			switch i {
 			case 10:
-				return 0, fmt.Errorf("error at 10")
+				return fmt.Errorf("error at 10")
 			case 20:
 				panic("panic at 20")
 			}
-			return i * i, nil
+			out[i] = i * i
+			return nil
 		})
 		if got := ran.Load(); got != 50 {
 			t.Fatalf("p=%d: keep-going ran %d of 50 tasks", p, got)
@@ -193,14 +202,13 @@ func TestMapAllLanesKeepGoing(t *testing.T) {
 }
 
 func TestMapAllLanesNoErrors(t *testing.T) {
-	out, errs := par.MapAllLanesStage("", 4, 20, func(_, i int) (int, error) { return i, nil })
+	var ran atomic.Int64
+	errs := par.Run(nil, "", 4, 20, true, func(_, i int) error { ran.Add(1); return nil })
 	if errs != nil {
 		t.Fatalf("errs = %v, want nil on full success", errs)
 	}
-	for i, v := range out {
-		if v != i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
+	if ran.Load() != 20 {
+		t.Fatalf("ran %d of 20 tasks", ran.Load())
 	}
 }
 

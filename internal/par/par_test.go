@@ -10,6 +10,25 @@ import (
 	"outliner/internal/par"
 )
 
+// Test names keep the entry point each behaviour was first pinned through
+// (Do, Map, MapLanes, MapAllLanes…): all of them are par.Run now, and the
+// names stay so a test's history is one grep.
+
+// first returns the lowest-index error of a Run result, or nil.
+func first(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// run is Run without context or stage, for tasks that only need the index.
+func run(p, n int, f func(i int) error) error {
+	return first(par.Run(nil, "", p, n, false, func(_, i int) error { return f(i) }))
+}
+
 func TestWorkers(t *testing.T) {
 	cases := []struct{ p, n, want int }{
 		{0, 100, runtime.GOMAXPROCS(0)},
@@ -30,7 +49,9 @@ func TestDoCoversAllIndices(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 0} {
 		const n = 1000
 		var hits [n]atomic.Int32
-		par.Do(p, n, func(i int) { hits[i].Add(1) })
+		if err := run(p, n, func(i int) error { hits[i].Add(1); return nil }); err != nil {
+			t.Fatal(err)
+		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("p=%d: index %d executed %d times", p, i, got)
@@ -41,18 +62,23 @@ func TestDoCoversAllIndices(t *testing.T) {
 
 func TestDoSerialIsInOrder(t *testing.T) {
 	var order []int
-	par.Do(1, 10, func(i int) { order = append(order, i) })
+	if err := run(1, 10, func(i int) error { order = append(order, i); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 10 {
+		t.Fatalf("serial Run made %d calls, want 10", len(order))
+	}
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("serial Do out of order: %v", order)
+			t.Fatalf("serial Run out of order: %v", order)
 		}
 	}
 }
 
 func TestMapOrderedResults(t *testing.T) {
 	for _, p := range []int{1, 3, 0} {
-		out, err := par.Map(p, 100, func(i int) (int, error) { return i * i, nil })
-		if err != nil {
+		out := make([]int, 100)
+		if err := run(p, 100, func(i int) error { out[i] = i * i; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range out {
@@ -68,11 +94,11 @@ func TestMapLowestIndexError(t *testing.T) {
 	// whatever the worker count or scheduling.
 	for _, p := range []int{1, 2, 8, 0} {
 		for trial := 0; trial < 10; trial++ {
-			_, err := par.Map(p, 100, func(i int) (int, error) {
+			err := run(p, 100, func(i int) error {
 				if i == 30 || i == 70 {
-					return 0, fmt.Errorf("fail at %d", i)
+					return fmt.Errorf("fail at %d", i)
 				}
-				return i, nil
+				return nil
 			})
 			if err == nil || err.Error() != "fail at 30" {
 				t.Fatalf("p=%d: got error %v, want fail at 30", p, err)
@@ -84,18 +110,18 @@ func TestMapLowestIndexError(t *testing.T) {
 func TestMapSerialStopsAtFirstError(t *testing.T) {
 	var calls int
 	sentinel := errors.New("boom")
-	_, err := par.Map(1, 100, func(i int) (int, error) {
+	err := run(1, 100, func(i int) error {
 		calls++
 		if i == 5 {
-			return 0, sentinel
+			return sentinel
 		}
-		return i, nil
+		return nil
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("got %v", err)
 	}
 	if calls != 6 {
-		t.Fatalf("serial Map made %d calls after error at index 5, want 6", calls)
+		t.Fatalf("serial Run made %d calls after error at index 5, want 6", calls)
 	}
 }
 
@@ -107,7 +133,7 @@ func TestDoLanesCoversAllIndices(t *testing.T) {
 		workers := par.Workers(p, n)
 		var hits [n]atomic.Int32
 		busy := make([]atomic.Int32, workers)
-		par.DoLanes(p, n, func(lane, i int) {
+		errs := par.Run(nil, "", p, n, false, func(lane, i int) error {
 			if lane < 0 || lane >= workers {
 				t.Errorf("p=%d: lane %d out of range [0,%d)", p, lane, workers)
 			}
@@ -116,7 +142,11 @@ func TestDoLanesCoversAllIndices(t *testing.T) {
 			}
 			hits[i].Add(1)
 			busy[lane].Add(-1)
+			return nil
 		})
+		if errs != nil {
+			t.Fatalf("p=%d: errs = %v, want nil on full success", p, errs)
+		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("p=%d: index %d executed %d times", p, i, got)
@@ -127,13 +157,15 @@ func TestDoLanesCoversAllIndices(t *testing.T) {
 
 func TestMapLanesOrderedResults(t *testing.T) {
 	for _, p := range []int{1, 3, 0} {
-		out, err := par.MapLanes(p, 100, func(lane, i int) (int, error) {
+		out := make([]int, 100)
+		errs := par.Run(nil, "", p, 100, false, func(lane, i int) error {
 			if lane < 0 || lane >= par.Workers(p, 100) {
-				return 0, fmt.Errorf("lane %d out of range", lane)
+				return fmt.Errorf("lane %d out of range", lane)
 			}
-			return i * i, nil
+			out[i] = i * i
+			return nil
 		})
-		if err != nil {
+		if err := first(errs); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range out {
@@ -145,8 +177,8 @@ func TestMapLanesOrderedResults(t *testing.T) {
 }
 
 func TestMapZeroItems(t *testing.T) {
-	out, err := par.Map(4, 0, func(i int) (int, error) { return 0, errors.New("never") })
-	if err != nil || len(out) != 0 {
-		t.Fatalf("got %v, %v", out, err)
+	errs := par.Run(nil, "", 4, 0, false, func(_, i int) error { return errors.New("never") })
+	if errs != nil {
+		t.Fatalf("got %v", errs)
 	}
 }

@@ -118,33 +118,48 @@ func reportDivergence(t *testing.T, seed int, want, got string) {
 	}
 }
 
-// TestInjectedWorkerPanicIsIsolated: a panic injected into a frontend worker
-// surfaces as an error carrying a structured *par.PanicError — stage, task
-// index, injected site — instead of crashing the process, and the recovery
-// is visible on the build's counters.
+// TestInjectedWorkerPanicIsIsolated: a panic injected into a pool worker —
+// a frontend module task, a function of the whole-program opt loop (whose
+// tasks cannot fail, so the call site re-raises what the pool recovered), a
+// function in codegen — surfaces as an error carrying a structured
+// *par.PanicError — stage, task index, injected site — instead of crashing
+// the process, and the recovery is visible on the build's counters.
 func TestInjectedWorkerPanicIsIsolated(t *testing.T) {
-	tr := obs.New()
-	cfg := pipeline.OSize
-	cfg.Tracer = tr
-	cfg.Fault = fault.Exact(fault.At{Site: fault.WorkerTask, Key: "models", Kind: fault.PanicKind})
-	_, err := pipeline.Build(chaosSources(), cfg)
-	var pe *par.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("got %v, want an error chain carrying *par.PanicError", err)
-	}
-	if pe.Stage != "frontend" || pe.Index != 1 {
-		t.Errorf("panic attributed to stage %q task %d, want frontend task 1 (models)", pe.Stage, pe.Index)
-	}
-	fp, ok := pe.Value.(*fault.Panic)
-	if !ok || fp.Site != fault.WorkerTask {
-		t.Errorf("recovered value %v, want the injected *fault.Panic", pe.Value)
-	}
-	c := tr.Counters()
-	if c["fault/recovered_panics"] == 0 {
-		t.Error("fault/recovered_panics counter not incremented")
-	}
-	if c["fault/worker/task"] != 1 {
-		t.Errorf("fault/worker/task = %d, want 1 (mirrored from the injector)", c["fault/worker/task"])
+	for _, tc := range []struct {
+		at    fault.At
+		stage string
+		index int // -1: any (function order is the linker's business)
+	}{
+		{fault.At{Site: fault.WorkerTask, Key: "models", Kind: fault.PanicKind}, "frontend", 1},
+		{fault.At{Site: fault.WorkerTask, Key: "opt main", Kind: fault.PanicKind}, "opt", -1},
+		{fault.At{Site: fault.CodegenFunc, Key: "main", Kind: fault.PanicKind}, "llc", -1},
+	} {
+		for _, jobs := range []int{1, 4} {
+			tr := obs.New()
+			cfg := pipeline.OSize
+			cfg.Tracer = tr
+			cfg.Parallelism = jobs
+			cfg.Fault = fault.Exact(tc.at)
+			_, err := pipeline.Build(chaosSources(), cfg)
+			var pe *par.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s -j %d: got %v, want an error chain carrying *par.PanicError", tc.stage, jobs, err)
+			}
+			if pe.Stage != tc.stage || tc.index >= 0 && pe.Index != tc.index {
+				t.Errorf("%s -j %d: panic attributed to stage %q task %d, want task %d (-1: any)", tc.stage, jobs, pe.Stage, pe.Index, tc.index)
+			}
+			fp, ok := pe.Value.(*fault.Panic)
+			if !ok || fp.Site != tc.at.Site || fp.Key != tc.at.Key {
+				t.Errorf("%s -j %d: recovered value %v, want the injected *fault.Panic", tc.stage, jobs, pe.Value)
+			}
+			c := tr.Counters()
+			if c["fault/recovered_panics"] == 0 {
+				t.Errorf("%s -j %d: fault/recovered_panics counter not incremented", tc.stage, jobs)
+			}
+			if n := c["fault/"+string(tc.at.Site)]; n != 1 {
+				t.Errorf("%s -j %d: fault/%s = %d, want 1 (mirrored from the injector)", tc.stage, jobs, tc.at.Site, n)
+			}
+		}
 	}
 }
 

@@ -287,15 +287,13 @@ func sortedFileList(files map[string]string) []namedFile {
 	for n := range files {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	out := make([]namedFile, 0, len(names))
 	for _, n := range names {
 		out = append(out, namedFile{name: n, text: files[n]})
 	}
 	return out
 }
-
-func sortStrings(ss []string) { sort.Strings(ss) }
 
 // ParseSource parses a source module's files in deterministic order.
 func ParseSource(src Source) ([]*frontend.File, error) {
@@ -398,15 +396,24 @@ func runBuild(cfg Config, body func(*build) (*Result, error)) (res *Result, err 
 // lowest-index failure is returned.
 func mapModules[T any](b *build, stage string, n int, f func(lane, i int) (T, error)) ([]T, error) {
 	cfg := b.cfg
+	out := make([]T, n)
+	errs := par.Run(cfg.Ctx, stage, cfg.Parallelism, n, cfg.KeepGoing, func(lane, i int) error {
+		v, err := f(lane, i)
+		if err == nil {
+			out[i] = v
+		}
+		return err
+	})
 	if cfg.KeepGoing {
-		out, errs := par.MapAllLanesStageCtx(cfg.Ctx, stage, cfg.Parallelism, n, f)
 		return out, gatherKeepGoing(cfg.Tracer, errs)
 	}
-	out, err := par.MapLanesStageCtx(cfg.Ctx, stage, cfg.Parallelism, n, f)
-	if err != nil {
-		notePanics(cfg.Tracer, err)
+	for _, err := range errs {
+		if err != nil {
+			notePanics(cfg.Tracer, err)
+			return nil, err
+		}
 	}
-	return out, err
+	return out, nil
 }
 
 // lowerAll is the front half of Build: every module's interface stub, then
@@ -610,10 +617,18 @@ func (b *build) finish(units []*lowered) (*Result, error) {
 		if cfg.FMSA {
 			llir.MergeBySequenceAlignment(merged)
 		}
-		par.DoStage("opt", cfg.Parallelism, len(merged.Funcs), func(i int) {
+		for _, err := range par.Run(nil, "opt", cfg.Parallelism, len(merged.Funcs), false, func(_, i int) error {
+			if cfg.Fault != nil { // the key is built only for an armed injector
+				cfg.Fault.MaybePanic(fault.WorkerTask, "opt "+merged.Funcs[i].Name)
+			}
 			llir.SimplifyCFG(merged.Funcs[i])
 			llir.DCE(merged.Funcs[i])
-		})
+			return nil
+		}) {
+			if err != nil {
+				panic(err) // a recovered worker panic, re-raised for runBuild's recovery boundary
+			}
+		}
 		if cfg.Verify {
 			if err := merged.Verify(); err != nil {
 				sp.End()
