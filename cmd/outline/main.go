@@ -8,7 +8,10 @@
 //	outline -analyze program.mir
 //
 // Input is the textual MIR format (see internal/mir); output is the
-// transformed program on stdout and a size report on stderr.
+// transformed program on stdout and a size report on stderr. The program goes
+// through pipeline.BuildMIR — the post-link tail of every slc build — so
+// `slc -rounds 0 -emit mir` piped through `outline -outline-repeat-count N`
+// prints what `slc -rounds N -emit mir` does.
 package main
 
 import (
@@ -16,14 +19,12 @@ import (
 	"fmt"
 	"os"
 
-	"outliner/internal/artifact"
-	"outliner/internal/cache"
 	"outliner/internal/fault"
-	"outliner/internal/layout"
 	"outliner/internal/llir"
 	"outliner/internal/mir"
 	"outliner/internal/obs"
 	"outliner/internal/outline"
+	"outliner/internal/pipeline"
 	"outliner/internal/profile"
 	verifypkg "outliner/internal/verify"
 )
@@ -38,8 +39,7 @@ func main() {
 		trace   = flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto or chrome://tracing)")
 		remarks = flag.String("remarks", "", "write candidate decision remarks as JSONL")
 		summary = flag.Bool("summary", false, "print per-round counters and stage times to stderr")
-		verify  = flag.Bool("verify", true, "verify the input and every outlining round with the machine-code verifier")
-		cchDir  = flag.String("cache-dir", "", "content-addressed cache directory for outlining results (empty = cache off)")
+		verify  = flag.Bool("verify", true, "verify the input, every outlining round and the final image with the machine-code verifier")
 		onvf    = flag.String("on-verify-failure", "abort", "verifier-failure policy: abort | rollback-round | disable-outlining")
 		fSeed   = flag.Uint64("fault-seed", 0, "deterministic fault-injection schedule seed (used with -fault-rate)")
 		fRate   = flag.Float64("fault-rate", 0, "fault-injection probability per outlining round (0 disables)")
@@ -47,14 +47,6 @@ func main() {
 		profIn  = flag.String("profile-in", "", "execution profile feeding remark verdicts and the -layout pass")
 	)
 	flag.Parse()
-	switch *onvf {
-	case outline.VerifyAbort, outline.VerifyRollbackRound, outline.VerifyDisableOutlining:
-	default:
-		fatal(fmt.Errorf("unknown -on-verify-failure mode %q", *onvf))
-	}
-	if !layout.Valid(*layoutP) {
-		fatal(fmt.Errorf("unknown -layout policy %q", *layoutP))
-	}
 	var prof *profile.Profile
 	if *profIn != "" {
 		p, perr := profile.ReadFile(*profIn)
@@ -103,48 +95,10 @@ func main() {
 		tracer = obs.NewWith(obs.Config{MemStats: true})
 	}
 	before := prog.CodeSize()
-
-	// The outlined program is a pure function of the input text and the
-	// flags above, so the whole transformation caches under one key. A
-	// corrupted entry decodes to an error and falls through to outlining.
-	var (
-		c   *cache.Cache
-		key cache.Key
-	)
-	if *cchDir != "" {
-		c, err = cache.Shared(*cchDir)
-		if err != nil {
-			fatal(err)
-		}
-		fp := fmt.Sprintf("rounds=%d flat=%t verify=%t onvf=%s", *rounds, *flat, *verify, *onvf)
-		if inj != nil {
-			// A faulted run may cache a degraded (rolled-back) program; keep
-			// it out of the clean key space.
-			fp += " fault=" + inj.String()
-		}
-		if *layoutP != "" && *layoutP != layout.None {
-			// The cached program's function order depends on the policy and
-			// the profile content, so both join the key.
-			fp += fmt.Sprintf(" layout=%s prof=%s", *layoutP, prof.Digest())
-		}
-		key = cache.Key{
-			Stage:  "outline-cli",
-			Input:  cache.HashBytes(text),
-			Config: fp,
-			Schema: artifact.SchemaVersion,
-		}
-		if data, ok := c.Get(key); ok {
-			if cached, stats, err := artifact.DecodeMachine(data); err == nil {
-				report(cached, stats, before, *quiet)
-				return
-			}
-		}
-	}
-	stats, err := outline.Outline(prog, outline.Options{
-		Rounds:          *rounds,
-		FlatCostModel:   *flat,
+	res, err := pipeline.BuildMIR(prog, pipeline.Config{
+		OutlineRounds:   *rounds,
+		FlatOutlineCost: *flat,
 		Verify:          *verify,
-		ExternSyms:      llir.RuntimeSyms,
 		Parallelism:     *jobs,
 		Tracer:          tracer,
 		OnVerifyFailure: *onvf,
@@ -170,25 +124,16 @@ func main() {
 			fatal(err)
 		}
 	}
-	if c != nil {
-		c.Put(key, artifact.EncodeMachine(prog, stats))
-	}
-	report(prog, stats, before, *quiet)
-}
-
-// report prints the transformed program and the per-round size summary,
-// identically for fresh and cache-hit results.
-func report(prog *mir.Program, stats *outline.Stats, before int, quiet bool) {
-	if !quiet {
-		if _, err := prog.WriteTo(os.Stdout); err != nil {
+	if !*quiet {
+		if _, err := res.Prog.WriteTo(os.Stdout); err != nil {
 			fatal(err)
 		}
 	}
-	after := prog.CodeSize()
+	after := res.Prog.CodeSize()
 	fmt.Fprintf(os.Stderr, "code size: %d -> %d bytes (%.1f%% saving)\n",
 		before, after, 100*(1-float64(after)/float64(before)))
-	if stats != nil {
-		for _, r := range stats.Rounds {
+	if res.Outline != nil {
+		for _, r := range res.Outline.Rounds {
 			fmt.Fprintf(os.Stderr, "  round %d: %d sequences, %d functions, %d outlined bytes\n",
 				r.Round, r.SequencesOutlined, r.FunctionsCreated, r.OutlinedBytes)
 		}

@@ -33,7 +33,6 @@ import (
 	"outliner/internal/exec"
 	"outliner/internal/fault"
 	"outliner/internal/frontend"
-	"outliner/internal/layout"
 	"outliner/internal/llir"
 	"outliner/internal/obs"
 	"outliner/internal/outline"
@@ -97,11 +96,6 @@ func main() {
 			}
 		}()
 	}
-	switch *onVerify {
-	case outline.VerifyAbort, outline.VerifyRollbackRound, outline.VerifyDisableOutlining:
-	default:
-		fatal(fmt.Errorf("unknown -on-verify-failure mode %q", *onVerify))
-	}
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: slc [flags] file.sl ...")
 		flag.Usage()
@@ -125,22 +119,16 @@ func main() {
 	if *traceOut != "" || *remarks != "" || *summary || *counters != "" {
 		tracer = obs.NewWith(obs.Config{FineSpans: *traceOut != "", MemStats: true})
 	}
-	cfg := pipeline.Config{
-		WholeProgram:       *whole,
-		OutlineRounds:      *rounds,
-		SILOutline:         true,
-		SpecializeClosures: true,
-		MergeFunctions:     true,
-		PreserveDataLayout: true,
-		SplitGCMetadata:    true,
-		FlatOutlineCost:    *flat,
-		Verify:             *verify,
-		Parallelism:        *jobs,
-		Tracer:             tracer,
-		CacheDir:           *cacheDir,
-		KeepGoing:          *keepOn,
-		OnVerifyFailure:    *onVerify,
-	}
+	cfg := pipeline.OSize
+	cfg.WholeProgram = *whole
+	cfg.OutlineRounds = *rounds
+	cfg.FlatOutlineCost = *flat
+	cfg.Verify = *verify
+	cfg.Parallelism = *jobs
+	cfg.Tracer = tracer
+	cfg.CacheDir = *cacheDir
+	cfg.KeepGoing = *keepOn
+	cfg.OnVerifyFailure = *onVerify
 	if *fRate > 0 {
 		cfg.Fault = fault.New(*fSeed, *fRate)
 	}
@@ -160,9 +148,6 @@ func main() {
 	}
 	cfg.OutlineColdOnly = *coldOnly
 	cfg.OutlineColdThreshold = *coldThr
-	if !layout.Valid(*layoutP) {
-		fatal(fmt.Errorf("unknown -layout policy %q (want %s)", *layoutP, strings.Join(layout.Policies(), ", ")))
-	}
 	cfg.Layout = *layoutP
 	res, err := pipeline.Build(sources, cfg)
 	if err != nil {

@@ -110,18 +110,11 @@ func LoadBenchmarks() (map[string]string, error) {
 // buildBench compiles one single-module benchmark with the given outlining
 // rounds (whole-program pipeline, as the artifact's run.sh does with llc).
 func buildBench(name, text string, rounds int) (*pipeline.Result, error) {
-	cfg := pipeline.Config{
-		WholeProgram:       true,
-		OutlineRounds:      rounds,
-		SILOutline:         true,
-		SpecializeClosures: true,
-		MergeFunctions:     true,
-		PreserveDataLayout: true,
-		SplitGCMetadata:    true,
-		Parallelism:        Parallelism,
-		Tracer:             Tracer,
-		CacheDir:           CacheDir,
-	}
+	cfg := pipeline.OSize
+	cfg.OutlineRounds = rounds
+	cfg.Parallelism = Parallelism
+	cfg.Tracer = Tracer
+	cfg.CacheDir = CacheDir
 	return pipeline.Build([]pipeline.Source{{Name: name, Files: map[string]string{name + ".sl": text}}}, cfg)
 }
 

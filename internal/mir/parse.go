@@ -18,8 +18,11 @@ import (
 //	}
 //	global @gTable module "m" = [1, 2, 3]
 //
-// It is used by tests and by the cmd/outline tool, which plays the role of
-// `llc -outline-repeat-count=N` from the paper's artifact.
+// It is used by tests and by the cmd/outline tool, which hands the parsed
+// program to pipeline.BuildMIR — the whole-program build's post-link tail,
+// playing the role of `llc -outline-repeat-count=N` from the paper's artifact.
+// The text does not carry MSUB's accumulator (isa.Inst.Rd2): it parses back
+// as register 0.
 func Parse(src string) (*Program, error) {
 	p := NewProgram()
 	var cur *Function

@@ -4,10 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 
 	"outliner/internal/fault"
 	"outliner/internal/isa"
-	"outliner/internal/layout"
 	"outliner/internal/mir"
 	"outliner/internal/obs"
 	"outliner/internal/par"
@@ -87,13 +87,6 @@ type Options struct {
 	// boundary; when only annotating (no ColdOnly), a non-positive value
 	// defaults to 1: any observed entry marks a function hot.
 	ColdThreshold int64
-	// Layout applies a profile-guided function-reordering policy (see
-	// internal/layout) after the final round — the standalone driver's
-	// (cmd/outline) hook for running outlining and layout in one call. The
-	// pipeline leaves this empty and runs the pass itself on the final
-	// linked program, so layout is never applied twice. "" and layout.None
-	// leave the order untouched; active policies need Profile.
-	Layout string
 }
 
 // Options.OnVerifyFailure values.
@@ -102,6 +95,18 @@ const (
 	VerifyRollbackRound    = "rollback-round"
 	VerifyDisableOutlining = "disable-outlining"
 )
+
+// verifyModes is the one list of OnVerifyFailure modes every driver accepts.
+var verifyModes = []string{VerifyAbort, VerifyRollbackRound, VerifyDisableOutlining}
+
+// CheckVerifyMode rejects an OnVerifyFailure value that is neither "" (which
+// means VerifyAbort) nor one of the modes.
+func CheckVerifyMode(mode string) error {
+	if mode == "" || slices.Contains(verifyModes, mode) {
+		return nil
+	}
+	return fmt.Errorf("unknown on-verify-failure mode %q (want %s)", mode, strings.Join(verifyModes, ", "))
+}
 
 func (o Options) withDefaults() Options {
 	if o.MinLength == 0 {
@@ -221,6 +226,9 @@ type candSet struct {
 // per-round statistics. It is deterministic: identical inputs produce
 // identical outputs, regardless of map iteration order.
 func Outline(prog *mir.Program, opts Options) (*Stats, error) {
+	if err := CheckVerifyMode(opts.OnVerifyFailure); err != nil {
+		return nil, fmt.Errorf("outline: %w", err)
+	}
 	opts = opts.withDefaults()
 	tr := opts.Tracer
 	stats := &Stats{}
@@ -270,33 +278,31 @@ func Outline(prog *mir.Program, opts Options) (*Stats, error) {
 		}
 		sp.End()
 		tr.EmitBatch(opts.FuncPrefix, rems)
-		// "outline/rounds" counts executed rounds; diffing it across Counters
-		// snapshots tells a consumer how many rounds one build actually ran
-		// (the loop stops early at a fixed point).
-		tr.Add("outline/rounds", 1)
-		tr.Add(obs.RoundCounter(round, obs.RoundSequences), int64(rs.SequencesOutlined))
-		tr.Add(obs.RoundCounter(round, obs.RoundFunctions), int64(rs.FunctionsCreated))
-		tr.Add(obs.RoundCounter(round, obs.RoundOutlinedBytes), int64(rs.OutlinedBytes))
-		tr.Add(obs.RoundCounter(round, obs.RoundBytesSaved), int64(rs.BytesSaved))
-		tr.Add("outline/sequences", int64(rs.SequencesOutlined))
-		tr.Add("outline/functions", int64(rs.FunctionsCreated))
-		tr.Add("outline/outlined_bytes", int64(rs.OutlinedBytes))
-		tr.Add("outline/bytes_saved", int64(rs.BytesSaved))
+		EmitRoundCounters(tr, rs)
 		if rs.SequencesOutlined == 0 {
 			// Fixed point: later rounds cannot find anything either.
 			break
 		}
 	}
-	if opts.Layout != "" {
-		if _, err := layout.Apply(prog, layout.Options{
-			Policy:  opts.Layout,
-			Profile: opts.Profile,
-			Tracer:  tr,
-		}); err != nil {
-			return stats, err
-		}
-	}
 	return stats, nil
+}
+
+// EmitRoundCounters adds one finished round's counters to tr. Outline calls it
+// after every round that passes verification; the pipeline calls it for every
+// round of a cached artifact, so a warm build's counters are the cold build's.
+// "outline/rounds" counts executed rounds; diffing it across Counters
+// snapshots tells a consumer how many rounds one build actually ran (the loop
+// stops early at a fixed point).
+func EmitRoundCounters(tr *obs.Tracer, rs RoundStats) {
+	tr.Add("outline/rounds", 1)
+	tr.Add(obs.RoundCounter(rs.Round, obs.RoundSequences), int64(rs.SequencesOutlined))
+	tr.Add(obs.RoundCounter(rs.Round, obs.RoundFunctions), int64(rs.FunctionsCreated))
+	tr.Add(obs.RoundCounter(rs.Round, obs.RoundOutlinedBytes), int64(rs.OutlinedBytes))
+	tr.Add(obs.RoundCounter(rs.Round, obs.RoundBytesSaved), int64(rs.BytesSaved))
+	tr.Add("outline/sequences", int64(rs.SequencesOutlined))
+	tr.Add("outline/functions", int64(rs.FunctionsCreated))
+	tr.Add("outline/outlined_bytes", int64(rs.OutlinedBytes))
+	tr.Add("outline/bytes_saved", int64(rs.BytesSaved))
 }
 
 // verifyRound runs the machine verifier after a round, so that a bad rewrite

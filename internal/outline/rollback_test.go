@@ -150,3 +150,17 @@ func TestRollbackWithoutFaultIsFree(t *testing.T) {
 		t.Fatalf("stats diverged: %d vs %d rounds", len(st.Rounds), len(stBase.Rounds))
 	}
 }
+
+// TestUnknownVerifyModeRejected: a mode outside the list — here a plausible
+// typo — fails before the first round instead of degrading like
+// rollback-round, and leaves the program untouched.
+func TestUnknownVerifyModeRejected(t *testing.T) {
+	p := multiRoundProgram(t)
+	before := p.String()
+	if _, err := Outline(p, Options{Rounds: 5, Verify: true, ExternSyms: externRT, OnVerifyFailure: "rollback"}); err == nil {
+		t.Fatal(`OnVerifyFailure "rollback" was accepted`)
+	}
+	if p.String() != before {
+		t.Fatal("a rejected call changed the program")
+	}
+}

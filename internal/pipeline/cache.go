@@ -552,33 +552,18 @@ func (bc *BuildCache) machine(u *lowered, crossRefs map[string]bool, cfg Config,
 	return runStage(cfg.Ctx, bc, tr, machineKey(u, crossRefs, cfg), sp,
 		func(data []byte) (*machineCode, error) {
 			p, st, err := artifact.DecodeMachine(data)
-			if err == nil {
-				replayOutlineCounters(tr, st)
+			if err == nil && st != nil {
+				// Re-emit the per-round counters the skipped compute would have,
+				// so counter-derived reports (fig12's Table II, -summary's
+				// convergence table) agree between cold and warm builds.
+				// Discovery-internal counters (suffix-tree size, candidates
+				// found/rejected) are not stored and stay absent on warm builds.
+				for _, rs := range st.Rounds {
+					outline.EmitRoundCounters(tr, rs)
+				}
 			}
 			return &machineCode{prog: p, stats: st}, err
 		},
 		compute,
 		func(mc *machineCode) []byte { return artifact.EncodeMachine(mc.prog, mc.stats) })
-}
-
-// replayOutlineCounters re-emits the per-round outlining counters a cache
-// hit skipped, so counter-derived reports (fig12's Table II, -summary's
-// convergence table) agree between cold and warm builds. Discovery-internal
-// counters (suffix-tree size, candidates found/rejected) are not stored in
-// the artifact and stay absent on warm builds.
-func replayOutlineCounters(tr *obs.Tracer, st *outline.Stats) {
-	if st == nil {
-		return
-	}
-	for _, rs := range st.Rounds {
-		tr.Add("outline/rounds", 1)
-		tr.Add(obs.RoundCounter(rs.Round, obs.RoundSequences), int64(rs.SequencesOutlined))
-		tr.Add(obs.RoundCounter(rs.Round, obs.RoundFunctions), int64(rs.FunctionsCreated))
-		tr.Add(obs.RoundCounter(rs.Round, obs.RoundOutlinedBytes), int64(rs.OutlinedBytes))
-		tr.Add(obs.RoundCounter(rs.Round, obs.RoundBytesSaved), int64(rs.BytesSaved))
-		tr.Add("outline/sequences", int64(rs.SequencesOutlined))
-		tr.Add("outline/functions", int64(rs.FunctionsCreated))
-		tr.Add("outline/outlined_bytes", int64(rs.OutlinedBytes))
-		tr.Add("outline/bytes_saved", int64(rs.BytesSaved))
-	}
 }

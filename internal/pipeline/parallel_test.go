@@ -70,8 +70,8 @@ func TestParallelDefaultPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelSourceBuildDeterminism drives pipeline.Build (frontend
-// included) rather than BuildFromLLIR, at several worker counts.
+// TestParallelSourceBuildDeterminism drives pipeline.Build from source
+// (frontend included) at several worker counts.
 func TestParallelSourceBuildDeterminism(t *testing.T) {
 	sources := []pipeline.Source{
 		{Name: "app", Files: map[string]string{"app.sl": srcApp}},

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"outliner/internal/binimg"
@@ -134,6 +135,7 @@ type Config struct {
 	// default) fails the build, outline.VerifyRollbackRound sheds the
 	// offending round and keeps the previous rounds' wins,
 	// outline.VerifyDisableOutlining sheds all outlining for that program.
+	// Any other value fails the build before any stage runs.
 	OnVerifyFailure string
 	// Fault arms deterministic fault injection (internal/fault) at the
 	// pipeline's fault points: cache disk I/O, worker task start,
@@ -161,7 +163,8 @@ type Config struct {
 	// the final program before image build (-layout): layout.None (or ""),
 	// layout.HotCold, or layout.C3. Active policies need a Profile to act on
 	// and are inert without one. The policy joins the machine-stage cache
-	// fingerprint alongside the profile digest.
+	// fingerprint alongside the profile digest. An unknown policy fails the
+	// build before any stage runs.
 	Layout string
 }
 
@@ -356,22 +359,48 @@ func Build(sources []Source, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return b.finish(units)
+		link := b.linkModules
+		if b.cfg.WholeProgram {
+			link = b.linkWholeProgram
+		}
+		prog, err := link(units)
+		if err != nil {
+			return nil, err
+		}
+		return b.postLink(prog)
 	})
 }
 
-// build is the state one Build or BuildFromLLIR call threads through its
-// stages: the config with Tracer and Ctx resolved (neither is nil), and the
-// handle that cancels the build at a scripted step.
+// BuildMIR finishes a build from a machine program that is already linked —
+// the paper artifact's `llc -outline-repeat-count=N` over prebuilt code, run
+// by cmd/outline and outliner.OutlineText. prog is treated as a linked whole
+// program (BuildMIR sets cfg.WholeProgram), transformed in place, and goes
+// through the same post-link tail as Build's: outlining, layout, verification
+// and the image. It recovers panics and reports cancellation like Build.
+func BuildMIR(prog *mir.Program, cfg Config) (*Result, error) {
+	cfg.WholeProgram = true
+	return runBuild(cfg, func(b *build) (*Result, error) { return b.postLink(prog) })
+}
+
+// build is the state one Build or BuildMIR call threads through its stages:
+// the config with Tracer and Ctx resolved (neither is nil), and the handle
+// that cancels the build at a scripted step.
 type build struct {
 	cfg    Config
 	cancel context.CancelFunc
 }
 
-// runBuild is the frame every build entry point shares: tracer and context
-// resolution, fault-counter mirroring, the panic-to-error boundary, and
-// Result.Timings scoped to this build.
+// runBuild is the frame every build entry point shares: config validation
+// before any stage runs, tracer and context resolution, fault-counter
+// mirroring, the panic-to-error boundary, and Result.Timings scoped to this
+// build.
 func runBuild(cfg Config, body func(*build) (*Result, error)) (res *Result, err error) {
+	if err := outline.CheckVerifyMode(cfg.OnVerifyFailure); err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
+	}
+	if !layout.Valid(cfg.Layout) {
+		return nil, fmt.Errorf("pipeline: unknown layout policy %q (want %s)", cfg.Layout, strings.Join(layout.Policies(), ", "))
+	}
 	tr := obs.Ensure(cfg.Tracer)
 	cfg.Tracer = tr
 	cancel := buildContext(&cfg)
@@ -566,223 +595,214 @@ func mirrorFaults(tr *obs.Tracer, inj *fault.Injector) {
 	}
 }
 
-// BuildFromLLIR finishes a build from already-materialised per-module LLIR
-// (for callers that fabricate or transform IR themselves). Like Build, it
-// converts any panic — its own or a worker's — into an error carrying a
-// structured *par.PanicError instead of crashing the process.
-func BuildFromLLIR(mods []*llir.Module, cfg Config) (*Result, error) {
-	return runBuild(cfg, func(b *build) (*Result, error) {
-		units := make([]*lowered, len(mods))
-		for i, m := range mods {
-			units[i] = &lowered{name: m.Name, body: m}
+// linkWholeProgram is the front half of the whole-program pipeline after
+// lowering: llvm-link every module's LLIR into one module, optimize it, and
+// generate code for it once.
+func (b *build) linkWholeProgram(units []*lowered) (*mir.Program, error) {
+	cfg, tr := b.cfg, b.cfg.Tracer
+	stepCancel(cfg, b.cancel, "link")
+	if err := ctxErr(cfg.Ctx, "before llvm-link"); err != nil {
+		return nil, err
+	}
+	// The IR link consumes every body; lowering already materialised them in
+	// its parallel workers.
+	mods := make([]*llir.Module, len(units))
+	for i, u := range units {
+		var err error
+		if mods[i], err = u.materialise(tr); err != nil {
+			return nil, fmt.Errorf("pipeline: module %s: %w", u.name, err)
 		}
-		return b.finish(units)
+	}
+	sp := tr.StartStage("llvm-link", 0)
+	merged, err := irlink.Link(mods, irlink.Options{
+		SplitGCMetadata:     cfg.SplitGCMetadata,
+		PreserveModuleOrder: cfg.PreserveDataLayout,
+		Tracer:              tr,
 	})
-}
-
-// finish is the back half of a build: everything after per-module lowering.
-func (b *build) finish(units []*lowered) (*Result, error) {
-	cfg, ctx, cancel, tr := b.cfg, b.cfg.Ctx, b.cancel, b.cfg.Tracer
-	var prog *mir.Program
-
-	if cfg.WholeProgram {
-		stepCancel(cfg, cancel, "link")
-		if err := ctxErr(ctx, "before llvm-link"); err != nil {
-			return nil, err
-		}
-		// The IR link consumes every body; lowering already materialised
-		// them in its parallel workers.
-		mods := make([]*llir.Module, len(units))
-		for i, u := range units {
-			var err error
-			if mods[i], err = u.materialise(tr); err != nil {
-				return nil, fmt.Errorf("pipeline: module %s: %w", u.name, err)
-			}
-		}
-		sp := tr.StartStage("llvm-link", 0)
-		merged, err := irlink.Link(mods, irlink.Options{
-			SplitGCMetadata:     cfg.SplitGCMetadata,
-			PreserveModuleOrder: cfg.PreserveDataLayout,
-			Tracer:              tr,
-		})
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: irlink: %w", err)
-		}
-
-		sp = tr.StartStage("opt", 0)
-		if cfg.MergeFunctions {
-			llir.MergeFunctions(merged)
-		}
-		if cfg.FMSA {
-			llir.MergeBySequenceAlignment(merged)
-		}
-		for _, err := range par.Run(nil, "opt", cfg.Parallelism, len(merged.Funcs), false, func(_, i int) error {
-			if cfg.Fault != nil { // the key is built only for an armed injector
-				cfg.Fault.MaybePanic(fault.WorkerTask, "opt "+merged.Funcs[i].Name)
-			}
-			llir.SimplifyCFG(merged.Funcs[i])
-			llir.DCE(merged.Funcs[i])
-			return nil
-		}) {
-			if err != nil {
-				panic(err) // a recovered worker panic, re-raised for runBuild's recovery boundary
-			}
-		}
-		if cfg.Verify {
-			if err := merged.Verify(); err != nil {
-				sp.End()
-				return nil, fmt.Errorf("pipeline: after whole-program opt: %w", err)
-			}
-		}
-		sp.End()
-
-		stepCancel(cfg, cancel, "llc")
-		if err := ctxErr(ctx, "before codegen"); err != nil {
-			return nil, err
-		}
-		sp = tr.StartStage("llc", 0)
-		p, err := codegen.CompileTraced(merged, cfg.Parallelism, tr, 1, cfg.Fault)
-		sp.End()
-		if err != nil {
-			notePanics(tr, err)
-			return nil, err
-		}
-		if cfg.Verify {
-			if err := runVerify(p, llir.RuntimeSyms, tr, "after codegen"); err != nil {
-				return nil, err
-			}
-		}
-		prog = p
-	} else {
-		// Default pipeline: per-module codegen (and per-module outlining),
-		// then the system linker concatenates machine code. Modules are
-		// independent here — that is exactly the parallelism the paper's
-		// whole-program pipeline forfeits — so fan out one worker per
-		// module (inner stages stay serial to avoid oversubscription) and
-		// concatenate the parts in module order. Each worker's spans land
-		// on its own trace lane; the per-module "machine-outline" stage
-		// spans emitted inside workers sum into one total.
-		stepCancel(cfg, cancel, "llc")
-		sp := tr.StartStage("llc", 0)
-		bc, err := OpenBuildCache(cfg)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		// What one module needs to know of the others comes from their
-		// summaries, so a module whose machine entry hits never has its
-		// LLIR body decoded.
-		extern := externSyms(units) // shared, read-only across workers
-		var crossRefs map[string]bool
-		if cfg.MergeFunctions || cfg.FMSA {
-			// Per-module merging must not delete a function some other
-			// module calls: the system link would then resolve that call to
-			// nothing. Symbols referenced across module boundaries keep
-			// their definitions.
-			crossRefs = crossModuleRefs(units)
-		}
-		parts, err := mapModules(b, "llc", len(units), func(lane, i int) (*mir.Program, error) {
-			u := units[i]
-			cfg.Fault.MaybePanic(fault.WorkerTask, u.name)
-			if err := workerHang(ctx, cfg, u.name); err != nil {
-				return nil, fmt.Errorf("pipeline: module %s: %w", u.name, err)
-			}
-			wsp := tr.StartSpan("module "+u.name, lane+1)
-			defer wsp.End()
-			// The miss path: materialise the body, merge, codegen, outline,
-			// verify. A hit skips all of it (the final whole-program verify
-			// still runs). It runs at most once per module: merging mutates
-			// the body in place.
-			compute := func() (*machineCode, error) {
-				lm, err := u.materialise(tr)
-				if err != nil {
-					return nil, fmt.Errorf("pipeline: module %s: %w", u.name, err)
-				}
-				if cfg.MergeFunctions {
-					llir.MergeFunctionsKeeping(lm, crossRefs)
-				}
-				if cfg.FMSA {
-					llir.MergeBySequenceAlignmentKeeping(lm, crossRefs)
-				}
-				p, cerr := codegen.CompileTraced(lm, 1, tr, lane+1, cfg.Fault)
-				if cerr != nil {
-					return nil, fmt.Errorf("pipeline: module %s: %w", u.name, cerr)
-				}
-				var st *outline.Stats
-				if cfg.OutlineRounds > 0 {
-					st, cerr = outline.Outline(p, outline.Options{
-						Rounds:          cfg.OutlineRounds,
-						FlatCostModel:   cfg.FlatOutlineCost,
-						FuncPrefix:      "OUTLINED_FUNCTION_" + u.name + "_",
-						Verify:          cfg.Verify,
-						ExternSyms:      extern,
-						Parallelism:     1,
-						Tracer:          tr,
-						TraceLane:       lane + 1,
-						RemarkModule:    u.name,
-						OnVerifyFailure: cfg.OnVerifyFailure,
-						Fault:           cfg.Fault,
-						Profile:         cfg.Profile,
-						ColdOnly:        cfg.OutlineColdOnly,
-						ColdThreshold:   cfg.OutlineColdThreshold,
-					})
-					if cerr != nil {
-						return nil, fmt.Errorf("pipeline: module %s: %w", u.name, cerr)
-					}
-				}
-				if cfg.Verify {
-					// Cross-module references are external at this point,
-					// exactly as the system linker would see them.
-					if err := runVerify(p, extern, tr, "module "+u.name+" after codegen"); err != nil {
-						return nil, err
-					}
-				}
-				return &machineCode{prog: p, stats: st}, nil
-			}
-			mc, err := bc.machine(u, crossRefs, cfg, lane+1, compute)
-			if err != nil {
-				return nil, err
-			}
-			return mc.prog, nil
-		})
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		sp = tr.StartStage("ld", 0)
-		prog = linkMachine(parts)
-		sp.End()
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: irlink: %w", err)
 	}
 
+	sp = tr.StartStage("opt", 0)
+	if cfg.MergeFunctions {
+		llir.MergeFunctions(merged)
+	}
+	if cfg.FMSA {
+		llir.MergeBySequenceAlignment(merged)
+	}
+	for _, err := range par.Run(nil, "opt", cfg.Parallelism, len(merged.Funcs), false, func(_, i int) error {
+		if cfg.Fault != nil { // the key is built only for an armed injector
+			cfg.Fault.MaybePanic(fault.WorkerTask, "opt "+merged.Funcs[i].Name)
+		}
+		llir.SimplifyCFG(merged.Funcs[i])
+		llir.DCE(merged.Funcs[i])
+		return nil
+	}) {
+		if err != nil {
+			panic(err) // a recovered worker panic, re-raised for runBuild's recovery boundary
+		}
+	}
+	if cfg.Verify {
+		if err := merged.Verify(); err != nil {
+			sp.End()
+			return nil, fmt.Errorf("pipeline: after whole-program opt: %w", err)
+		}
+	}
+	sp.End()
+
+	stepCancel(cfg, b.cancel, "llc")
+	if err := ctxErr(cfg.Ctx, "before codegen"); err != nil {
+		return nil, err
+	}
+	sp = tr.StartStage("llc", 0)
+	prog, err := codegen.CompileTraced(merged, cfg.Parallelism, tr, 1, cfg.Fault)
+	sp.End()
+	if err != nil {
+		notePanics(tr, err)
+		return nil, err
+	}
+	if cfg.Verify {
+		if err := runVerify(prog, llir.RuntimeSyms, tr, "after codegen"); err != nil {
+			return nil, err
+		}
+	}
+	return prog, nil
+}
+
+// linkModules is the front half of the default pipeline after lowering:
+// per-module codegen (and per-module outlining), then the system linker
+// concatenates machine code. Modules are independent here — that is exactly
+// the parallelism the paper's whole-program pipeline forfeits — so it fans out
+// one worker per module (inner stages stay serial to avoid oversubscription)
+// and concatenates the parts in module order. Each worker's spans land on its
+// own trace lane; the per-module "machine-outline" stage spans emitted inside
+// workers sum into one total.
+func (b *build) linkModules(units []*lowered) (*mir.Program, error) {
+	cfg, tr := b.cfg, b.cfg.Tracer
+	stepCancel(cfg, b.cancel, "llc")
+	sp := tr.StartStage("llc", 0)
+	bc, err := OpenBuildCache(cfg)
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	// What one module needs to know of the others comes from their summaries,
+	// so a module whose machine entry hits never has its LLIR body decoded.
+	extern := externSyms(units) // shared, read-only across workers
+	var crossRefs map[string]bool
+	if cfg.MergeFunctions || cfg.FMSA {
+		// Per-module merging must not delete a function some other module
+		// calls: the system link would then resolve that call to nothing.
+		// Symbols referenced across module boundaries keep their definitions.
+		crossRefs = crossModuleRefs(units)
+	}
+	parts, err := mapModules(b, "llc", len(units), func(lane, i int) (*mir.Program, error) {
+		u := units[i]
+		cfg.Fault.MaybePanic(fault.WorkerTask, u.name)
+		if err := workerHang(cfg.Ctx, cfg, u.name); err != nil {
+			return nil, fmt.Errorf("pipeline: module %s: %w", u.name, err)
+		}
+		wsp := tr.StartSpan("module "+u.name, lane+1)
+		defer wsp.End()
+		// The miss path: materialise the body, merge, codegen, outline,
+		// verify. A hit skips all of it (the final whole-program verify still
+		// runs). It runs at most once per module: merging mutates the body in
+		// place.
+		compute := func() (*machineCode, error) {
+			lm, err := u.materialise(tr)
+			if err != nil {
+				return nil, fmt.Errorf("pipeline: module %s: %w", u.name, err)
+			}
+			if cfg.MergeFunctions {
+				llir.MergeFunctionsKeeping(lm, crossRefs)
+			}
+			if cfg.FMSA {
+				llir.MergeBySequenceAlignmentKeeping(lm, crossRefs)
+			}
+			p, cerr := codegen.CompileTraced(lm, 1, tr, lane+1, cfg.Fault)
+			if cerr != nil {
+				return nil, fmt.Errorf("pipeline: module %s: %w", u.name, cerr)
+			}
+			var st *outline.Stats
+			if cfg.OutlineRounds > 0 {
+				opts := outlineOptions(cfg)
+				opts.FuncPrefix = "OUTLINED_FUNCTION_" + u.name + "_"
+				opts.ExternSyms = extern
+				opts.Parallelism = 1
+				opts.TraceLane = lane + 1
+				opts.RemarkModule = u.name
+				if st, cerr = outline.Outline(p, opts); cerr != nil {
+					return nil, fmt.Errorf("pipeline: module %s: %w", u.name, cerr)
+				}
+			}
+			if cfg.Verify {
+				// Cross-module references are external at this point, exactly
+				// as the system linker would see them.
+				if err := runVerify(p, extern, tr, "module "+u.name+" after codegen"); err != nil {
+					return nil, err
+				}
+			}
+			return &machineCode{prog: p, stats: st}, nil
+		}
+		mc, err := bc.machine(u, crossRefs, cfg, lane+1, compute)
+		if err != nil {
+			return nil, err
+		}
+		return mc.prog, nil
+	})
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	sp = tr.StartStage("ld", 0)
+	prog := linkMachine(parts)
+	sp.End()
+	return prog, nil
+}
+
+// outlineOptions is the part of outline.Options both pipelines' outlining
+// takes from the build's config; each call site adds where the outliner runs:
+// extern symbols, workers, trace lane, and the module names and remarks carry.
+func outlineOptions(cfg Config) outline.Options {
+	return outline.Options{
+		Rounds:          cfg.OutlineRounds,
+		FlatCostModel:   cfg.FlatOutlineCost,
+		Verify:          cfg.Verify,
+		Tracer:          cfg.Tracer,
+		OnVerifyFailure: cfg.OnVerifyFailure,
+		Fault:           cfg.Fault,
+		Profile:         cfg.Profile,
+		ColdOnly:        cfg.OutlineColdOnly,
+		ColdThreshold:   cfg.OutlineColdThreshold,
+	}
+}
+
+// postLink is the tail every linked program goes through, whichever front half
+// (or BuildMIR's caller) linked it: for a whole program, canonicalization and
+// repeated outlining; then outlined-function placement, profile-guided layout,
+// the final verify, and the image.
+func (b *build) postLink(prog *mir.Program) (*Result, error) {
+	cfg, tr := b.cfg, b.cfg.Tracer
 	res := &Result{Prog: prog}
 
 	if cfg.WholeProgram && cfg.CanonicalizeSequences {
 		outline.CanonicalizeCommutative(prog)
 	}
 	if cfg.WholeProgram && cfg.OutlineRounds > 0 {
-		stepCancel(cfg, cancel, "outline")
-		if err := ctxErr(ctx, "before outlining"); err != nil {
+		stepCancel(cfg, b.cancel, "outline")
+		if err := ctxErr(cfg.Ctx, "before outlining"); err != nil {
 			return nil, err
 		}
 		// No enclosing stage span here: the outliner emits one
-		// "machine-outline" stage span per round itself, and stage totals
-		// sum them into the Timings entry.
-		st, oerr := outline.Outline(prog, outline.Options{
-			Rounds:          cfg.OutlineRounds,
-			FlatCostModel:   cfg.FlatOutlineCost,
-			Verify:          cfg.Verify,
-			ExternSyms:      llir.RuntimeSyms,
-			Parallelism:     cfg.Parallelism,
-			Tracer:          tr,
-			OnVerifyFailure: cfg.OnVerifyFailure,
-			Fault:           cfg.Fault,
-			Profile:         cfg.Profile,
-			ColdOnly:        cfg.OutlineColdOnly,
-			ColdThreshold:   cfg.OutlineColdThreshold,
-		})
-		if oerr != nil {
-			return nil, oerr
+		// "machine-outline" stage span per round itself, and stage totals sum
+		// them into the Timings entry.
+		opts := outlineOptions(cfg)
+		opts.ExternSyms = llir.RuntimeSyms
+		opts.Parallelism = cfg.Parallelism
+		st, err := outline.Outline(prog, opts)
+		if err != nil {
+			return nil, err
 		}
 		res.Outline = st
 	}
@@ -798,19 +818,19 @@ func (b *build) finish(units []*lowered) (*Result, error) {
 		if cfg.Layout != layout.None && cfg.Profile != nil {
 			res.PreLayoutImage = binimg.Build(prog)
 		}
-		st, lerr := layout.Apply(prog, layout.Options{
+		st, err := layout.Apply(prog, layout.Options{
 			Policy:  cfg.Layout,
 			Profile: cfg.Profile,
 			Tracer:  tr,
 		})
 		sp.End()
-		if lerr != nil {
-			return nil, fmt.Errorf("pipeline: %w", lerr)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: %w", err)
 		}
 		res.Layout = st
 	}
 
-	if err := ctxErr(ctx, "before image build"); err != nil {
+	if err := ctxErr(cfg.Ctx, "before image build"); err != nil {
 		return nil, err
 	}
 	if cfg.Verify {

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"outliner/internal/exec"
-	"outliner/internal/frontend"
-	"outliner/internal/llir"
 	"outliner/internal/pipeline"
 )
 
@@ -396,26 +394,16 @@ func helper%d(o: Obj) -> Int {
 // The §VI-2 story: mixed Swift/Clang metadata fails the whole-program link
 // without the attribute-split fix, and links fine with it.
 func TestGCMetadataConflict(t *testing.T) {
-	build := func(split bool) error {
-		objcFiles, err := frontend.ParseFile("objc.sl", "func objcSide() -> Int { return 2 }")
-		if err != nil {
-			t.Fatal(err)
-		}
-		swift, err := pipeline.CompileToLLIR(src("SwiftMod", `
+	swift := src("SwiftMod", `
 func main() { print(objcSide() + 1) }
-`), pipeline.Config{}, frontend.NewImports(objcFiles))
-		if err != nil {
-			t.Fatal(err)
-		}
-		objc, err := pipeline.CompileToLLIR(src("ObjCMod", `
+`)
+	// A clang-produced module stamps a different flag value.
+	objc := src("ObjCMod", `
 func objcSide() -> Int { return 2 }
-`), pipeline.Config{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A clang-produced module stamps a different flag value.
-		objc.Metadata["Objective-C Garbage Collection"] = "clang abi-v11.0 bits-0x17"
-		_, err = pipeline.BuildFromLLIR([]*llir.Module{swift, objc}, pipeline.Config{
+`)
+	objc.ObjC = true
+	build := func(split bool) error {
+		_, err := pipeline.Build([]pipeline.Source{swift, objc}, pipeline.Config{
 			WholeProgram:    true,
 			SplitGCMetadata: split,
 			Verify:          true,

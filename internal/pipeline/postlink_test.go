@@ -1,0 +1,117 @@
+package pipeline_test
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"outliner/internal/layout"
+	"outliner/internal/mir"
+	"outliner/internal/obs"
+	"outliner/internal/pipeline"
+	"outliner/internal/profile"
+)
+
+// listing renders res's image listing.
+func listing(t *testing.T, res *pipeline.Result) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := res.WriteImageListing(&buf); err != nil {
+		t.Fatalf("WriteImageListing: %v", err)
+	}
+	return buf.String()
+}
+
+// Post-link outlining is one transformation whoever links the program: an
+// unoutlined build finished by BuildMIR gives the image a five-round build
+// gives. Checked plain and with an executed profile driving c3 layout, on the
+// program itself for every app, and for the benchmark programs also after a
+// trip through MIR text — the `slc -rounds 0 -emit mir | outline
+// -outline-repeat-count 5` path of the paper's artifact. The text form does
+// not carry MSUB's accumulator (isa.Inst.Rd2), and on UberRider-24 the
+// outliner then sees different repeats; ROADMAP has the open item.
+func TestBuildMIRFinishesLikeBuild(t *testing.T) {
+	bench := benchmarkApps(t)
+	for i, app := range append(bench, appgenApp(24)...) {
+		t.Run(app.name, func(t *testing.T) {
+			base := pipeline.OSize
+			base.Verify = true
+			prof, _ := collectMainProfile(t, base, app.srcs)
+
+			unoutlined := base
+			unoutlined.OutlineRounds = 0
+			res, err := pipeline.Build(app.srcs, unoutlined)
+			if err != nil {
+				t.Fatalf("Build(rounds 0): %v", err)
+			}
+			enc := mir.EncodeProgram(nil, res.Prog)
+			var text bytes.Buffer
+			if _, err := res.Prog.WriteTo(&text); err != nil {
+				t.Fatal(err)
+			}
+			inputs := map[string]func() (*mir.Program, error){
+				"program": func() (*mir.Program, error) {
+					p, _, err := mir.DecodeProgram(enc)
+					return p, err
+				},
+			}
+			if i < len(bench) {
+				inputs["text"] = func() (*mir.Program, error) { return mir.Parse(text.String()) }
+			}
+
+			for _, p := range []*profile.Profile{nil, prof} {
+				tail := pipeline.Config{OutlineRounds: 5, Verify: true}
+				whole := base
+				if p != nil {
+					tail.Profile, tail.Layout = p, layout.C3
+					whole.Profile, whole.Layout = p, layout.C3
+				}
+				want, err := pipeline.Build(app.srcs, whole)
+				if err != nil {
+					t.Fatalf("Build (layout %q): %v", whole.Layout, err)
+				}
+				for via, input := range inputs {
+					prog, err := input()
+					if err != nil {
+						t.Fatalf("%s: %v", via, err)
+					}
+					got, err := pipeline.BuildMIR(prog, tail)
+					if err != nil {
+						t.Fatalf("BuildMIR from %s (layout %q): %v", via, tail.Layout, err)
+					}
+					if listing(t, got) != listing(t, want) {
+						t.Errorf("BuildMIR from %s (layout %q): image differs from Build's", via, tail.Layout)
+					}
+				}
+			}
+		})
+	}
+}
+
+// A config no stage could act on fails before the first stage runs: an
+// unknown outlining mode publishes nothing to the cache (not even under a key
+// of its own), and an unknown layout policy parses nothing.
+func TestUnknownConfigRejectedBeforeAnyStage(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	cfg := pipeline.Default
+	cfg.CacheDir = dir
+	cfg.OnVerifyFailure = "rollback"
+	if _, err := pipeline.Build(cacheTestSources(), cfg); err == nil {
+		t.Error(`OnVerifyFailure "rollback" was accepted`)
+	}
+	if entries, err := os.ReadDir(dir); err == nil && len(entries) > 0 {
+		t.Errorf("a rejected build wrote %d entries to its cache directory", len(entries))
+	}
+
+	tr := obs.New()
+	cfg = pipeline.OSize
+	cfg.Tracer = tr
+	cfg.Layout = "c4"
+	if _, err := pipeline.Build(cacheTestSources(), cfg); err == nil {
+		t.Error(`Layout "c4" was accepted`)
+	}
+	if n := tr.Counters()["frontend/modules_parsed"]; n != 0 {
+		t.Errorf("a rejected build parsed %d modules", n)
+	}
+}

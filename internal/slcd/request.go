@@ -7,8 +7,6 @@ import (
 
 	"outliner/internal/cache"
 	"outliner/internal/fault"
-	"outliner/internal/layout"
-	"outliner/internal/outline"
 	"outliner/internal/par"
 	"outliner/internal/pipeline"
 	"outliner/internal/profile"
@@ -104,31 +102,19 @@ type BuildResponse struct {
 
 // pipelineConfig lowers the request config onto a pipeline.Config, leaving
 // the daemon-owned fields (Tracer, CacheDir, Flight, Remote, Parallelism) for
-// the server to fill in.
+// the server to fill in. The outlining mode and layout policy are checked by
+// pipeline.Build, before any stage runs.
 func (c BuildConfig) pipelineConfig() (pipeline.Config, error) {
-	onvf := c.OnVerifyFailure
-	if onvf == "" {
-		onvf = outline.VerifyAbort
-	}
-	switch onvf {
-	case outline.VerifyAbort, outline.VerifyRollbackRound, outline.VerifyDisableOutlining:
-	default:
-		return pipeline.Config{}, fmt.Errorf("slcd: unknown on_verify_failure mode %q", onvf)
-	}
-	cfg := pipeline.Config{
-		WholeProgram:       c.WholeProgram,
-		OutlineRounds:      c.OutlineRounds,
-		SILOutline:         true,
-		SpecializeClosures: true,
-		MergeFunctions:     c.MergeFunctions,
-		FMSA:               c.FMSA,
-		PreserveDataLayout: true,
-		SplitGCMetadata:    true,
-		FlatOutlineCost:    c.FlatOutlineCost,
-		Verify:             c.Verify,
-		KeepGoing:          c.KeepGoing,
-		OnVerifyFailure:    onvf,
-	}
+	cfg := pipeline.OSize
+	cfg.WholeProgram = c.WholeProgram
+	cfg.OutlineRounds = c.OutlineRounds
+	cfg.MergeFunctions = c.MergeFunctions
+	cfg.FMSA = c.FMSA
+	cfg.FlatOutlineCost = c.FlatOutlineCost
+	cfg.Verify = c.Verify
+	cfg.KeepGoing = c.KeepGoing
+	cfg.OnVerifyFailure = c.OnVerifyFailure
+	cfg.Layout = c.Layout
 	if c.FaultRate > 0 {
 		inj := fault.New(c.FaultSeed, c.FaultRate)
 		if c.FaultDisruptive {
@@ -136,10 +122,6 @@ func (c BuildConfig) pipelineConfig() (pipeline.Config, error) {
 		}
 		cfg.Fault = inj
 	}
-	if !layout.Valid(c.Layout) {
-		return pipeline.Config{}, fmt.Errorf("slcd: unknown layout policy %q", c.Layout)
-	}
-	cfg.Layout = c.Layout
 	if len(c.Profile) > 0 {
 		p, err := profile.Decode(c.Profile)
 		if err != nil {

@@ -166,22 +166,12 @@ func Build(modules []Module, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
+	return &Result{
 		CodeSize:   res.CodeSize(),
 		BinarySize: res.BinarySize(),
+		Rounds:     roundStats(res.Outline),
 		prog:       res.Prog,
-	}
-	if res.Outline != nil {
-		for _, r := range res.Outline.Rounds {
-			out.Rounds = append(out.Rounds, RoundStats{
-				Round:             r.Round,
-				SequencesOutlined: r.SequencesOutlined,
-				FunctionsCreated:  r.FunctionsCreated,
-				OutlinedBytes:     r.OutlinedBytes,
-			})
-		}
-	}
-	return out, nil
+	}, nil
 }
 
 // Run executes a zero-argument function (usually "main") on the machine
@@ -226,7 +216,8 @@ func (r *Result) Patterns() []Pattern {
 
 // OutlineText parses a textual machine program (the mir format), applies
 // repeated machine outlining, and returns the transformed program with
-// statistics. It is the library form of `cmd/outline`.
+// statistics. It is the library form of `cmd/outline`: the program goes
+// through the same post-link tail as a whole-program Build's.
 func OutlineText(mirText string, rounds int) (string, []RoundStats, error) {
 	prog, err := mir.Parse(mirText)
 	if err != nil {
@@ -235,16 +226,21 @@ func OutlineText(mirText string, rounds int) (string, []RoundStats, error) {
 	if err := prog.Verify(llir.RuntimeSyms); err != nil {
 		return "", nil, fmt.Errorf("outliner: input: %w", err)
 	}
-	stats, err := outline.Outline(prog, outline.Options{
-		Rounds:     rounds,
-		Verify:     true,
-		ExternSyms: llir.RuntimeSyms,
-	})
+	res, err := pipeline.BuildMIR(prog, pipeline.Config{OutlineRounds: rounds, Verify: true})
 	if err != nil {
 		return "", nil, err
 	}
+	return res.Prog.String(), roundStats(res.Outline), nil
+}
+
+// roundStats converts the outliner's per-round statistics (nil when outlining
+// did not run) to the public form.
+func roundStats(st *outline.Stats) []RoundStats {
+	if st == nil {
+		return nil
+	}
 	var rs []RoundStats
-	for _, r := range stats.Rounds {
+	for _, r := range st.Rounds {
 		rs = append(rs, RoundStats{
 			Round:             r.Round,
 			SequencesOutlined: r.SequencesOutlined,
@@ -252,5 +248,5 @@ func OutlineText(mirText string, rounds int) (string, []RoundStats, error) {
 			OutlinedBytes:     r.OutlinedBytes,
 		})
 	}
-	return prog.String(), rs, nil
+	return rs
 }
