@@ -1,7 +1,9 @@
 package outline
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,6 +23,7 @@ type Pattern struct {
 	Count    int // non-overlapping candidates in the whole program
 	Benefit  int // bytes saved if this pattern alone were outlined
 	Funcs    []string
+	first    int // position of the first occurrence in the flattened program
 }
 
 // Analyze logs every repeated, profitably-outlinable pattern in the program,
@@ -60,6 +63,7 @@ func Analyze(prog *mir.Program, opts Options) []Pattern {
 			SeqBytes: set.seqBytes,
 			Count:    len(set.cands),
 			Benefit:  set.benefit(),
+			first:    slices.Min(r.Starts),
 		}
 		const maxFuncs = 4
 		for _, c := range set.cands {
@@ -71,16 +75,17 @@ func Analyze(prog *mir.Program, opts Options) []Pattern {
 		patterns = append(patterns, pat)
 	})
 
-	sort.SliceStable(patterns, func(i, j int) bool {
-		if patterns[i].Count != patterns[j].Count {
-			return patterns[i].Count > patterns[j].Count
-		}
-		if patterns[i].Benefit != patterns[j].Benefit {
-			return patterns[i].Benefit > patterns[j].Benefit
-		}
-		return patterns[i].Length > patterns[j].Length
-	})
+	slices.SortFunc(patterns, patternOrder)
 	return patterns
+}
+
+// patternOrder sorts patterns by count, benefit and length, all descending,
+// then by first occurrence. The last key makes the order total — one length
+// at one position is one repeat — so Analyze's output does not depend on the
+// order the finder reports repeats in.
+func patternOrder(a, b Pattern) int {
+	return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(b.Benefit, a.Benefit),
+		cmp.Compare(b.Length, a.Length), cmp.Compare(a.first, b.first))
 }
 
 // Listing renders the pattern like the paper's Listings 1-8.

@@ -182,3 +182,19 @@ func TestLocRangeChecked(t *testing.T) {
 		}
 	}
 }
+
+// Every function may fit a loc while the flattened string does not: a program
+// past 2^31 symbols in total must be refused too.
+func TestSymbolCountChecked(t *testing.T) {
+	if err := checkSymbolCount(math.MaxInt32); err != nil {
+		t.Errorf("largest addressable program refused: %v", err)
+	}
+	over := math.MaxInt32
+	if over++; over < 0 {
+		t.Skip("int is 32 bits: nothing larger to refuse")
+	}
+	err := checkSymbolCount(over)
+	if err == nil || !strings.Contains(err.Error(), "exceeds the outliner's 2^31 addressing range") {
+		t.Errorf("a %d-symbol program: got %v, want the addressing-range error", over, err)
+	}
+}

@@ -57,3 +57,15 @@ func GreedyTies(prog *mir.Program, opts Options) (ties, total int, err error) {
 	}
 	return ties, len(sets), nil
 }
+
+// AnalyzeTies runs Analyze over prog and returns how many neighbouring
+// patterns its order cannot tell apart, along with the number of patterns.
+func AnalyzeTies(prog *mir.Program, opts Options) (ties, total int) {
+	pats := Analyze(prog, opts)
+	for i := 1; i < len(pats); i++ {
+		if patternOrder(pats[i-1], pats[i]) == 0 {
+			ties++
+		}
+	}
+	return ties, len(pats)
+}

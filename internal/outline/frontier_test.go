@@ -258,3 +258,19 @@ func TestGreedyOrderIsTotal(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeOrderIsTotal: Analyze's order must tell any two patterns apart,
+// or the listing would follow the order the finder reports repeats in.
+func TestAnalyzeOrderIsTotal(t *testing.T) {
+	progs := benchmarkPrograms(t)
+	progs["UberRider-24"] = appgenProgram(t)
+	for name, prog := range progs {
+		ties, pats := outline.AnalyzeTies(prog, outline.Options{})
+		if ties != 0 {
+			t.Errorf("%s: %d of %d neighbouring patterns compare equal", name, ties, pats)
+		}
+		if name == "UberRider-24" && pats < 1000 {
+			t.Errorf("%s: only %d patterns; the corpus no longer exercises the order", name, pats)
+		}
+	}
+}
