@@ -23,7 +23,7 @@ import (
 // CanonicalizeCommutative rewrites commutative ALU operations into a
 // canonical operand order (lower-numbered register first). Sequences that
 // differ only in the order of commutative operands then map to the same
-// instruction ids in the outliner's suffix tree. Returns how many
+// instruction ids in the outliner's repeat finder. Returns how many
 // instructions were rewritten.
 func CanonicalizeCommutative(prog *mir.Program) int {
 	n := 0

@@ -8,7 +8,7 @@ import (
 	"outliner/internal/isa"
 )
 
-// TestMapperRoundTrip checks the mapping invariants the suffix tree relies
+// TestMapperRoundTrip checks the mapping invariants the repeat finder relies
 // on: the flattened string and the location table stay aligned, every
 // shared symbol round-trips to the exact instruction it was minted from,
 // identical legal instructions share one symbol, and every illegal
@@ -86,7 +86,7 @@ entry:
 	}
 
 	// The repeated pair [MOVZ #7, ADD] must appear three times under the
-	// same two symbols — that is the repeat the suffix tree finds.
+	// same two symbols — that is the repeat the finder finds.
 	movz := isa.Inst{Op: isa.MOVZ, Rd: isa.X1, Imm: 7}
 	pairStarts := 0
 	for i := 0; i+1 < len(m.str); i++ {

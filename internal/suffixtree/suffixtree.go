@@ -1,370 +1,296 @@
-// Package suffixtree implements a suffix tree over integer alphabets using
-// Ukkonen's online construction. It is the candidate-discovery structure of
-// the machine outliner, mirroring llvm/ADT/SuffixTree: the outliner maps each
-// machine instruction to an integer (identical instructions share an integer,
-// un-outlinable instructions get fresh sentinels) and asks the tree for every
-// repeated substring together with all of its occurrences.
+// Package suffixtree finds every repeated substring of an integer string,
+// with all its occurrences: the outliner's candidate discovery. Negative
+// symbols are sentinels, which match nothing, not even each other.
 //
-// Construction goes through a Builder so the outliner can amortize storage
-// across rounds: nodes live in one slab, children live in a flat
-// open-addressed edge table instead of a map per node, and every buffer is
-// reused by the next Build. Inputs are limited to 2³¹−1 symbols (node fields
-// are int32) — far beyond any whole-program instruction string.
+// It builds an enhanced suffix array (Abouelhoda, Kurtz & Ohlebusch, JDA
+// 2004): SA-IS (Nong, Zhang & Chan 2009) sorts the suffixes and the Φ form of
+// Kasai et al. (2001) computes the LCP array. The lcp-intervals are the
+// internal nodes of the suffix tree LLVM's MachineOutliner builds, so the
+// repeats and NodeCount are that tree's. A Builder reuses its storage: a
+// Build on a string no longer than the last allocates nothing. Inputs hold
+// under 2³¹−1 symbols, each below 2³¹−3; bucket storage grows with the largest.
 package suffixtree
 
-const (
-	noNode  = int32(-1)
-	leafEnd = int32(-2) // sentinel edge end meaning "grows with the string"
-)
+import "math"
 
-type node struct {
-	start int32 // edge label is s[start:end)
-	end   int32 // leafEnd for leaves while building
-	link  int32 // suffix link
-
-	// Filled in by groupEdges(): this node's outgoing edges are
-	// edges[edgeLo:edgeHi), in creation order. Equal means leaf.
-	edgeLo, edgeHi int32
-
-	// Filled in by annotate():
-	depth    int32 // string depth (length of the substring this node spells)
-	leafLo   int32 // [leafLo, leafHi) into leafStarts: leaves beneath this node
-	leafHi   int32
-	suffixIx int32 // for leaves: starting index of the suffix; -1 otherwise
-}
-
-// edge is one parent→child link keyed by the first symbol of its label.
-type edge struct {
-	parent, sym, child int32
-}
-
-// Tree is an immutable suffix tree over an int slice. Trees returned by a
-// Builder alias its storage and are valid only until the next Build call.
+// Tree is the enhanced suffix array of an int slice. It aliases its
+// Builder's storage, is valid until the next Build, and is not safe for
+// concurrent use: ForEachRepeat uses that storage as scratch.
 type Tree struct {
-	s          []int
-	nodes      []node
-	leafStarts []int
-}
-
-const root = int32(0)
-
-// Builder holds the reusable storage of suffix-tree construction. The zero
-// value is ready to use; a Builder is not safe for concurrent use.
-type Builder struct {
 	s     []int
-	nodes []node
-	edges []edge
-
-	// Open-addressed hash table mapping (parent, sym) to an index into
-	// edges; -1 is empty. Only used during build — groupEdges supersedes it.
-	table []int32
-	mask  uint32
-
-	scratch    []edge // scatter target for grouping edges by parent
-	cnt        []int32
-	leafStarts []int
-	stack      []dfsFrame
+	sa    []int   // starts of s's suffixes in sorted order
+	lcp   []int32 // lcp[i]: common sentinel-free prefix of suffixes sa[i-1], sa[i]; 0 at 0 and n
+	stack []int32 // ForEachRepeat's scratch, at least len(s)+1 long
+	nodes int
 }
 
-type dfsFrame struct {
-	v     int32
-	depth int32
-	next  int32 // cursor into edges[edgeLo:edgeHi)
+// Builder holds the reusable storage; the zero value is ready to use. It is
+// not safe for concurrent use.
+type Builder struct {
+	tree Tree
+	sa   []int
+	// text is s as SA-IS sorts it, then the LCP array. work is SA-IS's suffix
+	// array with the recursion inside it, then Φ and PLCP, then the Tree's stack.
+	text, work []int32
+	types      []bool  // SA-IS's S-type flags, one recursion level after another
+	bkt        []int32 // SA-IS's bucket pointers
 }
 
-// New builds the suffix tree of s with a throwaway Builder. The caller must
-// ensure s ends with (and is internally separated by) symbols that occur
-// exactly once — the outliner uses negative sentinels — so that every suffix
-// ends at a leaf.
+// sentinel is every negative symbol of the sorted text, and the LCP
+// comparison stops at it, which gives the intervals distinct sentinels would.
+// 0 is the terminator SA-IS wants at the end; symbol v ≥ 0 is v+2.
+const sentinel = 1
+
+// New builds the enhanced suffix array of s with a throwaway Builder.
 func New(s []int) *Tree {
 	return new(Builder).Build(s)
 }
 
-// Build constructs the suffix tree of s, reusing the Builder's storage. The
-// returned Tree (and any Repeat.Starts handed out from it) is invalidated by
-// the next Build.
+// Build constructs the enhanced suffix array of s in the Builder's storage;
+// the next Build invalidates it.
 func (b *Builder) Build(s []int) *Tree {
-	b.s = s
-	if cap(b.nodes) < 1 {
-		b.nodes = make([]node, 0, 2*len(s)+2)
+	n := len(s)
+	text, k := resize(b.text, n+1), sentinel+1
+	for i, v := range s {
+		text[i] = sentinel
+		if v >= 0 {
+			text[i], k = int32(v)+2, max(k, v+3)
+		}
 	}
-	b.nodes = b.nodes[:0]
-	b.nodes = append(b.nodes, node{start: -1, end: -1, link: noNode, suffixIx: -1})
-	if cap(b.edges) < 1 {
-		b.edges = make([]edge, 0, 2*len(s)+2) // one edge per non-root node
+	if n > math.MaxInt32-1 || k > math.MaxInt32 {
+		panic("suffixtree: input past 2^31-2 symbols or symbol past 2^31-4")
 	}
-	b.edges = b.edges[:0]
-	b.resetTable(4 * (len(s) + 1))
-	b.build()
-	b.groupEdges()
-	b.annotate()
-	return &Tree{s: s, nodes: b.nodes, leafStarts: b.leafStarts}
+	text[n] = 0
+	work := resize(b.work, n+1)
+	b.types = resize(b.types, 2*(n+1))
+	b.bkt = resize(b.bkt, max(k, n/2+2)) // a recursion's alphabet is at most half its text
+	b.sais(text, work, k, b.types)
+	sa := resize(b.sa, n)
+	for i := range sa {
+		sa[i] = int(work[i+1]) // work[0] is the terminator's suffix
+	}
+	b.text, b.work, b.sa = text, work, sa
+
+	// Φ(p) is the suffix sorted just before p (-1 for the first). Overwriting
+	// it in text order with PLCP(p) = lcp(p, Φ(p)) is linear, because
+	// PLCP(p+1) ≥ PLCP(p) − 1; the unique terminator ends every comparison.
+	phi, prev := work[:n], int32(-1)
+	for _, p := range sa {
+		phi[p], prev = prev, int32(p)
+	}
+	h := int32(0)
+	for p := int32(0); p < int32(n); p++ {
+		if q := phi[p]; q < 0 {
+			h = 0
+		} else {
+			for text[p+h] == text[q+h] && text[p+h] > sentinel {
+				h++
+			}
+		}
+		phi[p], h = h, max(h-1, 0)
+	}
+	lcp := text[:n+1]
+	for i, p := range sa {
+		lcp[i] = phi[p]
+	}
+	lcp[n] = 0
+	b.tree = Tree{s: s, sa: sa, lcp: lcp, stack: work, nodes: 1 + n}
+	b.tree.ForEachRepeat(1, 2, func(Repeat) { b.tree.nodes++ })
+	return &b.tree
 }
 
-// NodeCount returns the number of nodes in the tree (root included) — the
-// structure-size figure the telemetry layer reports per outlining round.
-func (t *Tree) NodeCount() int { return len(t.nodes) }
-
-func (b *Builder) newNode(start, end int32) int32 {
-	b.nodes = append(b.nodes, node{start: start, end: end, link: noNode, suffixIx: -1})
-	return int32(len(b.nodes) - 1)
-}
-
-func (b *Builder) edgeLen(v, pos int32) int32 {
-	n := &b.nodes[v]
-	end := n.end
-	if end == leafEnd {
-		end = pos + 1
+// sais fills sa with the suffix array of t, whose symbols are below k and
+// whose last symbol, 0, occurs nowhere else. types (2·len(t) long) and b.bkt
+// are its scratch. The reduced problem, at most half as long, lives inside
+// sa: its text at the back, its suffix array at the front.
+func (b *Builder) sais(t, sa []int32, k int, types []bool) {
+	n := len(t)
+	if n == 1 {
+		sa[0] = 0
+		return
 	}
-	return end - n.start
-}
-
-// ---- (parent, sym) → child lookup during construction ----
-
-func edgeHash(parent, sym int32) uint64 {
-	return (uint64(uint32(parent))<<32 | uint64(uint32(sym))) * 0x9e3779b97f4a7c15
-}
-
-func (b *Builder) resetTable(want int) {
-	size := 16
-	for size < want {
-		size <<= 1
+	st := types[:n] // st[i]: suffix i is S-type, smaller than suffix i+1
+	st[n-1] = true
+	for i := n - 2; i >= 0; i-- {
+		st[i] = t[i] < t[i+1] || t[i] == t[i+1] && st[i+1]
 	}
-	if cap(b.table) >= size {
-		b.table = b.table[:size]
+
+	// Sort the LMS substrings by inducing from the LMS positions.
+	fill(sa, -1)
+	bkt := b.buckets(t, k, true)
+	for i := int32(n - 1); i > 0; i-- {
+		if isLMS(st, i) {
+			bkt[t[i]]--
+			sa[bkt[t[i]]] = i
+		}
+	}
+	b.induce(t, sa, st, k)
+
+	// Name them, equal substrings alike, and gather the names in text order
+	// at the back of sa: the reduced text.
+	n1 := 0
+	for _, p := range sa {
+		if isLMS(st, p) {
+			sa[n1] = p
+			n1++
+		}
+	}
+	names := sa[n1:]
+	fill(names, -1)
+	name, prev := int32(-1), int32(-1)
+	for _, p := range sa[:n1] {
+		if prev < 0 || !equalLMS(t, st, p, prev) {
+			name++
+		}
+		names[p/2], prev = name, p // LMS positions are at least two apart
+	}
+	for i, j := n-1, n-1; i >= n1; i-- {
+		if sa[i] >= 0 {
+			sa[j] = sa[i]
+			j--
+		}
+	}
+	t1, sa1 := sa[n-n1:], sa[:n1]
+
+	// Sort the LMS suffixes: recurse, unless every name is distinct.
+	if int(name)+1 < n1 {
+		b.sais(t1, sa1, int(name)+1, types[n:])
 	} else {
-		b.table = make([]int32, size)
+		for i, c := range t1 {
+			sa1[c] = int32(i)
+		}
 	}
-	for i := range b.table {
-		b.table[i] = -1
+
+	// Induce the suffix array from the sorted LMS suffixes.
+	for i, j := int32(1), 0; i < int32(n); i++ {
+		if isLMS(st, i) {
+			t1[j] = i
+			j++
+		}
 	}
-	b.mask = uint32(size - 1)
+	for i, r := range sa1 {
+		sa1[i] = t1[r]
+	}
+	fill(sa[n1:], -1)
+	bkt = b.buckets(t, k, true)
+	for i := n1 - 1; i >= 0; i-- {
+		p := sa[i]
+		sa[i] = -1
+		bkt[t[p]]--
+		sa[bkt[t[p]]] = p
+	}
+	b.induce(t, sa, st, k)
 }
 
-func (b *Builder) grow() {
-	old := b.edges
-	b.resetTable(2 * len(b.table))
-	for i, e := range old {
-		slot := uint32(edgeHash(e.parent, e.sym)>>32) & b.mask
-		for b.table[slot] != -1 {
-			slot = (slot + 1) & b.mask
+// induce sorts the L-type suffixes from the S-type ones placed in sa, then
+// every S-type suffix from the L-type ones.
+func (b *Builder) induce(t, sa []int32, st []bool, k int) {
+	bkt := b.buckets(t, k, false)
+	for i := 0; i < len(sa); i++ {
+		if j := sa[i] - 1; j >= 0 && !st[j] {
+			sa[bkt[t[j]]] = j
+			bkt[t[j]]++
 		}
-		b.table[slot] = int32(i)
 	}
-}
-
-func (b *Builder) child(v, sym int32) (int32, bool) {
-	slot := uint32(edgeHash(v, sym)>>32) & b.mask
-	for {
-		ei := b.table[slot]
-		if ei == -1 {
-			return 0, false
-		}
-		if e := &b.edges[ei]; e.parent == v && e.sym == sym {
-			return e.child, true
-		}
-		slot = (slot + 1) & b.mask
-	}
-}
-
-func (b *Builder) setChild(v, sym, child int32) {
-	slot := uint32(edgeHash(v, sym)>>32) & b.mask
-	for {
-		ei := b.table[slot]
-		if ei == -1 {
-			break
-		}
-		if e := &b.edges[ei]; e.parent == v && e.sym == sym {
-			e.child = child
-			return
-		}
-		slot = (slot + 1) & b.mask
-	}
-	b.edges = append(b.edges, edge{parent: v, sym: sym, child: child})
-	b.table[slot] = int32(len(b.edges) - 1)
-	if 4*len(b.edges) >= 3*len(b.table) {
-		b.grow()
-	}
-}
-
-// build runs Ukkonen's algorithm.
-func (b *Builder) build() {
-	s := b.s
-	activeNode, activeLen := root, int32(0)
-	activeEdge := int32(0)
-	remaining := int32(0)
-	for pos := int32(0); pos < int32(len(s)); pos++ {
-		remaining++
-		lastNew := noNode
-		for remaining > 0 {
-			if activeLen == 0 {
-				activeEdge = pos
-			}
-			child, ok := b.child(activeNode, int32(s[activeEdge]))
-			if !ok {
-				// No edge: create a leaf here.
-				leaf := b.newNode(pos, leafEnd)
-				b.setChild(activeNode, int32(s[activeEdge]), leaf)
-				if lastNew != noNode {
-					b.nodes[lastNew].link = activeNode
-					lastNew = noNode
-				}
-			} else {
-				if el := b.edgeLen(child, pos); activeLen >= el {
-					// Walk down.
-					activeEdge += el
-					activeLen -= el
-					activeNode = child
-					continue
-				}
-				if s[b.nodes[child].start+activeLen] == s[pos] {
-					// Symbol already present: extend the active point.
-					if lastNew != noNode && activeNode != root {
-						b.nodes[lastNew].link = activeNode
-						lastNew = noNode
-					}
-					activeLen++
-					break
-				}
-				// Split the edge.
-				splitEnd := b.nodes[child].start + activeLen
-				split := b.newNode(b.nodes[child].start, splitEnd)
-				b.setChild(activeNode, int32(s[activeEdge]), split)
-				leaf := b.newNode(pos, leafEnd)
-				b.setChild(split, int32(s[pos]), leaf)
-				b.nodes[child].start = splitEnd
-				b.setChild(split, int32(s[splitEnd]), child)
-				if lastNew != noNode {
-					b.nodes[lastNew].link = split
-				}
-				lastNew = split
-			}
-			remaining--
-			if activeNode == root && activeLen > 0 {
-				activeLen--
-				activeEdge = pos - remaining + 1
-			} else if activeNode != root {
-				if l := b.nodes[activeNode].link; l != noNode {
-					activeNode = l
-				} else {
-					activeNode = root
-				}
-			}
+	bkt = b.buckets(t, k, true)
+	for i := len(sa) - 1; i >= 0; i-- {
+		if j := sa[i] - 1; j >= 0 && st[j] {
+			bkt[t[j]]--
+			sa[bkt[t[j]]] = j
 		}
 	}
 }
 
-// groupEdges arranges edges so each node's children are the contiguous run
-// edges[edgeLo:edgeHi): one counting sort by parent. The sort is stable and
-// edges arrive in Ukkonen's (deterministic) insertion order, so the children
-// of a node stay in the order they were created. No consumer needs them
-// ordered by symbol: node numbering — and with it ForEachRepeat's order —
-// comes from construction, and child order only decides the order of the
-// leaves below a node, that is the order inside Repeat.Starts.
-func (b *Builder) groupEdges() {
-	n := len(b.nodes)
-	if cap(b.cnt) >= n+1 {
-		b.cnt = b.cnt[:n+1]
-		clear(b.cnt)
-	} else {
-		b.cnt = make([]int32, n+1)
+// buckets returns where each symbol's bucket of the suffix array starts, or
+// ends (exclusive) when end is set.
+func (b *Builder) buckets(t []int32, k int, end bool) []int32 {
+	bkt := b.bkt[:k]
+	clear(bkt)
+	for _, c := range t {
+		bkt[c]++
 	}
-	for _, e := range b.edges {
-		b.cnt[e.parent+1]++
+	sum := int32(0)
+	for c, cnt := range bkt {
+		sum += cnt
+		bkt[c] = sum - cnt
+		if end {
+			bkt[c] = sum
+		}
 	}
-	for i := 1; i <= n; i++ {
-		b.cnt[i] += b.cnt[i-1]
-	}
-	for v := range b.nodes {
-		b.nodes[v].edgeLo = b.cnt[v]
-		b.nodes[v].edgeHi = b.cnt[v+1]
-	}
-	if cap(b.scratch) >= len(b.edges) {
-		b.scratch = b.scratch[:len(b.edges)]
-	} else {
-		b.scratch = make([]edge, len(b.edges))
-	}
-	for _, e := range b.edges { // scatter, consuming cnt as cursors
-		b.scratch[b.cnt[e.parent]] = e
-		b.cnt[e.parent]++
-	}
-	b.edges, b.scratch = b.scratch, b.edges
+	return bkt
 }
 
-// annotate computes string depths, suffix indices for leaves, and the
-// DFS-contiguous leaf ranges for every node.
-func (b *Builder) annotate() {
-	n := int32(len(b.s))
-	if cap(b.leafStarts) >= len(b.s)+1 {
-		b.leafStarts = b.leafStarts[:0]
-	} else {
-		b.leafStarts = make([]int, 0, len(b.s)+1)
-	}
-	stack := b.stack[:0]
-	stack = append(stack, dfsFrame{v: root, depth: 0, next: b.nodes[root].edgeLo})
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		nd := &b.nodes[f.v]
-		if f.next == nd.edgeLo { // first visit
-			nd.depth = f.depth
-			nd.leafLo = int32(len(b.leafStarts))
-			if nd.edgeLo == nd.edgeHi {
-				// Leaf: its suffix starts at n - depth.
-				nd.suffixIx = n - f.depth
-				b.leafStarts = append(b.leafStarts, int(nd.suffixIx))
-			}
+// isLMS reports whether suffix i is S-type after an L-type one.
+func isLMS(st []bool, i int32) bool { return i > 0 && st[i] && !st[i-1] }
+
+// equalLMS reports whether the LMS substrings at p ≠ q (through the next LMS
+// position) are equal. The unique terminator keeps both inside the text.
+func equalLMS(t []int32, st []bool, p, q int32) bool {
+	for d := int32(0); ; d++ {
+		if t[p+d] != t[q+d] || st[p+d] != st[q+d] {
+			return false
 		}
-		if f.next < nd.edgeHi {
-			c := b.edges[f.next]
-			f.next++
-			cn := &b.nodes[c.child]
-			end := cn.end
-			if end == leafEnd {
-				end = n
-			}
-			stack = append(stack, dfsFrame{
-				v:     c.child,
-				depth: f.depth + end - cn.start,
-				next:  cn.edgeLo,
-			})
-			continue
+		if d > 0 && (isLMS(st, p+d) || isLMS(st, q+d)) {
+			return isLMS(st, p+d) && isLMS(st, q+d)
 		}
-		nd.leafHi = int32(len(b.leafStarts))
-		stack = stack[:len(stack)-1]
 	}
-	b.stack = stack[:0]
 }
 
-// Repeat is one repeated substring: its length and the start index of every
-// occurrence in the input. Starts is unordered — it lists the leaves below
-// the repeat's node in tree order, which follows construction, not position —
-// so a caller that needs ascending positions sorts a copy. Starts aliases
-// internal storage; callers must not modify it, and it is invalidated by the
-// Builder's next Build.
+// NodeCount returns the suffix tree's node count, reported per round: the
+// root, one leaf per symbol and one internal node per lcp-interval.
+func (t *Tree) NodeCount() int { return t.nodes }
+
+// Repeat is one repeated substring: its length and the start of every
+// occurrence. Starts is the repeat's lcp-interval of the suffix array, in
+// suffix order, not position order; nested repeats share it, so callers sort
+// a copy. It is invalidated by the Builder's next Build.
 type Repeat struct {
 	Length int
 	Starts []int
 }
 
-// ForEachRepeat calls fn for every right-maximal repeated substring of
-// length ≥ minLen occurring ≥ minCount times. These are exactly the internal
-// nodes of the tree; any shorter/more-frequent prefix of a reported repeat is
-// right-maximal too and is reported separately.
+// ForEachRepeat calls fn, in no particular order, for every right-maximal
+// repeated substring — every lcp-interval — of length ≥ minLen occurring
+// ≥ minCount times. It walks the LCP array once with a stack holding, per
+// open interval, the latest index with its value (values strictly increase):
+// an interval closes when a smaller value arrives and starts at the index
+// below its own.
 func (t *Tree) ForEachRepeat(minLen, minCount int, fn func(Repeat)) {
-	for v := range t.nodes {
-		nd := &t.nodes[v]
-		if int32(v) == root || nd.edgeLo == nd.edgeHi {
-			continue // root or leaf
+	stack := t.stack[:1]
+	stack[0] = 0 // lcp[0] = 0: the root interval, never closed
+	for i := 1; i < len(t.lcp); i++ {
+		h := t.lcp[i]
+		for top := stack[len(stack)-1]; h < t.lcp[top]; top = stack[len(stack)-1] {
+			stack = stack[:len(stack)-1]
+			lb, length := int(stack[len(stack)-1]), int(t.lcp[top])
+			if length >= minLen && i-lb >= minCount {
+				fn(Repeat{Length: length, Starts: t.sa[lb:i]})
+			}
 		}
-		count := int(nd.leafHi - nd.leafLo)
-		if int(nd.depth) < minLen || count < minCount {
-			continue
+		switch top := &stack[len(stack)-1]; {
+		case h > t.lcp[*top]:
+			stack = append(stack, int32(i))
+		case h == t.lcp[*top]:
+			*top = int32(i) // the interval goes on; any above it starts here
 		}
-		fn(Repeat{Length: int(nd.depth), Starts: t.leafStarts[nd.leafLo:nd.leafHi]})
 	}
 }
 
 // Substring returns the input symbols for a repeat occurrence.
 func (t *Tree) Substring(start, length int) []int {
 	return t.s[start : start+length]
+}
+
+// resize returns buf at length n, reallocating only when it is too short.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+func fill(s []int32, v int32) {
+	for i := range s {
+		s[i] = v
+	}
 }
