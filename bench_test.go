@@ -321,8 +321,9 @@ func benchProgram(b *testing.B) *mir.Program {
 	return res.Prog
 }
 
-// BenchmarkAblationSuffixTree measures candidate discovery with the suffix
-// tree (the shipped design)...
+// BenchmarkAblationSuffixTree measures candidate discovery with the shipped
+// repeat finder, a suffix array whose lcp-intervals are the suffix tree's
+// internal nodes...
 func BenchmarkAblationSuffixTree(b *testing.B) {
 	prog := benchProgram(b)
 	str := flattenForDiscovery(prog)
@@ -337,7 +338,7 @@ func BenchmarkAblationSuffixTree(b *testing.B) {
 
 // ...and BenchmarkAblationNaiveNgrams measures the alternative a naive
 // outliner would use: hashing every n-gram up to a fixed length. The suffix
-// tree finds repeats of EVERY length in one pass; the n-gram scan must cap
+// array finds repeats of EVERY length in one pass; the n-gram scan must cap
 // the length and still does more work.
 func BenchmarkAblationNaiveNgrams(b *testing.B) {
 	prog := benchProgram(b)
