@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"outliner/internal/fault"
 	"outliner/internal/llir"
@@ -43,13 +44,13 @@ func main() {
 		onvf    = flag.String("on-verify-failure", "abort", "verifier-failure policy: abort | rollback-round | disable-outlining")
 		fSeed   = flag.Uint64("fault-seed", 0, "deterministic fault-injection schedule seed (used with -fault-rate)")
 		fRate   = flag.Float64("fault-rate", 0, "fault-injection probability per outlining round (0 disables)")
-		layoutP = flag.String("layout", "", "profile-guided function layout policy applied after outlining: none | hot-cold | c3 (needs -profile-in)")
-		profIn  = flag.String("profile-in", "", "execution profile feeding remark verdicts and the -layout pass")
+		layoutP = flag.String("layout", "", "profile-guided function layout policy applied after outlining: none | c3 (needs -profile-in)")
+		profIn  = flag.String("profile-in", "", "execution profile, or a comma-separated list of them merged in any order, feeding remark verdicts and the -layout pass")
 	)
 	flag.Parse()
 	var prof *profile.Profile
 	if *profIn != "" {
-		p, perr := profile.ReadFile(*profIn)
+		p, perr := profile.ReadFiles(strings.Split(*profIn, ",")...)
 		if perr != nil {
 			fatal(perr)
 		}

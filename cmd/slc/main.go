@@ -69,7 +69,7 @@ func main() {
 		profIn   = flag.String("profile-in", "", "execution profile from -profile-out, or a comma-separated list of them (shards, other entry points) merged in any order, feeding the build: annotates outliner remarks with hot/cold verdicts and enables -outline-cold-only")
 		coldOnly = flag.Bool("outline-cold-only", false, "outline only cold functions: with -profile-in, never extract from a function whose entry count reaches -outline-cold-threshold")
 		coldThr  = flag.Int64("outline-cold-threshold", 1, "entry count at which a profiled function counts as hot (0 disables cold-only gating)")
-		layoutP  = flag.String("layout", "", "profile-guided function layout policy: none | hot-cold | c3 (needs -profile-in to take effect)")
+		layoutP  = flag.String("layout", "", "profile-guided function layout policy: none | c3 (needs -profile-in to take effect)")
 		deadline = flag.Duration("deadline", 0, "cancel the build after this wall-clock duration (0 = no deadline); a cancelled build publishes nothing to the cache")
 	)
 	flag.Parse()

@@ -67,8 +67,8 @@ func main() {
 		verify    = flag.Bool("verify", true, "client request knob: run the machine-code verifier")
 		outFile   = flag.String("o", "", "client: write the agreed image listing to this file")
 		counters  = flag.String("counters", "", "client: write the first response's counters as JSON to this file")
-		layoutP   = flag.String("layout", "", "client request knob: profile-guided function layout policy (none | hot-cold | c3)")
-		profIn    = flag.String("profile-in", "", "client request knob: execution profile file shipped with the request")
+		layoutP   = flag.String("layout", "", "client request knob: profile-guided function layout policy (none | c3)")
+		profIn    = flag.String("profile-in", "", "client request knob: execution profile, or a comma-separated list of them merged in any order, shipped with the request")
 		timeoutMS = flag.Int64("timeout-ms", 0, "client request knob: per-request build deadline in milliseconds (0 = none)")
 	)
 	flag.Parse()
@@ -252,7 +252,7 @@ func buildRequest(opts clientOpts) (*slcd.BuildRequest, error) {
 	if opts.profileIn != "" {
 		// The profile ships inside the request in its canonical encoding —
 		// the daemon has no view of the client's filesystem.
-		p, err := profile.ReadFile(opts.profileIn)
+		p, err := profile.ReadFiles(strings.Split(opts.profileIn, ",")...)
 		if err != nil {
 			return nil, err
 		}

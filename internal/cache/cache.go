@@ -182,8 +182,8 @@ func (c *Cache) SetRemote(r *Remote) {
 	}
 }
 
-// getRemote reads the remote tier under the lock: concurrent daemon builds
-// re-attach the same remote through OpenBuildCache while others probe.
+// getRemote reads the remote tier under the lock: a daemon detaches it while
+// builds may still probe.
 func (c *Cache) getRemote() *Remote {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -62,7 +62,6 @@ func Lattice() []Point {
 			SplitGCMetadata: true}},
 		{Name: "osize", Config: pipeline.OSize},
 		{Name: "osize-cold-only", Config: coldOnly(pipeline.OSize)},
-		{Name: "osize-layout-hotcold", Config: withLayout(pipeline.OSize, layout.HotCold)},
 		{Name: "osize-layout-c3", Config: withLayout(pipeline.OSize, layout.C3)},
 		{Name: "wp-extensions", Config: pipeline.Config{
 			WholeProgram: true, OutlineRounds: 5, CanonicalizeSequences: true,
@@ -166,10 +165,9 @@ func PointFromBits(bits uint64) Point {
 	if bits&(1<<11) != 0 {
 		cfg = coldOnly(cfg)
 	}
-	switch (bits >> 12) & 3 {
-	case 1:
-		cfg = withLayout(cfg, layout.HotCold)
-	case 2:
+	// Bits 12–13 pick the layout: 2 arms c3, and 1 is reserved — a no-op, so
+	// committed corpora that set it still decode.
+	if (bits>>12)&3 == 2 {
 		cfg = withLayout(cfg, layout.C3)
 	}
 	return Point{Name: fmt.Sprintf("bits-%#x", bits), Rank: 1, Config: cfg}

@@ -50,8 +50,8 @@ func TestPointFromBits(t *testing.T) {
 	if PointFromBits(0).Config.SplitGCMetadata {
 		t.Error("per-module fuzz point should not force SplitGCMetadata")
 	}
-	if got := PointFromBits(1 << 12).Config.Layout; got != layout.HotCold {
-		t.Errorf("bits 1<<12 layout = %q, want hot-cold", got)
+	if got := PointFromBits(1 << 12).Config.Layout; got != "" {
+		t.Errorf("bits 1<<12 layout = %q, want inactive (reserved bit)", got)
 	}
 	if got := PointFromBits(2 << 12).Config.Layout; got != layout.C3 {
 		t.Errorf("bits 2<<12 layout = %q, want c3", got)
@@ -140,34 +140,32 @@ func TestOracleColdOnlyAxis(t *testing.T) {
 	}
 }
 
-// TestOracleLayoutAxis checks the function-layout lattice points: the oracle
-// injects its reference-run profile into each layout-armed point, and the
-// reordered builds must agree semantically with the untouched baseline —
-// layout moves addresses, never behavior.
+// TestOracleLayoutAxis checks the function-layout lattice point: the oracle
+// injects its reference-run profile into it, and the reordered build must
+// agree semantically with the untouched baseline — layout moves addresses,
+// never behavior.
 func TestOracleLayoutAxis(t *testing.T) {
 	gen := appgen.UberRider
 	gen.Seed = 19
 	gen.Spans = 1
 	mods := appgen.Generate(gen, 0.03)
 	o := &Oracle{MaxSteps: 20_000_000}
-	for _, name := range []string{"osize-layout-hotcold", "osize-layout-c3"} {
-		pt, ok := PointNamed(name)
-		if !ok {
-			t.Fatalf("lattice point %s missing", name)
-		}
-		if pt.Config.Layout == "" || pt.Config.Layout == layout.None {
-			t.Fatalf("%s not armed: %+v", name, pt.Config)
-		}
-		if pt.Config.Profile != nil {
-			t.Fatalf("%s must not carry a canned profile", name)
-		}
-		div, err := o.Check(mods, []Point{Lattice()[0], pt})
-		if err != nil {
-			t.Fatalf("%s: reference build: %v", name, err)
-		}
-		if div != nil {
-			t.Fatalf("%s divergence: %v", name, div)
-		}
+	pt, ok := PointNamed("osize-layout-c3")
+	if !ok {
+		t.Fatal("lattice point osize-layout-c3 missing")
+	}
+	if pt.Config.Layout != layout.C3 {
+		t.Fatalf("osize-layout-c3 not armed: %+v", pt.Config)
+	}
+	if pt.Config.Profile != nil {
+		t.Fatal("osize-layout-c3 must not carry a canned profile")
+	}
+	div, err := o.Check(mods, []Point{Lattice()[0], pt})
+	if err != nil {
+		t.Fatalf("reference build: %v", err)
+	}
+	if div != nil {
+		t.Fatalf("divergence: %v", div)
 	}
 }
 

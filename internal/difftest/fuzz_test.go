@@ -46,7 +46,7 @@ func FuzzPipeline(f *testing.F) {
 	f.Add(int64(1037), uint64(0b111), uint64(0))
 	f.Add(int64(42), uint64(1<<5|1<<6|1), uint64(3))
 	f.Add(int64(99), uint64(0x7ff), uint64(17))
-	f.Add(int64(61), uint64(1<<12|0x3f), uint64(0))  // hot-cold layout corner
+	f.Add(int64(61), uint64(1<<12|0x3f), uint64(0))  // reserved layout bit
 	f.Add(int64(73), uint64(2<<12|0x7ff), uint64(5)) // c3 layout corner
 
 	f.Fuzz(func(t *testing.T, seed int64, bits, faultSeed uint64) {

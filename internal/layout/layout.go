@@ -4,9 +4,9 @@
 // the same argument applies to code, so this pass places hot callers on the
 // same page as their callees before the image is laid out.
 //
-// Two profile-driven orderings are implemented behind one policy knob, per
-// "Optimizing Function Layout for Mobile Applications" (Hoag/Lee/Mestre/
-// Pupyrev) and Codestitcher (Lavaee/Criswell/Ding):
+// One policy knob selects the order, per "Optimizing Function Layout for
+// Mobile Applications" (Hoag/Lee/Mestre/Pupyrev) and Codestitcher
+// (Lavaee/Criswell/Ding):
 //
 //   - C3 — call-chain clustering: every function starts as its own cluster,
 //     call edges are visited hottest first (execution-weighted frequency from
@@ -14,8 +14,6 @@
 //     callee's cluster is appended to the caller's whenever the callee still
 //     heads its cluster and the merged cluster fits in one page (the
 //     Codestitcher cluster cap). Clusters are then emitted hottest first.
-//   - HotCold — the split baseline: functions with profiled entries first,
-//     in descending entry-count order, then cold functions in original order.
 //   - None — today's order, byte-identical to a build without the pass.
 //
 // Every ordering is a true permutation of the program's functions (enforced
@@ -39,19 +37,18 @@ import (
 
 // Layout policy names (the -layout flag's vocabulary).
 const (
-	None    = "none"
-	HotCold = "hot-cold"
-	C3      = "c3"
+	None = "none"
+	C3   = "c3"
 )
 
 // Policies lists the valid policy names in documentation order.
-func Policies() []string { return []string{None, HotCold, C3} }
+func Policies() []string { return []string{None, C3} }
 
 // Valid reports whether name is a known policy ("" counts as None: the
 // pipeline treats an unset knob as "leave the order alone").
 func Valid(name string) bool {
 	switch name {
-	case "", None, HotCold, C3:
+	case "", None, C3:
 		return true
 	}
 	return false
@@ -61,8 +58,7 @@ func Valid(name string) bool {
 type Options struct {
 	// Policy selects the ordering; "" and None leave the program untouched.
 	Policy string
-	// Profile supplies the execution counts and call edges both non-trivial
-	// policies consume. With a nil profile the pass is inert (no edge or
+	// Profile supplies the execution counts and call edges C3 consumes. With a nil profile the pass is inert (no edge or
 	// entry data means no evidence to reorder on), mirroring how cold-only
 	// outlining gating degrades without a profile.
 	Profile *profile.Profile
@@ -86,15 +82,15 @@ type Stats struct {
 	Policy string
 	// Moved counts functions whose index changed.
 	Moved int
-	// Hot counts functions with profiled entries (HotCold's front section;
-	// for C3 the functions contributing cluster weight).
+	// Hot counts functions with profiled entries: the ones contributing
+	// cluster weight.
 	Hot int
 	// Clusters is the final cluster count and Merges the accepted
-	// cluster-merge count (C3 only).
+	// cluster-merge count.
 	Clusters int
 	Merges   int
 	// CapRejects counts edges whose merge was rejected because the combined
-	// cluster would overflow the page cap (C3 only).
+	// cluster would overflow the page cap.
 	CapRejects int
 }
 
@@ -108,18 +104,12 @@ func Apply(prog *mir.Program, opts Options) (*Stats, error) {
 		st.Policy = None
 	}
 	if !Valid(opts.Policy) {
-		return nil, fmt.Errorf("layout: unknown policy %q (want %s, %s, or %s)", opts.Policy, None, HotCold, C3)
+		return nil, fmt.Errorf("layout: unknown policy %q (want %s or %s)", opts.Policy, None, C3)
 	}
 	if st.Policy == None || opts.Profile == nil || len(prog.Funcs) == 0 {
 		return st, nil
 	}
-	var order []*mir.Function
-	switch st.Policy {
-	case HotCold:
-		order = hotColdOrder(prog, opts.Profile, st)
-	case C3:
-		order = c3Order(prog, opts, st)
-	}
+	order := c3Order(prog, opts, st)
 	for i, f := range order {
 		if prog.Funcs[i] != f {
 			st.Moved++
@@ -133,35 +123,9 @@ func Apply(prog *mir.Program, opts Options) (*Stats, error) {
 func emitCounters(tr *obs.Tracer, st *Stats) {
 	tr.Add("layout/functions_moved", int64(st.Moved))
 	tr.Add("layout/hot_functions", int64(st.Hot))
-	if st.Policy == C3 {
-		tr.Add("layout/clusters", int64(st.Clusters))
-		tr.Add("layout/merges", int64(st.Merges))
-		tr.Add("layout/cap_rejects", int64(st.CapRejects))
-	}
-}
-
-// hotColdOrder is the split baseline: profiled-hot functions by descending
-// entry count (name-ascending on ties), then everything cold in original
-// order — the classic hot/cold split that shrinks the touched-page set
-// without modeling call chains.
-func hotColdOrder(prog *mir.Program, p *profile.Profile, st *Stats) []*mir.Function {
-	var hot, cold []*mir.Function
-	for _, f := range prog.Funcs {
-		if p.Count(f.Name) > 0 {
-			hot = append(hot, f)
-		} else {
-			cold = append(cold, f)
-		}
-	}
-	st.Hot = len(hot)
-	sort.SliceStable(hot, func(i, j int) bool {
-		ci, cj := p.Count(hot[i].Name), p.Count(hot[j].Name)
-		if ci != cj {
-			return ci > cj
-		}
-		return hot[i].Name < hot[j].Name
-	})
-	return append(hot, cold...)
+	tr.Add("layout/clusters", int64(st.Clusters))
+	tr.Add("layout/merges", int64(st.Merges))
+	tr.Add("layout/cap_rejects", int64(st.CapRejects))
 }
 
 // callEdge is one caller→callee pair with its execution-weighted frequency

@@ -95,14 +95,12 @@ func TestNilProfileIsInert(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := genProgram(t, 20, rng)
 	before := names(p)
-	for _, policy := range []string{HotCold, C3} {
-		st, err := Apply(p, Options{Policy: policy})
-		if err != nil {
-			t.Fatalf("Apply(%q): %v", policy, err)
-		}
-		if st.Moved != 0 || !equalNames(names(p), before) {
-			t.Fatalf("Apply(%q) with nil profile moved functions", policy)
-		}
+	st, err := Apply(p, Options{Policy: C3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Moved != 0 || !equalNames(names(p), before) {
+		t.Fatal("c3 with nil profile moved functions")
 	}
 }
 
@@ -114,52 +112,10 @@ func TestUnknownPolicyErrors(t *testing.T) {
 	if Valid("pettis-hansen") {
 		t.Fatal(`Valid("pettis-hansen") = true`)
 	}
-	for _, ok := range []string{"", None, HotCold, C3} {
+	for _, ok := range []string{"", None, C3} {
 		if !Valid(ok) {
 			t.Fatalf("Valid(%q) = false", ok)
 		}
-	}
-}
-
-func TestHotColdOrdering(t *testing.T) {
-	src := `
-func @cold1 module "M" {
-entry:
-  RET
-}
-
-func @warm module "M" {
-entry:
-  RET
-}
-
-func @hottest module "M" {
-entry:
-  RET
-}
-
-func @cold2 module "M" {
-entry:
-  RET
-}
-`
-	p, err := mir.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof := profile.New()
-	prof.Func("warm").Entries = 5
-	prof.Func("hottest").Entries = 100
-	st, err := Apply(p, Options{Policy: HotCold, Profile: prof})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"hottest", "warm", "cold1", "cold2"}
-	if !equalNames(names(p), want) {
-		t.Fatalf("order = %v, want %v", names(p), want)
-	}
-	if st.Hot != 2 {
-		t.Errorf("Hot = %d, want 2", st.Hot)
 	}
 }
 
@@ -279,59 +235,55 @@ func TestC3ClusterCap(t *testing.T) {
 }
 
 // TestPermutationProperty is the satellite property test: for many random
-// (program, profile) pairs, every policy yields a true permutation — same
-// multiset of functions, verifier still clean.
+// (program, profile) pairs, c3 yields a true permutation — same multiset of
+// functions, verifier still clean.
 func TestPermutationProperty(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		base := genProgram(t, rng.Intn(40)+2, rng)
 		prof := genProfile(base, rng)
-		for _, policy := range []string{HotCold, C3} {
-			p := base.Clone()
-			if _, err := Apply(p, Options{Policy: policy, Profile: prof}); err != nil {
-				t.Fatalf("seed %d %s: %v", seed, policy, err)
+		p := base.Clone()
+		if _, err := Apply(p, Options{Policy: C3, Profile: prof}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(p.Funcs) != len(base.Funcs) {
+			t.Fatalf("seed %d: %d funcs, want %d", seed, len(p.Funcs), len(base.Funcs))
+		}
+		seen := map[string]bool{}
+		for _, f := range p.Funcs {
+			if seen[f.Name] {
+				t.Fatalf("seed %d: duplicate %q", seed, f.Name)
 			}
-			if len(p.Funcs) != len(base.Funcs) {
-				t.Fatalf("seed %d %s: %d funcs, want %d", seed, policy, len(p.Funcs), len(base.Funcs))
+			seen[f.Name] = true
+			if base.Func(f.Name) == nil {
+				t.Fatalf("seed %d: foreign function %q", seed, f.Name)
 			}
-			seen := map[string]bool{}
-			for _, f := range p.Funcs {
-				if seen[f.Name] {
-					t.Fatalf("seed %d %s: duplicate %q", seed, policy, f.Name)
-				}
-				seen[f.Name] = true
-				if base.Func(f.Name) == nil {
-					t.Fatalf("seed %d %s: foreign function %q", seed, policy, f.Name)
-				}
-				if p.Func(f.Name) != f {
-					t.Fatalf("seed %d %s: index stale for %q", seed, policy, f.Name)
-				}
+			if p.Func(f.Name) != f {
+				t.Fatalf("seed %d: index stale for %q", seed, f.Name)
 			}
-			if err := p.Verify(map[string]bool{"swift_release": true}); err != nil {
-				t.Fatalf("seed %d %s: verifier: %v", seed, policy, err)
-			}
+		}
+		if err := p.Verify(map[string]bool{"swift_release": true}); err != nil {
+			t.Fatalf("seed %d: verifier: %v", seed, err)
 		}
 	}
 }
 
-// TestDeterministic applies each policy to independent clones and expects
-// the exact same order every time — map iteration must never leak through.
+// TestDeterministic applies c3 to independent clones and expects the exact
+// same order every time — map iteration must never leak through.
 func TestDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	base := genProgram(t, 48, rng)
 	prof := genProfile(base, rng)
-	for _, policy := range []string{HotCold, C3} {
-		var first []string
-		for trial := 0; trial < 10; trial++ {
-			p := base.Clone()
-			if _, err := Apply(p, Options{Policy: policy, Profile: prof}); err != nil {
-				t.Fatal(err)
-			}
-			if first == nil {
-				first = names(p)
-			} else if !equalNames(names(p), first) {
-				t.Fatalf("%s: trial %d order differs:\n%v\nvs\n%v", policy, trial, names(p), first)
-			}
+	var first []string
+	for trial := 0; trial < 10; trial++ {
+		p := base.Clone()
+		if _, err := Apply(p, Options{Policy: C3, Profile: prof}); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = names(p)
+		} else if !equalNames(names(p), first) {
+			t.Fatalf("trial %d order differs:\n%v\nvs\n%v", trial, names(p), first)
 		}
 	}
 }

@@ -2,15 +2,21 @@ package pipeline_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
+	"outliner/internal/appgen"
 	"outliner/internal/cache"
+	"outliner/internal/fault"
+	"outliner/internal/layout"
 	"outliner/internal/obs"
+	"outliner/internal/outline"
 	"outliner/internal/pipeline"
 )
 
@@ -304,4 +310,132 @@ func TestCacheConcurrentBuilds(t *testing.T) {
 			t.Fatalf("builder %d produced a different image", b)
 		}
 	}
+}
+
+// TestCacheKeysCoverConfig makes the cache keys' completeness structural.
+// Every Config field is read by some cached stage's projection, or is
+// declared observational (it never changes an artifact) or uncached-only
+// (only uncached stages read it); a new field in none of the three fails
+// here until it is classified. Then, for every field, a build with that field
+// changed must store byte-identical artifacts under every key it shares with
+// the unchanged build, and must share every key of each stage whose
+// projection, and every upstream stage's, did not change.
+func TestCacheKeysCoverConfig(t *testing.T) {
+	observational := map[string]bool{"Ctx": true, "Tracer": true, "Parallelism": true, "CacheDir": true, "Flight": true, "KeepGoing": true}
+	uncachedOnly := map[string]bool{"WholeProgram": true, "PreserveDataLayout": true, "SplitGCMetadata": true,
+		"CanonicalizeSequences": true, "LayoutOutlined": true, "Layout": true}
+	// Large enough that outlining rounds, closure specialization, merging
+	// and the cost model each change some artifact.
+	srcs := appgen.Sources(appgen.Generate(appgen.UberRider, appgen.ScaleForModules(appgen.UberRider, 4)))
+	base := pipeline.Config{OutlineRounds: 1, SILOutline: true, Verify: true}
+	prof, _ := collectMainProfile(t, base, srcs)
+	alts := map[string]any{
+		"Ctx": context.TODO(), "Tracer": obs.New(), "CacheDir": t.TempDir(), "Flight": cache.NewFlight(),
+		"OnVerifyFailure": outline.VerifyRollbackRound, "Fault": fault.New(1, 0), "Profile": prof, "Layout": layout.C3,
+	}
+	profiled := base
+	profiled.Profile, profiled.OutlineColdOnly = prof, true
+
+	ref := storedArtifacts(t, base, srcs)
+	fields := reflect.TypeOf(pipeline.Config{})
+	for i := 0; i < fields.NumField(); i++ {
+		name := fields.Field(i).Name
+		read := false
+		for _, cfg := range []pipeline.Config{base, profiled} {
+			read = read || !reflect.DeepEqual(pipeline.KeyConfigs(mutate(t, cfg, name, alts)), pipeline.KeyConfigs(cfg))
+		}
+		switch {
+		case read && (observational[name] || uncachedOnly[name]):
+			t.Errorf("Config.%s is classified as unread, but a cached stage's projection reads it", name)
+		case !read && !observational[name] && !uncachedOnly[name]:
+			t.Errorf("Config.%s is read by no cached stage's projection: add it to the projection of each stage whose artifact it can change, or classify it as observational or uncached-only", name)
+		}
+		if name == "CacheDir" {
+			continue // every build here stores into a directory of its own
+		}
+		changed := mutate(t, base, name, alts)
+		got := storedArtifacts(t, changed, srcs)
+		before, after := pipeline.KeyConfigs(base), pipeline.KeyConfigs(changed)
+		upstream := true
+		for _, stage := range []string{"iface", "llir", "machine"} {
+			upstream = upstream && before[stage] == after[stage]
+			for id, data := range got[stage] {
+				if r, ok := ref[stage][id]; ok && !bytes.Equal(r, data) {
+					t.Errorf("Config.%s changes a %s artifact under an unchanged key: it must join the %s projection", name, stage, stage)
+					break
+				}
+			}
+			if upstream && len(ref[stage]) > 0 && len(got[stage]) > 0 && !sameKeys(ref[stage], got[stage]) {
+				t.Errorf("Config.%s moved %s keys although no projection up to %s reads it", name, stage, stage)
+			}
+		}
+	}
+}
+
+// mutate returns cfg with the named field changed: a bool flipped, a number
+// incremented, anything else swapped between its zero value and alts[name].
+func mutate(t *testing.T, cfg pipeline.Config, name string, alts map[string]any) pipeline.Config {
+	t.Helper()
+	v := reflect.ValueOf(&cfg).Elem().FieldByName(name)
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	default:
+		alt, ok := alts[name]
+		if !ok {
+			t.Fatalf("no mutation for Config.%s: give it an alternative value", name)
+		}
+		if v.IsZero() {
+			v.Set(reflect.ValueOf(alt))
+		} else {
+			v.Set(reflect.Zero(v.Type()))
+		}
+	}
+	return cfg
+}
+
+// storedArtifacts builds srcs under cfg into a fresh cache directory and
+// returns the stored artifacts by stage, then by entry name (the key's
+// content address).
+func storedArtifacts(t *testing.T, cfg pipeline.Config, srcs []pipeline.Source) map[string]map[string][]byte {
+	t.Helper()
+	cfg.CacheDir = t.TempDir()
+	defer cache.Forget(cfg.CacheDir)
+	if _, err := pipeline.Build(srcs, cfg); err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	ents, err := filepath.Glob(filepath.Join(cfg.CacheDir, "*.art"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]map[string][]byte{}
+	for _, p := range ents {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The envelope is magic, length, payload, checksum; a payload's fifth
+		// byte names its artifact kind.
+		payload := raw[12 : len(raw)-sha256.Size]
+		stage := map[byte]string{'I': "iface", 'L': "llir", 'M': "machine"}[payload[4]]
+		if out[stage] == nil {
+			out[stage] = map[string][]byte{}
+		}
+		out[stage][filepath.Base(p)] = payload
+	}
+	return out
+}
+
+func sameKeys(a, b map[string][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if _, ok := b[k]; !ok {
+			return false
+		}
+	}
+	return true
 }

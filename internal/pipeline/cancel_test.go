@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"outliner/internal/fault"
+	"outliner/internal/layout"
 	"outliner/internal/pipeline"
 )
 
@@ -69,29 +70,42 @@ func withRounds(n int) pipeline.Config {
 	return cfg
 }
 
-// TestScriptedCancelStep: the cancel-at-step-N chaos drill. A scripted
-// CancelKind decision at a stage boundary cancels the build's context there;
-// the build fails with an error wrapping context.Canceled, never a crash.
+// TestScriptedCancelStep: the cancel-at-step-N chaos drill, at every stage
+// boundary both pipelines declare. A scripted CancelKind decision at a stage
+// boundary cancels the build's context there; the build fails with an error
+// wrapping context.Canceled, never a crash.
 func TestScriptedCancelStep(t *testing.T) {
-	for _, step := range []string{"parse", "frontend", "llc"} {
-		cfg := pipeline.Default
-		cfg.OutlineRounds = 1
-		cfg.Fault = fault.Exact(fault.At{Site: fault.CancelStep, Key: "step:" + step, Kind: fault.CancelKind})
-		cfg.CacheDir = t.TempDir()
-		_, err := pipeline.Build(chaosSources(), cfg)
-		if err == nil {
-			t.Fatalf("step %s: cancelled build succeeded", step)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("step %s: error %v does not wrap context.Canceled", step, err)
-		}
+	perModule := pipeline.Default
+	perModule.Layout = layout.None // the layout stage runs only when asked for
+	n := len(chaosSources())
+	for _, base := range []pipeline.Config{perModule, pipeline.OSize} {
+		steps, cached := pipeline.Steps(base)
 		// Each stage publishes only what it finished before the cut: nothing
 		// at all when the build is cancelled entering the iface ("parse")
-		// stage, stubs alone entering lowering, and never a machine entry.
-		entries, _ := filepath.Glob(filepath.Join(cfg.CacheDir, "*.art"))
-		want := map[string]int{"parse": 0, "frontend": len(chaosSources()), "llc": 2 * len(chaosSources())}[step]
-		if len(entries) != want {
-			t.Fatalf("step %s: cancelled build left %d cache entries, want %d", step, len(entries), want)
+		// stage, stubs alone entering lowering, and one entry per module for
+		// every cached stage that ran.
+		want := 0
+		for k, step := range steps {
+			if pinned, ok := map[string]int{"parse": 0, "frontend": n, "llc": 2 * n}[step]; ok && want != pinned {
+				t.Fatalf("steps %v: %s would expect %d entries, want %d", steps, step, want, pinned)
+			}
+			cfg := base
+			cfg.Fault = fault.Exact(fault.At{Site: fault.CancelStep, Key: "step:" + step, Kind: fault.CancelKind})
+			cfg.CacheDir = t.TempDir()
+			_, err := pipeline.Build(chaosSources(), cfg)
+			if err == nil {
+				t.Fatalf("step %s: cancelled build succeeded", step)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("step %s: error %v does not wrap context.Canceled", step, err)
+			}
+			entries, _ := filepath.Glob(filepath.Join(cfg.CacheDir, "*.art"))
+			if len(entries) != want {
+				t.Fatalf("step %s: cancelled build left %d cache entries, want %d", step, len(entries), want)
+			}
+			if cached[k] {
+				want += n
+			}
 		}
 	}
 }
@@ -111,7 +125,7 @@ func TestHungWorkerBoundedByDeadline(t *testing.T) {
 	cfg.OutlineRounds = 1
 	cfg.CacheDir = dir
 	cfg.Ctx = ctx
-	cfg.Fault = fault.Exact(fault.At{Site: fault.WorkerHang, Key: "models", Kind: fault.HangKind})
+	cfg.Fault = fault.Exact(fault.At{Site: fault.WorkerHang, Key: "frontend models", Kind: fault.HangKind})
 
 	start := time.Now()
 	_, err := pipeline.Build(chaosSources(), cfg)
@@ -157,7 +171,7 @@ func TestKeepGoingCancelMidWaveAggregates(t *testing.T) {
 	cfg.KeepGoing = true
 	cfg.Parallelism = 1 // ordered claiming makes the aggregate deterministic
 	cfg.Ctx = ctx
-	cfg.Fault = fault.Exact(fault.At{Site: fault.WorkerHang, Key: "gamma", Kind: fault.HangKind})
+	cfg.Fault = fault.Exact(fault.At{Site: fault.WorkerHang, Key: "frontend gamma", Kind: fault.HangKind})
 
 	_, err := pipeline.Build(sources, cfg)
 	if err == nil {

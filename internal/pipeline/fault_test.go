@@ -119,24 +119,27 @@ func reportDivergence(t *testing.T, seed int, want, got string) {
 }
 
 // TestInjectedWorkerPanicIsIsolated: a panic injected into a pool worker —
-// a frontend module task, a function of the whole-program opt loop (whose
-// tasks cannot fail, so the call site re-raises what the pool recovered), a
-// function in codegen — surfaces as an error carrying a structured
-// *par.PanicError — stage, task index, injected site — instead of crashing
-// the process, and the recovery is visible on the build's counters.
+// a frontend module task, a function of the whole-program opt loop, a
+// function in codegen, a default-pipeline llc module task — surfaces as an
+// error carrying a structured *par.PanicError — stage, task index, injected
+// site — instead of crashing the process, and the recovery is visible on the
+// build's counters. Worker keys name the stage, so one module's fault point
+// in one stage never fires in another.
 func TestInjectedWorkerPanicIsIsolated(t *testing.T) {
 	for _, tc := range []struct {
+		cfg   pipeline.Config
 		at    fault.At
 		stage string
 		index int // -1: any (function order is the linker's business)
 	}{
-		{fault.At{Site: fault.WorkerTask, Key: "models", Kind: fault.PanicKind}, "frontend", 1},
-		{fault.At{Site: fault.WorkerTask, Key: "opt main", Kind: fault.PanicKind}, "opt", -1},
-		{fault.At{Site: fault.CodegenFunc, Key: "main", Kind: fault.PanicKind}, "llc", -1},
+		{pipeline.OSize, fault.At{Site: fault.WorkerTask, Key: "frontend models", Kind: fault.PanicKind}, "frontend", 1},
+		{pipeline.OSize, fault.At{Site: fault.WorkerTask, Key: "opt main", Kind: fault.PanicKind}, "opt", -1},
+		{pipeline.OSize, fault.At{Site: fault.CodegenFunc, Key: "main", Kind: fault.PanicKind}, "llc", -1},
+		{pipeline.Default, fault.At{Site: fault.WorkerTask, Key: "llc models", Kind: fault.PanicKind}, "llc", 1},
 	} {
 		for _, jobs := range []int{1, 4} {
 			tr := obs.New()
-			cfg := pipeline.OSize
+			cfg := tc.cfg
 			cfg.Tracer = tr
 			cfg.Parallelism = jobs
 			cfg.Fault = fault.Exact(tc.at)

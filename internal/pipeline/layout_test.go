@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"outliner/internal/appgen"
+	"outliner/internal/cache"
 	"outliner/internal/exec"
 	"outliner/internal/layout"
 	"outliner/internal/obs"
@@ -50,21 +51,19 @@ func TestLayoutByteIdenticalAcrossParallelismAndRestarts(t *testing.T) {
 	base.Verify = true
 	prof, _ := collectMainProfile(t, base, srcs)
 
-	for _, policy := range []string{layout.HotCold, layout.C3} {
-		var want string
-		for _, jobs := range []int{1, 4, 4} {
-			cfg := base
-			cfg.Parallelism = jobs
-			cfg.Profile = prof
-			cfg.Layout = policy
-			got, _ := buildListing(t, cfg, "", srcs)
-			if want == "" {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Errorf("%s: -j %d image differs from -j 1", policy, jobs)
-			}
+	var want string
+	for _, jobs := range []int{1, 4, 4} {
+		cfg := base
+		cfg.Parallelism = jobs
+		cfg.Profile = prof
+		cfg.Layout = layout.C3
+		got, _ := buildListing(t, cfg, "", srcs)
+		if want == "" {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("-j %d image differs from -j 1", jobs)
 		}
 	}
 }
@@ -78,7 +77,7 @@ func TestLayoutExecutionEquivalent(t *testing.T) {
 	prof, _ := collectMainProfile(t, base, srcs)
 
 	var want string
-	for _, policy := range []string{layout.None, layout.HotCold, layout.C3} {
+	for _, policy := range []string{layout.None, layout.C3} {
 		cfg := base
 		cfg.Profile = prof
 		cfg.Layout = policy
@@ -104,27 +103,29 @@ func TestLayoutExecutionEquivalent(t *testing.T) {
 	}
 }
 
-// The layout policy joins the machine-stage cache fingerprint: a warm
-// profiled build without layout must not serve its machine artifacts to the
-// same profile built with -layout c3.
-func TestLayoutJoinsCacheKey(t *testing.T) {
+// The machine stage does not read the layout policy, so its key leaves it
+// out: a profiled per-module build without layout serves every machine entry
+// to the same profile built with -layout c3, whose listing is still exactly
+// an uncached c3 build's.
+func TestLayoutReusesMachineEntries(t *testing.T) {
 	srcs := cacheTestSources()
 	dir := t.TempDir()
+	defer cache.Forget(dir)
 	base := pipeline.Config{OutlineRounds: 1, SILOutline: true, Verify: true}
 	prof, _ := collectMainProfile(t, base, srcs)
 	base.Profile = prof
-
+	base.Layout = layout.None
 	buildListing(t, base, dir, srcs) // cold: populate
-	_, warm := buildListing(t, base, dir, srcs)
-	if warm["cache/misses"] != 0 || warm["cache/hits"] == 0 {
-		t.Fatalf("profiled warm build not fully cached: %v", warm)
-	}
 
 	laid := base
 	laid.Layout = layout.C3
-	_, c := buildListing(t, laid, dir, srcs)
-	if c["cache/machine/misses"] == 0 {
-		t.Errorf("-layout c3 build reused no-layout machine artifacts: %v", c)
+	want, _ := buildListing(t, laid, "", srcs)
+	got, c := buildListing(t, laid, dir, srcs)
+	if c["cache/machine/misses"] != 0 || c["cache/machine/hits"] != int64(len(srcs)) {
+		t.Errorf("-layout c3 did not reuse the none build's machine entries: %v", c)
+	}
+	if got != want {
+		t.Error("-layout c3 over a none build's cache differs from an uncached c3 build")
 	}
 }
 

@@ -8,16 +8,18 @@
 //     at LLIR, llvm-link (internal/irlink) merges the IR, mid-level
 //     optimizations run over the merged module, and machine outlining sees
 //     the entire program at once.
+//
+// Both are lists of declared stages (see stage) that one runner executes.
 package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
+	"outliner/internal/artifact"
 	"outliner/internal/binimg"
 	"outliner/internal/cache"
 	"outliner/internal/codegen"
@@ -36,7 +38,9 @@ import (
 	"outliner/internal/verify"
 )
 
-// Config selects pipeline and optimization settings.
+// Config selects pipeline and optimization settings. A cached stage's key
+// carries exactly the fields its artifact depends on (stage.reads); the rest
+// are read only by uncached stages, or are observational.
 type Config struct {
 	// Ctx bounds the build: when it is cancelled (a client disconnect, a
 	// request deadline, a daemon drain), the parallel stages stop claiming
@@ -100,8 +104,8 @@ type Config struct {
 	// CacheDir enables the content-addressed incremental build cache
 	// (internal/cache, serialized by internal/artifact): per-module LLIR
 	// lowering (both pipelines) and per-module codegen+outlining (default
-	// pipeline) are keyed by input content, stage-relevant config
-	// fingerprint, and codec schema version. Empty means "cache off".
+	// pipeline) are keyed by input content, the stage's projection of this
+	// config, and codec schema version. Empty means "cache off".
 	// Caching is strictly an accelerator: the built image is byte-identical
 	// whether a build runs cold, warm, or with no cache at all, and a
 	// damaged cache entry is treated as a miss, never an error.
@@ -110,25 +114,16 @@ type Config struct {
 	// builds (a compile daemon's requests) share one Flight, identical
 	// in-flight stage keys are computed once and the encoded artifact is
 	// shared; every waiter decodes a private copy. Strictly an accelerator,
-	// like the cache itself: it never changes an artifact, so it is excluded
-	// from cache fingerprints. nil disables dedupe. Fault-armed builds ignore
-	// it (they must not share work with clean builds).
+	// like the cache itself: it never changes an artifact. nil disables
+	// dedupe. Fault-armed builds ignore it (they must not share work with
+	// clean builds).
 	Flight *cache.Flight
-	// Remote attaches a sharded remote cache tier (cache.NewRemote) behind
-	// CacheDir: probes that miss memory and disk consult the owning shard,
-	// and publications replicate there. A dead or corrupt shard degrades to
-	// a miss, never a failure. Requires CacheDir; attaching a remote to a
-	// shared cache directory attaches it for every build in the process
-	// using that directory. Fault-armed builds ignore it.
-	Remote *cache.Remote
-	// KeepGoing makes the per-module parallel stages — frontend lowering in
-	// both pipelines, and the default pipeline's per-module codegen+outline —
-	// run every module even after one fails, then fail with a *BuildErrors
-	// aggregating every per-module error instead of just the lowest-index
-	// one. The whole-program pipeline's post-link stages operate on a single
-	// merged program and keep first-error semantics. Reporting-only: a
-	// successful build's output is identical either way, so KeepGoing is
-	// excluded from cache fingerprints.
+	// KeepGoing makes every per-task stage — parsing and lowering in both
+	// pipelines, the default pipeline's per-module codegen+outline, the
+	// whole-program per-function cleanup — run every task even after one
+	// fails, then fail with a *BuildErrors aggregating every task's error
+	// instead of just the lowest-index one. Reporting-only: a successful
+	// build's output is identical either way.
 	KeepGoing bool
 	// OnVerifyFailure selects how the machine outliner degrades when its
 	// verifier rejects a round: outline.VerifyAbort ("" or "abort", the
@@ -141,15 +136,15 @@ type Config struct {
 	// pipeline's fault points: cache disk I/O, worker task start,
 	// per-function codegen, outlining rounds, artifact decoding. When set,
 	// the build cache opens privately (never the process-shared handle) and
-	// the schedule participates in cache fingerprints, so a faulted build
-	// can neither publish nor consume a clean build's artifacts. nil
-	// disables injection at zero cost.
+	// the schedule joins every cached stage's key, so a faulted build can
+	// neither publish nor consume a clean build's artifacts. nil disables
+	// injection at zero cost.
 	Fault *fault.Injector
 	// Profile supplies an execution profile from an instrumented run
 	// (-profile-in): outliner candidate remarks gain execution counts and
-	// hot/cold verdicts, and cold-only gating becomes possible. The profile
-	// digest joins the machine-stage cache fingerprint, so profiled builds
-	// never collide with clean builds' cache entries.
+	// hot/cold verdicts, and cold-only gating becomes possible. Its content
+	// digest joins the machine stage's key, so profiled builds never collide
+	// with clean builds' cache entries.
 	Profile *profile.Profile
 	// OutlineColdOnly restricts machine outlining to cold functions
 	// (-outline-cold-only); see outline.Options.ColdOnly. Without a Profile
@@ -160,16 +155,14 @@ type Config struct {
 	// hot (-outline-cold-threshold).
 	OutlineColdThreshold int64
 	// Layout selects the profile-guided function-ordering policy applied to
-	// the final program before image build (-layout): layout.None (or ""),
-	// layout.HotCold, or layout.C3. Active policies need a Profile to act on
-	// and are inert without one. The policy joins the machine-stage cache
-	// fingerprint alongside the profile digest. An unknown policy fails the
-	// build before any stage runs.
+	// the final program before image build (-layout): layout.None (or "") or
+	// layout.C3. An active policy needs a Profile to act on and is inert
+	// without one. An unknown policy fails the build before any stage runs.
 	Layout string
 }
 
 // BuildErrors is a keep-going build's aggregated failure: one error per
-// failed module, in module order. Unwrap exposes them to errors.Is/As, so a
+// failed task, in task order. Unwrap exposes them to errors.Is/As, so a
 // structured diagnostic buried in any module (a *par.PanicError, a
 // *verify.Error, an injected *fault.Error) stays recognizable.
 type BuildErrors struct {
@@ -352,23 +345,16 @@ func lowerToLLIR(module string, files []*frontend.File, cfg Config, imports *fro
 // *par.PanicError (stage, task index, stack) in its chain. A cancelled
 // cfg.Ctx surfaces the same way, as an error wrapping the context's error.
 func Build(sources []Source, cfg Config) (*Result, error) {
-	return runBuild(cfg, func(b *build) (*Result, error) {
-		front := b.cfg.Tracer.StartStage("frontend+permodule", 0)
-		units, err := b.lowerAll(sources)
-		front.End()
-		if err != nil {
-			return nil, err
-		}
-		link := b.linkModules
-		if b.cfg.WholeProgram {
-			link = b.linkWholeProgram
-		}
-		prog, err := link(units)
-		if err != nil {
-			return nil, err
-		}
-		return b.postLink(prog)
-	})
+	return runBuild(cfg, &build{sources: sources}, buildStages(cfg)...)
+}
+
+// buildStages is what Build runs under cfg: the front half, the link the
+// pipeline choice names, and the post-link tail.
+func buildStages(cfg Config) [][]stage {
+	if cfg.WholeProgram {
+		return [][]stage{frontHalf, wholeProgram, postLink}
+	}
+	return [][]stage{frontHalf, perModule, postLink}
 }
 
 // BuildMIR finishes a build from a machine program that is already linked —
@@ -379,27 +365,55 @@ func Build(sources []Source, cfg Config) (*Result, error) {
 // and the image. It recovers panics and reports cancellation like Build.
 func BuildMIR(prog *mir.Program, cfg Config) (*Result, error) {
 	cfg.WholeProgram = true
-	return runBuild(cfg, func(b *build) (*Result, error) { return b.postLink(prog) })
+	return runBuild(cfg, &build{prog: prog}, postLink)
 }
 
 // build is the state one Build or BuildMIR call threads through its stages:
-// the config with Tracer and Ctx resolved (neither is nil), and the handle
-// that cancels the build at a scripted step.
+// the config with Tracer, Ctx and OnVerifyFailure resolved, the handle that
+// cancels the build at a scripted step, the build cache, and what each stage
+// leaves for the next. A stage drops what no later stage reads, so the
+// front half's products do not live through outlining.
 type build struct {
 	cfg    Config
 	cancel context.CancelFunc
+	bc     *BuildCache
+
+	sources []Source
+	ifaces  []*moduleIface         // parse
+	keys    *ModuleKeys            // parse, frontend; nil without a cache
+	ix      *frontend.ImportsIndex // frontend
+	units   []*lowered             // frontend
+	merged  *llir.Module           // link, opt
+	extern  map[string]bool        // per-module llc
+	refs    map[string]bool        // per-module llc
+	parts   []*mir.Program         // per-module llc
+	prog    *mir.Program           // the linked program
+	// res is allocated apart from the build, so a caller holding the Result
+	// does not hold the build's cache handle and intermediate products.
+	res *Result
+}
+
+// release drops the front half's products, and the per-module parts, once the
+// link has consumed them.
+func (b *build) release() {
+	b.ifaces, b.keys, b.ix, b.units, b.parts = nil, nil, nil, nil, nil
 }
 
 // runBuild is the frame every build entry point shares: config validation
-// before any stage runs, tracer and context resolution, fault-counter
-// mirroring, the panic-to-error boundary, and Result.Timings scoped to this
-// build.
-func runBuild(cfg Config, body func(*build) (*Result, error)) (res *Result, err error) {
+// before any stage runs, tracer and context resolution, the build cache,
+// fault-counter mirroring, the panic-to-error boundary, and Result.Timings
+// scoped to this build.
+func runBuild(cfg Config, b *build, stages ...[]stage) (res *Result, err error) {
 	if err := outline.CheckVerifyMode(cfg.OnVerifyFailure); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	if !layout.Valid(cfg.Layout) {
 		return nil, fmt.Errorf("pipeline: unknown layout policy %q (want %s)", cfg.Layout, strings.Join(layout.Policies(), ", "))
+	}
+	if cfg.OnVerifyFailure == "" {
+		// One spelling of the default, so builds that leave the mode unset
+		// share cache keys with builds that say abort.
+		cfg.OnVerifyFailure = outline.VerifyAbort
 	}
 	tr := obs.Ensure(cfg.Tracer)
 	cfg.Tracer = tr
@@ -412,102 +426,17 @@ func runBuild(cfg Config, body func(*build) (*Result, error)) (res *Result, err 
 			res, err = nil, fmt.Errorf("pipeline: %w", par.Recovered("build", -1, r))
 		}
 	}()
+	b.cfg, b.cancel, b.res = cfg, cancel, &Result{}
+	if b.bc, err = OpenBuildCache(cfg); err != nil {
+		return nil, err
+	}
 	mark := tr.Mark()
-	if res, err = body(&build{cfg: cfg, cancel: cancel}); err != nil {
+	if err := b.run(stages...); err != nil {
 		return nil, err
 	}
-	res.Timings = tr.StageTotalsSince(mark)
-	return res, nil
-}
-
-// mapModules runs one per-module parallel stage. Under KeepGoing every module
-// runs and the failures are aggregated into a *BuildErrors; otherwise the
-// lowest-index failure is returned.
-func mapModules[T any](b *build, stage string, n int, f func(lane, i int) (T, error)) ([]T, error) {
-	cfg := b.cfg
-	out := make([]T, n)
-	errs := par.Run(cfg.Ctx, stage, cfg.Parallelism, n, cfg.KeepGoing, func(lane, i int) error {
-		v, err := f(lane, i)
-		if err == nil {
-			out[i] = v
-		}
-		return err
-	})
-	if cfg.KeepGoing {
-		return out, gatherKeepGoing(cfg.Tracer, errs)
-	}
-	for _, err := range errs {
-		if err != nil {
-			notePanics(cfg.Tracer, err)
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// lowerAll is the front half of Build: every module's interface stub, then
-// every module's LLIR, each from the cache where the cache has it. A module's
-// source is parsed at most once: only when its iface entry misses (its source
-// changed) or its llir entry does (its source or an imported interface
-// changed) — and the files parsed for the stub are the files type-checked.
-func (b *build) lowerAll(sources []Source) ([]*lowered, error) {
-	cfg, tr := b.cfg, b.cfg.Tracer
-	bc, err := OpenBuildCache(cfg)
-	if err != nil {
-		return nil, err
-	}
-	moduleErr := func(i int, err error) error {
-		return fmt.Errorf("pipeline: module %s: %w", sources[i].Name, err)
-	}
-
-	// Under KeepGoing every module is still parsed (and every parse error
-	// reported), but a parse failure remains fatal: the import index needs
-	// all modules' declarations.
-	stepCancel(cfg, b.cancel, "parse")
-	ifaces, err := mapModules(b, "parse", len(sources), func(lane, i int) (*moduleIface, error) {
-		cfg.Fault.MaybePanic(fault.WorkerTask, "parse "+sources[i].Name)
-		mi, err := bc.interfaceOf(sources[i], cfg, lane+1)
-		if err != nil {
-			return nil, moduleErr(i, err)
-		}
-		return mi, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The index holds stub declarations only, never a module's AST, so it is
-	// shared read-only by the workers below while each type-checks its own
-	// parsed files in place.
-	stubs := make([]*frontend.Stub, len(sources))
-	for i, mi := range ifaces {
-		stubs[i] = mi.stub
-	}
-	ix := frontend.NewStubIndex(stubs...)
-	var keys *ModuleKeys
-	if bc.enabled() {
-		start := time.Now()
-		keys = moduleKeys(ifaces)
-		tr.Add("cache/key_hash_ns", time.Since(start).Nanoseconds())
-	}
-
-	// Results are collected in source order, so irlink.Link sees the same
-	// module sequence as the serial build.
-	stepCancel(cfg, b.cancel, "frontend")
-	return mapModules(b, "frontend", len(sources), func(lane, i int) (*lowered, error) {
-		cfg.Fault.MaybePanic(fault.WorkerTask, sources[i].Name)
-		if err := workerHang(cfg.Ctx, cfg, sources[i].Name); err != nil {
-			return nil, moduleErr(i, err)
-		}
-		sp := tr.StartSpan("frontend "+sources[i].Name, lane+1)
-		defer sp.End()
-		files := ifaces[i].files
-		ifaces[i].files = nil // the AST dies with this module's lowering
-		u, err := bc.lower(sources[i], cfg, ix.For(i), i, keys, files, lane+1)
-		if err != nil {
-			return nil, moduleErr(i, err)
-		}
-		return u, nil
-	})
+	b.res.Prog = b.prog
+	b.res.Timings = tr.StageTotalsSince(mark)
+	return b.res, nil
 }
 
 // buildContext resolves cfg.Ctx in place (nil means Background) and, when
@@ -527,66 +456,6 @@ func buildContext(cfg *Config) context.CancelFunc {
 	return cancel
 }
 
-// stepCancel consults the CancelStep fault site at a stage boundary,
-// cancelling the build's context when the schedule says so — the
-// cancel-at-step-N chaos drill.
-func stepCancel(cfg Config, cancel context.CancelFunc, step string) {
-	if cfg.Fault.MaybeCancelPoint(fault.CancelStep, "step:"+step) {
-		cancel()
-	}
-}
-
-// workerHang consults the WorkerHang fault site at a worker task's start: a
-// scheduled hang blocks until the build's context is cancelled, then fails
-// with the context's error — the hung-compiler drill deadline propagation
-// exists to bound. Without a deadline or cancellation the hang is unbounded,
-// which is why chaos schedules only fire it under EnableDisruptive.
-func workerHang(ctx context.Context, cfg Config, key string) error {
-	if !cfg.Fault.MaybeHangPoint(fault.WorkerHang, key) {
-		return nil
-	}
-	<-ctx.Done()
-	return fmt.Errorf("hung worker cancelled: %w", ctx.Err())
-}
-
-// ctxErr converts a done build context into the error reported at a stage
-// boundary (nil while the build may continue).
-func ctxErr(ctx context.Context, where string) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("pipeline: %s: build cancelled: %w", where, err)
-	}
-	return nil
-}
-
-// gatherKeepGoing folds a keep-going stage's error slice (one slot per task)
-// into a single *BuildErrors, nil when every task succeeded. Recovered worker
-// panics and the failure count land on the build's counters.
-func gatherKeepGoing(tr *obs.Tracer, errs []error) error {
-	var be BuildErrors
-	for _, e := range errs {
-		if e != nil {
-			be.Errs = append(be.Errs, e)
-		}
-	}
-	if len(be.Errs) == 0 {
-		return nil
-	}
-	notePanics(tr, be.Errs...)
-	tr.Add("build/keep_going_errors", int64(len(be.Errs)))
-	return &be
-}
-
-// notePanics counts the errors whose chain carries a recovered worker panic,
-// keeping panic isolation visible in -summary even when the build fails.
-func notePanics(tr *obs.Tracer, errs ...error) {
-	for _, e := range errs {
-		var pe *par.PanicError
-		if errors.As(e, &pe) {
-			tr.Add("fault/recovered_panics", 1)
-		}
-	}
-}
-
 // mirrorFaults drains the injector's per-site injection counts into the
 // build's counters, so -summary shows what a chaos schedule actually fired.
 func mirrorFaults(tr *obs.Tracer, inj *fault.Injector) {
@@ -595,171 +464,281 @@ func mirrorFaults(tr *obs.Tracer, inj *fault.Injector) {
 	}
 }
 
-// linkWholeProgram is the front half of the whole-program pipeline after
-// lowering: llvm-link every module's LLIR into one module, optimize it, and
-// generate code for it once.
-func (b *build) linkWholeProgram(units []*lowered) (*mir.Program, error) {
-	cfg, tr := b.cfg, b.cfg.Tracer
-	stepCancel(cfg, b.cancel, "link")
-	if err := ctxErr(cfg.Ctx, "before llvm-link"); err != nil {
-		return nil, err
-	}
-	// The IR link consumes every body; lowering already materialised them in
-	// its parallel workers.
-	mods := make([]*llir.Module, len(units))
-	for i, u := range units {
-		var err error
-		if mods[i], err = u.materialise(tr); err != nil {
-			return nil, fmt.Errorf("pipeline: module %s: %w", u.name, err)
+// frontHalf is Build's front half: every module's interface stub, then every
+// module's LLIR, each from the cache where the cache has it. A module's
+// source is parsed at most once: only when its iface entry misses (its source
+// changed) or its llir entry does (its source or an imported interface
+// changed) — and the files parsed for the stub are the files type-checked.
+var frontHalf = []stage{{
+	// Under KeepGoing every module is still parsed (and every parse error
+	// reported), but a parse failure remains fatal: the import index needs
+	// all modules' declarations.
+	name: "parse", timing: "frontend+permodule",
+	body: func(b *build) error {
+		b.ifaces = make([]*moduleIface, len(b.sources))
+		if b.bc.enabled() {
+			b.keys = &ModuleKeys{Src: make([]string, len(b.sources)), Iface: make([]string, len(b.sources))}
 		}
-	}
-	sp := tr.StartStage("llvm-link", 0)
-	merged, err := irlink.Link(mods, irlink.Options{
-		SplitGCMetadata:     cfg.SplitGCMetadata,
-		PreserveModuleOrder: cfg.PreserveDataLayout,
-		Tracer:              tr,
-	})
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: irlink: %w", err)
-	}
-
-	sp = tr.StartStage("opt", 0)
-	if cfg.MergeFunctions {
-		llir.MergeFunctions(merged)
-	}
-	if cfg.FMSA {
-		llir.MergeBySequenceAlignment(merged)
-	}
-	for _, err := range par.Run(nil, "opt", cfg.Parallelism, len(merged.Funcs), false, func(_, i int) error {
-		if cfg.Fault != nil { // the key is built only for an armed injector
-			cfg.Fault.MaybePanic(fault.WorkerTask, "opt "+merged.Funcs[i].Name)
-		}
-		llir.SimplifyCFG(merged.Funcs[i])
-		llir.DCE(merged.Funcs[i])
 		return nil
-	}) {
-		if err != nil {
-			panic(err) // a recovered worker panic, re-raised for runBuild's recovery boundary
-		}
-	}
-	if cfg.Verify {
-		if err := merged.Verify(); err != nil {
-			sp.End()
-			return nil, fmt.Errorf("pipeline: after whole-program opt: %w", err)
-		}
-	}
-	sp.End()
-
-	stepCancel(cfg, b.cancel, "llc")
-	if err := ctxErr(cfg.Ctx, "before codegen"); err != nil {
-		return nil, err
-	}
-	sp = tr.StartStage("llc", 0)
-	prog, err := codegen.CompileTraced(merged, cfg.Parallelism, tr, 1, cfg.Fault)
-	sp.End()
-	if err != nil {
-		notePanics(tr, err)
-		return nil, err
-	}
-	if cfg.Verify {
-		if err := runVerify(prog, llir.RuntimeSyms, tr, "after codegen"); err != nil {
-			return nil, err
-		}
-	}
-	return prog, nil
-}
-
-// linkModules is the front half of the default pipeline after lowering:
-// per-module codegen (and per-module outlining), then the system linker
-// concatenates machine code. Modules are independent here — that is exactly
-// the parallelism the paper's whole-program pipeline forfeits — so it fans out
-// one worker per module (inner stages stay serial to avoid oversubscription)
-// and concatenates the parts in module order. Each worker's spans land on its
-// own trace lane; the per-module "machine-outline" stage spans emitted inside
-// workers sum into one total.
-func (b *build) linkModules(units []*lowered) (*mir.Program, error) {
-	cfg, tr := b.cfg, b.cfg.Tracer
-	stepCancel(cfg, b.cancel, "llc")
-	sp := tr.StartStage("llc", 0)
-	bc, err := OpenBuildCache(cfg)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	// What one module needs to know of the others comes from their summaries,
-	// so a module whose machine entry hits never has its LLIR body decoded.
-	extern := externSyms(units) // shared, read-only across workers
-	var crossRefs map[string]bool
-	if cfg.MergeFunctions || cfg.FMSA {
-		// Per-module merging must not delete a function some other module
-		// calls: the system link would then resolve that call to nothing.
-		// Symbols referenced across module boundaries keep their definitions.
-		crossRefs = crossModuleRefs(units)
-	}
-	parts, err := mapModules(b, "llc", len(units), func(lane, i int) (*mir.Program, error) {
-		u := units[i]
-		cfg.Fault.MaybePanic(fault.WorkerTask, u.name)
-		if err := workerHang(cfg.Ctx, cfg, u.name); err != nil {
-			return nil, fmt.Errorf("pipeline: module %s: %w", u.name, err)
-		}
-		wsp := tr.StartSpan("module "+u.name, lane+1)
-		defer wsp.End()
-		// The miss path: materialise the body, merge, codegen, outline,
-		// verify. A hit skips all of it (the final whole-program verify still
-		// runs). It runs at most once per module: merging mutates the body in
-		// place.
-		compute := func() (*machineCode, error) {
-			lm, err := u.materialise(tr)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: module %s: %w", u.name, err)
-			}
-			if cfg.MergeFunctions {
-				llir.MergeFunctionsKeeping(lm, crossRefs)
-			}
-			if cfg.FMSA {
-				llir.MergeBySequenceAlignmentKeeping(lm, crossRefs)
-			}
-			p, cerr := codegen.CompileTraced(lm, 1, tr, lane+1, cfg.Fault)
-			if cerr != nil {
-				return nil, fmt.Errorf("pipeline: module %s: %w", u.name, cerr)
-			}
-			var st *outline.Stats
-			if cfg.OutlineRounds > 0 {
-				opts := outlineOptions(cfg)
-				opts.FuncPrefix = "OUTLINED_FUNCTION_" + u.name + "_"
-				opts.ExternSyms = extern
-				opts.Parallelism = 1
-				opts.TraceLane = lane + 1
-				opts.RemarkModule = u.name
-				if st, cerr = outline.Outline(p, opts); cerr != nil {
-					return nil, fmt.Errorf("pipeline: module %s: %w", u.name, cerr)
-				}
-			}
-			if cfg.Verify {
-				// Cross-module references are external at this point, exactly
-				// as the system linker would see them.
-				if err := runVerify(p, extern, tr, "module "+u.name+" after codegen"); err != nil {
-					return nil, err
-				}
-			}
-			return &machineCode{prog: p, stats: st}, nil
-		}
-		mc, err := bc.machine(u, crossRefs, cfg, lane+1, compute)
+	},
+	tasks: sourceNames,
+	task: func(b *build, _, i int) (any, error) {
+		files, err := parseModule(b.sources[i], b.cfg.Tracer)
 		if err != nil {
 			return nil, err
 		}
-		return mc.prog, nil
-	})
-	sp.End()
-	if err != nil {
-		return nil, err
+		return &moduleIface{stub: frontend.NewStub(files...), files: files}, nil
+	},
+	done: func(b *build, i int, v any) { b.ifaces[i] = v.(*moduleIface) },
+	// The stub's input is the module's own sources and nothing else, so an
+	// unchanged module is never even lexed.
+	cache: "iface",
+	reads: func(c Config) Config { return Config{Fault: c.Fault} },
+	key: func(b *build, i int) string {
+		b.keys.Src[i] = SourceHash(b.sources[i]) // folded into the llir keys too
+		return b.keys.Src[i]
+	},
+	decode: func(_ *build, _ int, data []byte, _ *obs.Span) (any, error) {
+		stub, err := artifact.DecodeStub(data)
+		return &moduleIface{stub: stub, enc: data}, err
+	},
+	encode: func(v any) []byte {
+		mi := v.(*moduleIface)
+		mi.enc = artifact.EncodeStub(mi.stub)
+		return mi.enc
+	},
+}, {
+	name: "frontend", timing: "frontend+permodule",
+	body: func(b *build) error {
+		// The index holds stub declarations only, never a module's AST, so it
+		// is shared read-only by the tasks while each type-checks its own
+		// parsed files in place. The hash of a module's stored stub is the
+		// interface digest its importers' llir keys fold in.
+		stubs := make([]*frontend.Stub, len(b.ifaces))
+		for i, mi := range b.ifaces {
+			stubs[i] = mi.stub
+			if b.keys != nil {
+				b.keys.Iface[i] = artifact.InterfaceDigest(mi.enc)
+			}
+		}
+		b.ix = frontend.NewStubIndex(stubs...)
+		b.units = make([]*lowered, len(b.sources))
+		return nil
+	},
+	tasks: sourceNames,
+	task: func(b *build, _, i int) (any, error) {
+		src := b.sources[i]
+		u := &lowered{name: src.Name, objc: src.ObjC}
+		var err error
+		if files := b.ifaces[i].files; files != nil {
+			b.ifaces[i].files = nil // the AST dies with this module's lowering
+			u.body, err = lowerToLLIR(src.Name, files, b.cfg, b.ix.For(i))
+		} else {
+			u.body, err = CompileToLLIR(src, b.cfg, b.ix.For(i))
+		}
+		return u, err
+	},
+	done: func(b *build, i int, v any) { b.units[i] = v.(*lowered) },
+	// A body-only edit in one module leaves every other module's entry
+	// valid: imports expose stub declarations, not bodies.
+	cache: "llir",
+	reads: func(c Config) Config {
+		return Config{SILOutline: c.SILOutline, SpecializeClosures: c.SpecializeClosures, Verify: c.Verify, Fault: c.Fault}
+	},
+	key: func(b *build, i int) string { return llirInput(i, b.keys) },
+	// In the default pipeline a hit decodes only the summary header: the body
+	// waits for a machine-stage miss that may never come. The whole-program
+	// pipeline, whose IR link consumes every body, decodes it here in the
+	// parallel stage. The span's body arg says which. Cold and warm paths
+	// yield identical modules.
+	decode: func(b *build, i int, data []byte, sp *obs.Span) (any, error) {
+		src, ix := b.sources[i], b.ix
+		u := &lowered{name: src.Name, objc: src.ObjC, enc: data,
+			recompile: func() (*llir.Module, error) { return CompileToLLIR(src, b.cfg, ix.For(i)) }}
+		var err error
+		if b.cfg.WholeProgram {
+			b.cfg.Tracer.Add("cache/llir/bodies_decoded", 1)
+			u.body, err = artifact.DecodeModule(data)
+		} else {
+			u.sum, err = artifact.DecodeSummary(data)
+		}
+		sp.Arg("body", u.body != nil)
+		return u, err
+	},
+	encode: func(v any) []byte { return v.(*lowered).stored() },
+}}
+
+// sourceNames names a per-module stage's tasks (units[i] is sources[i]).
+func sourceNames(b *build) []string {
+	names := make([]string, len(b.sources))
+	for i, s := range b.sources {
+		names[i] = s.Name
 	}
-	sp = tr.StartStage("ld", 0)
-	prog := linkMachine(parts)
-	sp.End()
-	return prog, nil
+	return names
 }
+
+// wholeProgram links the lowered modules the new pipeline's way: llvm-link
+// every module's LLIR into one module, optimize it, and generate code for it
+// once.
+var wholeProgram = []stage{{
+	name: "link", timing: "llvm-link",
+	body: func(b *build) error {
+		// The IR link consumes every body; lowering already materialised them
+		// in its parallel tasks.
+		mods := make([]*llir.Module, len(b.units))
+		for i, u := range b.units {
+			var err error
+			if mods[i], err = u.materialise(b.cfg.Tracer); err != nil {
+				return fmt.Errorf("module %s: %w", u.name, err)
+			}
+		}
+		b.release()
+		var err error
+		b.merged, err = irlink.Link(mods, irlink.Options{
+			SplitGCMetadata:     b.cfg.SplitGCMetadata,
+			PreserveModuleOrder: b.cfg.PreserveDataLayout,
+			Tracer:              b.cfg.Tracer,
+		})
+		return err
+	},
+}, {
+	name: "opt", timing: "opt",
+	body: func(b *build) error {
+		if b.cfg.MergeFunctions {
+			llir.MergeFunctions(b.merged)
+		}
+		if b.cfg.FMSA {
+			llir.MergeBySequenceAlignment(b.merged)
+		}
+		return nil
+	},
+	tasks: func(b *build) []string {
+		names := make([]string, len(b.merged.Funcs))
+		for i, f := range b.merged.Funcs {
+			names[i] = f.Name
+		}
+		return names
+	},
+	task: func(b *build, _, i int) (any, error) {
+		f := b.merged.Funcs[i]
+		llir.SimplifyCFG(f)
+		llir.DCE(f)
+		if b.cfg.Verify {
+			return nil, f.Verify()
+		}
+		return nil, nil
+	},
+}, {
+	name: "llc", timing: "llc",
+	body: func(b *build) (err error) {
+		b.prog, err = codegen.CompileTraced(b.merged, b.cfg.Parallelism, b.cfg.Tracer, 1, b.cfg.Fault)
+		b.merged = nil
+		return err
+	},
+	verify: linkedProgram,
+}}
+
+// linkedProgram is what a stage working on the linked program verifies: the
+// whole program, with only the runtime external.
+func linkedProgram(b *build, _ any) (*mir.Program, map[string]bool) { return b.prog, llir.RuntimeSyms }
+
+// perModule links the lowered modules the default pipeline's way: per-module
+// codegen (and per-module outlining), then the system linker concatenates
+// machine code in module order. Modules are independent here — that is
+// exactly the parallelism the whole-program pipeline forfeits — so llc is one
+// task per module, each with serial inner stages to avoid oversubscription.
+var perModule = []stage{{
+	name: "llc", timing: "llc",
+	body: func(b *build) error {
+		// What one module needs to know of the others comes from their
+		// summaries, so a module whose machine entry hits never has its LLIR
+		// body decoded. The import index is done with.
+		b.ifaces, b.keys, b.ix = nil, nil, nil
+		b.extern = externSyms(b.units)
+		if b.cfg.MergeFunctions || b.cfg.FMSA {
+			// Per-module merging must not delete a function some other module
+			// calls: the system link would then resolve that call to nothing.
+			// Symbols referenced across module boundaries keep their
+			// definitions.
+			b.refs = crossModuleRefs(b.units)
+		}
+		b.parts = make([]*mir.Program, len(b.units))
+		return nil
+	},
+	tasks: sourceNames,
+	// The miss path: materialise the body, merge, codegen, outline. It runs at
+	// most once per module: merging mutates the body in place.
+	task: func(b *build, lane, i int) (any, error) {
+		cfg, u := &b.cfg, b.units[i]
+		lm, err := u.materialise(cfg.Tracer)
+		if err != nil {
+			return nil, err
+		}
+		if cfg.MergeFunctions {
+			llir.MergeFunctionsKeeping(lm, b.refs)
+		}
+		if cfg.FMSA {
+			llir.MergeBySequenceAlignmentKeeping(lm, b.refs)
+		}
+		mc := &machineCode{}
+		if mc.prog, err = codegen.CompileTraced(lm, 1, cfg.Tracer, lane+1, cfg.Fault); err != nil {
+			return nil, err
+		}
+		if cfg.OutlineRounds > 0 {
+			opts := outlineOptions(*cfg)
+			opts.FuncPrefix = "OUTLINED_FUNCTION_" + u.name + "_"
+			opts.ExternSyms = b.extern
+			opts.Parallelism = 1
+			opts.TraceLane = lane + 1
+			opts.RemarkModule = u.name
+			mc.stats, err = outline.Outline(mc.prog, opts)
+		}
+		return mc, err
+	},
+	// Cross-module references are external at this point, exactly as the
+	// system linker would see them. A hit is not verified again; the final
+	// whole-program verify still runs.
+	verify: func(b *build, v any) (*mir.Program, map[string]bool) { return v.(*machineCode).prog, b.extern },
+	done:   func(b *build, i int, v any) { b.parts[i] = v.(*machineCode).prog },
+	// The key is derived from the module's stored llir bytes before anything
+	// touches its body. Without a profile and with cold-only off, the cold
+	// threshold cannot change the artifact, so the projection drops it.
+	cache: "machine",
+	reads: func(c Config) Config {
+		p := Config{MergeFunctions: c.MergeFunctions, FMSA: c.FMSA, OutlineRounds: c.OutlineRounds,
+			FlatOutlineCost: c.FlatOutlineCost, Verify: c.Verify, OnVerifyFailure: c.OnVerifyFailure, Fault: c.Fault}
+		if c.Profile != nil || c.OutlineColdOnly {
+			p.Profile, p.OutlineColdOnly, p.OutlineColdThreshold = c.Profile, c.OutlineColdOnly, c.OutlineColdThreshold
+		}
+		return p
+	},
+	key: func(b *build, i int) string { return machineInput(b.units[i], b.refs) },
+	decode: func(b *build, _ int, data []byte, _ *obs.Span) (any, error) {
+		p, st, err := artifact.DecodeMachine(data)
+		if err == nil && st != nil {
+			// Re-emit the per-round counters the skipped compute would have,
+			// so counter-derived reports (fig12's Table II, -summary's
+			// convergence table) agree between cold and warm builds.
+			// Discovery-internal counters (suffix-tree size, candidates
+			// found/rejected) are not stored and stay absent on warm builds.
+			for _, rs := range st.Rounds {
+				outline.EmitRoundCounters(b.cfg.Tracer, rs)
+			}
+		}
+		return &machineCode{prog: p, stats: st}, err
+	},
+	encode: func(v any) []byte {
+		mc := v.(*machineCode)
+		return artifact.EncodeMachine(mc.prog, mc.stats)
+	},
+}, {
+	name: "ld", timing: "ld",
+	body: func(b *build) error {
+		b.prog = linkMachine(b.parts)
+		b.release()
+		return nil
+	},
+}}
 
 // outlineOptions is the part of outline.Options both pipelines' outlining
 // takes from the build's config; each call site adds where the outliner runs:
@@ -778,100 +757,79 @@ func outlineOptions(cfg Config) outline.Options {
 	}
 }
 
-// postLink is the tail every linked program goes through, whichever front half
-// (or BuildMIR's caller) linked it: for a whole program, canonicalization and
-// repeated outlining; then outlined-function placement, profile-guided layout,
-// the final verify, and the image.
-func (b *build) postLink(prog *mir.Program) (*Result, error) {
-	cfg, tr := b.cfg, b.cfg.Tracer
-	res := &Result{Prog: prog}
-
-	if cfg.WholeProgram && cfg.CanonicalizeSequences {
-		outline.CanonicalizeCommutative(prog)
-	}
-	if cfg.WholeProgram && cfg.OutlineRounds > 0 {
-		stepCancel(cfg, b.cancel, "outline")
-		if err := ctxErr(cfg.Ctx, "before outlining"); err != nil {
-			return nil, err
+// postLink is the tail every linked program goes through, whichever front
+// half (or BuildMIR's caller) linked it: for a whole program, canonicalization
+// and repeated outlining; then outlined-function placement and profile-guided
+// layout; then the image.
+var postLink = []stage{{
+	// The outliner emits one "machine-outline" stage span per round itself,
+	// and stage totals sum them into the Timings entry.
+	name: "outline",
+	skip: func(c Config) bool { return !c.WholeProgram },
+	body: func(b *build) (err error) {
+		if b.cfg.CanonicalizeSequences {
+			outline.CanonicalizeCommutative(b.prog)
 		}
-		// No enclosing stage span here: the outliner emits one
-		// "machine-outline" stage span per round itself, and stage totals sum
-		// them into the Timings entry.
-		opts := outlineOptions(cfg)
-		opts.ExternSyms = llir.RuntimeSyms
-		opts.Parallelism = cfg.Parallelism
-		st, err := outline.Outline(prog, opts)
-		if err != nil {
-			return nil, err
+		if b.cfg.OutlineRounds > 0 {
+			opts := outlineOptions(b.cfg)
+			opts.ExternSyms = llir.RuntimeSyms
+			opts.Parallelism = b.cfg.Parallelism
+			b.res.Outline, err = outline.Outline(b.prog, opts)
 		}
-		res.Outline = st
-	}
-	if cfg.LayoutOutlined {
-		outline.LayoutOutlined(prog)
-	}
-	if cfg.Layout != "" {
-		// Profile-guided function layout (internal/layout) runs last over the
-		// final program, so it sees every outlined function and its order is
-		// exactly the image's. When the pass will actually reorder, the
-		// pre-reorder image is kept as the before/after baseline.
-		sp := tr.StartStage("layout", 0)
-		if cfg.Layout != layout.None && cfg.Profile != nil {
-			res.PreLayoutImage = binimg.Build(prog)
+		return err
+	},
+}, {
+	// Profile-guided function layout (internal/layout) runs last over the
+	// final program, so it sees every outlined function and its order is
+	// exactly the image's. When the pass will actually reorder, the
+	// pre-reorder image is kept as the before/after baseline.
+	name: "layout", timing: "layout",
+	skip: func(c Config) bool { return c.Layout == "" && !c.LayoutOutlined },
+	body: func(b *build) (err error) {
+		if b.cfg.LayoutOutlined {
+			outline.LayoutOutlined(b.prog)
 		}
-		st, err := layout.Apply(prog, layout.Options{
-			Policy:  cfg.Layout,
-			Profile: cfg.Profile,
-			Tracer:  tr,
+		if b.cfg.Layout == "" {
+			return nil
+		}
+		if b.cfg.Layout != layout.None && b.cfg.Profile != nil {
+			b.res.PreLayoutImage = binimg.Build(b.prog)
+		}
+		b.res.Layout, err = layout.Apply(b.prog, layout.Options{
+			Policy:  b.cfg.Layout,
+			Profile: b.cfg.Profile,
+			Tracer:  b.cfg.Tracer,
 		})
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
+		return err
+	},
+}, {
+	name: "image",
+	body: func(b *build) error {
+		res, tr := b.res, b.cfg.Tracer
+		res.Image = binimg.Build(b.prog)
+		if b.cfg.Verify {
+			rep := verify.Image(res.Image, b.prog)
+			tr.Add("verify/violations", int64(len(rep.Violations)))
+			if err := rep.Err(); err != nil {
+				return fmt.Errorf("image layout: %w", err)
+			}
 		}
-		res.Layout = st
-	}
-
-	if err := ctxErr(cfg.Ctx, "before image build"); err != nil {
-		return nil, err
-	}
-	if cfg.Verify {
-		if err := runVerify(prog, llir.RuntimeSyms, tr, "final machine program"); err != nil {
-			return nil, err
+		if res.PreLayoutImage != nil {
+			// Score the reorder at binimg's native page size so the
+			// improvement is visible in counters (and hence -summary) without
+			// rerunning PageTouch.
+			dev := perf.Device{PageSize: binimg.PageSize}
+			before := perf.PageTouch(res.PreLayoutImage, b.cfg.Profile, dev)
+			after := perf.PageTouch(res.Image, b.cfg.Profile, dev)
+			tr.Set("layout/cross_page_calls_before", before.CrossPageCalls)
+			tr.Set("layout/cross_page_calls_after", after.CrossPageCalls)
+			tr.Set("layout/touched_pages_before", int64(before.TouchedPages))
+			tr.Set("layout/touched_pages_after", int64(after.TouchedPages))
 		}
-	}
-	res.Image = binimg.Build(prog)
-	if cfg.Verify {
-		rep := verify.Image(res.Image, prog)
-		tr.Add("verify/violations", int64(len(rep.Violations)))
-		if err := rep.Err(); err != nil {
-			return nil, fmt.Errorf("pipeline: image layout: %w", err)
-		}
-	}
-	if res.PreLayoutImage != nil {
-		// Score the reorder at binimg's native page size so the improvement is
-		// visible in counters (and hence -summary) without rerunning PageTouch.
-		dev := perf.Device{PageSize: binimg.PageSize}
-		before := perf.PageTouch(res.PreLayoutImage, cfg.Profile, dev)
-		after := perf.PageTouch(res.Image, cfg.Profile, dev)
-		tr.Set("layout/cross_page_calls_before", before.CrossPageCalls)
-		tr.Set("layout/cross_page_calls_after", after.CrossPageCalls)
-		tr.Set("layout/touched_pages_before", int64(before.TouchedPages))
-		tr.Set("layout/touched_pages_after", int64(after.TouchedPages))
-	}
-	return res, nil
-}
-
-// runVerify runs the machine verifier over prog, records its pass counts on
-// the build's counters (surfaced by -summary), and converts violations into
-// a build error naming the pipeline stage that produced them.
-func runVerify(prog *mir.Program, extern map[string]bool, tr *obs.Tracer, what string) error {
-	rep := verify.Program(prog, extern)
-	tr.Add("verify/functions", int64(rep.FuncsChecked))
-	tr.Add("verify/violations", int64(len(rep.Violations)))
-	if err := rep.Err(); err != nil {
-		return fmt.Errorf("pipeline: %s: %w", what, err)
-	}
-	return nil
-}
+		return nil
+	},
+	verify: linkedProgram,
+}}
 
 // externSyms returns the symbols that are external during per-module
 // outlining: the runtime's plus everything any module defines.

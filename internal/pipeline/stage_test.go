@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"outliner/internal/artifact"
 	"outliner/internal/cache"
 	"outliner/internal/frontend"
 	"outliner/internal/llir"
@@ -44,19 +45,20 @@ func main() {
 	}
 }
 
-// lowerForTest runs the front half of a build.
-func lowerForTest(t *testing.T, cfg Config) []*lowered {
+// frontForTest runs the front half of a build of srcs.
+func frontForTest(t *testing.T, cfg Config, srcs []Source) *build {
 	t.Helper()
-	var units []*lowered
-	_, err := runBuild(cfg, func(b *build) (*Result, error) {
-		var err error
-		units, err = b.lowerAll(stageSources())
-		return &Result{}, err
-	})
-	if err != nil {
+	b := &build{sources: srcs}
+	if _, err := runBuild(cfg, b, frontHalf); err != nil {
 		t.Fatal(err)
 	}
-	return units
+	return b
+}
+
+// lowerForTest runs the front half of a build of stageSources.
+func lowerForTest(t *testing.T, cfg Config) []*lowered {
+	t.Helper()
+	return frontForTest(t, cfg, stageSources()).units
 }
 
 // What the default pipeline learns about other modules from summary headers
@@ -141,22 +143,11 @@ func TestModuleKeysMatchWithoutParsing(t *testing.T) {
 
 	dir := t.TempDir()
 	defer cache.Forget(dir)
-	cfg := Config{CacheDir: dir, Ctx: context.Background()}
-	bc, err := OpenBuildCache(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, pass := range []string{"cold", "warm"} {
 		tr := obs.New()
-		cfg.Tracer = tr
-		ifaces := make([]*moduleIface, len(srcs))
-		for i, s := range srcs {
-			if ifaces[i], err = bc.interfaceOf(s, cfg, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := moduleKeys(ifaces); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: keys from the iface stage = %+v, want %+v", pass, got, want)
+		b := frontForTest(t, Config{CacheDir: dir, Tracer: tr}, srcs)
+		if !reflect.DeepEqual(b.keys, want) {
+			t.Errorf("%s: keys from the iface stage = %+v, want %+v", pass, b.keys, want)
 		}
 		if parsedNow := tr.Counter("frontend/modules_parsed"); (pass == "warm") != (parsedNow == 0) {
 			t.Errorf("%s pass parsed %d modules", pass, parsedNow)
@@ -207,8 +198,11 @@ func TestRunStageCancelledComputePublishesNothing(t *testing.T) {
 	}
 }
 
-// A cache directory written under the previous schema is all-miss: its keys
-// carry the old version, so no entry is ever fetched, let alone misdecoded.
+// A cache directory an earlier release wrote is all-miss where its keys
+// differ, so no entry is ever fetched, let alone misdecoded: iface entries one
+// schema version back, and llir and machine entries at the current schema
+// under the hand-written config fingerprints keys carried before they were
+// rendered from stage projections.
 func TestPreviousSchemaEntriesAreNeverProbed(t *testing.T) {
 	dir := t.TempDir()
 	defer cache.Forget(dir)
@@ -217,22 +211,34 @@ func TestPreviousSchemaEntriesAreNeverProbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// What the parent commit left behind for these sources: entries at the
-	// same inputs and fingerprints, one schema version back.
 	srcs := stageSources()
-	for _, s := range srcs {
-		k := ifaceKey(SourceHash(s), cfg)
-		k.Schema--
-		c.Put(k, []byte("an old-format artifact"))
+	parsed := make([][]*frontend.File, len(srcs))
+	for i, s := range srcs {
+		if parsed[i], err = ParseSource(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := ComputeModuleKeys(srcs, parsed, nil)
+	units := lowerForTest(t, Config{SILOutline: true, Verify: true})
+	old := []byte("an old-format artifact")
+	for i := range srcs {
+		c.Put(cache.Key{Stage: "iface", Input: keys.Src[i], Schema: artifact.SchemaVersion - 1}, old)
+		c.Put(cache.Key{Stage: "llir", Input: llirInput(i, keys),
+			Config: "siloutline=true specclosures=false verify=true", Schema: artifact.SchemaVersion}, old)
+		c.Put(cache.Key{Stage: "machine", Input: machineInput(units[i], nil),
+			Config: "merge=false fmsa=false rounds=1 flat=false verify=true onvf=abort", Schema: artifact.SchemaVersion}, old)
 	}
 	tr := obs.New()
 	cfg.Tracer = tr
 	if _, err := Build(srcs, cfg); err != nil {
-		t.Fatalf("build over an old-schema directory: %v", err)
+		t.Fatalf("build over an earlier release's directory: %v", err)
 	}
 	if tr.Counter("cache/hits") != 0 || tr.Counter("cache/corrupt") != 0 {
-		t.Fatalf("old-schema entries were fetched: hits=%d corrupt=%d",
+		t.Fatalf("earlier entries were fetched: hits=%d corrupt=%d",
 			tr.Counter("cache/hits"), tr.Counter("cache/corrupt"))
+	}
+	if tr.Counter("cache/machine/misses") != int64(len(srcs)) {
+		t.Fatalf("cache/machine/misses = %d, want %d", tr.Counter("cache/machine/misses"), len(srcs))
 	}
 }
 

@@ -3,6 +3,7 @@ package pipeline_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -146,7 +147,8 @@ func TestRemarksCoverBuild(t *testing.T) {
 // TestTelemetryDoesNotPerturbCachedBuild: the warm path — stubs, summary
 // headers, lazily decoded bodies — is as indifferent to the tracer as the
 // cold one, and its "cache llir" spans say whether lowering left a body
-// behind: a miss always does, a default-pipeline hit does not.
+// behind: a miss (hit=false) always does, a default-pipeline hit says
+// body=false.
 func TestTelemetryDoesNotPerturbCachedBuild(t *testing.T) {
 	dir := t.TempDir()
 	defer cache.Forget(dir)
@@ -154,7 +156,7 @@ func TestTelemetryDoesNotPerturbCachedBuild(t *testing.T) {
 	srcs := cacheTestSources()
 	ref, _ := buildListing(t, cfg, "", srcs)
 
-	bodies := func(tr *obs.Tracer) map[string]any {
+	bodies := func(tr *obs.Tracer) map[string]map[string]any {
 		t.Helper()
 		var buf bytes.Buffer
 		if err := tr.WriteTrace(&buf); err != nil {
@@ -169,18 +171,18 @@ func TestTelemetryDoesNotPerturbCachedBuild(t *testing.T) {
 		if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
 			t.Fatal(err)
 		}
-		out := map[string]any{}
+		out := map[string]map[string]any{}
 		for _, e := range tf.TraceEvents {
 			if strings.HasPrefix(e.Name, "cache llir ") {
-				out[e.Name] = e.Args["body"]
+				out[e.Name] = e.Args
 			}
 		}
 		return out
 	}
 	for _, pass := range []struct {
-		name string
-		body bool
-	}{{"cold", true}, {"warm", false}} {
+		name      string
+		arg, want string
+	}{{"cold", "hit", "false"}, {"warm", "body", "false"}} {
 		full := cfg
 		full.CacheDir = dir
 		full.Tracer = obs.NewWith(obs.Config{FineSpans: true, MemStats: true})
@@ -199,9 +201,9 @@ func TestTelemetryDoesNotPerturbCachedBuild(t *testing.T) {
 		if len(got) != len(srcs) {
 			t.Fatalf("%s: want one cache llir span per module, got %v", pass.name, got)
 		}
-		for span, body := range got {
-			if body != pass.body {
-				t.Errorf("%s: span %q has body=%v, want %v", pass.name, span, body, pass.body)
+		for span, args := range got {
+			if v := fmt.Sprint(args[pass.arg]); v != pass.want {
+				t.Errorf("%s: span %q has %s=%v, want %v", pass.name, span, pass.arg, v, pass.want)
 			}
 		}
 	}

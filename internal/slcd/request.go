@@ -51,8 +51,8 @@ type BuildConfig struct {
 	// cancelled mid-stage and the response reports error_class "deadline".
 	// 0 means no per-request cap.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Layout selects the profile-guided function-layout policy ("none",
-	// "hot-cold", "c3"); Profile carries the execution profile feeding it (and
+	// Layout selects the profile-guided function-layout policy ("none" or
+	// "c3"); Profile carries the execution profile feeding it (and
 	// cold-only outlining), in the canonical encoding profile.Encode emits.
 	// The profile travels in the request — the farm has no filesystem view of
 	// the client's instrumented runs.
@@ -101,8 +101,8 @@ type BuildResponse struct {
 }
 
 // pipelineConfig lowers the request config onto a pipeline.Config, leaving
-// the daemon-owned fields (Tracer, CacheDir, Flight, Remote, Parallelism) for
-// the server to fill in. The outlining mode and layout policy are checked by
+// the daemon-owned fields (Tracer, CacheDir, Flight, Parallelism) for the
+// server to fill in. The outlining mode and layout policy are checked by
 // pipeline.Build, before any stage runs.
 func (c BuildConfig) pipelineConfig() (pipeline.Config, error) {
 	cfg := pipeline.OSize

@@ -93,6 +93,7 @@ type Server struct {
 	opts   Options
 	flight *cache.Flight
 	remote *cache.Remote
+	shared *cache.Cache // the handle remote is attached to; nil without one
 	sem    chan struct{}
 
 	// Admission and drain state. queued/running are gauges read by Snapshot;
@@ -123,7 +124,7 @@ func NewServer(opts Options) *Server {
 		opts.MaxQueue = 32
 	}
 	hardCtx, hardCancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		opts:   opts,
 		flight: cache.NewFlight(),
 		remote: cache.NewRemoteWith(opts.ShardURLs, cache.RemoteOptions{
@@ -137,11 +138,22 @@ func NewServer(opts Options) *Server {
 		hardCancel: hardCancel,
 		counters:   map[string]int64{},
 	}
+	// Clean requests build on the process-shared handle, so the remote tier
+	// goes there; an unusable directory is left for the first build to report.
+	if opts.CacheDir != "" && s.remote != nil {
+		if c, err := cache.Shared(opts.CacheDir); err == nil {
+			c.SetRemote(s.remote)
+			s.shared = c
+		}
+	}
+	return s
 }
 
-// Close releases daemon background state (the remote tier's breaker prober).
-// Safe to call more than once and on a nil-remote daemon.
+// Close releases daemon background state: it detaches the remote tier from
+// the shared cache handle and stops its breaker prober. Safe to call more
+// than once and on a nil-remote daemon.
 func (s *Server) Close() {
+	s.shared.SetRemote(nil)
 	s.remote.Close()
 	s.hardCancel()
 }
@@ -268,10 +280,9 @@ func (s *Server) BuildCtx(ctx context.Context, req *BuildRequest) *BuildResponse
 	cfg.Tracer = tr
 	cfg.Parallelism = s.opts.Parallelism
 	cfg.CacheDir = s.opts.CacheDir
-	// The shared accelerators. OpenBuildCache ignores both on fault-armed
-	// requests, which also get a private cache handle.
+	// The shared accelerator. A fault-armed request ignores it and builds on
+	// a private cache handle, which has no remote tier either.
 	cfg.Flight = s.flight
-	cfg.Remote = s.remote
 
 	res, berr := pipeline.Build(req.sources(), cfg)
 	resp := &BuildResponse{Counters: tr.Counters()}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -407,5 +408,50 @@ func TestShardKillSoak(t *testing.T) {
 	// daemon kept serving through them.
 	if stats.Counters["cache/remote/shard0/errors"]+stats.Counters["cache/remote/shard1/errors"] == 0 {
 		t.Error("soak recorded no shard errors — the kill window never hit the remote path")
+	}
+}
+
+// TestFaultArmedRequestsSkipTheRemoteTier: the daemon attaches its remote
+// tier to the shared cache handle once, and a fault-armed request builds on a
+// private handle without it. It neither publishes to the shard nor is served
+// by it — not even after the same request ran on another daemon sharing that
+// shard — while a clean request does publish there.
+func TestFaultArmedRequestsSkipTheRemoteTier(t *testing.T) {
+	store, err := cache.OpenShard(t.TempDir(), 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := httptest.NewServer(cache.NewShardServer(store))
+	defer shard.Close()
+	app := soakApp(t, 3)
+	build := func(cfg slcd.BuildConfig) *slcd.BuildResponse {
+		srv := slcd.NewServer(slcd.Options{CacheDir: t.TempDir(), ShardURLs: []string{shard.URL}, Parallelism: 1})
+		defer srv.Close()
+		resp := srv.Build(&slcd.BuildRequest{Modules: app, Config: cfg})
+		if !resp.OK {
+			t.Fatalf("build failed (%s): %s", resp.ErrorClass, resp.Error)
+		}
+		return resp
+	}
+
+	armed := testConfig()
+	armed.FaultSeed, armed.FaultRate = 1, 1e-12 // armed, and in practice never firing
+	for i := 0; i < 2; i++ {
+		resp := build(armed)
+		if resp.Counters["cache/stores"] == 0 {
+			t.Fatal("the armed request stored nothing, so the check below proves nothing")
+		}
+		for name, n := range resp.Counters {
+			if strings.HasPrefix(name, "cache/tier/remote-shard-") && n > 0 {
+				t.Errorf("armed request %d was served by the remote tier: %s = %d", i, name, n)
+			}
+		}
+		if n := store.Len(); n != 0 {
+			t.Fatalf("armed request %d published %d entries to the remote shard", i, n)
+		}
+	}
+	build(testConfig())
+	if store.Len() == 0 {
+		t.Fatal("a clean request published nothing to the remote shard")
 	}
 }
