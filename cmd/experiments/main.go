@@ -25,27 +25,20 @@ import (
 	"os"
 
 	"outliner/internal/experiments"
-	"outliner/internal/obs"
+	"outliner/internal/pipeline"
 )
 
 func main() {
-	var (
-		scale   = flag.Float64("scale", experiments.DefaultScale, "app scale (1.0 = full synthetic app)")
-		samples = flag.Int("samples", 3, "device-population samples per fig13 cell")
-		jobs    = flag.Int("j", 0, "parallel build workers (0 = one per CPU, 1 = serial); results are identical for any value")
-		trace   = flag.String("trace", "", "write a Chrome trace-event JSON file covering every build the experiments run")
-		remarks = flag.String("remarks", "", "write outliner decision remarks as JSONL")
-		summary = flag.Bool("summary", false, "print a cumulative telemetry summary to stderr after all experiments")
-		cchDir  = flag.String("cache-dir", "", "incremental build cache directory shared by every build the experiments run (results are identical cold or warm)")
-	)
+	build := pipeline.NewFlags(flag.CommandLine, pipeline.Config{}, "j", "trace", "remarks", "summary", "cache-dir")
+	scale := flag.Float64("scale", experiments.DefaultScale, "app scale (1.0 = full synthetic app)")
+	samples := flag.Int("samples", 3, "device-population samples per fig13 cell")
 	flag.Parse()
-	experiments.Parallelism = *jobs
-	experiments.CacheDir = *cchDir
-	var tracer *obs.Tracer
-	if *trace != "" || *remarks != "" || *summary {
-		tracer = obs.NewWith(obs.Config{MemStats: true})
-		experiments.Tracer = tracer
+	cfg, err := build.Config()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
 	}
+	experiments.Parallelism, experiments.Tracer, experiments.CacheDir = cfg.Parallelism, cfg.Tracer, cfg.CacheDir
 	args := flag.Args()
 	if len(args) == 0 {
 		flag.Usage()
@@ -108,27 +101,13 @@ func main() {
 		if i > 0 {
 			fmt.Print("\n================================================================\n\n")
 		}
-		if err := run(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			os.Exit(1)
+		if err = run(); err != nil {
+			err = fmt.Errorf("%s: %w", name, err)
+			break
 		}
 	}
-	if *trace != "" {
-		if err := tracer.WriteTraceFile(*trace); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *remarks != "" {
-		if err := tracer.WriteRemarksFile(*remarks); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *summary {
-		if err := tracer.WriteSummary(os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
+	if err = build.Finish(err); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
 	}
 }

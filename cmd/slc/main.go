@@ -20,8 +20,6 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,10 +29,8 @@ import (
 	"strings"
 
 	"outliner/internal/exec"
-	"outliner/internal/fault"
 	"outliner/internal/frontend"
 	"outliner/internal/llir"
-	"outliner/internal/obs"
 	"outliner/internal/outline"
 	"outliner/internal/perf"
 	"outliner/internal/pipeline"
@@ -42,35 +38,17 @@ import (
 )
 
 func main() {
+	build := buildFlags(flag.CommandLine)
 	var (
-		rounds   = flag.Int("rounds", 5, "rounds of repeated machine outlining (0 disables)")
-		whole    = flag.Bool("whole-program", true, "use the whole-program pipeline (IR link before codegen)")
 		emit     = flag.String("emit", "", "emit an artifact to stdout: sir | llir | mir | sizes | patterns")
 		run      = flag.Bool("run", false, "execute main after compiling")
 		entry    = flag.String("entry", "main", "entry function for -run")
-		flat     = flag.Bool("flat-cost", false, "ablation: flat outlining cost model")
 		maxSteps = flag.Int64("max-steps", 500_000_000, "interpreter step limit for -run")
 		showOutl = flag.Bool("outline-stats", false, "print per-round outlining statistics")
-		jobs     = flag.Int("j", 0, "parallel build workers (0 = one per CPU, 1 = serial); output is identical for any value")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto or chrome://tracing)")
-		remarks  = flag.String("remarks", "", "write outliner decision remarks as JSONL (one record per candidate decision)")
-		summary  = flag.Bool("summary", false, "print an end-of-build summary: stage times, counters, outlining convergence")
-		verify   = flag.Bool("verify", true, "run the machine-code verifier after each pipeline stage and outlining round")
-		cacheDir = flag.String("cache-dir", "", "content-addressed incremental build cache directory (empty = cache off); the built image is byte-identical cold or warm")
-		counters = flag.String("counters", "", "write build counters as a JSON object to this file")
 		outFile  = flag.String("o", "", "write a deterministic image listing to this file (byte-comparable across builds)")
-		keepOn   = flag.Bool("keep-going", false, "compile every module even after one fails, then report all failures")
-		onVerify = flag.String("on-verify-failure", "abort", "outlining verifier-failure policy: abort | rollback-round | disable-outlining")
-		fSeed    = flag.Uint64("fault-seed", 0, "deterministic fault-injection schedule seed (used with -fault-rate)")
-		fRate    = flag.Float64("fault-rate", 0, "fault-injection probability per fault point (0 disables; a failing seed replays exactly at any -j)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the build to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an end-of-build heap profile to this file (go tool pprof)")
 		profOut  = flag.String("profile-out", "", "with -run: write the instrumented run's execution profile (canonical JSON, mergeable across runs) to this file")
-		profIn   = flag.String("profile-in", "", "execution profile from -profile-out, or a comma-separated list of them (shards, other entry points) merged in any order, feeding the build: annotates outliner remarks with hot/cold verdicts and enables -outline-cold-only")
-		coldOnly = flag.Bool("outline-cold-only", false, "outline only cold functions: with -profile-in, never extract from a function whose entry count reaches -outline-cold-threshold")
-		coldThr  = flag.Int64("outline-cold-threshold", 1, "entry count at which a profiled function counts as hot (0 disables cold-only gating)")
-		layoutP  = flag.String("layout", "", "profile-guided function layout policy: none | c3 (needs -profile-in to take effect)")
-		deadline = flag.Duration("deadline", 0, "cancel the build after this wall-clock duration (0 = no deadline); a cancelled build publishes nothing to the cache")
 	)
 	flag.Parse()
 	if *cpuProf != "" {
@@ -115,90 +93,33 @@ func main() {
 		})
 	}
 
-	var tracer *obs.Tracer
-	if *traceOut != "" || *remarks != "" || *summary || *counters != "" {
-		tracer = obs.NewWith(obs.Config{FineSpans: *traceOut != "", MemStats: true})
-	}
-	cfg := pipeline.OSize
-	cfg.WholeProgram = *whole
-	cfg.OutlineRounds = *rounds
-	cfg.FlatOutlineCost = *flat
-	cfg.Verify = *verify
-	cfg.Parallelism = *jobs
-	cfg.Tracer = tracer
-	cfg.CacheDir = *cacheDir
-	cfg.KeepGoing = *keepOn
-	cfg.OnVerifyFailure = *onVerify
-	if *fRate > 0 {
-		cfg.Fault = fault.New(*fSeed, *fRate)
-	}
-	if *deadline > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), *deadline)
-		defer cancel()
-		cfg.Ctx = ctx
-	}
-	var prof *profile.Profile
-	if *profIn != "" {
-		p, err := profile.ReadFiles(strings.Split(*profIn, ",")...)
-		if err != nil {
-			fatal(err)
-		}
-		prof = p
-		cfg.Profile = prof
-	}
-	cfg.OutlineColdOnly = *coldOnly
-	cfg.OutlineColdThreshold = *coldThr
-	cfg.Layout = *layoutP
-	res, err := pipeline.Build(sources, cfg)
+	cfg, err := build.Config()
 	if err != nil {
-		// A failed build still reports its telemetry: the resilience
-		// counters (recovered panics, rollbacks, keep-going failures,
-		// injected faults) matter most exactly when the build fails.
-		if *summary {
-			tracer.WriteSummary(os.Stderr)
-		}
-		if *counters != "" {
-			writeCounters(tracer, *counters)
-		}
 		fatal(err)
 	}
-	if *traceOut != "" {
-		if err := tracer.WriteTraceFile(*traceOut); err != nil {
-			fatal(err)
-		}
+	res, err := pipeline.Build(sources, cfg)
+	if err = build.Finish(err); err != nil {
+		fatal(err)
 	}
-	if *remarks != "" {
-		if err := tracer.WriteRemarksFile(*remarks); err != nil {
+	if prof := cfg.Profile; build.Summary() && prof != nil {
+		fmt.Fprintln(os.Stderr)
+		if err := profile.WriteHotReport(os.Stderr, prof, 10, cfg.OutlineColdThreshold); err != nil {
 			fatal(err)
 		}
-	}
-	if *summary {
-		if err := tracer.WriteSummary(os.Stderr); err != nil {
-			fatal(err)
-		}
-		if prof != nil {
-			fmt.Fprintln(os.Stderr)
-			if err := profile.WriteHotReport(os.Stderr, prof, 10, *coldThr); err != nil {
-				fatal(err)
-			}
-			// Report the layout metric at every device page size (4 KiB and
-			// 16 KiB in the current grid), with a before/after pair when the
-			// layout pass reordered the program.
-			if res.PreLayoutImage != nil {
-				fmt.Fprintf(os.Stderr, "before %s layout:\n", res.Layout.Policy)
-				for _, pt := range perf.PageTouchSizes(res.PreLayoutImage, prof) {
-					fmt.Fprint(os.Stderr, perf.FormatPageTouch(pt))
-				}
-				fmt.Fprintf(os.Stderr, "after %s layout (%d functions moved, %d clusters):\n",
-					res.Layout.Policy, res.Layout.Moved, res.Layout.Clusters)
-			}
-			for _, pt := range perf.PageTouchSizes(res.Image, prof) {
+		// Report the layout metric at every device page size (4 KiB and
+		// 16 KiB in the current grid), with a before/after pair when the
+		// layout pass reordered the program.
+		if res.PreLayoutImage != nil {
+			fmt.Fprintf(os.Stderr, "before %s layout:\n", res.Layout.Policy)
+			for _, pt := range perf.PageTouchSizes(res.PreLayoutImage, prof) {
 				fmt.Fprint(os.Stderr, perf.FormatPageTouch(pt))
 			}
+			fmt.Fprintf(os.Stderr, "after %s layout (%d functions moved, %d clusters):\n",
+				res.Layout.Policy, res.Layout.Moved, res.Layout.Clusters)
 		}
-	}
-	if *counters != "" {
-		writeCounters(tracer, *counters)
+		for _, pt := range perf.PageTouchSizes(res.Image, prof) {
+			fmt.Fprint(os.Stderr, perf.FormatPageTouch(pt))
+		}
 	}
 	if *outFile != "" {
 		f, err := os.Create(*outFile)
@@ -222,8 +143,8 @@ func main() {
 
 	switch *emit {
 	case "sir", "llir":
-		// IR-stage dumps compile the first module standalone (IR is a
-		// per-module artifact before the link).
+		// IR-stage dumps compile each module on its own (IR is a per-module
+		// artifact before the link).
 		for _, src := range sources {
 			sm, err := pipeline.CompileToSIR(src, cfg, importsFor(sources, src))
 			if err != nil {
@@ -282,7 +203,7 @@ func main() {
 		fatal(err)
 	}
 	st := m.Stats()
-	st.EmitCounters(tracer)
+	st.EmitCounters(cfg.Tracer)
 	if col != nil {
 		p := col.Profile()
 		if err := p.WriteFile(*profOut); err != nil {
@@ -300,14 +221,14 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func writeCounters(tracer *obs.Tracer, path string) {
-	data, err := json.MarshalIndent(tracer.Counters(), "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
+// buildFlags registers slc's rows of the build-flag table. The base is OSize
+// with the verifier on, the abort policy and a hot threshold of one entry.
+func buildFlags(fs *flag.FlagSet) *pipeline.Flags {
+	base := pipeline.OSize
+	base.Verify, base.OnVerifyFailure, base.OutlineColdThreshold = true, outline.VerifyAbort, 1
+	return pipeline.NewFlags(fs, base, "rounds", "whole-program", "flat-cost", "j", "trace", "remarks",
+		"summary", "verify", "cache-dir", "counters", "keep-going", "on-verify-failure", "fault-seed",
+		"fault-rate", "profile-in", "outline-cold-only", "outline-cold-threshold", "layout", "deadline")
 }
 
 // importsFor exposes every other module's declarations to src.

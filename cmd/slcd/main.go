@@ -35,19 +35,18 @@ import (
 
 	"outliner/internal/appgen"
 	"outliner/internal/cache"
-	"outliner/internal/profile"
+	"outliner/internal/pipeline"
 	"outliner/internal/slcd"
 )
 
 func main() {
+	build := buildFlags(flag.CommandLine)
 	var (
 		mode = flag.String("mode", "serve", "role: serve (compile daemon) | shard (remote cache shard) | client (post build requests)")
 		addr = flag.String("addr", "127.0.0.1:9470", "listen address (serve and shard modes)")
 
 		// serve
-		cacheDir  = flag.String("cache-dir", "", "daemon build cache directory (empty = cache off)")
 		shards    = flag.String("shards", "", "comma-separated remote cache shard base URLs, e.g. http://127.0.0.1:9471,http://127.0.0.1:9472")
-		jobs      = flag.Int("j", 0, "per-build parallel workers (0 = one per CPU)")
 		maxBuilds = flag.Int("max-builds", 4, "concurrently executing build requests; further requests queue")
 		maxQueue  = flag.Int("max-queue", 32, "requests waiting for a build slot before the daemon sheds load with 503 (negative = unbounded)")
 		deadline  = flag.Duration("deadline", 0, "daemon-side cap on each build's wall-clock time (0 = none); the smaller of this and the request's timeout_ms wins")
@@ -63,32 +62,33 @@ func main() {
 		server    = flag.String("server", "http://127.0.0.1:9470", "daemon base URL (client mode)")
 		requests  = flag.Int("requests", 1, "concurrent identical build requests to post; responses must agree byte-for-byte")
 		genMods   = flag.Int("gen-modules", 0, "generate a deterministic app with this many modules instead of reading source files")
-		rounds    = flag.Int("rounds", 5, "client request knob: outlining rounds")
-		verify    = flag.Bool("verify", true, "client request knob: run the machine-code verifier")
 		outFile   = flag.String("o", "", "client: write the agreed image listing to this file")
 		counters  = flag.String("counters", "", "client: write the first response's counters as JSON to this file")
-		layoutP   = flag.String("layout", "", "client request knob: profile-guided function layout policy (none | c3)")
-		profIn    = flag.String("profile-in", "", "client request knob: execution profile, or a comma-separated list of them merged in any order, shipped with the request")
 		timeoutMS = flag.Int64("timeout-ms", 0, "client request knob: per-request build deadline in milliseconds (0 = none)")
 	)
 	flag.Parse()
 
-	var err error
+	cfg, err := build.Config()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "slcd:", err)
+		os.Exit(1)
+	}
 	switch *mode {
 	case "serve":
-		err = runServe(serveOpts{
-			addr: *addr, cacheDir: *cacheDir, shards: *shards, jobs: *jobs,
-			maxBuilds: *maxBuilds, maxQueue: *maxQueue, deadline: *deadline,
-			drainTimeout: *drainTO, remoteTimeout: *remoteTO, breakerThreshold: *breakThr,
-		})
+		opts := slcd.Options{
+			CacheDir: cfg.CacheDir, Parallelism: cfg.Parallelism, MaxBuilds: *maxBuilds, MaxQueue: *maxQueue,
+			Deadline: *deadline, RemoteTimeout: *remoteTO, BreakerThreshold: *breakThr,
+		}
+		if *shards != "" {
+			opts.ShardURLs = strings.Split(*shards, ",")
+		}
+		err = runServe(*addr, *drainTO, opts)
 	case "shard":
 		err = runShard(*addr, *shardDir, *shardMax)
 	case "client":
 		err = runClient(clientOpts{
-			server: *server, requests: *requests, genModules: *genMods,
-			rounds: *rounds, verify: *verify, layout: *layoutP, profileIn: *profIn,
-			timeoutMS: *timeoutMS,
-			outFile:   *outFile, countersFile: *counters, files: flag.Args(),
+			server: *server, requests: *requests, genModules: *genMods, build: cfg,
+			timeoutMS: *timeoutMS, outFile: *outFile, countersFile: *counters, files: flag.Args(),
 		})
 	default:
 		err = fmt.Errorf("unknown -mode %q (serve | shard | client)", *mode)
@@ -99,38 +99,16 @@ func main() {
 	}
 }
 
-type serveOpts struct {
-	addr, cacheDir, shards string
-	jobs, maxBuilds        int
-	maxQueue               int
-	deadline               time.Duration
-	drainTimeout           time.Duration
-	remoteTimeout          time.Duration
-	breakerThreshold       int
-}
-
 // runServe runs the compile daemon until SIGTERM/SIGINT, then executes the
 // graceful-drain protocol: flip /healthz to draining, refuse new builds with
 // 503 + Retry-After, let in-flight builds finish up to -drain-timeout, cancel
 // stragglers, and only then close the listener.
-func runServe(o serveOpts) error {
-	opts := slcd.Options{
-		CacheDir:         o.cacheDir,
-		Parallelism:      o.jobs,
-		MaxBuilds:        o.maxBuilds,
-		MaxQueue:         o.maxQueue,
-		Deadline:         o.deadline,
-		RemoteTimeout:    o.remoteTimeout,
-		BreakerThreshold: o.breakerThreshold,
-	}
-	if o.shards != "" {
-		opts.ShardURLs = strings.Split(o.shards, ",")
-	}
+func runServe(addr string, drainTimeout time.Duration, opts slcd.Options) error {
 	srv := slcd.NewServer(opts)
 	defer srv.Close()
-	httpSrv := &http.Server{Addr: o.addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
 	fmt.Fprintf(os.Stderr, "slcd: compile daemon on %s (cache=%q, shards=%d, max-builds=%d, max-queue=%d, deadline=%s)\n",
-		o.addr, o.cacheDir, len(opts.ShardURLs), opts.MaxBuilds, opts.MaxQueue, o.deadline)
+		addr, opts.CacheDir, len(opts.ShardURLs), opts.MaxBuilds, opts.MaxQueue, opts.Deadline)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
@@ -138,8 +116,8 @@ func runServe(o serveOpts) error {
 	go func() {
 		defer close(drained)
 		sig := <-sigCh
-		fmt.Fprintf(os.Stderr, "slcd: %v received, draining (timeout %s)\n", sig, o.drainTimeout)
-		if graceful := srv.Drain(o.drainTimeout); graceful {
+		fmt.Fprintf(os.Stderr, "slcd: %v received, draining (timeout %s)\n", sig, drainTimeout)
+		if graceful := srv.Drain(drainTimeout); graceful {
 			fmt.Fprintln(os.Stderr, "slcd: drain complete, all builds finished")
 		} else {
 			fmt.Fprintln(os.Stderr, "slcd: drain deadline hit, straggler builds cancelled")
@@ -174,10 +152,7 @@ type clientOpts struct {
 	server       string
 	requests     int
 	genModules   int
-	rounds       int
-	verify       bool
-	layout       string
-	profileIn    string
+	build        pipeline.Config
 	timeoutMS    int64
 	outFile      string
 	countersFile string
@@ -245,17 +220,13 @@ func runClient(opts clientOpts) error {
 // (each file its own module, like slc).
 func buildRequest(opts clientOpts) (*slcd.BuildRequest, error) {
 	cfg := slcd.DefaultConfig()
-	cfg.OutlineRounds = opts.rounds
-	cfg.Verify = opts.verify
-	cfg.Layout = opts.layout
+	cfg.OutlineRounds = opts.build.OutlineRounds
+	cfg.Verify = opts.build.Verify
+	cfg.Layout = opts.build.Layout
 	cfg.TimeoutMS = opts.timeoutMS
-	if opts.profileIn != "" {
+	if p := opts.build.Profile; p != nil {
 		// The profile ships inside the request in its canonical encoding —
 		// the daemon has no view of the client's filesystem.
-		p, err := profile.ReadFiles(strings.Split(opts.profileIn, ",")...)
-		if err != nil {
-			return nil, err
-		}
 		cfg.Profile = p.Encode()
 	}
 	req := &slcd.BuildRequest{Config: cfg}
@@ -282,6 +253,15 @@ func buildRequest(opts clientOpts) (*slcd.BuildRequest, error) {
 		return nil, fmt.Errorf("client mode needs .sl file arguments or -gen-modules N")
 	}
 	return req, nil
+}
+
+// buildFlags registers slcd's rows of the build-flag table: -cache-dir and -j
+// for the daemon, and the request knobs a client copies into DefaultConfig,
+// defaulting to its values.
+func buildFlags(fs *flag.FlagSet) *pipeline.Flags {
+	d := slcd.DefaultConfig()
+	base := pipeline.Config{OutlineRounds: d.OutlineRounds, Verify: d.Verify, Layout: d.Layout}
+	return pipeline.NewFlags(fs, base, "cache-dir", "j", "rounds", "verify", "layout", "profile-in")
 }
 
 func post(server string, payload []byte) (*slcd.BuildResponse, error) {

@@ -21,8 +21,8 @@ type ModuleSource struct {
 }
 
 // BuildConfig mirrors the pipeline.Config knobs a remote client may set.
-// Everything absent defaults to the driver's defaults (slc's flag defaults),
-// so a minimal request — just modules — gets the paper's standard build.
+// Absent fields take DefaultConfig's values, so a minimal request — just
+// modules — gets a verified per-module build with five outlining rounds.
 // Accelerator state (cache directory, remote shards, the single-flight layer,
 // parallelism) is the daemon's, not the request's: clients describe what to
 // build, the farm decides how.
@@ -60,8 +60,9 @@ type BuildConfig struct {
 	Profile []byte `json:"profile,omitempty"`
 }
 
-// DefaultConfig is the request config slcd assumes for absent fields — the
-// same shape slc's flag defaults produce.
+// DefaultConfig is the request config slcd assumes for absent fields: a
+// verified per-module build (WholeProgram false) with five outlining rounds
+// and function merging. slc's default build is whole-program instead.
 func DefaultConfig() BuildConfig {
 	return BuildConfig{
 		OutlineRounds:  5,
