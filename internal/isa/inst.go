@@ -209,6 +209,9 @@ func (in Inst) AppendText(dst []byte) []byte {
 		dst = appendReg(dst, first, in.Rd)
 		dst = appendReg(dst, next, in.Rn)
 		dst = appendReg(dst, next, in.Rm)
+		if in.Op == MSUB {
+			dst = appendReg(dst, next, in.Rd2)
+		}
 	case ADDri, SUBri, LSLri, LSRri, ASRri, LDRui, STRui, STRpre, LDRpost:
 		dst = appendReg(dst, first, in.Rd)
 		dst = appendReg(dst, next, in.Rn)

@@ -37,6 +37,9 @@ func referenceText(in Inst) string {
 		emitReg(in.Rd)
 		emitReg(in.Rn)
 		emitReg(in.Rm)
+		if in.Op == MSUB {
+			emitReg(in.Rd2)
+		}
 	case ADDri, SUBri, LSLri, LSRri, ASRri:
 		emitReg(in.Rd)
 		emitReg(in.Rn)

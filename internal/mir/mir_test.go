@@ -2,7 +2,6 @@ package mir
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -351,79 +350,55 @@ func TestFunctionStringContainsListingStylePattern(t *testing.T) {
 	}
 }
 
-// Property: printing and reparsing a random (structurally valid) program is
-// the identity on the instruction stream.
+// Property: ParseInst inverts isa.Inst.AppendText for every opcode and every
+// operand slot. A slot counts as printed when changing its value changes the
+// text; the parse must give back every printed slot and zero in the rest, and
+// must print to the same text. Every register an instruction defines or uses
+// must be printed, so a dropped operand fails here rather than after a trip
+// through MIR text.
 func TestParsePrintRoundTripProperty(t *testing.T) {
-	ops := []isa.Op{
-		isa.MOVZ, isa.ORRrs, isa.ANDrs, isa.EORrs, isa.ADDrs, isa.ADDri,
-		isa.SUBrs, isa.SUBri, isa.MUL, isa.SDIV, isa.LSLri, isa.LSRri,
-		isa.ASRri, isa.CMPrs, isa.CMPri, isa.CSET, isa.LDRui, isa.STRui,
-		isa.LDPui, isa.STPui, isa.STRpre, isa.LDRpost, isa.NOP,
-	}
-	regs := []isa.Reg{isa.X0, isa.X1, isa.X9, isa.X19, isa.X28, isa.FP, isa.SP, isa.XZR}
+	regs := []isa.Reg{isa.X1, isa.X9, isa.X19, isa.X28, isa.FP, isa.LR, isa.SP, isa.XZR}
 	conds := []isa.Cond{isa.EQ, isa.NE, isa.LT, isa.LE, isa.GT, isa.GE}
-
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 100; trial++ {
-		p := NewProgram()
-		f := &Function{Name: fmt.Sprintf("f%d", trial), Module: "M"}
-		b := &Block{Label: "entry"}
-		n := 1 + rng.Intn(20)
-		for i := 0; i < n; i++ {
-			in := isa.Inst{Op: ops[rng.Intn(len(ops))]}
-			in.Rd = regs[rng.Intn(len(regs))]
-			in.Rd2 = regs[rng.Intn(len(regs))]
-			in.Rn = regs[rng.Intn(len(regs))]
-			in.Rm = regs[rng.Intn(len(regs))]
-			in.Imm = int64(rng.Intn(4096))
-			in.Cond = conds[rng.Intn(len(conds))]
-			// Normalize unused slots to the zero value, as the parser will.
-			in = normalizeForOp(in)
-			b.Insts = append(b.Insts, in)
-		}
-		b.Insts = append(b.Insts, isa.Inst{Op: isa.RET})
-		f.Blocks = []*Block{b}
-		p.AddFunc(f)
-
-		printed := p.String()
-		back, err := Parse(printed)
-		if err != nil {
-			t.Fatalf("trial %d: reparse failed: %v\n%s", trial, err, printed)
-		}
-		got := back.Func(f.Name).Blocks[0].Insts
-		want := f.Blocks[0].Insts
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: inst count changed", trial)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d inst %d: %+v != %+v\n%s", trial, i, got[i], want[i], printed)
+	slots := []struct {
+		name string
+		set  func(in *isa.Inst, k int)
+	}{
+		{"Rd", func(in *isa.Inst, k int) { in.Rd = regs[k%len(regs)] }},
+		{"Rd2", func(in *isa.Inst, k int) { in.Rd2 = regs[k%len(regs)] }},
+		{"Rn", func(in *isa.Inst, k int) { in.Rn = regs[k%len(regs)] }},
+		{"Rm", func(in *isa.Inst, k int) { in.Rm = regs[k%len(regs)] }},
+		{"Imm", func(in *isa.Inst, k int) { in.Imm = int64(k*4093 - 2048) }},
+		{"Sym", func(in *isa.Inst, k int) { in.Sym = fmt.Sprintf("sym%d", k) }},
+		{"Cond", func(in *isa.Inst, k int) { in.Cond = conds[k%len(conds)] }},
+	}
+	for op := isa.Op(1); op < isa.NumOps; op++ {
+		for k := range regs {
+			in := isa.Inst{Op: op}
+			for s, slot := range slots {
+				slot.set(&in, k+s)
+			}
+			text := in.String()
+			want := isa.Inst{Op: op}
+			var printed []string
+			for s, slot := range slots {
+				alt := in
+				slot.set(&alt, k+s+1)
+				if alt.String() != text {
+					slot.set(&want, k+s)
+					printed = append(printed, slot.name)
+				}
+			}
+			got, err := ParseInst(text)
+			if err != nil {
+				t.Fatalf("ParseInst(%q): %v", text, err)
+			}
+			if got != want || got.String() != text {
+				t.Fatalf("ParseInst(%q) = %+v, want %+v (printed slots %v)", text, got, want, printed)
+			}
+			if got.DefMask() != in.DefMask() || got.UseMask() != in.UseMask() {
+				t.Fatalf("%q drops a register %s reads or writes: defs %v uses %v, parsed back as defs %v uses %v",
+					text, isa.OpName(op), in.Defs(nil), in.Uses(nil), got.Defs(nil), got.Uses(nil))
 			}
 		}
 	}
-}
-
-// normalizeForOp zeroes the operand slots an opcode does not encode, so that
-// constructed instructions compare equal after a print/parse cycle.
-func normalizeForOp(in isa.Inst) isa.Inst {
-	out := isa.Inst{Op: in.Op}
-	switch in.Op {
-	case isa.MOVZ:
-		out.Rd, out.Imm = in.Rd, in.Imm
-	case isa.ORRrs, isa.ANDrs, isa.EORrs, isa.ADDrs, isa.SUBrs, isa.MUL, isa.SDIV:
-		out.Rd, out.Rn, out.Rm = in.Rd, in.Rn, in.Rm
-	case isa.ADDri, isa.SUBri, isa.LSLri, isa.LSRri, isa.ASRri, isa.LDRui, isa.STRui,
-		isa.STRpre, isa.LDRpost:
-		out.Rd, out.Rn, out.Imm = in.Rd, in.Rn, in.Imm
-	case isa.CMPrs:
-		out.Rn, out.Rm = in.Rn, in.Rm
-	case isa.CMPri:
-		out.Rn, out.Imm = in.Rn, in.Imm
-	case isa.CSET:
-		out.Rd, out.Cond = in.Rd, in.Cond
-	case isa.LDPui, isa.STPui:
-		out.Rd, out.Rd2, out.Rn, out.Imm = in.Rd, in.Rd2, in.Rn, in.Imm
-	case isa.NOP:
-	}
-	return out
 }

@@ -21,8 +21,6 @@ import (
 // It is used by tests and by the cmd/outline tool, which hands the parsed
 // program to pipeline.BuildMIR — the whole-program build's post-link tail,
 // playing the role of `llc -outline-repeat-count=N` from the paper's artifact.
-// The text does not carry MSUB's accumulator (isa.Inst.Rd2): it parses back
-// as register 0.
 func Parse(src string) (*Program, error) {
 	p := NewProgram()
 	var cur *Function
@@ -223,8 +221,10 @@ func ParseInst(line string) (isa.Inst, error) {
 	switch op {
 	case isa.MOVZ:
 		err = firstErr(reg(&in.Rd), imm())
-	case isa.ORRrs, isa.ANDrs, isa.EORrs, isa.ADDrs, isa.SUBrs, isa.MUL, isa.SDIV, isa.MSUB:
+	case isa.ORRrs, isa.ANDrs, isa.EORrs, isa.ADDrs, isa.SUBrs, isa.MUL, isa.SDIV:
 		err = firstErr(reg(&in.Rd), reg(&in.Rn), reg(&in.Rm))
+	case isa.MSUB:
+		err = firstErr(reg(&in.Rd), reg(&in.Rn), reg(&in.Rm), reg(&in.Rd2))
 	case isa.ADDri, isa.SUBri, isa.LSLri, isa.LSRri, isa.ASRri, isa.LDRui, isa.STRui,
 		isa.STRpre, isa.LDRpost:
 		err = firstErr(reg(&in.Rd), reg(&in.Rn), imm())

@@ -17,38 +17,39 @@ import (
 
 // textDigests holds the SHA-256 and the length of Program.String() for the
 // OSize build of each corpus program, recorded at the commit before the
-// fmt-based printer was replaced by the append-based one.
+// fmt-based printer was replaced by the append-based one, and again when MSUB
+// began printing its accumulator (every program with a MSUB moved).
 var textDigests = map[string]struct {
 	sha256 string
 	size   int64
 }{
-	"UberRider-24":        {"0507d3889fe41aba29efeaf83e1999b6c5995a88c7999036e3744f57db5c9415", 402185},
-	"bfs":                 {"f647d1444f6a96338dcfaf6e1d8e1d6777e3dd72bd54412cc8dc8bd99be9a905", 4875},
-	"boyermoorehorspool":  {"ac47aced63c7a23ee25b79e5d24a06f689b25b93ce546a847c47a83351aa0a3b", 5041},
-	"bucketsort":          {"31831a3e84df47d4ef6eb0fb63b6bea2351f915c1f17dc35933f9e6543eeb219", 6120},
-	"closestpair":         {"e876df1d12482dedf75391d2eff79791396392a83bfd6557fad18cf107a25548", 7109},
-	"combinatorics":       {"ceb1741b1a96a151340f702c056ed232c5ecdc76500f06532af7ca2304558911", 2964},
-	"countingsort":        {"6c963c9f24797d16a40fcf64c786bb102b32e422767fbc66ab837e36714defd8", 3317},
+	"UberRider-24":        {"4c0f79f1ccea053dc51189faa72de0f1209dc296b400a0c01be85747fde108a7", 402505},
+	"bfs":                 {"7263124f9f7dfacf719b6e4130dd39161177489ad6b70c6f8d35318d54250734", 4880},
+	"boyermoorehorspool":  {"b0ff62533f17ae0c14f6fcbe2bfb0e6665d4b111e0f66fc0358ea85efbf28074", 5056},
+	"bucketsort":          {"093c0efecf3e940064ff9f2f975e7e9fe4e4b55f57aa3eee8bf87c611b72b6c0", 6125},
+	"closestpair":         {"a5c8b98b84507ec95bf9570737073232519ac820038d0523e28d4b9aef1feb36", 7120},
+	"combinatorics":       {"c9392523f43a3d38deb1281f29cd4f99f909c1484cd609ca04a1d6e3d07de469", 2969},
+	"countingsort":        {"a4127d99dfc83b598f85e0d547db7f7be6dff78d472f1cbcb757a20cdb0ff4f8", 3322},
 	"countoccurrences":    {"2eb28a73a403fd8ac4af41fb89c32b6fcf439ac3889f01484a1a307debc0b6fe", 2708},
-	"dfs":                 {"4f141db064b144c482b93ef18ec2c013f79f902b351d24f1004c6098e3429c45", 4405},
-	"dijkstra":            {"d3a05a936b56338f2e394817a02c48f1095d0d8f4fcb8ee9c88e40f583c58f07", 6397},
-	"encodeanddecodetree": {"e1ba22e274b0cd832d504f42cd5deca7a4ebd0e658d08218f30fa3e91f679c1f", 9445},
-	"gcd":                 {"25eefdfefd43873e6354e1bfae782267ae309baf735f5c11ed1b4009f8eb1f31", 1374},
-	"hashtable":           {"07ea5e991da72625a5a8cc3dc07f540547d6a1888a96efe59ec57a1555c996dd", 5650},
-	"huffman":             {"6848495466cd75aefc7f629580d2ba0f73f4fd45c92dbac1fc3260d74c78dfd6", 5010},
-	"json":                {"e8848f8e015b9009b6d04803423a9559247122182f79c08e6ba9d437283a8f13", 5166},
-	"kmp":                 {"5f8fd051bd0768fe583e416b76562bd877e0b58152e4e5c58a88253b4248809c", 6131},
-	"lcs":                 {"31f4d0261e8b46f104553c7bddfa757399166d6085d2e7da8620468ddf0f05c8", 3894},
-	"lrucache":            {"d2ff1dd1fb83706c9cab741e90f3b519a9b261836e8a816c38f9bbe082fafb33", 8175},
-	"octtree":             {"5c72738a20283c1e8f3659ad95d83a36814af657f9a2845487c8c9e0a90b8fc2", 9547},
-	"quicksort":           {"265350c92ab9b141ca6492419de2eeaa74aff6ed7c301f14a9089ec2ab5518e9", 3831},
-	"redblacktree":        {"ce43dbc418b2d6d3d8d520fc8f77293d5357dee26148d579f6996285bfff683a", 16678},
-	"runlengthencoding":   {"8a2e668c70b43533444cd48e989f237baa092f6605ed22fdc53e02dc9c911e8b", 4930},
-	"simulatedannealing":  {"a546ad64b847d77a6ad787141b49c61d396016996feaaeaf22f51e1ef8bb658d", 4526},
-	"splaytree":           {"b4031421e2b0431afa8273cdade08c989f407194793b4eae0b1072b178d36c5d", 12051},
-	"strassenmm":          {"11b17c8314cb545133b668ea7c47dd252bafcd8b54176cd0f61115fd975ec307", 16820},
-	"topologicalsort":     {"b3d2556e02ff34974672d600924fe83157ae358d02b655fde2a8ba1458f5314c", 6236},
-	"zalgorithm":          {"b95d3c65c5c31a006530fa7de88907fe873f5b39dfa9086173bfe3a5a3f2cd5f", 3850},
+	"dfs":                 {"9a853fe4f13dd055d519d634aa53177298af696c49050ff269ed0c5d6e497891", 4410},
+	"dijkstra":            {"9252c05acfbe6dc738b8624a0528d1bcae99e7ff346d002efcbdac385f5cffff", 6408},
+	"encodeanddecodetree": {"f8abce1e191414f9b02adc33b8122cdfcbd3de2862a181cf43e88146c8d239af", 9451},
+	"gcd":                 {"cb9524c109cb008877d9217bad13a997b6005e2d533e3b6156af81f4079e69c5", 1380},
+	"hashtable":           {"bbeddb7c482b6e1559198efdd45a67dd272e73153798e6cb8ba913ad2cff515b", 5674},
+	"huffman":             {"34ac04195da5d4adad3aeedd9b3ad339e059e3d70847e9913988f2ab38dc1b88", 5016},
+	"json":                {"78960f23206497782ee9d38077bd1faabb119d54181cc9e5f773e4bbc6660df0", 5172},
+	"kmp":                 {"abe1615ff7352200ffd99c6c9eb7690c4302a0505e9051ba4cfd161cdc069992", 6136},
+	"lcs":                 {"ffeccd85a37996cea651e57dcd52285866cbfe106bb6e98b2f8a62496b85be62", 3899},
+	"lrucache":            {"dc37fa633fa5ade48c2c053892a86d467c5eb75ed987433c22d844b0cf43a090", 8180},
+	"octtree":             {"77dbc148d771c470a66212714eeec29e8b58f144aa0b5d35487fa0d173d467b6", 9576},
+	"quicksort":           {"e03fb94527cc1b1bf5a9366bf998e05de379525b1a690d0333bda70bae818fa9", 3836},
+	"redblacktree":        {"45c9400cb496670e96fbc0cc4b275c7d149e04dba7355d2f270c2939f168d3e9", 16684},
+	"runlengthencoding":   {"f14754adc278cd6d0a5309d809d8d5ec6f32700c88d0382a7f69d1edd5bbff52", 4936},
+	"simulatedannealing":  {"b3e9b2d2af3bc1815ce108305d4ecf8adda20d307a779599a71e42a8b16982ff", 4561},
+	"splaytree":           {"1a4b3d2e856bb34b54670df4d651719ecf3898eeefe1568dcfa6ed20886c18b1", 12063},
+	"strassenmm":          {"8e4dbbb0eebc34a37333cdf9e5dabe17296dacd445b3ab4f6b196b4e0283ca3d", 16844},
+	"topologicalsort":     {"a989326efdff4bbd969ed314055141c73e2cca2c00d3bdfba79a00f6a8426585", 6241},
+	"zalgorithm":          {"b25c494eb62e2663323156b040d357dbe12d020e6d0e67fadd4b5f216f14e092", 3856},
 }
 
 // corpusPrograms is the OSize build of the 24-module UberRider app and of each

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"outliner/internal/exec"
 	"outliner/internal/layout"
 	"outliner/internal/mir"
 	"outliner/internal/obs"
@@ -26,14 +27,12 @@ func listing(t *testing.T, res *pipeline.Result) string {
 // Post-link outlining is one transformation whoever links the program: an
 // unoutlined build finished by BuildMIR gives the image a five-round build
 // gives. Checked plain and with an executed profile driving c3 layout, on the
-// program itself for every app, and for the benchmark programs also after a
-// trip through MIR text — the `slc -rounds 0 -emit mir | outline
-// -outline-repeat-count 5` path of the paper's artifact. The text form does
-// not carry MSUB's accumulator (isa.Inst.Rd2), and on UberRider-24 the
-// outliner then sees different repeats; ROADMAP has the open item.
+// program itself and after a trip through MIR text — the `slc -rounds 0 -emit
+// mir | outline -rounds 5` path of the paper's artifact — for every app. The
+// program finished from text must also print what the unoutlined build
+// prints when run.
 func TestBuildMIRFinishesLikeBuild(t *testing.T) {
-	bench := benchmarkApps(t)
-	for i, app := range append(bench, appgenApp(24)...) {
+	for _, app := range append(benchmarkApps(t), appgenApp(24)...) {
 		t.Run(app.name, func(t *testing.T) {
 			base := pipeline.OSize
 			base.Verify = true
@@ -55,10 +54,9 @@ func TestBuildMIRFinishesLikeBuild(t *testing.T) {
 					p, _, err := mir.DecodeProgram(enc)
 					return p, err
 				},
+				"text": func() (*mir.Program, error) { return mir.Parse(text.String()) },
 			}
-			if i < len(bench) {
-				inputs["text"] = func() (*mir.Program, error) { return mir.Parse(text.String()) }
-			}
+			output := runMain(t, res.Prog)
 
 			for _, p := range []*profile.Profile{nil, prof} {
 				tail := pipeline.Config{OutlineRounds: 5, Verify: true}
@@ -83,10 +81,27 @@ func TestBuildMIRFinishesLikeBuild(t *testing.T) {
 					if listing(t, got) != listing(t, want) {
 						t.Errorf("BuildMIR from %s (layout %q): image differs from Build's", via, tail.Layout)
 					}
+					if via == "text" && runMain(t, got.Prog) != output {
+						t.Errorf("BuildMIR from text (layout %q): the program prints something else", tail.Layout)
+					}
 				}
 			}
 		})
 	}
+}
+
+// runMain executes prog's main and returns what it printed.
+func runMain(t *testing.T, prog *mir.Program) string {
+	t.Helper()
+	m, err := exec.New(prog, exec.Options{MaxSteps: 10_000_000})
+	if err != nil {
+		t.Fatalf("exec.New: %v", err)
+	}
+	out, err := m.Run("main")
+	if err != nil {
+		t.Fatalf("Run: %v\noutput so far:\n%s", err, out)
+	}
+	return out
 }
 
 // A config no stage could act on fails before the first stage runs: an
