@@ -52,7 +52,7 @@ func main() {
 		deadline  = flag.Duration("deadline", 0, "daemon-side cap on each build's wall-clock time (0 = none); the smaller of this and the request's timeout_ms wins")
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM/SIGINT: how long in-flight builds may finish before stragglers are cancelled")
 		remoteTO  = flag.Duration("remote-timeout", 0, "per-operation remote shard timeout (0 = cache package default)")
-		breakThr  = flag.Int("breaker-threshold", 0, "consecutive shard failures that open its circuit breaker (0 = default, negative = breakers off)")
+		breakThr  = flag.Int("breaker-threshold", 0, "consecutive shard failures that open its circuit breaker (0 or less = default)")
 
 		// shard
 		shardDir = flag.String("shard-dir", "", "shard entry directory (shard mode; required)")

@@ -272,13 +272,12 @@ func (c *Cache) GetProbeCtx(ctx context.Context, k Key) ([]byte, bool, Probe) {
 // delete-and-miss.
 func (c *Cache) getDisk(ctx context.Context, id string, pr *Probe) ([]byte, bool) {
 	path := c.entryPath(id)
-	raw, err := c.readEntry(ctx, id, path, pr)
+	raw, found, err := c.readEntry(ctx, id, path, pr)
 	if err != nil {
-		// Absence is the ordinary miss; anything else is a degraded miss
-		// worth reporting.
-		if !errors.Is(err, fs.ErrNotExist) {
-			pr.IOErr = err
-		}
+		// Unlike absence, a failed read is a degraded miss worth reporting.
+		pr.IOErr = err
+	}
+	if !found {
 		return nil, false
 	}
 	raw = c.fault.MaybeCorrupt(fault.CacheRead, id, raw)
@@ -392,19 +391,19 @@ func encodeEntry(payload []byte) []byte {
 
 func decodeEntry(raw []byte) ([]byte, error) {
 	if len(raw) < 4+8+sha256.Size {
-		return nil, fmt.Errorf("cache: entry too short: %w", ErrCorrupt)
+		return nil, errors.New("cache: entry too short")
 	}
 	if [4]byte(raw[:4]) != entryMagic {
-		return nil, fmt.Errorf("cache: bad entry magic: %w", ErrCorrupt)
+		return nil, errors.New("cache: bad entry magic")
 	}
 	n := binary.LittleEndian.Uint64(raw[4:12])
 	if n != uint64(len(raw)-4-8-sha256.Size) {
-		return nil, fmt.Errorf("cache: entry length mismatch: %w", ErrCorrupt)
+		return nil, errors.New("cache: entry length mismatch")
 	}
 	payload := raw[12 : 12+n]
 	sum := sha256.Sum256(payload)
 	if [sha256.Size]byte(raw[12+n:]) != sum {
-		return nil, fmt.Errorf("cache: entry checksum mismatch: %w", ErrCorrupt)
+		return nil, errors.New("cache: entry checksum mismatch")
 	}
 	return payload, nil
 }

@@ -3,10 +3,10 @@ package cache
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,9 +45,8 @@ type Remote struct {
 	closeOnce  sync.Once     // Close is idempotent
 	proberStop chan struct{} // closed by Close
 
-	mu      sync.Mutex
-	stats   []remoteShardStats
-	drained map[string]int64
+	mu    sync.Mutex
+	stats []remoteShardStats
 }
 
 // remoteShardStats is one shard's client-side counter set.
@@ -71,8 +70,7 @@ type RemoteOptions struct {
 	// Timeout bounds one shard HTTP operation (0 = 5s).
 	Timeout time.Duration
 	// BreakerThreshold is the consecutive failed-operation count that opens a
-	// shard's circuit breaker (0 = 5; negative disables the breakers — every
-	// operation then pays the full timeout-and-retry cost of a dead shard).
+	// shard's circuit breaker (≤ 0 = 5).
 	BreakerThreshold int
 	// ProbeInterval is the background health-probe cadence for open breakers
 	// (0 = 250ms).
@@ -84,7 +82,7 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 	if o.Timeout <= 0 {
 		o.Timeout = defaultRemoteTimeout
 	}
-	if o.BreakerThreshold == 0 {
+	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = defaultBreakerThreshold
 	}
 	if o.ProbeInterval <= 0 {
@@ -211,30 +209,10 @@ func (r *Remote) entryURL(shard int, id string) string {
 	return r.shards[shard] + "/entry/" + id
 }
 
-func (r *Remote) backoff(attempt int) {
-	d := retryBase << (attempt - 1)
-	if d > retryCap {
-		d = retryCap
-	}
-	r.sleepFor(d)
-}
-
-// sleepFor sleeps through the injectable clock so tests run at full speed.
-func (r *Remote) sleepFor(d time.Duration) {
-	if r.sleep != nil {
-		r.sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
 // breakerAllows reports whether shard's breaker admits an operation,
 // counting a shed when it does not. Only a Closed breaker admits traffic;
 // HalfOpen admits the health probe alone.
 func (r *Remote) breakerAllows(shard int) bool {
-	if r.opts.BreakerThreshold < 0 {
-		return true
-	}
 	b := &r.breakers[shard]
 	if BreakerState(b.state.Load()) == BreakerClosed {
 		return true
@@ -247,9 +225,6 @@ func (r *Remote) breakerAllows(shard int) bool {
 
 // breakerOK records a successful operation: any failure streak ends.
 func (r *Remote) breakerOK(shard int) {
-	if r.opts.BreakerThreshold < 0 {
-		return
-	}
 	b := &r.breakers[shard]
 	b.mu.Lock()
 	b.consecutive = 0
@@ -259,9 +234,6 @@ func (r *Remote) breakerOK(shard int) {
 // breakerFail records a failed operation; crossing the consecutive-failure
 // threshold opens the breaker and starts the background health prober.
 func (r *Remote) breakerFail(shard int) {
-	if r.opts.BreakerThreshold < 0 {
-		return
-	}
 	b := &r.breakers[shard]
 	b.mu.Lock()
 	b.consecutive++
@@ -296,7 +268,7 @@ func (r *Remote) proberLoop() {
 // background prober calls it on a ticker; tests call it directly for a
 // deterministic recovery step.
 func (r *Remote) ProbeNow() {
-	if r == nil || r.opts.BreakerThreshold < 0 {
+	if r == nil {
 		return
 	}
 	for shard := range r.shards {
@@ -362,124 +334,103 @@ func (r *Remote) Breaker(shard int) BreakerSnapshot {
 	}
 }
 
-// get fetches the raw encoded entry for id from its shard, with
-// transient-error retry. Every failure shape — refused connection, timeout,
-// 5xx, short body, an open breaker, a cancelled context — degrades to a
-// miss; only a 200 with a body is a hit. ctx aborts the retry loop between
-// attempts; a context-cancelled operation never counts against the shard's
-// breaker (the shard did nothing wrong).
+// shardOp runs one operation against shard under the remote tier's rules.
+// An open breaker sheds it with ErrShardOpen before the shard is contacted.
+// Otherwise op runs in the retry loop, counted in flight, and the outcome
+// feeds the breaker: success ends any failure streak, and a failure counts
+// one strike unless ctx ended it — a cancelled caller says nothing about the
+// shard. A failure is recorded as pr.RemoteErr and returned.
+func (r *Remote) shardOp(ctx context.Context, shard int, pr *Probe, op func(attempt int) error) error {
+	if !r.breakerAllows(shard) {
+		pr.RemoteErr = ErrShardOpen
+		return ErrShardOpen
+	}
+	r.inflight[shard].Add(1)
+	defer r.inflight[shard].Add(-1)
+	err := retry(ctx, r.sleep, pr, op)
+	if err == nil {
+		r.breakerOK(shard)
+		return nil
+	}
+	if ctx.Err() == nil {
+		r.breakerFail(shard)
+	}
+	pr.RemoteErr = err
+	return err
+}
+
+// get fetches the raw encoded entry for id from its shard. Every failure
+// shape — refused connection, timeout, 5xx, short body, an open breaker, a
+// cancelled context — degrades to a miss; only a 200 with a body is a hit.
 func (r *Remote) get(ctx context.Context, id string) (raw []byte, shard int, ok bool, pr Probe) {
 	if r == nil {
 		return nil, 0, false, pr
 	}
 	shard = r.ShardFor(id)
-	if !r.breakerAllows(shard) {
-		pr.RemoteErr = ErrShardOpen
+	err := r.shardOp(ctx, shard, &pr, func(attempt int) error {
+		if err := r.slowOrError(fault.RemoteGet, id, attempt); err != nil {
+			return err
+		}
+		status, body, err := r.do(ctx, http.MethodGet, r.entryURL(shard, id), nil)
+		switch {
+		case err != nil:
+			return err
+		case status == http.StatusOK:
+			raw, ok = body, true
+		case status != http.StatusNotFound:
+			return fmt.Errorf("cache: shard %d: unexpected status %d", shard, status)
+		}
+		return nil
+	})
+	switch {
+	case errors.Is(err, ErrShardOpen):
 		r.note(shard, func(s *remoteShardStats) { s.misses++ })
-		return nil, shard, false, pr
+	case err != nil:
+		r.note(shard, func(s *remoteShardStats) { s.errors++; s.misses++ })
+	case ok:
+		raw = r.fault.MaybeCorrupt(fault.RemoteGet, id, raw)
+		r.note(shard, func(s *remoteShardStats) { s.hits++ })
+	default:
+		r.note(shard, func(s *remoteShardStats) { s.misses++ })
 	}
-	r.inflight[shard].Add(1)
-	defer r.inflight[shard].Add(-1)
-	var err error
-	for attempt := 0; attempt < retryAttempts; attempt++ {
-		if attempt > 0 {
-			if ctx.Err() != nil {
-				err = ctx.Err()
-				break
-			}
-			pr.Retries++
-			r.backoff(attempt)
-		}
-		var body []byte
-		var status int
-		ierr := r.slowOrError(fault.RemoteGet, id, attempt)
-		if ierr == nil {
-			status, body, ierr = r.do(ctx, http.MethodGet, r.entryURL(shard, id), nil)
-		}
-		if ierr == nil {
-			switch {
-			case status == http.StatusOK:
-				body = r.fault.MaybeCorrupt(fault.RemoteGet, id, body)
-				r.note(shard, func(s *remoteShardStats) { s.hits++ })
-				r.breakerOK(shard)
-				return body, shard, true, pr
-			case status == http.StatusNotFound:
-				r.note(shard, func(s *remoteShardStats) { s.misses++ })
-				r.breakerOK(shard)
-				return nil, shard, false, pr
-			default:
-				ierr = fmt.Errorf("cache: shard %d: unexpected status %d", shard, status)
-			}
-		}
-		err = ierr
-		if Classify(err) == ClassFatal {
-			break
-		}
-	}
-	pr.RemoteErr = err
-	r.note(shard, func(s *remoteShardStats) { s.errors++; s.misses++ })
-	if ctx.Err() == nil {
-		r.breakerFail(shard)
-	}
-	return nil, shard, false, pr
+	return raw, shard, ok, pr
 }
 
-// put publishes the encoded entry to its shard with retry; failures degrade
-// to an unpublished entry, recorded on the probe. Breaker and context rules
-// match get.
+// put publishes the encoded entry to its shard; failures degrade to an
+// unpublished entry, recorded on the probe.
 func (r *Remote) put(ctx context.Context, id string, enc []byte) (pr Probe) {
 	if r == nil {
 		return pr
 	}
 	shard := r.ShardFor(id)
-	if !r.breakerAllows(shard) {
-		pr.RemoteErr = ErrShardOpen
-		return pr
-	}
-	r.inflight[shard].Add(1)
-	defer r.inflight[shard].Add(-1)
-	var err error
-	for attempt := 0; attempt < retryAttempts; attempt++ {
-		if attempt > 0 {
-			if ctx.Err() != nil {
-				err = ctx.Err()
-				break
-			}
-			pr.Retries++
-			r.backoff(attempt)
+	rejected := false
+	err := r.shardOp(ctx, shard, &pr, func(attempt int) error {
+		if err := r.slowOrError(fault.RemotePut, id, attempt); err != nil {
+			return err
 		}
-		var status int
-		ierr := r.slowOrError(fault.RemotePut, id, attempt)
-		if ierr == nil {
-			status, _, ierr = r.do(ctx, http.MethodPut, r.entryURL(shard, id), enc)
+		status, _, err := r.do(ctx, http.MethodPut, r.entryURL(shard, id), enc)
+		switch {
+		case err != nil:
+			return err
+		case status == http.StatusBadRequest:
+			// The shard rejected the entry (over its cap): retrying sends
+			// the same bytes, so degrade at once. The shard answered, so the
+			// breaker sees a healthy operation.
+			rejected = true
+		case status != http.StatusNoContent && status != http.StatusOK:
+			return fmt.Errorf("cache: shard %d: unexpected status %d", shard, status)
 		}
-		if ierr == nil {
-			switch status {
-			case http.StatusNoContent, http.StatusOK:
-				r.note(shard, func(s *remoteShardStats) { s.puts++ })
-				r.breakerOK(shard)
-				return pr
-			case http.StatusBadRequest:
-				// The shard rejected the entry (over its cap): retrying sends
-				// the same bytes, so degrade immediately. The shard answered,
-				// so the breaker sees a healthy operation.
-				pr.RemoteErr = fmt.Errorf("cache: shard %d rejected entry", shard)
-				r.note(shard, func(s *remoteShardStats) { s.errors++ })
-				r.breakerOK(shard)
-				return pr
-			default:
-				ierr = fmt.Errorf("cache: shard %d: unexpected status %d", shard, status)
-			}
-		}
-		err = ierr
-		if Classify(err) == ClassFatal {
-			break
-		}
-	}
-	pr.RemoteErr = err
-	r.note(shard, func(s *remoteShardStats) { s.errors++ })
-	if ctx.Err() == nil {
-		r.breakerFail(shard)
+		return nil
+	})
+	switch {
+	case errors.Is(err, ErrShardOpen):
+	case err != nil:
+		r.note(shard, func(s *remoteShardStats) { s.errors++ })
+	case rejected:
+		pr.RemoteErr = fmt.Errorf("cache: shard %d rejected entry", shard)
+		r.note(shard, func(s *remoteShardStats) { s.errors++ })
+	default:
+		r.note(shard, func(s *remoteShardStats) { s.puts++ })
 	}
 	return pr
 }
@@ -489,11 +440,10 @@ func (r *Remote) put(ctx context.Context, id string, enc []byte) (pr Probe) {
 // clock) and then fails like a timed-out request — the hung-shard shape the
 // breaker exists for — and an ErrorKind decision fails immediately.
 func (r *Remote) slowOrError(site fault.Site, id string, attempt int) error {
-	key := fmt.Sprintf("%s#%d", id, attempt)
-	slowSite := fault.RemoteSlow
-	if r.fault.MaybeSlowPoint(slowSite, key) {
-		r.sleepFor(r.opts.Timeout)
-		return &fault.Error{Site: slowSite, Key: key, Transient: true}
+	key := attemptKey(id, attempt)
+	if r.fault.Fires(fault.RemoteSlow, key, fault.SlowKind) {
+		sleepVia(r.sleep, r.opts.Timeout)
+		return &fault.Error{Site: fault.RemoteSlow, Key: key, Transient: true}
 	}
 	return r.fault.MaybeError(site, key)
 }
@@ -578,40 +528,6 @@ func (r *Remote) Counters() map[string]int64 {
 		out[p+"breaker_closes"] = b.Closes
 		out[p+"breaker_probes"] = b.Probes
 		out[p+"breaker_shed"] = b.Shed
-	}
-	return out
-}
-
-// remoteGauge reports whether a counter name is a point-in-time gauge
-// (re-reported whole each drain) rather than a monotonic sum.
-func remoteGauge(name string) bool {
-	return strings.HasSuffix(name, "/inflight") || strings.HasSuffix(name, "/breaker_state")
-}
-
-// DrainCounters returns per-shard counter deltas since the previous drain
-// (gauges — inflight and breaker_state — are reported as their current value
-// each time), so a daemon can mirror remote activity into its obs tracer
-// without double counting across requests.
-func (r *Remote) DrainCounters() map[string]int64 {
-	out := map[string]int64{}
-	if r == nil {
-		return out
-	}
-	snap := r.Counters()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.drained == nil {
-		r.drained = map[string]int64{}
-	}
-	for name, v := range snap {
-		if remoteGauge(name) {
-			out[name] = v
-			continue
-		}
-		if d := v - r.drained[name]; d > 0 {
-			out[name] = d
-			r.drained[name] = v
-		}
 	}
 	return out
 }

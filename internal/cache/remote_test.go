@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"bytes"
 	"context"
 	"net/http/httptest"
 	"os"
@@ -213,30 +212,9 @@ func TestRemoteShardRoutingIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRemoteTransientErrorRetriesThenHits: a transient injected error on the
-// first attempt heals on retry, costing only a recorded retry.
-func TestRemoteTransientErrorRetriesThenHits(t *testing.T) {
-	fx := newRemoteFixture(t, 1)
-	k := remoteKey("epsilon")
-	id := k.id()
-	fx.c.Put(k, []byte("artifact-epsilon"))
-
-	other := fx.freshCache(t)
-	inj := fault.Exact(fault.At{Site: fault.RemoteGet, Key: id + "#0", Kind: fault.ErrorKind, Transient: true})
-	fx.remote.SetFault(inj)
-	defer fx.remote.SetFault(nil)
-	data, ok, pr := other.GetProbeCtx(context.Background(), k)
-	if !ok || !bytes.Equal(data, []byte("artifact-epsilon")) {
-		t.Fatalf("probe after transient blip = %q, %v", data, ok)
-	}
-	if pr.Retries == 0 {
-		t.Fatal("transient remote error recorded no retry")
-	}
-}
-
-// TestRemoteCountersAndDrain: per-shard counters accumulate, and
-// DrainCounters hands out deltas exactly once.
-func TestRemoteCountersAndDrain(t *testing.T) {
+// TestRemoteCountersAreLifetime: per-shard counters accumulate, and reading
+// them does not reset them.
+func TestRemoteCountersAreLifetime(t *testing.T) {
 	fx := newRemoteFixture(t, 2)
 	k := remoteKey("zeta")
 	fx.c.Put(k, []byte("artifact-zeta"))
@@ -244,23 +222,15 @@ func TestRemoteCountersAndDrain(t *testing.T) {
 
 	shard := fx.remote.ShardFor(k.id())
 	prefix := "cache/remote/shard" + string(rune('0'+shard)) + "/"
-	snap := fx.remote.Counters()
-	if snap[prefix+"puts"] != 1 || snap[prefix+"hits"] != 1 {
-		t.Fatalf("counters = %v, want one put and one hit on shard %d", snap, shard)
-	}
-	first := fx.remote.DrainCounters()
-	if first[prefix+"puts"] != 1 || first[prefix+"hits"] != 1 {
-		t.Fatalf("first drain = %v", first)
-	}
-	second := fx.remote.DrainCounters()
-	for name, v := range second {
-		if !strings.HasSuffix(name, "/inflight") && v != 0 {
-			t.Fatalf("second drain re-delivered %s=%d", name, v)
+	for read := 0; read < 2; read++ {
+		snap := fx.remote.Counters()
+		if snap[prefix+"puts"] != 1 || snap[prefix+"hits"] != 1 || snap[prefix+"inflight"] != 0 {
+			t.Fatalf("read %d: counters = %v, want one put and one hit on shard %d", read, snap, shard)
 		}
 	}
-	// Lifetime totals keep reporting after drains.
-	if snap := fx.remote.Counters(); snap[prefix+"puts"] != 1 {
-		t.Fatalf("lifetime counters lost after drain: %v", snap)
+	fx.freshCache(t).Get(k)
+	if snap := fx.remote.Counters(); snap[prefix+"hits"] != 2 {
+		t.Fatalf("counters after a second hit = %v", snap)
 	}
 }
 

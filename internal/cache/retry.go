@@ -3,50 +3,14 @@ package cache
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
+	"strconv"
 	"syscall"
 	"time"
 
 	"outliner/internal/fault"
 )
-
-// Class buckets a disk I/O error for the retry policy. The cache never
-// propagates any of these as a build failure — every class ultimately
-// degrades to a miss (Get) or an unpublished entry (Put); the class only
-// decides whether retrying first is worth it.
-type Class int
-
-const (
-	// ClassTransient: a flaky-disk style blip (interrupted syscall, busy
-	// file, generic I/O error, descriptor exhaustion, timeout). Retried
-	// with capped exponential backoff.
-	ClassTransient Class = iota
-	// ClassCorrupt: the entry read fine but failed validation (magic,
-	// length, checksum). Retrying the read would return the same bytes;
-	// the entry is discarded instead.
-	ClassCorrupt
-	// ClassFatal: the environment says no (disk full, read-only
-	// filesystem, permissions). Retrying cannot help; degrade immediately.
-	ClassFatal
-)
-
-func (c Class) String() string {
-	switch c {
-	case ClassTransient:
-		return "transient"
-	case ClassCorrupt:
-		return "corrupt"
-	case ClassFatal:
-		return "fatal"
-	}
-	return fmt.Sprintf("Class(%d)", int(c))
-}
-
-// ErrCorrupt is wrapped by every entry-validation failure, so
-// Classify(err) == ClassCorrupt exactly when decodeEntry rejected the bytes.
-var ErrCorrupt = errors.New("corrupt cache entry")
 
 // fatalErrnos end a retry loop immediately: the condition is environmental
 // and a fourth attempt fails like the first.
@@ -54,36 +18,27 @@ var fatalErrnos = []syscall.Errno{
 	syscall.ENOSPC, syscall.EROFS, syscall.EACCES, syscall.EPERM,
 }
 
-// transientErrnos document the expected flaky-I/O shapes. The list is not a
-// gate — Classify treats every unrecognized error as transient, because one
-// wasted retry is cheaper than misclassifying a recoverable blip as fatal.
-var transientErrnos = []syscall.Errno{
-	syscall.EINTR, syscall.EAGAIN, syscall.EBUSY, syscall.EIO,
-	syscall.ENFILE, syscall.EMFILE, syscall.ETIMEDOUT,
-}
-
-// Classify buckets err for the retry policy. Injected fault errors classify
-// by their Transient bit so chaos schedules exercise both retry outcomes.
-func Classify(err error) Class {
-	if errors.Is(err, ErrCorrupt) {
-		return ClassCorrupt
-	}
+// fatal reports whether retrying err cannot help. An injected fault error is
+// fatal unless its Transient bit is set, so chaos schedules exercise both
+// retry outcomes; otherwise only fatalErrnos are. Every other error — the
+// flaky-I/O shapes (EINTR, EAGAIN, EBUSY, EIO, ENFILE, EMFILE, ETIMEDOUT) and
+// anything unrecognized — is transient, because one wasted retry is cheaper
+// than misclassifying a recoverable blip as fatal. Damaged bytes never get
+// here: they read fine, decodeEntry rejects them, and the entry is discarded.
+func fatal(err error) bool {
 	var fe *fault.Error
 	if errors.As(err, &fe) {
-		if fe.Transient {
-			return ClassTransient
-		}
-		return ClassFatal
+		return !fe.Transient
 	}
 	for _, errno := range fatalErrnos {
 		if errors.Is(err, errno) {
-			return ClassFatal
+			return true
 		}
 	}
-	return ClassTransient
+	return false
 }
 
-// Retry policy: up to retryAttempts tries per disk operation, sleeping
+// Retry policy: up to retryAttempts tries per disk or remote operation, sleeping
 // retryBase·2^(attempt−1) capped at retryCap between tries. The backoff
 // touches only the wall clock, never cache keys or artifact bytes, so
 // retries cannot perturb build determinism.
@@ -92,6 +47,46 @@ const (
 	retryBase     = time.Millisecond
 	retryCap      = 10 * time.Millisecond
 )
+
+// retry is the one attempt loop behind every disk and remote operation. It
+// runs op(0), op(1), … until op succeeds, fails fatally, or the attempt
+// budget runs out, and returns op's last error. Between attempts it stops
+// with ctx's error once ctx is done — a cancelled build stops paying cache
+// latency — and otherwise counts one pr.Retries and sleeps the capped backoff
+// through sleep. An outcome that is an answer rather than a failure (a
+// missing file, a 404, a rejected upload) is op's to record: it returns nil.
+func retry(ctx context.Context, sleep func(time.Duration), pr *Probe, op func(attempt int) error) error {
+	var err error
+	for attempt := 0; attempt < retryAttempts; attempt++ {
+		if attempt > 0 {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			pr.Retries++
+			sleepVia(sleep, min(retryBase<<(attempt-1), retryCap))
+		}
+		if err = op(attempt); err == nil || fatal(err) {
+			return err
+		}
+	}
+	return err
+}
+
+// sleepVia sleeps d through an instance's injectable clock (nil: the wall
+// clock), so tests run at full speed.
+func sleepVia(sleep func(time.Duration), d time.Duration) {
+	if sleep == nil {
+		sleep = time.Sleep
+	}
+	sleep(d)
+}
+
+// attemptKey is an operation's fault-point key for one attempt. Each attempt
+// re-rolls the fault schedule under its own key, so an injected transient
+// blip on attempt 0 can heal on attempt 1 — the shape a retry loop exists for.
+func attemptKey(id string, attempt int) string {
+	return id + "#" + strconv.Itoa(attempt)
+}
 
 // Probe reports what a Get/Put survived, beyond hit/miss: the pipeline
 // turns these into obs counters (cache/retries, cache/remove_failed,
@@ -136,20 +131,6 @@ func (c *Cache) SetFault(inj *fault.Injector) {
 	}
 }
 
-// backoff sleeps before retry attempt (attempt ≥ 1), via the injectable
-// clock so tests run at full speed.
-func (c *Cache) backoff(attempt int) {
-	d := retryBase << (attempt - 1)
-	if d > retryCap {
-		d = retryCap
-	}
-	if c.sleep != nil {
-		c.sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
 // removeEntry deletes a damaged entry file, via the injectable remover so
 // tests can simulate an undeletable entry (chmod tricks don't work when the
 // test runs as root).
@@ -160,86 +141,51 @@ func (c *Cache) removeEntry(path string) error {
 	return os.Remove(path)
 }
 
-// readEntry reads the raw entry file with transient-error retry. A
-// not-exist error returns immediately (a plain miss, not a fault); fatal
-// errors end the loop; everything else retries with backoff. Each attempt
-// re-rolls the fault schedule under its own key, so an injected transient
-// blip on attempt 0 can heal on attempt 1 — the shape a retry loop exists
-// for. A done ctx aborts the loop between attempts — a cancelled build
-// stops retrying and degrades to a miss.
-func (c *Cache) readEntry(ctx context.Context, id, path string, pr *Probe) ([]byte, error) {
-	var err error
-	for attempt := 0; attempt < retryAttempts; attempt++ {
-		if attempt > 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			pr.Retries++
-			c.backoff(attempt)
+// readEntry reads the raw entry file under retry. A missing file is the
+// ordinary miss (found false, no error), never retried.
+func (c *Cache) readEntry(ctx context.Context, id, path string, pr *Probe) (raw []byte, found bool, err error) {
+	err = retry(ctx, c.sleep, pr, func(attempt int) error {
+		err := c.fault.MaybeError(fault.CacheRead, attemptKey(id, attempt))
+		if err == nil {
+			raw, err = os.ReadFile(path)
 		}
-		ierr := c.fault.MaybeError(fault.CacheRead, fmt.Sprintf("%s#%d", id, attempt))
-		var raw []byte
-		if ierr == nil {
-			raw, ierr = os.ReadFile(path)
-		}
-		if ierr == nil {
-			return raw, nil
-		}
-		err = ierr
-		if errors.Is(err, fs.ErrNotExist) || Classify(err) == ClassFatal {
-			break
-		}
-	}
-	return nil, err
-}
-
-// writeEntry publishes an encoded entry with transient-error retry, using
-// the temp-file + atomic-rename protocol from the Put documentation. A done
-// ctx aborts the loop between attempts; the rename protocol guarantees no
-// torn entry regardless of where the abort lands.
-func (c *Cache) writeEntry(ctx context.Context, id string, enc []byte, pr *Probe) error {
-	var err error
-	for attempt := 0; attempt < retryAttempts; attempt++ {
-		if attempt > 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			pr.Retries++
-			c.backoff(attempt)
-		}
-		ierr := c.tryWrite(id, attempt, enc)
-		if ierr == nil {
+		found = err == nil
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil
 		}
-		err = ierr
-		if Classify(err) == ClassFatal {
-			break
-		}
-	}
-	return err
+		return err
+	})
+	return raw, found, err
 }
 
-func (c *Cache) tryWrite(id string, attempt int, enc []byte) error {
-	if err := c.fault.MaybeError(fault.CacheWrite, fmt.Sprintf("%s#%d", id, attempt)); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(c.dir, "tmp-*")
+// writeEntry publishes an encoded entry under retry. Wherever a done ctx
+// ends the loop, publish guarantees no torn entry.
+func (c *Cache) writeEntry(ctx context.Context, id string, enc []byte, pr *Probe) error {
+	return retry(ctx, c.sleep, pr, func(attempt int) error {
+		if err := c.fault.MaybeError(fault.CacheWrite, attemptKey(id, attempt)); err != nil {
+			return err
+		}
+		return publish(c.dir, c.entryPath(id), enc)
+	})
+}
+
+// publish writes data to path atomically: a temp file in dir, then a rename
+// over path, so readers see either no entry or a complete one. A failed
+// publish removes its temp file.
+func publish(dir, path string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, "tmp-*")
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(enc)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	// Atomic publication: readers see either no entry or a complete one.
-	if err := os.Rename(tmp.Name(), c.entryPath(id)); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return nil
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

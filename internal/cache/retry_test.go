@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -58,7 +59,7 @@ func TestReadRetryThenSucceed(t *testing.T) {
 // the lookup gives up after the attempt budget and reports a miss — never an
 // error to the caller.
 func TestReadAlwaysFailingDegradesToMiss(t *testing.T) {
-	c, sleeps := openQuiet(t)
+	c, _ := openQuiet(t)
 	k := retryTestKey()
 	c.Put(k, []byte("artifact"))
 	c.DropMemory()
@@ -66,7 +67,7 @@ func TestReadAlwaysFailingDegradesToMiss(t *testing.T) {
 	var points []fault.At
 	for a := 0; a < retryAttempts; a++ {
 		points = append(points, fault.At{
-			Site: fault.CacheRead, Key: fmt.Sprintf("%s#%d", id, a),
+			Site: fault.CacheRead, Key: attemptKey(id, a),
 			Kind: fault.ErrorKind, Transient: true,
 		})
 	}
@@ -78,38 +79,10 @@ func TestReadAlwaysFailingDegradesToMiss(t *testing.T) {
 	if pr.Retries != retryAttempts-1 || !fault.IsInjected(pr.IOErr) {
 		t.Fatalf("probe = %+v", pr)
 	}
-	// Exponential backoff, capped: 1ms, 2ms, 4ms for a 4-attempt budget.
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}
-	if len(*sleeps) != len(want) {
-		t.Fatalf("sleeps = %v, want %v", *sleeps, want)
-	}
-	for i := range want {
-		if (*sleeps)[i] != want[i] {
-			t.Fatalf("sleeps = %v, want %v", *sleeps, want)
-		}
-	}
 	// The entry itself is intact: with the fault gone, the next probe hits.
 	c.SetFault(nil)
 	if _, ok, _ := c.GetProbeCtx(context.Background(), k); !ok {
 		t.Fatal("entry lost after degraded miss")
-	}
-}
-
-// TestReadFatalErrorSkipsRetry: a fatal classification ends the loop at once.
-func TestReadFatalErrorSkipsRetry(t *testing.T) {
-	c, sleeps := openQuiet(t)
-	k := retryTestKey()
-	c.Put(k, []byte("artifact"))
-	c.DropMemory()
-	c.SetFault(fault.Exact(
-		fault.At{Site: fault.CacheRead, Key: k.id() + "#0", Kind: fault.ErrorKind, Transient: false},
-	))
-	_, ok, pr := c.GetProbeCtx(context.Background(), k)
-	if ok || pr.Retries != 0 || len(*sleeps) != 0 {
-		t.Fatalf("fatal error retried: ok=%v probe=%+v sleeps=%v", ok, pr, *sleeps)
-	}
-	if Classify(pr.IOErr) != ClassFatal {
-		t.Fatalf("IOErr %v classified %v", pr.IOErr, Classify(pr.IOErr))
 	}
 }
 
@@ -217,34 +190,34 @@ func TestWriteFatalDegradesToMemoryTier(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
+// TestFatal: only the environmental errnos and injected non-transient faults
+// end a retry loop; the flaky-I/O shapes and anything unrecognized retry.
+func TestFatal(t *testing.T) {
 	wrap := func(err error) error {
 		return &fs.PathError{Op: "read", Path: "x.art", Err: err}
 	}
 	cases := []struct {
 		err  error
-		want Class
+		want bool
 	}{
-		{wrap(syscall.EIO), ClassTransient},
-		{wrap(syscall.EAGAIN), ClassTransient},
-		{wrap(syscall.EINTR), ClassTransient},
-		{errors.New("unidentified disk weather"), ClassTransient},
-		{wrap(syscall.ENOSPC), ClassFatal},
-		{wrap(syscall.EROFS), ClassFatal},
-		{wrap(syscall.EACCES), ClassFatal},
-		{wrap(syscall.EPERM), ClassFatal},
-		{&fault.Error{Site: fault.CacheRead, Transient: true}, ClassTransient},
-		{&fault.Error{Site: fault.CacheRead, Transient: false}, ClassFatal},
-		{fmt.Errorf("cache: entry too short: %w", ErrCorrupt), ClassCorrupt},
+		{wrap(syscall.EINTR), false},
+		{wrap(syscall.EAGAIN), false},
+		{wrap(syscall.EBUSY), false},
+		{wrap(syscall.EIO), false},
+		{wrap(syscall.ENFILE), false},
+		{wrap(syscall.EMFILE), false},
+		{wrap(syscall.ETIMEDOUT), false},
+		{errors.New("unidentified disk weather"), false},
+		{wrap(syscall.ENOSPC), true},
+		{wrap(syscall.EROFS), true},
+		{wrap(syscall.EACCES), true},
+		{wrap(syscall.EPERM), true},
+		{&fault.Error{Site: fault.CacheRead, Transient: true}, false},
+		{&fault.Error{Site: fault.CacheRead, Transient: false}, true},
 	}
 	for _, tc := range cases {
-		if got := Classify(tc.err); got != tc.want {
-			t.Errorf("Classify(%v) = %v, want %v", tc.err, got, tc.want)
-		}
-	}
-	for _, errno := range transientErrnos {
-		if got := Classify(wrap(errno)); got != ClassTransient {
-			t.Errorf("Classify(%v) = %v, want transient", errno, got)
+		if got := fatal(tc.err); got != tc.want {
+			t.Errorf("fatal(%v) = %t, want %t", tc.err, got, tc.want)
 		}
 	}
 }
@@ -256,4 +229,145 @@ func TestProbeMerge(t *testing.T) {
 	if p.Retries != 3 || !p.Corrupt || p.IOErr == nil || p.RemoveErr != nil {
 		t.Fatalf("merged probe = %+v", p)
 	}
+}
+
+// TestRetry is the one retry loop's contract, over the four operations that
+// run it: a transient error is retried to the attempt budget under capped
+// backoff, a fatal one is not retried, a blip on the first attempt heals on
+// the second, and a context that is done between attempts ends the loop — on
+// the remote tier without a strike against the shard's breaker.
+func TestRetry(t *testing.T) {
+	ms := time.Millisecond
+	cases := []struct {
+		name string
+		// faults scripts attempts 0..len-1 to fail with this transient bit.
+		faults    []bool
+		cancel    bool // the first backoff sleep cancels the context
+		ok        bool
+		retries   int
+		sleeps    []time.Duration
+		wantErr   func(error) bool
+		breakerUp bool // on the remote: the breaker (threshold 1) stays closed
+	}{
+		{name: "transient", faults: []bool{true, true, true, true}, retries: 3,
+			sleeps: []time.Duration{ms, 2 * ms, 4 * ms}, wantErr: fault.IsInjected},
+		{name: "fatal", faults: []bool{false},
+			wantErr: func(err error) bool { return fatal(err) && fault.IsInjected(err) }},
+		{name: "heal", faults: []bool{true}, ok: true, retries: 1,
+			sleeps: []time.Duration{ms}, breakerUp: true},
+		{name: "cancelled", faults: []bool{true, true, true, true}, cancel: true, retries: 1,
+			sleeps:    []time.Duration{ms},
+			wantErr:   func(err error) bool { return errors.Is(err, context.Canceled) },
+			breakerUp: true},
+	}
+	ops := []struct {
+		name   string
+		site   fault.Site
+		remote bool
+		// run performs the operation on fx and reports whether it succeeded
+		// (a hit, for a read) and the error it degraded over.
+		run func(ctx context.Context, fx *retryFixture) (bool, Probe, error)
+	}{
+		{"disk-read", fault.CacheRead, false, func(ctx context.Context, fx *retryFixture) (bool, Probe, error) {
+			var pr Probe
+			_, found, err := fx.c.readEntry(ctx, fx.id, fx.c.entryPath(fx.id), &pr)
+			return found, pr, err
+		}},
+		{"disk-write", fault.CacheWrite, false, func(ctx context.Context, fx *retryFixture) (bool, Probe, error) {
+			var pr Probe
+			err := fx.c.writeEntry(ctx, fx.id, fx.enc, &pr)
+			return err == nil, pr, err
+		}},
+		{"remote-get", fault.RemoteGet, true, func(ctx context.Context, fx *retryFixture) (bool, Probe, error) {
+			_, _, ok, pr := fx.remote.get(ctx, fx.id)
+			return ok, pr, pr.RemoteErr
+		}},
+		{"remote-put", fault.RemotePut, true, func(ctx context.Context, fx *retryFixture) (bool, Probe, error) {
+			pr := fx.remote.put(ctx, fx.id, fx.enc)
+			return pr.RemoteErr == nil, pr, pr.RemoteErr
+		}},
+	}
+	for _, op := range ops {
+		for _, tc := range cases {
+			t.Run(op.name+"/"+tc.name, func(t *testing.T) {
+				fx := newRetryFixture(t)
+				var points []fault.At
+				for a, transient := range tc.faults {
+					points = append(points, fault.At{Site: op.site, Key: attemptKey(fx.id, a), Kind: fault.ErrorKind, Transient: transient})
+				}
+				inj := fault.Exact(points...)
+				fx.c.SetFault(inj)
+				fx.remote.SetFault(inj)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var sleeps []time.Duration
+				sleep := func(d time.Duration) {
+					sleeps = append(sleeps, d)
+					if tc.cancel {
+						cancel()
+					}
+				}
+				fx.c.sleep, fx.remote.sleep = sleep, sleep
+
+				ok, pr, err := op.run(ctx, fx)
+				if ok != tc.ok || pr.Retries != tc.retries || fmt.Sprint(sleeps) != fmt.Sprint(tc.sleeps) {
+					t.Fatalf("ok=%t retries=%d sleeps=%v, want ok=%t retries=%d sleeps=%v",
+						ok, pr.Retries, sleeps, tc.ok, tc.retries, tc.sleeps)
+				}
+				if tc.wantErr == nil && err != nil || tc.wantErr != nil && !tc.wantErr(err) {
+					t.Fatalf("error = %v", err)
+				}
+				// Every attempt but a successful last one failed on its fault.
+				failed := int64(tc.retries + 1)
+				if tc.ok {
+					failed--
+				}
+				if n := inj.DrainCounters()["fault/"+string(op.site)]; n != failed {
+					t.Fatalf("%d attempts failed, want %d", n, failed)
+				}
+				if op.remote {
+					if up := fx.remote.Breaker(0).State == BreakerClosed; up != tc.breakerUp {
+						t.Fatalf("breaker closed = %t, want %t", up, tc.breakerUp)
+					}
+				}
+			})
+		}
+	}
+}
+
+// retryFixture is a private cache over one live shard whose breaker opens
+// on a single failed operation, with one entry already on disk and on the
+// shard, so every operation TestRetry runs can succeed once its faults pass.
+type retryFixture struct {
+	c      *Cache
+	remote *Remote
+	id     string
+	enc    []byte
+}
+
+func newRetryFixture(t *testing.T) *retryFixture {
+	t.Helper()
+	store, err := OpenShard(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewShardServer(store))
+	t.Cleanup(srv.Close)
+	fx := &retryFixture{
+		remote: NewRemoteWith([]string{srv.URL}, RemoteOptions{BreakerThreshold: 1, ProbeInterval: time.Hour}),
+		id:     retryTestKey().id(),
+		enc:    encodeEntry([]byte("artifact")),
+	}
+	t.Cleanup(fx.remote.Close)
+	if fx.c, err = Open(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	var pr Probe
+	if err := fx.c.writeEntry(context.Background(), fx.id, fx.enc, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if pr := fx.remote.put(context.Background(), fx.id, fx.enc); pr.RemoteErr != nil {
+		t.Fatal(pr.RemoteErr)
+	}
+	return fx
 }

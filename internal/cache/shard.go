@@ -86,8 +86,9 @@ func (s *ShardStore) path(id string) string {
 	return filepath.Join(s.dir, id+".art")
 }
 
-// insert adds id at the hot end, evicting cold entries until the cap holds.
-// Caller holds s.mu or is single-threaded (OpenShard).
+// insert adds id at the hot end, replacing any entry under id, and evicts
+// cold entries until the cap holds. Caller holds s.mu or is single-threaded
+// (OpenShard).
 func (s *ShardStore) insert(id string, size int64) {
 	if el, ok := s.index[id]; ok {
 		s.bytes -= el.Value.(*lruEntry).size
@@ -176,36 +177,16 @@ func (s *ShardStore) Put(id string, enc []byte) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Evict before publishing so the cap holds at every instant; the entry
-	// being replaced (if any) is removed from the accounting first.
-	if el, ok := s.index[id]; ok {
-		s.bytes -= el.Value.(*lruEntry).size
-		s.lru.Remove(el)
-		delete(s.index, id)
-	}
-	for s.bytes+int64(len(enc)) > s.cap {
-		victim := s.lru.Back()
-		if victim == nil {
-			break
-		}
-		s.evictLocked(victim)
-	}
-	tmp, err := os.CreateTemp(s.dir, "tmp-*")
-	if err != nil {
+	// Evict before publishing so the cap holds on disk at every instant. The
+	// entry fits the cap, so the evictions never reach it.
+	s.insert(id, int64(len(enc)))
+	if publish(s.dir, s.path(id), enc) != nil {
+		// The file of the entry being replaced, if any, is stale now: drop
+		// it with the entry, so nothing outside the index outlives the
+		// failure.
+		s.dropLocked(id)
 		return false
 	}
-	_, werr := tmp.Write(enc)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return false
-	}
-	if err := os.Rename(tmp.Name(), s.path(id)); err != nil {
-		os.Remove(tmp.Name())
-		return false
-	}
-	s.bytes += int64(len(enc))
-	s.index[id] = s.lru.PushFront(&lruEntry{id: id, size: int64(len(enc))})
 	s.puts++
 	return true
 }

@@ -2,12 +2,14 @@ package cache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -51,10 +53,13 @@ func TestShardCapNeverExceeded(t *testing.T) {
 
 // TestShardDeterministicEviction: eviction is a pure function of the access
 // sequence. Two shards replaying the same seeded operations report identical
-// eviction orders via the evict hook.
+// eviction orders via the evict hook, and reopening the directory under a
+// smaller cap adopts the same survivors. Both are pinned to a digest recorded
+// before Put and adoption shared one eviction loop.
 func TestShardDeterministicEviction(t *testing.T) {
 	run := func() []string {
-		s, err := OpenShard(t.TempDir(), 2048)
+		dir := t.TempDir()
+		s, err := OpenShard(dir, 2048)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,6 +74,18 @@ func TestShardDeterministicEviction(t *testing.T) {
 				s.Put(id, shardEntry(byte(op%251), rng.Intn(700)+1))
 			}
 		}
+		reopened, err := OpenShard(dir, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		survivors, err := filepath.Glob(filepath.Join(dir, "*.art"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		evicted = append(evicted, fmt.Sprintf("reopened %d bytes:", reopened.Bytes()))
+		for _, path := range survivors {
+			evicted = append(evicted, filepath.Base(path))
+		}
 		return evicted
 	}
 	first, second := run(), run()
@@ -77,6 +94,10 @@ func TestShardDeterministicEviction(t *testing.T) {
 	}
 	if fmt.Sprint(first) != fmt.Sprint(second) {
 		t.Fatalf("eviction order diverged between identical replays:\n  %v\n  %v", first, second)
+	}
+	const want = "e3e52681403e8d4341f1bc2251a5bc67208a948065f49c519c71ab2ffdf737ff"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(first)))); got != want {
+		t.Fatalf("eviction digest = %s, want %s", got, want)
 	}
 }
 
@@ -190,6 +211,49 @@ func TestShardRejects(t *testing.T) {
 	}
 	if _, ok := s.Get(shardID(0)); !ok {
 		t.Fatal("baseline entry lost")
+	}
+}
+
+// TestShardFailedPublishLeavesNoFile: a Put that replaces an entry and then
+// fails to publish drops the entry and its old file, so nothing outside the
+// index (and the cap) survives on disk for a reopen to adopt. The failure is
+// staged with an empty directory where the entry's file was, which the
+// publishing rename cannot replace.
+func TestShardFailedPublishLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenShard(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := shardID(1)
+	if !s.Put(id, shardEntry(1, 64)) {
+		t.Fatal("put rejected")
+	}
+	path := s.path(id)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if s.Put(id, shardEntry(2, 64)) {
+		t.Fatal("a publish over a directory succeeded")
+	}
+	if s.Len() != 0 || s.Bytes() != 0 {
+		t.Fatalf("failed publish left %d entries / %d bytes in the index", s.Len(), s.Bytes())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("failed publish left the replaced entry's file behind: %v", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+		t.Fatalf("failed publish left files behind: %v", left)
+	}
+	reopened, err := OpenShard(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.Len() != 0 {
+		t.Fatalf("reopen adopted %d entries after the failed publish", reopened.Len())
 	}
 }
 

@@ -1,10 +1,12 @@
 package difftest
 
 import (
+	"strings"
 	"testing"
 
 	"outliner/internal/appgen"
 	"outliner/internal/frontend"
+	"outliner/internal/raceflag"
 )
 
 // FuzzFrontend pushes arbitrary bytes through the lexer, parser, and
@@ -19,6 +21,15 @@ func FuzzFrontend(f *testing.F) {
 		"func f() throws -> Int {\n  throw 1\n}\n",
 		"func main() {\n  var a = [1, 2]\n  a.append(3)\n  print(a.count)\n}\n",
 		"}{", "func", "class C {", "func main() { if { } }", "\x00\xff",
+		// Past the parser's nesting limit: a 400 k-term sum, whose left-deep
+		// tree overflowed the checker's stack before the limit existed.
+		"func main() {\n  print(1" + strings.Repeat("+1", 400_000) + ")\n}\n",
+	}
+	// 3 M nested parentheses, which overflowed the parser's own stack. They
+	// lex into about 1 GB of tokens, which the race detector's shadow memory
+	// would nearly triple.
+	if !raceflag.Enabled {
+		seeds = append(seeds, "func main() {\n  print("+strings.Repeat("(", 3_000_000)+"1"+strings.Repeat(")", 3_000_000)+")\n}\n")
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -180,20 +180,19 @@ type Injector struct {
 	// At point is its own opt-in.
 	disruptive bool
 
-	mu       sync.Mutex
-	injected map[string]int64 // per-site injection counts
-	drained  map[string]int64 // counts already handed out by DrainCounters
+	mu      sync.Mutex
+	pending map[string]int64 // per-site injections since the last DrainCounters
 }
 
 // New returns a hash-scheduled injector: each (site, key) point fires with
-// probability rate, with the kind drawn from the site's supported faults.
+// probability rate, injecting the kind its call site asks Fires about.
 func New(seed uint64, rate float64) *Injector {
-	return &Injector{seed: seed, rate: rate, injected: map[string]int64{}}
+	return &Injector{seed: seed, rate: rate, pending: map[string]int64{}}
 }
 
 // Exact returns a scripted injector firing at exactly the listed points.
 func Exact(points ...At) *Injector {
-	inj := &Injector{script: make(map[[2]string]At, len(points)), injected: map[string]int64{}}
+	inj := &Injector{script: make(map[[2]string]At, len(points)), pending: map[string]int64{}}
 	for _, p := range points {
 		inj.script[[2]string{string(p.Site), p.Key}] = p
 	}
@@ -211,22 +210,6 @@ func (inj *Injector) EnableDisruptive() *Injector {
 		inj.disruptive = true
 	}
 	return inj
-}
-
-// Seed returns the schedule seed (0 for scripted injectors).
-func (inj *Injector) Seed() uint64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.seed
-}
-
-// Rate returns the per-point firing probability (0 for scripted injectors).
-func (inj *Injector) Rate() float64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.rate
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator — a cheap,
@@ -253,56 +236,33 @@ func (inj *Injector) roll(site Site, key string) uint64 {
 	return splitmix64(inj.seed ^ splitmix64(fnv1a(string(site))^splitmix64(fnv1a(key))))
 }
 
-// fires reports whether the (site, key) point is armed at all.
-func (inj *Injector) fires(site Site, key string) bool {
-	// The top 53 bits give an unbiased [0,1) fraction.
-	frac := float64(inj.roll(site, key)>>11) / float64(uint64(1)<<53)
-	return frac < inj.rate
-}
-
-// Scheduled reports what (if anything) the point would inject, without
-// injecting or counting it. kinds lists the faults the call site supports,
-// in the order the site's helpers consider them; the decision hash picks one.
-func (inj *Injector) Scheduled(site Site, key string, kinds ...Kind) Kind {
-	if inj == nil || len(kinds) == 0 {
-		return None
+// Fires reports whether the (site, key) point injects a fault of kind, and
+// counts the injection when it does. A scripted injector fires exactly where
+// its script names kind at the point. A chaos injector fires at its rate, and
+// skips the disruptive kinds until EnableDisruptive; the decision does not
+// depend on kind otherwise, so enabling disruption cannot shift the decisions
+// of the other sites. Call sites that carry out the fault themselves — hang a
+// worker, stall a shard, cancel a build, damage a program — ask Fires
+// directly; MaybePanic, MaybeError and MaybeCorrupt are built on it.
+func (inj *Injector) Fires(site Site, key string, kind Kind) bool {
+	if inj == nil {
+		return false
 	}
 	if inj.script != nil {
-		at, ok := inj.script[[2]string{string(site), key}]
-		if !ok {
-			return None
+		if at, ok := inj.script[[2]string{string(site), key}]; !ok || at.Kind != kind {
+			return false
 		}
-		for _, k := range kinds {
-			if k == at.Kind {
-				return k
-			}
+	} else {
+		if kind.disruptive() && !inj.disruptive {
+			return false
 		}
-		return None
-	}
-	// Chaos schedules skip disruptive kinds unless opted in. The filter runs
-	// before the kind pick, but sites never mix disruptive and ordinary kinds
-	// in one call, so enabling disruption cannot shift the decisions of
-	// pre-existing sites.
-	if !inj.disruptive {
-		n := 0
-		for _, k := range kinds {
-			if !k.disruptive() {
-				kinds[n] = k
-				n++
-			}
-		}
-		kinds = kinds[:n]
-		if len(kinds) == 0 {
-			return None
+		// The top 53 bits give an unbiased [0,1) fraction.
+		if float64(inj.roll(site, key)>>11)/float64(uint64(1)<<53) >= inj.rate {
+			return false
 		}
 	}
-	if !inj.fires(site, key) {
-		return None
-	}
-	// A second, independent hash picks the kind so neighbouring rates do not
-	// bias the choice.
-	pick := splitmix64(inj.roll(site, key) + 1)
-	return kinds[pick%uint64(len(kinds))]
+	inj.count(site)
+	return true
 }
 
 // transient reports whether an ErrorKind injection at the point is transient;
@@ -314,31 +274,16 @@ func (inj *Injector) transient(site Site, key string) bool {
 	return splitmix64(inj.roll(site, key)+2)&1 == 0
 }
 
-// count records one injection for Counters.
+// count records one injection for DrainCounters.
 func (inj *Injector) count(site Site) {
 	inj.mu.Lock()
-	inj.injected[string(site)]++
+	inj.pending[string(site)]++
 	inj.mu.Unlock()
-}
-
-// Counters returns a snapshot of per-site injection counts (key "fault/<site>").
-func (inj *Injector) Counters() map[string]int64 {
-	out := map[string]int64{}
-	if inj == nil {
-		return out
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	for site, n := range inj.injected {
-		out["fault/"+site] = n
-	}
-	return out
 }
 
 // DrainCounters returns per-site injection counts accrued since the previous
 // drain (key "fault/<site>"), so several build stages can each mirror the
-// injector's activity into their tracer without double counting. Counters
-// keeps reporting lifetime totals.
+// injector's activity into their tracer without double counting.
 func (inj *Injector) DrainCounters() map[string]int64 {
 	out := map[string]int64{}
 	if inj == nil {
@@ -346,30 +291,11 @@ func (inj *Injector) DrainCounters() map[string]int64 {
 	}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	if inj.drained == nil {
-		inj.drained = map[string]int64{}
+	for site, n := range inj.pending {
+		out["fault/"+site] = n
 	}
-	for site, n := range inj.injected {
-		if d := n - inj.drained[site]; d > 0 {
-			out["fault/"+site] = d
-			inj.drained[site] = n
-		}
-	}
+	clear(inj.pending)
 	return out
-}
-
-// Injected returns the total number of faults this injector has fired.
-func (inj *Injector) Injected() int64 {
-	if inj == nil {
-		return 0
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	var n int64
-	for _, v := range inj.injected {
-		n += v
-	}
-	return n
 }
 
 // String summarizes the injection schedule for diagnostics.
@@ -395,8 +321,7 @@ func (inj *Injector) String() string {
 // at worker task start and per-function codegen; the surrounding worker pool
 // recovers it into a structured *par.PanicError.
 func (inj *Injector) MaybePanic(site Site, key string) {
-	if inj.Scheduled(site, key, PanicKind) == PanicKind {
-		inj.count(site)
+	if inj.Fires(site, key, PanicKind) {
 		panic(&Panic{Site: site, Key: key})
 	}
 }
@@ -404,21 +329,20 @@ func (inj *Injector) MaybePanic(site Site, key string) {
 // MaybeError returns an injected *Error if the point is armed for one, nil
 // otherwise.
 func (inj *Injector) MaybeError(site Site, key string) error {
-	if inj.Scheduled(site, key, ErrorKind) == ErrorKind {
-		inj.count(site)
+	if inj.Fires(site, key, ErrorKind) {
 		return &Error{Site: site, Key: key, Transient: inj.transient(site, key)}
 	}
 	return nil
 }
 
 // MaybeCorrupt returns data with deterministically flipped bytes if the point
-// is armed for corruption, data unchanged otherwise. The input is never
-// mutated; corruption copies.
+// is armed for corruption, data unchanged otherwise. Empty data has nothing to
+// damage, so it is not offered to the schedule and never counts. The input is
+// never mutated; corruption copies.
 func (inj *Injector) MaybeCorrupt(site Site, key string, data []byte) []byte {
-	if inj.Scheduled(site, key, CorruptKind) != CorruptKind || len(data) == 0 {
+	if len(data) == 0 || !inj.Fires(site, key, CorruptKind) {
 		return data
 	}
-	inj.count(site)
 	out := append([]byte(nil), data...)
 	// Flip a hash-chosen byte plus the final byte, so truncation-style and
 	// mid-stream damage are both exercised.
@@ -426,49 +350,6 @@ func (inj *Injector) MaybeCorrupt(site Site, key string, data []byte) []byte {
 	out[h%uint64(len(out))] ^= byte(h>>8) | 1
 	out[len(out)-1] ^= 0x80
 	return out
-}
-
-// MaybeCorruptPoint reports (and counts) whether a CorruptKind fault fires at
-// the point, for sites whose "corruption" is structural (OutlineRound mutates
-// a program rather than a byte slice).
-func (inj *Injector) MaybeCorruptPoint(site Site, key string) bool {
-	if inj.Scheduled(site, key, CorruptKind) != CorruptKind {
-		return false
-	}
-	inj.count(site)
-	return true
-}
-
-// MaybeHangPoint reports (and counts) whether a HangKind fault fires at the
-// point. The caller implements the hang — typically by blocking on its
-// build context until cancellation, which is the behaviour under test.
-func (inj *Injector) MaybeHangPoint(site Site, key string) bool {
-	if inj.Scheduled(site, key, HangKind) != HangKind {
-		return false
-	}
-	inj.count(site)
-	return true
-}
-
-// MaybeSlowPoint reports (and counts) whether a SlowKind fault fires at the
-// point. The caller implements the stall — typically by sleeping its full
-// per-operation timeout before failing the operation.
-func (inj *Injector) MaybeSlowPoint(site Site, key string) bool {
-	if inj.Scheduled(site, key, SlowKind) != SlowKind {
-		return false
-	}
-	inj.count(site)
-	return true
-}
-
-// MaybeCancelPoint reports (and counts) whether a CancelKind fault fires at
-// the point. The caller cancels the build's context — cancel-at-step-N.
-func (inj *Injector) MaybeCancelPoint(site Site, key string) bool {
-	if inj.Scheduled(site, key, CancelKind) != CancelKind {
-		return false
-	}
-	inj.count(site)
-	return true
 }
 
 // IsInjected reports whether err's chain contains an injected fault error.

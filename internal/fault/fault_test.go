@@ -9,8 +9,8 @@ import (
 
 func TestNilInjectorNeverFires(t *testing.T) {
 	var inj *Injector
-	if k := inj.Scheduled(CacheRead, "x", ErrorKind, CorruptKind); k != None {
-		t.Fatalf("nil injector scheduled %v", k)
+	if inj.Fires(CacheRead, "x", ErrorKind) {
+		t.Fatal("nil injector fired")
 	}
 	if err := inj.MaybeError(CacheRead, "x"); err != nil {
 		t.Fatalf("nil injector returned %v", err)
@@ -20,7 +20,7 @@ func TestNilInjectorNeverFires(t *testing.T) {
 	if got := inj.MaybeCorrupt(CacheRead, "x", data); !bytes.Equal(got, data) {
 		t.Fatal("nil injector corrupted data")
 	}
-	if inj.Injected() != 0 || len(inj.Counters()) != 0 {
+	if len(inj.DrainCounters()) != 0 {
 		t.Fatal("nil injector counted injections")
 	}
 }
@@ -30,10 +30,10 @@ func TestRateZeroAndOne(t *testing.T) {
 	one := New(42, 1)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if zero.Scheduled(CacheRead, key, ErrorKind) != None {
+		if zero.Fires(CacheRead, key, ErrorKind) {
 			t.Fatalf("rate-0 injector fired at %s", key)
 		}
-		if one.Scheduled(CacheRead, key, ErrorKind) == None {
+		if !one.Fires(CacheRead, key, ErrorKind) {
 			t.Fatalf("rate-1 injector silent at %s", key)
 		}
 	}
@@ -42,11 +42,11 @@ func TestRateZeroAndOne(t *testing.T) {
 // TestDeterministicSchedule: decisions depend only on (seed, site, key) — not
 // on call order or prior calls — and distinct seeds give distinct schedules.
 func TestDeterministicSchedule(t *testing.T) {
-	decide := func(seed uint64, keys []string) []Kind {
+	decide := func(seed uint64, keys []string) []bool {
 		inj := New(seed, 0.3)
-		out := make([]Kind, len(keys))
+		out := make([]bool, len(keys))
 		for i, k := range keys {
-			out[i] = inj.Scheduled(CacheRead, k, ErrorKind, CorruptKind)
+			out[i] = inj.Fires(CacheRead, k, ErrorKind)
 		}
 		return out
 	}
@@ -58,13 +58,13 @@ func TestDeterministicSchedule(t *testing.T) {
 	b := decide(7, keys)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("seed 7 disagreed with itself at %s: %v vs %v", keys[i], a[i], b[i])
+			t.Fatalf("seed 7 disagreed with itself at %s: %t vs %t", keys[i], a[i], b[i])
 		}
 	}
 	// Reversed call order must not change anything.
 	inj := New(7, 0.3)
 	for i := len(keys) - 1; i >= 0; i-- {
-		if got := inj.Scheduled(CacheRead, keys[i], ErrorKind, CorruptKind); got != a[i] {
+		if got := inj.Fires(CacheRead, keys[i], ErrorKind); got != a[i] {
 			t.Fatalf("call order changed decision at %s", keys[i])
 		}
 	}
@@ -85,7 +85,7 @@ func TestRateIsApproximatelyHonored(t *testing.T) {
 	fired := 0
 	const n = 4000
 	for i := 0; i < n; i++ {
-		if inj.Scheduled(CacheRead, fmt.Sprintf("k%d", i), ErrorKind) != None {
+		if inj.Fires(CacheRead, fmt.Sprintf("k%d", i), ErrorKind) {
 			fired++
 		}
 	}
@@ -100,10 +100,10 @@ func TestExactScript(t *testing.T) {
 		At{Site: OutlineRound, Key: "round:3", Kind: CorruptKind},
 		At{Site: CacheRead, Key: "e#0", Kind: ErrorKind, Transient: true},
 	)
-	if !inj.MaybeCorruptPoint(OutlineRound, "round:3") {
+	if !inj.Fires(OutlineRound, "round:3", CorruptKind) {
 		t.Fatal("scripted corrupt point did not fire")
 	}
-	if inj.MaybeCorruptPoint(OutlineRound, "round:2") {
+	if inj.Fires(OutlineRound, "round:2", CorruptKind) {
 		t.Fatal("unscripted point fired")
 	}
 	err := inj.MaybeError(CacheRead, "e#0")
@@ -116,11 +116,11 @@ func TestExactScript(t *testing.T) {
 	}
 	// A scripted ErrorKind point never panics or corrupts.
 	inj.MaybePanic(CacheRead, "e#0")
-	if inj.MaybeCorruptPoint(CacheRead, "e#0") {
+	if inj.Fires(CacheRead, "e#0", CorruptKind) {
 		t.Fatal("error-scripted point corrupted")
 	}
-	if inj.Injected() != 2 {
-		t.Fatalf("Injected = %d, want 2", inj.Injected())
+	if c := inj.DrainCounters(); len(c) != 2 || c["fault/"+string(OutlineRound)] != 1 || c["fault/"+string(CacheRead)] != 1 {
+		t.Fatalf("counters = %v, want one outline round and one cache read", c)
 	}
 }
 
@@ -160,9 +160,14 @@ func TestCounters(t *testing.T) {
 	_ = inj.MaybeError(CacheRead, "a")
 	_ = inj.MaybeError(CacheRead, "b")
 	_ = inj.MaybeError(CacheWrite, "c")
-	c := inj.Counters()
+	c := inj.DrainCounters()
 	if c["fault/"+string(CacheRead)] != 2 || c["fault/"+string(CacheWrite)] != 1 {
 		t.Fatalf("counters = %v", c)
+	}
+	// A drain hands each injection out once.
+	_ = inj.MaybeError(CacheRead, "d")
+	if c := inj.DrainCounters(); len(c) != 1 || c["fault/"+string(CacheRead)] != 1 {
+		t.Fatalf("second drain = %v, want the one new cache read", c)
 	}
 }
 

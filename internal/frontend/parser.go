@@ -11,6 +11,30 @@ type Parser struct {
 	// noBraceDepth > 0 while parsing if/while/for headers, where a bare `{`
 	// belongs to the statement body, not to a closure literal.
 	noBraceDepth int
+
+	// depth is the current nesting level (see maxNesting). A parse step that
+	// succeeds returns it to where the step began; one that fails leaves it,
+	// because a failure abandons the parse. The one backtracking site,
+	// explicit type arguments, restores it with the position.
+	depth int
+}
+
+// maxNesting bounds how deeply a source may nest. Blocks, if/else-if chains,
+// types, expressions (so brackets) and prefix operators each count a level,
+// and so does every link of a left-deep binary-operator or postfix chain
+// (`1+1+…`, `a.b.c…`), whose tree is as deep as the chain is long. Every
+// later pass walks that tree recursively, and an unbounded depth overflows
+// the goroutine stack: a fatal error that no recover sees, so one such source
+// would take a whole compile daemon down. The deepest testdata program and
+// generated corpus stays below 20 levels.
+const maxNesting = 1000
+
+// nest enters one more nesting level.
+func (p *Parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errf("nesting deeper than %d levels", maxNesting)
+	}
+	return nil
 }
 
 // ParseFile lexes and parses src.
@@ -214,6 +238,9 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 }
 
 func (p *Parser) parseType(generics []string) (*Type, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	var base *Type
 	switch {
 	case p.at(TokIdent):
@@ -278,6 +305,7 @@ func (p *Parser) parseType(generics []string) (*Type, error) {
 	for p.accept(TokQuestion) {
 		base = OptionalType(base)
 	}
+	p.depth--
 	return base, nil
 }
 
@@ -293,6 +321,9 @@ func contains(ss []string, s string) bool {
 // ---- Statements ----
 
 func (p *Parser) parseBlock() (*BlockStmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	if _, err := p.expect(TokLBrace); err != nil {
 		return nil, err
 	}
@@ -308,6 +339,7 @@ func (p *Parser) parseBlock() (*BlockStmt, error) {
 		blk.Stmts = append(blk.Stmts, st)
 	}
 	_, err := p.expect(TokRBrace)
+	p.depth--
 	return blk, err
 }
 
@@ -445,6 +477,9 @@ func (p *Parser) parseStmt() (Stmt, error) {
 }
 
 func (p *Parser) parseIf() (Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	line := p.advance().Line // consume `if`
 	var bind string
 	if p.at(TokLet) {
@@ -484,19 +519,31 @@ func (p *Parser) parseIf() (Stmt, error) {
 			st.Else = els
 		}
 	}
+	p.depth--
 	return st, nil
 }
 
 // ---- Expressions ----
 
-func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *Parser) parseExpr() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	e, err := p.parseOr()
+	p.depth--
+	return e, err
+}
 
 func (p *Parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
 	if err != nil {
 		return nil, err
 	}
+	d := p.depth
 	for p.at(TokOr) {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		line := p.advance().Line
 		r, err := p.parseAnd()
 		if err != nil {
@@ -504,6 +551,7 @@ func (p *Parser) parseOr() (Expr, error) {
 		}
 		l = &BinaryExpr{Op: TokOr, L: l, R: r, Line: line}
 	}
+	p.depth = d
 	return l, nil
 }
 
@@ -512,7 +560,11 @@ func (p *Parser) parseAnd() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	d := p.depth
 	for p.at(TokAnd) {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		line := p.advance().Line
 		r, err := p.parseCmp()
 		if err != nil {
@@ -520,6 +572,7 @@ func (p *Parser) parseAnd() (Expr, error) {
 		}
 		l = &BinaryExpr{Op: TokAnd, L: l, R: r, Line: line}
 	}
+	p.depth = d
 	return l, nil
 }
 
@@ -546,7 +599,11 @@ func (p *Parser) parseAdd() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	d := p.depth
 	for p.at(TokPlus) || p.at(TokMinus) {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		op := p.cur().Kind
 		line := p.advance().Line
 		r, err := p.parseMul()
@@ -555,6 +612,7 @@ func (p *Parser) parseAdd() (Expr, error) {
 		}
 		l = &BinaryExpr{Op: op, L: l, R: r, Line: line}
 	}
+	p.depth = d
 	return l, nil
 }
 
@@ -563,7 +621,11 @@ func (p *Parser) parseMul() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	d := p.depth
 	for p.at(TokStar) || p.at(TokSlash) || p.at(TokPercent) {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		op := p.cur().Kind
 		line := p.advance().Line
 		r, err := p.parseUnary()
@@ -572,25 +634,34 @@ func (p *Parser) parseMul() (Expr, error) {
 		}
 		l = &BinaryExpr{Op: op, L: l, R: r, Line: line}
 	}
+	p.depth = d
 	return l, nil
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
 	switch p.cur().Kind {
 	case TokMinus, TokNot:
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		op := p.cur().Kind
 		line := p.advance().Line
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &UnaryExpr{Op: op, X: x, Line: line}, nil
 	case TokTry:
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		p.advance()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		switch call := x.(type) {
 		case *CallExpr:
 			call.Try = true
@@ -609,7 +680,11 @@ func (p *Parser) parsePostfix() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
+	d := p.depth
+	for p.at(TokLParen) || p.at(TokLBracket) || p.at(TokDot) {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		switch p.cur().Kind {
 		case TokLParen:
 			line := p.cur().Line
@@ -644,10 +719,10 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			} else {
 				e = &FieldExpr{Recv: e, Field: name.Text, Line: name.Line}
 			}
-		default:
-			return e, nil
 		}
 	}
+	p.depth = d
+	return e, nil
 }
 
 func (p *Parser) parseArgs() ([]Expr, error) {
@@ -703,7 +778,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		// Explicit generic instantiation: ident<T, U>(...). Backtrack if the
 		// angle bracket turns out to be a comparison.
 		if p.at(TokLt) {
-			save := p.pos
+			save, depth := p.pos, p.depth
 			if typeArgs, ok := p.tryTypeArgs(); ok && p.at(TokLParen) {
 				args, err := p.parseArgs()
 				if err != nil {
@@ -711,7 +786,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 				}
 				return &CallExpr{Fn: e, TypeArgs: typeArgs, Args: args, Line: t.Line}, nil
 			}
-			p.pos = save
+			p.pos, p.depth = save, depth
 		}
 		return e, nil
 	case TokLParen:

@@ -262,7 +262,7 @@ func Outline(prog *mir.Program, opts Options) (*Stats, error) {
 		// function's terminator guarantees a fall-through violation) and
 		// exercises exactly the verifier + rollback machinery below.
 		if opts.Verify && len(sc.newFuncs) > 0 &&
-			opts.Fault.MaybeCorruptPoint(fault.OutlineRound, fmt.Sprintf("%s/round:%d", opts.RemarkModule, round)) {
+			opts.Fault.Fires(fault.OutlineRound, fmt.Sprintf("%s/round:%d", opts.RemarkModule, round), fault.CorruptKind) {
 			corruptNewFunc(sc.newFuncs[0])
 		}
 		if rep := verifyRound(prog, opts, round, sc.frontier); rep != nil {

@@ -81,7 +81,7 @@ func (b *build) run(lists ...[]stage) error {
 // step runs one stage in its frame.
 func (b *build) step(s *stage) error {
 	cfg := &b.cfg
-	if cfg.Fault.MaybeCancelPoint(fault.CancelStep, "step:"+s.name) {
+	if cfg.Fault.Fires(fault.CancelStep, "step:"+s.name, fault.CancelKind) {
 		b.cancel()
 	}
 	if err := cfg.Ctx.Err(); err != nil {
@@ -151,7 +151,7 @@ func (b *build) runTask(s *stage, cached bool, keyCfg, name string, lane, i int)
 		label = s.name + " " + name
 	}
 	cfg.Fault.MaybePanic(fault.WorkerTask, label)
-	if cfg.Fault.MaybeHangPoint(fault.WorkerHang, label) {
+	if cfg.Fault.Fires(fault.WorkerHang, label, fault.HangKind) {
 		// The hung-compiler drill: block until the build is cancelled, the
 		// wedge deadline propagation exists to bound. Without a deadline the
 		// hang is unbounded, which is why chaos schedules only fire it under

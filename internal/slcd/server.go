@@ -13,7 +13,7 @@
 //     sharded remote tier, so one request's publications are the next
 //     request's hits.
 //   - Degraded modes, not failures. A dead or corrupt remote shard degrades
-//     to a miss under the cache's fault classes (and a persistently dead
+//     to a miss under the cache's retry policy (and a persistently dead
 //     shard trips its circuit breaker, so the farm stops paying its timeout);
 //     a build request never fails because the farm's accelerators are
 //     unhealthy.
@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,8 +79,8 @@ type Options struct {
 	// (cache.RemoteOptions.Timeout). 0 means the cache package default.
 	RemoteTimeout time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens a shard's
-	// circuit breaker (cache.RemoteOptions.BreakerThreshold). 0 means the
-	// default; negative disables the breakers.
+	// circuit breaker (cache.RemoteOptions.BreakerThreshold). A non-positive
+	// value means the default.
 	BreakerThreshold int
 	// ProbeInterval is the open-shard health-probe cadence
 	// (cache.RemoteOptions.ProbeInterval). 0 means the default.
@@ -363,7 +362,6 @@ func (s *Server) Drain(timeout time.Duration) bool {
 
 // finish folds one completed request into the daemon aggregates.
 func (s *Server) finish(resp *BuildResponse, queueWait time.Duration) {
-	remote := s.remote.DrainCounters()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.builds++
@@ -375,13 +373,6 @@ func (s *Server) finish(resp *BuildResponse, queueWait time.Duration) {
 	}
 	s.counters["slcd/queue_wait_ns"] += queueWait.Nanoseconds()
 	for name, v := range resp.Counters {
-		s.counters[name] += v
-	}
-	for name, v := range remote {
-		if strings.HasSuffix(name, "/inflight") || strings.HasSuffix(name, "/breaker_state") {
-			s.counters[name] = v // gauge, not a sum
-			continue
-		}
 		s.counters[name] += v
 	}
 }
@@ -406,9 +397,10 @@ type Stats struct {
 	// closures executed vs. callers that shared a leader's result.
 	FlightExecs int64 `json:"flight_execs"`
 	FlightWaits int64 `json:"flight_waits"`
-	// Counters aggregates every completed request's counters plus the remote
-	// tier's per-shard client counters (including the breaker state gauges
-	// and transition totals) and the daemon's own slcd/* admission counters.
+	// Counters aggregates every completed request's counters and the
+	// daemon's own slcd/* admission counters, plus the remote tier's
+	// per-shard client counters read live: lifetime totals, the in-flight
+	// and breaker state gauges, and the breaker transition totals.
 	Counters map[string]int64 `json:"counters"`
 }
 
@@ -428,12 +420,12 @@ func (s *Server) Snapshot() Stats {
 		RemoteTimeoutMS: s.remote.Timeout().Milliseconds(),
 		FlightExecs:     execs,
 		FlightWaits:     waits,
+		Counters:        s.remote.Counters(),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st.Builds = s.builds
 	st.Failures = s.failures
-	st.Counters = make(map[string]int64, len(s.counters))
 	for k, v := range s.counters {
 		st.Counters[k] = v
 	}
