@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -94,6 +95,41 @@ func TestLexErrors(t *testing.T) {
 		if _, err := NewLexer("t", src).Lex(); err == nil {
 			t.Errorf("Lex(%q) succeeded, want error", src)
 		}
+	}
+}
+
+// TestParseReportsFirstError: the parser lexes on demand and stops at the
+// first lexical error. A source whose only error is lexical reports the
+// lexer's positioned error, wherever the parse stood when it reached it
+// (top level, inside a block, an unfinished expression, a backtracking type
+// argument list). A syntax error before the first lexical error is reported
+// instead, because it comes first in the source.
+func TestParseReportsFirstError(t *testing.T) {
+	for _, src := range []string{
+		"func main() { print(1) }\n@",
+		"func main() {\n  let a = 1 @ 2\n}",
+		"func main() {\n  print(\"open)\n}",
+		"func main() {\n  print(1) /* open",
+		"func main() {\n  let s = \"\\q\"\n}",
+		"func main() {\n  let r = a .. b\n}",
+		"func main() {\n  let b = f<Int @",
+	} {
+		_, lexErr := NewLexer("test.sl", src).Lex()
+		if lexErr == nil {
+			t.Fatalf("%q lexes cleanly", src)
+		}
+		_, err := ParseFile("test.sl", src)
+		var fe *Error
+		if !errors.As(err, &fe) || err.Error() != lexErr.Error() {
+			t.Errorf("ParseFile(%q) = %v, want the lexer's %v", src, err, lexErr)
+		}
+	}
+
+	src := "func main() {\n  let = 1\n}\n@"
+	_, err := ParseFile("test.sl", src)
+	var fe *Error
+	if !errors.As(err, &fe) || fe.Line != 2 || !strings.Contains(fe.Msg, "expected") {
+		t.Errorf("ParseFile(%q) = %v, want the syntax error on line 2", src, err)
 	}
 }
 

@@ -2,11 +2,23 @@ package frontend
 
 import "fmt"
 
-// Parser builds the AST for one SwiftLite file.
+// Parser builds the AST for one SwiftLite file. It pulls tokens from the
+// lexer as it needs them and keeps only a window: the current token, the one
+// after it when peeked, and — while the one backtracking site holds a mark —
+// everything lexed since the mark. So a parse holds O(nesting) memory, not a
+// token per source byte, and a source the nesting limit rejects costs only
+// what was lexed before the limit fired.
 type Parser struct {
 	file string
-	toks []Token
+	lx   *Lexer
+	toks []Token // the window; toks[pos] is the current token
 	pos  int
+	// marks counts the backtracking marks held; while one is, consumed
+	// tokens stay in the window so the parser can return to them.
+	marks int
+	// lexErr is the lexer's first error. The window then ends in a
+	// synthetic EOF at the error's position, so the parse stops there.
+	lexErr error
 
 	// noBraceDepth > 0 while parsing if/while/for headers, where a bare `{`
 	// belongs to the statement body, not to a closure literal.
@@ -37,25 +49,79 @@ func (p *Parser) nest() error {
 	return nil
 }
 
-// ParseFile lexes and parses src.
+// ParseFile lexes and parses src. Of a lexical and a syntax error, the one
+// earlier in the source is reported: the parse stops at the first lexical
+// error, so any syntax error it reports before reaching it comes first.
 func ParseFile(file, src string) (*File, error) {
-	toks, err := NewLexer(file, src).Lex()
-	if err != nil {
-		return nil, err
+	p := &Parser{file: file, lx: NewLexer(file, src)}
+	f, err := p.parseFile()
+	if p.lexErr != nil && (err == nil || p.cur().Kind == TokEOF) {
+		// The parse reached the synthetic EOF (a real one cannot follow a
+		// lexical error): the lexical error is the first.
+		return nil, p.lexErr
 	}
-	p := &Parser{file: file, toks: toks}
-	return p.parseFile()
+	return f, err
 }
 
-func (p *Parser) cur() Token        { return p.toks[p.pos] }
+// fill lexes until the window holds toks[i].
+func (p *Parser) fill(i int) {
+	for len(p.toks) <= i {
+		if n := len(p.toks); n > 0 && p.toks[n-1].Kind == TokEOF {
+			p.toks = append(p.toks, p.toks[n-1])
+			continue
+		}
+		t, err := p.lx.next()
+		if err != nil {
+			p.lexErr = err
+			fe := err.(*Error)
+			t = Token{Kind: TokEOF, Line: fe.Line, Col: fe.Col}
+		}
+		p.toks = append(p.toks, t)
+	}
+}
+
+func (p *Parser) cur() Token {
+	if p.pos >= len(p.toks) {
+		p.fill(p.pos)
+	}
+	return p.toks[p.pos]
+}
+
+// peek returns the token n places after the current one.
+func (p *Parser) peek(n int) Token {
+	if p.pos+n >= len(p.toks) {
+		p.fill(p.pos + n)
+	}
+	return p.toks[p.pos+n]
+}
+
 func (p *Parser) at(k TokKind) bool { return p.cur().Kind == k }
 
 func (p *Parser) advance() Token {
-	t := p.toks[p.pos]
-	if t.Kind != TokEOF {
-		p.pos++
+	t := p.cur()
+	if t.Kind == TokEOF {
+		return t
+	}
+	p.pos++
+	if p.pos == len(p.toks) && p.marks == 0 {
+		// Every token of the window is consumed and none can be returned
+		// to: drop them.
+		p.toks, p.pos = p.toks[:0], 0
 	}
 	return t
+}
+
+// mark records the current position for reset; release or reset ends it.
+func (p *Parser) mark() (pos, depth int) {
+	p.marks++
+	return p.pos, p.depth
+}
+
+func (p *Parser) release() { p.marks-- }
+
+func (p *Parser) reset(pos, depth int) {
+	p.pos, p.depth = pos, depth
+	p.marks--
 }
 
 func (p *Parser) accept(k TokKind) bool {
@@ -735,7 +801,7 @@ func (p *Parser) parseArgs() ([]Expr, error) {
 	defer func() { p.noBraceDepth = saveNoBrace }()
 	for !p.at(TokRParen) {
 		// Optional argument label: `ident:` followed by an expression.
-		if p.at(TokIdent) && p.toks[p.pos+1].Kind == TokColon {
+		if p.at(TokIdent) && p.peek(1).Kind == TokColon {
 			p.advance()
 			p.advance()
 		}
@@ -778,15 +844,16 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		// Explicit generic instantiation: ident<T, U>(...). Backtrack if the
 		// angle bracket turns out to be a comparison.
 		if p.at(TokLt) {
-			save, depth := p.pos, p.depth
+			pos, depth := p.mark()
 			if typeArgs, ok := p.tryTypeArgs(); ok && p.at(TokLParen) {
+				p.release()
 				args, err := p.parseArgs()
 				if err != nil {
 					return nil, err
 				}
 				return &CallExpr{Fn: e, TypeArgs: typeArgs, Args: args, Line: t.Line}, nil
 			}
-			p.pos, p.depth = save, depth
+			p.reset(pos, depth)
 		}
 		return e, nil
 	case TokLParen:

@@ -2,6 +2,7 @@ package llir_test
 
 import (
 	"testing"
+	"unsafe"
 
 	"outliner/internal/appgen"
 	"outliner/internal/llir"
@@ -23,6 +24,18 @@ func fixtureSIR(t *testing.T) []*sir.Module {
 		t.Fatal(err)
 	}
 	return sirs
+}
+
+// TestInstSizes pins the instruction structs' sizes. Both IRs hold their
+// instructions by value in slabs, so a field added out of place (a byte-sized
+// field between two words) grows every function of every module.
+func TestInstSizes(t *testing.T) {
+	if got := unsafe.Sizeof(sir.Inst{}); got != 112 {
+		t.Errorf("sir.Inst is %d bytes, want 112", got)
+	}
+	if got := unsafe.Sizeof(llir.Inst{}); got != 128 {
+		t.Errorf("llir.Inst is %d bytes, want 128", got)
+	}
 }
 
 // TestAllocBudgetFromSIR bounds what lowering allocates per function. The

@@ -88,19 +88,22 @@ type Incoming struct {
 }
 
 // Inst is one LLIR instruction.
+//
+// The byte-sized fields come first, packed into one word, as in sir.Inst
+// (128 bytes).
 type Inst struct {
 	Op        Op
+	BinOp     BinKind
+	Cond      CondKind
+	Throws    bool
 	Dst       Value
 	A, B      Value
 	ErrDst    Value // Call of a throwing function
 	Imm       int64
 	Sym       string
 	Sym2      string
-	BinOp     BinKind
-	Cond      CondKind
 	Args      []Value
 	Incomings []Incoming
-	Throws    bool
 }
 
 // IsTerminator reports whether op ends a block.

@@ -65,8 +65,8 @@ type generator struct {
 	thunks  map[string]string // function name -> thunk symbol
 
 	fn     *Func
-	cur    *Block
-	blocks int
+	cur    int32 // ordinal of the block being filled
+	blocks int   // label sequence number within fn
 	scopes []*genScope
 	loops  []loopCtx
 	errs   []errCtx
@@ -77,6 +77,21 @@ type generator struct {
 	curClass   *frontend.ClassDecl
 	initFlags  map[int]Value // ref-field index -> flag local
 	initErrVal Value
+
+	// The function being generated, laid out the way llir's lowerer does it:
+	// every block is an ordinal into labels and lastOp, and every instruction
+	// is appended to body with its block's ordinal in bodyBlk, whatever order
+	// the blocks are filled in. finish sorts fn's share of body into one
+	// exact slab. A closure or thunk generated in the middle of a function
+	// appends after its parent's blocks and instructions (from base and mark)
+	// and finish truncates back, so one set of buffers serves the module.
+	labels  []string
+	lastOp  []Op
+	body    []Inst
+	bodyBlk []int32
+	base    int32 // fn's first block ordinal
+	mark    int   // fn's first body index
+	off     []int32
 }
 
 func (g *generator) errf(line int, format string, args ...any) error {
@@ -85,31 +100,83 @@ func (g *generator) errf(line int, format string, args ...any) error {
 
 // ---- block and instruction plumbing ----
 
-func (g *generator) newBlock(hint string) *Block {
-	g.blocks++
-	b := &Block{Label: fmt.Sprintf("%s%d", hint, g.blocks)}
-	g.fn.Blocks = append(g.fn.Blocks, b)
-	return b
+// begin starts generating fn at its entry block. It does not reset the
+// rest of the generator's per-function state; the caller does.
+func (g *generator) begin(fn *Func) {
+	g.fn = fn
+	g.blocks = 0
+	g.base, g.mark = int32(len(g.labels)), len(g.body)
+	g.setBlock(g.addBlock("entry"))
 }
 
-func (g *generator) setBlock(b *Block) { g.cur = b }
+// newBlock adds a block labeled hint plus the function's next sequence
+// number and returns its ordinal.
+func (g *generator) newBlock(hint string) int32 {
+	g.blocks++
+	return g.addBlock(fmt.Sprintf("%s%d", hint, g.blocks))
+}
+
+func (g *generator) addBlock(label string) int32 {
+	g.labels = append(g.labels, label)
+	g.lastOp = append(g.lastOp, BadOp)
+	return int32(len(g.labels) - 1)
+}
+
+func (g *generator) label(b int32) string { return g.labels[b] }
+
+func (g *generator) setBlock(b int32) { g.cur = b }
 
 func (g *generator) emit(in Inst) {
-	if g.cur == nil {
-		panic("sirgen: emit with no current block")
-	}
-	if n := len(g.cur.Insts); n > 0 && g.cur.Insts[n-1].Op.IsTerminator() {
+	if g.terminated() {
 		// Dead code after a terminator (e.g. statements after return):
 		// divert to an unreachable block so the IR stays well formed.
-		dead := g.newBlock("dead")
-		g.setBlock(dead)
+		g.setBlock(g.newBlock("dead"))
 	}
-	g.cur.Insts = append(g.cur.Insts, in)
+	g.body = append(g.body, in)
+	g.bodyBlk = append(g.bodyBlk, g.cur)
+	g.lastOp[g.cur] = in.Op
 }
 
-func (g *generator) terminated() bool {
-	n := len(g.cur.Insts)
-	return n > 0 && g.cur.Insts[n-1].Op.IsTerminator()
+func (g *generator) terminated() bool { return g.lastOp[g.cur].IsTerminator() }
+
+// finish lays the function's instructions out block by block in one slab of
+// exactly their number, each block a window capped at its own length (as
+// llir's assemble does, so an append to one block reallocates instead of
+// reaching the next), adds the function to the module, and truncates the
+// buffers back to where it began.
+func (g *generator) finish() {
+	fn, labels := g.fn, g.labels[g.base:]
+	body, tags := g.body[g.mark:], g.bodyBlk[g.mark:]
+	nb := len(labels)
+	if cap(g.off) < nb+1 {
+		g.off = make([]int32, nb+1)
+	}
+	off := g.off[:nb+1]
+	clear(off)
+	for _, b := range tags {
+		off[b-g.base+1]++
+	}
+	for b := 0; b < nb; b++ {
+		off[b+1] += off[b]
+	}
+	slab := make([]Inst, len(body))
+	for i, b := range tags {
+		b -= g.base
+		slab[off[b]] = body[i]
+		off[b]++
+	}
+	// off[b] is now the end of b's window.
+	blocks := make([]Block, nb)
+	fn.Blocks = make([]*Block, nb)
+	start := int32(0)
+	for b, end := range off[:nb] {
+		blocks[b] = Block{Label: labels[b], Insts: slab[start:end:end]}
+		fn.Blocks[b] = &blocks[b]
+		start = end
+	}
+	g.mod.AddFunc(fn)
+	g.labels, g.lastOp = g.labels[:g.base], g.lastOp[:g.base]
+	g.body, g.bodyBlk = g.body[:g.mark], g.bodyBlk[:g.mark]
 }
 
 func (g *generator) emitConst(v int64) Value {
@@ -186,9 +253,6 @@ func (g *generator) strConst(s string) string {
 
 func (g *generator) genFunc(sym string, fd *frontend.FuncDecl) error {
 	fn := &Func{Name: sym, Module: g.mod.Name, Throws: fd.Throws}
-	g.fn = fn
-	g.cur = nil
-	g.blocks = 0
 	g.scopes = nil
 	g.loops = nil
 	g.errs = nil
@@ -212,9 +276,7 @@ func (g *generator) genFunc(sym string, fd *frontend.FuncDecl) error {
 	fn.NumValues = nParams
 	fn.RefParams = make([]bool, nParams)
 
-	entry := &Block{Label: "entry"}
-	fn.Blocks = append(fn.Blocks, entry)
-	g.setBlock(entry)
+	g.begin(fn)
 	g.pushScope()
 
 	idx := 0
@@ -252,7 +314,7 @@ func (g *generator) genFunc(sym string, fd *frontend.FuncDecl) error {
 		}
 	}
 	g.scopes = nil
-	g.mod.AddFunc(fn)
+	g.finish()
 	return nil
 }
 
@@ -305,9 +367,9 @@ func (g *generator) genInit(fd *frontend.FuncDecl) error {
 	if fd.Throws {
 		// Figure 9's block L: release the fields whose flags are set, then
 		// release self's allocation and rethrow.
-		cleanup := g.newBlock("cl")
-		cleanup.Label = "init_cleanup"
-		g.setBlock(cleanup)
+		// Numbered like any block, so the labels after it keep their numbers.
+		g.blocks++
+		g.setBlock(g.addBlock("init_cleanup"))
 		for i := range cd.Fields {
 			flag, ok := g.initFlags[i]
 			if !ok {
@@ -315,12 +377,12 @@ func (g *generator) genInit(fd *frontend.FuncDecl) error {
 			}
 			rel := g.newBlock("init_rel")
 			next := g.newBlock("init_next")
-			g.emit(Inst{Op: CondBr, A: flag, Sym: rel.Label, Sym2: next.Label})
+			g.emit(Inst{Op: CondBr, A: flag, Sym: g.label(rel), Sym2: g.label(next)})
 			g.setBlock(rel)
 			fv := g.fn.NewValue()
 			g.emit(Inst{Op: FieldGet, Dst: fv, A: self, Imm: int64(i)})
 			g.emit(Inst{Op: Release, A: fv})
-			g.emit(Inst{Op: Br, Sym: next.Label})
+			g.emit(Inst{Op: Br, Sym: g.label(next)})
 			g.setBlock(next)
 		}
 		g.emit(Inst{Op: Release, A: self})
@@ -398,7 +460,7 @@ func (g *generator) genStmt(s frontend.Stmt) error {
 
 	case *frontend.WhileStmt:
 		head := g.newBlock("while_head")
-		g.emit(Inst{Op: Br, Sym: head.Label})
+		g.emit(Inst{Op: Br, Sym: g.label(head)})
 		g.setBlock(head)
 		cond, _, err := g.genExpr(s.Cond)
 		if err != nil {
@@ -406,15 +468,15 @@ func (g *generator) genStmt(s frontend.Stmt) error {
 		}
 		body := g.newBlock("while_body")
 		exit := g.newBlock("while_exit")
-		g.emit(Inst{Op: CondBr, A: cond, Sym: body.Label, Sym2: exit.Label})
+		g.emit(Inst{Op: CondBr, A: cond, Sym: g.label(body), Sym2: g.label(exit)})
 		g.setBlock(body)
-		g.loops = append(g.loops, loopCtx{breakLabel: exit.Label, continueLabel: head.Label, scopeDepth: len(g.scopes)})
+		g.loops = append(g.loops, loopCtx{breakLabel: g.label(exit), continueLabel: g.label(head), scopeDepth: len(g.scopes)})
 		if err := g.genBlockInline(s.Body); err != nil {
 			return err
 		}
 		g.loops = g.loops[:len(g.loops)-1]
 		if !g.terminated() {
-			g.emit(Inst{Op: Br, Sym: head.Label})
+			g.emit(Inst{Op: Br, Sym: g.label(head)})
 		}
 		g.setBlock(exit)
 		return nil
@@ -433,18 +495,18 @@ func (g *generator) genStmt(s frontend.Stmt) error {
 		hiv := g.fn.NewValue()
 		g.emit(Inst{Op: Move, Dst: hiv, A: hi})
 		head := g.newBlock("for_head")
-		g.emit(Inst{Op: Br, Sym: head.Label})
+		g.emit(Inst{Op: Br, Sym: g.label(head)})
 		g.setBlock(head)
 		cond := g.fn.NewValue()
 		g.emit(Inst{Op: Cmp, Dst: cond, Cond: Lt, A: iv, B: hiv})
 		body := g.newBlock("for_body")
 		step := g.newBlock("for_step")
 		exit := g.newBlock("for_exit")
-		g.emit(Inst{Op: CondBr, A: cond, Sym: body.Label, Sym2: exit.Label})
+		g.emit(Inst{Op: CondBr, A: cond, Sym: g.label(body), Sym2: g.label(exit)})
 		g.setBlock(body)
 		g.pushScope()
 		g.define(s.Var, iv, false)
-		g.loops = append(g.loops, loopCtx{breakLabel: exit.Label, continueLabel: step.Label, scopeDepth: len(g.scopes)})
+		g.loops = append(g.loops, loopCtx{breakLabel: g.label(exit), continueLabel: g.label(step), scopeDepth: len(g.scopes)})
 		for _, st := range s.Body.Stmts {
 			if err := g.genStmt(st); err != nil {
 				return err
@@ -453,12 +515,12 @@ func (g *generator) genStmt(s frontend.Stmt) error {
 		g.loops = g.loops[:len(g.loops)-1]
 		g.popScope()
 		if !g.terminated() {
-			g.emit(Inst{Op: Br, Sym: step.Label})
+			g.emit(Inst{Op: Br, Sym: g.label(step)})
 		}
 		g.setBlock(step)
 		one := g.emitConst(1)
 		g.emit(Inst{Op: Bin, Dst: iv, BinOp: Add, A: iv, B: one})
-		g.emit(Inst{Op: Br, Sym: head.Label})
+		g.emit(Inst{Op: Br, Sym: g.label(head)})
 		g.setBlock(exit)
 		return nil
 
@@ -501,13 +563,13 @@ func (g *generator) genStmt(s frontend.Stmt) error {
 		errLocal := g.emitConst(0)
 		catch := g.newBlock("catch")
 		done := g.newBlock("done")
-		g.errs = append(g.errs, errCtx{catchLabel: catch.Label, errLocal: errLocal, scopeDepth: len(g.scopes)})
+		g.errs = append(g.errs, errCtx{catchLabel: g.label(catch), errLocal: errLocal, scopeDepth: len(g.scopes)})
 		if err := g.genBlockInline(s.Body); err != nil {
 			return err
 		}
 		g.errs = g.errs[:len(g.errs)-1]
 		if !g.terminated() {
-			g.emit(Inst{Op: Br, Sym: done.Label})
+			g.emit(Inst{Op: Br, Sym: g.label(done)})
 		}
 		g.setBlock(catch)
 		g.pushScope()
@@ -523,7 +585,7 @@ func (g *generator) genStmt(s frontend.Stmt) error {
 		}
 		g.popScope()
 		if !g.terminated() {
-			g.emit(Inst{Op: Br, Sym: done.Label})
+			g.emit(Inst{Op: Br, Sym: g.label(done)})
 		}
 		g.setBlock(done)
 		return nil
@@ -569,17 +631,17 @@ func (g *generator) genIf(s *frontend.IfStmt) error {
 		return err
 	}
 	then := g.newBlock("then")
-	var els *Block
+	var els int32
 	if s.Else != nil {
 		els = g.newBlock("else")
 	}
 	done := g.newBlock("endif")
-	elseLabel := done.Label
-	if els != nil {
-		elseLabel = els.Label
+	elseLabel := g.label(done)
+	if s.Else != nil {
+		elseLabel = g.label(els)
 	}
 	// `if let` tests the optional against nil directly.
-	g.emit(Inst{Op: CondBr, A: cond, Sym: then.Label, Sym2: elseLabel})
+	g.emit(Inst{Op: CondBr, A: cond, Sym: g.label(then), Sym2: elseLabel})
 
 	g.setBlock(then)
 	g.pushScope()
@@ -599,15 +661,15 @@ func (g *generator) genIf(s *frontend.IfStmt) error {
 	}
 	g.popScope()
 	if !g.terminated() {
-		g.emit(Inst{Op: Br, Sym: done.Label})
+		g.emit(Inst{Op: Br, Sym: g.label(done)})
 	}
-	if els != nil {
+	if s.Else != nil {
 		g.setBlock(els)
 		if err := g.genStmt(s.Else); err != nil {
 			return err
 		}
 		if !g.terminated() {
-			g.emit(Inst{Op: Br, Sym: done.Label})
+			g.emit(Inst{Op: Br, Sym: g.label(done)})
 		}
 	}
 	g.setBlock(done)

@@ -182,9 +182,9 @@ func (g *generator) genBinary(e *frontend.BinaryExpr) (Value, bool, error) {
 		rhs := g.newBlock("sc_rhs")
 		done := g.newBlock("sc_done")
 		if e.Op == frontend.TokAnd {
-			g.emit(Inst{Op: CondBr, A: l, Sym: rhs.Label, Sym2: done.Label})
+			g.emit(Inst{Op: CondBr, A: l, Sym: g.label(rhs), Sym2: g.label(done)})
 		} else {
-			g.emit(Inst{Op: CondBr, A: l, Sym: done.Label, Sym2: rhs.Label})
+			g.emit(Inst{Op: CondBr, A: l, Sym: g.label(done), Sym2: g.label(rhs)})
 		}
 		g.setBlock(rhs)
 		mark := g.tempMark()
@@ -194,7 +194,7 @@ func (g *generator) genBinary(e *frontend.BinaryExpr) (Value, bool, error) {
 		}
 		g.emit(Inst{Op: Move, Dst: res, A: r})
 		g.flushTempsSince(mark)
-		g.emit(Inst{Op: Br, Sym: done.Label})
+		g.emit(Inst{Op: Br, Sym: g.label(done)})
 		g.setBlock(done)
 		return res, false, nil
 	}
@@ -299,7 +299,7 @@ func (g *generator) emitCall(sym string, args []Value, throws bool, retType *fro
 	if throws {
 		errBB := g.newBlock("err")
 		cont := g.newBlock("cont")
-		g.emit(Inst{Op: CondBr, A: in.ErrDst, Sym: errBB.Label, Sym2: cont.Label})
+		g.emit(Inst{Op: CondBr, A: in.ErrDst, Sym: g.label(errBB), Sym2: g.label(cont)})
 		g.setBlock(errBB)
 		g.emitTempReleases(mark)
 		g.raiseError(in.ErrDst)
@@ -393,17 +393,13 @@ func (g *generator) genClosure(e *frontend.ClosureExpr) (Value, bool, error) {
 	cf.NumValues = cf.NumParams
 	cf.RefParams = make([]bool, cf.NumParams)
 	cf.RefParams[0] = true
-	g.fn = cf
-	g.blocks = 0
 	g.scopes = nil
 	g.loops = nil
 	g.errs = nil
 	g.temps = nil
 	g.selfVal = None
 	g.initFlags = nil
-	entry := &Block{Label: "entry"}
-	cf.Blocks = append(cf.Blocks, entry)
-	g.setBlock(entry)
+	g.begin(cf)
 	g.pushScope()
 	env := cf.Param(0)
 	for i, p := range e.Params {
@@ -431,7 +427,7 @@ func (g *generator) genClosure(e *frontend.ClosureExpr) (Value, bool, error) {
 		}
 	}
 	g.scopes = nil
-	g.mod.AddFunc(cf)
+	g.finish()
 	g.restoreState(saved)
 
 	// Build the closure object: retain captured references (the closure
@@ -469,11 +465,7 @@ func (g *generator) thunkFor(fnName string, line int) (string, error) {
 	tf.NumValues = tf.NumParams
 	tf.RefParams = make([]bool, tf.NumParams)
 	tf.RefParams[0] = true
-	g.fn = tf
-	g.blocks = 0
-	entry := &Block{Label: "entry"}
-	tf.Blocks = append(tf.Blocks, entry)
-	g.setBlock(entry)
+	g.begin(tf)
 	args := make([]Value, len(target.Params))
 	for i := range target.Params {
 		args[i] = tf.Param(i + 1)
@@ -489,7 +481,7 @@ func (g *generator) thunkFor(fnName string, line int) (string, error) {
 	} else {
 		g.emit(Inst{Op: RetVoid})
 	}
-	g.mod.AddFunc(tf)
+	g.finish()
 	g.restoreState(saved)
 	g.thunks[fnName] = name
 	return name, nil
@@ -498,8 +490,10 @@ func (g *generator) thunkFor(fnName string, line int) (string, error) {
 // generator state save/restore for nested function generation.
 type genState struct {
 	fn         *Func
-	cur        *Block
+	cur        int32
 	blocks     int
+	base       int32
+	mark       int
 	scopes     []*genScope
 	loops      []loopCtx
 	errs       []errCtx
@@ -512,7 +506,7 @@ type genState struct {
 
 func (g *generator) saveState() genState {
 	return genState{
-		fn: g.fn, cur: g.cur, blocks: g.blocks, scopes: g.scopes,
+		fn: g.fn, cur: g.cur, blocks: g.blocks, base: g.base, mark: g.mark, scopes: g.scopes,
 		loops: g.loops, errs: g.errs, temps: g.temps,
 		selfVal: g.selfVal, curClass: g.curClass,
 		initFlags: g.initFlags, initErrVal: g.initErrVal,
@@ -521,6 +515,7 @@ func (g *generator) saveState() genState {
 
 func (g *generator) restoreState(s genState) {
 	g.fn, g.cur, g.blocks, g.scopes = s.fn, s.cur, s.blocks, s.scopes
+	g.base, g.mark = s.base, s.mark
 	g.loops, g.errs, g.temps = s.loops, s.errs, s.temps
 	g.selfVal, g.curClass = s.selfVal, s.curClass
 	g.initFlags, g.initErrVal = s.initFlags, s.initErrVal

@@ -233,6 +233,10 @@ func devirtualize(f *Func, param Value, closureFn string) {
 	}
 }
 
+// cloneSIRFunc copies f the way the generator lays a function out: its
+// instructions into one slab and their argument lists into one chunk, each
+// block and each list a window capped at its own length, so an append to one
+// reallocates instead of reaching its neighbour.
 func cloneSIRFunc(f *Func, name string) *Func {
 	nf := &Func{
 		Name:      name,
@@ -242,13 +246,32 @@ func cloneSIRFunc(f *Func, name string) *Func {
 		NumValues: f.NumValues,
 		RefParams: append([]bool(nil), f.RefParams...),
 	}
+	nInsts, nArgs := 0, 0
 	for _, b := range f.Blocks {
-		nb := &Block{Label: b.Label, Insts: make([]Inst, len(b.Insts))}
-		copy(nb.Insts, b.Insts)
-		for i := range nb.Insts {
-			nb.Insts[i].Args = append([]Value(nil), b.Insts[i].Args...)
+		nInsts += len(b.Insts)
+		for i := range b.Insts {
+			nArgs += len(b.Insts[i].Args)
 		}
-		nf.Blocks = append(nf.Blocks, nb)
+	}
+	slab := make([]Inst, 0, nInsts)
+	args := make([]Value, 0, nArgs)
+	blocks := make([]Block, len(f.Blocks))
+	nf.Blocks = make([]*Block, len(f.Blocks))
+	for bi, b := range f.Blocks {
+		start := len(slab)
+		slab = append(slab, b.Insts...)
+		for i := start; i < len(slab); i++ {
+			a := slab[i].Args
+			if len(a) == 0 {
+				slab[i].Args = nil
+				continue
+			}
+			at := len(args)
+			args = append(args, a...)
+			slab[i].Args = args[at:len(args):len(args)]
+		}
+		blocks[bi] = Block{Label: b.Label, Insts: slab[start:len(slab):len(slab)]}
+		nf.Blocks[bi] = &blocks[bi]
 	}
 	return nf
 }

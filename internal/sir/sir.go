@@ -106,18 +106,21 @@ func (c CondKind) String() string {
 }
 
 // Inst is one SIR instruction.
+//
+// The byte-sized fields come first, packed into one word: every slab, scratch
+// copy and decoded module holds instructions by value (112 bytes).
 type Inst struct {
 	Op      Op
+	BinOp   BinKind
+	Cond    CondKind
+	Throws  bool
 	Dst     Value
 	A, B, C Value
 	ErrDst  Value // Call with Throws: receives the error channel
 	Imm     int64
 	Sym     string // callee / class / label / string constant
 	Sym2    string // CondBr else-label
-	BinOp   BinKind
-	Cond    CondKind
 	Args    []Value
-	Throws  bool
 }
 
 // Block is a labeled instruction run ending in a terminator.
