@@ -106,15 +106,18 @@ func (c Cond) Negate() Cond {
 // per-opcode (see the Op constants). Unused slots hold NoReg / 0 / "" so that
 // structural equality of the struct coincides with semantic equality of the
 // instruction, which is what the outliner's instruction mapper relies on.
+//
+// The byte-sized fields come first, packed into one word: machine functions
+// hold their instructions by value in slabs (32 bytes each).
 type Inst struct {
 	Op   Op
 	Rd   Reg    // destination (first of pair for LDP/STP)
 	Rd2  Reg    // second of pair for LDP/STP
 	Rn   Reg    // base register / first source
 	Rm   Reg    // second source
+	Cond Cond   // Bcc / CSET condition
 	Imm  int64  // immediate
 	Sym  string // branch label, call target, or global symbol
-	Cond Cond
 }
 
 // Mnemonic spellings indexed by Op, for printing and parsing.

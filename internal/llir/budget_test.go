@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"outliner/internal/appgen"
+	"outliner/internal/isa"
 	"outliner/internal/llir"
 	"outliner/internal/pipeline"
 	"outliner/internal/raceflag"
@@ -26,15 +27,19 @@ func fixtureSIR(t *testing.T) []*sir.Module {
 	return sirs
 }
 
-// TestInstSizes pins the instruction structs' sizes. Both IRs hold their
-// instructions by value in slabs, so a field added out of place (a byte-sized
-// field between two words) grows every function of every module.
+// TestInstSizes pins the instruction structs' sizes. Both IRs and the machine
+// code hold their instructions by value in slabs, so a field added out of
+// place (a byte-sized field between two words) grows every function of every
+// module.
 func TestInstSizes(t *testing.T) {
 	if got := unsafe.Sizeof(sir.Inst{}); got != 112 {
 		t.Errorf("sir.Inst is %d bytes, want 112", got)
 	}
 	if got := unsafe.Sizeof(llir.Inst{}); got != 128 {
 		t.Errorf("llir.Inst is %d bytes, want 128", got)
+	}
+	if got := unsafe.Sizeof(isa.Inst{}); got != 32 {
+		t.Errorf("isa.Inst is %d bytes, want 32", got)
 	}
 }
 

@@ -43,13 +43,27 @@ const SwiftGCMetadata = "swift abi-v5.2 bits-0x17"
 // algorithm of Braun et al. (the simple and efficient SSA construction used
 // while translating from a non-SSA representation).
 func FromSIR(m *sir.Module) (*Module, error) {
+	return new(Lowerer).FromSIR(m)
+}
+
+// Lowerer lowers one module after another, the way a worker lane of a build
+// does, keeping its SSA-construction tables from each module to the next. The
+// modules it returns are its callers' alone: nothing in them points into the
+// Lowerer or into the SIR they were lowered from, so the SIR's storage may be
+// reused as soon as FromSIR returns. The zero value is ready to use. A
+// Lowerer is not safe for concurrent use.
+type Lowerer struct{ lo lowerer }
+
+// FromSIR lowers m as the package-level FromSIR does.
+func (l *Lowerer) FromSIR(m *sir.Module) (*Module, error) {
 	out := NewModule(m.Name)
 	out.Metadata["Objective-C Garbage Collection"] = SwiftGCMetadata
 	for _, g := range m.Globals {
 		words := append([]int64(nil), g.Words...)
 		out.Globals = append(out.Globals, &Global{Name: g.Name, Module: m.Name, Words: words})
 	}
-	var lo lowerer // its tables are reused from function to function
+	lo := &l.lo
+	defer func() { lo.src, lo.dst = nil, nil }()
 	for _, f := range m.Funcs {
 		lf, err := lo.lowerFunc(f)
 		if err != nil {
@@ -63,9 +77,9 @@ func FromSIR(m *sir.Module) (*Module, error) {
 // lowerer holds one function's SSA-construction state. Blocks are numbered
 // once, in SIR order, and every table is a slice indexed by block number,
 // SIR variable or LLIR value number; the slices keep their storage from one
-// function of the module to the next. What the lowered function keeps —
-// its instructions, argument lists and phi incomings — is carved from fresh
-// chunks the lowerer never reuses.
+// function to the next, across modules on a Lowerer. What the lowered
+// function keeps — its instructions, argument lists and phi incomings — is
+// carved from fresh chunks the lowerer never reuses.
 type lowerer struct {
 	src *sir.Func
 	dst *Func

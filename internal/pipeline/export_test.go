@@ -1,5 +1,12 @@
 package pipeline
 
+// FrontLane is one frontend worker lane's storage; LowerToLLIR lowers a
+// module on it (or on fresh storage when it is nil), as the frontend stage's
+// tasks do.
+type FrontLane = frontLane
+
+var LowerToLLIR = lowerToLLIR
+
 // Steps lists the stages a Build under cfg runs, in order — its cancel
 // points — and whether each stores one cache entry per module.
 func Steps(cfg Config) (names []string, cached []bool) {

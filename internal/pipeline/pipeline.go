@@ -239,7 +239,7 @@ func CompileToSIR(src Source, cfg Config, imports *frontend.Imports) (*sir.Modul
 	if err != nil {
 		return nil, err
 	}
-	return lowerToSIR(src.Name, files, cfg, imports)
+	return lowerToSIR(src.Name, files, cfg, imports, nil)
 }
 
 // parseModule is ParseSource counted under frontend/modules_parsed — the
@@ -250,14 +250,20 @@ func parseModule(src Source, tr *obs.Tracer) ([]*frontend.File, error) {
 }
 
 // lowerToSIR type-checks a module's parsed files (which it takes ownership
-// of: the checker annotates them in place) and generates optimized SIR.
-func lowerToSIR(module string, files []*frontend.File, cfg Config, imports *frontend.Imports) (*sir.Module, error) {
+// of: the checker annotates them in place) and generates optimized SIR: in
+// gen's storage, valid until gen's next module, or in slabs of its own when
+// gen is nil.
+func lowerToSIR(module string, files []*frontend.File, cfg Config, imports *frontend.Imports, gen *sir.Generator) (*sir.Module, error) {
 	cfg.Tracer.Add("frontend/files", int64(len(files)))
 	prog, err := frontend.CheckModule(module, imports, files...)
 	if err != nil {
 		return nil, err
 	}
-	sm, err := sir.Generate(prog)
+	generate := sir.Generate
+	if gen != nil {
+		generate = gen.Generate
+	}
+	sm, err := generate(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -311,16 +317,31 @@ func CompileToLLIR(src Source, cfg Config, imports *frontend.Imports) (*llir.Mod
 	if err != nil {
 		return nil, err
 	}
-	return lowerToLLIR(src.Name, files, cfg, imports)
+	return lowerToLLIR(src.Name, files, cfg, imports, nil)
 }
 
-// lowerToLLIR is CompileToLLIR from already-parsed files (see lowerToSIR).
-func lowerToLLIR(module string, files []*frontend.File, cfg Config, imports *frontend.Imports) (*llir.Module, error) {
-	sm, err := lowerToSIR(module, files, cfg, imports)
+// frontLane is one frontend worker's storage. A lane lowers its modules one
+// after another, so each module's SIR, and the tables that lower it, are the
+// previous module's, regrown only when a larger module comes along. Only the
+// LLIR leaves the lane, and it is built from fresh memory.
+type frontLane struct {
+	sir.Generator
+	llir.Lowerer
+}
+
+// lowerToLLIR is CompileToLLIR from already-parsed files (see lowerToSIR), on
+// lane's storage, or on fresh storage when lane is nil.
+func lowerToLLIR(module string, files []*frontend.File, cfg Config, imports *frontend.Imports, lane *frontLane) (*llir.Module, error) {
+	var gen *sir.Generator
+	fromSIR := llir.FromSIR
+	if lane != nil {
+		gen, fromSIR = &lane.Generator, lane.Lowerer.FromSIR
+	}
+	sm, err := lowerToSIR(module, files, cfg, imports, gen)
 	if err != nil {
 		return nil, err
 	}
-	lm, err := llir.FromSIR(sm)
+	lm, err := fromSIR(sm)
 	if err != nil {
 		return nil, err
 	}
@@ -382,6 +403,7 @@ type build struct {
 	ifaces  []*moduleIface         // parse
 	keys    *ModuleKeys            // parse, frontend; nil without a cache
 	ix      *frontend.ImportsIndex // frontend
+	front   []frontLane            // frontend, one per worker lane
 	units   []*lowered             // frontend
 	merged  *llir.Module           // link, opt
 	extern  map[string]bool        // per-module llc
@@ -523,22 +545,26 @@ var frontHalf = []stage{{
 		}
 		b.ix = frontend.NewStubIndex(stubs...)
 		b.units = make([]*lowered, len(b.sources))
+		b.front = make([]frontLane, par.Workers(b.cfg.Parallelism, len(b.sources)))
 		return nil
 	},
 	tasks: sourceNames,
-	task: func(b *build, _, i int) (any, error) {
+	task: func(b *build, lane, i int) (any, error) {
 		src := b.sources[i]
 		u := &lowered{name: src.Name, objc: src.ObjC}
+		files := b.ifaces[i].files
+		b.ifaces[i].files = nil // the AST dies with this module's lowering
 		var err error
-		if files := b.ifaces[i].files; files != nil {
-			b.ifaces[i].files = nil // the AST dies with this module's lowering
-			u.body, err = lowerToLLIR(src.Name, files, b.cfg, b.ix.For(i))
-		} else {
-			u.body, err = CompileToLLIR(src, b.cfg, b.ix.For(i))
+		if files == nil {
+			if files, err = parseModule(src, b.cfg.Tracer); err != nil {
+				return u, err
+			}
 		}
+		u.body, err = lowerToLLIR(src.Name, files, b.cfg, b.ix.For(i), &b.front[lane])
 		return u, err
 	},
 	done: func(b *build, i int, v any) { b.units[i] = v.(*lowered) },
+	end:  func(b *build) { b.front = nil },
 	// A body-only edit in one module leaves every other module's entry
 	// valid: imports expose stub declarations, not bodies.
 	cache: "llir",

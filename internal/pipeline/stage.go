@@ -45,6 +45,9 @@ type stage struct {
 	tasks func(*build) []string
 	task  func(b *build, lane, i int) (any, error)
 	done  func(b *build, i int, v any)
+	// end runs after the tasks, whether they failed or not: it drops what
+	// only the tasks used.
+	end func(*build)
 	// verify returns the machine program the stage produced — for a
 	// per-task stage, the one task result v holds — and the symbols external
 	// to it.
@@ -129,6 +132,9 @@ func (b *build) work(s *stage) error {
 		}
 		return nil
 	})
+	if s.end != nil {
+		s.end(b)
+	}
 	if cfg.KeepGoing {
 		return gatherKeepGoing(tr, errs)
 	}

@@ -12,13 +12,46 @@ import (
 // error-channel checks, and — for throwing initializers — emits the shared
 // cleanup block with per-field initialization flags whose phis later explode
 // into the out-of-SSA copies of the paper's Figure 9 / Listing 11.
+//
+// The module's instructions and argument lists are allocated for it alone,
+// so it may be kept as long as the caller likes.
 func Generate(prog *frontend.Program) (*Module, error) {
-	g := &generator{
-		prog:    prog,
-		mod:     NewModule(prog.Module),
-		strSyms: make(map[string]string),
-		thunks:  make(map[string]string),
+	return new(generator).generate(prog)
+}
+
+// Generator generates one module after another, the way a worker lane of a
+// build lowers its modules: the buffers a function is assembled in, and the
+// chunks its instruction slab and argument lists are carved from, are kept
+// and reused for the next module. A module it returns is valid until its next
+// Generate, which overwrites that module's instructions and argument lists;
+// nothing that outlives it may point into them. The zero value is ready to
+// use. A Generator is not safe for concurrent use.
+type Generator struct{ g generator }
+
+// Generate lowers prog as the package-level Generate does, into the
+// Generator's storage.
+func (gen *Generator) Generate(prog *frontend.Program) (*Module, error) {
+	gen.g.insts.reuse, gen.g.args.reuse = true, true
+	return gen.g.generate(prog)
+}
+
+// generate lowers prog with g's buffers rewound, whatever a previous module
+// that failed halfway left in them.
+func (g *generator) generate(prog *frontend.Program) (*Module, error) {
+	g.prog, g.mod = prog, NewModule(prog.Module)
+	if g.strSyms == nil {
+		g.strSyms, g.thunks = make(map[string]string), make(map[string]string)
 	}
+	clear(g.strSyms)
+	clear(g.thunks)
+	g.strSeq, g.closSeq = 0, 0
+	g.labels, g.lastOp = g.labels[:0], g.lastOp[:0]
+	g.body, g.bodyBlk, g.argStack = g.body[:0], g.bodyBlk[:0], g.argStack[:0]
+	g.insts.rewind()
+	g.args.rewind()
+	// The generator keeps no reference to the program or the module past
+	// this call: the caller decides how long each lives.
+	defer func() { g.prog, g.mod, g.fn = nil, nil, nil }()
 	for _, name := range prog.FuncOrder {
 		fd := prog.Funcs[name]
 		if err := g.genFunc(name, fd); err != nil {
@@ -92,7 +125,50 @@ type generator struct {
 	base    int32 // fn's first block ordinal
 	mark    int   // fn's first body index
 	off     []int32
+	// argStack holds the argument lists of the calls being generated, the
+	// innermost on top; emit copies a list into args.
+	argStack []Value
+
+	// What the module keeps: each function's instruction slab and each
+	// instruction's argument list.
+	insts slabs[Inst]
+	args  slabs[Value]
 }
+
+// slabs hands out windows of exact capacity, so an append to one reallocates
+// instead of reaching its neighbour. Without reuse each window is an
+// allocation of its own. With reuse (a Generator's) windows are carved from
+// chunks the generator keeps: the first chunk is exactly the first request and
+// each later one twice the size of the one before, so a generator that
+// lowers one small module allocates about what exact slabs would, and rewind
+// hands the same chunks out again for the next module.
+type slabs[T any] struct {
+	reuse  bool
+	chunks [][]T
+	cur    int // the chunk being carved
+	used   int // elements of it handed out
+}
+
+func (s *slabs[T]) take(n int) []T {
+	if !s.reuse {
+		return make([]T, n)
+	}
+	for s.cur < len(s.chunks) && len(s.chunks[s.cur])-s.used < n {
+		s.cur, s.used = s.cur+1, 0
+	}
+	if s.cur == len(s.chunks) {
+		size := n
+		if k := len(s.chunks); k > 0 {
+			size = max(n, 2*len(s.chunks[k-1]))
+		}
+		s.chunks = append(s.chunks, make([]T, size))
+	}
+	w := s.chunks[s.cur][s.used : s.used+n : s.used+n]
+	s.used += n
+	return w
+}
+
+func (s *slabs[T]) rewind() { s.cur, s.used = 0, 0 }
 
 func (g *generator) errf(line int, format string, args ...any) error {
 	return fmt.Errorf("%s:%d: sirgen: %s", g.mod.Name, line, fmt.Sprintf(format, args...))
@@ -132,6 +208,13 @@ func (g *generator) emit(in Inst) {
 		// divert to an unreachable block so the IR stays well formed.
 		g.setBlock(g.newBlock("dead"))
 	}
+	if len(in.Args) > 0 {
+		args := g.args.take(len(in.Args))
+		copy(args, in.Args)
+		in.Args = args
+	} else {
+		in.Args = nil // not a window into argStack
+	}
 	g.body = append(g.body, in)
 	g.bodyBlk = append(g.bodyBlk, g.cur)
 	g.lastOp[g.cur] = in.Op
@@ -140,10 +223,10 @@ func (g *generator) emit(in Inst) {
 func (g *generator) terminated() bool { return g.lastOp[g.cur].IsTerminator() }
 
 // finish lays the function's instructions out block by block in one slab of
-// exactly their number, each block a window capped at its own length (as
-// llir's assemble does, so an append to one block reallocates instead of
-// reaching the next), adds the function to the module, and truncates the
-// buffers back to where it began.
+// exactly their number, taken from g.insts, each block a window capped at its
+// own length (as llir's assemble does, so an append to one block reallocates
+// instead of reaching the next), adds the function to the module, and
+// truncates the buffers back to where it began.
 func (g *generator) finish() {
 	fn, labels := g.fn, g.labels[g.base:]
 	body, tags := g.body[g.mark:], g.bodyBlk[g.mark:]
@@ -159,7 +242,7 @@ func (g *generator) finish() {
 	for b := 0; b < nb; b++ {
 		off[b+1] += off[b]
 	}
-	slab := make([]Inst, len(body))
+	slab := g.insts.take(len(body))
 	for i, b := range tags {
 		b -= g.base
 		slab[off[b]] = body[i]

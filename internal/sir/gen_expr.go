@@ -153,16 +153,13 @@ func (g *generator) genExpr(e frontend.Expr) (Value, bool, error) {
 		if err != nil {
 			return None, false, err
 		}
-		args := []Value{recv}
+		at := len(g.argStack)
+		g.argStack = append(g.argStack, recv)
 		mark := g.tempMark()
-		for _, a := range e.Args {
-			av, _, err := g.genExpr(a)
-			if err != nil {
-				return None, false, err
-			}
-			args = append(args, av)
+		if err := g.pushArgs(e.Args); err != nil {
+			return None, false, err
 		}
-		return g.emitCall(e.ResolvedSym, args, e.Throws, e.TypeOf(), mark)
+		return g.emitCall(e.ResolvedSym, g.popArgs(at), e.Throws, e.TypeOf(), mark)
 
 	case *frontend.ClosureExpr:
 		return g.genClosure(e)
@@ -243,36 +240,26 @@ func (g *generator) genCall(e *frontend.CallExpr) (Value, bool, error) {
 		return g.genBuiltin(e)
 
 	case frontend.CallFunc, frontend.CallInit:
-		mark := g.tempMark()
-		var args []Value
-		for _, a := range e.Args {
-			av, _, err := g.genExpr(a)
-			if err != nil {
-				return None, false, err
-			}
-			args = append(args, av)
+		mark, at := g.tempMark(), len(g.argStack)
+		if err := g.pushArgs(e.Args); err != nil {
+			return None, false, err
 		}
-		return g.emitCall(e.ResolvedSym, args, e.Throws, e.TypeOf(), mark)
+		return g.emitCall(e.ResolvedSym, g.popArgs(at), e.Throws, e.TypeOf(), mark)
 
 	case frontend.CallClosure:
 		fnv, _, err := g.genExpr(e.Fn)
 		if err != nil {
 			return None, false, err
 		}
-		mark := g.tempMark()
-		var args []Value
-		for _, a := range e.Args {
-			av, _, err := g.genExpr(a)
-			if err != nil {
-				return None, false, err
-			}
-			args = append(args, av)
+		mark, at := g.tempMark(), len(g.argStack)
+		if err := g.pushArgs(e.Args); err != nil {
+			return None, false, err
 		}
 		var dst Value
 		if e.TypeOf().Kind != frontend.TVoid {
 			dst = g.fn.NewValue()
 		}
-		g.emit(Inst{Op: CallClosure, Dst: dst, A: fnv, Args: args})
+		g.emit(Inst{Op: CallClosure, Dst: dst, A: fnv, Args: g.popArgs(at)})
 		g.flushTempsSince(mark)
 		owned := dst != None && e.TypeOf().IsRef()
 		if owned {
@@ -281,6 +268,27 @@ func (g *generator) genCall(e *frontend.CallExpr) (Value, bool, error) {
 		return dst, owned, nil
 	}
 	return None, false, fmt.Errorf("sirgen: unresolved call (sema bug)")
+}
+
+// pushArgs generates each argument in turn and pushes its value on
+// g.argStack. An argument's own calls push above it and pop back down.
+func (g *generator) pushArgs(args []frontend.Expr) error {
+	for _, a := range args {
+		av, _, err := g.genExpr(a)
+		if err != nil {
+			return err
+		}
+		g.argStack = append(g.argStack, av)
+	}
+	return nil
+}
+
+// popArgs pops the argument list pushed from at. The list stays valid until
+// the next push; emit copies it, so it goes straight into the instruction.
+func (g *generator) popArgs(at int) []Value {
+	args := g.argStack[at:]
+	g.argStack = g.argStack[:at]
+	return args
 }
 
 // emitCall emits a direct call, including the error-channel check for
@@ -432,15 +440,15 @@ func (g *generator) genClosure(e *frontend.ClosureExpr) (Value, bool, error) {
 
 	// Build the closure object: retain captured references (the closure
 	// owns its captures).
-	capVals := make([]Value, len(caps))
-	for i, c := range caps {
+	at := len(g.argStack)
+	for _, c := range caps {
 		if c.isRef {
 			g.emit(Inst{Op: Retain, A: c.val})
 		}
-		capVals[i] = c.val
+		g.argStack = append(g.argStack, c.val)
 	}
 	dst := g.fn.NewValue()
-	g.emit(Inst{Op: MakeClosure, Dst: dst, Sym: name, Args: capVals})
+	g.emit(Inst{Op: MakeClosure, Dst: dst, Sym: name, Args: g.popArgs(at)})
 	g.addTemp(dst)
 	return dst, true, nil
 }
@@ -466,16 +474,16 @@ func (g *generator) thunkFor(fnName string, line int) (string, error) {
 	tf.RefParams = make([]bool, tf.NumParams)
 	tf.RefParams[0] = true
 	g.begin(tf)
-	args := make([]Value, len(target.Params))
+	at := len(g.argStack)
 	for i := range target.Params {
-		args[i] = tf.Param(i + 1)
+		g.argStack = append(g.argStack, tf.Param(i+1))
 		tf.RefParams[i+1] = target.Params[i].Type.IsRef()
 	}
 	var dst Value
 	if target.Ret.Kind != frontend.TVoid {
 		dst = tf.NewValue()
 	}
-	g.emit(Inst{Op: Call, Dst: dst, Sym: fnName, Args: args})
+	g.emit(Inst{Op: Call, Dst: dst, Sym: fnName, Args: g.popArgs(at)})
 	if dst != None {
 		g.emit(Inst{Op: Ret, A: dst})
 	} else {
