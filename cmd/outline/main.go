@@ -23,7 +23,7 @@ import (
 	"outliner/internal/mir"
 	"outliner/internal/outline"
 	"outliner/internal/pipeline"
-	verifypkg "outliner/internal/verify"
+	"outliner/internal/verify"
 )
 
 func main() {
@@ -49,10 +49,7 @@ func main() {
 		fatal(err)
 	}
 	if cfg.Verify {
-		if err := prog.Verify(llir.RuntimeSyms); err != nil {
-			fatal(fmt.Errorf("input: %w", err))
-		}
-		if err := verifypkg.Program(prog, llir.RuntimeSyms).Err(); err != nil {
+		if err := verify.Program(prog, llir.RuntimeSyms).Err(); err != nil {
 			fatal(fmt.Errorf("input: %w", err))
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 
+	"outliner/internal/isa"
 	"outliner/internal/llir"
 	"outliner/internal/mir"
 	"outliner/internal/outline"
@@ -349,11 +350,10 @@ func decodeLLIRInst(d *dec, in *llir.Inst) {
 
 // EncodeMachine serializes a machine program plus the outlining statistics
 // that produced it (st may be nil when outlining did not run). The program
-// section is mir's canonical codec (mir.EncodeProgram), shared with the
-// outliner's round-rollback snapshots; its layout is part of SchemaVersion.
+// section's layout is part of SchemaVersion.
 func EncodeMachine(p *mir.Program, st *outline.Stats) []byte {
 	e := newEnc(kindMachine)
-	e.b = mir.EncodeProgram(e.b, p)
+	e.program(p)
 	e.bool(st != nil)
 	if st != nil {
 		e.u(uint64(len(st.Rounds)))
@@ -368,18 +368,50 @@ func EncodeMachine(p *mir.Program, st *outline.Stats) []byte {
 	return e.b
 }
 
+// EncodeProgram returns the program section of p's machine artifact: the
+// canonical encoding EncodeMachine writes after the header, so identical
+// programs give identical bytes.
+func EncodeProgram(p *mir.Program) []byte {
+	var e enc
+	e.program(p)
+	return e.b
+}
+
+func (e *enc) program(p *mir.Program) {
+	e.u(uint64(len(p.Funcs)))
+	for _, f := range p.Funcs {
+		e.s(f.Name)
+		e.s(f.Module)
+		e.bool(f.Outlined)
+		e.u(uint64(len(f.Blocks)))
+		for _, blk := range f.Blocks {
+			e.s(blk.Label)
+			e.u(uint64(len(blk.Insts)))
+			for i := range blk.Insts {
+				in := &blk.Insts[i]
+				e.b = append(e.b, byte(in.Op), byte(in.Rd), byte(in.Rd2), byte(in.Rn), byte(in.Rm))
+				e.i(in.Imm)
+				e.s(in.Sym)
+				e.byte(byte(in.Cond))
+			}
+		}
+	}
+	e.u(uint64(len(p.Globals)))
+	for _, g := range p.Globals {
+		e.s(g.Name)
+		e.s(g.Module)
+		e.u(uint64(len(g.Words)))
+		for _, w := range g.Words {
+			e.i(w)
+		}
+	}
+}
+
 // DecodeMachine reconstructs a program (and stats, when present) encoded by
 // EncodeMachine.
 func DecodeMachine(data []byte) (*mir.Program, *outline.Stats, error) {
 	d := newDec(data, kindMachine)
-	if d.err != nil {
-		return nil, nil, d.err
-	}
-	p, rest, err := mir.DecodeProgram(d.b)
-	if err != nil {
-		return nil, nil, fmt.Errorf("artifact: %w", err)
-	}
-	d.b = rest
+	p := d.program()
 	var st *outline.Stats
 	if d.bool() {
 		st = &outline.Stats{}
@@ -398,4 +430,52 @@ func DecodeMachine(data []byte) (*mir.Program, *outline.Stats, error) {
 		return nil, nil, err
 	}
 	return p, st, nil
+}
+
+func (d *dec) program() *mir.Program {
+	p := mir.NewProgram()
+	nf := d.count()
+	for i := 0; i < nf && d.err == nil; i++ {
+		f := &mir.Function{Name: d.s(), Module: d.s(), Outlined: d.bool()}
+		nb := d.count()
+		for j := 0; j < nb && d.err == nil; j++ {
+			b := &mir.Block{Label: d.s()}
+			ni := d.count()
+			if d.err == nil && ni > 0 {
+				b.Insts = make([]isa.Inst, ni)
+				for k := range b.Insts {
+					in := &b.Insts[k]
+					in.Op = isa.Op(d.byte())
+					in.Rd = isa.Reg(d.byte())
+					in.Rd2 = isa.Reg(d.byte())
+					in.Rn = isa.Reg(d.byte())
+					in.Rm = isa.Reg(d.byte())
+					in.Imm = d.i()
+					in.Sym = d.s()
+					in.Cond = isa.Cond(d.byte())
+				}
+			}
+			f.Blocks = append(f.Blocks, b)
+		}
+		if d.err == nil {
+			if p.Func(f.Name) != nil {
+				d.fail("duplicate function %q", f.Name)
+				break
+			}
+			p.AddFunc(f)
+		}
+	}
+	ng := d.count()
+	for i := 0; i < ng && d.err == nil; i++ {
+		g := &mir.Global{Name: d.s(), Module: d.s()}
+		nw := d.count()
+		if d.err == nil && nw > 0 {
+			g.Words = make([]int64, nw)
+			for k := range g.Words {
+				g.Words[k] = d.i()
+			}
+		}
+		p.AddGlobal(g)
+	}
+	return p
 }

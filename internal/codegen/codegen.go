@@ -27,13 +27,10 @@ import (
 	"outliner/internal/par"
 )
 
-// Compile lowers every function of an LLIR module and returns a machine
+// CompileWith lowers every function of an LLIR module and returns a machine
 // program (functions keep their source-module provenance; globals carry
-// over). It uses one worker per CPU; see CompileWith for the knob.
-func Compile(m *llir.Module) (*mir.Program, error) { return CompileWith(m, 0) }
-
-// CompileWith is Compile with an explicit worker bound (0 = one per CPU,
-// 1 = serial). Functions lower independently (ISel → out-of-SSA → regalloc
+// over), with at most parallelism workers (0 = one per CPU, 1 = serial).
+// Functions lower independently (ISel → out-of-SSA → regalloc
 // read only their own cloned function), and the results are appended in
 // module order, so the machine program is identical for any worker count.
 func CompileWith(m *llir.Module, parallelism int) (*mir.Program, error) {

@@ -7,6 +7,7 @@ import (
 	"outliner/internal/exec"
 	"outliner/internal/isa"
 	"outliner/internal/llir"
+	"outliner/internal/verify"
 )
 
 // compileAndRun compiles a one-function module plus a main that prints the
@@ -31,11 +32,11 @@ func compileAndRun(t *testing.T, f *llir.Func, args ...int64) string {
 	mainFn.Blocks = []*llir.Block{b}
 	m.AddFunc(mainFn)
 
-	prog, err := Compile(m)
+	prog, err := CompileWith(m, 0)
 	if err != nil {
-		t.Fatalf("Compile: %v", err)
+		t.Fatalf("CompileWith: %v", err)
 	}
-	if err := prog.Verify(llir.RuntimeSyms); err != nil {
+	if err := verify.Program(prog, llir.RuntimeSyms).Err(); err != nil {
 		t.Fatalf("Verify: %v\n%s", err, prog)
 	}
 	mach, err := exec.New(prog, exec.Options{MaxSteps: 10_000_000})
@@ -136,7 +137,7 @@ func TestSpilling(t *testing.T) {
 	// The compiled function must actually contain spill traffic.
 	m := llir.NewModule("T2")
 	m.AddFunc(f)
-	prog, err := Compile(m)
+	prog, err := CompileWith(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestFrameOnlyWhenNeeded(t *testing.T) {
 	}}}
 	m.AddFunc(caller)
 
-	prog, err := Compile(m)
+	prog, err := CompileWith(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestErrorChannel(t *testing.T) {
 	}}}
 	m.AddFunc(mainFn)
 
-	prog, err := Compile(m)
+	prog, err := CompileWith(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestTooManyArgsRejected(t *testing.T) {
 	f.Blocks = []*llir.Block{{Label: "entry", Insts: []llir.Inst{{Op: llir.Ret, A: f.Param(0)}}}}
 	m := llir.NewModule("T")
 	m.AddFunc(f)
-	if _, err := Compile(m); err == nil || !strings.Contains(err.Error(), "argument registers") {
+	if _, err := CompileWith(m, 0); err == nil || !strings.Contains(err.Error(), "argument registers") {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -310,7 +311,7 @@ func TestShiftStrengthReduction(t *testing.T) {
 	}
 	m := llir.NewModule("T2")
 	m.AddFunc(f)
-	prog, err := Compile(m)
+	prog, err := CompileWith(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"outliner/internal/mir"
 	"outliner/internal/obs"
 	"outliner/internal/profile"
+	"outliner/internal/verify"
 )
 
 // genProgram builds a synthetic program of n functions named f00..fNN, each
@@ -262,7 +263,7 @@ func TestPermutationProperty(t *testing.T) {
 				t.Fatalf("seed %d: index stale for %q", seed, f.Name)
 			}
 		}
-		if err := p.Verify(map[string]bool{"swift_release": true}); err != nil {
+		if err := verify.Program(p, map[string]bool{"swift_release": true}).Err(); err != nil {
 			t.Fatalf("seed %d: verifier: %v", seed, err)
 		}
 	}

@@ -277,7 +277,11 @@ func main() {
   print(length(head: a))
 }
 `)
-	RunDefaultPasses(m)
+	for _, f := range m.Funcs {
+		SimplifyCFG(f)
+		DCE(f)
+	}
+	MergeFunctions(m)
 	if err := m.Verify(); err != nil {
 		t.Fatalf("verify after passes: %v\n%s", err, m)
 	}

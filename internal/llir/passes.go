@@ -6,17 +6,6 @@ import (
 	"strings"
 )
 
-// RunDefaultPasses applies the standard mid-level size pipeline in the order
-// the paper's `opt` stage would: CFG cleanup, dead code elimination, then
-// function merging.
-func RunDefaultPasses(m *Module) {
-	for _, f := range m.Funcs {
-		SimplifyCFG(f)
-		DCE(f)
-	}
-	MergeFunctions(m)
-}
-
 // ---- Dead code elimination ----
 
 // pure reports whether an instruction has no side effects and may be removed

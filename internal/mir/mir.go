@@ -159,6 +159,11 @@ func (p *Program) Clone() *Program {
 	return np
 }
 
+// ResetTo replaces p's contents in place with a deep copy of src, keeping
+// every existing *Program reference to p valid — how the outliner rolls a
+// shared program back to a snapshot.
+func (p *Program) ResetTo(src *Program) { *p = *src.Clone() }
+
 // NumInsts returns the total instruction count.
 func (p *Program) NumInsts() int {
 	n := 0

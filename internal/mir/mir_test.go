@@ -30,8 +30,6 @@ done:
 global @gTable module "RiderCore" = [1, 2, 3]
 `
 
-var externRT = map[string]bool{"swift_release": true}
-
 func mustParse(t *testing.T, src string) *Program {
 	t.Helper()
 	p, err := Parse(src)
@@ -113,69 +111,6 @@ func TestSizeAccounting(t *testing.T) {
 	}
 }
 
-func TestVerifyAcceptsSample(t *testing.T) {
-	p := mustParse(t, sampleSrc)
-	if err := p.Verify(externRT); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-}
-
-func TestVerifyCatchesBreakage(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(p *Program)
-	}{
-		{"unknown call", func(p *Program) {
-			p.Func("caller").Blocks[1].Insts[0] = isa.Inst{Op: isa.BL, Sym: "nonexistent"}
-		}},
-		{"unknown branch", func(p *Program) {
-			p.Func("caller").Blocks[0].Insts[2] = isa.Inst{Op: isa.Bcc, Cond: isa.EQ, Sym: "nowhere"}
-		}},
-		{"non-terminator after terminator", func(p *Program) {
-			b := p.Func("caller").Blocks[0]
-			b.Insts[0] = isa.Inst{Op: isa.RET} // leaves CMPXri after RET
-		}},
-		{"missing final terminator", func(p *Program) {
-			b := p.Func("caller").Blocks[2]
-			b.Insts = b.Insts[:0]
-		}},
-		{"duplicate label", func(p *Program) {
-			f := p.Func("caller")
-			f.Blocks[1].Label = "entry"
-		}},
-		{"unknown adr", func(p *Program) {
-			b := p.Func("caller").Blocks[0]
-			b.Insts[0] = isa.Inst{Op: isa.ADR, Rd: isa.X0, Sym: "noglobal"}
-		}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			p := mustParse(t, sampleSrc)
-			c.mutate(p)
-			if err := p.Verify(externRT); err == nil {
-				t.Error("Verify accepted broken program")
-			}
-		})
-	}
-}
-
-func TestVerifyAcceptsTailCallB(t *testing.T) {
-	src := `
-func @outlined outlined {
-entry:
-  ORRXrs $x0, $xzr, $x20
-  B @swift_release
-}
-`
-	p := mustParse(t, src)
-	if err := p.Verify(externRT); err != nil {
-		t.Fatalf("Verify rejected thunk tail call: %v", err)
-	}
-	if !p.Func("outlined").Outlined {
-		t.Error("outlined flag not parsed")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	p := mustParse(t, sampleSrc)
 	c := p.Clone()
@@ -186,6 +121,28 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if p.Globals[0].Words[0] == 99 {
 		t.Error("Clone shares global storage")
+	}
+}
+
+// TestResetTo: in-place restore preserves the receiver pointer and yields a
+// deep copy — mutating the restored program must not touch the snapshot.
+func TestResetTo(t *testing.T) {
+	snapshot := mustParse(t, sampleSrc)
+	p := NewProgram()
+	p.AddFunc(&Function{Name: "garbage", Blocks: []*Block{{Label: "entry"}}})
+	p.ResetTo(snapshot)
+	if p.String() != snapshot.String() {
+		t.Fatal("ResetTo did not reproduce the snapshot")
+	}
+	if p.Func("garbage") != nil {
+		t.Fatal("stale function survived ResetTo")
+	}
+	if p.Func("caller") == nil || p.Func("caller") == snapshot.Func("caller") {
+		t.Fatal("ResetTo must deep-copy, not alias")
+	}
+	p.Func("caller").Blocks[0].Insts[0].Imm = 99
+	if snapshot.Func("caller").Blocks[0].Insts[0].Imm != 5 {
+		t.Fatal("mutating the restored program leaked into the snapshot")
 	}
 }
 

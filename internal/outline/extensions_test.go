@@ -7,6 +7,7 @@ import (
 
 	"outliner/internal/isa"
 	"outliner/internal/mir"
+	"outliner/internal/verify"
 )
 
 func TestCanonicalizeCommutative(t *testing.T) {
@@ -111,7 +112,7 @@ entry:
 	if moved == 0 {
 		t.Fatal("no outlined functions moved")
 	}
-	if err := p.Verify(externRT); err != nil {
+	if err := verify.Program(p, externRT).Err(); err != nil {
 		t.Fatalf("layout broke the program: %v", err)
 	}
 	// Every outlined function must directly follow a function that calls it

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"outliner/internal/appgen"
+	"outliner/internal/artifact"
 	"outliner/internal/codegen"
 	"outliner/internal/fault"
 	"outliner/internal/isa"
@@ -182,7 +183,7 @@ const (
 )
 
 func digest(prog *mir.Program) string {
-	sum := sha256.Sum256(mir.EncodeProgram(nil, prog))
+	sum := sha256.Sum256(artifact.EncodeProgram(prog))
 	return hex.EncodeToString(sum[:])
 }
 

@@ -234,17 +234,17 @@ func Outline(prog *mir.Program, opts Options) (*Stats, error) {
 	stats := &Stats{}
 	counter := 0
 	var sc scratch
-	// Snapshots for the degraded verify-failure modes, via the canonical mir
-	// codec: preAll is the program before any outlining, preRound before the
-	// current round. Only taken when a degraded mode could use them.
+	// Snapshots for the degraded verify-failure modes, as clones: preAll is
+	// the program before any outlining, preRound before the current round.
+	// Only taken when a degraded mode could use them.
 	degrade := opts.Verify && opts.OnVerifyFailure != VerifyAbort
-	var preAll, preRound []byte
+	var preAll, preRound *mir.Program
 	if degrade {
-		preAll = mir.EncodeProgram(nil, prog)
+		preAll = prog.Clone()
 	}
 	for round := 1; round <= opts.Rounds; round++ {
 		if degrade {
-			preRound = mir.EncodeProgram(preRound[:0], prog)
+			preRound = prog.Clone()
 		}
 		// One stage span per round, all named "machine-outline": stage
 		// totals sum them, so repeated rounds (and per-module runs in the
@@ -328,17 +328,12 @@ func verifyRound(prog *mir.Program, opts Options, round int, frontier []int) *ve
 // the relevant snapshot, drop the undone rounds' stats, record a counter and
 // a remark, and stop outlining successfully — the build ships a correct,
 // less-outlined program instead of failing.
-func rollback(prog *mir.Program, opts Options, stats *Stats, tr *obs.Tracer, round int, verr error, preAll, preRound []byte) (*Stats, error) {
+func rollback(prog *mir.Program, opts Options, stats *Stats, tr *obs.Tracer, round int, verr error, preAll, preRound *mir.Program) (*Stats, error) {
 	snap := preRound
 	if opts.OnVerifyFailure == VerifyDisableOutlining {
 		snap = preAll
 	}
-	restored, _, err := mir.DecodeProgram(snap)
-	if err != nil {
-		// Unreachable in practice: we encoded the snapshot ourselves.
-		return stats, fmt.Errorf("outline round %d: rollback snapshot: %w", round, err)
-	}
-	prog.ResetTo(restored)
+	prog.ResetTo(snap)
 	status := "rolled-back"
 	if opts.OnVerifyFailure == VerifyDisableOutlining {
 		stats.Rounds = stats.Rounds[:0]

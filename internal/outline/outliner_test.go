@@ -7,6 +7,7 @@ import (
 
 	"outliner/internal/isa"
 	"outliner/internal/mir"
+	"outliner/internal/verify"
 )
 
 var externRT = map[string]bool{
@@ -20,7 +21,7 @@ func mustParse(t *testing.T, src string) *mir.Program {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if err := p.Verify(externRT); err != nil {
+	if err := verify.Program(p, externRT).Err(); err != nil {
 		t.Fatalf("test input invalid: %v", err)
 	}
 	return p

@@ -43,7 +43,7 @@ func corruptRound2() *fault.Injector {
 
 // TestRollbackRoundShedsTheBadRound: a corrupted round 2 under
 // rollback-round yields exactly the clean one-round program — byte-for-byte
-// via the canonical codec — with the rollback visible in stats, counters,
+// via the lossless MIR text — with the rollback visible in stats, counters,
 // and remarks, and no error.
 func TestRollbackRoundShedsTheBadRound(t *testing.T) {
 	want := multiRoundProgram(t)
@@ -62,10 +62,8 @@ func TestRollbackRoundShedsTheBadRound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rollback mode returned error: %v", err)
 	}
-	a, b := mir.EncodeProgram(nil, got), mir.EncodeProgram(nil, want)
-	if string(a) != string(b) {
-		t.Fatalf("rolled-back program differs from the clean 1-round program:\n%s\nvs\n%s",
-			got.String(), want.String())
+	if a, b := got.String(), want.String(); a != b {
+		t.Fatalf("rolled-back program differs from the clean 1-round program:\n%s\nvs\n%s", a, b)
 	}
 	if len(st.Rounds) != 1 {
 		t.Fatalf("stats kept %d rounds, want 1 (round 2 shed): %+v", len(st.Rounds), st.Rounds)

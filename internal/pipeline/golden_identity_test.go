@@ -129,7 +129,7 @@ func compileText(t *testing.T, m *llir.Module, j int) string {
 //	merge          the IR-linked program after MergeFunctions (+ its stats)
 //	merge-keeping  each module after MergeFunctionsKeeping with every other
 //	               function kept (+ its stats)
-//	mir            codegen.Compile of each module and of the merged program
+//	mir            codegen.CompileWith of each module and of the merged program
 //	image-default  the final image listing under pipeline.Default
 //	image-osize    the same under pipeline.OSize
 func corpusDigests(t *testing.T, apps []identityApp, j int) map[string]string {

@@ -44,17 +44,13 @@ func TestBuildMIRFinishesLikeBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Build(rounds 0): %v", err)
 			}
-			enc := mir.EncodeProgram(nil, res.Prog)
 			var text bytes.Buffer
 			if _, err := res.Prog.WriteTo(&text); err != nil {
 				t.Fatal(err)
 			}
 			inputs := map[string]func() (*mir.Program, error){
-				"program": func() (*mir.Program, error) {
-					p, _, err := mir.DecodeProgram(enc)
-					return p, err
-				},
-				"text": func() (*mir.Program, error) { return mir.Parse(text.String()) },
+				"program": func() (*mir.Program, error) { return res.Prog.Clone(), nil },
+				"text":    func() (*mir.Program, error) { return mir.Parse(text.String()) },
 			}
 			output := runMain(t, res.Prog)
 

@@ -33,6 +33,7 @@ import (
 	"outliner/internal/obs"
 	"outliner/internal/outline"
 	"outliner/internal/pipeline"
+	"outliner/internal/verify"
 )
 
 // Module is one compilation unit: a name and its SwiftLite source files.
@@ -223,7 +224,7 @@ func OutlineText(mirText string, rounds int) (string, []RoundStats, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	if err := prog.Verify(llir.RuntimeSyms); err != nil {
+	if err := verify.Program(prog, llir.RuntimeSyms).Err(); err != nil {
 		return "", nil, fmt.Errorf("outliner: input: %w", err)
 	}
 	res, err := pipeline.BuildMIR(prog, pipeline.Config{OutlineRounds: rounds, Verify: true})

@@ -123,6 +123,25 @@ entry:
 	}
 }
 
+// TestPublicOutlineTextRejectsBadInput: a program that is broken before any
+// outlining runs is reported as bad input, not as a round that broke it.
+func TestPublicOutlineTextRejectsBadInput(t *testing.T) {
+	mirText := `
+func @main {
+entry:
+  STPXpre $x29, $x30, $sp, #-16
+  RET
+}
+`
+	_, _, err := outliner.OutlineText(mirText, 3)
+	if err == nil {
+		t.Fatal("a RET with the stack pointer 16 bytes below its entry value was accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "input") || !strings.Contains(msg, "unbalanced stack pointer") || strings.Contains(msg, "round 1") {
+		t.Errorf("error %q should blame the input's unbalanced stack pointer, not an outlining round", msg)
+	}
+}
+
 func TestPublicMachineCodeDump(t *testing.T) {
 	res, err := outliner.Build([]outliner.Module{
 		{Name: "App", Files: map[string]string{"app.sl": `func main() { print(1) }`}},
