@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"outliner/internal/isa"
 	"outliner/internal/llir"
@@ -48,10 +49,36 @@ var magic = [3]byte{'S', 'L', 'A'}
 
 type enc struct{ b []byte }
 
+// encPool recycles encoder buffers. Encoding runs from several stages' cache
+// hooks and from key hashing, none of which holds a worker lane, and the
+// result outlives any lane because the cache keeps it: an encoder writes into
+// a pooled buffer, grown to the largest artifact it has held, and returns an
+// exactly sized copy (done).
+var encPool = sync.Pool{New: func() any { return new(enc) }}
+
+// getEnc returns an empty encoder from the pool.
+func getEnc() *enc {
+	e := encPool.Get().(*enc)
+	e.b = e.b[:0]
+	return e
+}
+
+// newEnc returns a pooled encoder holding the header of a kind artifact.
 func newEnc(kind byte) *enc {
-	e := &enc{b: make([]byte, 0, 4096)}
+	e := getEnc()
 	e.b = append(e.b, magic[0], magic[1], magic[2], byte(SchemaVersion), kind)
 	return e
+}
+
+// done returns the encoded bytes as a copy with cap == len, so the caller
+// (the cache keeps artifacts for the life of the process) holds neither
+// spare capacity nor the buffer, which goes back to the pool. e must not be
+// used afterwards.
+func (e *enc) done() []byte {
+	out := make([]byte, len(e.b))
+	copy(out, e.b)
+	encPool.Put(e)
+	return out
 }
 
 func (e *enc) u(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
@@ -232,7 +259,7 @@ func EncodeModule(m *llir.Module) []byte {
 		e.s(k)
 		e.s(m.Metadata[k])
 	}
-	return e.b
+	return e.done()
 }
 
 func encodeLLIRInst(e *enc, in *llir.Inst) {
@@ -365,16 +392,16 @@ func EncodeMachine(p *mir.Program, st *outline.Stats) []byte {
 			e.i(int64(r.BytesSaved))
 		}
 	}
-	return e.b
+	return e.done()
 }
 
 // EncodeProgram returns the program section of p's machine artifact: the
 // canonical encoding EncodeMachine writes after the header, so identical
 // programs give identical bytes.
 func EncodeProgram(p *mir.Program) []byte {
-	var e enc
+	e := getEnc()
 	e.program(p)
-	return e.b
+	return e.done()
 }
 
 func (e *enc) program(p *mir.Program) {

@@ -2,7 +2,10 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"outliner/internal/isa"
@@ -219,4 +222,90 @@ func FuzzDecodeMachine(f *testing.F) {
 			t.Fatalf("re-encoded machine artifact does not decode: %v", err)
 		}
 	})
+}
+
+// wideModule is a module of n functions whose summary section is long enough
+// for its length to take several uvarint bytes.
+func wideModule(n int) *llir.Module {
+	m := llir.NewModule("wide")
+	for i := 0; i < n; i++ {
+		f := &llir.Func{Name: fmt.Sprintf("function_with_a_long_name_%d", i), Module: "wide", NumValues: 1}
+		f.Blocks = []*llir.Block{{Label: "entry", Insts: []llir.Inst{
+			{Op: llir.Call, Dst: 1, Sym: fmt.Sprintf("callee_%d", i%7)},
+			{Op: llir.Ret, A: 1},
+		}}}
+		m.AddFunc(f)
+	}
+	return m
+}
+
+// TestEncodeExactSize: every encoder returns a copy with cap == len, which no
+// later encode (reusing the pooled buffer) changes, and encoders running on
+// several goroutines at once give the serial bytes. The summary section,
+// written in place and then shifted behind its length, is checked against
+// the layout built by a separate encoder.
+func TestEncodeExactSize(t *testing.T) {
+	p, st := sampleProgram()
+	stub := sampleStub(t)
+	wide := wideModule(1000)
+	encoders := []struct {
+		name   string
+		encode func() []byte
+	}{
+		{"stub", func() []byte { return EncodeStub(stub) }},
+		{"module", func() []byte { return EncodeModule(sampleModule()) }},
+		{"wide module", func() []byte { return EncodeModule(wide) }},
+		{"machine", func() []byte { return EncodeMachine(p, st) }},
+		{"machine without stats", func() []byte { return EncodeMachine(p, nil) }},
+		{"program", func() []byte { return EncodeProgram(p) }},
+	}
+	first := make([][]byte, len(encoders))
+	want := make([][]byte, len(encoders))
+	for i, e := range encoders {
+		first[i] = e.encode()
+		want[i] = bytes.Clone(first[i])
+		if len(first[i]) != cap(first[i]) {
+			t.Errorf("%s: len %d, cap %d", e.name, len(first[i]), cap(first[i]))
+		}
+	}
+	for _, e := range encoders {
+		e.encode()
+	}
+	for i, e := range encoders {
+		if !bytes.Equal(first[i], want[i]) {
+			t.Errorf("%s: a later encode changed an earlier result", e.name)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 10; k++ {
+				for i, e := range encoders {
+					if got := e.encode(); !bytes.Equal(got, want[i]) {
+						t.Errorf("%s: a concurrent encode differs from the serial one", e.name)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	sum := Summarize(wide)
+	var sec enc
+	for _, list := range [][]string{sum.Funcs, sum.Globals, sum.Refs} {
+		sec.u(uint64(len(list)))
+		for _, name := range list {
+			sec.s(name)
+		}
+	}
+	if len(sec.b) < 1<<14 {
+		t.Fatalf("the wide module's summary is %d bytes; want one whose length takes three uvarint bytes", len(sec.b))
+	}
+	head := append([]byte{magic[0], magic[1], magic[2], byte(SchemaVersion), kindLLIR}, binary.AppendUvarint(nil, uint64(len(sec.b)))...)
+	if enc := EncodeModule(wide); !bytes.HasPrefix(enc, append(head, sec.b...)) {
+		t.Error("the wide module's artifact does not start with its header, the summary's length and the summary")
+	}
 }

@@ -38,7 +38,7 @@ func EncodeStub(s *frontend.Stub) []byte {
 	for _, fn := range s.Funcs {
 		encodeSignature(e, fn)
 	}
-	return e.b
+	return e.done()
 }
 
 // InterfaceDigest is the dependency fingerprint importers see of a module:

@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"outliner/internal/llir"
@@ -53,16 +54,22 @@ func Summarize(m *llir.Module) *Summary {
 	return s
 }
 
+// encodeSummary writes s's section, length first, into e's buffer: the
+// section is written in place and then shifted right by its length's width.
 func encodeSummary(e *enc, s *Summary) {
-	sec := &enc{}
+	at := len(e.b)
 	for _, list := range [][]string{s.Funcs, s.Globals, s.Refs} {
-		sec.u(uint64(len(list)))
+		e.u(uint64(len(list)))
 		for _, name := range list {
-			sec.s(name)
+			e.s(name)
 		}
 	}
-	e.u(uint64(len(sec.b)))
-	e.b = append(e.b, sec.b...)
+	n := len(e.b) - at
+	var size [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(size[:], uint64(n))
+	e.b = append(e.b, size[:w]...)
+	copy(e.b[at+w:], e.b[at:at+n])
+	copy(e.b[at:], size[:w])
 }
 
 // DecodeSummary reads only the summary header of an artifact encoded by

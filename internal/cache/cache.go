@@ -355,8 +355,9 @@ func (c *Cache) remember(id string, data []byte) {
 // bytes shadowing the good ones.
 func (c *Cache) store(id string, data []byte) {
 	// The tier keeps an entry for the life of the process, so it keeps the
-	// bytes and not the spare capacity an encoder's append-grown buffer
-	// carries with them (about 30 % on top of an llir artifact).
+	// bytes and not the spare capacity an append-grown buffer carries with
+	// them. The pipeline's artifacts arrive exactly sized (artifact's
+	// encoders return a cap == len copy); a caller's own buffer may not.
 	if cap(data)-len(data) > len(data)/8 {
 		data = bytes.Clone(data)
 	}

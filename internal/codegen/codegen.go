@@ -47,10 +47,29 @@ func CompileWith(m *llir.Module, parallelism int) (*mir.Program, error) {
 // keyed by function name; the worker pool recovers it into a structured
 // *par.PanicError.
 func CompileTraced(m *llir.Module, parallelism int, tr *obs.Tracer, baseLane int, inj *fault.Injector) (*mir.Program, error) {
-	// One scratch per worker lane: a lane compiles its functions one after
-	// another, so each function's tables are the previous one's, regrown only
-	// when a larger function comes along.
-	lanes := make([]scratch, par.Workers(parallelism, len(m.Funcs)))
+	return new(Compiler).Compile(m, parallelism, tr, baseLane, inj)
+}
+
+// Compiler compiles one module after another, the way a worker lane of a
+// build does, keeping its per-worker scratch tables from each module to the
+// next: a module boundary is handled like a function boundary, since every
+// stage re-zeroes the table range it uses. The programs it returns are its
+// callers' alone: they are built from fresh memory and nothing in them
+// points into the Compiler. The zero value is ready to use. A Compiler is
+// not safe for concurrent use.
+type Compiler struct {
+	// lanes holds one scratch per worker: a worker compiles its functions
+	// one after another, so each function's tables are the previous one's,
+	// regrown only when a larger function comes along.
+	lanes []scratch
+}
+
+// Compile compiles m as CompileTraced does.
+func (c *Compiler) Compile(m *llir.Module, parallelism int, tr *obs.Tracer, baseLane int, inj *fault.Injector) (*mir.Program, error) {
+	if n := par.Workers(parallelism, len(m.Funcs)); len(c.lanes) < n {
+		c.lanes = append(c.lanes, make([]scratch, n-len(c.lanes))...)
+	}
+	lanes := c.lanes
 	fine := tr.FineEnabled()
 	funcs := make([]*mir.Function, len(m.Funcs))
 	errs := par.Run(nil, "llc", parallelism, len(m.Funcs), false, func(lane, i int) error {
@@ -90,9 +109,10 @@ func CompileTraced(m *llir.Module, parallelism int, tr *obs.Tracer, baseLane int
 // buffer is rewound (and the tables re-zeroed for the new function's range)
 // at the start of the stage that fills it, so nothing a function leaves
 // behind is visible to the next one on the lane. The slices keep their
-// backing arrays between functions: a lane holds tables sized to the largest
-// function it has compiled, not to the module. Nothing in a scratch outlives
-// compileFunc's result: the machine function is built from fresh memory.
+// backing arrays between functions, and on a Compiler between modules: a
+// lane holds tables sized to the largest function it has compiled, not to
+// the module. Nothing in a scratch outlives compileFunc's result: the
+// machine function is built from fresh memory.
 type scratch struct {
 	// Working copy of the function being compiled (clone) and its
 	// out-of-SSA form. Blocks' instruction lists are windows into insts.

@@ -226,6 +226,21 @@ type candSet struct {
 // per-round statistics. It is deterministic: identical inputs produce
 // identical outputs, regardless of map iteration order.
 func Outline(prog *mir.Program, opts Options) (*Stats, error) {
+	return new(Outliner).Outline(prog, opts)
+}
+
+// Outliner outlines one program after another, the way a worker lane of a
+// build does, keeping its round scratch from each program to the next: the
+// capacities of the flattened string, the repeat finder, the prefix sums, the
+// owner table and the candidate arenas carry over, and what belonged to the
+// previous program (its interned instructions, liveness, candidate sets and
+// frontier) is dropped first. Nothing in the rewritten program or the
+// returned Stats points into the Outliner. The zero value is ready to use. An
+// Outliner is not safe for concurrent use.
+type Outliner struct{ sc scratch }
+
+// Outline outlines prog as the package-level Outline does.
+func (o *Outliner) Outline(prog *mir.Program, opts Options) (*Stats, error) {
 	if err := CheckVerifyMode(opts.OnVerifyFailure); err != nil {
 		return nil, fmt.Errorf("outline: %w", err)
 	}
@@ -233,7 +248,8 @@ func Outline(prog *mir.Program, opts Options) (*Stats, error) {
 	tr := opts.Tracer
 	stats := &Stats{}
 	counter := 0
-	var sc scratch
+	sc := &o.sc
+	sc.reset()
 	// Snapshots for the degraded verify-failure modes, as clones: preAll is
 	// the program before any outlining, preRound before the current round.
 	// Only taken when a degraded mode could use them.
@@ -250,7 +266,7 @@ func Outline(prog *mir.Program, opts Options) (*Stats, error) {
 		// totals sum them, so repeated rounds (and per-module runs in the
 		// default pipeline) report total time, not last-round time.
 		sp := tr.StartStage("machine-outline", opts.TraceLane).Arg("round", round)
-		rs, rems, err := outlineOnce(prog, opts, &counter, round, &sc)
+		rs, rems, err := outlineOnce(prog, opts, &counter, round, sc)
 		if err != nil {
 			sp.End()
 			return stats, fmt.Errorf("outline round %d: %w", round, err)
@@ -401,7 +417,10 @@ type repeatResult struct {
 // and LCP arrays, per-lane candidate buffers, the block-splice buffer, and
 // the liveness of every function no round has edited all carry over. Rounds
 // shrink the program, so the first round's capacities are the high-water mark
-// and later rounds allocate (almost) nothing.
+// and later rounds allocate (almost) nothing. On an Outliner the same holds
+// across programs: reset drops what belonged to the previous program and
+// keeps the capacities, so a lane's high-water mark is its largest program's
+// first round.
 type scratch struct {
 	m        mapping
 	stb      suffixtree.Builder
@@ -419,6 +438,27 @@ type scratch struct {
 	frontier []int
 	lanes    []laneScratch
 	blockBuf []isa.Inst
+}
+
+// reset readies the scratch for a new program. The intern table and the
+// liveness are per program: a symbol stands for an instruction of the
+// previous program, and live[i] is the liveness of the previous program's
+// function i, which would silently mislead the new function i's LR-spill
+// decisions. The candidate sets, new functions and frontier of the previous
+// program's last round go too, and the arenas are rewound. Every capacity is
+// kept.
+func (sc *scratch) reset() {
+	clear(sc.m.idByInst)
+	sc.m.insts = sc.m.insts[:0]
+	clear(sc.live[:cap(sc.live)])
+	sc.live = sc.live[:0]
+	sc.newFuncs = sc.newFuncs[:0]
+	sc.sets = sc.sets[:0]
+	sc.byRepeat = sc.byRepeat[:0]
+	sc.frontier = sc.frontier[:0]
+	for i := range sc.lanes {
+		sc.lanes[i].reset()
+	}
 }
 
 // laneScratch is one analysis worker's reusable storage: the sorted-starts

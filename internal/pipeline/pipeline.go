@@ -404,6 +404,7 @@ type build struct {
 	keys    *ModuleKeys            // parse, frontend; nil without a cache
 	ix      *frontend.ImportsIndex // frontend
 	front   []frontLane            // frontend, one per worker lane
+	back    []backLane             // per-module llc, one per worker lane
 	units   []*lowered             // frontend
 	merged  *llir.Module           // link, opt
 	extern  map[string]bool        // per-module llc
@@ -689,11 +690,13 @@ var perModule = []stage{{
 			b.refs = crossModuleRefs(b.units)
 		}
 		b.parts = make([]*mir.Program, len(b.units))
+		b.back = make([]backLane, par.Workers(b.cfg.Parallelism, len(b.units)))
 		return nil
 	},
 	tasks: sourceNames,
-	// The miss path: materialise the body, merge, codegen, outline. It runs at
-	// most once per module: merging mutates the body in place.
+	// The miss path: materialise the body, merge, codegen, outline, on the
+	// worker lane's storage. It runs at most once per module: merging mutates
+	// the body in place.
 	task: func(b *build, lane, i int) (any, error) {
 		cfg, u := &b.cfg, b.units[i]
 		lm, err := u.materialise(cfg.Tracer)
@@ -706,26 +709,14 @@ var perModule = []stage{{
 		if cfg.FMSA {
 			llir.MergeBySequenceAlignmentKeeping(lm, b.refs)
 		}
-		mc := &machineCode{}
-		if mc.prog, err = codegen.CompileTraced(lm, 1, cfg.Tracer, lane+1, cfg.Fault); err != nil {
-			return nil, err
-		}
-		if cfg.OutlineRounds > 0 {
-			opts := outlineOptions(*cfg)
-			opts.FuncPrefix = "OUTLINED_FUNCTION_" + u.name + "_"
-			opts.ExternSyms = b.extern
-			opts.Parallelism = 1
-			opts.TraceLane = lane + 1
-			opts.RemarkModule = u.name
-			mc.stats, err = outline.Outline(mc.prog, opts)
-		}
-		return mc, err
+		return compileModule(u.name, lm, cfg, b.extern, lane, &b.back[lane])
 	},
 	// Cross-module references are external at this point, exactly as the
 	// system linker would see them. A hit is not verified again; the final
 	// whole-program verify still runs.
 	verify: func(b *build, v any) (*mir.Program, map[string]bool) { return v.(*machineCode).prog, b.extern },
 	done:   func(b *build, i int, v any) { b.parts[i] = v.(*machineCode).prog },
+	end:    func(b *build) { b.back = nil },
 	// The key is derived from the module's stored llir bytes before anything
 	// touches its body. Without a profile and with cold-only off, the cold
 	// threshold cannot change the artifact, so the projection drops it.
@@ -765,6 +756,41 @@ var perModule = []stage{{
 		return nil
 	},
 }}
+
+// backLane is one per-module llc worker's storage. A lane compiles and
+// outlines its modules one after another, so each module's codegen tables and
+// outlining scratch are the previous module's, regrown only when a larger
+// module comes along. Only the machine program leaves the lane, and it is
+// built from fresh memory.
+type backLane struct {
+	codegen.Compiler
+	outline.Outliner
+}
+
+// compileModule generates code for module lm, named name, and outlines it
+// (with extern as the symbols other modules and the runtime define), on the
+// storage of back, the build's worker lane lane, or on fresh storage when
+// back is nil.
+func compileModule(name string, lm *llir.Module, cfg *Config, extern map[string]bool, lane int, back *backLane) (*machineCode, error) {
+	if back == nil {
+		back = new(backLane)
+	}
+	mc := &machineCode{}
+	var err error
+	if mc.prog, err = back.Compile(lm, 1, cfg.Tracer, lane+1, cfg.Fault); err != nil {
+		return nil, err
+	}
+	if cfg.OutlineRounds > 0 {
+		opts := outlineOptions(*cfg)
+		opts.FuncPrefix = "OUTLINED_FUNCTION_" + name + "_"
+		opts.ExternSyms = extern
+		opts.Parallelism = 1
+		opts.TraceLane = lane + 1
+		opts.RemarkModule = name
+		mc.stats, err = back.Outline(mc.prog, opts)
+	}
+	return mc, err
+}
 
 // outlineOptions is the part of outline.Options both pipelines' outlining
 // takes from the build's config; each call site adds where the outliner runs:
