@@ -183,7 +183,9 @@ func BenchmarkDataLayout(b *testing.B) {
 //
 // One benchmark per layer of the compile path, each over the 24-module
 // UberRider corpus with allocations reported, so a change to one layer has a
-// number that does not need the end-to-end benchmark:
+// number that does not need the end-to-end benchmark. Liveness is the
+// outliner's LR pass (outline.LRLiveness) over every compiled function, with
+// its bit table and label index reused, as every outlining round runs it:
 //
 //	go test -run '^$' -bench 'FromSIR|MergeFunctions|CodegenCompile|Liveness' -benchmem .
 
@@ -250,11 +252,16 @@ func BenchmarkLiveness(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var lv outline.LRLiveness
+	var bits []bool
+	for _, f := range prog.Funcs { // size the tables, as a round after the first finds them
+		bits = lv.After(bits, f)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range prog.Funcs {
-			mir.ComputeLiveness(f, mir.DefaultExternLive)
+			bits = lv.After(bits, f)
 		}
 	}
 }

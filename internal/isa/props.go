@@ -16,9 +16,9 @@ func regBit(r Reg) uint64 {
 
 // DefMask returns the registers written by in as a bitset (bit r set for
 // register r), without allocating. The NZCV flags are tracked separately
-// (see SetsFlags/ReadsFlags). Calls clobber the caller-saved set; that is
-// handled by callers that care (liveness), not here, because it depends on
-// the calling convention rather than on the instruction encoding.
+// (see SetsFlags/ReadsFlags). A call's mask is LR, which its encoding
+// writes; the rest of the caller-saved set it clobbers is the calling
+// convention's, not the instruction's, and is not reported here.
 func (in Inst) DefMask() uint64 {
 	switch in.Op {
 	case MOVZ, ORRrs, ANDrs, EORrs, ADDrs, ADDri, SUBrs, SUBri,

@@ -7,17 +7,15 @@ import (
 	"outliner/internal/appgen"
 	"outliner/internal/isa"
 	"outliner/internal/mir"
+	"outliner/internal/outline"
 	"outliner/internal/pipeline"
 	"outliner/internal/raceflag"
 )
 
-// TestAllocBudgetLiveness bounds what liveness allocates: a fixed number of
-// tables per function (the label index, the block sets, the successor list,
-// the result and its one slab), nothing per block beyond the label index's
-// growth, and nothing at all per instruction — the def/use masks replaced the
-// operand slices the per-instruction step used to build. Measured 6.3 per
-// function over the compiled 24-module corpus; the budget is that plus 20 %.
-// The race detector inflates allocation counts, so it is not enforced there.
+// TestAllocBudgetLiveness bounds what LR liveness allocates: nothing at all
+// once the bit table has the capacity and the label index has seen the
+// largest function — no block tables, no successor lists, no result. The race
+// detector inflates allocation counts, so it is not enforced there.
 func TestAllocBudgetLiveness(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -29,21 +27,22 @@ func TestAllocBudgetLiveness(t *testing.T) {
 		t.Fatal(err)
 	}
 	funcs := res.Prog.Funcs
+	var lv outline.LRLiveness
+	var bits []bool
+	for _, f := range funcs {
+		bits = lv.After(bits, f)
+	}
 	allocs := testing.AllocsPerRun(3, func() {
 		for _, f := range funcs {
-			mir.ComputeLiveness(f, mir.DefaultExternLive)
+			bits = lv.After(bits, f)
 		}
 	})
-	perFunc := allocs / float64(len(funcs))
-	t.Logf("%.0f allocations for %d functions (%d instructions): %.2f per function",
-		allocs, len(funcs), res.Prog.NumInsts(), perFunc)
-	const budgetPerFunc = 7.5
-	if perFunc > budgetPerFunc {
-		t.Errorf("ComputeLiveness allocates %.2f times per function; budget %.1f", perFunc, budgetPerFunc)
+	t.Logf("%.0f allocations for %d functions (%d instructions)", allocs, len(funcs), res.Prog.NumInsts())
+	if allocs != 0 {
+		t.Errorf("LR liveness allocates %.0f times over %d functions with its table sized; budget 0", allocs, len(funcs))
 	}
 
-	// Zero per instruction: a block of 10 000 instructions costs exactly what
-	// a block of 10 does.
+	// A block of 10 000 instructions costs what a block of 10 does: nothing.
 	straight := func(n int) *mir.Function {
 		b := &mir.Block{Label: "entry"}
 		for i := 0; i < n; i++ {
@@ -52,10 +51,12 @@ func TestAllocBudgetLiveness(t *testing.T) {
 		b.Insts = append(b.Insts, isa.Inst{Op: isa.RET})
 		return &mir.Function{Name: fmt.Sprintf("straight%d", n), Blocks: []*mir.Block{b}}
 	}
-	count := func(f *mir.Function) float64 {
-		return testing.AllocsPerRun(5, func() { mir.ComputeLiveness(f, mir.DefaultExternLive) })
-	}
-	if small, large := count(straight(10)), count(straight(10_000)); small != large {
-		t.Errorf("liveness of a 10-instruction block allocates %.0f times, of a 10 000-instruction block %.0f times", small, large)
+	for _, n := range []int{10, 10_000} {
+		f := straight(n)
+		var lv outline.LRLiveness
+		bits := lv.After(nil, f)
+		if a := testing.AllocsPerRun(5, func() { lv.After(bits, f) }); a != 0 {
+			t.Errorf("LR liveness of a %d-instruction block allocates %.0f times with its table sized", n, a)
+		}
 	}
 }

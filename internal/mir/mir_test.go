@@ -166,138 +166,6 @@ func TestDuplicateFuncPanics(t *testing.T) {
 	p.AddFunc(&Function{Name: "f"})
 }
 
-// Liveness: in a frame-bearing function, LR is dead between the prologue
-// save and the epilogue restore — exactly the window where the no-LR-save
-// outlining strategy is legal.
-func TestLivenessLRWindow(t *testing.T) {
-	src := `
-func @framed {
-entry:
-  STPXpre $x29, $x30, $sp, #-16
-  ORRXrs $x19, $xzr, $x0
-  BL @swift_retain
-  ORRXrs $x0, $xzr, $x19
-  LDPXpost $x29, $x30, $sp, #16
-  RET
-}
-`
-	p := mustParse(t, src)
-	f := p.Func("framed")
-	lv := ComputeLiveness(f, DefaultExternLive)
-	// After the prologue store (index 0) LR's old value is saved; LR is not
-	// needed again until the LDPXpost redefines it.
-	for i := 0; i <= 3; i++ {
-		if lv.LRLiveAfter(0, i) {
-			t.Errorf("LR live after inst %d; want dead inside frame window", i)
-		}
-	}
-	if !lv.LRLiveAfter(0, 4) {
-		t.Error("LR dead after epilogue restore; RET needs it")
-	}
-}
-
-// In a leaf function with no frame, LR stays live throughout: outlining there
-// must save LR.
-func TestLivenessLeafLRAlwaysLive(t *testing.T) {
-	src := `
-func @leaf {
-entry:
-  MOVZXi $x1, #7
-  ADDXrs $x0, $x0, $x1
-  RET
-}
-`
-	p := mustParse(t, src)
-	lv := ComputeLiveness(p.Func("leaf"), DefaultExternLive)
-	if !lv.LRLiveAfter(0, 0) || !lv.LRLiveAfter(0, 1) {
-		t.Error("LR must be live in a leaf function body")
-	}
-}
-
-// A thunk exit (tail call) keeps LR live at its end.
-func TestLivenessTailCall(t *testing.T) {
-	src := `
-func @thunk outlined {
-entry:
-  ORRXrs $x0, $xzr, $x20
-  B @swift_release
-}
-`
-	p := mustParse(t, src)
-	lv := ComputeLiveness(p.Func("thunk"), DefaultExternLive)
-	if !lv.LiveAfter[0][0].Has(isa.LR) {
-		t.Error("LR must be live before a tail call")
-	}
-}
-
-func TestLivenessFlags(t *testing.T) {
-	src := `
-func @f {
-entry:
-  CMPXri $x0, #3
-  ORRXrs $x1, $xzr, $x2
-  Bcc.eq @t
-t:
-  RET
-}
-`
-	p := mustParse(t, src)
-	lv := ComputeLiveness(p.Func("f"), DefaultExternLive)
-	if !lv.LiveAfter[0][0].HasFlags() || !lv.LiveAfter[0][1].HasFlags() {
-		t.Error("flags must be live between CMP and Bcc")
-	}
-	if lv.LiveAfter[0][2].HasFlags() {
-		t.Error("flags must be dead after the consuming branch")
-	}
-}
-
-func TestLivenessLoop(t *testing.T) {
-	// x19 is used around the back edge; it must be live throughout the loop.
-	src := `
-func @loop {
-entry:
-  MOVZXi $x19, #10
-loop:
-  SUBXri $x19, $x19, #1
-  CBNZX $x19, @loop
-exit:
-  ORRXrs $x0, $xzr, $x19
-  RET
-}
-`
-	p := mustParse(t, src)
-	f := p.Func("loop")
-	lv := ComputeLiveness(f, DefaultExternLive)
-	if !lv.LiveAfter[0][0].Has(isa.X19) {
-		t.Error("x19 must be live at entry block exit")
-	}
-	if !lv.LiveAfter[1][1].Has(isa.X19) {
-		t.Error("x19 must be live around the back edge")
-	}
-}
-
-func TestRegSetOps(t *testing.T) {
-	var s RegSet
-	s = s.Add(isa.X0).Add(isa.LR).Add(isa.XZR)
-	if s.Has(isa.XZR) {
-		t.Error("XZR must never be tracked")
-	}
-	if !s.Has(isa.X0) || !s.Has(isa.LR) {
-		t.Error("Add lost a register")
-	}
-	s = s.Remove(isa.X0)
-	if s.Has(isa.X0) {
-		t.Error("Remove failed")
-	}
-	if s.HasFlags() {
-		t.Error("flags set unexpectedly")
-	}
-	s = s.AddFlags()
-	if !s.HasFlags() {
-		t.Error("AddFlags failed")
-	}
-}
-
 func TestFunctionStringContainsListingStylePattern(t *testing.T) {
 	p := mustParse(t, sampleSrc)
 	out := p.Func("release_x20").String()

@@ -37,33 +37,23 @@ func Analyze(prog *mir.Program, opts Options) []Pattern {
 		return nil
 	}
 	tree := suffixtree.New(m.str)
-
-	liveCache := make(map[int]*mir.Liveness)
-	liveness := func(fi int) *mir.Liveness {
-		lv, ok := liveCache[fi]
-		if !ok {
-			lv = mir.ComputeLiveness(prog.Funcs[fi], mir.DefaultExternLive)
-			liveCache[fi] = lv
-		}
-		return lv
-	}
-
 	m.buildSums(spSensitiveFuncs(prog))
+	m.buildLR(prog)
 	fnCount := profileCounts(nil, prog, opts.Profile)
 	var patterns []Pattern
 	var ls laneScratch
 	tree.ForEachRepeat(opts.MinLength, 2, func(r suffixtree.Repeat) {
-		set, reject := buildSet(prog, m, r, liveness, fnCount, false, opts, &ls)
+		set, reject := buildSet(prog, m, r, fnCount, false, opts, &ls)
 		if reject != "" {
 			return
 		}
 		pat := Pattern{
-			Seq:      append([]isa.Inst(nil), set.seq...),
-			Length:   len(set.seq),
-			SeqBytes: set.seqBytes,
+			Seq:      slices.Clone(m.instsAt(prog, int(set.at), int(set.length))),
+			Length:   int(set.length),
+			SeqBytes: int(set.seqBytes),
 			Count:    len(set.cands),
 			Benefit:  set.benefit(),
-			first:    slices.Min(r.Starts),
+			first:    int(set.at),
 		}
 		const maxFuncs = 4
 		for _, c := range set.cands {

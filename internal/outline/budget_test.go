@@ -3,10 +3,11 @@ package outline
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"outliner/internal/mir"
 	"outliner/internal/raceflag"
@@ -15,9 +16,8 @@ import (
 // carryProgram has two kinds of function. The hot ones share a long
 // sequence, or its tail, that round one outlines in two pieces (so they are
 // edited) and round two outlines the calls to the pieces; the bystanders share
-// a two-instruction sequence that repeats — so every round wants their
-// liveness — but only twice, which never pays for an outlined function, so no
-// round edits them.
+// a two-instruction sequence that repeats in every round but only twice, which
+// never pays for an outlined function, so no round edits them.
 func carryProgram(t *testing.T) *mir.Program {
 	t.Helper()
 	long := []string{
@@ -44,12 +44,12 @@ func carryProgram(t *testing.T) *mir.Program {
 }
 
 // TestAllocBudgetRoundsCarryLiveness drives the rounds by hand and checks the
-// state carried between them: the mapping's storage is sized once from the
-// program and never regrows, and a function the previous round did not edit
-// keeps its *mir.Liveness while an edited one is analysed again — with every
-// kept analysis equal to a fresh one of the function as it now stands. Each
-// round, verifier included, is also held to a budget: no round allocates more
-// than the first, and one that edits nothing verifies nothing, for free.
+// state carried between them: the mapping's storage, LR bits included, is
+// sized once from the program and never regrows, and the LR bits every round
+// reads, written over the previous round's, equal a fresh computation over
+// fresh storage of the program that round started from. Each round, verifier
+// included, is also held to a budget: no round allocates more than the first,
+// and one that edits nothing verifies nothing, for free.
 func TestAllocBudgetRoundsCarryLiveness(t *testing.T) {
 	prog := carryProgram(t)
 	opts := Options{Rounds: 5, Verify: true, ExternSyms: externRT}.withDefaults()
@@ -61,6 +61,7 @@ func TestAllocBudgetRoundsCarryLiveness(t *testing.T) {
 	var allocs []uint64
 	runRound := func(round int) RoundStats {
 		t.Helper()
+		start := prog.Clone()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		rs, _, err := outlineOnce(prog, opts, &counter, round, &sc)
@@ -82,6 +83,14 @@ func TestAllocBudgetRoundsCarryLiveness(t *testing.T) {
 		} else if round == 1 && checked != len(prog.Funcs) {
 			t.Errorf("round one verified %d of %d functions", checked, len(prog.Funcs))
 		}
+		var fresh mapping
+		if err := fresh.remap(start); err != nil {
+			t.Fatal(err)
+		}
+		fresh.buildLR(start)
+		if !slices.Equal(sc.m.lr, fresh.lr) {
+			t.Errorf("round %d read LR bits that differ from a fresh computation of its program", round)
+		}
 		return rs
 	}
 
@@ -90,53 +99,20 @@ func TestAllocBudgetRoundsCarryLiveness(t *testing.T) {
 		symbols += len(f.Blocks)
 	}
 	if rs := runRound(1); rs.FunctionsCreated == 0 {
-		t.Fatal("round one outlined nothing; the fixture no longer exercises carry-over")
+		t.Fatal("round one outlined nothing; the fixture no longer exercises later rounds")
 	}
-	if cap(sc.m.str) != symbols || cap(sc.m.locs) != symbols {
-		t.Errorf("mapping storage is %d symbols / %d locs for a %d-symbol program: not sized from the instruction count",
-			cap(sc.m.str), cap(sc.m.locs), symbols)
-	}
-
-	checkFresh := func(when string) {
-		t.Helper()
-		for i, lv := range sc.live {
-			if lv != nil && !reflect.DeepEqual(lv, mir.ComputeLiveness(prog.Funcs[i], mir.DefaultExternLive)) {
-				t.Errorf("%s: @%s carries a liveness that no longer matches its code", when, prog.Funcs[i].Name)
-			}
-		}
-	}
-	checkFresh("after round one")
-	carried := append([]*mir.Liveness(nil), sc.live...)
-	kept, dropped := 0, 0
-	for i, f := range prog.Funcs[:len(carried)] {
-		switch hot := strings.HasPrefix(f.Name, "hot"); {
-		case hot && carried[i] != nil:
-			t.Errorf("@%s was edited by round one but still carries its liveness", f.Name)
-		case hot:
-			dropped++
-		case carried[i] == nil:
-			t.Errorf("@%s was not edited by round one but lost its liveness", f.Name)
-		default:
-			kept++
-		}
-	}
-	if kept == 0 || dropped == 0 {
-		t.Fatalf("fixture kept %d and dropped %d analyses; need both", kept, dropped)
+	if cap(sc.m.str) != symbols || cap(sc.m.locs) != symbols || cap(sc.m.lr) != symbols {
+		t.Errorf("mapping storage is %d symbols / %d locs / %d LR bits for a %d-symbol program: not sized from the instruction count",
+			cap(sc.m.str), cap(sc.m.locs), cap(sc.m.lr), symbols)
 	}
 
-	strCap, locCap := cap(sc.m.str), cap(sc.m.locs)
+	strCap, locCap, lrCap := cap(sc.m.str), cap(sc.m.locs), cap(sc.m.lr)
 	if rs := runRound(2); rs.FunctionsCreated == 0 {
 		t.Fatal("round two outlined nothing; the fixture no longer has a second round with a frontier")
 	}
-	if cap(sc.m.str) != strCap || cap(sc.m.locs) != locCap {
+	if cap(sc.m.str) != strCap || cap(sc.m.locs) != locCap || cap(sc.m.lr) != lrCap {
 		t.Error("round two regrew the mapping storage")
 	}
-	for i, lv := range carried {
-		if lv != nil && sc.live[i] != lv {
-			t.Errorf("@%s was re-analysed in round two although round one left it alone", prog.Funcs[i].Name)
-		}
-	}
-	checkFresh("after round two")
 
 	// On to the fixed point: the round that finds nothing is the one that
 	// must cost nothing to verify.
@@ -163,6 +139,15 @@ func TestAllocBudgetRoundsCarryLiveness(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(5, func() { _ = sc.m.remap(prog) }); n != 0 {
 		t.Errorf("remapping a program that fits the mapping's storage allocates %.0f times", n)
+	}
+}
+
+// TestCandSetSize pins the candidate-set record's size: one is made per
+// repeat per round, so a field added out of place grows every round's
+// analysis.
+func TestCandSetSize(t *testing.T) {
+	if got := unsafe.Sizeof(candSet{}); got != 64 {
+		t.Errorf("candSet is %d bytes, want 64", got)
 	}
 }
 

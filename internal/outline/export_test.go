@@ -38,13 +38,11 @@ func GreedyTies(prog *mir.Program, opts Options) (ties, total int, err error) {
 		return 0, 0, err
 	}
 	m.buildSums(spSensitiveFuncs(prog))
-	live := make([]*mir.Liveness, len(prog.Funcs))
-	mir.ComputeLivenessFuncs(prog, mir.DefaultExternLive, 1, live, func(int) bool { return true })
-	liveness := func(fi int) *mir.Liveness { return live[fi] }
+	m.buildLR(prog)
 	var sets []*candSet
 	var ls laneScratch
 	suffixtree.New(m.str).ForEachRepeat(opts.MinLength, 2, func(r suffixtree.Repeat) {
-		set, reject := buildSet(prog, m, r, liveness, nil, false, opts, &ls)
+		set, reject := buildSet(prog, m, r, nil, false, opts, &ls)
 		if reject == "" {
 			sets = append(sets, set)
 		}
@@ -68,4 +66,32 @@ func AnalyzeTies(prog *mir.Program, opts Options) (ties, total int) {
 		}
 	}
 	return ties, len(pats)
+}
+
+// LRBits renders, for every function of prog in order, whether LR is live
+// after each of its instructions as the outliner's mapping holds it: '1' or
+// '0' per instruction, '\n' per function.
+func LRBits(prog *mir.Program) []byte {
+	var m mapping
+	if err := m.remap(prog); err != nil {
+		panic(err)
+	}
+	m.buildLR(prog)
+	var out []byte
+	p := 0
+	for _, f := range prog.Funcs {
+		for _, b := range f.Blocks {
+			for range b.Insts {
+				bit := byte('0')
+				if m.lr[p] {
+					bit = '1'
+				}
+				out = append(out, bit)
+				p++
+			}
+			p++ // the block's sentinel
+		}
+		out = append(out, '\n')
+	}
+	return out
 }

@@ -58,6 +58,11 @@ type mapping struct {
 	sums []posSum
 	// symProps is buildSums's per-symbol scratch, aligned with insts.
 	symProps []posSum
+	// lr[p] reports whether the link register is live after the instruction
+	// at p: the one liveness fact the cost model reads. At a block's sentinel
+	// it holds the block's live-in. buildLR fills it; remap leaves it stale.
+	lr     []bool
+	lrLive LRLiveness
 
 	// insts holds the canonical instruction for each non-negative symbol.
 	insts []isa.Inst
@@ -215,6 +220,175 @@ func (m *mapping) buildSums(spSensitive map[string]bool) {
 func (m *mapping) between(start, end int) posSum {
 	a, b := m.sums[start], m.sums[end]
 	return posSum{bytes: b.bytes - a.bytes, sp: b.sp - a.sp, call: b.call - a.call}
+}
+
+// buildLR rewrites lr from prog as it stands, one function after another.
+// Nothing is carried from an earlier round: every slot of every function is
+// written again, and nothing is allocated once lr has the string's capacity
+// and m.lrLive has seen the largest function.
+func (m *mapping) buildLR(prog *mir.Program) {
+	if cap(m.lr) < len(m.str) {
+		m.lr = make([]bool, cap(m.str))
+	}
+	lr := m.lr[:len(m.str)]
+	p := 0
+	for _, f := range prog.Funcs {
+		p += len(m.lrLive.After(lr[p:], f))
+	}
+	m.lr = lr
+}
+
+// LRLiveness computes, function by function, whether the link register is
+// live after each instruction. It keeps its label index and successor lists
+// from one function to the next, so once it has seen the largest function it
+// allocates nothing. The zero value is ready to use; it is not safe for
+// concurrent use.
+type LRLiveness struct {
+	slots   map[string]int32 // block label -> the block's slot, for the function in hand
+	ends    []int32          // by block: its slot
+	succOff []int32          // block i's successors are succs[succOff[i]:succOff[i+1]]
+	succs   []int32          // successor slots; tailCall for a tail call
+}
+
+// tailCall stands in a block's successor list for leaving by a tail call,
+// after which LR is live.
+const tailCall = -1
+
+// After reports, for every instruction of f, whether LR is live after it, in
+// the coordinates of the outliner's flattened string: each block's
+// instructions in order, then one slot for the block (holding whether LR is
+// live on entry to it). The result reuses dst's storage when it has the
+// capacity.
+//
+// It is the backward liveness dataflow restricted to LR, with the rules of
+// full-register liveness: a call kills LR, a write of x30 kills it, a read
+// (RET, a spill of x30) makes it live; a tail call (B to a label that is not
+// the function's) leaves with LR live, while RET, BRK and running off the last
+// block leave with it dead. Read backwards, a block is either a constant (its
+// first instruction from the top that reads or kills LR decides) or the
+// identity, so the fixed point iterates one bit per block, kept in the block's
+// slot, and one backward sweep per block then writes the instruction bits.
+// During the fixed point, an identity block's first instruction slot marks it
+// as one. The passes alternate direction: most branches go forward and
+// liveness flows backward along them, but along a chain of joins that branch
+// back towards one early return (an else-if chain's) it flows forward, and
+// backward-only passes would need one pass per link of the chain.
+func (l *LRLiveness) After(dst []bool, f *mir.Function) []bool {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Insts) + 1
+	}
+	if cap(dst) < n {
+		dst = make([]bool, n)
+	}
+	if l.slots == nil {
+		l.slots = make(map[string]int32)
+	}
+	lr, blocks, ends := dst[:n], f.Blocks, l.ends[:0]
+	p := 0
+	for _, b := range blocks {
+		end := p + len(b.Insts)
+		ends = append(ends, int32(end))
+		l.slots[b.Label] = int32(end) // a duplicated label resolves to its last block
+		live, ident := false, true
+		for j := range b.Insts {
+			if fixed, v := lrStep(&b.Insts[j]); fixed {
+				live, ident = v, false
+				break
+			}
+		}
+		if end > p {
+			lr[p] = ident
+		}
+		lr[end] = live
+		p = end + 1
+	}
+	l.ends = ends
+	l.successors(blocks)
+	for pass, changed := 0, true; changed; pass++ {
+		changed = false
+		for k := range blocks {
+			i := k
+			if pass%2 == 0 {
+				i = len(blocks) - 1 - k
+			}
+			end := int(ends[i])
+			if start := end - len(blocks[i].Insts); start == end || lr[start] {
+				if out := l.out(lr, i); out != lr[end] {
+					lr[end], changed = out, true
+				}
+			}
+		}
+	}
+	for i, b := range blocks {
+		live, start := l.out(lr, i), int(ends[i])-len(b.Insts)
+		for j := len(b.Insts) - 1; j >= 0; j-- {
+			lr[start+j] = live
+			if fixed, v := lrStep(&b.Insts[j]); fixed {
+				live = v
+			}
+		}
+	}
+	for _, b := range blocks {
+		delete(l.slots, b.Label)
+	}
+	return lr
+}
+
+// successors lists every block's successor slots: its branch targets in the
+// function, tailCall for a final B out of it, and the next block when it can
+// fall through. l.slots must hold the function's labels.
+func (l *LRLiveness) successors(blocks []*mir.Block) {
+	off, succs := l.succOff[:0], l.succs[:0]
+	for i, b := range blocks {
+		off = append(off, int32(len(succs)))
+		for j := range b.Insts {
+			in := &b.Insts[j]
+			switch in.Op {
+			case isa.B, isa.Bcc, isa.CBZ, isa.CBNZ:
+			default:
+				continue
+			}
+			if s, local := l.slots[in.Sym]; local {
+				succs = append(succs, s)
+			} else if in.Op == isa.B && j == len(b.Insts)-1 {
+				succs = append(succs, tailCall)
+			}
+		}
+		if i+1 < len(blocks) && (len(b.Insts) == 0 || !endsUnconditional(b.Insts[len(b.Insts)-1].Op)) {
+			succs = append(succs, l.ends[i+1])
+		}
+	}
+	l.succOff, l.succs = append(off, int32(len(succs))), succs
+}
+
+// out reports whether LR is live on leaving block i: live into a successor,
+// or leaving by a tail call.
+func (l *LRLiveness) out(lr []bool, i int) bool {
+	for _, s := range l.succs[l.succOff[i]:l.succOff[i+1]] {
+		if s == tailCall || lr[s] {
+			return true
+		}
+	}
+	return false
+}
+
+// lrStep is what in does to LR, read backwards: fixed when LR's liveness
+// before in does not depend on what follows, and then live tells which.
+func lrStep(in *isa.Inst) (fixed, live bool) {
+	const lr = uint64(1) << isa.LR
+	switch {
+	case in.UseMask()&lr != 0:
+		return true, true
+	case in.IsCall() || in.DefMask()&lr != 0:
+		return true, false
+	}
+	return false, false
+}
+
+// endsUnconditional reports whether a block ending in op never falls through.
+func endsUnconditional(op isa.Op) bool {
+	return op == isa.B || op == isa.RET || op == isa.BRK
 }
 
 // instsAt returns the instruction sequence covered by [start, start+n) of

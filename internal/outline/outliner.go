@@ -40,11 +40,10 @@ type Options struct {
 	// ExternSyms lists symbols that may be called without a definition
 	// (runtime entry points); used only when Verify is set.
 	ExternSyms map[string]bool
-	// Parallelism bounds the workers used for candidate analysis (liveness
-	// precomputation and candidate-set construction). 0 means one worker
-	// per CPU, 1 is fully serial. The outliner's output is byte-identical
-	// for every value: candidate sets are put in a total order before greedy
-	// selection, which stays serial.
+	// Parallelism bounds the workers that build candidate sets. 0 means one
+	// worker per CPU, 1 is fully serial. The outliner's output is
+	// byte-identical for every value: candidate sets are put in a total order
+	// before greedy selection, which stays serial.
 	Parallelism int
 	// Tracer receives per-round stage spans, counters, and one decision
 	// remark per candidate set (selected or rejected, with the reason).
@@ -196,30 +195,32 @@ type candidate struct {
 }
 
 // candSet is a repeated sequence plus every (non-overlapping) occurrence.
+// One is made per repeat per round, so it is kept to 64 bytes: the sequence
+// is named by its smallest start in the flattened string (mapping.instsAt
+// reads it), and byte counts are int32 like posSum's.
 type candSet struct {
-	seq        []isa.Inst
-	seqBytes   int
-	strat      strategy
-	hasCall    bool // any BL/BLR inside the sequence (excluding a thunk tail)
-	readsSP    bool
-	cands      []candidate
-	frameBytes int // extra bytes in the outlined function beyond the sequence
+	at, length int32 // the smallest start of an occurrence, and the sequence length
+	seqBytes   int32
+	frameBytes int32 // extra bytes in the outlined function beyond the sequence
 	// ben caches benefit() so the greedy sort's comparator does not re-walk
 	// the candidate list O(n log n) times; it is recomputed only after
 	// occurrence pruning changes cands.
-	ben int
+	ben int32
+	// gated counts occurrences dropped by cold-only gating; it distinguishes
+	// the "hot-function" rejection from "too-few-occurrences".
+	gated int32
+	cands []candidate
+	// execCount annotates the set's remark when a profile fed the build: the
+	// entry count of the hottest function hosting any (non-overlapping)
+	// occurrence. The remark's hot/cold verdict is derived from it.
+	execCount int64
+	strat     strategy
+	hasCall   bool // any BL/BLR inside the sequence (excluding a thunk tail)
+	readsSP   bool
 	// flatCost pessimizes the benefit estimate (the cost-model ablation):
 	// every candidate is costed as a full LR spill and every function as a
 	// full frame, regardless of the strategy actually emitted.
 	flatCost bool
-	// execCount/hotness annotate the set's remark when a profile fed the
-	// build: the entry count of the hottest function hosting any
-	// (non-overlapping) occurrence, and its verdict against the threshold.
-	execCount int64
-	hotness   string
-	// gated counts occurrences dropped by cold-only gating; it distinguishes
-	// the "hot-function" rejection from "too-few-occurrences".
-	gated int
 }
 
 // Outline runs repeated machine outlining over prog in place and returns
@@ -232,9 +233,9 @@ func Outline(prog *mir.Program, opts Options) (*Stats, error) {
 // Outliner outlines one program after another, the way a worker lane of a
 // build does, keeping its round scratch from each program to the next: the
 // capacities of the flattened string, the repeat finder, the prefix sums, the
-// owner table and the candidate arenas carry over, and what belonged to the
-// previous program (its interned instructions, liveness, candidate sets and
-// frontier) is dropped first. Nothing in the rewritten program or the
+// LR bits, the owner table and the candidate arenas carry over, and what
+// belonged to the previous program (its interned instructions, candidate sets
+// and frontier) is dropped first. Nothing in the rewritten program or the
 // returned Stats points into the Outliner. The zero value is ready to use. An
 // Outliner is not safe for concurrent use.
 type Outliner struct{ sc scratch }
@@ -395,13 +396,32 @@ func candRemark(set *candSet, occ, round int, opts Options, status, reason, fn s
 		Round:       round,
 		Module:      opts.RemarkModule,
 		Function:    fn,
-		PatternLen:  len(set.seq),
+		PatternLen:  int(set.length),
 		Occurrences: occ,
-		Benefit:     set.ben,
+		Benefit:     int(set.ben),
 		Strategy:    set.strat.String(),
 		ExecCount:   set.execCount,
-		Hotness:     set.hotness,
+		Hotness:     hotness(set.execCount, reason, opts),
 	}
+}
+
+// rejectSPUnderSpill is the one reason a set is rejected for before its
+// occurrences are collected: it calls, so its function must spill LR, and
+// reads SP, which the spill would move.
+const rejectSPUnderSpill = "sp-access-under-lr-spill"
+
+// hotness is a remark's verdict on the hottest function hosting a set, with
+// a profile: "hot" from the threshold up (1 when it is not positive), else
+// "cold". There is none without a profile, nor for a set rejected before its
+// occurrences (and so its hosts) were collected.
+func hotness(execCount int64, reason string, opts Options) string {
+	switch {
+	case opts.Profile == nil || reason == rejectSPUnderSpill:
+		return ""
+	case execCount >= max(opts.ColdThreshold, 1):
+		return "hot"
+	}
+	return "cold"
 }
 
 // repeatResult is one repeat's analysis outcome: a candidate set, or the
@@ -413,9 +433,9 @@ type repeatResult struct {
 
 // scratch holds outlineOnce's round-local state so round one's allocations
 // serve every later round of the same Outline call: the flattened mapping
-// (with its persistent instruction-intern table), the repeat finder's suffix
-// and LCP arrays, per-lane candidate buffers, the block-splice buffer, and
-// the liveness of every function no round has edited all carry over. Rounds
+// (with its persistent instruction-intern table and its LR bits, rewritten
+// from the program every round), the repeat finder's suffix and LCP arrays,
+// per-lane candidate buffers and the block-splice buffer all carry over. Rounds
 // shrink the program, so the first round's capacities are the high-water mark
 // and later rounds allocate (almost) nothing. On an Outliner the same holds
 // across programs: reset drops what belonged to the previous program and
@@ -425,9 +445,7 @@ type scratch struct {
 	m        mapping
 	stb      suffixtree.Builder
 	repeats  []suffixtree.Repeat
-	needLive []bool
-	live     []*mir.Liveness // by function; nil = not analysed since its last edit
-	fnCount  []int64         // by function: profile entry count, this round
+	fnCount  []int64 // by function: profile entry count, this round
 	byRepeat []repeatResult
 	sets     []*candSet
 	owner    []int32 // by position: which call site replaces it (see site), 0 = free
@@ -440,18 +458,13 @@ type scratch struct {
 	blockBuf []isa.Inst
 }
 
-// reset readies the scratch for a new program. The intern table and the
-// liveness are per program: a symbol stands for an instruction of the
-// previous program, and live[i] is the liveness of the previous program's
-// function i, which would silently mislead the new function i's LR-spill
-// decisions. The candidate sets, new functions and frontier of the previous
-// program's last round go too, and the arenas are rewound. Every capacity is
-// kept.
+// reset readies the scratch for a new program. The intern table is per
+// program: a symbol stands for an instruction of the previous program. The
+// candidate sets, new functions and frontier of the previous program's last
+// round go too, and the arenas are rewound. Every capacity is kept.
 func (sc *scratch) reset() {
 	clear(sc.m.idByInst)
 	sc.m.insts = sc.m.insts[:0]
-	clear(sc.live[:cap(sc.live)])
-	sc.live = sc.live[:0]
 	sc.newFuncs = sc.newFuncs[:0]
 	sc.sets = sc.sets[:0]
 	sc.byRepeat = sc.byRepeat[:0]
@@ -520,19 +533,6 @@ func (ls *laneScratch) saveCands(tmp []candidate) []candidate {
 	return dst
 }
 
-// zeroedBools returns a false-filled []bool of length n, reusing s's backing
-// array when it is large enough.
-func zeroedBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
 func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *scratch) (RoundStats, []obs.Remark, error) {
 	tr := opts.Tracer
 	remarks := tr.RemarksEnabled()
@@ -569,7 +569,7 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 	sites := sc.sites[:0]
 	newFuncs := sc.newFuncs[:0]
 	for _, set := range sets {
-		n := int32(len(set.seq))
+		n := set.length
 		kept := set.cands[:0]
 		for _, c := range set.cands {
 			free := true
@@ -584,7 +584,7 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 			}
 		}
 		set.cands = kept
-		set.ben = set.benefit() // occurrence pruning changed cands
+		set.ben = int32(set.benefit()) // occurrence pruning changed cands
 		if len(set.cands) < 2 {
 			if remarks {
 				rems = append(rems, candRemark(set, len(set.cands), round,
@@ -592,7 +592,7 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 			}
 			continue
 		}
-		if set.ben < opts.MinBenefit {
+		if int(set.ben) < opts.MinBenefit {
 			if remarks {
 				rems = append(rems, candRemark(set, len(set.cands), round,
 					opts, "rejected", "unprofitable-after-overlap", ""))
@@ -601,9 +601,9 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 		}
 		name := fmt.Sprintf("%s%d", opts.FuncPrefix, *counter)
 		*counter++
-		fn := set.makeFunction(name)
+		fn := set.makeFunction(name, m.instsAt(prog, int(set.at), int(n)))
 		newFuncs = append(newFuncs, fn)
-		sites = append(sites, site{length: len(set.seq)})
+		sites = append(sites, site{length: int(n)})
 		st := &sites[len(sites)-1]
 		for _, c := range set.cands {
 			v := int32(0)
@@ -621,7 +621,7 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 		}
 		rs.FunctionsCreated++
 		rs.OutlinedBytes += fn.CodeSize()
-		rs.BytesSaved += set.ben
+		rs.BytesSaved += int(set.ben)
 		if remarks {
 			rems = append(rems, candRemark(set, len(set.cands), round,
 				opts, "selected", "", name))
@@ -631,9 +631,6 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 	tr.Add("outline/candidates/rejected", int64(len(repeats)-rs.FunctionsCreated))
 
 	frontier := applyEdits(prog, m.locs, owner, sites, &sc.blockBuf, sc.frontier[:0])
-	for _, fi := range frontier {
-		sc.live[fi] = nil
-	}
 	for _, fn := range newFuncs {
 		frontier = append(frontier, len(prog.Funcs))
 		prog.AddFunc(fn)
@@ -646,34 +643,13 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 
 // analyzeRepeats turns one round's repeats into candidate sets in greedy
 // order, plus a remark for every repeat rejected on analysis, in (first
-// occurrence, length) order. Liveness is computed for every function an
-// occurrence sits in, then one candidate set is built per repeat; both are
+// occurrence, length) order. The mapping's prefix sums and LR bits are
+// rebuilt from the program, then one candidate set is built per repeat,
 // read-only over prog and sc.m, so workers never interact. Neither output
 // depends on the order of repeats or of any Repeat.Starts, which is what
 // leaves the finder free to report them in any order.
 func analyzeRepeats(prog *mir.Program, repeats []suffixtree.Repeat, opts Options, round int, sc *scratch) ([]*candSet, []obs.Remark) {
 	tr, m := opts.Tracer, &sc.m
-	needLive := zeroedBools(sc.needLive, len(prog.Funcs))
-	sc.needLive = needLive
-	for _, r := range repeats {
-		for _, st := range r.Starts {
-			if l := m.locs[st]; l.fn >= 0 {
-				needLive[l.fn] = true
-			}
-		}
-	}
-	// Liveness is a function of a function's own instructions, so a function
-	// no round has edited since it was analysed keeps its result: sc.live[i]
-	// is dropped below for exactly the functions this round's edits touch,
-	// indices are stable (outlined functions are only ever appended), and a
-	// new function starts with no entry.
-	for len(sc.live) < len(prog.Funcs) {
-		sc.live = append(sc.live, nil)
-	}
-	mir.ComputeLivenessFuncs(prog, mir.DefaultExternLive, opts.Parallelism, sc.live,
-		func(i int) bool { return needLive[i] })
-	liveness := func(fi int) *mir.Liveness { return sc.live[fi] }
-
 	tr.Add("outline/candidates/found", int64(len(repeats)))
 
 	// One profile lookup per function per round, shared by remark annotation
@@ -684,6 +660,7 @@ func analyzeRepeats(prog *mir.Program, repeats []suffixtree.Repeat, opts Options
 	gate := opts.ColdOnly && opts.Profile != nil && opts.ColdThreshold > 0
 
 	m.buildSums(spSensitiveFuncs(prog))
+	m.buildLR(prog)
 	if cap(sc.byRepeat) < len(repeats) {
 		sc.byRepeat = make([]repeatResult, len(repeats))
 	}
@@ -697,7 +674,7 @@ func analyzeRepeats(prog *mir.Program, repeats []suffixtree.Repeat, opts Options
 		}
 	}
 	for _, err := range par.Run(nil, "", opts.Parallelism, len(repeats), false, func(lane, i int) error {
-		set, reject := buildSet(prog, m, repeats[i], liveness, sc.fnCount, gate, opts, &sc.lanes[lane])
+		set, reject := buildSet(prog, m, repeats[i], sc.fnCount, gate, opts, &sc.lanes[lane])
 		byRepeat[i] = repeatResult{set, reject}
 		return nil
 	}) {
@@ -756,8 +733,8 @@ func greedyOrder(a, b *candSet) int {
 	if a.ben != b.ben {
 		return cmp.Compare(b.ben, a.ben)
 	}
-	if len(a.seq) != len(b.seq) {
-		return cmp.Compare(len(b.seq), len(a.seq))
+	if a.length != b.length {
+		return cmp.Compare(b.length, a.length)
 	}
 	return cmp.Compare(a.cands[0].start, b.cands[0].start)
 }
@@ -778,23 +755,28 @@ func profileCounts(buf []int64, prog *mir.Program, prof *profile.Profile) []int6
 // A non-empty reject reason means the set can never be profitably outlined;
 // the partially-built set is still returned so the decision can be reported
 // as a remark. The sequence's size, whether it depends on SP pointing at the
-// original frame, and whether it calls come from m.sums (see buildSums).
+// original frame, and whether it calls come from m.sums (see buildSums), and
+// whether LR is live after an occurrence from m.lr (see buildLR).
 // fnCount holds every function's profile entry count (nil without a profile)
 // and gate turns cold-only gating on. ls is the calling worker's reusable
 // storage: the returned set and its occurrence list live in ls's arenas
 // (valid until its next reset), and the sorted occurrence list is staged in
 // ls.starts — r.Starts is unordered and aliases suffix-array storage shared
-// between nested repeats, so it must not be sorted in place.
-func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, liveness func(int) *mir.Liveness, fnCount []int64, gate bool, opts Options, ls *laneScratch) (*candSet, string) {
-	seq := m.instsAt(prog, r.Starts[0], r.Length)
+// between nested repeats, so it must not be sorted in place. The set names
+// its sequence by the smallest start, so it does not depend on the order of
+// r.Starts either.
+func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, fnCount []int64, gate bool, opts Options, ls *laneScratch) (*candSet, string) {
+	starts := append(ls.starts[:0], r.Starts...)
+	slices.Sort(starts)
+	ls.starts = starts
 	set := ls.newSet()
-	set.seq = seq
-	all := m.between(r.Starts[0], r.Starts[0]+r.Length)
-	set.seqBytes = int(all.bytes)
+	set.at, set.length = int32(starts[0]), int32(r.Length)
+	all := m.between(starts[0], starts[0]+r.Length)
+	set.seqBytes = all.bytes
 	set.readsSP = all.sp > 0
 	// A trailing BL can become the thunk's tail call; every other call
 	// (a trailing BLR too) is made from inside the sequence.
-	last := seq[len(seq)-1]
+	last := m.instsAt(prog, starts[0], r.Length)[r.Length-1]
 	set.hasCall = all.call > 1 || (all.call == 1 && last.Op != isa.BL)
 	switch {
 	case last.Op == isa.RET:
@@ -811,7 +793,7 @@ func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, liveness func(
 			set.frameBytes = 12
 			if set.readsSP {
 				// The LR spill moves SP under SP-relative accesses.
-				return set, "sp-access-under-lr-spill"
+				return set, rejectSPUnderSpill
 			}
 		} else {
 			set.frameBytes = 4 // appended RET
@@ -824,10 +806,7 @@ func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, liveness func(
 		set.flatCost = true
 	}
 
-	// Sort and de-overlap occurrences (e.g. "AAAA" matching "AA" at 0,1,2).
-	starts := append(ls.starts[:0], r.Starts...)
-	slices.Sort(starts)
-	ls.starts = starts
+	// De-overlap occurrences (e.g. "AAAA" matching "AA" at 0,1,2).
 	tmp := ls.candTmp[:0]
 	lastEnd := -1
 	for _, st := range starts {
@@ -848,9 +827,7 @@ func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, liveness func(
 			continue
 		}
 		if set.strat == stratPlain {
-			lv := liveness(int(where.fn))
-			endIdx := int(where.inst) + r.Length - 1
-			c.lrLive = lv.LiveAfter[where.block][endIdx].Has(isa.LR) || opts.FlatCostModel
+			c.lrLive = m.lr[st+r.Length-1] || opts.FlatCostModel
 			if c.lrLive && set.readsSP {
 				// Saving LR at the call site moves SP under the candidate's
 				// SP-relative accesses; skip this occurrence.
@@ -862,25 +839,14 @@ func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, liveness func(
 	}
 	ls.candTmp = tmp
 	set.cands = ls.saveCands(tmp)
-	set.ben = set.benefit()
-	if opts.Profile != nil {
-		thr := opts.ColdThreshold
-		if thr <= 0 {
-			thr = 1
-		}
-		if set.execCount >= thr {
-			set.hotness = "hot"
-		} else {
-			set.hotness = "cold"
-		}
-	}
+	set.ben = int32(set.benefit())
 	if len(set.cands) < 2 {
 		if set.gated > 0 {
 			return set, "hot-function"
 		}
 		return set, "too-few-occurrences"
 	}
-	if set.ben < opts.MinBenefit {
+	if int(set.ben) < opts.MinBenefit {
 		return set, "unprofitable"
 	}
 	return set, ""
@@ -904,19 +870,19 @@ func (s *candSet) callOverhead(c candidate) int {
 // the flat-cost ablation the estimate assumes worst-case overhead
 // everywhere, mimicking an outliner without strategy-specific costing.
 func (s *candSet) benefit() int {
-	saved := 0
+	saved, seqBytes := 0, int(s.seqBytes)
 	for _, c := range s.cands {
 		overhead := s.callOverhead(c)
 		if s.flatCost {
 			overhead = 12
 		}
-		saved += s.seqBytes - overhead
+		saved += seqBytes - overhead
 	}
-	frame := s.frameBytes
+	frame := int(s.frameBytes)
 	if s.flatCost {
 		frame = 12
 	}
-	return saved - (s.seqBytes + frame)
+	return saved - (seqBytes + frame)
 }
 
 // callSite builds the instructions that replace one candidate, after which
@@ -939,22 +905,22 @@ func (s *candSet) callSite(name string, lrLive bool) []isa.Inst {
 	}
 }
 
-// makeFunction builds the outlined function body.
-func (s *candSet) makeFunction(name string) *mir.Function {
+// makeFunction builds the outlined function body from the set's sequence.
+func (s *candSet) makeFunction(name string, seq []isa.Inst) *mir.Function {
 	var body []isa.Inst
 	switch s.strat {
 	case stratTailCall:
-		body = append(body, s.seq...) // already ends in RET
+		body = append(body, seq...) // already ends in RET
 	case stratThunk:
-		body = append(body, s.seq[:len(s.seq)-1]...)
-		body = append(body, isa.Inst{Op: isa.B, Sym: s.seq[len(s.seq)-1].Sym})
+		body = append(body, seq[:len(seq)-1]...)
+		body = append(body, isa.Inst{Op: isa.B, Sym: seq[len(seq)-1].Sym})
 	default:
 		if s.hasCall {
 			body = append(body, isa.Inst{Op: isa.STRpre, Rd: isa.LR, Rn: isa.SP, Imm: -16})
-			body = append(body, s.seq...)
+			body = append(body, seq...)
 			body = append(body, isa.Inst{Op: isa.LDRpost, Rd: isa.LR, Rn: isa.SP, Imm: 16})
 		} else {
-			body = append(body, s.seq...)
+			body = append(body, seq...)
 		}
 		body = append(body, isa.Inst{Op: isa.RET})
 	}
