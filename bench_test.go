@@ -19,6 +19,7 @@ import (
 	"outliner/internal/exec"
 	"outliner/internal/experiments"
 	"outliner/internal/isa"
+	"outliner/internal/layout"
 	"outliner/internal/llir"
 	"outliner/internal/mir"
 	"outliner/internal/outline"
@@ -503,9 +504,9 @@ func BenchmarkAblationCanonicalize(b *testing.B) {
 // BenchmarkAblationLayout measures the §VIII-3 extension: placing outlined
 // functions next to their heaviest callers reduces instruction-cache misses.
 func BenchmarkAblationLayout(b *testing.B) {
-	build := func(layout bool) *pipeline.Result {
+	build := func(policy string) *pipeline.Result {
 		cfg := pipeline.OSize
-		cfg.LayoutOutlined = layout
+		cfg.Layout = policy
 		res, err := appgen.BuildApp(appgen.UberRider, benchScale, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -527,8 +528,8 @@ func BenchmarkAblationLayout(b *testing.B) {
 			b.ReportMetric(r.Cycles, "cycles")
 		}
 	}
-	creationOrder := build(false)
-	callerAdjacent := build(true)
+	creationOrder := build(layout.None)
+	callerAdjacent := build(layout.Outlined)
 	b.Run("creation-order", func(b *testing.B) { measure(b, creationOrder) })
 	b.Run("caller-adjacent", func(b *testing.B) { measure(b, callerAdjacent) })
 }

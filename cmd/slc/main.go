@@ -30,7 +30,6 @@ import (
 
 	"outliner/internal/exec"
 	"outliner/internal/frontend"
-	"outliner/internal/llir"
 	"outliner/internal/outline"
 	"outliner/internal/perf"
 	"outliner/internal/pipeline"
@@ -144,21 +143,26 @@ func main() {
 	switch *emit {
 	case "sir", "llir":
 		// IR-stage dumps compile each module on its own (IR is a per-module
-		// artifact before the link).
-		for _, src := range sources {
-			sm, err := pipeline.CompileToSIR(src, cfg, importsFor(sources, src))
-			if err != nil {
+		// artifact before the link) against one index of every module's
+		// interface, as the build does; llir is what the build links.
+		parsed := make([][]*frontend.File, len(sources))
+		for i, src := range sources {
+			if parsed[i], err = pipeline.ParseSource(src); err != nil {
 				fatal(err)
 			}
+		}
+		ix := frontend.NewImportsIndex(parsed...)
+		for i, src := range sources {
+			var ir fmt.Stringer
 			if *emit == "sir" {
-				fmt.Print(sm.String())
-				continue
+				ir, err = pipeline.CompileToSIR(src, cfg, ix.For(i))
+			} else {
+				ir, err = pipeline.CompileToLLIR(src, cfg, ix.For(i))
 			}
-			lm, err := llir.FromSIR(sm)
 			if err != nil {
 				fatal(err)
 			}
-			fmt.Print(lm.String())
+			fmt.Print(ir.String())
 		}
 	case "mir":
 		if _, err := res.Prog.WriteTo(os.Stdout); err != nil {
@@ -222,27 +226,11 @@ func fatal(err error) {
 }
 
 // buildFlags registers slc's rows of the build-flag table. The base is OSize
-// with the verifier on, the abort policy and a hot threshold of one entry.
+// with the verifier on and the abort policy.
 func buildFlags(fs *flag.FlagSet) *pipeline.Flags {
 	base := pipeline.OSize
-	base.Verify, base.OnVerifyFailure, base.OutlineColdThreshold = true, outline.VerifyAbort, 1
+	base.Verify, base.OnVerifyFailure = true, outline.VerifyAbort
 	return pipeline.NewFlags(fs, base, "rounds", "whole-program", "flat-cost", "j", "trace", "remarks",
 		"summary", "verify", "cache-dir", "counters", "keep-going", "on-verify-failure", "fault-seed",
-		"fault-rate", "profile-in", "outline-cold-only", "outline-cold-threshold", "layout", "deadline")
-}
-
-// importsFor exposes every other module's declarations to src.
-func importsFor(all []pipeline.Source, src pipeline.Source) *frontend.Imports {
-	var others []*frontend.File
-	for _, o := range all {
-		if o.Name == src.Name {
-			continue
-		}
-		files, err := pipeline.ParseSource(o)
-		if err != nil {
-			fatal(err)
-		}
-		others = append(others, files...)
-	}
-	return frontend.NewImports(others...)
+		"fault-rate", "profile-in", "outline-cold-threshold", "layout", "deadline")
 }

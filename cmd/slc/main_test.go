@@ -1,12 +1,28 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"outliner/internal/frontend"
 	"outliner/internal/pipeline"
 )
+
+// TestMain runs slc's main instead of the tests when SLC_TEST_MAIN is set, so
+// a test can drive the command end to end through its own binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("SLC_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // TestBuildFlagDefaults pins the Config slc builds from its command line.
 // The base is OSize with the verifier on, not OSize itself.
@@ -18,14 +34,14 @@ func TestBuildFlagDefaults(t *testing.T) {
 		{nil, pipeline.Config{
 			WholeProgram: true, OutlineRounds: 5, SILOutline: true, SpecializeClosures: true,
 			MergeFunctions: true, PreserveDataLayout: true, SplitGCMetadata: true, Verify: true,
-			OnVerifyFailure: "abort", OutlineColdThreshold: 1,
+			OnVerifyFailure: "abort",
 		}},
 		{[]string{"-whole-program=false", "-rounds", "1", "-cache-dir", "c", "-j", "2", "-flat-cost",
-			"-verify=false", "-keep-going", "-on-verify-failure", "rollback-round", "-outline-cold-only",
+			"-verify=false", "-keep-going", "-on-verify-failure", "rollback-round",
 			"-outline-cold-threshold", "3", "-layout", "c3"}, pipeline.Config{
 			OutlineRounds: 1, SILOutline: true, SpecializeClosures: true, MergeFunctions: true,
 			FlatOutlineCost: true, PreserveDataLayout: true, SplitGCMetadata: true, Parallelism: 2,
-			CacheDir: "c", KeepGoing: true, OnVerifyFailure: "rollback-round", OutlineColdOnly: true,
+			CacheDir: "c", KeepGoing: true, OnVerifyFailure: "rollback-round",
 			OutlineColdThreshold: 3, Layout: "c3",
 		}},
 	} {
@@ -41,5 +57,70 @@ func TestBuildFlagDefaults(t *testing.T) {
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("slc %v:\n got %+v\nwant %+v", c.args, got, c.want)
 		}
+	}
+}
+
+// -emit llir prints, module by module, the LLIR the build links: each
+// module's CompileToLLIR output — SimplifyCFG and DCE run, verified — against
+// the interfaces of all the others.
+func TestEmitLLIRIsWhatTheBuildLinks(t *testing.T) {
+	srcs := []pipeline.Source{
+		{Name: "lib", Files: map[string]string{"lib.sl": `
+func clamp(x: Int) -> Int {
+  var y = x * 3
+  if x > 100 {
+    return 100
+  }
+  return x
+}
+`}},
+		{Name: "app", Files: map[string]string{"app.sl": `
+func main() {
+  var unused = clamp(x: 7) + 1
+  print(clamp(x: 250))
+}
+`}},
+	}
+	dir := t.TempDir()
+	var args []string
+	for _, s := range srcs {
+		for name, text := range s.Files {
+			path := filepath.Join(dir, name)
+			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			args = append(args, path)
+		}
+	}
+	cmd := exec.Command(os.Args[0], append([]string{"-emit", "llir"}, args...)...)
+	cmd.Env = append(os.Environ(), "SLC_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	got, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("slc -emit llir: %v\n%s", err, stderr.String())
+	}
+
+	cfg, err := buildFlags(flag.NewFlagSet("slc", flag.ContinueOnError)).Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed := make([][]*frontend.File, len(srcs))
+	for i, s := range srcs {
+		if parsed[i], err = pipeline.ParseSource(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix := frontend.NewImportsIndex(parsed...)
+	var want strings.Builder
+	for i, s := range srcs {
+		lm, err := pipeline.CompileToLLIR(s, cfg, ix.For(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.WriteString(lm.String())
+	}
+	if string(got) != want.String() {
+		t.Fatalf("slc -emit llir:\n%s\nwant the linked modules' LLIR:\n%s", got, want.String())
 	}
 }

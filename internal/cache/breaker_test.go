@@ -228,7 +228,7 @@ func TestRemoteTimeoutConfigurable(t *testing.T) {
 // ErrFlightAborted — the structured "recompute by re-requesting" signal — and
 // never inherits a cancellation that was not theirs.
 func TestFlightCancelledLeaderAbortsWaiters(t *testing.T) {
-	f := NewFlight()
+	f := newFlight()
 	k := flightKey(404)
 	entered := make(chan struct{})
 	release := make(chan struct{})

@@ -24,7 +24,7 @@
 // in-memory tier via Shared. An optional third tier (SetRemote) shares
 // artifacts across machines: a sharded remote cache speaking ShardServer's
 // HTTP protocol, with every shard an LRU-capped instance of the same disk
-// entry format. Flight adds the build farm's single-flight layer on top, so
+// entry format. Each handle's Flight adds the single-flight layer on top, so
 // concurrent builds that miss on the same key compute it once.
 package cache
 
@@ -115,6 +115,10 @@ type Cache struct {
 	// remote; remote hits are promoted into the local tiers.
 	remote *Remote
 
+	// flight dedupes the concurrent misses of the builds sharing this
+	// handle (see Flight).
+	flight *Flight
+
 	mu       sync.Mutex
 	mem      map[string][]byte
 	memBytes int
@@ -126,8 +130,12 @@ func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	return &Cache{dir: dir, mem: make(map[string][]byte)}, nil
+	return &Cache{dir: dir, flight: newFlight(), mem: make(map[string][]byte)}, nil
 }
+
+// Flight returns the handle's single-flight group: the handle's builds share
+// it, as they share its tiers.
+func (c *Cache) Flight() *Flight { return c.flight }
 
 var (
 	sharedMu sync.Mutex
@@ -137,7 +145,7 @@ var (
 // Shared returns the process-wide Cache for dir, creating it on first use.
 // Sharing the instance shares the in-memory tier, so every build in a
 // process (an experiment sweep, a test run) reuses artifacts at memory
-// speed.
+// speed, and its flight, so concurrent builds compute a missed key once.
 func Shared(dir string) (*Cache, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {

@@ -13,13 +13,13 @@ import (
 // and builds stay free of shared mutable state, exactly as a warm cache hit
 // would be.
 //
-// One Flight is shared across every request a compile daemon serves
-// (pipeline.Config.Flight); the key space is the content-addressed cache key,
-// which already folds in stage, input hash, config fingerprint, and schema,
-// so two requests can only ever share work when they would have produced
-// byte-identical artifacts.
-//
-// A nil *Flight is valid and never dedupes — Do then just runs fn.
+// Every Cache handle owns one Flight (see Cache.Flight), so the builds that
+// share a handle — every clean build of a directory in one process, a compile
+// daemon's requests included — share its flight, and a faulted build's
+// private handle has a private one. The key space is the content-addressed
+// cache key, which already folds in stage, input hash, config fingerprint,
+// and schema, so two builds can only ever share work when they would have
+// produced byte-identical artifacts.
 type Flight struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
@@ -44,8 +44,8 @@ type flightCall struct {
 // are forgotten immediately, a re-request simply recomputes.
 var ErrFlightAborted = errors.New("cache: single-flight leader aborted")
 
-// NewFlight returns an empty single-flight group.
-func NewFlight() *Flight {
+// newFlight returns an empty single-flight group.
+func newFlight() *Flight {
 	return &Flight{calls: make(map[string]*flightCall)}
 }
 
@@ -56,10 +56,6 @@ func NewFlight() *Flight {
 // Flight, is the store — so an error is never sticky: the next Do for the
 // same key executes again.
 func (f *Flight) Do(k Key, fn func() ([]byte, error)) (data []byte, shared bool, err error) {
-	if f == nil {
-		data, err = fn()
-		return data, false, err
-	}
 	id := k.id()
 	f.mu.Lock()
 	if c, ok := f.calls[id]; ok {
@@ -101,9 +97,6 @@ func (f *Flight) Do(k Key, fn func() ([]byte, error)) (data []byte, shared bool,
 // Stats returns the group's lifetime totals: leader executions and deduped
 // waits. A compile daemon surfaces them on its /stats endpoint.
 func (f *Flight) Stats() (execs, waits int64) {
-	if f == nil {
-		return 0, 0
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.execs, f.waits

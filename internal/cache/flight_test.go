@@ -16,7 +16,7 @@ func flightKey(n int) Key {
 // concurrent callers on one key produce exactly one execution, and every
 // caller receives the leader's bytes.
 func TestFlightDedupesConcurrentCalls(t *testing.T) {
-	f := NewFlight()
+	f := newFlight()
 	const callers = 32
 	var execs atomic.Int64
 	release := make(chan struct{})
@@ -69,7 +69,7 @@ func TestFlightDedupesConcurrentCalls(t *testing.T) {
 
 // TestFlightDistinctKeysDoNotShare: different keys never share an execution.
 func TestFlightDistinctKeysDoNotShare(t *testing.T) {
-	f := NewFlight()
+	f := newFlight()
 	var execs atomic.Int64
 	var wg sync.WaitGroup
 	const keys = 8
@@ -95,7 +95,7 @@ func TestFlightDistinctKeysDoNotShare(t *testing.T) {
 // TestFlightErrorsAreNotSticky: a failed execution is forgotten immediately;
 // the next Do on the same key executes again and can succeed.
 func TestFlightErrorsAreNotSticky(t *testing.T) {
-	f := NewFlight()
+	f := newFlight()
 	boom := errors.New("boom")
 	if _, _, err := f.Do(flightKey(0), func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("first Do err = %v, want boom", err)
@@ -110,7 +110,7 @@ func TestFlightErrorsAreNotSticky(t *testing.T) {
 // panic (the pipeline's panic isolation depends on it) while waiters degrade
 // to ErrFlightAborted instead of hanging.
 func TestFlightLeaderPanicReleasesWaiters(t *testing.T) {
-	f := NewFlight()
+	f := newFlight()
 	entered := make(chan struct{})
 
 	var waitErr error
@@ -150,18 +150,5 @@ func TestFlightLeaderPanicReleasesWaiters(t *testing.T) {
 	// errors in that case, so only the abort path is a valid success here.
 	if waitErr != nil && !errors.Is(waitErr, ErrFlightAborted) {
 		t.Fatalf("waiter err = %v, want ErrFlightAborted", waitErr)
-	}
-}
-
-// TestFlightNilIsDirect: a nil Flight executes fn directly — the non-service
-// pipeline path.
-func TestFlightNilIsDirect(t *testing.T) {
-	var f *Flight
-	data, shared, err := f.Do(flightKey(0), func() ([]byte, error) { return []byte("x"), nil })
-	if err != nil || shared || string(data) != "x" {
-		t.Fatalf("nil flight Do = %q, shared=%t, err=%v", data, shared, err)
-	}
-	if e, w := f.Stats(); e != 0 || w != 0 {
-		t.Fatalf("nil flight Stats = %d, %d", e, w)
 	}
 }

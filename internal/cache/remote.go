@@ -183,14 +183,6 @@ func (r *Remote) SetFault(inj *fault.Injector) {
 	}
 }
 
-// Shards returns the number of shards.
-func (r *Remote) Shards() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.shards)
-}
-
 // ShardFor maps a content address to its owning shard: an FNV-1a hash of the
 // id, mod the shard count. Pure, so every client agrees.
 func (r *Remote) ShardFor(id string) int {

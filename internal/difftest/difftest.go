@@ -65,7 +65,7 @@ func Lattice() []Point {
 		{Name: "osize-layout-c3", Config: withLayout(pipeline.OSize, layout.C3)},
 		{Name: "wp-extensions", Config: pipeline.Config{
 			WholeProgram: true, OutlineRounds: 5, CanonicalizeSequences: true,
-			LayoutOutlined: true, SILOutline: true, SpecializeClosures: true,
+			Layout: layout.Outlined, SILOutline: true, SpecializeClosures: true,
 			SplitGCMetadata: true}},
 	}
 	for i := range pts {
@@ -88,15 +88,14 @@ func SmokeLattice() []Point {
 // and injects it (see Check), so the gate reflects the program actually
 // under test rather than a canned profile.
 func coldOnly(cfg pipeline.Config) pipeline.Config {
-	cfg.OutlineColdOnly = true
 	cfg.OutlineColdThreshold = 1
 	return cfg
 }
 
-// withLayout arms a profile-guided function-layout policy on a copy of cfg —
-// the lattice's layout axis. Like coldOnly, the profile is left nil for the
-// Oracle to inject from its instrumented reference run, so the reordering
-// under test is driven by the program's real dynamic call edges.
+// withLayout arms a function-layout policy on a copy of cfg — the lattice's
+// layout axis. Like coldOnly, a profile-guided policy's profile is left nil
+// for the Oracle to inject from its instrumented reference run, so the
+// reordering under test is driven by the program's real dynamic call edges.
 func withLayout(cfg pipeline.Config, policy string) pipeline.Config {
 	cfg.Layout = policy
 	return cfg
@@ -158,17 +157,20 @@ func PointFromBits(bits uint64) Point {
 		FlatOutlineCost:       bits&(1<<7) != 0,
 		PreserveDataLayout:    bits&(1<<8) != 0,
 		CanonicalizeSequences: bits&(1<<9) != 0,
-		LayoutOutlined:        bits&(1<<10) != 0,
 		Verify:                true,
 	}
 	cfg.SplitGCMetadata = cfg.WholeProgram
 	if bits&(1<<11) != 0 {
 		cfg = coldOnly(cfg)
 	}
-	// Bits 12–13 pick the layout: 2 arms c3, and 1 is reserved — a no-op, so
-	// committed corpora that set it still decode.
-	if (bits>>12)&3 == 2 {
+	// Bit 10 picks the outlined-function layout, unless bits 12–13 pick c3
+	// (2); their 1 is reserved — a no-op, so committed corpora that set it
+	// still decode.
+	switch {
+	case (bits>>12)&3 == 2:
 		cfg = withLayout(cfg, layout.C3)
+	case bits&(1<<10) != 0:
+		cfg = withLayout(cfg, layout.Outlined)
 	}
 	return Point{Name: fmt.Sprintf("bits-%#x", bits), Rank: 1, Config: cfg}
 }

@@ -59,6 +59,15 @@ func TestPointFromBits(t *testing.T) {
 	if got := PointFromBits(3 << 12).Config.Layout; got != "" {
 		t.Errorf("bits 3<<12 layout = %q, want inactive", got)
 	}
+	if got := PointFromBits(1 << 10).Config.Layout; got != layout.Outlined {
+		t.Errorf("bits 1<<10 layout = %q, want outlined", got)
+	}
+	if got := PointFromBits(1<<10 | 1<<12).Config.Layout; got != layout.Outlined {
+		t.Errorf("bits 1<<10|1<<12 layout = %q, want outlined", got)
+	}
+	if got := PointFromBits(1<<10 | 2<<12).Config.Layout; got != layout.C3 {
+		t.Errorf("bits 1<<10|2<<12 layout = %q, want c3", got)
+	}
 }
 
 func TestCompareClassification(t *testing.T) {
@@ -120,7 +129,7 @@ func TestOracleColdOnlyAxis(t *testing.T) {
 	if !ok {
 		t.Fatal("lattice point osize-cold-only missing")
 	}
-	if !pt.Config.OutlineColdOnly || pt.Config.OutlineColdThreshold != 1 {
+	if pt.Config.OutlineColdThreshold != 1 {
 		t.Fatalf("osize-cold-only not armed: %+v", pt.Config)
 	}
 	if pt.Config.Profile != nil {

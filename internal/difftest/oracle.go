@@ -193,7 +193,7 @@ func clip(s string) string {
 // nil) when all points agree.
 //
 // The reference run is instrumented, and its execution profile is injected
-// into any profile-consuming point — cold-only outlining or an active
+// into any profile-consuming point — cold-only outlining or the c3
 // function-layout policy — that does not already carry one, so both
 // profile-gated axes are exercised against the exact dynamic behaviour the
 // oracle is about to compare.
@@ -208,8 +208,7 @@ func (o *Oracle) Check(mods []appgen.Module, pts []Point) (*Divergence, error) {
 	}
 	refProf := col.Profile()
 	for _, pt := range pts[1:] {
-		layoutActive := pt.Config.Layout != "" && pt.Config.Layout != layout.None
-		if (pt.Config.OutlineColdOnly || layoutActive) && pt.Config.Profile == nil {
+		if (pt.Config.OutlineColdThreshold > 0 || pt.Config.Layout == layout.C3) && pt.Config.Profile == nil {
 			pt.Config.Profile = refProf
 		}
 		got := o.Run(mods, pt)

@@ -83,25 +83,6 @@ func (c Cond) String() string {
 	return "al"
 }
 
-// Negate returns the inverse condition.
-func (c Cond) Negate() Cond {
-	switch c {
-	case EQ:
-		return NE
-	case NE:
-		return EQ
-	case LT:
-		return GE
-	case LE:
-		return GT
-	case GT:
-		return LE
-	case GE:
-		return LT
-	}
-	return c
-}
-
 // Inst is one machine instruction. The operand slots are interpreted
 // per-opcode (see the Op constants). Unused slots hold NoReg / 0 / "" so that
 // structural equality of the struct coincides with semantic equality of the

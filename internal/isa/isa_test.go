@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRegString(t *testing.T) {
 	cases := []struct {
@@ -45,17 +42,6 @@ func TestCalleeSaved(t *testing.T) {
 	for _, r := range notSaved {
 		if r.IsCalleeSaved() {
 			t.Errorf("%v should not be callee saved", r)
-		}
-	}
-}
-
-func TestCondNegate(t *testing.T) {
-	for _, c := range []Cond{EQ, NE, LT, LE, GT, GE} {
-		if c.Negate().Negate() != c {
-			t.Errorf("double negation of %v is not identity", c)
-		}
-		if c.Negate() == c {
-			t.Errorf("negation of %v is itself", c)
 		}
 	}
 }
@@ -118,31 +104,28 @@ func TestDefsUses(t *testing.T) {
 		{Inst{Op: CBNZ, Rn: X5, Sym: "l"}, nil, []Reg{X5}},
 	}
 	for _, c := range cases {
-		if got := c.in.Defs(nil); !regsEqual(got, c.defs) {
-			t.Errorf("%v Defs = %v, want %v", c.in, got, c.defs)
+		if got, want := c.in.DefMask(), regMask(c.defs); got != want {
+			t.Errorf("%v DefMask = %#x, want %#x (%v)", c.in, got, want, c.defs)
 		}
-		if got := c.in.Uses(nil); !regsEqual(got, c.use) {
-			t.Errorf("%v Uses = %v, want %v", c.in, got, c.use)
+		if got, want := c.in.UseMask(), regMask(c.use); got != want {
+			t.Errorf("%v UseMask = %#x, want %#x (%v)", c.in, got, want, c.use)
 		}
 	}
 }
 
-func regsEqual(a, b []Reg) bool {
-	if len(a) != len(b) {
-		return false
+// regMask is the def/use mask of regs.
+func regMask(regs []Reg) uint64 {
+	var m uint64
+	for _, r := range regs {
+		m |= 1 << r
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return m
 }
 
 func TestXZRNeverTracked(t *testing.T) {
 	in := Inst{Op: ORRrs, Rd: X0, Rn: XZR, Rm: XZR}
-	if uses := in.Uses(nil); len(uses) != 0 {
-		t.Errorf("XZR appears in uses: %v", uses)
+	if uses := in.UseMask(); uses != 0 {
+		t.Errorf("XZR appears in uses: %#x", uses)
 	}
 }
 
@@ -168,18 +151,6 @@ func TestSPPredicates(t *testing.T) {
 	}
 }
 
-func TestFlagsPredicates(t *testing.T) {
-	if !(Inst{Op: CMPri, Rn: X0, Imm: 3}).SetsFlags() {
-		t.Error("CMPri must set flags")
-	}
-	if !(Inst{Op: Bcc, Cond: EQ, Sym: "l"}).ReadsFlags() {
-		t.Error("Bcc must read flags")
-	}
-	if (Inst{Op: ADDri, Rd: X0, Rn: X0, Imm: 1}).SetsFlags() {
-		t.Error("ADDri must not set flags")
-	}
-}
-
 func TestTerminatorsAndCalls(t *testing.T) {
 	terms := []Op{B, Bcc, CBZ, CBNZ, RET, BRK}
 	for _, op := range terms {
@@ -192,33 +163,6 @@ func TestTerminatorsAndCalls(t *testing.T) {
 	}
 	if !(Inst{Op: BL}).IsCall() || !(Inst{Op: BLR}).IsCall() {
 		t.Error("BL/BLR must be calls")
-	}
-}
-
-// Fingerprint must be a function of the full semantic identity: equal
-// structs hash equal, and each field perturbs the hash.
-func TestFingerprintProperties(t *testing.T) {
-	f := func(op uint8, rd, rn, rm uint8, imm int64, sym string) bool {
-		in := Inst{Op: Op(op % uint8(NumOps)), Rd: Reg(rd % 34), Rn: Reg(rn % 34), Rm: Reg(rm % 34), Imm: imm, Sym: sym}
-		same := in
-		return in.Fingerprint() == same.Fingerprint()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-
-	a := MoveRR(X0, X20)
-	variants := []Inst{
-		MoveRR(X0, X21),
-		MoveRR(X1, X20),
-		{Op: ADDrs, Rd: X0, Rn: XZR, Rm: X20},
-		{Op: ORRrs, Rd: X0, Rn: XZR, Rm: X20, Imm: 1},
-		{Op: ORRrs, Rd: X0, Rn: XZR, Rm: X20, Sym: "x"},
-	}
-	for _, v := range variants {
-		if a.Fingerprint() == v.Fingerprint() {
-			t.Errorf("fingerprint collision between %v and %v", a, v)
-		}
 	}
 }
 

@@ -1,10 +1,5 @@
 package isa
 
-import (
-	"hash/maphash"
-	"math/bits"
-)
-
 // regBit is r's bit in a def/use mask. NoReg and XZR have none: the zero
 // register reads as zero and discards writes, so it is never tracked.
 func regBit(r Reg) uint64 {
@@ -15,8 +10,8 @@ func regBit(r Reg) uint64 {
 }
 
 // DefMask returns the registers written by in as a bitset (bit r set for
-// register r), without allocating. The NZCV flags are tracked separately
-// (see SetsFlags/ReadsFlags). A call's mask is LR, which its encoding
+// register r), without allocating. The NZCV flags are not in it: only the
+// compare instructions write them. A call's mask is LR, which its encoding
 // writes; the rest of the caller-saved set it clobbers is the calling
 // convention's, not the instruction's, and is not reported here.
 func (in Inst) DefMask() uint64 {
@@ -63,26 +58,6 @@ func (in Inst) UseMask() uint64 {
 	return 0
 }
 
-// Defs appends the registers of DefMask to dst in ascending register order.
-// Tests and tools use it; the compile path reads the masks.
-func (in Inst) Defs(dst []Reg) []Reg { return appendMask(dst, in.DefMask()) }
-
-// Uses appends the registers of UseMask to dst in ascending register order.
-func (in Inst) Uses(dst []Reg) []Reg { return appendMask(dst, in.UseMask()) }
-
-func appendMask(dst []Reg, mask uint64) []Reg {
-	for ; mask != 0; mask &= mask - 1 {
-		dst = append(dst, Reg(bits.TrailingZeros64(mask)))
-	}
-	return dst
-}
-
-// SetsFlags reports whether in writes the NZCV flags.
-func (in Inst) SetsFlags() bool { return in.Op == CMPrs || in.Op == CMPri }
-
-// ReadsFlags reports whether in reads the NZCV flags.
-func (in Inst) ReadsFlags() bool { return in.Op == Bcc || in.Op == CSET }
-
 // IsTerminator reports whether in ends a basic block.
 func (in Inst) IsTerminator() bool {
 	switch in.Op {
@@ -94,9 +69,6 @@ func (in Inst) IsTerminator() bool {
 
 // IsCall reports whether in transfers control with a link (BL/BLR).
 func (in Inst) IsCall() bool { return in.Op == BL || in.Op == BLR }
-
-// IsReturn reports whether in returns from the function.
-func (in Inst) IsReturn() bool { return in.Op == RET }
 
 // ModifiesSP reports whether in writes the stack pointer. Such instructions
 // (frame setup/destruction, SP adjustment) are never outlined: moving them
@@ -137,24 +109,4 @@ func (in Inst) UsesLR() bool {
 		return in.Op != RET // RET's implicit LR read is handled by strategy
 	}
 	return in.DefMask()&lr != 0 && !in.IsCall()
-}
-
-var fingerprintSeed = maphash.MakeSeed()
-
-// Fingerprint returns a hash of the instruction's full semantic identity.
-// Two instructions with equal fingerprints are treated as identical by the
-// outliner's instruction mapper (collisions are resolved by Inst equality,
-// which is plain struct comparison).
-func (in Inst) Fingerprint() uint64 {
-	var h maphash.Hash
-	h.SetSeed(fingerprintSeed)
-	buf := [8]byte{byte(in.Op), byte(in.Rd), byte(in.Rd2), byte(in.Rn), byte(in.Rm), byte(in.Cond)}
-	h.Write(buf[:])
-	var imm [8]byte
-	for i := 0; i < 8; i++ {
-		imm[i] = byte(uint64(in.Imm) >> (8 * i))
-	}
-	h.Write(imm[:])
-	h.WriteString(in.Sym)
-	return h.Sum64()
 }

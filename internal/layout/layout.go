@@ -1,12 +1,12 @@
-// Package layout implements profile-guided function reordering over the
-// final machine program — the code-side twin of the paper's §VI-3 data-layout
+// Package layout implements function reordering over the final machine
+// program — the code-side twin of the paper's §VI-3 data-layout
 // locality fix. Interleaving unrelated globals regressed data page faults;
 // the same argument applies to code, so this pass places hot callers on the
 // same page as their callees before the image is laid out.
 //
 // One policy knob selects the order, per "Optimizing Function Layout for
 // Mobile Applications" (Hoag/Lee/Mestre/Pupyrev) and Codestitcher
-// (Lavaee/Criswell/Ding):
+// (Lavaee/Criswell/Ding), which treat function order as one policy choice:
 //
 //   - C3 — call-chain clustering: every function starts as its own cluster,
 //     call edges are visited hottest first (execution-weighted frequency from
@@ -14,13 +14,15 @@
 //     callee's cluster is appended to the caller's whenever the callee still
 //     heads its cluster and the merged cluster fits in one page (the
 //     Codestitcher cluster cap). Clusters are then emitted hottest first.
+//   - Outlined — each outlined function right after its heaviest static
+//     caller (see outlinedOrder). It reads the program alone, no profile.
 //   - None — today's order, byte-identical to a build without the pass.
 //
 // Every ordering is a true permutation of the program's functions (enforced
-// by mir.ReorderFuncs) and fully deterministic: edge ties break on caller
-// then callee symbol name, cluster ties on the cluster's original position,
-// so a fixed (program, profile, policy) triple yields one order at any
-// parallelism and across process restarts. The pass moves addresses, never
+// by mir.ReorderFuncs) and fully deterministic: C3's edge ties break on
+// caller then callee symbol name, cluster ties on the cluster's original
+// position, so a fixed (program, profile, policy) triple yields one order at
+// any parallelism and across process restarts. The pass moves addresses, never
 // behavior — execution resolves calls by symbol, so a reordered image is
 // execution-equivalent by construction (and difftest proves it).
 package layout
@@ -28,6 +30,7 @@ package layout
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"outliner/internal/binimg"
 	"outliner/internal/mir"
@@ -37,18 +40,19 @@ import (
 
 // Layout policy names (the -layout flag's vocabulary).
 const (
-	None = "none"
-	C3   = "c3"
+	None     = "none"
+	C3       = "c3"
+	Outlined = "outlined"
 )
 
 // Policies lists the valid policy names in documentation order.
-func Policies() []string { return []string{None, C3} }
+func Policies() []string { return []string{None, C3, Outlined} }
 
 // Valid reports whether name is a known policy ("" counts as None: the
 // pipeline treats an unset knob as "leave the order alone").
 func Valid(name string) bool {
 	switch name {
-	case "", None, C3:
+	case "", None, C3, Outlined:
 		return true
 	}
 	return false
@@ -58,9 +62,10 @@ func Valid(name string) bool {
 type Options struct {
 	// Policy selects the ordering; "" and None leave the program untouched.
 	Policy string
-	// Profile supplies the execution counts and call edges C3 consumes. With a nil profile the pass is inert (no edge or
-	// entry data means no evidence to reorder on), mirroring how cold-only
-	// outlining gating degrades without a profile.
+	// Profile supplies the execution counts and call edges C3 consumes.
+	// With a nil profile C3 is inert (no edge or entry data means no
+	// evidence to reorder on), mirroring how cold-only outlining gating
+	// degrades without a profile. Outlined does not read it.
 	Profile *profile.Profile
 	// PageSize caps a C3 cluster's byte size (functions merged past one page
 	// cannot share it anyway — Codestitcher's rule). 0 means binimg.PageSize.
@@ -96,20 +101,28 @@ type Stats struct {
 
 // Apply reorders prog's functions in place according to the policy and
 // returns what it did. The only error is an unknown policy name; every
-// degraded input (nil profile, empty program, profile naming no function in
-// the program) leaves the order untouched rather than failing the build.
+// degraded input (C3 without a profile, an empty program, a profile naming
+// no function in the program) leaves the order untouched rather than
+// failing the build.
 func Apply(prog *mir.Program, opts Options) (*Stats, error) {
 	st := &Stats{Policy: opts.Policy}
 	if st.Policy == "" {
 		st.Policy = None
 	}
 	if !Valid(opts.Policy) {
-		return nil, fmt.Errorf("layout: unknown policy %q (want %s or %s)", opts.Policy, None, C3)
+		return nil, fmt.Errorf("layout: unknown policy %q (want %s)", opts.Policy, strings.Join(Policies(), ", "))
 	}
-	if st.Policy == None || opts.Profile == nil || len(prog.Funcs) == 0 {
+	var order []*mir.Function
+	switch {
+	case len(prog.Funcs) == 0:
+		return st, nil
+	case st.Policy == Outlined:
+		order = outlinedOrder(prog)
+	case st.Policy == C3 && opts.Profile != nil:
+		order = c3Order(prog, opts, st)
+	default:
 		return st, nil
 	}
-	order := c3Order(prog, opts, st)
 	for i, f := range order {
 		if prog.Funcs[i] != f {
 			st.Moved++

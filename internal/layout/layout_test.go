@@ -113,7 +113,7 @@ func TestUnknownPolicyErrors(t *testing.T) {
 	if Valid("pettis-hansen") {
 		t.Fatal(`Valid("pettis-hansen") = true`)
 	}
-	for _, ok := range []string{"", None, C3} {
+	for _, ok := range []string{"", None, C3, Outlined} {
 		if !Valid(ok) {
 			t.Fatalf("Valid(%q) = false", ok)
 		}

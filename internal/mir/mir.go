@@ -80,14 +80,6 @@ func (f *Function) Block(label string) *Block {
 	return nil
 }
 
-// Entry returns the entry block (the first one), or nil for a declaration.
-func (f *Function) Entry() *Block {
-	if len(f.Blocks) == 0 {
-		return nil
-	}
-	return f.Blocks[0]
-}
-
 // Global is a data-section entry: a named array of 8-byte words with module
 // provenance. Provenance drives the data-layout ordering experiments (§VI-3):
 // the IR linker can either preserve per-module grouping or interleave.
@@ -208,9 +200,6 @@ func (p *Program) Modules() []string {
 	sort.Strings(names)
 	return names
 }
-
-// ReindexFuncs rebuilds the name index after external reordering of Funcs.
-func (p *Program) ReindexFuncs() { p.rebuildIndex() }
 
 // ReorderFuncs replaces the program's function order with funcs. It panics
 // unless funcs is a true permutation of the current function list — a layout

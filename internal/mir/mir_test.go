@@ -221,8 +221,8 @@ func TestParsePrintRoundTripProperty(t *testing.T) {
 				t.Fatalf("ParseInst(%q) = %+v, want %+v (printed slots %v)", text, got, want, printed)
 			}
 			if got.DefMask() != in.DefMask() || got.UseMask() != in.UseMask() {
-				t.Fatalf("%q drops a register %s reads or writes: defs %v uses %v, parsed back as defs %v uses %v",
-					text, isa.OpName(op), in.Defs(nil), in.Uses(nil), got.Defs(nil), got.Uses(nil))
+				t.Fatalf("%q drops a register %s reads or writes: defs %#x uses %#x, parsed back as defs %#x uses %#x",
+					text, isa.OpName(op), in.DefMask(), in.UseMask(), got.DefMask(), got.UseMask())
 			}
 		}
 	}

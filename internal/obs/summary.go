@@ -123,7 +123,7 @@ func (t *Tracer) WriteSummary(w io.Writer) error {
 		}
 	}
 
-	// The single-flight scoreboard, present in service mode: stage
+	// The single-flight scoreboard, present in any cached build: stage
 	// computations actually executed vs. builds that consumed another
 	// in-flight build's result.
 	if computes, deduped := counters["flight/computes"], counters["flight/deduped"]; computes > 0 || deduped > 0 {

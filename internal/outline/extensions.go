@@ -1,24 +1,19 @@
 package outline
 
 import (
-	"sort"
-
 	"outliner/internal/isa"
 	"outliner/internal/mir"
 )
 
-// This file implements two of the paper's "future work" directions (§VIII):
-//
-//  1. semantic equivalence of machine-code sequences — approximated by
-//     canonicalizing commutative operations so that trivially-equivalent
-//     sequences become textually equal and therefore outlinable together;
-//  3. layout optimization on the outlined code — outlined functions are
-//     placed next to their heaviest static caller, shortening fetch
-//     distance and improving instruction-cache locality.
-//
-// (Direction 2, interactions with instruction scheduling and register
-// assignment, is exercised indirectly: the register allocator's choices are
-// what create the Listing 1-vs-2 pattern split in the first place.)
+// This file implements direction 1 of the paper's "future work" (§VIII):
+// semantic equivalence of machine-code sequences, approximated by
+// canonicalizing commutative operations so that trivially-equivalent
+// sequences become textually equal and therefore outlinable together.
+// Direction 3, layout optimization on the outlined code, is the layout
+// package's Outlined policy. (Direction 2, interactions with instruction
+// scheduling and register assignment, is exercised indirectly: the register
+// allocator's choices are what create the Listing 1-vs-2 pattern split in
+// the first place.)
 
 // CanonicalizeCommutative rewrites commutative ALU operations into a
 // canonical operand order (lower-numbered register first). Sequences that
@@ -52,86 +47,4 @@ func CanonicalizeCommutative(prog *mir.Program) int {
 		}
 	}
 	return n
-}
-
-// LayoutOutlined reorders the program's functions so that every outlined
-// function sits immediately after its heaviest static caller (callers
-// keep their original relative order). Callees of equal weight follow the
-// order they were created in, keeping the result deterministic. Returns the
-// number of functions moved.
-func LayoutOutlined(prog *mir.Program) int {
-	// Static call counts: caller -> callee -> count (outlined callees only).
-	outlined := make(map[string]bool)
-	for _, f := range prog.Funcs {
-		if f.Outlined {
-			outlined[f.Name] = true
-		}
-	}
-	if len(outlined) == 0 {
-		return 0
-	}
-	type edge struct {
-		caller string
-		count  int
-	}
-	best := make(map[string]edge) // callee -> heaviest caller
-	for _, f := range prog.Funcs {
-		counts := make(map[string]int)
-		for _, b := range f.Blocks {
-			for _, in := range b.Insts {
-				if (in.Op == isa.BL || in.Op == isa.B) && outlined[in.Sym] {
-					counts[in.Sym]++
-				}
-			}
-		}
-		for callee, c := range counts {
-			e, ok := best[callee]
-			if !ok || c > e.count {
-				best[callee] = edge{caller: f.Name, count: c}
-			}
-		}
-	}
-
-	// Group outlined functions after their anchor caller. Outlined
-	// functions whose heaviest caller is itself outlined chain transitively
-	// onto that caller's anchor.
-	anchorOf := func(name string) string {
-		seen := map[string]bool{}
-		for outlined[name] && !seen[name] {
-			seen[name] = true
-			e, ok := best[name]
-			if !ok {
-				return ""
-			}
-			name = e.caller
-		}
-		return name
-	}
-	attach := make(map[string][]*mir.Function)
-	var moved int
-	var keep []*mir.Function
-	for _, f := range prog.Funcs {
-		if !f.Outlined {
-			keep = append(keep, f)
-			continue
-		}
-		a := anchorOf(f.Name)
-		if a == "" {
-			keep = append(keep, f) // unreferenced; leave in place
-			continue
-		}
-		attach[a] = append(attach[a], f)
-		moved++
-	}
-	for _, fs := range attach {
-		sort.Slice(fs, func(i, j int) bool { return fs[i].Name < fs[j].Name })
-	}
-	var out []*mir.Function
-	for _, f := range keep {
-		out = append(out, f)
-		out = append(out, attach[f.Name]...)
-	}
-	prog.Funcs = out
-	prog.ReindexFuncs()
-	return moved
 }

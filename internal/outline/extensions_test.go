@@ -7,7 +7,6 @@ import (
 
 	"outliner/internal/isa"
 	"outliner/internal/mir"
-	"outliner/internal/verify"
 )
 
 func TestCanonicalizeCommutative(t *testing.T) {
@@ -85,68 +84,5 @@ entry:
 	if canon.CodeSize() >= plain.CodeSize() {
 		t.Errorf("canonicalization did not unlock savings: %d vs %d",
 			canon.CodeSize(), plain.CodeSize())
-	}
-}
-
-func TestLayoutOutlined(t *testing.T) {
-	var src strings.Builder
-	for i := 0; i < 6; i++ {
-		src.WriteString(fmt.Sprintf(`
-func @h%d {
-entry:
-  STPXpre $x29, $x30, $sp, #-16
-  ORRXrs $x0, $xzr, $x19
-  BL @swift_release
-  ORRXrs $x0, $xzr, $x20
-  BL @swift_release
-  MOVZXi $x1, #%d
-  LDPXpost $x29, $x30, $sp, #16
-  RET
-}
-`, i, i))
-	}
-	p := mustParse(t, src.String())
-	outlineProg(t, p, 3)
-
-	moved := LayoutOutlined(p)
-	if moved == 0 {
-		t.Fatal("no outlined functions moved")
-	}
-	if err := verify.Program(p, externRT).Err(); err != nil {
-		t.Fatalf("layout broke the program: %v", err)
-	}
-	// Every outlined function must directly follow a function that calls it
-	// (or follow a chain member attached to that caller).
-	idx := map[string]int{}
-	for i, f := range p.Funcs {
-		idx[f.Name] = i
-	}
-	for _, f := range p.Funcs {
-		if !f.Outlined {
-			continue
-		}
-		i := idx[f.Name]
-		if i == 0 {
-			t.Errorf("outlined %s placed first", f.Name)
-		}
-	}
-	// Determinism.
-	q := mustParse(t, src.String())
-	outlineProg(t, q, 3)
-	LayoutOutlined(q)
-	if p.String() != q.String() {
-		t.Error("layout is nondeterministic")
-	}
-}
-
-func TestLayoutNoOutlinedIsNoop(t *testing.T) {
-	p := mustParse(t, `
-func @a {
-entry:
-  RET
-}
-`)
-	if moved := LayoutOutlined(p); moved != 0 {
-		t.Errorf("moved %d in a program without outlined functions", moved)
 	}
 }

@@ -68,7 +68,7 @@ func TestAnalyzeRepeatsIgnoresFinderOrder(t *testing.T) {
 					prof.Func(f.Name).Entries = 3
 				}
 			}
-			opts.Profile, opts.ColdOnly, opts.ColdThreshold = prof, true, 2
+			opts.Profile, opts.ColdThreshold = prof, 2
 		}
 		opts = opts.withDefaults()
 

@@ -74,17 +74,14 @@ type Options struct {
 	// profile set, every candidate remark is annotated with the entry count
 	// of the hottest function hosting an occurrence and a hot/cold verdict.
 	Profile *profile.Profile
-	// ColdOnly restricts extraction to cold code (the BOLT outliner's
-	// --outliner-cold-only): occurrences hosted in a function whose profile
-	// entry count reaches ColdThreshold are skipped, so hot paths are never
-	// outlined. Gating is active only when all three of ColdOnly, a non-nil
-	// Profile, and a positive ColdThreshold are present — any of them absent
-	// leaves the outliner byte-identical to an unprofiled build.
-	ColdOnly bool
-	// ColdThreshold is the entry count at or above which a function counts
-	// as hot (--outliner-cold-threshold). It also sets the remark verdict
-	// boundary; when only annotating (no ColdOnly), a non-positive value
-	// defaults to 1: any observed entry marks a function hot.
+	// ColdThreshold, when positive and a Profile is set, restricts
+	// extraction to cold code (the BOLT outliner's --outliner-cold-only with
+	// --outliner-cold-threshold): occurrences hosted in a function whose
+	// profile entry count reaches it are skipped, so hot paths are never
+	// outlined. Without a Profile, or at 0, nothing is gated and the outliner
+	// is byte-identical to an unprofiled build. It also sets the remark
+	// verdict boundary, where a non-positive value counts as 1: any observed
+	// entry marks a function hot.
 	ColdThreshold int64
 }
 
@@ -153,16 +150,6 @@ func (s *Stats) TotalFunctions() int {
 	n := 0
 	for _, r := range s.Rounds {
 		n += r.FunctionsCreated
-	}
-	return n
-}
-
-// TotalOutlinedBytes returns the cumulative bytes consumed by outlined
-// functions.
-func (s *Stats) TotalOutlinedBytes() int {
-	n := 0
-	for _, r := range s.Rounds {
-		n += r.OutlinedBytes
 	}
 	return n
 }
@@ -657,7 +644,7 @@ func analyzeRepeats(prog *mir.Program, repeats []suffixtree.Repeat, opts Options
 	// functions appear in prog.Funcs but not in the profile: they count as
 	// cold and stay outlinable.
 	sc.fnCount = profileCounts(sc.fnCount[:0], prog, opts.Profile)
-	gate := opts.ColdOnly && opts.Profile != nil && opts.ColdThreshold > 0
+	gate := opts.Profile != nil && opts.ColdThreshold > 0
 
 	m.buildSums(spSensitiveFuncs(prog))
 	m.buildLR(prog)

@@ -25,22 +25,19 @@ import (
 // changes, so a cache entry could never be reused across edits.
 type BuildCache struct {
 	c *cache.Cache
-	// flight dedupes identical in-flight stage computations across the
-	// concurrent builds sharing cfg.Flight (a compile daemon). nil outside
-	// service mode and on faulted builds.
-	flight *cache.Flight
 	// fault arms the ArtifactDecode injection point (an injected decoder
 	// rejection, degrading to a miss). nil when the build runs clean.
 	fault *fault.Injector
 }
 
 // OpenBuildCache returns the cache for cfg.CacheDir, or nil (a valid
-// always-miss cache) when no cache directory is configured. A faulted build
-// gets a private cache handle, never the process-shared one — so neither the
-// remote tier a daemon attaches to the shared handle nor the single-flight
-// layer: injected I/O errors and corruption must not leak into concurrent
-// clean builds of the same directory, and a faulted build's artifacts must
-// never be shared through a flight group.
+// always-miss cache) when no cache directory is configured. A clean build
+// gets the process-shared handle, and with it the handle's single flight
+// and any remote tier a daemon attached. A faulted build gets a private
+// handle with a flight of its own and no remote tier: injected I/O errors
+// and corruption must not leak into concurrent clean builds of the same
+// directory, and a faulted build's artifacts must never be shared through a
+// flight.
 func OpenBuildCache(cfg Config) (*BuildCache, error) {
 	if cfg.CacheDir == "" {
 		return nil, nil
@@ -57,7 +54,7 @@ func OpenBuildCache(cfg Config) (*BuildCache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	return &BuildCache{c: c, flight: cfg.Flight}, nil
+	return &BuildCache{c: c}, nil
 }
 
 func (bc *BuildCache) enabled() bool { return bc != nil && bc.c != nil }
@@ -216,8 +213,8 @@ func (bc *BuildCache) decodeFault(key cache.Key) error {
 
 // runStage is the one path every cached stage takes: probe the cache and
 // decode; on a miss (an absent, damaged or undecodable entry) compute, encode
-// and publish — through the single-flight layer in service mode, so
-// concurrent builds compute each key once and every waiter decodes a private
+// and publish through the handle's single flight, so concurrent builds
+// sharing the handle compute each key once and every waiter decodes a private
 // copy of the shared bytes. bc must be enabled.
 //
 // sp is the stage's "cache <stage> <module>" span; runStage records hit and
@@ -246,30 +243,11 @@ func runStage[T any](ctx context.Context, bc *BuildCache, tr *obs.Tracer, key ca
 	cacheMiss(tr, stage, ok || pr.Corrupt)
 	sp.Arg("hit", false).End()
 
-	publish := func() (T, []byte, error) {
-		v, err := compute()
-		if err == nil {
-			// Cancelled mid-compute: discard the result unpublished so a later
-			// clean build can never observe a cancelled build's artifact.
-			err = ctx.Err()
-		}
-		if err != nil {
-			return zero, nil, err
-		}
-		enc := encode(v)
-		probeCounters(tr, bc.c.PutProbeCtx(ctx, key, enc))
-		cacheStore(tr, stage, len(enc))
-		return v, enc, nil
-	}
-	if bc.flight == nil {
-		v, _, err := publish()
-		return v, err
-	}
-	// Service mode. The flight's currency is the encoded artifact, so no
-	// mutable structure is ever shared across builds.
+	// The flight's currency is the encoded artifact, so no mutable structure
+	// is ever shared across builds.
 	var led bool
 	var v T
-	enc, shared, err := bc.flight.Do(key, func() ([]byte, error) {
+	enc, shared, err := bc.c.Flight().Do(key, func() ([]byte, error) {
 		// A cancelled leader must not compute or publish: returning the
 		// context error here makes flight.Do hand waiters ErrFlightAborted
 		// while this build reports its own cancellation.
@@ -286,11 +264,20 @@ func runStage[T any](ctx context.Context, bc *BuildCache, tr *obs.Tracer, key ca
 			}
 		}
 		flightCompute(tr, stage)
-		var enc []byte
 		var err error
-		v, enc, err = publish()
-		led = err == nil
-		return enc, err
+		if v, err = compute(); err == nil {
+			// Cancelled mid-compute: discard the result unpublished so a later
+			// clean build can never observe a cancelled build's artifact.
+			err = ctx.Err()
+		}
+		if err != nil {
+			return nil, err
+		}
+		enc := encode(v)
+		probeCounters(tr, bc.c.PutProbeCtx(ctx, key, enc))
+		cacheStore(tr, stage, len(enc))
+		led = true
+		return enc, nil
 	})
 	if shared {
 		flightDeduped(tr, stage)
@@ -299,8 +286,7 @@ func runStage[T any](ctx context.Context, bc *BuildCache, tr *obs.Tracer, key ca
 		return zero, err
 	}
 	if led {
-		// This build led the flight: return what it computed directly,
-		// exactly the non-flight cold path.
+		// This build led the flight: return what it computed directly.
 		return v, nil
 	}
 	if v, derr := decode(enc); derr == nil {

@@ -312,6 +312,52 @@ func TestCacheConcurrentBuilds(t *testing.T) {
 	}
 }
 
+// Concurrent builds of one cache directory in one process share its handle's
+// single flight, daemon or not: between them they compute every stage key
+// exactly once, and store it once.
+func TestConcurrentBuildsComputeEachKeyOnce(t *testing.T) {
+	cfg := pipeline.Config{OutlineRounds: 1, SILOutline: true, Verify: true, Parallelism: 2}
+	srcs := cacheTestSources()
+	_, serial := buildListing(t, cfg, t.TempDir(), srcs)
+	keys := serial["cache/stores"]
+	if keys == 0 {
+		t.Fatal("a cold build stored nothing")
+	}
+
+	dir := t.TempDir()
+	defer cache.Forget(dir)
+	const builders = 2
+	counters := make([]map[string]int64, builders)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for b := 0; b < builders; b++ {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			<-start
+			c := cfg
+			c.CacheDir = dir
+			c.Tracer = obs.New()
+			if _, err := pipeline.Build(srcs, c); err != nil {
+				t.Errorf("builder %d: %v", b, err)
+				return
+			}
+			counters[b] = c.Tracer.Counters()
+		}(b)
+	}
+	close(start)
+	wg.Wait()
+	var computes, stores int64
+	for _, c := range counters {
+		computes += c["flight/computes"]
+		stores += c["cache/stores"]
+	}
+	if computes != keys || stores != keys {
+		t.Fatalf("two concurrent builds: flight/computes = %d, cache/stores = %d, want %d each (the unique stage keys)",
+			computes, stores, keys)
+	}
+}
+
 // TestCacheKeysCoverConfig makes the cache keys' completeness structural.
 // Every Config field is read by some cached stage's projection, or is
 // declared observational (it never changes an artifact) or uncached-only
@@ -321,20 +367,20 @@ func TestCacheConcurrentBuilds(t *testing.T) {
 // the unchanged build, and must share every key of each stage whose
 // projection, and every upstream stage's, did not change.
 func TestCacheKeysCoverConfig(t *testing.T) {
-	observational := map[string]bool{"Ctx": true, "Tracer": true, "Parallelism": true, "CacheDir": true, "Flight": true, "KeepGoing": true}
+	observational := map[string]bool{"Ctx": true, "Tracer": true, "Parallelism": true, "CacheDir": true, "KeepGoing": true}
 	uncachedOnly := map[string]bool{"WholeProgram": true, "PreserveDataLayout": true, "SplitGCMetadata": true,
-		"CanonicalizeSequences": true, "LayoutOutlined": true, "Layout": true}
+		"CanonicalizeSequences": true, "Layout": true}
 	// Large enough that outlining rounds, closure specialization, merging
 	// and the cost model each change some artifact.
 	srcs := appgen.Sources(appgen.Generate(appgen.UberRider, appgen.ScaleForModules(appgen.UberRider, 4)))
 	base := pipeline.Config{OutlineRounds: 1, SILOutline: true, Verify: true}
 	prof, _ := collectMainProfile(t, base, srcs)
 	alts := map[string]any{
-		"Ctx": context.TODO(), "Tracer": obs.New(), "CacheDir": t.TempDir(), "Flight": cache.NewFlight(),
+		"Ctx": context.TODO(), "Tracer": obs.New(), "CacheDir": t.TempDir(),
 		"OnVerifyFailure": outline.VerifyRollbackRound, "Fault": fault.New(1, 0), "Profile": prof, "Layout": layout.C3,
 	}
 	profiled := base
-	profiled.Profile, profiled.OutlineColdOnly = prof, true
+	profiled.Profile = prof
 
 	ref := storedArtifacts(t, base, srcs)
 	fields := reflect.TypeOf(pipeline.Config{})

@@ -32,10 +32,9 @@ var flagTable = map[string]struct {
 	"cache-dir":              {"CacheDir", "content-addressed incremental build cache directory (empty = cache off); the built image is byte-identical cold or warm", nil},
 	"keep-going":             {"KeepGoing", "compile every module even after one fails, then report all failures", nil},
 	"on-verify-failure":      {"OnVerifyFailure", "outlining verifier-failure policy: abort | rollback-round | disable-outlining", nil},
-	"outline-cold-only":      {"OutlineColdOnly", "outline only cold functions: with -profile-in, never extract from a function whose entry count reaches -outline-cold-threshold", nil},
-	"outline-cold-threshold": {"OutlineColdThreshold", "entry count at which a profiled function counts as hot (0 disables cold-only gating)", nil},
-	"layout":                 {"Layout", "profile-guided function layout policy: none | c3 (needs -profile-in to take effect)", nil},
-	"profile-in": {"Profile", "execution profile from slc -profile-out, or a comma-separated list of them (shards, other entry points) merged in any order: gives outliner remarks hot/cold verdicts and feeds -layout and -outline-cold-only",
+	"outline-cold-threshold": {"OutlineColdThreshold", "outline only cold functions: with -profile-in, never extract from a function whose entry count reaches this (0 disables cold-only gating)", nil},
+	"layout":                 {"Layout", "function layout policy: none | c3 (needs -profile-in to take effect) | outlined (each outlined function after its heaviest caller)", nil},
+	"profile-in": {"Profile", "execution profile from slc -profile-out, or a comma-separated list of them (shards, other entry points) merged in any order: gives outliner remarks hot/cold verdicts and feeds -layout and -outline-cold-threshold",
 		func(f *Flags) any { return &f.profileIn }},
 	"fault-seed": {"Fault", "deterministic fault-injection schedule seed (used with -fault-rate)",
 		func(f *Flags) any { return &f.faultSeed }},

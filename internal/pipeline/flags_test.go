@@ -17,7 +17,6 @@ import (
 var codeOnlyFields = map[string]bool{
 	"SILOutline": true, "SpecializeClosures": true, "MergeFunctions": true, "FMSA": true,
 	"PreserveDataLayout": true, "SplitGCMetadata": true, "CanonicalizeSequences": true,
-	"LayoutOutlined": true, "Flight": true,
 }
 
 // parseFlags registers every row over base, parses args and resolves them.
@@ -95,7 +94,6 @@ func TestEachFlagSetsOnlyItsField(t *testing.T) {
 		{"cache-dir", dir, "CacheDir", nil},
 		{"keep-going", "true", "KeepGoing", nil},
 		{"on-verify-failure", "rollback-round", "OnVerifyFailure", nil},
-		{"outline-cold-only", "true", "OutlineColdOnly", nil},
 		{"outline-cold-threshold", "4", "OutlineColdThreshold", nil},
 		{"layout", "c3", "Layout", nil},
 		{"profile-in", prof + "," + prof, "Profile", nil},

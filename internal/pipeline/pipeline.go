@@ -21,7 +21,6 @@ import (
 
 	"outliner/internal/artifact"
 	"outliner/internal/binimg"
-	"outliner/internal/cache"
 	"outliner/internal/codegen"
 	"outliner/internal/fault"
 	"outliner/internal/frontend"
@@ -82,9 +81,6 @@ type Config struct {
 	// exposing semantically-equivalent sequences as textual matches (§VIII
 	// direction 1).
 	CanonicalizeSequences bool
-	// LayoutOutlined places outlined functions next to their heaviest
-	// caller after outlining (§VIII direction 3).
-	LayoutOutlined bool
 	// Verify runs IR and machine verifiers between stages.
 	Verify bool
 	// Parallelism bounds the workers of the parallel build stages:
@@ -108,16 +104,10 @@ type Config struct {
 	// config, and codec schema version. Empty means "cache off".
 	// Caching is strictly an accelerator: the built image is byte-identical
 	// whether a build runs cold, warm, or with no cache at all, and a
-	// damaged cache entry is treated as a miss, never an error.
+	// damaged cache entry is treated as a miss, never an error. Concurrent
+	// builds of one directory in a process share its handle's single flight
+	// (cache.Cache.Flight): a stage key they all miss is computed once.
 	CacheDir string
-	// Flight is the build farm's single-flight layer: when several concurrent
-	// builds (a compile daemon's requests) share one Flight, identical
-	// in-flight stage keys are computed once and the encoded artifact is
-	// shared; every waiter decodes a private copy. Strictly an accelerator,
-	// like the cache itself: it never changes an artifact. nil disables
-	// dedupe. Fault-armed builds ignore it (they must not share work with
-	// clean builds).
-	Flight *cache.Flight
 	// KeepGoing makes every per-task stage — parsing and lowering in both
 	// pipelines, the default pipeline's per-module codegen+outline, the
 	// whole-program per-function cleanup — run every task even after one
@@ -146,18 +136,17 @@ type Config struct {
 	// digest joins the machine stage's key, so profiled builds never collide
 	// with clean builds' cache entries.
 	Profile *profile.Profile
-	// OutlineColdOnly restricts machine outlining to cold functions
-	// (-outline-cold-only); see outline.Options.ColdOnly. Without a Profile
-	// or with OutlineColdThreshold <= 0 it gates nothing and the image is
-	// byte-identical to an unprofiled build.
-	OutlineColdOnly bool
-	// OutlineColdThreshold is the entry count at which a function counts as
-	// hot (-outline-cold-threshold).
+	// OutlineColdThreshold, when positive and a Profile is set, restricts
+	// machine outlining to cold functions: those whose entry count stays
+	// below it (-outline-cold-threshold); see outline.Options.ColdThreshold.
+	// 0 gates nothing, and the image is byte-identical to an unprofiled
+	// build.
 	OutlineColdThreshold int64
-	// Layout selects the profile-guided function-ordering policy applied to
-	// the final program before image build (-layout): layout.None (or "") or
-	// layout.C3. An active policy needs a Profile to act on and is inert
-	// without one. An unknown policy fails the build before any stage runs.
+	// Layout selects the function-ordering policy applied to the final
+	// program before image build (-layout): layout.None (or ""), layout.C3,
+	// which needs a Profile to act on and is inert without one, or
+	// layout.Outlined. An unknown policy fails the build before any stage
+	// runs.
 	Layout string
 }
 
@@ -216,7 +205,7 @@ type Result struct {
 	// Layout reports what the function-layout pass did (nil when Config.Layout
 	// was unset). PreLayoutImage is the image the program would have produced
 	// without the reorder — the "before" of a before/after PageTouch report —
-	// built only when the pass actually reordered (active policy + profile).
+	// built only when an active policy ran with a profile to score it by.
 	Layout         *layout.Stats
 	PreLayoutImage *binimg.Image
 	// Timings maps stage name to total time, derived from the tracer's
@@ -718,14 +707,14 @@ var perModule = []stage{{
 	done:   func(b *build, i int, v any) { b.parts[i] = v.(*machineCode).prog },
 	end:    func(b *build) { b.back = nil },
 	// The key is derived from the module's stored llir bytes before anything
-	// touches its body. Without a profile and with cold-only off, the cold
-	// threshold cannot change the artifact, so the projection drops it.
+	// touches its body. Without a profile the cold threshold cannot change
+	// the artifact, so the projection drops it.
 	cache: "machine",
 	reads: func(c Config) Config {
 		p := Config{MergeFunctions: c.MergeFunctions, FMSA: c.FMSA, OutlineRounds: c.OutlineRounds,
 			FlatOutlineCost: c.FlatOutlineCost, Verify: c.Verify, OnVerifyFailure: c.OnVerifyFailure, Fault: c.Fault}
-		if c.Profile != nil || c.OutlineColdOnly {
-			p.Profile, p.OutlineColdOnly, p.OutlineColdThreshold = c.Profile, c.OutlineColdOnly, c.OutlineColdThreshold
+		if c.Profile != nil {
+			p.Profile, p.OutlineColdThreshold = c.Profile, c.OutlineColdThreshold
 		}
 		return p
 	},
@@ -804,15 +793,13 @@ func outlineOptions(cfg Config) outline.Options {
 		OnVerifyFailure: cfg.OnVerifyFailure,
 		Fault:           cfg.Fault,
 		Profile:         cfg.Profile,
-		ColdOnly:        cfg.OutlineColdOnly,
 		ColdThreshold:   cfg.OutlineColdThreshold,
 	}
 }
 
 // postLink is the tail every linked program goes through, whichever front
 // half (or BuildMIR's caller) linked it: for a whole program, canonicalization
-// and repeated outlining; then outlined-function placement and profile-guided
-// layout; then the image.
+// and repeated outlining; then function layout; then the image.
 var postLink = []stage{{
 	// The outliner emits one "machine-outline" stage span per round itself,
 	// and stage totals sum them into the Timings entry.
@@ -831,19 +818,13 @@ var postLink = []stage{{
 		return err
 	},
 }, {
-	// Profile-guided function layout (internal/layout) runs last over the
-	// final program, so it sees every outlined function and its order is
-	// exactly the image's. When the pass will actually reorder, the
+	// Function layout (internal/layout) runs last over the final program, so
+	// it sees every outlined function and its order is exactly the image's.
+	// When an active policy has a profile to score the reorder with, the
 	// pre-reorder image is kept as the before/after baseline.
 	name: "layout", timing: "layout",
-	skip: func(c Config) bool { return c.Layout == "" && !c.LayoutOutlined },
+	skip: func(c Config) bool { return c.Layout == "" },
 	body: func(b *build) (err error) {
-		if b.cfg.LayoutOutlined {
-			outline.LayoutOutlined(b.prog)
-		}
-		if b.cfg.Layout == "" {
-			return nil
-		}
 		if b.cfg.Layout != layout.None && b.cfg.Profile != nil {
 			b.res.PreLayoutImage = binimg.Build(b.prog)
 		}

@@ -52,8 +52,8 @@ func TestProfileByteIdenticalAcrossParallelismAndRestarts(t *testing.T) {
 	}
 }
 
-// Cold-only gating must be inert — byte-identical output — unless all three
-// inputs are present: the flag, a profile, and a positive threshold.
+// Cold-only gating must be inert — byte-identical output — unless both its
+// inputs are present: a profile and a positive threshold.
 func TestColdOnlyGatingRequiresProfileAndThreshold(t *testing.T) {
 	srcs := cacheTestSources()
 	base := pipeline.OSize
@@ -61,18 +61,16 @@ func TestColdOnlyGatingRequiresProfileAndThreshold(t *testing.T) {
 	wantListing, _ := buildListing(t, base, "", srcs)
 	prof, _ := collectMainProfile(t, base, srcs)
 
-	flagOnly := base
-	flagOnly.OutlineColdOnly = true
-	flagOnly.OutlineColdThreshold = 1
-	if got, _ := buildListing(t, flagOnly, "", srcs); got != wantListing {
-		t.Error("-outline-cold-only with no profile changed the image")
+	thrOnly := base
+	thrOnly.OutlineColdThreshold = 1
+	if got, _ := buildListing(t, thrOnly, "", srcs); got != wantListing {
+		t.Error("-outline-cold-threshold with no profile changed the image")
 	}
 
 	zeroThr := base
-	zeroThr.OutlineColdOnly = true
 	zeroThr.Profile = prof
 	if got, _ := buildListing(t, zeroThr, "", srcs); got != wantListing {
-		t.Error("cold-only with threshold 0 changed the image")
+		t.Error("a profile with threshold 0 changed the image")
 	}
 }
 
@@ -89,7 +87,6 @@ func TestColdOnlyNeverOutlinesHot(t *testing.T) {
 	cfg := base
 	cfg.Tracer = tr
 	cfg.Profile = prof
-	cfg.OutlineColdOnly = true
 	cfg.OutlineColdThreshold = 1
 	if _, err := pipeline.Build(srcs, cfg); err != nil {
 		t.Fatalf("Build: %v", err)
@@ -132,7 +129,6 @@ func TestProfileJoinsCacheKey(t *testing.T) {
 
 	gated := base
 	gated.Profile = prof
-	gated.OutlineColdOnly = true
 	gated.OutlineColdThreshold = 2
 	_, c := buildListing(t, gated, dir, srcs)
 	if c["cache/machine/misses"] == 0 {
@@ -158,7 +154,6 @@ func TestProfiledColdOnlyColdWarmByteIdentical(t *testing.T) {
 
 	cfg := base
 	cfg.Profile = prof
-	cfg.OutlineColdOnly = true
 	cfg.OutlineColdThreshold = 1
 	dir := t.TempDir()
 	nocache, _ := buildListing(t, cfg, "", srcs)

@@ -156,44 +156,42 @@ func TestModuleKeysMatchWithoutParsing(t *testing.T) {
 }
 
 // runStage's publish gate, once for all three stages: a compute that finishes
-// after its build was cancelled is discarded unpublished, directly and under
-// a flight, and a later clean build computes and publishes normally.
+// after its build was cancelled is discarded unpublished by the flight's
+// leader, and a later clean build computes and publishes normally.
 func TestRunStageCancelledComputePublishesNothing(t *testing.T) {
 	for _, stage := range []string{"iface", "llir", "machine"} {
-		for _, flight := range []*cache.Flight{nil, cache.NewFlight()} {
-			dir := t.TempDir()
-			c, err := cache.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bc := &BuildCache{c: c, flight: flight}
-			key := cache.Key{Stage: stage, Input: "k", Schema: 1}
-			decode := func(b []byte) (string, error) { return string(b), nil }
-			encode := func(s string) []byte { return []byte(s) }
+		dir := t.TempDir()
+		c, err := cache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bc := &BuildCache{c: c}
+		key := cache.Key{Stage: stage, Input: "k", Schema: 1}
+		decode := func(b []byte) (string, error) { return string(b), nil }
+		encode := func(s string) []byte { return []byte(s) }
 
-			ctx, cancel := context.WithCancel(context.Background())
-			_, err = runStage(ctx, bc, nil, key, nil, decode, func() (string, error) {
-				cancel() // the build is cancelled while the stage computes
-				return "artifact", nil
-			}, encode)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s: cancelled compute returned %v, want context.Canceled", stage, err)
-			}
-			if ents, _ := filepath.Glob(filepath.Join(dir, "*.art")); len(ents) != 0 {
-				t.Fatalf("%s: cancelled compute published %v", stage, ents)
-			}
-			if _, ok := c.Get(key); ok {
-				t.Fatalf("%s: cancelled compute reached the memory tier", stage)
-			}
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err = runStage(ctx, bc, nil, key, nil, decode, func() (string, error) {
+			cancel() // the build is cancelled while the stage computes
+			return "artifact", nil
+		}, encode)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled compute returned %v, want context.Canceled", stage, err)
+		}
+		if ents, _ := filepath.Glob(filepath.Join(dir, "*.art")); len(ents) != 0 {
+			t.Fatalf("%s: cancelled compute published %v", stage, ents)
+		}
+		if _, ok := c.Get(key); ok {
+			t.Fatalf("%s: cancelled compute reached the memory tier", stage)
+		}
 
-			got, err := runStage(context.Background(), bc, nil, key, nil, decode,
-				func() (string, error) { return "artifact", nil }, encode)
-			if err != nil || got != "artifact" {
-				t.Fatalf("%s: clean compute = %q, %v", stage, got, err)
-			}
-			if data, ok := c.Get(key); !ok || string(data) != "artifact" {
-				t.Fatalf("%s: clean compute did not publish", stage)
-			}
+		got, err := runStage(context.Background(), bc, nil, key, nil, decode,
+			func() (string, error) { return "artifact", nil }, encode)
+		if err != nil || got != "artifact" {
+			t.Fatalf("%s: clean compute = %q, %v", stage, got, err)
+		}
+		if data, ok := c.Get(key); !ok || string(data) != "artifact" {
+			t.Fatalf("%s: clean compute did not publish", stage)
 		}
 	}
 }
@@ -242,36 +240,33 @@ func TestPreviousSchemaEntriesAreNeverProbed(t *testing.T) {
 	}
 }
 
-// An entry the decoder rejects is computed afresh and published over, in
-// service mode too: the flight's re-probe must not hand the damaged bytes
-// straight back.
+// An entry the decoder rejects is computed afresh and published over: the
+// flight's re-probe must not hand the damaged bytes straight back.
 func TestRunStageRepublishesOverUndecodableEntry(t *testing.T) {
-	for _, flight := range []*cache.Flight{nil, cache.NewFlight()} {
-		c, err := cache.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		bc := &BuildCache{c: c, flight: flight}
-		key := cache.Key{Stage: "llir", Input: "k", Schema: 1}
-		c.Put(key, []byte("damaged"))
-		tr := obs.New()
-		got, err := runStage(context.Background(), bc, tr, key, nil,
-			func(b []byte) (string, error) {
-				if string(b) == "damaged" {
-					return "", errors.New("undecodable")
-				}
-				return string(b), nil
-			},
-			func() (string, error) { return "sound", nil },
-			func(s string) []byte { return []byte(s) })
-		if err != nil || got != "sound" {
-			t.Fatalf("runStage = %q, %v", got, err)
-		}
-		if data, _ := c.Get(key); string(data) != "sound" {
-			t.Fatalf("flight=%v: the damaged entry was not published over: %q", flight != nil, data)
-		}
-		if tr.Counter("cache/corrupt") != 1 || tr.Counter("cache/stores") != 1 {
-			t.Fatalf("counters: %+v", tr.Counters())
-		}
+	c, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := &BuildCache{c: c}
+	key := cache.Key{Stage: "llir", Input: "k", Schema: 1}
+	c.Put(key, []byte("damaged"))
+	tr := obs.New()
+	got, err := runStage(context.Background(), bc, tr, key, nil,
+		func(b []byte) (string, error) {
+			if string(b) == "damaged" {
+				return "", errors.New("undecodable")
+			}
+			return string(b), nil
+		},
+		func() (string, error) { return "sound", nil },
+		func(s string) []byte { return []byte(s) })
+	if err != nil || got != "sound" {
+		t.Fatalf("runStage = %q, %v", got, err)
+	}
+	if data, _ := c.Get(key); string(data) != "sound" {
+		t.Fatalf("the damaged entry was not published over: %q", data)
+	}
+	if tr.Counter("cache/corrupt") != 1 || tr.Counter("cache/stores") != 1 {
+		t.Fatalf("counters: %+v", tr.Counters())
 	}
 }

@@ -155,24 +155,6 @@ func Merged(ps ...*Profile) *Profile {
 	return out
 }
 
-// Hot returns the set of function names at or above the entry-count
-// threshold — the functions cold-only outlining must not touch. A threshold
-// <= 0 disables classification entirely (nil result: nothing is hot), which
-// is what makes `-outline-cold-only -outline-cold-threshold 0` build
-// byte-identically to an ungated build.
-func (p *Profile) Hot(threshold int64) map[string]bool {
-	if p == nil || threshold <= 0 {
-		return nil
-	}
-	hot := make(map[string]bool)
-	for name, f := range p.Funcs {
-		if f.Entries >= threshold {
-			hot[name] = true
-		}
-	}
-	return hot
-}
-
 // FuncStat is one row of the hot-function report.
 type FuncStat struct {
 	Name    string

@@ -126,20 +126,25 @@ func TestDecodeHostileInput(t *testing.T) {
 	}
 }
 
+// The hot report counts a function hot from the threshold up; a threshold
+// that is not positive counts as 1, the outliner's remark boundary.
 func TestHotThreshold(t *testing.T) {
 	p := New()
 	p.Func("hot").Entries = 100
 	p.Func("warm").Entries = 10
 	p.Func("cold").Entries = 1
-	hot := p.Hot(10)
-	if !hot["hot"] || !hot["warm"] || hot["cold"] {
-		t.Fatalf("Hot(10) = %v", hot)
-	}
-	if p.Hot(0) != nil || p.Hot(-1) != nil {
-		t.Fatal("non-positive threshold must disable classification")
+	p.Func("dead")
+	for thr, want := range map[int64]string{10: "2 hot at threshold 10", 0: "3 hot at threshold 1", -1: "3 hot at threshold 1"} {
+		var sb strings.Builder
+		if err := WriteHotReport(&sb, p, 1, thr); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("threshold %d: report %q lacks %q", thr, sb.String(), want)
+		}
 	}
 	var nilp *Profile
-	if nilp.Hot(10) != nil || nilp.Count("x") != 0 {
+	if nilp.Count("x") != 0 {
 		t.Fatal("nil profile must be inert")
 	}
 }

@@ -37,8 +37,8 @@ type BuildConfig struct {
 	OnVerifyFailure string `json:"on_verify_failure,omitempty"`
 	// FaultSeed/FaultRate arm deterministic fault injection for this request
 	// only (chaos drills against a live daemon). A fault-armed request builds
-	// on a private cache handle with no flight or remote tier — injected
-	// damage must never leak into concurrent clean builds.
+	// on a private cache handle with its own flight and no remote tier —
+	// injected damage must never leak into concurrent clean builds.
 	FaultSeed uint64  `json:"fault_seed,omitempty"`
 	FaultRate float64 `json:"fault_rate,omitempty"`
 	// FaultDisruptive additionally admits the disruptive fault kinds (hung
@@ -51,9 +51,9 @@ type BuildConfig struct {
 	// cancelled mid-stage and the response reports error_class "deadline".
 	// 0 means no per-request cap.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Layout selects the profile-guided function-layout policy ("none" or
-	// "c3"); Profile carries the execution profile feeding it (and
-	// cold-only outlining), in the canonical encoding profile.Encode emits.
+	// Layout selects the function-layout policy ("none", "c3" or
+	// "outlined"); Profile carries the execution profile c3 reads, in the
+	// canonical encoding profile.Encode emits.
 	// The profile travels in the request — the farm has no filesystem view of
 	// the client's instrumented runs.
 	Layout  string `json:"layout,omitempty"`
@@ -102,7 +102,7 @@ type BuildResponse struct {
 }
 
 // pipelineConfig lowers the request config onto a pipeline.Config, leaving
-// the daemon-owned fields (Tracer, CacheDir, Flight, Parallelism) for the
+// the daemon-owned fields (Tracer, CacheDir, Parallelism) for the
 // server to fill in. The outlining mode and layout policy are checked by
 // pipeline.Build, before any stage runs.
 func (c BuildConfig) pipelineConfig() (pipeline.Config, error) {

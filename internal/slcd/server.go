@@ -4,14 +4,14 @@
 //
 // What makes it a build-farm service rather than a loop around pipeline.Build:
 //
-//   - Single-flight dedupe. All requests share one cache.Flight, so identical
-//     in-flight stage keys — the common case when a fleet of CI jobs submits
-//     the same commit — are compiled once and the encoded artifact is shared;
-//     every waiter decodes a private copy.
 //   - A shared warm path. All requests share the daemon's cache directory
 //     (the process-shared cache.Shared handle) and, when configured, a
 //     sharded remote tier, so one request's publications are the next
 //     request's hits.
+//   - Single-flight dedupe. The shared handle's flight (cache.Cache.Flight)
+//     compiles identical in-flight stage keys — the common case when a fleet
+//     of CI jobs submits the same commit — once and shares the encoded
+//     artifact; every waiter decodes a private copy.
 //   - Degraded modes, not failures. A dead or corrupt remote shard degrades
 //     to a miss under the cache's retry policy (and a persistently dead
 //     shard trips its circuit breaker, so the farm stops paying its timeout);
@@ -55,9 +55,8 @@ const maxRequestBody = 64 << 20
 // Options configures a daemon.
 type Options struct {
 	// CacheDir is the daemon's build cache directory. Empty disables caching
-	// (and with it the single-flight layer's warm path, though dedupe of
-	// in-flight work still applies when a cache exists; with no cache at all
-	// the daemon still builds, just without reuse).
+	// and with it the single-flight layer, which lives on the cache handle;
+	// with no cache at all the daemon still builds, just without reuse.
 	CacheDir string
 	// ShardURLs are the remote cache shard base URLs (cache.NewRemoteWith).
 	// Empty means no remote tier.
@@ -90,9 +89,11 @@ type Options struct {
 // Server is the daemon state shared across requests.
 type Server struct {
 	opts   Options
-	flight *cache.Flight
 	remote *cache.Remote
-	shared *cache.Cache // the handle remote is attached to; nil without one
+	// shared is the process-shared handle of CacheDir, which clean requests
+	// build on: it carries the remote tier and the single flight. nil without
+	// a usable cache directory.
+	shared *cache.Cache
 	sem    chan struct{}
 
 	// Admission and drain state. queued/running are gauges read by Snapshot;
@@ -124,8 +125,7 @@ func NewServer(opts Options) *Server {
 	}
 	hardCtx, hardCancel := context.WithCancel(context.Background())
 	s := &Server{
-		opts:   opts,
-		flight: cache.NewFlight(),
+		opts: opts,
 		remote: cache.NewRemoteWith(opts.ShardURLs, cache.RemoteOptions{
 			Timeout:          opts.RemoteTimeout,
 			BreakerThreshold: opts.BreakerThreshold,
@@ -139,11 +139,11 @@ func NewServer(opts Options) *Server {
 	}
 	// Clean requests build on the process-shared handle, so the remote tier
 	// goes there; an unusable directory is left for the first build to report.
-	if opts.CacheDir != "" && s.remote != nil {
-		if c, err := cache.Shared(opts.CacheDir); err == nil {
-			c.SetRemote(s.remote)
-			s.shared = c
-		}
+	if opts.CacheDir != "" {
+		s.shared, _ = cache.Shared(opts.CacheDir)
+	}
+	if s.remote != nil {
+		s.shared.SetRemote(s.remote)
 	}
 	return s
 }
@@ -152,7 +152,9 @@ func NewServer(opts Options) *Server {
 // the shared cache handle and stops its breaker prober. Safe to call more
 // than once and on a nil-remote daemon.
 func (s *Server) Close() {
-	s.shared.SetRemote(nil)
+	if s.remote != nil {
+		s.shared.SetRemote(nil)
+	}
 	s.remote.Close()
 	s.hardCancel()
 }
@@ -278,10 +280,10 @@ func (s *Server) BuildCtx(ctx context.Context, req *BuildRequest) *BuildResponse
 	cfg.Ctx = bctx
 	cfg.Tracer = tr
 	cfg.Parallelism = s.opts.Parallelism
+	// The shared accelerators come with the cache handle. A fault-armed
+	// request builds on a private handle, with neither the remote tier nor
+	// the shared flight.
 	cfg.CacheDir = s.opts.CacheDir
-	// The shared accelerator. A fault-armed request ignores it and builds on
-	// a private cache handle, which has no remote tier either.
-	cfg.Flight = s.flight
 
 	res, berr := pipeline.Build(req.sources(), cfg)
 	resp := &BuildResponse{Counters: tr.Counters()}
@@ -393,8 +395,9 @@ type Stats struct {
 	// RemoteTimeoutMS is the effective per-operation remote shard timeout
 	// (0 when no remote tier is configured).
 	RemoteTimeoutMS int64 `json:"remote_timeout_ms"`
-	// FlightExecs/FlightWaits are the single-flight layer's lifetime totals:
-	// closures executed vs. callers that shared a leader's result.
+	// FlightExecs/FlightWaits are the shared cache handle's single-flight
+	// lifetime totals: closures executed vs. callers that shared a leader's
+	// result. Both 0 without a cache directory.
 	FlightExecs int64 `json:"flight_execs"`
 	FlightWaits int64 `json:"flight_waits"`
 	// Counters aggregates every completed request's counters and the
@@ -406,7 +409,10 @@ type Stats struct {
 
 // Snapshot returns the daemon aggregates.
 func (s *Server) Snapshot() Stats {
-	execs, waits := s.flight.Stats()
+	var execs, waits int64
+	if s.shared != nil {
+		execs, waits = s.shared.Flight().Stats()
+	}
 	state := "serving"
 	if s.draining.Load() {
 		state = "draining"

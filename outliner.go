@@ -28,6 +28,7 @@ import (
 	"fmt"
 
 	"outliner/internal/exec"
+	"outliner/internal/layout"
 	"outliner/internal/llir"
 	"outliner/internal/mir"
 	"outliner/internal/obs"
@@ -65,7 +66,8 @@ type Options struct {
 	SplitGCMetadata    bool
 	// CanonicalizeSequences and LayoutOutlined enable the §VIII future-work
 	// extensions: canonical commutative operand order before outlining, and
-	// caller-adjacent placement of outlined functions after it.
+	// caller-adjacent placement of outlined functions after it (the layout
+	// policy "outlined").
 	CanonicalizeSequences bool
 	LayoutOutlined        bool
 	// Tracer, when non-nil, collects build telemetry: stage spans (Chrome
@@ -119,7 +121,7 @@ func DefaultPipeline() Options {
 }
 
 func (o Options) toConfig() pipeline.Config {
-	return pipeline.Config{
+	cfg := pipeline.Config{
 		WholeProgram:          o.WholeProgram,
 		OutlineRounds:         o.OutlineRounds,
 		SILOutline:            o.SILOutline,
@@ -129,10 +131,13 @@ func (o Options) toConfig() pipeline.Config {
 		PreserveDataLayout:    o.PreserveDataLayout,
 		SplitGCMetadata:       o.SplitGCMetadata,
 		CanonicalizeSequences: o.CanonicalizeSequences,
-		LayoutOutlined:        o.LayoutOutlined,
 		Verify:                true,
 		Tracer:                o.Tracer,
 	}
+	if o.LayoutOutlined {
+		cfg.Layout = layout.Outlined
+	}
+	return cfg
 }
 
 // RoundStats reports one outlining round.
