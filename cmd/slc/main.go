@@ -97,13 +97,21 @@ func main() {
 		fatal(err)
 	}
 	res, err := pipeline.Build(sources, cfg)
-	if err = build.Finish(err); err != nil {
-		fatal(err)
+	if err != nil {
+		fatal(build.Finish(err))
 	}
+	// The telemetry the flags asked for is written on the way out, so it
+	// holds the run's counters too; fail writes it before a failure exits.
+	defer func() {
+		if err := build.Finish(nil); err != nil {
+			fatal(err)
+		}
+	}()
+	fail := func(err error) { fatal(build.Finish(err)) }
 	if prof := cfg.Profile; build.Summary() && prof != nil {
 		fmt.Fprintln(os.Stderr)
 		if err := profile.WriteHotReport(os.Stderr, prof, 10, cfg.OutlineColdThreshold); err != nil {
-			fatal(err)
+			fail(err)
 		}
 		// Report the layout metric at every device page size (4 KiB and
 		// 16 KiB in the current grid), with a before/after pair when the
@@ -123,13 +131,13 @@ func main() {
 	if *outFile != "" {
 		f, err := os.Create(*outFile)
 		if err != nil {
-			fatal(err)
+			fail(err)
 		}
 		if err := res.WriteImageListing(f); err != nil {
-			fatal(err)
+			fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			fail(err)
 		}
 	}
 
@@ -148,7 +156,7 @@ func main() {
 		parsed := make([][]*frontend.File, len(sources))
 		for i, src := range sources {
 			if parsed[i], err = pipeline.ParseSource(src); err != nil {
-				fatal(err)
+				fail(err)
 			}
 		}
 		ix := frontend.NewImportsIndex(parsed...)
@@ -160,13 +168,13 @@ func main() {
 				ir, err = pipeline.CompileToLLIR(src, cfg, ix.For(i))
 			}
 			if err != nil {
-				fatal(err)
+				fail(err)
 			}
 			fmt.Print(ir.String())
 		}
 	case "mir":
 		if _, err := res.Prog.WriteTo(os.Stdout); err != nil {
-			fatal(err)
+			fail(err)
 		}
 	case "sizes":
 		fmt.Println(res.Image.Summary())
@@ -184,7 +192,7 @@ func main() {
 		}
 	case "":
 	default:
-		fatal(fmt.Errorf("unknown -emit kind %q", *emit))
+		fail(fmt.Errorf("unknown -emit kind %q", *emit))
 	}
 
 	if !*run {
@@ -199,19 +207,19 @@ func main() {
 	}
 	m, err := exec.New(res.Prog, exec.Options{MaxSteps: *maxSteps, Profile: col})
 	if err != nil {
-		fatal(err)
+		fail(err)
 	}
 	out, err := m.Run(*entry)
 	fmt.Print(out)
-	if err != nil {
-		fatal(err)
-	}
 	st := m.Stats()
 	st.EmitCounters(cfg.Tracer)
+	if err != nil {
+		fail(err)
+	}
 	if col != nil {
 		p := col.Profile()
 		if err := p.WriteFile(*profOut); err != nil {
-			fatal(err)
+			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote execution profile %s (digest %s, %d functions)\n",
 			*profOut, p.Digest(), len(p.Funcs))

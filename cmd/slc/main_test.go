@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -122,5 +124,59 @@ func main() {
 	}
 	if string(got) != want.String() {
 		t.Fatalf("slc -emit llir:\n%s\nwant the linked modules' LLIR:\n%s", got, want.String())
+	}
+}
+
+// -run's exec/* counters reach -counters: the telemetry is written after the
+// run, and a failed build still writes it.
+func TestRunCountersReachTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	slc := func(args ...string) (string, error) {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "SLC_TEST_MAIN=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		_, err := cmd.Output()
+		return stderr.String(), err
+	}
+	counters := func(path string) map[string]int64 {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c map[string]int64
+		if err := json.Unmarshal(data, &c); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	ran := filepath.Join(dir, "run.json")
+	stderr, err := slc("-run", "-counters", ran, "-summary", "../../testdata/benchmarks/bfs.sl")
+	if err != nil {
+		t.Fatalf("slc -run: %v\n%s", err, stderr)
+	}
+	var steps int64
+	if _, err := fmt.Sscanf(stderr[strings.Index(stderr, "executed "):], "executed %d instructions", &steps); err != nil {
+		t.Fatalf("no executed-instructions line: %v\n%s", err, stderr)
+	}
+	if got := counters(ran)["exec/steps"]; got != steps {
+		t.Errorf("exec/steps = %d, the run executed %d instructions", got, steps)
+	}
+	if !strings.Contains(stderr, "exec/steps") {
+		t.Error("-summary does not show exec/steps")
+	}
+
+	bad := filepath.Join(dir, "bad.sl")
+	if err := os.WriteFile(bad, []byte("func main( {\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	failed := filepath.Join(dir, "failed.json")
+	if _, err := slc("-run", "-counters", failed, bad); err == nil {
+		t.Fatal("slc built a source that does not parse")
+	}
+	if got := counters(failed)["frontend/modules_parsed"]; got != 1 {
+		t.Errorf("the failed build's frontend/modules_parsed = %d, want 1", got)
 	}
 }

@@ -1,14 +1,58 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"outliner/internal/profile"
 )
+
+// TestMain runs slcd's main instead of the tests when SLCD_TEST_MAIN is set,
+// so a test can drive the command through its own binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("SLCD_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// Every flag README's serve-mode table documents is one slcd registers.
+func TestDocumentedServeFlagsExist(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "| Flag (serve mode) |")
+	if !ok {
+		t.Fatal("README has no serve-mode flag table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	rows := regexp.MustCompile("(?m)^\\| `(-[a-z-]+)`").FindAllStringSubmatch(table, -1)
+	if len(rows) == 0 {
+		t.Fatal("README's serve-mode flag table has no flag rows")
+	}
+
+	cmd := exec.Command(os.Args[0], "-h")
+	cmd.Env = append(os.Environ(), "SLCD_TEST_MAIN=1")
+	var usage bytes.Buffer
+	cmd.Stderr = &usage
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("slcd -h: %v\n%s", err, usage.String())
+	}
+	for _, row := range rows {
+		if !regexp.MustCompile("(?m)^  " + row[1] + "( |$)").Match(usage.Bytes()) {
+			t.Errorf("README documents %s, which slcd does not register", row[1])
+		}
+	}
+}
 
 // TestClientRequestDefaults pins the request JSON a client posts, and the
 // daemon-side knobs serve mode reads from the same flags.

@@ -56,17 +56,10 @@ type enc struct{ b []byte }
 // exactly sized copy (done).
 var encPool = sync.Pool{New: func() any { return new(enc) }}
 
-// getEnc returns an empty encoder from the pool.
-func getEnc() *enc {
-	e := encPool.Get().(*enc)
-	e.b = e.b[:0]
-	return e
-}
-
 // newEnc returns a pooled encoder holding the header of a kind artifact.
 func newEnc(kind byte) *enc {
-	e := getEnc()
-	e.b = append(e.b, magic[0], magic[1], magic[2], byte(SchemaVersion), kind)
+	e := encPool.Get().(*enc)
+	e.b = append(e.b[:0], magic[0], magic[1], magic[2], byte(SchemaVersion), kind)
 	return e
 }
 
@@ -392,15 +385,6 @@ func EncodeMachine(p *mir.Program, st *outline.Stats) []byte {
 			e.i(int64(r.BytesSaved))
 		}
 	}
-	return e.done()
-}
-
-// EncodeProgram returns the program section of p's machine artifact: the
-// canonical encoding EncodeMachine writes after the header, so identical
-// programs give identical bytes.
-func EncodeProgram(p *mir.Program) []byte {
-	e := getEnc()
-	e.program(p)
 	return e.done()
 }
 

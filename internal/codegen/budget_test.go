@@ -44,7 +44,7 @@ func TestAllocBudgetCompile(t *testing.T) {
 	m := fixture(t)
 	compile := func(tr *obs.Tracer) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, err := codegen.CompileTraced(m, 1, tr, 0, nil); err != nil {
+			if _, err := new(codegen.Compiler).Compile(m, 1, tr, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

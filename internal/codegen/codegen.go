@@ -34,20 +34,7 @@ import (
 // read only their own cloned function), and the results are appended in
 // module order, so the machine program is identical for any worker count.
 func CompileWith(m *llir.Module, parallelism int) (*mir.Program, error) {
-	return CompileTraced(m, parallelism, nil, 0, nil)
-}
-
-// CompileTraced is CompileWith with telemetry and fault injection: the
-// functions-compiled counter, and (when the tracer collects fine spans) one
-// span per function on trace lane baseLane+worker. The caller picks baseLane
-// so spans land on the track of whichever pool is running: the whole-program
-// pipeline passes 1 (its codegen workers are lanes 1..p), the default
-// pipeline's per-module workers pass their own lane (their inner codegen is
-// serial). inj (nil to disable) arms a per-function CodegenFunc panic point,
-// keyed by function name; the worker pool recovers it into a structured
-// *par.PanicError.
-func CompileTraced(m *llir.Module, parallelism int, tr *obs.Tracer, baseLane int, inj *fault.Injector) (*mir.Program, error) {
-	return new(Compiler).Compile(m, parallelism, tr, baseLane, inj)
+	return new(Compiler).Compile(m, parallelism, nil, 0, nil)
 }
 
 // Compiler compiles one module after another, the way a worker lane of a
@@ -64,7 +51,15 @@ type Compiler struct {
 	lanes []scratch
 }
 
-// Compile compiles m as CompileTraced does.
+// Compile compiles m as CompileWith does, with telemetry and fault injection:
+// the functions-compiled counter, and (when the tracer collects fine spans)
+// one span per function on trace lane baseLane+worker. The caller picks
+// baseLane so spans land on the track of whichever pool is running: the
+// whole-program pipeline passes 1 (its codegen workers are lanes 1..p), the
+// default pipeline's per-module workers pass their own lane (their inner
+// codegen is serial). inj (nil to disable) arms a per-function CodegenFunc
+// panic point, keyed by function name; the worker pool recovers it into a
+// structured *par.PanicError.
 func (c *Compiler) Compile(m *llir.Module, parallelism int, tr *obs.Tracer, baseLane int, inj *fault.Injector) (*mir.Program, error) {
 	if n := par.Workers(parallelism, len(m.Funcs)); len(c.lanes) < n {
 		c.lanes = append(c.lanes, make([]scratch, n-len(c.lanes))...)

@@ -832,13 +832,3 @@ func (m *Machine) runtimeCall(addr int64) (int64, error) {
 	}
 	return m.regs[isa.LR], nil
 }
-
-// Describe returns "func+offset" for a code address (debugging aid).
-func (m *Machine) Describe(addr int64) string {
-	idx, err := m.addrIndex(addr)
-	if err != nil {
-		return fmt.Sprintf("%#x(?)", addr)
-	}
-	ci := m.code[idx]
-	return fmt.Sprintf("%s: %s", m.prog.Funcs[ci.fn].Name, ci.in)
-}

@@ -391,27 +391,6 @@ entry:
 	}
 }
 
-// Describe renders "func: inst" for tracebacks — §VI-4's
-// OUTLINED_FUNCTION_* debugging story depends on outlined frames being
-// identifiable by name.
-func TestDescribe(t *testing.T) {
-	m := machine(t, `
-func @OUTLINED_FUNCTION_0 outlined {
-entry:
-  MOVZXi $x0, #1
-  RET
-}
-`)
-	// The function's entry address is codeBase.
-	d := m.Describe(1 << 36)
-	if !strings.Contains(d, "OUTLINED_FUNCTION_0") || !strings.Contains(d, "MOVZXi") {
-		t.Errorf("Describe = %q", d)
-	}
-	if !strings.Contains(m.Describe(12345), "?") {
-		t.Error("non-code address must render as unknown")
-	}
-}
-
 // Interpreter errors inside outlined functions carry the outlined name —
 // the misleading-traceback experience of §VI-4.
 func TestOutlinedNameInTraceback(t *testing.T) {

@@ -176,6 +176,13 @@ func optimizedConfig() pipeline.Config {
 	return cfg
 }
 
+// noDedupConfig is the whole-program pipeline with every deduplication pass
+// off: Table I's reference build, and the base the generality subjects are
+// outlined from.
+func noDedupConfig() pipeline.Config {
+	return pipeline.Config{WholeProgram: true, SplitGCMetadata: true, PreserveDataLayout: true, Parallelism: Parallelism}
+}
+
 // percent formats a fraction as a percentage string.
 func percent(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
 

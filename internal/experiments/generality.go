@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"outliner/internal/appgen"
-	"outliner/internal/outline"
 	"outliner/internal/pipeline"
 )
 
@@ -61,13 +60,11 @@ func RunGenerality(w io.Writer, scale float64) (*GeneralityResult, error) {
 	for _, m := range clangMods {
 		sources = append(sources, pipeline.Source{Name: m.Name, Files: m.Files})
 	}
-	baseCfg := pipeline.Config{WholeProgram: true, SplitGCMetadata: true, PreserveDataLayout: true, Parallelism: Parallelism}
-	optCfg := optimizedConfig()
-	cb, err := pipeline.Build(sources, baseCfg)
+	cb, err := pipeline.Build(sources, noDedupConfig())
 	if err != nil {
 		return nil, fmt.Errorf("clang-like base: %w", err)
 	}
-	co, err := pipeline.Build(sources, optCfg)
+	co, err := pipeline.Build(sources, optimizedConfig())
 	if err != nil {
 		return nil, fmt.Errorf("clang-like opt: %w", err)
 	}
@@ -77,17 +74,19 @@ func RunGenerality(w io.Writer, scale float64) (*GeneralityResult, error) {
 		PaperPct:  "25%",
 	})
 
-	// Kernel-like machine program: the outliner runs directly on MIR (the
-	// artifact used prebuilt bitcode the same way).
+	// Kernel-like machine program: the post-link tail runs directly on MIR
+	// (the artifact used prebuilt bitcode the same way).
 	kb := appgen.GenerateKernelLike(777, int(220*scale)+40)
 	baseSize := kb.CodeSize()
-	if _, err := outline.Outline(kb, outline.Options{Rounds: 5, Verify: true,
-		ExternSyms: map[string]bool{}}); err != nil {
+	kernelCfg := noDedupConfig()
+	kernelCfg.OutlineRounds, kernelCfg.Verify = 5, true
+	ko, err := pipeline.BuildMIR(kb, kernelCfg)
+	if err != nil {
 		return nil, fmt.Errorf("kernel-like outline: %w", err)
 	}
 	res.Rows = append(res.Rows, GeneralityRow{
-		Subject: "kernel-like", BaseCode: baseSize, OptCode: kb.CodeSize(),
-		SavingPct: (1 - float64(kb.CodeSize())/float64(baseSize)) * 100,
+		Subject: "kernel-like", BaseCode: baseSize, OptCode: ko.CodeSize(),
+		SavingPct: (1 - float64(ko.CodeSize())/float64(baseSize)) * 100,
 		PaperPct:  "14%",
 	})
 

@@ -31,7 +31,7 @@ func RunTable1(w io.Writer, scale float64) (*Table1Result, error) {
 	res := &Table1Result{}
 
 	// Reference build: whole-program pipeline, no dedup passes at all.
-	off := pipeline.Config{WholeProgram: true, SplitGCMetadata: true, PreserveDataLayout: true, Parallelism: Parallelism}
+	off := noDedupConfig()
 	ref, err := appgen.BuildApp(appgen.UberRider, scale, off)
 	if err != nil {
 		return nil, err

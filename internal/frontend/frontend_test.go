@@ -474,7 +474,7 @@ func TestSemaImportVisibility(t *testing.T) {
 class Box { var v: Int }
 func open(b: Box) -> Int { return b.v }
 `)
-	imports := NewImports(libFile)
+	imports := NewImportsIndex([]*File{libFile}).For(-1)
 	appFile := parse(t, `
 func main() {
   let b = Box(v: 7)

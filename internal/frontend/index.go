@@ -1,8 +1,8 @@
 package frontend
 
 // ImportsIndex precomputes one build's worth of cross-module import sets.
-// Building per-module import sets with NewImports walks every other module's
-// declarations once per importer — O(modules²) map inserts, which dominates
+// Building each module's import set from the other modules' declarations
+// would walk them once per importer — O(modules²) map inserts, which dominates
 // warm builds at paper scale (476 modules). The index walks every declaration
 // exactly once and hands each module a view that shares the underlying maps,
 // hiding the module's own declarations by owner tag.
@@ -11,10 +11,9 @@ package frontend
 // module's AST, so a module's parsed files can be type-checked while other
 // modules import it.
 //
-// Cross-module duplicate top-level names are not meaningfully supported by
-// either construction (the checker rejects duplicate classes, and duplicate
-// functions would collide at link time); both resolve to the
-// latest-module-wins entry.
+// Cross-module duplicate top-level names are not meaningfully supported (the
+// checker rejects duplicate classes, and duplicate functions would collide at
+// link time); the index resolves them to the latest-module-wins entry.
 type ImportsIndex struct {
 	classes    map[string]*ClassDecl
 	funcs      map[string]*FuncDecl

@@ -26,18 +26,11 @@ type Imports struct {
 
 	// Views handed out by ImportsIndex.For share the maps of the whole-build
 	// index; owner tags hide the viewing module's own declarations (exclude is
-	// -1, matching no owner, for sets built by NewImports). Sets assembled by
-	// hand leave all three zero: no exclusion.
+	// -1, matching no owner, for a view of no module). Sets assembled by hand
+	// leave all three zero: no exclusion.
 	classOwner map[string]int
 	funcOwner  map[string]int
 	exclude    int
-}
-
-// NewImports builds an import set from previously parsed modules' files. Like
-// every import set it exposes stub declarations (see Stub), never the files'
-// own AST nodes.
-func NewImports(files ...*File) *Imports {
-	return NewStubIndex(NewStub(files...)).For(-1) // no module to hide
 }
 
 // ensureMemberwiseInit synthesizes the memberwise initializer if the class

@@ -263,6 +263,3 @@ func (in Inst) String() string {
 // These moves, materializing calling conventions before calls, are the most
 // frequently repeated machine pattern the paper observes (Listings 1-6).
 func MoveRR(rd, rm Reg) Inst { return Inst{Op: ORRrs, Rd: rd, Rn: XZR, Rm: rm} }
-
-// IsMoveRR reports whether in is a canonical register move.
-func (in Inst) IsMoveRR() bool { return in.Op == ORRrs && in.Rn == XZR }

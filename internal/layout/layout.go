@@ -67,19 +67,9 @@ type Options struct {
 	// evidence to reorder on), mirroring how cold-only outlining gating
 	// degrades without a profile. Outlined does not read it.
 	Profile *profile.Profile
-	// PageSize caps a C3 cluster's byte size (functions merged past one page
-	// cannot share it anyway — Codestitcher's rule). 0 means binimg.PageSize.
-	PageSize int
 	// Tracer receives layout/* counters and one "function-layout" remark per
 	// cluster-merge decision. Strictly observational.
 	Tracer *obs.Tracer
-}
-
-func (o Options) pageSize() int {
-	if o.PageSize > 0 {
-		return o.PageSize
-	}
-	return binimg.PageSize
 }
 
 // Stats summarizes what one Apply call did.
@@ -163,7 +153,7 @@ type cluster struct {
 // Final emission orders clusters by descending weight, original position on
 // ties — so unprofiled (weight-0) clusters keep their relative source order.
 func c3Order(prog *mir.Program, opts Options, st *Stats) []*mir.Function {
-	p, cap, tr := opts.Profile, opts.pageSize(), opts.Tracer
+	p, tr := opts.Profile, opts.Tracer
 	index := make(map[string]int, len(prog.Funcs))
 	for i, f := range prog.Funcs {
 		index[f.Name] = i
@@ -239,7 +229,7 @@ func c3Order(prog *mir.Program, opts Options, st *Stats) []*mir.Function {
 		if cb.funcs[0] != e.callee {
 			continue // callee already glued behind a hotter caller
 		}
-		if ca.bytes+cb.bytes > cap {
+		if ca.bytes+cb.bytes > binimg.PageSize {
 			st.CapRejects++
 			decisions = append(decisions, decision{edge: e, cluster: ca.min, reason: "cluster-cap"})
 			continue
@@ -283,7 +273,7 @@ func c3Order(prog *mir.Program, opts Options, st *Stats) []*mir.Function {
 	pageOf := make(map[string]int, len(order))
 	addr := 0
 	for _, f := range order {
-		pageOf[f.Name] = addr / cap
+		pageOf[f.Name] = addr / binimg.PageSize
 		addr += f.CodeSize()
 	}
 	recs := make([]obs.Remark, 0, len(decisions))

@@ -204,7 +204,7 @@ func TestC3ClusterCap(t *testing.T) {
 	var b strings.Builder
 	for _, name := range []string{"big1", "big2"} {
 		b.WriteString("func @" + name + " module \"M\" {\nentry:\n")
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 599; i++ {
 			b.WriteString("  MOVZXi $x0, #1\n")
 		}
 		b.WriteString("  RET\n}\n\n")
@@ -219,10 +219,10 @@ func TestC3ClusterCap(t *testing.T) {
 	f.Calls = map[string]int64{profile.EdgeKey("big2", 4): 99}
 	prof.Func("big2").Entries = 9
 
-	// Each function is 44 bytes; a 64-byte cap admits either alone but not
+	// Each function is 2400 bytes; a 4 KiB page admits either alone but not
 	// the pair, so the single candidate merge must be rejected.
 	tr := obs.New()
-	st, err := Apply(p, Options{Policy: C3, Profile: prof, PageSize: 64, Tracer: tr})
+	st, err := Apply(p, Options{Policy: C3, Profile: prof, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,14 +11,10 @@
 // influences compilation, so builds are byte-identical with telemetry on,
 // off, or absent (a nil *Tracer is a valid no-op receiver for every method).
 //
-// Three collection levels exist:
+// Two collection levels exist:
 //
-//   - nil *Tracer: every method is a no-op.
-//   - Ensure(nil): a timing-only collector. Stage spans are recorded (they
-//     are how pipeline.Result.Timings is derived) but worker spans,
-//     counters, and remarks are dropped. This is what the pipeline runs
-//     with when no telemetry was requested; its overhead is a handful of
-//     time.Now calls per build stage.
+//   - nil *Tracer: every method is a no-op that allocates nothing. This is
+//     what a build runs with when no telemetry was requested.
 //   - New / NewWith: full collection, optionally including per-function
 //     codegen spans (Config.FineSpans) and per-stage runtime.ReadMemStats
 //     allocation deltas (Config.MemStats).
@@ -49,9 +45,8 @@ type Config struct {
 type Tracer struct {
 	start time.Time
 
-	collect bool // worker spans, counters, remarks
-	fine    bool // per-function spans
-	mem     bool // per-stage memstats deltas
+	fine bool // per-function spans
+	mem  bool // per-stage memstats deltas
 
 	mu       sync.Mutex
 	events   []event
@@ -77,30 +72,15 @@ func New() *Tracer { return NewWith(Config{}) }
 func NewWith(cfg Config) *Tracer {
 	return &Tracer{
 		start:    time.Now(),
-		collect:  true,
 		fine:     cfg.FineSpans,
 		mem:      cfg.MemStats,
 		counters: map[string]int64{},
 	}
 }
 
-// Ensure returns t unchanged when non-nil; otherwise it returns a
-// timing-only collector (stage spans recorded, everything else dropped).
-// The pipeline calls it so Result.Timings is always available while the
-// disabled-telemetry path stays near-free.
-func Ensure(t *Tracer) *Tracer {
-	if t != nil {
-		return t
-	}
-	return &Tracer{start: time.Now()}
-}
-
-// Enabled reports whether t records anything at all.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // RemarksEnabled reports whether Emit/EmitBatch would record remarks;
 // callers use it to skip building remark records entirely.
-func (t *Tracer) RemarksEnabled() bool { return t != nil && t.collect }
+func (t *Tracer) RemarksEnabled() bool { return t != nil }
 
 // FineEnabled reports whether high-volume spans are being collected.
 func (t *Tracer) FineEnabled() bool { return t != nil && t.fine }
@@ -119,8 +99,7 @@ type Span struct {
 
 // StartStage opens a stage span: a top-level pipeline phase whose durations
 // are summed by name into StageTotals (and hence pipeline.Result.Timings).
-// Stage spans are recorded by every non-nil Tracer, including timing-only
-// ones. lane is the trace track (0 = main; worker code passes its 1-based
+// lane is the trace track (0 = main; worker code passes its 1-based
 // lane so concurrent stages render on separate tracks and stay well-nested).
 func (t *Tracer) StartStage(name string, lane int) *Span {
 	if t == nil {
@@ -135,10 +114,9 @@ func (t *Tracer) StartStage(name string, lane int) *Span {
 	return s
 }
 
-// StartSpan opens a regular (non-stage) span on the given lane. Dropped by
-// timing-only tracers.
+// StartSpan opens a regular (non-stage) span on the given lane.
 func (t *Tracer) StartSpan(name string, lane int) *Span {
-	if t == nil || !t.collect {
+	if t == nil {
 		return nil
 	}
 	return &Span{t: t, name: name, tid: lane, start: time.Since(t.start)}
@@ -186,10 +164,9 @@ func (s *Span) End() {
 	t.mu.Unlock()
 }
 
-// Add increments the named counter by delta. Counters are dropped by
-// timing-only tracers.
+// Add increments the named counter by delta.
 func (t *Tracer) Add(name string, delta int64) {
-	if t == nil || !t.collect {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -199,7 +176,7 @@ func (t *Tracer) Add(name string, delta int64) {
 
 // Set overwrites the named counter (gauge semantics).
 func (t *Tracer) Set(name string, v int64) {
-	if t == nil || !t.collect {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -218,12 +195,13 @@ func (t *Tracer) Counter(name string) int64 {
 }
 
 // Counters returns a snapshot copy of every counter. Diffing two snapshots
-// scopes counters to one build when a Tracer is shared across builds.
+// scopes counters to one build when a Tracer is shared across builds. A nil
+// Tracer returns a nil map.
 func (t *Tracer) Counters() map[string]int64 {
-	out := map[string]int64{}
 	if t == nil {
-		return out
+		return nil
 	}
+	out := map[string]int64{}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for k, v := range t.counters {
@@ -248,12 +226,12 @@ func (t *Tracer) Mark() int {
 // keyed by span name. Repeated stages — one "machine-outline" span per
 // outlining round, one per module in the default pipeline — accumulate into
 // one well-defined total. Concurrent stages sum their per-worker time, so a
-// total can exceed the build's wall clock.
+// total can exceed the build's wall clock. A nil Tracer returns a nil map.
 func (t *Tracer) StageTotalsSince(mark int) map[string]time.Duration {
-	out := map[string]time.Duration{}
 	if t == nil {
-		return out
+		return nil
 	}
+	out := map[string]time.Duration{}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if mark < 0 || mark > len(t.events) {

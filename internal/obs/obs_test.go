@@ -35,49 +35,8 @@ func TestNilTracerNoop(t *testing.T) {
 	if err := tr.WriteSummary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Enabled() || tr.RemarksEnabled() || tr.FineEnabled() {
+	if tr.RemarksEnabled() || tr.FineEnabled() {
 		t.Fatal("nil tracer claims to be enabled")
-	}
-}
-
-// TestEnsureTimingOnly: Ensure(nil) records stage spans (Timings need them)
-// but drops counters, remarks, and worker spans.
-func TestEnsureTimingOnly(t *testing.T) {
-	tr := Ensure(nil)
-	if !tr.Enabled() {
-		t.Fatal("Ensure(nil) disabled")
-	}
-	if Ensure(tr) != tr {
-		t.Fatal("Ensure(non-nil) must return its argument")
-	}
-	tr.StartStage("llc", 0).End()
-	tr.StartSpan("module a", 1).End()
-	tr.Add("c", 5)
-	tr.EmitBatch("o", []Remark{{Pass: "p"}})
-	if got := tr.StageTotals(); len(got) != 1 {
-		t.Fatalf("want 1 stage total, got %v", got)
-	}
-	if tr.Counter("c") != 0 || len(tr.Remarks()) != 0 {
-		t.Fatal("timing-only tracer recorded counters or remarks")
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var tf struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatal(err)
-	}
-	spans := 0
-	for _, e := range tf.TraceEvents {
-		if e["ph"] == "X" {
-			spans++
-		}
-	}
-	if spans != 1 {
-		t.Fatalf("want 1 recorded span, got %d", spans)
 	}
 }
 

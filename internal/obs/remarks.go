@@ -74,10 +74,9 @@ type remarkBatch struct {
 }
 
 // EmitBatch records a group of remarks atomically under a deterministic
-// origin key (the outliner uses its function-name prefix). Dropped by
-// timing-only tracers.
+// origin key (the outliner uses its function-name prefix).
 func (t *Tracer) EmitBatch(origin string, recs []Remark) {
-	if t == nil || !t.collect || len(recs) == 0 {
+	if t == nil || len(recs) == 0 {
 		return
 	}
 	t.mu.Lock()
@@ -103,8 +102,11 @@ func (t *Tracer) Remarks() []Remark {
 }
 
 // WriteRemarks writes the remark stream as JSONL (one JSON object per line),
-// in the deterministic order of Remarks.
+// in the deterministic order of Remarks. A nil Tracer writes nothing.
 func (t *Tracer) WriteRemarks(w io.Writer) error {
+	if t == nil {
+		return nil
+	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, r := range t.Remarks() {

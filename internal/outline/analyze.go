@@ -9,7 +9,6 @@ import (
 
 	"outliner/internal/isa"
 	"outliner/internal/mir"
-	"outliner/internal/suffixtree"
 )
 
 // Pattern is one unique repeated machine-code sequence, in the paper's
@@ -28,25 +27,22 @@ type Pattern struct {
 
 // Analyze logs every repeated, profitably-outlinable pattern in the program,
 // sorted by repetition frequency high-to-low (the ordering of the paper's
-// Figure 5). The program is not modified. A program too large for the
-// outliner to address (see checkLocRange) has no loggable patterns.
+// Figure 5). The program is not modified. The patterns are a first
+// outlining round's candidate sets, with every occurrence counted: Analyze
+// gates nothing on a profile. A program too large for the outliner to
+// address (see checkLocRange) has no loggable patterns.
 func Analyze(prog *mir.Program, opts Options) []Pattern {
 	opts = opts.withDefaults()
-	m, err := mapProgram(prog)
-	if err != nil || len(m.str) == 0 {
+	opts.Tracer, opts.ColdThreshold = nil, 0
+	var sc scratch
+	repeats, err := sc.findRepeats(prog, nil)
+	if err != nil || len(repeats) == 0 {
 		return nil
 	}
-	tree := suffixtree.New(m.str)
-	m.buildSums(spSensitiveFuncs(prog))
-	m.buildLR(prog)
-	fnCount := profileCounts(nil, prog, opts.Profile)
+	sets, _ := analyzeRepeats(prog, repeats, opts, 1, &sc)
+	m := &sc.m
 	var patterns []Pattern
-	var ls laneScratch
-	tree.ForEachRepeat(opts.MinLength, 2, func(r suffixtree.Repeat) {
-		set, reject := buildSet(prog, m, r, fnCount, false, opts, &ls)
-		if reject != "" {
-			return
-		}
+	for _, set := range sets {
 		pat := Pattern{
 			Seq:      slices.Clone(m.instsAt(prog, int(set.at), int(set.length))),
 			Length:   int(set.length),
@@ -63,8 +59,7 @@ func Analyze(prog *mir.Program, opts Options) []Pattern {
 			pat.Funcs = append(pat.Funcs, prog.Funcs[m.locs[c.start].fn].Name)
 		}
 		patterns = append(patterns, pat)
-	})
-
+	}
 	slices.SortFunc(patterns, patternOrder)
 	return patterns
 }

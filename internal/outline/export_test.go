@@ -1,11 +1,6 @@
 package outline
 
-import (
-	"slices"
-
-	"outliner/internal/mir"
-	"outliner/internal/suffixtree"
-)
+import "outliner/internal/mir"
 
 // EachRound runs the round loop of Outline over prog without its verifier and
 // telemetry, calling after once each round's rewrites are in place with the
@@ -32,22 +27,12 @@ func EachRound(prog *mir.Program, opts Options, after func(round int, frontier [
 // them in greedy order, and returns how many neighbours the order cannot tell
 // apart, along with the number of sets.
 func GreedyTies(prog *mir.Program, opts Options) (ties, total int, err error) {
-	opts = opts.withDefaults()
-	m, err := mapProgram(prog)
+	var sc scratch
+	repeats, err := sc.findRepeats(prog, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	m.buildSums(spSensitiveFuncs(prog))
-	m.buildLR(prog)
-	var sets []*candSet
-	var ls laneScratch
-	suffixtree.New(m.str).ForEachRepeat(opts.MinLength, 2, func(r suffixtree.Repeat) {
-		set, reject := buildSet(prog, m, r, nil, false, opts, &ls)
-		if reject == "" {
-			sets = append(sets, set)
-		}
-	})
-	slices.SortFunc(sets, greedyOrder)
+	sets, _ := analyzeRepeats(prog, repeats, opts.withDefaults(), 1, &sc)
 	for i := 1; i < len(sets); i++ {
 		if greedyOrder(sets[i-1], sets[i]) == 0 {
 			ties++

@@ -36,10 +36,10 @@ entry:
 		t.Errorf("sub was rewritten: %v", insts[2])
 	}
 	// The backwards move is normalized to the canonical ORR move form.
-	if !insts[3].IsMoveRR() || insts[3].Rm != isa.X2 {
+	if insts[3] != isa.MoveRR(isa.X5, isa.X2) {
 		t.Errorf("backwards move not normalized: %v", insts[3])
 	}
-	if !insts[4].IsMoveRR() {
+	if insts[4] != isa.MoveRR(isa.X6, isa.X2) {
 		t.Errorf("canonical move was disturbed: %v", insts[4])
 	}
 	if n != 2 {

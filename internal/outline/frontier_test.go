@@ -182,8 +182,11 @@ const (
 	roundTwoCorruptionPoint = "/round:2"
 )
 
+// digest hashes the program section of prog's machine artifact: the bytes
+// after the 5-byte header and before the no-stats flag.
 func digest(prog *mir.Program) string {
-	sum := sha256.Sum256(artifact.EncodeProgram(prog))
+	enc := artifact.EncodeMachine(prog, nil)
+	sum := sha256.Sum256(enc[5 : len(enc)-1])
 	return hex.EncodeToString(sum[:])
 }
 

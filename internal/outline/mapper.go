@@ -97,23 +97,15 @@ func legalForOutlining(in isa.Inst) bool {
 	return true
 }
 
-// mapProgram flattens prog. Outlined functions from earlier rounds are
-// included: that inclusion is what lets round N outline the bodies of
-// round N-1's functions (and call sites referring to them), producing the
-// cascade the paper's Figure 11 illustrates.
-func mapProgram(prog *mir.Program) (*mapping, error) {
-	m := &mapping{}
-	if err := m.remap(prog); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// remap rebuilds the flattened view in place, reusing str/locs storage and
-// the persistent intern table from the previous round. The storage is sized
-// from the program's instruction count (one symbol per instruction plus one
-// sentinel per block) the first time, and rounds only shrink the program, so
-// neither slice ever regrows. It fails only on a program too large to address.
+// remap flattens prog in place, reusing str/locs storage and the persistent
+// intern table from the previous round. Outlined functions from earlier
+// rounds are included: that inclusion is what lets round N outline the
+// bodies of round N-1's functions (and call sites referring to them),
+// producing the cascade the paper's Figure 11 illustrates. The storage is
+// sized from the program's instruction count (one symbol per instruction plus
+// one sentinel per block) the first time, and rounds only shrink the program,
+// so neither slice ever regrows. It fails only on a program too large to
+// address.
 func (m *mapping) remap(prog *mir.Program) error {
 	symbols := 0
 	for fi, f := range prog.Funcs {

@@ -36,8 +36,8 @@ entry:
   RET
 }
 `)
-	m, err := mapProgram(p)
-	if err != nil {
+	m := &mapping{}
+	if err := m.remap(p); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.str) != len(m.locs) {
@@ -164,8 +164,8 @@ func TestMapperIncludesOutlinedFunctions(t *testing.T) {
 
 	// The post-cascade mapping must cover every outlined function's body so
 	// a further round could keep harvesting.
-	m, err := mapProgram(p)
-	if err != nil {
+	m := &mapping{}
+	if err := m.remap(p); err != nil {
 		t.Fatal(err)
 	}
 	covered := map[int]bool{}

@@ -78,7 +78,7 @@ func TestAnalyzeRepeatsIgnoresFinderOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			var repeats []suffixtree.Repeat
-			sc.stb.Build(sc.m.str).ForEachRepeat(opts.MinLength, 2, func(r suffixtree.Repeat) {
+			sc.stb.Build(sc.m.str).ForEachRepeat(minLength, 2, func(r suffixtree.Repeat) {
 				if reverse {
 					r.Starts = slices.Clone(r.Starts)
 					slices.Reverse(r.Starts)

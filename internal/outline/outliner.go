@@ -22,13 +22,6 @@ type Options struct {
 	// -outline-repeat-count). 1 reproduces LLVM's single-pass greedy
 	// behaviour; the paper ships 5.
 	Rounds int
-	// MinLength is the minimum candidate length in instructions (default 2:
-	// single instructions can never be replaced profitably on a
-	// fixed-width ISA).
-	MinLength int
-	// MinBenefit is the minimum byte saving for a pattern to be outlined
-	// (default 1 — the paper's "at least one-byte size saving").
-	MinBenefit int
 	// FlatCostModel is an ablation switch: cost every candidate as if the
 	// link register always had to be saved and restored, discarding the
 	// strategy-specific costing (tail call / thunk / no-LR-save).
@@ -85,6 +78,15 @@ type Options struct {
 	ColdThreshold int64
 }
 
+const (
+	// minLength is the minimum candidate length in instructions: single
+	// instructions can never be replaced profitably on a fixed-width ISA.
+	minLength = 2
+	// minBenefit is the minimum byte saving for a pattern to be outlined:
+	// the paper's "at least one-byte size saving".
+	minBenefit = 1
+)
+
 // Options.OnVerifyFailure values.
 const (
 	VerifyAbort            = "abort"
@@ -105,12 +107,6 @@ func CheckVerifyMode(mode string) error {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MinLength == 0 {
-		o.MinLength = 2
-	}
-	if o.MinBenefit == 0 {
-		o.MinBenefit = 1
-	}
 	if o.FuncPrefix == "" {
 		o.FuncPrefix = "OUTLINED_FUNCTION_"
 	}
@@ -524,28 +520,11 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 	tr := opts.Tracer
 	remarks := tr.RemarksEnabled()
 	var rs RoundStats
-	if err := sc.m.remap(prog); err != nil {
+	repeats, err := sc.findRepeats(prog, tr)
+	if err != nil || len(sc.m.str) == 0 {
 		return rs, nil, err
 	}
 	m := &sc.m
-	if len(m.str) == 0 {
-		return rs, nil, nil
-	}
-	tree := sc.stb.Build(m.str)
-	tr.Add("outline/suffixtree/nodes", int64(tree.NodeCount()))
-
-	if sc.repeats == nil {
-		// Each reported repeat is a distinct lcp-interval, and NodeCount is
-		// the root, one leaf per symbol and one node per interval: what is
-		// left of it after the leaves bounds the repeat count. Sizing up
-		// front avoids the append-regrow copies on the first (largest) round.
-		sc.repeats = make([]suffixtree.Repeat, 0, tree.NodeCount()-len(m.str))
-	}
-	repeats := sc.repeats[:0]
-	tree.ForEachRepeat(opts.MinLength, 2, func(r suffixtree.Repeat) {
-		repeats = append(repeats, r)
-	})
-	sc.repeats = repeats
 	sets, rems := analyzeRepeats(prog, repeats, opts, round, sc)
 
 	if cap(sc.owner) < len(m.str) {
@@ -579,7 +558,7 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 			}
 			continue
 		}
-		if int(set.ben) < opts.MinBenefit {
+		if set.ben < minBenefit {
 			if remarks {
 				rems = append(rems, candRemark(set, len(set.cands), round,
 					opts, "rejected", "unprofitable-after-overlap", ""))
@@ -626,6 +605,32 @@ func outlineOnce(prog *mir.Program, opts Options, counter *int, round int, sc *s
 	sc.newFuncs = newFuncs
 	sc.frontier = frontier
 	return rs, rems, nil
+}
+
+// findRepeats flattens prog into sc.m and returns every repeat of at least
+// minLength symbols that occurs at least twice, in sc.repeats. It fails only
+// on a program too large to address, and finds nothing in an empty one.
+func (sc *scratch) findRepeats(prog *mir.Program, tr *obs.Tracer) ([]suffixtree.Repeat, error) {
+	m := &sc.m
+	if err := m.remap(prog); err != nil || len(m.str) == 0 {
+		return nil, err
+	}
+	tree := sc.stb.Build(m.str)
+	tr.Add("outline/suffixtree/nodes", int64(tree.NodeCount()))
+
+	if sc.repeats == nil {
+		// Each reported repeat is a distinct lcp-interval, and NodeCount is
+		// the root, one leaf per symbol and one node per interval: what is
+		// left of it after the leaves bounds the repeat count. Sizing up
+		// front avoids the append-regrow copies on the first (largest) round.
+		sc.repeats = make([]suffixtree.Repeat, 0, tree.NodeCount()-len(m.str))
+	}
+	repeats := sc.repeats[:0]
+	tree.ForEachRepeat(minLength, 2, func(r suffixtree.Repeat) {
+		repeats = append(repeats, r)
+	})
+	sc.repeats = repeats
+	return repeats, nil
 }
 
 // analyzeRepeats turns one round's repeats into candidate sets in greedy
@@ -833,7 +838,7 @@ func buildSet(prog *mir.Program, m *mapping, r suffixtree.Repeat, fnCount []int6
 		}
 		return set, "too-few-occurrences"
 	}
-	if int(set.ben) < opts.MinBenefit {
+	if set.ben < minBenefit {
 		return set, "unprofitable"
 	}
 	return set, ""

@@ -369,7 +369,7 @@ func TestConcurrentBuildsComputeEachKeyOnce(t *testing.T) {
 func TestCacheKeysCoverConfig(t *testing.T) {
 	observational := map[string]bool{"Ctx": true, "Tracer": true, "Parallelism": true, "CacheDir": true, "KeepGoing": true}
 	uncachedOnly := map[string]bool{"WholeProgram": true, "PreserveDataLayout": true, "SplitGCMetadata": true,
-		"CanonicalizeSequences": true, "Layout": true}
+		"Layout": true}
 	// Large enough that outlining rounds, closure specialization, merging
 	// and the cost model each change some artifact.
 	srcs := appgen.Sources(appgen.Generate(appgen.UberRider, appgen.ScaleForModules(appgen.UberRider, 4)))

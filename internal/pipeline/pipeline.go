@@ -92,10 +92,9 @@ type Config struct {
 	Parallelism int
 	// Tracer receives build telemetry: stage and worker spans (exportable
 	// as a Chrome trace), counters, and outliner decision remarks. nil
-	// means "telemetry off": the pipeline then runs a private timing-only
-	// collector (so Result.Timings stays available) whose overhead is a
-	// few time.Now calls per stage. Telemetry is strictly observational —
-	// the built image is byte-identical with any Tracer or none.
+	// means "telemetry off", at no cost, and an empty Result.Timings.
+	// Telemetry is strictly observational — the built image is
+	// byte-identical with any Tracer or none.
 	Tracer *obs.Tracer
 	// CacheDir enables the content-addressed incremental build cache
 	// (internal/cache, serialized by internal/artifact): per-module LLIR
@@ -208,10 +207,10 @@ type Result struct {
 	// built only when an active policy ran with a profile to score it by.
 	Layout         *layout.Stats
 	PreLayoutImage *binimg.Image
-	// Timings maps stage name to total time, derived from the tracer's
-	// stage spans: a stage that runs more than once — per outlining round,
-	// or per module in the default pipeline — reports the sum of its runs,
-	// never just the last one.
+	// Timings maps stage name to total time, derived from the stage spans
+	// of Config.Tracer (empty without one): a stage that runs more than
+	// once — per outlining round, or per module in the default pipeline —
+	// reports the sum of its runs, never just the last one.
 	Timings map[string]time.Duration
 }
 
@@ -379,7 +378,7 @@ func BuildMIR(prog *mir.Program, cfg Config) (*Result, error) {
 }
 
 // build is the state one Build or BuildMIR call threads through its stages:
-// the config with Tracer, Ctx and OnVerifyFailure resolved, the handle that
+// the config with Ctx and OnVerifyFailure resolved, the handle that
 // cancels the build at a scripted step, the build cache, and what each stage
 // leaves for the next. A stage drops what no later stage reads, so the
 // front half's products do not live through outlining.
@@ -412,7 +411,7 @@ func (b *build) release() {
 }
 
 // runBuild is the frame every build entry point shares: config validation
-// before any stage runs, tracer and context resolution, the build cache,
+// before any stage runs, context resolution, the build cache,
 // fault-counter mirroring, the panic-to-error boundary, and Result.Timings
 // scoped to this build.
 func runBuild(cfg Config, b *build, stages ...[]stage) (res *Result, err error) {
@@ -427,8 +426,7 @@ func runBuild(cfg Config, b *build, stages ...[]stage) (res *Result, err error) 
 		// share cache keys with builds that say abort.
 		cfg.OnVerifyFailure = outline.VerifyAbort
 	}
-	tr := obs.Ensure(cfg.Tracer)
-	cfg.Tracer = tr
+	tr := cfg.Tracer
 	cancel := buildContext(&cfg)
 	defer cancel()
 	defer mirrorFaults(tr, cfg.Fault)
@@ -647,7 +645,7 @@ var wholeProgram = []stage{{
 }, {
 	name: "llc", timing: "llc",
 	body: func(b *build) (err error) {
-		b.prog, err = codegen.CompileTraced(b.merged, b.cfg.Parallelism, b.cfg.Tracer, 1, b.cfg.Fault)
+		b.prog, err = new(codegen.Compiler).Compile(b.merged, b.cfg.Parallelism, b.cfg.Tracer, 1, b.cfg.Fault)
 		b.merged = nil
 		return err
 	},
@@ -711,8 +709,9 @@ var perModule = []stage{{
 	// the artifact, so the projection drops it.
 	cache: "machine",
 	reads: func(c Config) Config {
-		p := Config{MergeFunctions: c.MergeFunctions, FMSA: c.FMSA, OutlineRounds: c.OutlineRounds,
-			FlatOutlineCost: c.FlatOutlineCost, Verify: c.Verify, OnVerifyFailure: c.OnVerifyFailure, Fault: c.Fault}
+		p := Config{MergeFunctions: c.MergeFunctions, FMSA: c.FMSA, CanonicalizeSequences: c.CanonicalizeSequences,
+			OutlineRounds: c.OutlineRounds, FlatOutlineCost: c.FlatOutlineCost, Verify: c.Verify,
+			OnVerifyFailure: c.OnVerifyFailure, Fault: c.Fault}
 		if c.Profile != nil {
 			p.Profile, p.OutlineColdThreshold = c.Profile, c.OutlineColdThreshold
 		}
@@ -756,10 +755,10 @@ type backLane struct {
 	outline.Outliner
 }
 
-// compileModule generates code for module lm, named name, and outlines it
-// (with extern as the symbols other modules and the runtime define), on the
-// storage of back, the build's worker lane lane, or on fresh storage when
-// back is nil.
+// compileModule generates code for module lm, named name, canonicalizes it
+// when the config asks, and outlines it (with extern as the symbols other
+// modules and the runtime define), on the storage of back, the build's worker
+// lane lane, or on fresh storage when back is nil.
 func compileModule(name string, lm *llir.Module, cfg *Config, extern map[string]bool, lane int, back *backLane) (*machineCode, error) {
 	if back == nil {
 		back = new(backLane)
@@ -768,6 +767,9 @@ func compileModule(name string, lm *llir.Module, cfg *Config, extern map[string]
 	var err error
 	if mc.prog, err = back.Compile(lm, 1, cfg.Tracer, lane+1, cfg.Fault); err != nil {
 		return nil, err
+	}
+	if cfg.CanonicalizeSequences {
+		outline.CanonicalizeCommutative(mc.prog)
 	}
 	if cfg.OutlineRounds > 0 {
 		opts := outlineOptions(*cfg)
@@ -799,7 +801,8 @@ func outlineOptions(cfg Config) outline.Options {
 
 // postLink is the tail every linked program goes through, whichever front
 // half (or BuildMIR's caller) linked it: for a whole program, canonicalization
-// and repeated outlining; then function layout; then the image.
+// and repeated outlining (per-module builds ran both in compileModule); then
+// function layout; then the image.
 var postLink = []stage{{
 	// The outliner emits one "machine-outline" stage span per round itself,
 	// and stage totals sum them into the Timings entry.

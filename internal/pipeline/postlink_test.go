@@ -10,6 +10,7 @@ import (
 	"outliner/internal/layout"
 	"outliner/internal/mir"
 	"outliner/internal/obs"
+	"outliner/internal/outline"
 	"outliner/internal/pipeline"
 	"outliner/internal/profile"
 )
@@ -83,6 +84,31 @@ func TestBuildMIRFinishesLikeBuild(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// CanonicalizeSequences reaches the outliner whichever pipeline runs: the
+// whole-program build canonicalizes in the post-link tail, the per-module
+// build in each module's llc task, and either way the built program has no
+// commutative operation left to canonicalize. Without the flag some remain,
+// so the check has something to find.
+func TestCanonicalizeSequencesEveryPipeline(t *testing.T) {
+	srcs := appgenApp(4)[0].srcs
+	for _, cfg := range []pipeline.Config{pipeline.OSize, pipeline.Default} {
+		for _, canon := range []bool{false, true} {
+			cfg.CanonicalizeSequences = canon
+			res, err := pipeline.Build(srcs, cfg)
+			if err != nil {
+				t.Fatalf("whole-program %t, canonicalize %t: %v", cfg.WholeProgram, canon, err)
+			}
+			left := outline.CanonicalizeCommutative(res.Prog)
+			if canon && left != 0 {
+				t.Errorf("whole-program %t: %d commutative operations left out of canonical order", cfg.WholeProgram, left)
+			}
+			if !canon && left == 0 {
+				t.Fatalf("whole-program %t: the app has nothing to canonicalize", cfg.WholeProgram)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"outliner/internal/cache"
 	"outliner/internal/obs"
 	"outliner/internal/pipeline"
+	"outliner/internal/raceflag"
 )
 
 // TestTelemetryDoesNotPerturbBuild is the observability PR's hard
@@ -88,6 +90,46 @@ func TestTimingsSumAcrossRounds(t *testing.T) {
 	for _, stage := range []string{"llvm-link", "opt", "llc"} {
 		if res.Timings[stage] <= 0 {
 			t.Errorf("Timings missing stage %q: %v", stage, res.Timings)
+		}
+	}
+}
+
+// TestNilTracerCostsNothing: without a tracer a build records nothing, not
+// even its stage times, and no obs method allocates on a nil tracer or span.
+func TestNilTracerCostsNothing(t *testing.T) {
+	res, err := pipeline.Build(appgenApp(4)[0].srcs, pipeline.OSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Timings) != 0 {
+		t.Errorf("an untraced build has Timings %v", res.Timings)
+	}
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	var tr *obs.Tracer
+	rems := []obs.Remark{{Pass: "p"}}
+	for name, call := range map[string]func(){
+		"StartStage":       func() { tr.StartStage("s", 0).Arg("k", 1).End() },
+		"StartSpan":        func() { tr.StartSpan("s", 1).End() },
+		"StartFine":        func() { tr.StartFine("s", 1).End() },
+		"Add":              func() { tr.Add("c", 1) },
+		"Set":              func() { tr.Set("c", 1) },
+		"EmitBatch":        func() { tr.EmitBatch("o", rems) },
+		"RemarksEnabled":   func() { _ = tr.RemarksEnabled() },
+		"FineEnabled":      func() { _ = tr.FineEnabled() },
+		"Counter":          func() { _ = tr.Counter("c") },
+		"Counters":         func() { _ = tr.Counters() },
+		"Mark":             func() { _ = tr.Mark() },
+		"StageTotalsSince": func() { _ = tr.StageTotalsSince(0) },
+		"StageTotals":      func() { _ = tr.StageTotals() },
+		"Remarks":          func() { _ = tr.Remarks() },
+		"WriteRemarks":     func() { _ = tr.WriteRemarks(io.Discard) },
+		"WriteTrace":       func() { _ = tr.WriteTrace(io.Discard) },
+		"WriteSummary":     func() { _ = tr.WriteSummary(io.Discard) },
+	} {
+		if n := testing.AllocsPerRun(10, call); n != 0 {
+			t.Errorf("%s on a nil tracer: %v allocations, want 0", name, n)
 		}
 	}
 }

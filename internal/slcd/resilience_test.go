@@ -121,7 +121,6 @@ func TestFarmResilienceSoak(t *testing.T) {
 		MaxQueue:         64,
 		RemoteTimeout:    500 * time.Millisecond,
 		BreakerThreshold: 2,
-		ProbeInterval:    2 * time.Millisecond,
 	}
 	structured := map[string]bool{
 		"shed": true, "drain": true, "canceled": true, "deadline": true,

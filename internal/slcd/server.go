@@ -81,9 +81,6 @@ type Options struct {
 	// circuit breaker (cache.RemoteOptions.BreakerThreshold). A non-positive
 	// value means the default.
 	BreakerThreshold int
-	// ProbeInterval is the open-shard health-probe cadence
-	// (cache.RemoteOptions.ProbeInterval). 0 means the default.
-	ProbeInterval time.Duration
 }
 
 // Server is the daemon state shared across requests.
@@ -129,7 +126,6 @@ func NewServer(opts Options) *Server {
 		remote: cache.NewRemoteWith(opts.ShardURLs, cache.RemoteOptions{
 			Timeout:          opts.RemoteTimeout,
 			BreakerThreshold: opts.BreakerThreshold,
-			ProbeInterval:    opts.ProbeInterval,
 		}),
 		sem:        make(chan struct{}, opts.MaxBuilds),
 		drainCh:    make(chan struct{}),

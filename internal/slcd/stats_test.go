@@ -29,10 +29,11 @@ func TestStatsReadRemoteCountersLive(t *testing.T) {
 		inner.ServeHTTP(w, r)
 	}))
 	defer shard.Close()
-	// An hour-long probe interval: only the explicit ProbeNow below recovers
-	// the breaker.
-	s := NewServer(Options{CacheDir: t.TempDir(), ShardURLs: []string{shard.URL}, Parallelism: 1,
-		BreakerThreshold: 1, ProbeInterval: time.Hour})
+	// The remote tier NewServer would attach, with an hour-long probe
+	// interval: only the explicit ProbeNow below recovers the breaker.
+	s := NewServer(Options{CacheDir: t.TempDir(), Parallelism: 1})
+	s.remote = cache.NewRemoteWith([]string{shard.URL}, cache.RemoteOptions{BreakerThreshold: 1, ProbeInterval: time.Hour})
+	s.shared.SetRemote(s.remote)
 	defer s.Close()
 	stats := func() map[string]int64 {
 		t.Helper()

@@ -131,39 +131,3 @@ func Mean(values []float64) float64 {
 	}
 	return sum / float64(len(values))
 }
-
-// Histogram counts values into bins. Bin i covers
-// [min + i*width, min + (i+1)*width); the last bin is closed on the right.
-type Histogram struct {
-	Min, Width float64
-	Counts     []int
-}
-
-// NewHistogram bins values into n equal-width bins spanning [min, max].
-func NewHistogram(values []float64, n int, min, max float64) Histogram {
-	if n <= 0 || max <= min {
-		panic("stats: bad histogram parameters")
-	}
-	h := Histogram{Min: min, Width: (max - min) / float64(n), Counts: make([]int, n)}
-	for _, v := range values {
-		if v < min || v > max {
-			continue
-		}
-		i := int((v - min) / h.Width)
-		if i >= n {
-			i = n - 1
-		}
-		h.Counts[i]++
-	}
-	return h
-}
-
-// CountHistogram tallies integer values exactly (used for sequence-length
-// histograms where bins are unit-width).
-func CountHistogram(values []int) map[int]int {
-	m := make(map[int]int)
-	for _, v := range values {
-		m[v]++
-	}
-	return m
-}

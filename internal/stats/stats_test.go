@@ -119,30 +119,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 9.99, 10}, 10, 0, 10)
-	if len(h.Counts) != 10 {
-		t.Fatalf("bins = %d", len(h.Counts))
-	}
-	if h.Counts[0] != 1 || h.Counts[9] != 2 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 8 {
-		t.Errorf("total = %d, want 8", total)
-	}
-}
-
-func TestCountHistogram(t *testing.T) {
-	m := CountHistogram([]int{2, 2, 2, 3, 7})
-	if m[2] != 3 || m[3] != 1 || m[7] != 1 {
-		t.Errorf("m = %v", m)
-	}
-}
-
 // Property: percentile is monotone in p and bounded by min/max.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {

@@ -276,11 +276,6 @@ func (t *Tree) ForEachRepeat(minLen, minCount int, fn func(Repeat)) {
 	}
 }
 
-// Substring returns the input symbols for a repeat occurrence.
-func (t *Tree) Substring(start, length int) []int {
-	return t.s[start : start+length]
-}
-
 // resize returns buf at length n, reallocating only when it is too short.
 func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {

@@ -30,7 +30,7 @@ func collect(t *Tree, minLen, minCount int) map[string][]int {
 		starts := append([]int(nil), r.Starts...)
 		sort.Ints(starts)
 		key := ""
-		for _, v := range t.Substring(starts[0], r.Length) {
+		for _, v := range t.s[starts[0] : starts[0]+r.Length] {
 			key += string(rune(v))
 		}
 		got[key] = starts
@@ -164,9 +164,10 @@ func checkAgainstNaive(t *testing.T, s []int, minLen, minCount int) {
 	tree.ForEachRepeat(minLen, minCount, func(r Repeat) {
 		starts := append([]int(nil), r.Starts...)
 		sort.Ints(starts)
-		k := keyOf(tree.Substring(starts[0], r.Length))
+		sub := s[starts[0] : starts[0]+r.Length]
+		k := keyOf(sub)
 		if _, dup := got[k]; dup {
-			t.Fatalf("s=%v: repeat %v reported twice", s, tree.Substring(starts[0], r.Length))
+			t.Fatalf("s=%v: repeat %v reported twice", s, sub)
 		}
 		got[k] = starts
 	})
