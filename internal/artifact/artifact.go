@@ -6,17 +6,20 @@
 // output of the default pipeline's per-module codegen+outline stage).
 //
 // The format is a compact varint encoding with a fixed header carrying a
-// magic, the schema version, and an artifact kind. Decoding is defensive:
-// any truncation, bad header, impossible count, or duplicate symbol yields
-// an error, never a panic — the cache layer treats every decode error as a
-// miss and rebuilds. Encoding is canonical (map contents are emitted in
-// sorted order), so identical in-memory artifacts produce identical bytes
-// and the encoded form can double as a content hash input.
+// magic, the schema version, and an artifact kind. LLIR and machine artifacts
+// write each distinct string once, in a table ahead of the body, and the body
+// refers to it by index. Decoding is defensive: any truncation, bad header,
+// impossible count, out-of-range index, or duplicate symbol yields an error,
+// never a panic — the cache layer treats every decode error as a miss and
+// rebuilds. Encoding is canonical (map contents are emitted in sorted order,
+// table entries in first-use order), so identical in-memory artifacts produce
+// identical bytes and the encoded form can double as a content hash input.
 package artifact
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -34,7 +37,11 @@ import (
 // Version 3: LLIR artifacts carry a summary header ahead of the body, the
 // interface digest became the hash of the encoded stub, and the machine
 // stage's input became the stored LLIR bytes plus the ObjC-flavour bit.
-const SchemaVersion = 3
+// Version 4: LLIR bodies and machine programs write each string once, in a
+// table after the header (after the summary, for LLIR), and refer to it by
+// index; stubs (their header keeps version byte 3, see stubVersion) and the
+// LLIR summary are unchanged.
+const SchemaVersion = 4
 
 // Artifact kinds (the byte after the header magic).
 const (
@@ -45,34 +52,92 @@ const (
 
 var magic = [3]byte{'S', 'L', 'A'}
 
+// stubVersion is the version byte of a stub's header. A stub's bytes are what
+// InterfaceDigest hashes, and its layout has not changed since version 3, so
+// its header keeps that byte and interface digests survive later bumps.
+const stubVersion = 3
+
+// version is the header's version byte for a kind artifact.
+func version(kind byte) byte {
+	if kind == kindStub {
+		return stubVersion
+	}
+	return SchemaVersion
+}
+
 // ---- encoder ----
 
-type enc struct{ b []byte }
+type enc struct {
+	b []byte
+	// tableAt is the offset in b where the string table goes, ahead of the
+	// body; -1 for an artifact without one (a stub).
+	tableAt int
+	// strs is the table — the empty string, then the rest in first-use
+	// order — and idx its inverse, without the empty string. Both live with
+	// the pooled encoder and are emptied by done.
+	strs []string
+	idx  map[string]uint64
+}
 
-// encPool recycles encoder buffers. Encoding runs from several stages' cache
-// hooks and from key hashing, none of which holds a worker lane, and the
-// result outlives any lane because the cache keeps it: an encoder writes into
-// a pooled buffer, grown to the largest artifact it has held, and returns an
+// encPool recycles encoders. Encoding runs from several stages' cache hooks
+// and from key hashing, none of which holds a worker lane, and the result
+// outlives any lane because the cache keeps it: an encoder writes into a
+// pooled buffer, grown to the largest artifact it has held, and returns an
 // exactly sized copy (done).
-var encPool = sync.Pool{New: func() any { return new(enc) }}
+var encPool = sync.Pool{New: func() any { return &enc{idx: make(map[string]uint64)} }}
 
 // newEnc returns a pooled encoder holding the header of a kind artifact.
 func newEnc(kind byte) *enc {
 	e := encPool.Get().(*enc)
-	e.b = append(e.b[:0], magic[0], magic[1], magic[2], byte(SchemaVersion), kind)
+	e.b = append(e.b[:0], magic[0], magic[1], magic[2], version(kind), kind)
+	e.tableAt = -1
 	return e
+}
+
+// startTable marks the end of the header: the string table is written here,
+// and everything after it may refer to the table (ref). Its first entry is
+// the empty string, which most instructions' Sym is, so ref writes it
+// without a lookup.
+func (e *enc) startTable() {
+	e.tableAt = len(e.b)
+	e.strs = append(e.strs[:0], "")
 }
 
 // done returns the encoded bytes as a copy with cap == len, so the caller
 // (the cache keeps artifacts for the life of the process) holds neither
-// spare capacity nor the buffer, which goes back to the pool. e must not be
-// used afterwards.
+// spare capacity nor the buffer, which goes back to the pool. The string
+// table, when there is one, is written into the copy between the header and
+// the body: a count, each string's length, then the strings back to back.
+// e must not be used afterwards.
 func (e *enc) done() []byte {
-	out := make([]byte, len(e.b))
-	copy(out, e.b)
+	if e.tableAt < 0 {
+		out := make([]byte, len(e.b))
+		copy(out, e.b)
+		encPool.Put(e)
+		return out
+	}
+	size := uvarintLen(uint64(len(e.strs)))
+	for _, s := range e.strs {
+		size += uvarintLen(uint64(len(s))) + len(s)
+	}
+	out := make([]byte, 0, len(e.b)+size)
+	out = append(out, e.b[:e.tableAt]...)
+	out = binary.AppendUvarint(out, uint64(len(e.strs)))
+	for _, s := range e.strs {
+		out = binary.AppendUvarint(out, uint64(len(s)))
+	}
+	for _, s := range e.strs {
+		out = append(out, s...)
+	}
+	out = append(out, e.b[e.tableAt:]...)
+	clear(e.strs)
+	e.strs = e.strs[:0]
+	clear(e.idx)
 	encPool.Put(e)
 	return out
 }
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func (e *enc) u(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
 func (e *enc) i(v int64)   { e.b = binary.AppendVarint(e.b, v) }
@@ -84,9 +149,26 @@ func (e *enc) bool(v bool) {
 		e.byte(0)
 	}
 }
+
+// s writes s inline, length first (stubs and the LLIR summary).
 func (e *enc) s(s string) {
 	e.u(uint64(len(s)))
 	e.b = append(e.b, s...)
+}
+
+// ref writes s as its string-table index, adding it to the table on first use.
+func (e *enc) ref(s string) {
+	if s == "" {
+		e.b = append(e.b, 0)
+		return
+	}
+	i, ok := e.idx[s]
+	if !ok {
+		i = uint64(len(e.strs))
+		e.idx[s] = i
+		e.strs = append(e.strs, s)
+	}
+	e.u(i)
 }
 
 // ---- decoder ----
@@ -94,6 +176,8 @@ func (e *enc) s(s string) {
 type dec struct {
 	b   []byte
 	err error
+	// strs is the artifact's string table (table).
+	strs []string
 }
 
 func newDec(data []byte, kind byte) *dec {
@@ -102,8 +186,8 @@ func newDec(data []byte, kind byte) *dec {
 		d.fail("bad magic")
 		return d
 	}
-	if data[3] != byte(SchemaVersion) {
-		d.fail("schema version %d, want %d", data[3], SchemaVersion)
+	if data[3] != version(kind) {
+		d.fail("schema version %d, want %d", data[3], version(kind))
 		return d
 	}
 	if data[4] != kind {
@@ -162,6 +246,7 @@ func (d *dec) byte() byte {
 
 func (d *dec) bool() bool { return d.byte() != 0 }
 
+// s reads a string written inline by enc.s.
 func (d *dec) s() string {
 	n := d.u()
 	if d.err != nil {
@@ -174,6 +259,46 @@ func (d *dec) s() string {
 	s := string(d.b[:n])
 	d.b = d.b[n:]
 	return s
+}
+
+// table reads the string table enc.done wrote. Every entry is a slice of
+// one backing string, so the table costs two allocations however many
+// strings the artifact holds, and the body's strings none.
+func (d *dec) table() {
+	n := d.count()
+	lens := d.b
+	var total uint64
+	for i := 0; i < n && d.err == nil; i++ {
+		l := d.u()
+		if l > uint64(len(d.b)) || total+l > uint64(len(d.b)) {
+			d.fail("string table needs more than the %d remaining bytes", len(d.b))
+		}
+		total += l
+	}
+	if d.err != nil {
+		return
+	}
+	blob := string(d.b[:total])
+	d.b = d.b[total:]
+	d.strs = make([]string, n)
+	for i := range d.strs {
+		l, w := binary.Uvarint(lens)
+		lens = lens[w:]
+		d.strs[i], blob = blob[:l], blob[l:]
+	}
+}
+
+// ref reads a string-table index written by enc.ref.
+func (d *dec) ref() string {
+	i := d.u()
+	if d.err != nil {
+		return ""
+	}
+	if i >= uint64(len(d.strs)) {
+		d.fail("string index %d past the %d-entry table", i, len(d.strs))
+		return ""
+	}
+	return d.strs[i]
 }
 
 // count reads an element count and guards against allocation bombs: a valid
@@ -212,21 +337,22 @@ func (d *dec) done() error {
 // ---- LLIR modules ----
 
 // EncodeModule serializes one lowered LLIR module: its summary header (see
-// Summary), then the body.
+// Summary), the string table, then the body.
 func EncodeModule(m *llir.Module) []byte {
 	e := newEnc(kindLLIR)
 	encodeSummary(e, Summarize(m))
-	e.s(m.Name)
+	e.startTable()
+	e.ref(m.Name)
 	e.u(uint64(len(m.Funcs)))
 	for _, f := range m.Funcs {
-		e.s(f.Name)
-		e.s(f.Module)
+		e.ref(f.Name)
+		e.ref(f.Module)
 		e.u(uint64(f.NumParams))
 		e.bool(f.Throws)
 		e.u(uint64(f.NumValues))
 		e.u(uint64(len(f.Blocks)))
 		for _, b := range f.Blocks {
-			e.s(b.Label)
+			e.ref(b.Label)
 			e.u(uint64(len(b.Insts)))
 			for i := range b.Insts {
 				encodeLLIRInst(e, &b.Insts[i])
@@ -235,8 +361,8 @@ func EncodeModule(m *llir.Module) []byte {
 	}
 	e.u(uint64(len(m.Globals)))
 	for _, g := range m.Globals {
-		e.s(g.Name)
-		e.s(g.Module)
+		e.ref(g.Name)
+		e.ref(g.Module)
 		e.u(uint64(len(g.Words)))
 		for _, w := range g.Words {
 			e.i(w)
@@ -249,8 +375,8 @@ func EncodeModule(m *llir.Module) []byte {
 	sort.Strings(keys)
 	e.u(uint64(len(keys)))
 	for _, k := range keys {
-		e.s(k)
-		e.s(m.Metadata[k])
+		e.ref(k)
+		e.ref(m.Metadata[k])
 	}
 	return e.done()
 }
@@ -262,8 +388,8 @@ func encodeLLIRInst(e *enc, in *llir.Inst) {
 	e.i(int64(in.B))
 	e.i(int64(in.ErrDst))
 	e.i(in.Imm)
-	e.s(in.Sym)
-	e.s(in.Sym2)
+	e.ref(in.Sym)
+	e.ref(in.Sym2)
 	e.byte(byte(in.BinOp))
 	e.byte(byte(in.Cond))
 	e.bool(in.Throws)
@@ -273,7 +399,7 @@ func encodeLLIRInst(e *enc, in *llir.Inst) {
 	}
 	e.u(uint64(len(in.Incomings)))
 	for _, inc := range in.Incomings {
-		e.s(inc.Pred)
+		e.ref(inc.Pred)
 		e.i(int64(inc.Val))
 	}
 }
@@ -284,19 +410,20 @@ func encodeLLIRInst(e *enc, in *llir.Inst) {
 func DecodeModule(data []byte) (*llir.Module, error) {
 	d := newDec(data, kindLLIR)
 	d.section()
-	m := llir.NewModule(d.s())
+	d.table()
+	m := llir.NewModule(d.ref())
 	nf := d.count()
 	for i := 0; i < nf && d.err == nil; i++ {
 		f := &llir.Func{
-			Name:      d.s(),
-			Module:    d.s(),
+			Name:      d.ref(),
+			Module:    d.ref(),
 			NumParams: int(d.u()),
 			Throws:    d.bool(),
 			NumValues: int(d.u()),
 		}
 		nb := d.count()
 		for j := 0; j < nb && d.err == nil; j++ {
-			b := &llir.Block{Label: d.s()}
+			b := &llir.Block{Label: d.ref()}
 			ni := d.count()
 			if d.err == nil && ni > 0 {
 				b.Insts = make([]llir.Inst, ni)
@@ -316,7 +443,7 @@ func DecodeModule(data []byte) (*llir.Module, error) {
 	}
 	ng := d.count()
 	for i := 0; i < ng && d.err == nil; i++ {
-		g := &llir.Global{Name: d.s(), Module: d.s()}
+		g := &llir.Global{Name: d.ref(), Module: d.ref()}
 		nw := d.count()
 		if d.err == nil && nw > 0 {
 			g.Words = make([]int64, nw)
@@ -328,8 +455,8 @@ func DecodeModule(data []byte) (*llir.Module, error) {
 	}
 	nm := d.count()
 	for i := 0; i < nm && d.err == nil; i++ {
-		k := d.s()
-		m.Metadata[k] = d.s()
+		k := d.ref()
+		m.Metadata[k] = d.ref()
 	}
 	if err := d.done(); err != nil {
 		return nil, err
@@ -344,8 +471,8 @@ func decodeLLIRInst(d *dec, in *llir.Inst) {
 	in.B = llir.Value(d.i())
 	in.ErrDst = llir.Value(d.i())
 	in.Imm = d.i()
-	in.Sym = d.s()
-	in.Sym2 = d.s()
+	in.Sym = d.ref()
+	in.Sym2 = d.ref()
 	in.BinOp = llir.BinKind(d.byte())
 	in.Cond = llir.CondKind(d.byte())
 	in.Throws = d.bool()
@@ -360,7 +487,7 @@ func decodeLLIRInst(d *dec, in *llir.Inst) {
 	if d.err == nil && ni > 0 {
 		in.Incomings = make([]llir.Incoming, ni)
 		for i := range in.Incomings {
-			in.Incomings[i].Pred = d.s()
+			in.Incomings[i].Pred = d.ref()
 			in.Incomings[i].Val = llir.Value(d.i())
 		}
 	}
@@ -369,10 +496,12 @@ func decodeLLIRInst(d *dec, in *llir.Inst) {
 // ---- machine programs ----
 
 // EncodeMachine serializes a machine program plus the outlining statistics
-// that produced it (st may be nil when outlining did not run). The program
-// section's layout is part of SchemaVersion.
+// that produced it (st may be nil when outlining did not run): the string
+// table, the program, then the statistics. The layout is part of
+// SchemaVersion.
 func EncodeMachine(p *mir.Program, st *outline.Stats) []byte {
 	e := newEnc(kindMachine)
+	e.startTable()
 	e.program(p)
 	e.bool(st != nil)
 	if st != nil {
@@ -391,26 +520,26 @@ func EncodeMachine(p *mir.Program, st *outline.Stats) []byte {
 func (e *enc) program(p *mir.Program) {
 	e.u(uint64(len(p.Funcs)))
 	for _, f := range p.Funcs {
-		e.s(f.Name)
-		e.s(f.Module)
+		e.ref(f.Name)
+		e.ref(f.Module)
 		e.bool(f.Outlined)
 		e.u(uint64(len(f.Blocks)))
 		for _, blk := range f.Blocks {
-			e.s(blk.Label)
+			e.ref(blk.Label)
 			e.u(uint64(len(blk.Insts)))
 			for i := range blk.Insts {
 				in := &blk.Insts[i]
 				e.b = append(e.b, byte(in.Op), byte(in.Rd), byte(in.Rd2), byte(in.Rn), byte(in.Rm))
 				e.i(in.Imm)
-				e.s(in.Sym)
+				e.ref(in.Sym)
 				e.byte(byte(in.Cond))
 			}
 		}
 	}
 	e.u(uint64(len(p.Globals)))
 	for _, g := range p.Globals {
-		e.s(g.Name)
-		e.s(g.Module)
+		e.ref(g.Name)
+		e.ref(g.Module)
 		e.u(uint64(len(g.Words)))
 		for _, w := range g.Words {
 			e.i(w)
@@ -422,6 +551,7 @@ func (e *enc) program(p *mir.Program) {
 // EncodeMachine.
 func DecodeMachine(data []byte) (*mir.Program, *outline.Stats, error) {
 	d := newDec(data, kindMachine)
+	d.table()
 	p := d.program()
 	var st *outline.Stats
 	if d.bool() {
@@ -447,24 +577,13 @@ func (d *dec) program() *mir.Program {
 	p := mir.NewProgram()
 	nf := d.count()
 	for i := 0; i < nf && d.err == nil; i++ {
-		f := &mir.Function{Name: d.s(), Module: d.s(), Outlined: d.bool()}
+		f := &mir.Function{Name: d.ref(), Module: d.ref(), Outlined: d.bool()}
 		nb := d.count()
 		for j := 0; j < nb && d.err == nil; j++ {
-			b := &mir.Block{Label: d.s()}
-			ni := d.count()
-			if d.err == nil && ni > 0 {
+			b := &mir.Block{Label: d.ref()}
+			if ni := d.count(); ni > 0 {
 				b.Insts = make([]isa.Inst, ni)
-				for k := range b.Insts {
-					in := &b.Insts[k]
-					in.Op = isa.Op(d.byte())
-					in.Rd = isa.Reg(d.byte())
-					in.Rd2 = isa.Reg(d.byte())
-					in.Rn = isa.Reg(d.byte())
-					in.Rm = isa.Reg(d.byte())
-					in.Imm = d.i()
-					in.Sym = d.s()
-					in.Cond = isa.Cond(d.byte())
-				}
+				d.insts(b.Insts)
 			}
 			f.Blocks = append(f.Blocks, b)
 		}
@@ -478,7 +597,7 @@ func (d *dec) program() *mir.Program {
 	}
 	ng := d.count()
 	for i := 0; i < ng && d.err == nil; i++ {
-		g := &mir.Global{Name: d.s(), Module: d.s()}
+		g := &mir.Global{Name: d.ref(), Module: d.ref()}
 		nw := d.count()
 		if d.err == nil && nw > 0 {
 			g.Words = make([]int64, nw)
@@ -489,4 +608,43 @@ func (d *dec) program() *mir.Program {
 		p.AddGlobal(g)
 	}
 	return p
+}
+
+// insts fills out with the instruction records at the front of d.b, each
+// op, rd, rd2, rn, rm (one byte apiece), a varint immediate, a uvarint
+// string-table index for Sym and the condition byte. It reads from a local
+// slice: one length check for the fixed bytes, the varint readers' own
+// truncation signals, one check for the condition byte.
+func (d *dec) insts(out []isa.Inst) {
+	if d.err != nil {
+		return
+	}
+	b, strs := d.b, d.strs
+	for k := range out {
+		if len(b) < 5 {
+			d.fail("truncated instruction")
+			return
+		}
+		in := &out[k]
+		in.Op, in.Rd, in.Rd2, in.Rn, in.Rm = isa.Op(b[0]), isa.Reg(b[1]), isa.Reg(b[2]), isa.Reg(b[3]), isa.Reg(b[4])
+		imm, n := binary.Varint(b[5:])
+		if n <= 0 {
+			d.fail("truncated or overlong instruction immediate")
+			return
+		}
+		b = b[5+n:]
+		sym, n := binary.Uvarint(b)
+		if n <= 0 || sym >= uint64(len(strs)) {
+			d.fail("instruction symbol index is truncated or past the %d-entry table", len(strs))
+			return
+		}
+		b = b[n:]
+		if len(b) == 0 {
+			d.fail("truncated instruction condition")
+			return
+		}
+		in.Imm, in.Sym, in.Cond = imm, strs[sym], isa.Cond(b[0])
+		b = b[1:]
+	}
+	d.b = b
 }

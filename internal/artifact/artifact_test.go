@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"outliner/internal/llir"
 	"outliner/internal/mir"
 	"outliner/internal/outline"
+	"outliner/internal/raceflag"
 )
 
 // sampleModule exercises every encoded field: multi-block functions, negative
@@ -137,17 +139,225 @@ func TestMachineNilStats(t *testing.T) {
 // Every truncation of a valid artifact must decode to an error — never a
 // panic, never a silently partial artifact.
 func TestDecodeTruncationsError(t *testing.T) {
-	enc := EncodeModule(sampleModule())
-	for i := 0; i < len(enc); i++ {
-		if _, err := DecodeModule(enc[:i]); err == nil {
-			t.Fatalf("DecodeModule accepted a %d-byte truncation of %d bytes", i, len(enc))
+	for _, m := range []*llir.Module{sampleModule(), extremeModule()} {
+		enc := EncodeModule(m)
+		for i := 0; i < len(enc); i++ {
+			if _, err := DecodeModule(enc[:i]); err == nil {
+				t.Fatalf("DecodeModule accepted a %d-byte truncation of %d bytes", i, len(enc))
+			}
 		}
 	}
-	menc := EncodeMachine(sampleProgram())
-	for i := 0; i < len(menc); i++ {
-		if _, _, err := DecodeMachine(menc[:i]); err == nil {
-			t.Fatalf("DecodeMachine accepted a %d-byte truncation of %d bytes", i, len(menc))
+	p, st := sampleProgram()
+	for _, p := range []*mir.Program{p, extremeProgram()} {
+		menc := EncodeMachine(p, st)
+		for i := 0; i < len(menc); i++ {
+			if _, _, err := DecodeMachine(menc[:i]); err == nil {
+				t.Fatalf("DecodeMachine accepted a %d-byte truncation of %d bytes", i, len(menc))
+			}
 		}
+	}
+}
+
+// extremeProgram's immediates take the longest varints (ten bytes).
+func extremeProgram() *mir.Program {
+	p := mir.NewProgram()
+	f := &mir.Function{Name: "extremes", Module: "app"}
+	f.Blocks = []*mir.Block{{Label: "entry", Insts: []isa.Inst{
+		{Op: isa.MOVZ, Rd: isa.X0, Imm: math.MinInt64},
+		{Op: isa.MOVZ, Rd: isa.X1, Imm: math.MaxInt64},
+		{Op: isa.BL, Sym: "callee", Imm: math.MinInt64},
+		{Op: isa.RET, Imm: math.MaxInt64, Cond: isa.CondNone},
+	}}}
+	p.AddFunc(f)
+	p.AddGlobal(&mir.Global{Name: "g", Module: "app", Words: []int64{math.MinInt64, math.MaxInt64}})
+	return p
+}
+
+func extremeModule() *llir.Module {
+	m := llir.NewModule("app")
+	f := &llir.Func{Name: "extremes", Module: "app", NumValues: 3}
+	f.Blocks = []*llir.Block{{Label: "entry", Insts: []llir.Inst{
+		{Op: llir.Const, Dst: 1, Imm: math.MinInt64},
+		{Op: llir.Const, Dst: 2, Imm: math.MaxInt64},
+		{Op: llir.Ret, A: 2},
+	}}}
+	m.AddFunc(f)
+	return m
+}
+
+// manySyms returns n distinct symbol names.
+func manySyms(n int) []string {
+	syms := make([]string, n)
+	for i := range syms {
+		syms[i] = fmt.Sprintf("s%d", i)
+	}
+	return syms
+}
+
+// callProgram is one function calling each of syms in turn.
+func callProgram(syms []string) *mir.Program {
+	p := mir.NewProgram()
+	f := &mir.Function{Name: "caller", Module: "app"}
+	b := &mir.Block{Label: "entry"}
+	for _, s := range syms {
+		b.Insts = append(b.Insts, isa.Inst{Op: isa.BL, Sym: s})
+	}
+	b.Insts = append(b.Insts, isa.Inst{Op: isa.RET})
+	f.Blocks = []*mir.Block{b}
+	p.AddFunc(f)
+	return p
+}
+
+// tableLen reads the string table of a kind artifact.
+func tableLen(t *testing.T, data []byte, kind byte) int {
+	t.Helper()
+	d := newDec(data, kind)
+	if kind == kindLLIR {
+		d.section()
+	}
+	d.table()
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+	return len(d.strs)
+}
+
+// TestRoundTripBoundaries: ten-byte varint immediates and string tables long
+// enough for two- and three-byte indices round-trip byte for byte.
+func TestRoundTripBoundaries(t *testing.T) {
+	menc := EncodeMachine(extremeProgram(), nil)
+	p, _, err := DecodeMachine(menc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(EncodeMachine(p, nil), menc) || p.String() != extremeProgram().String() {
+		t.Fatal("extreme immediates do not round-trip")
+	}
+	enc := EncodeModule(extremeModule())
+	m, err := DecodeModule(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(EncodeModule(m), enc) || m.Func("extremes").Blocks[0].Insts[0].Imm != math.MinInt64 {
+		t.Fatal("extreme LLIR immediates do not round-trip")
+	}
+
+	syms := manySyms(1<<14 + 100)
+	menc = EncodeMachine(callProgram(syms), nil)
+	if n := tableLen(t, menc, kindMachine); n <= 1<<14 {
+		t.Fatalf("machine table has %d entries; want some with three-byte indices", n)
+	}
+	p, _, err = DecodeMachine(menc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts := p.Func("caller").Blocks[0].Insts
+	for _, k := range []int{0, 127, 128, 1<<14 - 1, 1 << 14, len(syms) - 1} {
+		if insts[k].Sym != syms[k] {
+			t.Fatalf("instruction %d calls %q, want %q", k, insts[k].Sym, syms[k])
+		}
+	}
+	if !bytes.Equal(EncodeMachine(p, nil), menc) {
+		t.Fatal("a machine artifact with a large table does not round-trip")
+	}
+
+	m = llir.NewModule("app")
+	f := &llir.Func{Name: "caller", Module: "app", NumValues: 1}
+	b := &llir.Block{Label: "entry"}
+	for _, s := range syms {
+		b.Insts = append(b.Insts, llir.Inst{Op: llir.Call, Sym: s})
+	}
+	b.Insts = append(b.Insts, llir.Inst{Op: llir.Ret})
+	f.Blocks = []*llir.Block{b}
+	m.AddFunc(f)
+	enc = EncodeModule(m)
+	if n := tableLen(t, enc, kindLLIR); n <= 1<<14 {
+		t.Fatalf("LLIR table has %d entries; want some with three-byte indices", n)
+	}
+	got, err := DecodeModule(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Func("caller").Blocks[0].Insts[len(syms)-1].Sym != syms[len(syms)-1] || !bytes.Equal(EncodeModule(got), enc) {
+		t.Fatal("an LLIR artifact with a large table does not round-trip")
+	}
+}
+
+// TestInstsRecordAtBufferEnd: the instruction reader accepts a record whose
+// condition byte is the buffer's last, and rejects every shorter buffer and
+// an overlong immediate.
+func TestInstsRecordAtBufferEnd(t *testing.T) {
+	want := isa.Inst{Op: isa.BL, Rd: isa.X1, Rd2: isa.X2, Rn: isa.X3, Rm: isa.X4, Imm: math.MinInt64, Sym: "x", Cond: isa.CondNone}
+	rec := binary.AppendVarint([]byte{byte(want.Op), 1, 2, 3, 4}, want.Imm)
+	rec = append(rec, 1, byte(want.Cond))
+	strs := []string{"", "x"}
+	d := &dec{b: rec, strs: strs}
+	got := make([]isa.Inst, 1)
+	d.insts(got)
+	if err := d.done(); err != nil || got[0] != want {
+		t.Fatalf("record at the buffer's end: %+v, %v", got[0], err)
+	}
+	for cut := 0; cut < len(rec); cut++ {
+		d := &dec{b: rec[:cut], strs: strs}
+		if d.insts(make([]isa.Inst, 1)); d.err == nil {
+			t.Fatalf("the reader accepted %d of a %d-byte record", cut, len(rec))
+		}
+	}
+	overlong := append([]byte{byte(isa.MOVZ), 0, 0, 0, 0}, bytes.Repeat([]byte{0x80}, 10)...)
+	overlong = append(overlong, 0x01, 0, 0)
+	d = &dec{b: overlong, strs: strs}
+	if d.insts(make([]isa.Inst, 1)); d.err == nil {
+		t.Fatal("the reader accepted an eleven-byte immediate")
+	}
+}
+
+// tableCorruptions are kind artifacts with a corrupt string table: a body
+// index equal to the table's length, a table count and a string length past
+// the data, and a table count no input can back.
+func tableCorruptions(kind byte) [][]byte {
+	head := []byte{magic[0], magic[1], magic[2], SchemaVersion, kind}
+	// The index past the table: the machine program's first function name
+	// and the LLIR module name.
+	past := []byte{1, 1, 'a', 1, 1}
+	if kind == kindLLIR {
+		head = append(head, 3, 0, 0, 0) // an empty summary
+		past = []byte{1, 1, 'a', 1}
+	}
+	with := func(tail []byte) []byte { return append(bytes.Clone(head), tail...) }
+	return [][]byte{
+		with(past),
+		with([]byte{3, 1}),
+		with([]byte{1, 100, 'a', 'b'}),
+		with(binary.AppendUvarint(nil, 1<<40)),
+	}
+}
+
+func TestDecodeRejectsCorruptTables(t *testing.T) {
+	for i, data := range tableCorruptions(kindMachine) {
+		if _, _, err := DecodeMachine(data); err == nil {
+			t.Errorf("DecodeMachine accepted table corruption %d", i)
+		}
+	}
+	for i, data := range tableCorruptions(kindLLIR) {
+		if _, err := DecodeModule(data); err == nil {
+			t.Errorf("DecodeModule accepted table corruption %d", i)
+		}
+	}
+}
+
+// TestDecodeStringsCostNoAllocations: a decoded artifact's strings share the
+// table's backing string, so a hundred times as many symbols cost no more
+// allocations.
+func TestDecodeStringsCostNoAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	allocs := func(n int) float64 {
+		enc := EncodeMachine(callProgram(manySyms(n)), nil)
+		return testing.AllocsPerRun(10, func() { DecodeMachine(enc) })
+	}
+	if few, many := allocs(10), allocs(1000); few != many {
+		t.Fatalf("decoding 10 symbols: %v allocs, 1000 symbols: %v", few, many)
 	}
 }
 
@@ -211,9 +421,11 @@ func FuzzDecodeMachine(f *testing.F) {
 	p, st := sampleProgram()
 	f.Add(EncodeMachine(p, st))
 	f.Add(EncodeMachine(p, nil))
-	huge := newEnc(kindMachine)
-	huge.u(1 << 40) // a function count no input can back
-	f.Add(huge.b)
+	f.Add(EncodeMachine(extremeProgram(), nil))
+	f.Add(append([]byte{magic[0], magic[1], magic[2], SchemaVersion, kindMachine, 0}, binary.AppendUvarint(nil, 1<<40)...)) // a function count no input can back
+	for _, data := range tableCorruptions(kindMachine) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, st, err := DecodeMachine(data)
 		if err != nil {
@@ -222,6 +434,24 @@ func FuzzDecodeMachine(f *testing.F) {
 		// Whatever decodes must re-encode to something that decodes.
 		if _, _, err := DecodeMachine(EncodeMachine(p, st)); err != nil {
 			t.Fatalf("re-encoded machine artifact does not decode: %v", err)
+		}
+	})
+}
+
+func FuzzDecodeModule(f *testing.F) {
+	f.Add(EncodeModule(sampleModule()))
+	f.Add(EncodeModule(extremeModule()))
+	for _, data := range tableCorruptions(kindLLIR) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeModule(data)
+		if err != nil {
+			return
+		}
+		// Whatever decodes must re-encode to something that decodes.
+		if _, err := DecodeModule(EncodeModule(m)); err != nil {
+			t.Fatalf("re-encoded LLIR artifact does not decode: %v", err)
 		}
 	})
 }

@@ -15,8 +15,8 @@ import (
 //
 // Layout (after the 5-byte artifact header): a uvarint byte length, then
 // that many bytes holding three counted string lists — Funcs, Globals, Refs.
-// The body follows; DecodeModule skips the section by its length and
-// DecodeSummary never looks past it.
+// The string table and the body follow; DecodeModule skips the section by
+// its length and DecodeSummary never looks past it.
 type Summary struct {
 	// Funcs and Globals are the names the module defines, in module order.
 	Funcs   []string

@@ -65,15 +65,25 @@ func (k Key) id() string {
 }
 
 // Hasher accumulates content into a hex digest for Key.Input/Key.Config.
-type Hasher struct{ h hash.Hash }
+type Hasher struct {
+	h hash.Hash
+	// buf carries strings into h: converting one to []byte for the
+	// interface call would copy it to the heap.
+	buf [256]byte
+}
 
 // NewHasher returns an empty content hasher.
 func NewHasher() *Hasher { return &Hasher{h: sha256.New()} }
 
 // WriteString adds s (with a terminator so concatenations cannot collide).
 func (h *Hasher) WriteString(s string) *Hasher {
-	h.h.Write([]byte(s))
-	h.h.Write([]byte{0})
+	for len(s) > 0 {
+		n := copy(h.buf[:], s)
+		h.h.Write(h.buf[:n])
+		s = s[n:]
+	}
+	h.buf[0] = 0
+	h.h.Write(h.buf[:1])
 	return h
 }
 

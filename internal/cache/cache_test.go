@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+
+	"outliner/internal/raceflag"
 )
 
 func testKey() Key {
@@ -219,4 +222,36 @@ func TestSharedReturnsOneInstancePerDir(t *testing.T) {
 		t.Fatal("Forget did not drop the shared instance")
 	}
 	Forget(dir)
+}
+
+// TestHasherDigestGolden pins a Hasher digest recorded before WriteString
+// fed sha256 through the Hasher's buffer: keys must stay byte-identical, so
+// strings shorter than, as long as and longer than the buffer (and a block)
+// hash as they did.
+func TestHasherDigestGolden(t *testing.T) {
+	const want = "bd727368bd495ae267b8ec5310353aaa4e4f3598094bc3334a853d0421349419"
+	h := NewHasher()
+	for _, n := range []int{0, 1, 63, 64, 65, 255, 256, 257, 1000, 64<<10 + 3} {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			b.WriteByte(byte('a' + i%26))
+		}
+		h.WriteString(b.String())
+		h.Write([]byte{byte(n)})
+	}
+	if got := h.Sum(); got != want {
+		t.Fatalf("Hasher digest drifted: got %s want %s", got, want)
+	}
+}
+
+// TestHasherWriteStringAllocFree: hashing a string does not copy it.
+func TestHasherWriteStringAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := strings.Repeat("x", 64<<10)
+	h := NewHasher()
+	if n := testing.AllocsPerRun(10, func() { h.WriteString(s) }); n != 0 {
+		t.Fatalf("WriteString of a 64 KiB string: %v allocs, want 0", n)
+	}
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"outliner/internal/appgen"
-	"outliner/internal/artifact"
 	"outliner/internal/codegen"
 	"outliner/internal/fault"
 	"outliner/internal/isa"
@@ -173,21 +172,26 @@ func TestFrontierMatchesFullVerify(t *testing.T) {
 	}
 }
 
-// Digests of the canonical encoding of the UberRider-24 program after a
-// round-two corruption under each degraded mode, recorded at the commit
-// before rounds stopped re-verifying the whole program.
+// Digests of the text of the UberRider-24 program after a round-two
+// corruption under each degraded mode. They were first recorded, over the
+// machine artifact's program section, at the commit before rounds stopped
+// re-verifying the whole program; these text digests were recorded on a
+// tree where that section still hashed to those values, so they pin the
+// same programs.
 const (
-	rollbackRoundDigest     = "348509eda4d71f92d43604539a6f96fe2f9962cfaf5bb7ad0910dfacf7557d24"
-	disableOutliningDigest  = "1e9d08c6ebf09f07f9a360e3d709cbe829ead2167cf8b1ae2476ea3fa352b77c"
+	rollbackRoundDigest     = "0505a09b23cbe265f2322df70e97e981144d7cab30e8ab9d9c2fb81be1f01f9f"
+	disableOutliningDigest  = "99824d9ddbb2f6ed951c0b22147083d4500df83452b6d6d55086c25e2c1b446d"
 	roundTwoCorruptionPoint = "/round:2"
 )
 
-// digest hashes the program section of prog's machine artifact: the bytes
-// after the 5-byte header and before the no-stats flag.
+// digest hashes prog's text (mir.Program.WriteTo), which carries everything
+// the program is: each function's name, module, outlined flag, labels and
+// instructions, and every global. Unlike an artifact encoding it does not
+// move when the cache's format does.
 func digest(prog *mir.Program) string {
-	enc := artifact.EncodeMachine(prog, nil)
-	sum := sha256.Sum256(enc[5 : len(enc)-1])
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	prog.WriteTo(h)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestFrontierFaultInjectedRound: the corruption the fault injector plants in
