@@ -11,7 +11,6 @@ package outliner_test
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"testing"
 
 	"outliner/internal/appgen"
@@ -105,54 +104,6 @@ func BenchmarkTable4Suite(b *testing.B) {
 		}
 		b.ReportMetric(res.AvgPct, "avg-overhead-%")
 		b.ReportMetric(res.MaxPct, "worst-overhead-%")
-	}
-}
-
-// BenchmarkBuildTimeDefault and BenchmarkBuildTimeWholeProgram cover §VII-C:
-// the default pipeline is much cheaper than the whole-program pipeline with
-// five rounds of outlining.
-func BenchmarkBuildTimeDefault(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := appgen.BuildApp(appgen.UberRider, benchScale,
-			pipeline.Config{OutlineRounds: 1, SILOutline: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBuildTimeWholeProgram measures the paper's production pipeline.
-func BenchmarkBuildTimeWholeProgram(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := appgen.BuildApp(appgen.UberRider, benchScale, pipeline.OSize); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkParallelBuild compares the serial whole-program OSize build
-// (Parallelism: 1, the paper's situation) against the parallel one
-// (Parallelism: NumCPU, the deterministic internal/par layer). On a ≥4-core
-// machine the parallel build should be ≥2x faster; the two produce
-// byte-identical images (TestParallelBuildDeterminism asserts it).
-func BenchmarkParallelBuild(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial-j1", 1},
-		{fmt.Sprintf("parallel-j%d", runtime.NumCPU()), runtime.NumCPU()},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := pipeline.OSize
-			cfg.Parallelism = bc.workers
-			for i := 0; i < b.N; i++ {
-				res, err := appgen.BuildApp(appgen.UberRider, benchScale, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.CodeSize()), "code-bytes")
-			}
-		})
 	}
 }
 

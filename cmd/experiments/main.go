@@ -29,16 +29,15 @@ import (
 )
 
 func main() {
-	build := pipeline.NewFlags(flag.CommandLine, pipeline.Config{}, "j", "trace", "remarks", "summary", "cache-dir")
+	build := pipeline.NewFlags(flag.CommandLine, pipeline.Config{}, "j", "trace", "remarks", "summary")
 	scale := flag.Float64("scale", experiments.DefaultScale, "app scale (1.0 = full synthetic app)")
 	samples := flag.Int("samples", 3, "device-population samples per fig13 cell")
 	flag.Parse()
-	cfg, err := build.Config()
-	if err != nil {
+	var err error
+	if experiments.Driver, err = build.Config(); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
-	experiments.Parallelism, experiments.Tracer, experiments.CacheDir = cfg.Parallelism, cfg.Tracer, cfg.CacheDir
 	args := flag.Args()
 	if len(args) == 0 {
 		flag.Usage()

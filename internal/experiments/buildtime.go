@@ -3,238 +3,91 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"outliner/internal/appgen"
-	"outliner/internal/cache"
+	"outliner/internal/obs"
 	"outliner/internal/pipeline"
 )
 
 // BuildTimeResult reproduces §VII-C: the default pipeline is fast; the
 // whole-program pipeline pays for llvm-link + whole-program opt + llc; each
 // extra outlining round adds progressively less. (The paper: 21 min default,
-// 53 min new pipeline without outlining, 66 min with five rounds.) The
-// serial-vs-parallel axis is the reproduction's addition: the paper's
-// whole-program pipeline forfeits per-module build parallelism, and the
-// Serial/Parallel columns measure how much of that cost the deterministic
-// parallel execution layer (internal/par) recovers on this machine.
+// 53 min new pipeline without outlining, 66 min with five rounds.) Each row
+// is one build under the driver's -j; the benchmark (benchmark/run.sh) owns
+// the repeated, paired timings.
 type BuildTimeResult struct {
 	DefaultDur  time.Duration
 	WholeNoOut  time.Duration
-	WholeRounds []time.Duration // index = rounds (1..5)
+	WholeRounds []time.Duration // index = rounds-1 (rounds 1..5)
 	// Stages sums the obs stage spans of the no-outlining whole-program
-	// serial build; Counters is the obs counter delta of the full 5-round
-	// serial build (the configuration the paper ships).
+	// build; Counters is the obs counter delta of the 5-round build (the
+	// configuration the paper ships).
 	Stages   map[string]time.Duration
 	Counters map[string]int64
-
-	// Serial (Parallelism=1) vs parallel (one worker per CPU) timings for
-	// the same configurations, and the worker count used for the latter.
-	DefaultSerial   time.Duration
-	DefaultParallel time.Duration
-	WholeSerial     []time.Duration // index = rounds (0..5); [0] = no outlining
-	WholeParallel   []time.Duration
-	Workers         int
-
-	// The incremental-build-cache axis: each configuration built twice
-	// against a private cache directory (parallel workers), cold then warm,
-	// with the warm build's cache hit rate. The rows above always run
-	// uncached — they measure the pipelines themselves.
-	CacheLabels  []string
-	CacheCold    []time.Duration
-	CacheWarm    []time.Duration
-	CacheHitRate []float64
-}
-
-// Speedup is the parallel speedup of the full whole-program build (five
-// rounds of outlining) — the configuration the paper ships.
-func (r *BuildTimeResult) Speedup() float64 {
-	n := len(r.WholeSerial) - 1
-	if n < 0 || r.WholeParallel[n] <= 0 {
-		return 1
-	}
-	return float64(r.WholeSerial[n]) / float64(r.WholeParallel[n])
 }
 
 // RunBuildTime measures wall-clock build times on the synthetic app.
 func RunBuildTime(w io.Writer, scale float64) (*BuildTimeResult, error) {
-	res := &BuildTimeResult{
-		Stages:  map[string]time.Duration{},
-		Workers: runtime.GOMAXPROCS(0),
-	}
-
-	// All builds run under one obs.Tracer; stage times and counters are read
-	// back from it (Mark / Counters snapshots scope them to a single build)
-	// instead of keeping private bookkeeping.
-	tr := countingTracer()
-	timeBuild := func(cfg pipeline.Config) (time.Duration, *pipeline.Result, error) {
+	res := &BuildTimeResult{}
+	mods := appgen.Generate(appgen.UberRider, scale)
+	// Stage times and counters are read back from the build's tracer, the
+	// driver's or this private one.
+	tr := obs.New()
+	timeBuild := func(cfg pipeline.Config) (time.Duration, *pipeline.Result, map[string]int64, error) {
 		cfg.Tracer = tr
-		cfg.CacheDir = "" // the main rows measure the uncached pipelines
 		start := time.Now()
-		r, err := appgen.BuildApp(appgen.UberRider, scale, cfg)
-		return time.Since(start), r, err
-	}
-	// Each configuration builds twice: fully serial (Parallelism=1, the
-	// paper's situation) and with one worker per CPU. The outputs are
-	// byte-identical; only the wall clock differs. delta holds the counter
-	// change of the serial build.
-	timeBoth := func(cfg pipeline.Config) (serial, parallel time.Duration, delta map[string]int64, err error) {
-		cfg.Parallelism = 1
-		before := tr.Counters()
-		serial, _, err = timeBuild(cfg)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		delta = counterDelta(before, tr.Counters())
-		cfg.Parallelism = 0 // one worker per CPU
-		parallel, _, err = timeBuild(cfg)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		return serial, parallel, delta, nil
+		r, counters, err := build(cfg, mods, nil)
+		return time.Since(start), r, counters, err
 	}
 
-	s, p, _, err := timeBoth(baselineConfig())
-	if err != nil {
+	var err error
+	if res.DefaultDur, _, _, err = timeBuild(baseline()); err != nil {
 		return nil, err
 	}
-	res.DefaultSerial, res.DefaultParallel = s, p
-	res.DefaultDur = s
-
-	noOut := optimizedConfig()
-	noOut.OutlineRounds = 0
-	noOut.Parallelism = 1
-	mark := tr.Mark()
-	s, _, err = timeBuild(noOut)
-	if err != nil {
+	var noOut *pipeline.Result
+	if res.WholeNoOut, noOut, _, err = timeBuild(oSize(0)); err != nil {
 		return nil, err
 	}
-	res.Stages = tr.StageTotalsSince(mark)
-	noOut.Parallelism = 0
-	p, _, err = timeBuild(noOut)
-	if err != nil {
-		return nil, err
-	}
-	res.WholeNoOut = s
-	res.WholeSerial = append(res.WholeSerial, s)
-	res.WholeParallel = append(res.WholeParallel, p)
-
+	res.Stages = noOut.Timings
 	for rounds := 1; rounds <= 5; rounds++ {
-		cfg := optimizedConfig()
-		cfg.OutlineRounds = rounds
-		s, p, delta, err := timeBoth(cfg)
+		d, _, counters, err := timeBuild(oSize(rounds))
 		if err != nil {
 			return nil, err
 		}
-		res.WholeRounds = append(res.WholeRounds, s)
-		res.WholeSerial = append(res.WholeSerial, s)
-		res.WholeParallel = append(res.WholeParallel, p)
-		if rounds == 5 {
-			res.Counters = delta
-		}
-	}
-
-	// Cold vs warm against the incremental build cache, one private
-	// directory per configuration so the cold build genuinely misses.
-	for _, axis := range []struct {
-		label string
-		cfg   pipeline.Config
-	}{
-		{"default pipeline (per-module, 1 round)", baselineConfig()},
-		{"whole-program, 5 round(s)", optimizedConfig()},
-	} {
-		dir, err := os.MkdirTemp("", "buildtime-cache-")
-		if err != nil {
-			return nil, err
-		}
-		cfg := axis.cfg
-		cfg.Tracer = tr
-		cfg.CacheDir = dir
-		cfg.Parallelism = 0
-		start := time.Now()
-		if _, err := appgen.BuildApp(appgen.UberRider, scale, cfg); err != nil {
-			os.RemoveAll(dir)
-			cache.Forget(dir)
-			return nil, err
-		}
-		cold := time.Since(start)
-		before := tr.Counters()
-		start = time.Now()
-		if _, err := appgen.BuildApp(appgen.UberRider, scale, cfg); err != nil {
-			os.RemoveAll(dir)
-			cache.Forget(dir)
-			return nil, err
-		}
-		warm := time.Since(start)
-		delta := counterDelta(before, tr.Counters())
-		hitRate := 0.0
-		if delta["cache/probes"] > 0 {
-			hitRate = float64(delta["cache/hits"]) / float64(delta["cache/probes"])
-		}
-		res.CacheLabels = append(res.CacheLabels, axis.label)
-		res.CacheCold = append(res.CacheCold, cold)
-		res.CacheWarm = append(res.CacheWarm, warm)
-		res.CacheHitRate = append(res.CacheHitRate, hitRate)
-		os.RemoveAll(dir)
-		cache.Forget(dir)
+		res.WholeRounds = append(res.WholeRounds, d)
+		res.Counters = counters
 	}
 
 	ms := func(d time.Duration) string { return d.Round(time.Millisecond).String() }
-	fmt.Fprintln(w, "BUILD TIME (§VII-C): wall-clock on this machine, synthetic app")
+	fmt.Fprintln(w, "BUILD TIME (§VII-C): wall-clock on this machine, synthetic app, one build per row")
 	fmt.Fprintln(w, "(paper shape: default << whole-program; rounds add diminishing time;")
-	fmt.Fprintf(w, " parallel column = internal/par with %d worker(s), byte-identical output)\n", res.Workers)
+	fmt.Fprintln(w, " repeated, paired timings: benchmark/run.sh, rows build_p50_s and par.speedup_j2)")
 	fmt.Fprintln(w)
 	rows := [][]string{
-		{"configuration", "serial (-j1)", fmt.Sprintf("parallel (-j%d)", res.Workers)},
-		{"default pipeline (per-module, 1 round)", ms(res.DefaultSerial), ms(res.DefaultParallel)},
-		{"whole-program, no outlining", ms(res.WholeSerial[0]), ms(res.WholeParallel[0])},
+		{"configuration", "time"},
+		{"default pipeline (per-module, 1 round)", ms(res.DefaultDur)},
+		{"whole-program, no outlining", ms(res.WholeNoOut)},
 	}
-	for i := 1; i < len(res.WholeSerial); i++ {
-		rows = append(rows, []string{
-			fmt.Sprintf("whole-program, %d round(s)", i),
-			ms(res.WholeSerial[i]), ms(res.WholeParallel[i]),
-		})
+	for i, d := range res.WholeRounds {
+		rows = append(rows, []string{fmt.Sprintf("whole-program, %d round(s)", i+1), ms(d)})
 	}
-	full := len(res.WholeSerial) - 1
-	rows = append(rows, []string{
-		"recovered by parallelism (5 rounds)",
-		ms(res.WholeSerial[full] - res.WholeParallel[full]),
-		fmt.Sprintf("%.2fx speedup", res.Speedup()),
-	})
 	table(w, rows)
-	fmt.Fprintf(w, "\nincremental build cache (-cache-dir, -j%d): cold vs warm\n", res.Workers)
-	cacheRows := [][]string{{"configuration", "cold", "warm", "speedup", "hit rate"}}
-	for i, label := range res.CacheLabels {
-		ratio := 1.0
-		if res.CacheWarm[i] > 0 {
-			ratio = float64(res.CacheCold[i]) / float64(res.CacheWarm[i])
-		}
-		cacheRows = append(cacheRows, []string{
-			label, ms(res.CacheCold[i]), ms(res.CacheWarm[i]),
-			fmt.Sprintf("%.2fx", ratio),
-			fmt.Sprintf("%.0f%%", 100*res.CacheHitRate[i]),
-		})
-	}
-	table(w, cacheRows)
-	fmt.Fprintln(w, "\nwhole-program stage breakdown (no outlining, serial):")
+	fmt.Fprintln(w, "\nwhole-program stage breakdown (no outlining):")
 	srows := [][]string{{"stage", "time"}}
 	for _, k := range sortedKeys(res.Stages) {
 		srows = append(srows, []string{k, ms(res.Stages[k])})
 	}
 	table(w, srows)
-	if len(res.Counters) > 0 {
-		fmt.Fprintln(w, "\npipeline counters (5 rounds, serial; mem/* and per-round keys omitted):")
-		crows := [][]string{{"counter", "value"}}
-		for _, k := range sortedKeys(res.Counters) {
-			if strings.HasPrefix(k, "mem/") || strings.HasPrefix(k, "outline/round") {
-				continue
-			}
-			crows = append(crows, []string{k, fmt.Sprintf("%d", res.Counters[k])})
+	fmt.Fprintln(w, "\npipeline counters (5 rounds; mem/* and per-round keys omitted):")
+	crows := [][]string{{"counter", "value"}}
+	for _, k := range sortedKeys(res.Counters) {
+		if strings.HasPrefix(k, "mem/") || strings.HasPrefix(k, "outline/round") {
+			continue
 		}
-		table(w, crows)
+		crows = append(crows, []string{k, fmt.Sprintf("%d", res.Counters[k])})
 	}
+	table(w, crows)
 	return res, nil
 }

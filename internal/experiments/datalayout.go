@@ -6,6 +6,7 @@ import (
 
 	"outliner/internal/appgen"
 	"outliner/internal/perf"
+	"outliner/internal/pipeline"
 	"outliner/internal/stats"
 )
 
@@ -29,16 +30,14 @@ var residencyOverride int
 // without module-order preservation and compares page faults and time over
 // the spans.
 func RunDataLayout(w io.Writer, scale float64) (*DataLayoutResult, error) {
-	pres := optimizedConfig()
-	pres.PreserveDataLayout = true
-	inter := optimizedConfig()
-	inter.PreserveDataLayout = false
-
-	presRes, err := appgen.BuildApp(appgen.UberRider, scale, pres)
+	mods := appgen.Generate(appgen.UberRider, scale)
+	presRes, _, err := build(pipeline.OSize, mods, nil)
 	if err != nil {
 		return nil, err
 	}
-	interRes, err := appgen.BuildApp(appgen.UberRider, scale, inter)
+	inter := pipeline.OSize
+	inter.PreserveDataLayout = false
+	interRes, _, err := build(inter, mods, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ import (
 
 	"outliner/internal/appgen"
 	"outliner/internal/exec"
-	"outliner/internal/obs"
+	"outliner/internal/mir"
 	"outliner/internal/perf"
 	"outliner/internal/pipeline"
 )
@@ -29,48 +29,64 @@ import (
 // synthetic app (hundreds of functions), smaller values keep CI fast.
 const DefaultScale = 0.6
 
-// Parallelism is the worker bound handed to every pipeline build the
-// experiments run (0 = one per CPU, 1 = fully serial); cmd/experiments'
-// -j flag sets it. Results are byte-identical for every value — only the
-// wall-clock numbers of the buildtime experiment change.
-var Parallelism int
+// Driver is the configuration cmd/experiments parses from its -j, -trace,
+// -remarks and -summary flags. build is its only reader, and takes from it
+// the worker bound and the tracer alone. Neither changes a result: output is
+// byte-identical at every -j, with or without telemetry.
+var Driver pipeline.Config
 
-// Tracer, when set by cmd/experiments' -trace/-remarks/-summary flags, is
-// handed to every pipeline build the experiments run; the driver writes the
-// accumulated trace, remarks, and summary after all subcommands finish.
-// Telemetry is strictly observational, so experiment results are identical
-// with or without it.
-var Tracer *obs.Tracer
-
-// CacheDir, when set by cmd/experiments' -cache-dir flag, enables the
-// incremental build cache for every pipeline build the experiments run.
-// Caching changes only wall-clock time, never results — fig1's warm sweep
-// asserts exactly that. The buildtime experiment zeroes it for its main
-// rows (they measure the uncached pipelines) and measures the cache on a
-// dedicated cold/warm axis instead.
-var CacheDir string
-
-// countingTracer returns the shared Tracer when telemetry was requested and
-// otherwise a private full collector, so experiments that derive their tables
-// from counters (fig12, buildtime) always have something to read.
-func countingTracer() *obs.Tracer {
-	if Tracer != nil {
-		return Tracer
+// build runs one build of cfg: appgen.BuildGenerated (pipeline.Build) of
+// mods, or, when mods is nil, pipeline.BuildMIR's post-link tail on prog.
+// The build gets the driver's worker bound, and the driver's tracer when it
+// gave one; otherwise it keeps cfg.Tracer, the private counting tracer of
+// fig12 and buildtime (nil elsewhere). counters is what the build added to
+// its tracer's counters, nil without a tracer; experiments run one build at
+// a time, so a shared tracer's delta is this build's alone.
+func build(cfg pipeline.Config, mods []appgen.Module, prog *mir.Program) (res *pipeline.Result, counters map[string]int64, err error) {
+	cfg.Parallelism = Driver.Parallelism
+	if Driver.Tracer != nil {
+		cfg.Tracer = Driver.Tracer
 	}
-	return obs.New()
-}
-
-// counterDelta returns after-before for every counter, dropping zero deltas.
-// Experiments bracket a single build with Counters snapshots to scope the
-// shared Tracer's cumulative counters to that build.
-func counterDelta(before, after map[string]int64) map[string]int64 {
-	out := map[string]int64{}
-	for k, v := range after {
+	before := cfg.Tracer.Counters()
+	if mods == nil {
+		res, err = pipeline.BuildMIR(prog, cfg)
+	} else {
+		res, err = appgen.BuildGenerated(mods, cfg)
+	}
+	if err != nil || cfg.Tracer == nil {
+		return res, nil, err
+	}
+	counters = map[string]int64{}
+	for k, v := range cfg.Tracer.Counters() {
 		if d := v - before[k]; d != 0 {
-			out[k] = d
+			counters[k] = d
 		}
 	}
-	return out
+	return res, counters, nil
+}
+
+// baseline is the default iOS pipeline the paper measures against:
+// pipeline.Default with Swift 5.2's closure specialization.
+func baseline() pipeline.Config {
+	cfg := pipeline.Default
+	cfg.SpecializeClosures = true
+	return cfg
+}
+
+// oSize is the paper's production pipeline, pipeline.OSize, with the given
+// number of outlining rounds.
+func oSize(rounds int) pipeline.Config {
+	cfg := pipeline.OSize
+	cfg.OutlineRounds = rounds
+	return cfg
+}
+
+// noDedup is pipeline.OSize with every deduplication pass off: Table I's
+// reference build, and the base the generality subjects are outlined from.
+func noDedup() pipeline.Config {
+	cfg := oSize(0)
+	cfg.SILOutline, cfg.SpecializeClosures, cfg.MergeFunctions = false, false, false
+	return cfg
 }
 
 // BenchmarksDir locates testdata/benchmarks relative to the repo root.
@@ -107,17 +123,6 @@ func LoadBenchmarks() (map[string]string, error) {
 	return out, nil
 }
 
-// buildBench compiles one single-module benchmark with the given outlining
-// rounds (whole-program pipeline, as the artifact's run.sh does with llc).
-func buildBench(name, text string, rounds int) (*pipeline.Result, error) {
-	cfg := pipeline.OSize
-	cfg.OutlineRounds = rounds
-	cfg.Parallelism = Parallelism
-	cfg.Tracer = Tracer
-	cfg.CacheDir = CacheDir
-	return pipeline.Build([]pipeline.Source{{Name: name, Files: map[string]string{name + ".sl": text}}}, cfg)
-}
-
 // runOnDevice executes entry under the perf model and returns (output, perf
 // result).
 func runOnDevice(res *pipeline.Result, entry string, dev perf.Device, osm perf.OS, maxSteps int64) (string, perf.Result, error) {
@@ -131,56 +136,6 @@ func runOnDevice(res *pipeline.Result, entry string, dev perf.Device, osm perf.O
 		return out, perf.Result{}, err
 	}
 	return out, sim.Finish(), nil
-}
-
-// buildApp builds an app profile with and without the paper's optimization.
-func buildApp(p appgen.Profile, scale float64, optimized bool) (*pipeline.Result, error) {
-	cfg := baselineConfig()
-	if optimized {
-		cfg = optimizedConfig()
-	}
-	return appgen.BuildApp(p, scale, cfg)
-}
-
-// buildAppCached is buildApp against an explicit cache directory (fig1's
-// cold/warm sweeps use a private one when no -cache-dir was given).
-func buildAppCached(p appgen.Profile, scale float64, optimized bool, cacheDir string) (*pipeline.Result, error) {
-	cfg := baselineConfig()
-	if optimized {
-		cfg = optimizedConfig()
-	}
-	cfg.CacheDir = cacheDir
-	return appgen.BuildApp(p, scale, cfg)
-}
-
-// baselineConfig is the default iOS pipeline with Swift 5.2 semantics:
-// per-module compilation and one round of per-module outlining (-Osize).
-func baselineConfig() pipeline.Config {
-	return pipeline.Config{
-		OutlineRounds:      1,
-		SILOutline:         true,
-		SpecializeClosures: true,
-		Parallelism:        Parallelism,
-		Tracer:             Tracer,
-		CacheDir:           CacheDir,
-	}
-}
-
-// optimizedConfig is the paper's production pipeline: whole program, five
-// rounds of repeated machine outlining, both linker fixes.
-func optimizedConfig() pipeline.Config {
-	cfg := pipeline.OSize
-	cfg.Parallelism = Parallelism
-	cfg.Tracer = Tracer
-	cfg.CacheDir = CacheDir
-	return cfg
-}
-
-// noDedupConfig is the whole-program pipeline with every deduplication pass
-// off: Table I's reference build, and the base the generality subjects are
-// outlined from.
-func noDedupConfig() pipeline.Config {
-	return pipeline.Config{WholeProgram: true, SplitGCMetadata: true, PreserveDataLayout: true, Parallelism: Parallelism}
 }
 
 // percent formats a fraction as a percentage string.

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
-	"time"
 
 	"outliner/internal/appgen"
-	"outliner/internal/cache"
+	"outliner/internal/pipeline"
 	"outliner/internal/stats"
 )
 
@@ -29,78 +27,36 @@ type Fig1Result struct {
 	OptimizedFit stats.LinearFit
 	FinalSaving  float64 // fraction at the last snapshot
 	SlopeRatio   float64
-
-	// Cold/warm wall clock of the full sweep against the incremental build
-	// cache: the warm sweep rebuilds every snapshot from cache entries and
-	// must reproduce every size exactly — which doubles as an end-to-end
-	// determinism check on the cache.
-	ColdDur, WarmDur time.Duration
 }
 
 // RunFig1 compiles the synthetic app at a sweep of growth scales (the app
-// gains modules and functions week over week) under both pipelines. The
-// whole sweep runs twice against the incremental build cache — cold, then
-// warm — reporting the wall-clock ratio and asserting every snapshot size is
-// reproduced exactly from cached artifacts.
+// gains modules and functions week over week) under both pipelines.
 func RunFig1(w io.Writer, snapshots int, maxScale float64) (*Fig1Result, error) {
 	if snapshots < 2 {
 		snapshots = 2
 	}
-	cacheDir := CacheDir
-	if cacheDir == "" {
-		dir, err := os.MkdirTemp("", "fig1-cache-")
-		if err != nil {
-			return nil, fmt.Errorf("fig1: %w", err)
-		}
-		cacheDir = dir
-		defer func() {
-			os.RemoveAll(dir)
-			cache.Forget(dir)
-		}()
-	}
 	res := &Fig1Result{}
 	var weeks, baseSizes, optSizes []float64
-	snapshotSizes := func(i int) (baseBytes, optBytes int, _ error) {
-		scale := 0.3 + (maxScale-0.3)*float64(i)/float64(snapshots-1)
-		base, err := buildAppCached(appgen.UberRider, scale, false, cacheDir)
-		if err != nil {
-			return 0, 0, fmt.Errorf("fig1 snapshot %d baseline: %w", i, err)
-		}
-		opt, err := buildAppCached(appgen.UberRider, scale, true, cacheDir)
-		if err != nil {
-			return 0, 0, fmt.Errorf("fig1 snapshot %d optimized: %w", i, err)
-		}
-		return base.CodeSize(), opt.CodeSize(), nil
-	}
-	coldStart := time.Now()
 	for i := 0; i < snapshots; i++ {
-		baseBytes, optBytes, err := snapshotSizes(i)
-		if err != nil {
-			return nil, err
-		}
 		scale := 0.3 + (maxScale-0.3)*float64(i)/float64(snapshots-1)
+		mods := appgen.Generate(appgen.UberRider, scale)
+		base, _, err := build(baseline(), mods, nil)
+		if err != nil {
+			return nil, fmt.Errorf("fig1 snapshot %d baseline: %w", i, err)
+		}
+		opt, _, err := build(pipeline.OSize, mods, nil)
+		if err != nil {
+			return nil, fmt.Errorf("fig1 snapshot %d optimized: %w", i, err)
+		}
 		week := i * 52 / (snapshots - 1)
 		res.Points = append(res.Points, Fig1Point{
 			Week: week, Scale: scale,
-			BaselineBytes: baseBytes, OptimizedBytes: optBytes,
+			BaselineBytes: base.CodeSize(), OptimizedBytes: opt.CodeSize(),
 		})
 		weeks = append(weeks, float64(week))
-		baseSizes = append(baseSizes, float64(baseBytes))
-		optSizes = append(optSizes, float64(optBytes))
+		baseSizes = append(baseSizes, float64(base.CodeSize()))
+		optSizes = append(optSizes, float64(opt.CodeSize()))
 	}
-	res.ColdDur = time.Since(coldStart)
-	warmStart := time.Now()
-	for i, p := range res.Points {
-		baseBytes, optBytes, err := snapshotSizes(i)
-		if err != nil {
-			return nil, err
-		}
-		if baseBytes != p.BaselineBytes || optBytes != p.OptimizedBytes {
-			return nil, fmt.Errorf("fig1 snapshot %d: warm rebuild sizes %d/%d differ from cold %d/%d",
-				i, baseBytes, optBytes, p.BaselineBytes, p.OptimizedBytes)
-		}
-	}
-	res.WarmDur = time.Since(warmStart)
 	res.BaselineFit = stats.Linear(weeks, baseSizes)
 	res.OptimizedFit = stats.Linear(weeks, optSizes)
 	last := res.Points[len(res.Points)-1]
@@ -125,11 +81,5 @@ func RunFig1(w io.Writer, snapshots int, maxScale float64) (*Fig1Result, error) 
 	fmt.Fprintf(w, "\nbaseline fit:  %.1f bytes/week (R²=%.3f)\n", res.BaselineFit.Slope, res.BaselineFit.R2)
 	fmt.Fprintf(w, "optimized fit: %.1f bytes/week (R²=%.3f)\n", res.OptimizedFit.Slope, res.OptimizedFit.R2)
 	fmt.Fprintf(w, "slope ratio:   %.2fx   final saving: %s\n", res.SlopeRatio, percent(res.FinalSaving))
-	ratio := 1.0
-	if res.WarmDur > 0 {
-		ratio = float64(res.ColdDur) / float64(res.WarmDur)
-	}
-	fmt.Fprintf(w, "build cache:   cold sweep %s, warm sweep %s (%.1fx); sizes identical\n",
-		res.ColdDur.Round(time.Millisecond), res.WarmDur.Round(time.Millisecond), ratio)
 	return res, nil
 }

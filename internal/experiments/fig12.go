@@ -7,7 +7,6 @@ import (
 	"outliner/internal/appgen"
 	"outliner/internal/obs"
 	"outliner/internal/outline"
-	"outliner/internal/pipeline"
 )
 
 // Fig12Point is one configuration of the rounds sweep.
@@ -32,42 +31,35 @@ type Fig12Result struct {
 // RunFig12 sweeps outline rounds 0..maxRounds for both pipelines.
 func RunFig12(w io.Writer, scale float64, maxRounds int) (*Fig12Result, error) {
 	res := &Fig12Result{}
-	// Table II is derived from the obs counter stream the outliner emits
-	// (obs.RoundCounter), not from the pipeline's private Stats struct:
-	// snapshots bracket the rounds=5 whole-program build so the shared
-	// Tracer's cumulative counters scope to that one build.
-	tr := countingTracer()
+	mods := appgen.Generate(appgen.UberRider, scale)
 	for rounds := 0; rounds <= maxRounds; rounds++ {
-		inter := optimizedConfig()
-		inter.OutlineRounds = rounds
-		inter.Tracer = tr
-		var before map[string]int64
+		inter := oSize(rounds)
+		intra := inter
+		intra.WholeProgram = false
 		if rounds == 5 {
-			before = tr.Counters()
+			// Table II is derived from the obs counter stream the outliner
+			// emits (obs.RoundCounter), not from the pipeline's private
+			// Stats struct, so this build always has a tracer to count into.
+			inter.Tracer = obs.New()
 		}
-		interRes, err := appgen.BuildApp(appgen.UberRider, scale, inter)
+		interRes, counters, err := build(inter, mods, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fig12 inter rounds=%d: %w", rounds, err)
 		}
 		if rounds == 5 {
-			d := counterDelta(before, tr.Counters())
-			ran := int(d["outline/rounds"])
+			ran := int(counters["outline/rounds"])
 			cum := outline.RoundStats{}
 			for r := 1; r <= ran; r++ {
-				cum.SequencesOutlined += int(d[obs.RoundCounter(r, obs.RoundSequences)])
-				cum.FunctionsCreated += int(d[obs.RoundCounter(r, obs.RoundFunctions)])
-				cum.OutlinedBytes += int(d[obs.RoundCounter(r, obs.RoundOutlinedBytes)])
-				cum.BytesSaved += int(d[obs.RoundCounter(r, obs.RoundBytesSaved)])
+				cum.SequencesOutlined += int(counters[obs.RoundCounter(r, obs.RoundSequences)])
+				cum.FunctionsCreated += int(counters[obs.RoundCounter(r, obs.RoundFunctions)])
+				cum.OutlinedBytes += int(counters[obs.RoundCounter(r, obs.RoundOutlinedBytes)])
+				cum.BytesSaved += int(counters[obs.RoundCounter(r, obs.RoundBytesSaved)])
 				c := cum
 				c.Round = r
 				res.Table2 = append(res.Table2, c)
 			}
 		}
-		intra := pipeline.Config{
-			OutlineRounds: rounds, SILOutline: true, SpecializeClosures: true,
-			MergeFunctions: true, Parallelism: Parallelism, Tracer: Tracer,
-		}
-		intraRes, err := appgen.BuildApp(appgen.UberRider, scale, intra)
+		intraRes, _, err := build(intra, mods, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fig12 intra rounds=%d: %w", rounds, err)
 		}

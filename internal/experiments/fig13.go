@@ -40,11 +40,12 @@ func RunFig13(w io.Writer, scale float64, samples int) (*Fig13Result, error) {
 	if samples < 1 {
 		samples = 3
 	}
-	base, err := buildApp(appgen.UberRider, scale, false)
+	mods := appgen.Generate(appgen.UberRider, scale)
+	base, _, err := build(baseline(), mods, nil)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := buildApp(appgen.UberRider, scale, true)
+	opt, _, err := build(pipeline.OSize, mods, nil)
 	if err != nil {
 		return nil, err
 	}

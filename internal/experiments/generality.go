@@ -29,11 +29,12 @@ func RunGenerality(w io.Writer, scale float64) (*GeneralityResult, error) {
 	res := &GeneralityResult{}
 
 	app := func(p appgen.Profile, paper string) error {
-		base, err := buildApp(p, scale, false)
+		mods := appgen.Generate(p, scale)
+		base, _, err := build(baseline(), mods, nil)
 		if err != nil {
 			return fmt.Errorf("%s base: %w", p.Name, err)
 		}
-		opt, err := buildApp(p, scale, true)
+		opt, _, err := build(pipeline.OSize, mods, nil)
 		if err != nil {
 			return fmt.Errorf("%s opt: %w", p.Name, err)
 		}
@@ -56,15 +57,11 @@ func RunGenerality(w io.Writer, scale float64) (*GeneralityResult, error) {
 
 	// Clang-like corpus through the full pipeline.
 	clangMods := appgen.GenerateClangLike(4242, int(14*scale)+4)
-	var sources []pipeline.Source
-	for _, m := range clangMods {
-		sources = append(sources, pipeline.Source{Name: m.Name, Files: m.Files})
-	}
-	cb, err := pipeline.Build(sources, noDedupConfig())
+	cb, _, err := build(noDedup(), clangMods, nil)
 	if err != nil {
 		return nil, fmt.Errorf("clang-like base: %w", err)
 	}
-	co, err := pipeline.Build(sources, optimizedConfig())
+	co, _, err := build(pipeline.OSize, clangMods, nil)
 	if err != nil {
 		return nil, fmt.Errorf("clang-like opt: %w", err)
 	}
@@ -78,9 +75,9 @@ func RunGenerality(w io.Writer, scale float64) (*GeneralityResult, error) {
 	// (the artifact used prebuilt bitcode the same way).
 	kb := appgen.GenerateKernelLike(777, int(220*scale)+40)
 	baseSize := kb.CodeSize()
-	kernelCfg := noDedupConfig()
-	kernelCfg.OutlineRounds, kernelCfg.Verify = 5, true
-	ko, err := pipeline.BuildMIR(kb, kernelCfg)
+	kernel := noDedup()
+	kernel.OutlineRounds, kernel.Verify = 5, true
+	ko, _, err := build(kernel, nil, kb)
 	if err != nil {
 		return nil, fmt.Errorf("kernel-like outline: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"outliner/internal/appgen"
-	"outliner/internal/mir"
 	"outliner/internal/outline"
 	"outliner/internal/stats"
 )
@@ -28,11 +27,13 @@ type PatternsResult struct {
 // RunPatterns builds the app (whole-program, no outlining) and runs the
 // statistics-collection pass over the final machine code.
 func RunPatterns(w io.Writer, scale float64) (*PatternsResult, error) {
-	res, err := buildAppForAnalysis(scale)
+	// The configuration the paper's statistics pass observes: the
+	// whole-program build with outlining off.
+	res, _, err := build(oSize(0), appgen.Generate(appgen.UberRider, scale), nil)
 	if err != nil {
 		return nil, err
 	}
-	pats := outline.Analyze(res, outline.Options{})
+	pats := outline.Analyze(res.Prog, outline.Options{})
 	if len(pats) == 0 {
 		return nil, fmt.Errorf("patterns: nothing repeats — generator broken?")
 	}
@@ -108,16 +109,4 @@ func RunPatterns(w io.Writer, scale float64) (*PatternsResult, error) {
 	fmt.Fprintf(w, "\nFig 6: max length among top-decile patterns %d vs tail %d (tail should be larger)\n",
 		headMax, tailMax)
 	return out, nil
-}
-
-// buildAppForAnalysis compiles the app whole-program with outlining off —
-// the configuration the paper's statistics pass observes.
-func buildAppForAnalysis(scale float64) (*mir.Program, error) {
-	cfg := optimizedConfig()
-	cfg.OutlineRounds = 0
-	r, err := appgen.BuildApp(appgen.UberRider, scale, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return r.Prog, nil
 }

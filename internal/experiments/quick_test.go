@@ -5,6 +5,9 @@ import (
 	"io"
 	"os"
 	"testing"
+
+	"outliner/internal/appgen"
+	"outliner/internal/obs"
 )
 
 var sink io.Writer = io.Discard
@@ -59,6 +62,22 @@ func TestTable1Shape(t *testing.T) {
 			t.Errorf("%s (%.2f%%) should save less than machine outlining (%.2f%%)",
 				r.Technique, r.SavingPct, isa)
 		}
+	}
+}
+
+// TestTable1ReachesDriverTracer checks that every Table I build runs under
+// the driver's tracer: the reference and the four single-pass builds each
+// count the app's modules into it.
+func TestTable1ReachesDriverTracer(t *testing.T) {
+	const scale = 0.1
+	Driver.Tracer = obs.New()
+	defer func() { Driver.Tracer = nil }()
+	if _, err := RunTable1(sink, scale); err != nil {
+		t.Fatal(err)
+	}
+	modules := int64(len(appgen.Generate(appgen.UberRider, scale)))
+	if got := Driver.Tracer.Counter("appgen/modules"); got != 5*modules {
+		t.Errorf("appgen/modules = %d, want 5 builds x %d modules", got, modules)
 	}
 }
 

@@ -31,15 +31,16 @@ func RunTable1(w io.Writer, scale float64) (*Table1Result, error) {
 	res := &Table1Result{}
 
 	// Reference build: whole-program pipeline, no dedup passes at all.
-	off := noDedupConfig()
-	ref, err := appgen.BuildApp(appgen.UberRider, scale, off)
+	mods := appgen.Generate(appgen.UberRider, scale)
+	off := noDedup()
+	ref, _, err := build(off, mods, nil)
 	if err != nil {
 		return nil, err
 	}
 	refSize := float64(ref.CodeSize())
 
 	saving := func(cfg pipeline.Config) (float64, error) {
-		r, err := appgen.BuildApp(appgen.UberRider, scale, cfg)
+		r, _, err := build(cfg, mods, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -48,12 +49,7 @@ func RunTable1(w io.Writer, scale float64) (*Table1Result, error) {
 
 	// AST level: token-based clone detection (PMD analog) — a report, not a
 	// transformation; we report the clone fraction it finds.
-	mods := appgen.Generate(appgen.UberRider, scale)
-	var sources []pipeline.Source
-	for _, m := range mods {
-		sources = append(sources, pipeline.Source{Name: m.Name, Files: m.Files})
-	}
-	cloneFrac, err := clone.DetectFraction(sources)
+	cloneFrac, err := clone.DetectFraction(appgen.Sources(mods))
 	if err != nil {
 		return nil, err
 	}

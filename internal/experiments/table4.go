@@ -5,7 +5,9 @@ import (
 	"io"
 	"sort"
 
+	"outliner/internal/appgen"
 	"outliner/internal/perf"
+	"outliner/internal/pipeline"
 	"outliner/internal/stats"
 )
 
@@ -44,11 +46,12 @@ func RunTable4(w io.Writer) (*Table4Result, error) {
 	const maxSteps = 200_000_000
 
 	for _, name := range sortedKeys(benches) {
-		base, err := buildBench(name, benches[name], 0)
+		mods := benchModule(name, benches[name])
+		base, _, err := build(oSize(0), mods, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s (base): %w", name, err)
 		}
-		opt, err := buildBench(name, benches[name], 5)
+		opt, _, err := build(pipeline.OSize, mods, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s (outlined): %w", name, err)
 		}
@@ -127,10 +130,6 @@ func work(a: Int, b: Int) -> Int {
 }
 func main() { print(work(a: 1, b: 31)) }
 `
-	base, err := buildBench("patho", src, 0)
-	if err != nil {
-		return 0, err
-	}
 	// Force outlining of the loop body with an aggressive config: replicate
 	// the body shape in sibling functions so the pattern repeats.
 	multi := src + `
@@ -159,15 +158,15 @@ func work3(a: Int, b: Int) -> Int {
   return acc
 }
 `
-	baseM, err := buildBench("patho", multi, 0)
+	mods := benchModule("patho", multi)
+	baseM, _, err := build(oSize(0), mods, nil)
 	if err != nil {
 		return 0, err
 	}
-	optM, err := buildBench("patho", multi, 5)
+	optM, _, err := build(pipeline.OSize, mods, nil)
 	if err != nil {
 		return 0, err
 	}
-	_ = base
 	dev, osm := perf.Devices[3], perf.OSes[2]
 	outA, basePerf, err := runOnDevice(baseM, "main", dev, osm, 500_000_000)
 	if err != nil {
@@ -183,4 +182,10 @@ func work3(a: Int, b: Int) -> Int {
 	slow := (optPerf.Cycles/basePerf.Cycles - 1) * 100
 	fmt.Fprintf(w, "Pathological hot-loop outlining: %+.2f%% slowdown (paper: 8.67%%)\n", slow)
 	return slow, nil
+}
+
+// benchModule is a single-module benchmark program; the suite compiles it
+// whole-program, as the artifact's run.sh does with llc.
+func benchModule(name, text string) []appgen.Module {
+	return []appgen.Module{{Name: name, Files: map[string]string{name + ".sl": text}}}
 }
