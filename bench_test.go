@@ -433,25 +433,6 @@ func BenchmarkPerfModel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCanonicalize measures the §VIII-1 extension: canonical
-// commutative operand order exposes more outlining matches.
-func BenchmarkAblationCanonicalize(b *testing.B) {
-	run := func(b *testing.B, canonicalize bool) {
-		for i := 0; i < b.N; i++ {
-			prog := benchProgram(b).Clone()
-			if canonicalize {
-				outline.CanonicalizeCommutative(prog)
-			}
-			if _, err := outline.Outline(prog, outline.Options{Rounds: 5}); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(prog.CodeSize()), "code-bytes")
-		}
-	}
-	b.Run("plain", func(b *testing.B) { run(b, false) })
-	b.Run("canonicalized", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkAblationLayout measures the §VIII-3 extension: placing outlined
 // functions next to their heaviest callers reduces instruction-cache misses.
 func BenchmarkAblationLayout(b *testing.B) {

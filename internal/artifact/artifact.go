@@ -41,7 +41,10 @@ import (
 // table after the header (after the summary, for LLIR), and refer to it by
 // index; stubs (their header keeps version byte 3, see stubVersion) and the
 // LLIR summary are unchanged.
-const SchemaVersion = 4
+// Version 5: code generation emits commutative operations in canonical
+// operand order, so every machine artifact's code can differ, and the
+// machine stage's key no longer renders the option that used to ask for it.
+const SchemaVersion = 5
 
 // Artifact kinds (the byte after the header magic).
 const (

@@ -77,9 +77,10 @@ func hasVreg(list []vreg, v vreg) bool {
 
 // emit produces the final machine function: virtual registers are replaced
 // by their assignments, spill code is inserted around uses/defs, the frame
-// (prologue/epilogue) is materialized, and branches to the immediately
-// following block are elided. The code is assembled flat in the scratch and
-// then copied into one exactly-sized slab the function's blocks window into.
+// (prologue/epilogue) is materialized, commutative operations take their
+// canonical operand order, and branches to the immediately following block
+// are elided. The code is assembled flat in the scratch and then copied into
+// one exactly-sized slab the function's blocks window into.
 func (sc *scratch) emit(f *llir.Func) *mir.Function {
 	alloc := &sc.alloc
 	csPairs := (len(alloc.usedCS) + 1) / 2
@@ -143,6 +144,7 @@ func (sc *scratch) emit(f *llir.Func) *mir.Function {
 			if vi.rd != vnone {
 				in.Rd = regFor(vi.rd, hasVreg(uses, vi.rd) && vi.rd != def)
 			}
+			canonicalizeCommutative(&in)
 			out = append(out, in)
 			// Spill the def if needed.
 			if def > 0 {
@@ -179,4 +181,28 @@ func (sc *scratch) emit(f *llir.Func) *mir.Function {
 		mf.Blocks[bi] = &blocks[bi]
 	}
 	return mf
+}
+
+// canonicalizeCommutative puts a commutative ALU operation's operands in
+// canonical order, lower-numbered register first, so sequences that differ
+// only in that order are textually equal and the outliner's repeat finder
+// matches them (the paper's §VIII future-work direction 1, semantic
+// equivalence of machine sequences). The ORR-based register move keeps its
+// shape: the zero register belongs in the Rn slot.
+func canonicalizeCommutative(in *isa.Inst) {
+	switch in.Op {
+	case isa.ORRrs:
+		if in.Rn == isa.XZR || in.Rm == isa.XZR {
+			if in.Rn != isa.XZR { // a move written backwards
+				in.Rn, in.Rm = in.Rm, in.Rn
+			}
+			return
+		}
+	case isa.ADDrs, isa.ANDrs, isa.EORrs, isa.MUL:
+	default:
+		return
+	}
+	if in.Rn > in.Rm {
+		in.Rn, in.Rm = in.Rm, in.Rn
+	}
 }

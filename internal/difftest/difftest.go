@@ -64,9 +64,8 @@ func Lattice() []Point {
 		{Name: "osize-cold-only", Config: coldOnly(pipeline.OSize)},
 		{Name: "osize-layout-c3", Config: withLayout(pipeline.OSize, layout.C3)},
 		{Name: "wp-extensions", Config: pipeline.Config{
-			WholeProgram: true, OutlineRounds: 5, CanonicalizeSequences: true,
-			Layout: layout.Outlined, SILOutline: true, SpecializeClosures: true,
-			SplitGCMetadata: true}},
+			WholeProgram: true, OutlineRounds: 5, Layout: layout.Outlined,
+			SILOutline: true, SpecializeClosures: true, SplitGCMetadata: true}},
 	}
 	for i := range pts {
 		pts[i].Rank = i
@@ -148,24 +147,23 @@ func StructuredBuildFailure(err error) bool {
 // so its absence is a known limitation rather than a miscompile.
 func PointFromBits(bits uint64) Point {
 	cfg := pipeline.Config{
-		WholeProgram:          bits&1 != 0,
-		OutlineRounds:         int(bits>>1) & 3,
-		SILOutline:            bits&(1<<3) != 0,
-		SpecializeClosures:    bits&(1<<4) != 0,
-		MergeFunctions:        bits&(1<<5) != 0,
-		FMSA:                  bits&(1<<6) != 0,
-		FlatOutlineCost:       bits&(1<<7) != 0,
-		PreserveDataLayout:    bits&(1<<8) != 0,
-		CanonicalizeSequences: bits&(1<<9) != 0,
-		Verify:                true,
+		WholeProgram:       bits&1 != 0,
+		OutlineRounds:      int(bits>>1) & 3,
+		SILOutline:         bits&(1<<3) != 0,
+		SpecializeClosures: bits&(1<<4) != 0,
+		MergeFunctions:     bits&(1<<5) != 0,
+		FMSA:               bits&(1<<6) != 0,
+		FlatOutlineCost:    bits&(1<<7) != 0,
+		PreserveDataLayout: bits&(1<<8) != 0,
+		Verify:             true,
 	}
 	cfg.SplitGCMetadata = cfg.WholeProgram
 	if bits&(1<<11) != 0 {
 		cfg = coldOnly(cfg)
 	}
 	// Bit 10 picks the outlined-function layout, unless bits 12–13 pick c3
-	// (2); their 1 is reserved — a no-op, so committed corpora that set it
-	// still decode.
+	// (2). Bit 9 and bits 12–13's 1 are reserved — no-ops, so committed
+	// corpora that set them still decode.
 	switch {
 	case (bits>>12)&3 == 2:
 		cfg = withLayout(cfg, layout.C3)

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,6 +68,18 @@ func TestPointFromBits(t *testing.T) {
 	}
 	if got := PointFromBits(1<<10 | 2<<12).Config.Layout; got != layout.C3 {
 		t.Errorf("bits 1<<10|2<<12 layout = %q, want c3", got)
+	}
+	// Bit 9 once switched canonical operand order on, which code generation
+	// now always emits: it is reserved, so a point with it set is the point
+	// without it.
+	for _, b := range []uint64{0, 0b111, 1<<5 | 1<<6 | 1, 0x1ff, 1<<10 | 1<<11 | 0x1ff, 2<<12 | 0x7ff} {
+		with, without := PointFromBits(b|1<<9), PointFromBits(b&^(1<<9))
+		if !reflect.DeepEqual(with.Config, without.Config) || with.Rank != without.Rank {
+			t.Errorf("bits %#x: bit 9 changes the point: %+v vs %+v", b, with.Config, without.Config)
+		}
+	}
+	if p, _ := PointNamed("wp-extensions"); p.Config.Layout != layout.Outlined {
+		t.Errorf("wp-extensions layout = %q, want outlined", p.Config.Layout)
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 // count or a simulated time, so a digest moves only when generated code or
 // the simulator does. buildtime is left out: its rows are wall-clock times.
 var reportDigests = map[string]string{
-	"fig1":       "8e4c2751007e19ff306fb13f7e851f8338e3e75bfea0b5c019fb22877eebf558",
-	"table1":     "1ca8ba6c92ab5059ee031b15e25bd1bd04e03c1f5571aa94f4011d67fba7e623",
-	"patterns":   "1d06f465dca295f530736549c9e66a0dc99c26e583991f0f5c842c438fe83915",
-	"fig12":      "00caccc2401dd442aa2ab3060a20494cc47fd34a90cfbfe38efabbb94df4a259",
-	"fig13":      "7dd2fdfaf3ea9dfebfbf546e391f63830e343f70a69451a96abc544914448e44",
-	"table4":     "c71163d71eb93d89425e4137d1753aea1c660eb35735855c0a26f206c9c3aeaa",
-	"generality": "3c8fa64461592825ef172981fe0cacea6ce2d66f6a117774f71a2dfc47394797",
+	"fig1":       "3a948d09bd0181410cff02135b5f0003287dfb747c9c7eb4f7c91f9eaa1bb867",
+	"table1":     "8a0094e28d44202958b4f0bc8efafa25fe7dc3b275ade728281bcf078bf7b332",
+	"patterns":   "97f1bd6eaeebe17747e35f4ace683e0450d8b513293028d9632c7eb7a1d5206d",
+	"fig12":      "859c9b98a35cbf02d0f6872cf1ee20bdbcc4ffde39dcdb3374787965a56a96e0",
+	"fig13":      "0a8049aadd948e2daf7fd65837f0439e2c795920167ae7170c4278b747850f56",
+	"table4":     "51d76e9a6516b2d9904524eb7ed729d51df499d14b2876f9b03cb3f2742ad507",
+	"generality": "af970f18eec513990bbe951feaf683dc1122be6995688fc3c79bb08f207743b8",
 	"datalayout": "8a826476aa6a5ea900e41e92f964e9f70fe3ba5d5a00e1a1357fa37afd84575e",
 }
 

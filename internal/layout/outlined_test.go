@@ -197,7 +197,7 @@ func TestOutlinedOrderMatchesCallerAdjacentPlacement(t *testing.T) {
 	apps = append(apps, app{"UberRider-24", appgen.Sources(mods)})
 
 	cfg := pipeline.OSize
-	cfg.CanonicalizeSequences, cfg.Verify = true, true
+	cfg.Verify = true
 	moved := 0
 	for _, a := range apps {
 		res, err := pipeline.Build(a.srcs, cfg)

@@ -17,39 +17,40 @@ import (
 
 // textDigests holds the SHA-256 and the length of Program.String() for the
 // OSize build of each corpus program, recorded at the commit before the
-// fmt-based printer was replaced by the append-based one, and again when MSUB
-// began printing its accumulator (every program with a MSUB moved).
+// fmt-based printer was replaced by the append-based one, again when MSUB
+// began printing its accumulator (every program with a MSUB moved), and again
+// when code generation began emitting canonical commutative operand order.
 var textDigests = map[string]struct {
 	sha256 string
 	size   int64
 }{
-	"UberRider-24":        {"4c0f79f1ccea053dc51189faa72de0f1209dc296b400a0c01be85747fde108a7", 402505},
-	"bfs":                 {"7263124f9f7dfacf719b6e4130dd39161177489ad6b70c6f8d35318d54250734", 4880},
-	"boyermoorehorspool":  {"b0ff62533f17ae0c14f6fcbe2bfb0e6665d4b111e0f66fc0358ea85efbf28074", 5056},
-	"bucketsort":          {"093c0efecf3e940064ff9f2f975e7e9fe4e4b55f57aa3eee8bf87c611b72b6c0", 6125},
-	"closestpair":         {"a5c8b98b84507ec95bf9570737073232519ac820038d0523e28d4b9aef1feb36", 7120},
-	"combinatorics":       {"c9392523f43a3d38deb1281f29cd4f99f909c1484cd609ca04a1d6e3d07de469", 2969},
-	"countingsort":        {"a4127d99dfc83b598f85e0d547db7f7be6dff78d472f1cbcb757a20cdb0ff4f8", 3322},
-	"countoccurrences":    {"2eb28a73a403fd8ac4af41fb89c32b6fcf439ac3889f01484a1a307debc0b6fe", 2708},
-	"dfs":                 {"9a853fe4f13dd055d519d634aa53177298af696c49050ff269ed0c5d6e497891", 4410},
-	"dijkstra":            {"9252c05acfbe6dc738b8624a0528d1bcae99e7ff346d002efcbdac385f5cffff", 6408},
-	"encodeanddecodetree": {"f8abce1e191414f9b02adc33b8122cdfcbd3de2862a181cf43e88146c8d239af", 9451},
-	"gcd":                 {"cb9524c109cb008877d9217bad13a997b6005e2d533e3b6156af81f4079e69c5", 1380},
-	"hashtable":           {"bbeddb7c482b6e1559198efdd45a67dd272e73153798e6cb8ba913ad2cff515b", 5674},
-	"huffman":             {"34ac04195da5d4adad3aeedd9b3ad339e059e3d70847e9913988f2ab38dc1b88", 5016},
-	"json":                {"78960f23206497782ee9d38077bd1faabb119d54181cc9e5f773e4bbc6660df0", 5172},
-	"kmp":                 {"abe1615ff7352200ffd99c6c9eb7690c4302a0505e9051ba4cfd161cdc069992", 6136},
-	"lcs":                 {"ffeccd85a37996cea651e57dcd52285866cbfe106bb6e98b2f8a62496b85be62", 3899},
+	"UberRider-24":        {"213fb5a1497d8ac10562b1f97cfee95a1cb20d4a1bb3de5dd8386e219972f6a8", 402287},
+	"bfs":                 {"12545cbb1283199cdd548473ee28df070b8f7153f1bd043dfbe517f4224205c3", 4880},
+	"boyermoorehorspool":  {"64910a227b69064f608c87e9270e9e60169ef3b331c88483a06421e8e47aa198", 5056},
+	"bucketsort":          {"a15e2f7144c867b1d7d37c976b5a5bc99ecea5b9e6c9fe495f22c9456d541e3a", 6125},
+	"closestpair":         {"19b9bd49ed6a691e168157229904eabb98148190fdbd11523e9ff72c83020e0d", 7120},
+	"combinatorics":       {"c65325d1e5383dcdc270c791e2662055c3c128f3ec1412a70f84461cc408df44", 2969},
+	"countingsort":        {"302fd35ee9eee9537d7def3358faa0375115872f242c85885cabbf231fd4d4f0", 3322},
+	"countoccurrences":    {"9df4b25ed5f29215f3e34d897418a550ae93795b2416282b0281780906024378", 2708},
+	"dfs":                 {"086468503ab7b7ce7db1c41445eb973d88f73530ef7708ac31eb88a42f23e4ae", 4410},
+	"dijkstra":            {"a3e8e3619d674190252f2edef43f93e775757e4c416b4d7781cd2cf5fd2aabeb", 6408},
+	"encodeanddecodetree": {"21c203067d9dcf1314ac05ecb7c5e5690f137162b5433519795841e72fc5e6ef", 9451},
+	"gcd":                 {"2ee75e7e68b96948e43930aca05708ea78e9a5b89bfa18b87132a94752a806c7", 1380},
+	"hashtable":           {"fb11a72b904df9796a05da64fc1db83752de87b4cc9736db096ac17b9a8fdeba", 5674},
+	"huffman":             {"203d5d28c8c3a42f2e7b9ecc2c2c200ba4976c62ccfb8fc0910497bd757980f2", 5016},
+	"json":                {"db3b151b29ba118ad3bba2ef822ccb3406cf20de4064d2f2c77e311bce489c9e", 5172},
+	"kmp":                 {"fa33f0c1d45ea6fe005118b88437603def00d7fa071a7d83595e897275f2852a", 6136},
+	"lcs":                 {"c83d1a4a759de9f34d6b23d1bd0885b04a406e4d7673af516b00272bcf873162", 3899},
 	"lrucache":            {"dc37fa633fa5ade48c2c053892a86d467c5eb75ed987433c22d844b0cf43a090", 8180},
-	"octtree":             {"77dbc148d771c470a66212714eeec29e8b58f144aa0b5d35487fa0d173d467b6", 9576},
-	"quicksort":           {"e03fb94527cc1b1bf5a9366bf998e05de379525b1a690d0333bda70bae818fa9", 3836},
-	"redblacktree":        {"45c9400cb496670e96fbc0cc4b275c7d149e04dba7355d2f270c2939f168d3e9", 16684},
-	"runlengthencoding":   {"f14754adc278cd6d0a5309d809d8d5ec6f32700c88d0382a7f69d1edd5bbff52", 4936},
-	"simulatedannealing":  {"b3e9b2d2af3bc1815ce108305d4ecf8adda20d307a779599a71e42a8b16982ff", 4561},
-	"splaytree":           {"1a4b3d2e856bb34b54670df4d651719ecf3898eeefe1568dcfa6ed20886c18b1", 12063},
-	"strassenmm":          {"8e4dbbb0eebc34a37333cdf9e5dabe17296dacd445b3ab4f6b196b4e0283ca3d", 16844},
-	"topologicalsort":     {"a989326efdff4bbd969ed314055141c73e2cca2c00d3bdfba79a00f6a8426585", 6241},
-	"zalgorithm":          {"b25c494eb62e2663323156b040d357dbe12d020e6d0e67fadd4b5f216f14e092", 3856},
+	"octtree":             {"a04d941ba33a18c15ead4301bf481a985f539a0e8b56ed469c54b62849a14628", 9576},
+	"quicksort":           {"cd30589979a4b06f0414fffcc523a843c4d16e967fde43a63d8c6f819e97e2fe", 3836},
+	"redblacktree":        {"b9555c7b280fa9a01ec84b1ab057e0be37bd72fba7f2ffbda413bfc057b600c0", 16684},
+	"runlengthencoding":   {"4d07ac5616d78358748fbc30b2c0c845f6143cfc38b8906667da85fbe84dbfc9", 4936},
+	"simulatedannealing":  {"3f8e3dc1fa9d44c1d3a1e68b69f55aa43be3e84fd43466f136fb7deb0852909c", 4561},
+	"splaytree":           {"5892cd609550f6f13f7902af5ad90ee9267f9e05ca14bb0e59e75345270c73a7", 12063},
+	"strassenmm":          {"2153fe826bddc77bf49ef3aa334e8a4ae94bee27c2c4e3c7ee5ac94c234dff76", 16856},
+	"topologicalsort":     {"8bff4256b9f4dcca8a83a55d825714c4ef70b87470d184c6730bb71079ea742d", 6241},
+	"zalgorithm":          {"f5502343105d486d12233d0fcbe1d2149d8d26cee18544e4e37ebf0ff9e7722b", 3856},
 }
 
 // corpusPrograms is the OSize build of the 24-module UberRider app and of each

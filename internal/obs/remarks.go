@@ -74,13 +74,14 @@ type remarkBatch struct {
 }
 
 // EmitBatch records a group of remarks atomically under a deterministic
-// origin key (the outliner uses its function-name prefix).
+// origin key (the outliner uses its function-name prefix). The tracer takes
+// ownership of recs: the caller must not write to it afterwards.
 func (t *Tracer) EmitBatch(origin string, recs []Remark) {
 	if t == nil || len(recs) == 0 {
 		return
 	}
 	t.mu.Lock()
-	t.batches = append(t.batches, remarkBatch{origin: origin, recs: append([]Remark(nil), recs...)})
+	t.batches = append(t.batches, remarkBatch{origin: origin, recs: recs})
 	t.mu.Unlock()
 }
 

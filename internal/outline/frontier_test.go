@@ -177,10 +177,12 @@ func TestFrontierMatchesFullVerify(t *testing.T) {
 // machine artifact's program section, at the commit before rounds stopped
 // re-verifying the whole program; these text digests were recorded on a
 // tree where that section still hashed to those values, so they pin the
-// same programs.
+// same programs. Re-recorded when code generation began emitting canonical
+// commutative operand order: the previous code, with its canonicalization
+// pass run on codegen's output, gives the same digests.
 const (
-	rollbackRoundDigest     = "0505a09b23cbe265f2322df70e97e981144d7cab30e8ab9d9c2fb81be1f01f9f"
-	disableOutliningDigest  = "99824d9ddbb2f6ed951c0b22147083d4500df83452b6d6d55086c25e2c1b446d"
+	rollbackRoundDigest     = "3f4164715cf01330f688fe48c5e7e9aad2faef6db36a974723d6bc03c935d652"
+	disableOutliningDigest  = "fdedf37e53f801cd23679ff3d61d573b87fe0ce24fb906eb8f1b9fbb7e0977da"
 	roundTwoCorruptionPoint = "/round:2"
 )
 

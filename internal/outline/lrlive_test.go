@@ -14,8 +14,10 @@ import (
 // UberRider-24 program and of each testdata/benchmarks program, as each
 // outlining round reads it (the input of rounds one to five) and at the fixed
 // point, recorded with full-register liveness before the outliner switched to
-// a one-bit pass.
-const lrLiveDigest = "c8f6ddd9843209e53fb362f8abacb41e087b4f07dd43a7e738883d9c58709a5f"
+// a one-bit pass. Re-recorded when code generation began emitting canonical
+// commutative operand order: the previous code, with its canonicalization
+// pass run on codegen's output, gives the same digest.
+const lrLiveDigest = "839e07cbf36284b645ddf201f8fa46672a7ba5fcc04231a58e450bdb38a18453"
 
 // TestFrontierLRLiveGolden: the LR bit the cost model reads, at every
 // instruction in every round, is the one full-register liveness computed.

@@ -698,7 +698,13 @@ func analyzeRepeats(prog *mir.Program, repeats []suffixtree.Repeat, opts Options
 	slices.SortFunc(rejected, func(a, b rejection) int {
 		return cmp.Or(cmp.Compare(a.first, b.first), cmp.Compare(a.length, b.length))
 	})
-	rems := make([]obs.Remark, 0, len(rejected))
+	var rems []obs.Remark
+	if tr.RemarksEnabled() {
+		// Room for this round's every remark: one per rejected repeat, and
+		// at most one per candidate set in selection. The tracer keeps the
+		// slice.
+		rems = make([]obs.Remark, 0, len(rejected)+len(sets))
+	}
 	for _, r := range rejected {
 		rr := byRepeat[r.repeat]
 		occ := len(rr.set.cands)

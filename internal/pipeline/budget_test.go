@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"outliner/internal/appgen"
+	"outliner/internal/obs"
 	"outliner/internal/pipeline"
 	"outliner/internal/raceflag"
 )
@@ -47,6 +48,45 @@ func TestAllocBudgetBuild(t *testing.T) {
 		t.Logf("%s: %.1f MB for %d machine instructions: %.0f bytes each", c.name, float64(bytes)/1e6, insts, perInst)
 		if perInst > c.budget {
 			t.Errorf("a %s build allocates %.0f bytes per machine instruction; budget %.0f", c.name, perInst, c.budget)
+		}
+	}
+}
+
+// TestAllocBudgetTracedBuild holds what telemetry costs a build: the same
+// 24-module OSize and Default builds with a tracer may allocate at most 1.3
+// times what they allocate without one. Remark records are nearly all of the
+// difference, so this fails when the outliner or the tracer copies them.
+// Measured 1.74 (OSize) and 1.41 (Default) while EmitBatch copied each
+// round's remarks into a slice of its own.
+func TestAllocBudgetTracedBuild(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	const budget = 1.3
+	mods := appgen.Generate(appgen.UberRider, appgen.ScaleForModules(appgen.UberRider, 24))
+	for _, c := range []struct {
+		name string
+		cfg  pipeline.Config
+	}{{"OSize", pipeline.OSize}, {"Default", pipeline.Default}} {
+		build := func(tr *obs.Tracer) uint64 {
+			cfg := c.cfg
+			cfg.Parallelism, cfg.Verify, cfg.Tracer = 1, true, tr
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := appgen.BuildGenerated(mods, cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		build(nil) // process-wide pools and tables are not the build's
+		untraced := build(nil)
+		traced := build(obs.New())
+		ratio := float64(traced) / float64(untraced)
+		t.Logf("%s: %.1f MB traced, %.1f MB untraced: %.2fx", c.name, float64(traced)/1e6, float64(untraced)/1e6, ratio)
+		if ratio > budget {
+			t.Errorf("a traced %s build allocates %.2f times an untraced one; budget %.1f", c.name, ratio, budget)
 		}
 	}
 }

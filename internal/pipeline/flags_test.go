@@ -16,7 +16,7 @@ import (
 // OSize and Default, and library callers, set them in code.
 var codeOnlyFields = map[string]bool{
 	"SILOutline": true, "SpecializeClosures": true, "MergeFunctions": true, "FMSA": true,
-	"PreserveDataLayout": true, "SplitGCMetadata": true, "CanonicalizeSequences": true,
+	"PreserveDataLayout": true, "SplitGCMetadata": true,
 }
 
 // parseFlags registers every row over base, parses args and resolves them.

@@ -76,11 +76,6 @@ type Config struct {
 	// SplitGCMetadata enables the §VI-2 metadata-attribute fix. Mixed
 	// Swift/Objective-C programs fail to link without it.
 	SplitGCMetadata bool
-	// CanonicalizeSequences enables the future-work extension that rewrites
-	// commutative operations into canonical operand order before outlining,
-	// exposing semantically-equivalent sequences as textual matches (§VIII
-	// direction 1).
-	CanonicalizeSequences bool
 	// Verify runs IR and machine verifiers between stages.
 	Verify bool
 	// Parallelism bounds the workers of the parallel build stages:
@@ -709,9 +704,8 @@ var perModule = []stage{{
 	// the artifact, so the projection drops it.
 	cache: "machine",
 	reads: func(c Config) Config {
-		p := Config{MergeFunctions: c.MergeFunctions, FMSA: c.FMSA, CanonicalizeSequences: c.CanonicalizeSequences,
-			OutlineRounds: c.OutlineRounds, FlatOutlineCost: c.FlatOutlineCost, Verify: c.Verify,
-			OnVerifyFailure: c.OnVerifyFailure, Fault: c.Fault}
+		p := Config{MergeFunctions: c.MergeFunctions, FMSA: c.FMSA, OutlineRounds: c.OutlineRounds,
+			FlatOutlineCost: c.FlatOutlineCost, Verify: c.Verify, OnVerifyFailure: c.OnVerifyFailure, Fault: c.Fault}
 		if c.Profile != nil {
 			p.Profile, p.OutlineColdThreshold = c.Profile, c.OutlineColdThreshold
 		}
@@ -755,10 +749,10 @@ type backLane struct {
 	outline.Outliner
 }
 
-// compileModule generates code for module lm, named name, canonicalizes it
-// when the config asks, and outlines it (with extern as the symbols other
-// modules and the runtime define), on the storage of back, the build's worker
-// lane lane, or on fresh storage when back is nil.
+// compileModule generates code for module lm, named name, and outlines it
+// (with extern as the symbols other modules and the runtime define), on the
+// storage of back, the build's worker lane lane, or on fresh storage when
+// back is nil.
 func compileModule(name string, lm *llir.Module, cfg *Config, extern map[string]bool, lane int, back *backLane) (*machineCode, error) {
 	if back == nil {
 		back = new(backLane)
@@ -767,9 +761,6 @@ func compileModule(name string, lm *llir.Module, cfg *Config, extern map[string]
 	var err error
 	if mc.prog, err = back.Compile(lm, 1, cfg.Tracer, lane+1, cfg.Fault); err != nil {
 		return nil, err
-	}
-	if cfg.CanonicalizeSequences {
-		outline.CanonicalizeCommutative(mc.prog)
 	}
 	if cfg.OutlineRounds > 0 {
 		opts := outlineOptions(*cfg)
@@ -800,18 +791,15 @@ func outlineOptions(cfg Config) outline.Options {
 }
 
 // postLink is the tail every linked program goes through, whichever front
-// half (or BuildMIR's caller) linked it: for a whole program, canonicalization
-// and repeated outlining (per-module builds ran both in compileModule); then
-// function layout; then the image.
+// half (or BuildMIR's caller) linked it: for a whole program, repeated
+// outlining (per-module builds ran it in compileModule); then function
+// layout; then the image.
 var postLink = []stage{{
 	// The outliner emits one "machine-outline" stage span per round itself,
 	// and stage totals sum them into the Timings entry.
 	name: "outline",
 	skip: func(c Config) bool { return !c.WholeProgram },
 	body: func(b *build) (err error) {
-		if b.cfg.CanonicalizeSequences {
-			outline.CanonicalizeCommutative(b.prog)
-		}
 		if b.cfg.OutlineRounds > 0 {
 			opts := outlineOptions(b.cfg)
 			opts.ExternSyms = llir.RuntimeSyms

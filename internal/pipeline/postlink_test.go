@@ -7,10 +7,10 @@ import (
 	"testing"
 
 	"outliner/internal/exec"
+	"outliner/internal/isa"
 	"outliner/internal/layout"
 	"outliner/internal/mir"
 	"outliner/internal/obs"
-	"outliner/internal/outline"
 	"outliner/internal/pipeline"
 	"outliner/internal/profile"
 )
@@ -87,29 +87,54 @@ func TestBuildMIRFinishesLikeBuild(t *testing.T) {
 	}
 }
 
-// CanonicalizeSequences reaches the outliner whichever pipeline runs: the
-// whole-program build canonicalizes in the post-link tail, the per-module
-// build in each module's llc task, and either way the built program has no
-// commutative operation left to canonicalize. Without the flag some remain,
-// so the check has something to find.
-func TestCanonicalizeSequencesEveryPipeline(t *testing.T) {
-	srcs := appgenApp(4)[0].srcs
-	for _, cfg := range []pipeline.Config{pipeline.OSize, pipeline.Default} {
-		for _, canon := range []bool{false, true} {
-			cfg.CanonicalizeSequences = canon
-			res, err := pipeline.Build(srcs, cfg)
+// Code generation emits commutative operations in canonical operand order,
+// lower-numbered register first, so every image of either pipeline has
+// Rn <= Rm in each ADD, AND, EOR, MUL and non-move ORR: outlining only
+// copies instructions, it never reorders an operand. The register move
+// keeps XZR in Rn. BuildMIR's input is the caller's: a textual program out
+// of canonical order is left as given.
+func TestCanonicalOperandOrder(t *testing.T) {
+	for _, app := range append(benchmarkApps(t), appgenApp(24)...) {
+		for _, cfg := range []pipeline.Config{pipeline.OSize, pipeline.Default} {
+			res, err := pipeline.Build(app.srcs, cfg)
 			if err != nil {
-				t.Fatalf("whole-program %t, canonicalize %t: %v", cfg.WholeProgram, canon, err)
+				t.Fatalf("%s, whole-program %t: %v", app.name, cfg.WholeProgram, err)
 			}
-			left := outline.CanonicalizeCommutative(res.Prog)
-			if canon && left != 0 {
-				t.Errorf("whole-program %t: %d commutative operations left out of canonical order", cfg.WholeProgram, left)
-			}
-			if !canon && left == 0 {
-				t.Fatalf("whole-program %t: the app has nothing to canonicalize", cfg.WholeProgram)
+			if f, in, ok := outOfOrder(res.Prog); ok {
+				t.Errorf("%s, whole-program %t: @%s: %s is out of canonical order", app.name, cfg.WholeProgram, f, in)
 			}
 		}
 	}
+
+	prog, err := mir.Parse("func @main {\nentry:\n  ADDXrs $x0, $x3, $x1\n  RET\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pipeline.BuildMIR(prog, pipeline.Config{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := outOfOrder(res.Prog); !ok {
+		t.Error("BuildMIR with no outlining rounds reordered its input's operands")
+	}
+}
+
+// outOfOrder reports the first commutative instruction of prog whose
+// operands are not in canonical order.
+func outOfOrder(prog *mir.Program) (string, isa.Inst, bool) {
+	for _, f := range prog.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Insts {
+				switch in.Op {
+				case isa.ADDrs, isa.ANDrs, isa.EORrs, isa.MUL, isa.ORRrs:
+					if in.Rn > in.Rm && !(in.Op == isa.ORRrs && in.Rn == isa.XZR) {
+						return f.Name, in, true
+					}
+				}
+			}
+		}
+	}
+	return "", isa.Inst{}, false
 }
 
 // runMain executes prog's main and returns what it printed.

@@ -8,8 +8,11 @@
 // a complete pipeline — SIL-analog IR, SSA mid-level IR, llvm-link-style
 // module merging, an AArch64-like code generator — and applies the paper's
 // optimization: machine-code outlining over the whole program, repeated
-// until a fixed point. Compiled programs run on a built-in machine
-// interpreter, so transformations are checked end to end.
+// until a fixed point. The code generator emits commutative operations in
+// canonical operand order (the paper's §VIII future-work direction 1), so
+// sequences that differ only in that order outline together. Compiled
+// programs run on a built-in machine interpreter, so transformations are
+// checked end to end.
 //
 // Quick start:
 //
@@ -64,12 +67,11 @@ type Options struct {
 	// Swift/Objective-C modules (the §VI-2 fix).
 	PreserveDataLayout bool
 	SplitGCMetadata    bool
-	// CanonicalizeSequences and LayoutOutlined enable the §VIII future-work
-	// extensions: canonical commutative operand order before outlining, and
-	// caller-adjacent placement of outlined functions after it (the layout
-	// policy "outlined").
-	CanonicalizeSequences bool
-	LayoutOutlined        bool
+	// LayoutOutlined enables the §VIII future-work extension of
+	// caller-adjacent placement of outlined functions after outlining (the
+	// layout policy "outlined"). Code generation always emits the other
+	// extension, canonical commutative operand order.
+	LayoutOutlined bool
 	// Tracer, when non-nil, collects build telemetry: stage spans (Chrome
 	// trace JSON), counters, and outliner decision remarks. Telemetry is
 	// strictly observational — the build output is byte-identical with or
@@ -122,17 +124,16 @@ func DefaultPipeline() Options {
 
 func (o Options) toConfig() pipeline.Config {
 	cfg := pipeline.Config{
-		WholeProgram:          o.WholeProgram,
-		OutlineRounds:         o.OutlineRounds,
-		SILOutline:            o.SILOutline,
-		SpecializeClosures:    o.SpecializeClosures,
-		MergeFunctions:        o.MergeFunctions,
-		FMSA:                  o.FMSA,
-		PreserveDataLayout:    o.PreserveDataLayout,
-		SplitGCMetadata:       o.SplitGCMetadata,
-		CanonicalizeSequences: o.CanonicalizeSequences,
-		Verify:                true,
-		Tracer:                o.Tracer,
+		WholeProgram:       o.WholeProgram,
+		OutlineRounds:      o.OutlineRounds,
+		SILOutline:         o.SILOutline,
+		SpecializeClosures: o.SpecializeClosures,
+		MergeFunctions:     o.MergeFunctions,
+		FMSA:               o.FMSA,
+		PreserveDataLayout: o.PreserveDataLayout,
+		SplitGCMetadata:    o.SplitGCMetadata,
+		Verify:             true,
+		Tracer:             o.Tracer,
 	}
 	if o.LayoutOutlined {
 		cfg.Layout = layout.Outlined
