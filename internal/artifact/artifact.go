@@ -576,31 +576,51 @@ func DecodeMachine(data []byte) (*mir.Program, *outline.Stats, error) {
 	return p, st, nil
 }
 
+// program decodes a machine program into exact containers: one Function
+// slab and one exact Funcs list per program, one Block slab and one exact
+// Blocks list per function, one exact Insts slice per block. Blocks keep
+// cap(Insts) == len(Insts) so an append to one block (the outliner's
+// rewrites) reallocates instead of writing into a neighbour. The name index
+// is left to the first lookup: per-module programs go straight to ld, which
+// indexes the linked program once. Duplicate names are found by sorting a
+// copy of the names instead.
 func (d *dec) program() *mir.Program {
-	p := mir.NewProgram()
 	nf := d.count()
+	fs := make([]mir.Function, nf)
+	funcs := make([]*mir.Function, nf)
+	names := make([]string, nf)
 	for i := 0; i < nf && d.err == nil; i++ {
-		f := &mir.Function{Name: d.ref(), Module: d.ref(), Outlined: d.bool()}
+		f := &fs[i]
+		f.Name, f.Module, f.Outlined = d.ref(), d.ref(), d.bool()
 		nb := d.count()
+		bs := make([]mir.Block, nb)
+		f.Blocks = make([]*mir.Block, nb)
 		for j := 0; j < nb && d.err == nil; j++ {
-			b := &mir.Block{Label: d.ref()}
+			b := &bs[j]
+			b.Label = d.ref()
 			if ni := d.count(); ni > 0 {
 				b.Insts = make([]isa.Inst, ni)
 				d.insts(b.Insts)
 			}
-			f.Blocks = append(f.Blocks, b)
+			f.Blocks[j] = b
 		}
-		if d.err == nil {
-			if p.Func(f.Name) != nil {
-				d.fail("duplicate function %q", f.Name)
+		funcs[i], names[i] = f, f.Name
+	}
+	if d.err == nil {
+		sort.Strings(names)
+		for i := 1; i < len(names); i++ {
+			if names[i] == names[i-1] {
+				d.fail("duplicate function %q", names[i])
 				break
 			}
-			p.AddFunc(f)
 		}
 	}
 	ng := d.count()
+	gs := make([]mir.Global, ng)
+	globals := make([]*mir.Global, ng)
 	for i := 0; i < ng && d.err == nil; i++ {
-		g := &mir.Global{Name: d.ref(), Module: d.ref()}
+		g := &gs[i]
+		g.Name, g.Module = d.ref(), d.ref()
 		nw := d.count()
 		if d.err == nil && nw > 0 {
 			g.Words = make([]int64, nw)
@@ -608,9 +628,9 @@ func (d *dec) program() *mir.Program {
 				g.Words[k] = d.i()
 			}
 		}
-		p.AddGlobal(g)
+		globals[i] = g
 	}
-	return p
+	return &mir.Program{Funcs: funcs, Globals: globals}
 }
 
 // insts fills out with the instruction records at the front of d.b, each

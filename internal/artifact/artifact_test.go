@@ -136,6 +136,54 @@ func TestMachineNilStats(t *testing.T) {
 	}
 }
 
+// A decoded program owns exact containers: every Funcs, Blocks and Insts
+// slice has cap == len, so an append (the outliner's rewrites) reallocates
+// instead of writing into the next function's or block's storage.
+func TestDecodeMachineExactContainers(t *testing.T) {
+	p := mir.NewProgram()
+	for _, name := range []string{"a", "b", "c"} {
+		f := &mir.Function{Name: name, Module: "app"}
+		for _, label := range []string{"entry", "loop", "exit"} {
+			f.Blocks = append(f.Blocks, &mir.Block{Label: label, Insts: []isa.Inst{
+				{Op: isa.MOVZ, Rd: isa.X0, Imm: int64(len(label))},
+				{Op: isa.BL, Sym: name},
+			}})
+		}
+		p.AddFunc(f)
+	}
+	p.AddGlobal(&mir.Global{Name: "tab", Module: "app", Words: []int64{1}})
+	gp, _, err := DecodeMachine(EncodeMachine(p, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(gp.Funcs) != len(gp.Funcs) || cap(gp.Globals) != len(gp.Globals) {
+		t.Errorf("Funcs cap %d len %d, Globals cap %d len %d", cap(gp.Funcs), len(gp.Funcs), cap(gp.Globals), len(gp.Globals))
+	}
+	for _, f := range gp.Funcs {
+		if cap(f.Blocks) != len(f.Blocks) {
+			t.Errorf("@%s: Blocks cap %d, len %d", f.Name, cap(f.Blocks), len(f.Blocks))
+		}
+		for _, b := range f.Blocks {
+			if cap(b.Insts) != len(b.Insts) {
+				t.Errorf("@%s %s: Insts cap %d, len %d", f.Name, b.Label, cap(b.Insts), len(b.Insts))
+			}
+		}
+	}
+
+	want := gp.String()
+	mid := gp.Funcs[1]
+	mid.Blocks[1].Insts = append(mid.Blocks[1].Insts, isa.Inst{Op: isa.RET})
+	mid.Blocks = append(mid.Blocks, &mir.Block{Label: "extra", Insts: []isa.Inst{{Op: isa.RET}}})
+	mid.Blocks[1].Insts = mid.Blocks[1].Insts[:2]
+	mid.Blocks = mid.Blocks[:3]
+	if got := gp.String(); got != want {
+		t.Fatalf("appending to one block and one function moved a neighbour:\n%s\nwant\n%s", got, want)
+	}
+	if gp.Func("b") != mid {
+		t.Fatal("decoded program does not index functions by name")
+	}
+}
+
 // Every truncation of a valid artifact must decode to an error — never a
 // panic, never a silently partial artifact.
 func TestDecodeTruncationsError(t *testing.T) {

@@ -47,7 +47,7 @@ type Symbol struct {
 
 // Build lays out a machine program into an image.
 func Build(p *mir.Program) *Image {
-	img := &Image{}
+	img := &Image{Symbols: make([]Symbol, 0, len(p.Funcs)+len(p.Globals))}
 	addr := 0
 	for _, f := range p.Funcs {
 		size := f.CodeSize()

@@ -152,8 +152,11 @@ type cluster struct {
 // glued behind a hotter caller) and the merged cluster fits the page cap.
 // Final emission orders clusters by descending weight, original position on
 // ties — so unprofiled (weight-0) clusters keep their relative source order.
+// The merge decisions behind the remarks are recorded only when the tracer
+// collects remarks.
 func c3Order(prog *mir.Program, opts Options, st *Stats) []*mir.Function {
 	p, tr := opts.Profile, opts.Tracer
+	remarks := tr.RemarksEnabled()
 	index := make(map[string]int, len(prog.Funcs))
 	for i, f := range prog.Funcs {
 		index[f.Name] = i
@@ -231,7 +234,9 @@ func c3Order(prog *mir.Program, opts Options, st *Stats) []*mir.Function {
 		}
 		if ca.bytes+cb.bytes > binimg.PageSize {
 			st.CapRejects++
-			decisions = append(decisions, decision{edge: e, cluster: ca.min, reason: "cluster-cap"})
+			if remarks {
+				decisions = append(decisions, decision{edge: e, cluster: ca.min, reason: "cluster-cap"})
+			}
 			continue
 		}
 		ca.funcs = append(ca.funcs, cb.funcs...)
@@ -245,7 +250,9 @@ func c3Order(prog *mir.Program, opts Options, st *Stats) []*mir.Function {
 		}
 		cb.funcs = nil // emptied; skipped at emission
 		st.Merges++
-		decisions = append(decisions, decision{edge: e, cluster: ca.min, accepted: true})
+		if remarks {
+			decisions = append(decisions, decision{edge: e, cluster: ca.min, accepted: true})
+		}
 	}
 
 	var live []*cluster
@@ -268,6 +275,9 @@ func c3Order(prog *mir.Program, opts Options, st *Stats) []*mir.Function {
 		}
 	}
 
+	if !remarks {
+		return order
+	}
 	// Final page assignment, then one remark per merge decision. Addresses
 	// are the image's: functions packed back to back from 0 (binimg.Build).
 	pageOf := make(map[string]int, len(order))

@@ -2,12 +2,15 @@ package layout
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"outliner/internal/mir"
 	"outliner/internal/obs"
 	"outliner/internal/profile"
+	"outliner/internal/raceflag"
 	"outliner/internal/verify"
 )
 
@@ -232,6 +235,52 @@ func TestC3ClusterCap(t *testing.T) {
 	recs := tr.Remarks()
 	if len(recs) != 1 || recs[0].Status != "rejected" || recs[0].Reason != "cluster-cap" {
 		t.Fatalf("remarks = %+v, want one cluster-cap rejection", recs)
+	}
+}
+
+// TestUntracedC3BuildsNoRemarks checks that C3 records its merge decisions
+// only for a tracer: on a 300-function call chain, where every edge is a
+// merge or a cap rejection, a traced Apply allocates at least the remark
+// slice more than an untraced one, and both reach the same order and stats.
+func TestUntracedC3BuildsNoRemarks(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	base := genProgram(t, 300, rand.New(rand.NewSource(1)))
+	prof := profile.New()
+	for i := 0; i+1 < len(base.Funcs); i++ {
+		fp := prof.Func(base.Funcs[i].Name)
+		fp.Entries = int64(1000 - i)
+		fp.Calls = map[string]int64{profile.EdgeKey(base.Funcs[i+1].Name, 4): int64(1000 - i)}
+	}
+	apply := func(tr *obs.Tracer) (uint64, *Stats, []string) {
+		p := base.Clone()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, err := Apply(p, Options{Policy: C3, Profile: prof, Tracer: tr})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, st, names(p)
+	}
+	apply(nil) // lazily built tables are not the pass's
+	untraced, st, order := apply(nil)
+	tr := obs.New()
+	traced, tst, torder := apply(tr)
+	decisions := st.Merges + st.CapRejects
+	if st.Merges == 0 || st.CapRejects == 0 || decisions < 250 {
+		t.Fatalf("fixture makes %d merges and %d cap rejections; want both kinds, 250 in all", st.Merges, st.CapRejects)
+	}
+	if *tst != *st || !equalNames(torder, order) {
+		t.Fatalf("traced Apply differs: stats %+v vs %+v", *tst, *st)
+	}
+	if n := len(tr.Remarks()); n != decisions {
+		t.Fatalf("traced Apply emitted %d remarks for %d decisions", n, decisions)
+	}
+	recBytes := uint64(decisions) * uint64(unsafe.Sizeof(obs.Remark{}))
+	if traced < untraced+recBytes {
+		t.Errorf("untraced Apply allocates %d bytes, traced %d: less than the %d-byte remark slice apart, so the untraced pass builds remarks", untraced, traced, recBytes)
 	}
 }
 

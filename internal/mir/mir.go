@@ -102,15 +102,24 @@ type Program struct {
 }
 
 // NewProgram returns an empty program.
-func NewProgram() *Program {
-	return &Program{funcIndex: make(map[string]*Function)}
+func NewProgram() *Program { return NewProgramSized(0, 0) }
+
+// NewProgramSized returns an empty program with room for nfuncs functions
+// and nglobals globals, its name index included: a caller that knows the
+// final counts adds every function and global without regrowing either.
+func NewProgramSized(nfuncs, nglobals int) *Program {
+	return &Program{
+		Funcs:     make([]*Function, 0, nfuncs),
+		Globals:   make([]*Global, 0, nglobals),
+		funcIndex: make(map[string]*Function, nfuncs),
+	}
 }
 
 // AddFunc appends f. It panics on duplicate names: machine-level symbols
 // must be unique by the time a program is assembled.
 func (p *Program) AddFunc(f *Function) {
 	if p.funcIndex == nil {
-		p.funcIndex = make(map[string]*Function)
+		p.rebuildIndex()
 	}
 	if _, dup := p.funcIndex[f.Name]; dup {
 		panic(fmt.Sprintf("mir: duplicate function %q", f.Name))
@@ -139,7 +148,7 @@ func (p *Program) rebuildIndex() {
 
 // Clone returns a deep copy of the program.
 func (p *Program) Clone() *Program {
-	np := NewProgram()
+	np := NewProgramSized(len(p.Funcs), len(p.Globals))
 	for _, f := range p.Funcs {
 		np.AddFunc(f.Clone())
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"outliner/internal/appgen"
+	"outliner/internal/cache"
 	"outliner/internal/obs"
 	"outliner/internal/pipeline"
 	"outliner/internal/raceflag"
@@ -49,6 +50,52 @@ func TestAllocBudgetBuild(t *testing.T) {
 		if perInst > c.budget {
 			t.Errorf("a %s build allocates %.0f bytes per machine instruction; budget %.0f", c.name, perInst, c.budget)
 		}
+	}
+}
+
+// TestAllocBudgetWarmEdit holds the developer loop's rebuild: a 24-module
+// Default build with the verifier on, primed into a cache directory whose
+// memory tier is then dropped, rebuilt serially after a comment edit to one
+// module. Such a rebuild parses one module and takes every machine program
+// from disk, so its bytes are mostly the decode → ld → verify → image tail.
+// Measured 170 bytes per machine instruction, and 192 to 197 while that tail
+// grew its containers per block, symbol and join; the budget is the
+// measurement plus 10 %, which the old tail exceeds.
+func TestAllocBudgetWarmEdit(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	const budget = 187 // bytes per machine instruction
+	mods := appgen.Generate(appgen.UberRider, appgen.ScaleForModules(appgen.UberRider, 24))
+	dir := t.TempDir()
+	defer cache.Forget(dir)
+	cfg := pipeline.Default
+	cfg.Parallelism, cfg.Verify, cfg.CacheDir = 1, true, dir
+	if _, err := appgen.BuildGenerated(mods, cfg); err != nil {
+		t.Fatalf("priming build: %v", err)
+	}
+	c, err := cache.Shared(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuild := func(tag string) (uint64, int) {
+		edited := appgen.EditBody(mods, mods[len(mods)/2].Name, tag)
+		c.DropMemory() // a fresh process would see only the disk tier
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := appgen.BuildGenerated(edited, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("warm rebuild: %v", err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, res.Prog.NumInsts()
+	}
+	rebuild("warm-up") // process-wide pools and tables are not the build's
+	bytes, insts := rebuild("measured")
+	perInst := float64(bytes) / float64(insts)
+	t.Logf("%.1f MB for %d machine instructions: %.0f bytes each", float64(bytes)/1e6, insts, perInst)
+	if perInst > budget {
+		t.Errorf("a warm one-edit rebuild allocates %.0f bytes per machine instruction; budget %d", perInst, budget)
 	}
 }
 

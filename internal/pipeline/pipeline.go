@@ -858,7 +858,12 @@ var postLink = []stage{{
 // externSyms returns the symbols that are external during per-module
 // outlining: the runtime's plus everything any module defines.
 func externSyms(units []*lowered) map[string]bool {
-	syms := make(map[string]bool, len(llir.RuntimeSyms))
+	n := len(llir.RuntimeSyms)
+	for _, u := range units {
+		sum := u.summary()
+		n += len(sum.Funcs) + len(sum.Globals)
+	}
+	syms := make(map[string]bool, n)
 	for s := range llir.RuntimeSyms {
 		syms[s] = true
 	}
@@ -898,7 +903,12 @@ func crossModuleRefs(units []*lowered) map[string]bool {
 // linkMachine concatenates per-module machine programs in module order (the
 // system linker's job in the default pipeline).
 func linkMachine(parts []*mir.Program) *mir.Program {
-	out := mir.NewProgram()
+	nf, ng := 0, 0
+	for _, p := range parts {
+		nf += len(p.Funcs)
+		ng += len(p.Globals)
+	}
+	out := mir.NewProgramSized(nf, ng)
 	for _, p := range parts {
 		for _, f := range p.Funcs {
 			out.AddFunc(f)

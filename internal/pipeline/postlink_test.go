@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"outliner/internal/artifact"
 	"outliner/internal/exec"
 	"outliner/internal/isa"
 	"outliner/internal/layout"
@@ -28,8 +29,10 @@ func listing(t *testing.T, res *pipeline.Result) string {
 // Post-link outlining is one transformation whoever links the program: an
 // unoutlined build finished by BuildMIR gives the image a five-round build
 // gives. Checked plain and with an executed profile driving c3 layout, on the
-// program itself and after a trip through MIR text — the `slc -rounds 0 -emit
-// mir | outline -rounds 5` path of the paper's artifact — for every app. The
+// program itself, after a trip through MIR text — the `slc -rounds 0 -emit
+// mir | outline -rounds 5` path of the paper's artifact — and after a trip
+// through the machine artifact codec, whose decoded blocks the outliner
+// rewrites in place, for every app. The
 // program finished from text must also print what the unoutlined build
 // prints when run.
 func TestBuildMIRFinishesLikeBuild(t *testing.T) {
@@ -52,6 +55,10 @@ func TestBuildMIRFinishesLikeBuild(t *testing.T) {
 			inputs := map[string]func() (*mir.Program, error){
 				"program": func() (*mir.Program, error) { return res.Prog.Clone(), nil },
 				"text":    func() (*mir.Program, error) { return mir.Parse(text.String()) },
+				"decoded": func() (*mir.Program, error) {
+					p, _, err := artifact.DecodeMachine(artifact.EncodeMachine(res.Prog, nil))
+					return p, err
+				},
 			}
 			output := runMain(t, res.Prog)
 

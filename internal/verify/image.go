@@ -22,13 +22,15 @@ func Image(img *binimg.Image, prog *mir.Program) *Report {
 		r.addf("", "", -1, -1, "symbol count %d disagrees with symbol table length %d", img.SymCount, len(img.Symbols))
 	}
 
-	byName := make(map[string]binimg.Symbol, len(img.Symbols))
+	// Symbols are indexed by position; a duplicate name resolves to its last
+	// entry.
+	byName := make(map[string]int32, len(img.Symbols))
 	codeAddr, dataAddr := 0, 0
-	for _, s := range img.Symbols {
+	for i, s := range img.Symbols {
 		if _, dup := byName[s.Name]; dup {
 			r.addf(s.Name, "", -1, int64(s.Addr), "duplicate symbol in image")
 		}
-		byName[s.Name] = s
+		byName[s.Name] = int32(i)
 		if s.Code {
 			if s.Addr != codeAddr {
 				r.addf(s.Name, "", -1, int64(s.Addr), "code symbol at %#x overlaps or leaves a gap (expected %#x)", s.Addr, codeAddr)
@@ -48,8 +50,15 @@ func Image(img *binimg.Image, prog *mir.Program) *Report {
 		}
 	}
 
+	lookup := func(name string) (binimg.Symbol, bool) {
+		i, ok := byName[name]
+		if !ok {
+			return binimg.Symbol{}, false
+		}
+		return img.Symbols[i], true
+	}
 	for _, f := range prog.Funcs {
-		s, ok := byName[f.Name]
+		s, ok := lookup(f.Name)
 		switch {
 		case !ok:
 			r.addf(f.Name, "", -1, -1, "function missing from the image symbol table")
@@ -61,7 +70,7 @@ func Image(img *binimg.Image, prog *mir.Program) *Report {
 		r.FuncsChecked++
 	}
 	for _, g := range prog.Globals {
-		s, ok := byName[g.Name]
+		s, ok := lookup(g.Name)
 		switch {
 		case !ok:
 			r.addf(g.Name, "", -1, -1, "global missing from the image symbol table")

@@ -31,6 +31,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"outliner/internal/isa"
@@ -342,23 +343,29 @@ type frameState struct {
 	// save and restore a non-entry value, which is fine — the bracket's
 	// reload just does not make LR entry-valid again.
 	lrEntry bool
-	// entrySlots holds entry-SP-relative stack offsets currently storing the
-	// entry LR value. nil and the empty map are both "no slots".
-	entrySlots map[int64]bool
+	// entrySlots holds the entry-SP-relative stack offsets currently storing
+	// the entry LR value, sorted and distinct; nil and empty are both "no
+	// slots". A set is never written once a state holds it: withSlot and
+	// withoutSlot build a new one, so states at different blocks share sets
+	// freely.
+	entrySlots []int64
 }
 
-func (s frameState) slotHasEntry(off int64) bool { return s.entrySlots[off] }
+func (s frameState) slotHasEntry(off int64) bool {
+	_, ok := slices.BinarySearch(s.entrySlots, off)
+	return ok
+}
 
 // withSlot returns a state whose entrySlots include off (copy-on-write).
 func (s frameState) withSlot(off int64) frameState {
-	if s.entrySlots[off] {
+	i, ok := slices.BinarySearch(s.entrySlots, off)
+	if ok {
 		return s
 	}
-	ns := make(map[int64]bool, len(s.entrySlots)+1)
-	for k := range s.entrySlots {
-		ns[k] = true
-	}
-	ns[off] = true
+	ns := make([]int64, len(s.entrySlots)+1)
+	copy(ns, s.entrySlots[:i])
+	ns[i] = off
+	copy(ns[i+1:], s.entrySlots[i:])
 	s.entrySlots = ns
 	return s
 }
@@ -366,49 +373,41 @@ func (s frameState) withSlot(off int64) frameState {
 // withoutSlot returns a state whose entrySlots exclude off (a store of
 // anything other than the entry LR overwrote it).
 func (s frameState) withoutSlot(off int64) frameState {
-	if !s.entrySlots[off] {
+	i, ok := slices.BinarySearch(s.entrySlots, off)
+	if !ok {
 		return s
 	}
-	ns := make(map[int64]bool, len(s.entrySlots))
-	for k := range s.entrySlots {
-		if k != off {
-			ns[k] = true
-		}
-	}
-	s.entrySlots = ns
+	s.entrySlots = slices.Delete(slices.Clone(s.entrySlots), i, i+1)
 	return s
 }
 
 // merge meets two states flowing into the same block. The second result is
 // false when the stack depths disagree (a hard violation at the join);
-// otherwise entry-LR facts intersect.
+// otherwise entry-LR facts intersect. When every slot of s is also in o the
+// result keeps s's own set; a new set is built only when a fact is lost.
 func (s frameState) merge(o frameState) (frameState, bool) {
 	if s.delta != o.delta {
 		return s, false
 	}
 	out := s
 	out.lrEntry = s.lrEntry && o.lrEntry
-	inter := make(map[int64]bool)
-	for k := range s.entrySlots {
-		if o.entrySlots[k] {
-			inter[k] = true
+	for _, k := range s.entrySlots {
+		if !o.slotHasEntry(k) {
+			out.entrySlots = nil
+			for _, slot := range s.entrySlots {
+				if o.slotHasEntry(slot) {
+					out.entrySlots = append(out.entrySlots, slot)
+				}
+			}
+			break
 		}
 	}
-	out.entrySlots = inter
 	return out, true
 }
 
 // equal reports whether two states carry the same facts.
 func (s frameState) equal(o frameState) bool {
-	if s.delta != o.delta || s.lrEntry != o.lrEntry || len(s.entrySlots) != len(o.entrySlots) {
-		return false
-	}
-	for k := range s.entrySlots {
-		if !o.entrySlots[k] {
-			return false
-		}
-	}
-	return true
+	return s.delta == o.delta && s.lrEntry == o.lrEntry && slices.Equal(s.entrySlots, o.entrySlots)
 }
 
 // checkFrameDiscipline walks the CFG tracking the SP delta and the LR state.

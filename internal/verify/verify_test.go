@@ -484,3 +484,43 @@ func TestAllocBudgetProgram(t *testing.T) {
 		t.Errorf("Program allocates %.2f times per function, budget 2", perFunc)
 	}
 }
+
+// Slot sets are immutable once a frameState holds them, so a join shares
+// them: merging into a state whose slots the incoming path also holds keeps
+// the state's own set and allocates nothing; a lost fact builds a new set
+// and leaves both inputs as they were.
+func TestMergeSharesSlotSets(t *testing.T) {
+	s := frameState{delta: -32, lrEntry: true}.withSlot(8).withSlot(24)
+	o := s.withSlot(16)
+	var got frameState
+	allocs := testing.AllocsPerRun(100, func() {
+		var ok bool
+		if got, ok = s.merge(o); !ok {
+			t.Fatal("equal depths failed to merge")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("merging a subset allocates %.0f times, want 0", allocs)
+	}
+	if &got.entrySlots[0] != &s.entrySlots[0] || !got.equal(s) {
+		t.Errorf("merge(%v, %v) = %v, want s's own set", s.entrySlots, o.entrySlots, got.entrySlots)
+	}
+
+	o = frameState{delta: -32}.withSlot(16).withSlot(24)
+	got, ok := s.merge(o)
+	if !ok || !reflect.DeepEqual(got.entrySlots, []int64{24}) || got.lrEntry {
+		t.Fatalf("merge of {8 24} and {16 24} = %+v, want {24} without the entry LR", got)
+	}
+	if !reflect.DeepEqual(s.entrySlots, []int64{8, 24}) || !reflect.DeepEqual(o.entrySlots, []int64{16, 24}) {
+		t.Errorf("merge changed its inputs: %v, %v", s.entrySlots, o.entrySlots)
+	}
+	if &got.entrySlots[0] == &s.entrySlots[1] || &got.entrySlots[0] == &o.entrySlots[1] {
+		t.Error("a strict intersection aliases an input's set")
+	}
+	if got, _ := s.merge(frameState{delta: -32}); got.entrySlots != nil {
+		t.Errorf("merge with no common slot = %v, want none", got.entrySlots)
+	}
+	if _, ok := s.merge(frameState{delta: -16}); ok {
+		t.Error("states at different stack depths merged")
+	}
+}
