@@ -389,19 +389,21 @@ func encodeLLIRInst(e *enc, in *llir.Inst) {
 	e.i(int64(in.Dst))
 	e.i(int64(in.A))
 	e.i(int64(in.B))
-	e.i(int64(in.ErrDst))
+	e.i(int64(in.ErrDst()))
 	e.i(in.Imm)
 	e.ref(in.Sym)
-	e.ref(in.Sym2)
+	e.ref(in.Else())
 	e.byte(byte(in.BinOp))
 	e.byte(byte(in.Cond))
 	e.bool(in.Throws)
-	e.u(uint64(len(in.Args)))
-	for _, a := range in.Args {
+	args := in.Args()
+	e.u(uint64(len(args)))
+	for _, a := range args {
 		e.i(int64(a))
 	}
-	e.u(uint64(len(in.Incomings)))
-	for _, inc := range in.Incomings {
+	incs := in.Incomings()
+	e.u(uint64(len(incs)))
+	for _, inc := range incs {
 		e.ref(inc.Pred)
 		e.i(int64(inc.Val))
 	}
@@ -468,32 +470,48 @@ func DecodeModule(data []byte) (*llir.Module, error) {
 }
 
 func decodeLLIRInst(d *dec, in *llir.Inst) {
+	var ext llir.Ext
 	in.Op = llir.Op(d.byte())
-	in.Dst = llir.Value(d.i())
-	in.A = llir.Value(d.i())
-	in.B = llir.Value(d.i())
-	in.ErrDst = llir.Value(d.i())
+	in.Dst = d.val()
+	in.A = d.val()
+	in.B = d.val()
+	ext.ErrDst = d.val()
 	in.Imm = d.i()
 	in.Sym = d.ref()
-	in.Sym2 = d.ref()
+	ext.Else = d.ref()
 	in.BinOp = llir.BinKind(d.byte())
 	in.Cond = llir.CondKind(d.byte())
 	in.Throws = d.bool()
 	na := d.count()
 	if d.err == nil && na > 0 {
-		in.Args = make([]llir.Value, na)
-		for i := range in.Args {
-			in.Args[i] = llir.Value(d.i())
+		ext.Args = make([]llir.Value, na)
+		for i := range ext.Args {
+			ext.Args[i] = d.val()
 		}
 	}
 	ni := d.count()
 	if d.err == nil && ni > 0 {
-		in.Incomings = make([]llir.Incoming, ni)
-		for i := range in.Incomings {
-			in.Incomings[i].Pred = d.ref()
-			in.Incomings[i].Val = llir.Value(d.i())
+		ext.Incomings = make([]llir.Incoming, ni)
+		for i := range ext.Incomings {
+			ext.Incomings[i].Pred = d.ref()
+			ext.Incomings[i].Val = d.val()
 		}
 	}
+	if ext.ErrDst != llir.None || ext.Else != "" || na > 0 || ni > 0 {
+		e := ext // only a record in use escapes
+		in.Ext = &e
+	}
+}
+
+// val reads an LLIR value, failing on one that llir.Value cannot hold
+// rather than wrapping it onto a valid value.
+func (d *dec) val() llir.Value {
+	v := d.i()
+	if v != int64(llir.Value(v)) {
+		d.fail("LLIR value %d out of range", v)
+		return llir.None
+	}
+	return llir.Value(v)
 }
 
 // ---- machine programs ----

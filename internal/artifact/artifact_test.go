@@ -27,15 +27,15 @@ func sampleModule() *llir.Module {
 		{Label: "entry", Insts: []llir.Inst{
 			{Op: llir.Bin, Dst: 2, A: 0, B: 1, BinOp: llir.Add},
 			{Op: llir.Cmp, Dst: 3, A: 2, B: 0, Cond: llir.Lt},
-			{Op: llir.CondBr, A: 3, Sym: "then", Sym2: "join"},
+			{Op: llir.CondBr, A: 3, Sym: "then", Ext: &llir.Ext{Else: "join"}},
 		}},
 		{Label: "then", Insts: []llir.Inst{
 			{Op: llir.Const, Dst: 4, Imm: -42},
-			{Op: llir.Call, Dst: 5, Sym: "g", Args: []llir.Value{4, 2}, Throws: true, ErrDst: 6},
+			{Op: llir.Call, Dst: 5, Sym: "g", Throws: true, Ext: &llir.Ext{Args: []llir.Value{4, 2}, ErrDst: 6}},
 			{Op: llir.Br, Sym: "join"},
 		}},
 		{Label: "join", Insts: []llir.Inst{
-			{Op: llir.Phi, Dst: 7, Incomings: []llir.Incoming{{Pred: "entry", Val: 2}, {Pred: "then", Val: 5}}},
+			{Op: llir.Phi, Dst: 7, Ext: &llir.Ext{Incomings: []llir.Incoming{{Pred: "entry", Val: 2}, {Pred: "then", Val: 5}}}},
 			{Op: llir.Ret, A: 7},
 		}},
 	}
@@ -465,6 +465,62 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// valueFields names the value operands of markedModule's instructions, the
+// k-th holding markedValue(k).
+var valueFields = []string{"Dst", "A", "B", "ErrDst", "Args[0]", "Incomings[0].Val"}
+
+// markedValue is a value whose varint is five bytes long, as long as those of
+// values just outside int32, and occurs nowhere else in markedModule's
+// encoding.
+func markedValue(k int) llir.Value { return llir.Value(0x40000000 + k) }
+
+// markedModule holds every value operand the LLIR codec writes, each set to
+// its own markedValue.
+func markedModule() *llir.Module {
+	m := llir.NewModule("app")
+	f := &llir.Func{Name: "f", Module: "app", NumValues: 1}
+	f.Blocks = []*llir.Block{{Label: "entry", Insts: []llir.Inst{
+		{Op: llir.Bin, Dst: markedValue(0), A: markedValue(1), B: markedValue(2)},
+		{Op: llir.Call, Sym: "g", Throws: true, Ext: &llir.Ext{ErrDst: markedValue(3), Args: []llir.Value{markedValue(4)}}},
+		{Op: llir.Phi, Ext: &llir.Ext{Incomings: []llir.Incoming{{Pred: "entry", Val: markedValue(5)}}}},
+		{Op: llir.Ret},
+	}}}
+	m.AddFunc(f)
+	return m
+}
+
+// outOfRange returns markedModule's encoding with value field k replaced by
+// v, a number of the same varint length.
+func outOfRange(t testing.TB, k int, v int64) []byte {
+	enc := EncodeModule(markedModule())
+	marker := binary.AppendVarint(nil, int64(markedValue(k)))
+	repl := binary.AppendVarint(nil, v)
+	if len(repl) != len(marker) || bytes.Count(enc, marker) != 1 {
+		t.Fatalf("%s: marker %x occurs %d times, replacement %x", valueFields[k], marker, bytes.Count(enc, marker), repl)
+	}
+	return bytes.Replace(enc, marker, repl, 1)
+}
+
+// TestDecodeRejectsOutOfRangeValues: a value operand holding a number
+// llir.Value cannot hold fails the decode, rather than wrapping onto a valid
+// value (2^32+1 onto 1).
+func TestDecodeRejectsOutOfRangeValues(t *testing.T) {
+	m, err := DecodeModule(EncodeModule(markedModule()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.String(), markedModule().String(); got != want {
+		t.Fatalf("decoded\n%s\nwant\n%s", got, want)
+	}
+	for k, field := range valueFields {
+		for _, v := range []int64{math.MaxInt32 + 1 + int64(k), math.MinInt32 - 1 - int64(k), 1<<32 + 1 + int64(k)} {
+			if _, err := DecodeModule(outOfRange(t, k, v)); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("%s = %d: DecodeModule error %v, want out of range", field, v, err)
+			}
+		}
+	}
+}
+
 func FuzzDecodeMachine(f *testing.F) {
 	p, st := sampleProgram()
 	f.Add(EncodeMachine(p, st))
@@ -489,6 +545,8 @@ func FuzzDecodeMachine(f *testing.F) {
 func FuzzDecodeModule(f *testing.F) {
 	f.Add(EncodeModule(sampleModule()))
 	f.Add(EncodeModule(extremeModule()))
+	f.Add(EncodeModule(markedModule()))
+	f.Add(outOfRange(f, 0, 1<<32+1))
 	for _, data := range tableCorruptions(kindLLIR) {
 		f.Add(data)
 	}

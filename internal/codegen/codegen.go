@@ -115,6 +115,7 @@ type scratch struct {
 	blocks   []llir.Block
 	blockPtr []*llir.Block
 	insts    []llir.Inst
+	exts     []llir.Ext
 	incs     []llir.Incoming
 	labelIdx map[string]int32 // block label -> index in fn.Blocks
 	predCnt  []int32          // by block: CFG edges entering it
@@ -182,8 +183,10 @@ func (sc *scratch) compileFunc(f *llir.Func) (*mir.Function, error) {
 const maxValues = math.MaxInt32 / 2
 
 // clone copies f into the scratch: the block list, every instruction (into
-// one slab) and every phi's incomings (which critical-edge splitting
-// retargets). Argument lists are shared with f; codegen only reads them.
+// one slab), and the Ext records of phis and conditional branches with each
+// phi's incomings, which critical-edge splitting retargets. The copied
+// instructions would otherwise share those records with f. Calls' records
+// and argument lists are shared with f; codegen only reads them.
 // Value numbers are checked against f.NumValues here, once, because every
 // later table is indexed by them; LLIR can arrive from a decoded artifact.
 func (sc *scratch) clone(f *llir.Func) (*llir.Func, error) {
@@ -199,6 +202,16 @@ func (sc *scratch) clone(f *llir.Func) (*llir.Func, error) {
 	sc.blocks = slices.Grow(sc.blocks[:0], 3*nb)
 	sc.blockPtr = slices.Grow(sc.blockPtr[:0], 3*nb)
 	sc.insts = slices.Grow(sc.insts[:0], f.NumInsts())
+	nExt := 0
+	for _, b := range f.Blocks {
+		for i := range b.Insts {
+			if retargeted(&b.Insts[i]) {
+				nExt++
+			}
+		}
+	}
+	// Sized once, so the pointers into it stay valid.
+	sc.exts = slices.Grow(sc.exts[:0], nExt)
 	sc.incs = sc.incs[:0]
 	for _, b := range f.Blocks {
 		start := len(sc.insts)
@@ -206,15 +219,20 @@ func (sc *scratch) clone(f *llir.Func) (*llir.Func, error) {
 		insts := sc.insts[start:len(sc.insts):len(sc.insts)]
 		for i := range insts {
 			in := &insts[i]
-			ok := inRange(in.Dst) && inRange(in.A) && inRange(in.B) && inRange(in.ErrDst)
-			for _, a := range in.Args {
+			ok := inRange(in.Dst) && inRange(in.A) && inRange(in.B) && inRange(in.ErrDst())
+			for _, a := range in.Args() {
 				ok = ok && inRange(a)
 			}
-			if len(in.Incomings) > 0 {
-				at := len(sc.incs)
-				sc.incs = append(sc.incs, in.Incomings...)
-				in.Incomings = sc.incs[at:len(sc.incs):len(sc.incs)]
-				for _, inc := range in.Incomings {
+			if retargeted(in) {
+				sc.exts = append(sc.exts, *in.Ext)
+				e := &sc.exts[len(sc.exts)-1]
+				in.Ext = e
+				if len(e.Incomings) > 0 {
+					at := len(sc.incs)
+					sc.incs = append(sc.incs, e.Incomings...)
+					e.Incomings = sc.incs[at:len(sc.incs):len(sc.incs)]
+				}
+				for _, inc := range e.Incomings {
 					ok = ok && inRange(inc.Val)
 				}
 			}
@@ -234,6 +252,12 @@ func (sc *scratch) clone(f *llir.Func) (*llir.Func, error) {
 		Blocks:    sc.blockPtr,
 	}
 	return &sc.fn, nil
+}
+
+// retargeted reports whether in has an Ext record critical-edge splitting may
+// change: a phi's incomings or a conditional branch's else label.
+func retargeted(in *llir.Inst) bool {
+	return in.Ext != nil && (in.Op == llir.Phi || in.Op == llir.CondBr)
 }
 
 // Copy is the post-SSA parallel-copy pseudo-instruction: Dst = A. It reuses
@@ -270,7 +294,7 @@ func (sc *scratch) outOfSSA(f *llir.Func) {
 				kept = append(kept, in)
 				continue
 			}
-			for _, inc := range in.Incomings {
+			for _, inc := range in.Incomings() {
 				if p, ok := sc.labelIdx[inc.Pred]; ok {
 					copies = append(copies, copyOp{pred: p, dst: in.Dst, src: inc.Val})
 				}
@@ -375,7 +399,7 @@ func (sc *scratch) splitCriticalEdges(f *llir.Func) {
 				sc.countPred(t.Sym)
 			case llir.CondBr:
 				sc.countPred(t.Sym)
-				sc.countPred(t.Sym2)
+				sc.countPred(t.Else())
 			}
 		}
 	}
@@ -385,7 +409,7 @@ func (sc *scratch) splitCriticalEdges(f *llir.Func) {
 	seq := 0
 	for _, b := range f.Blocks[:nb] {
 		t := b.Terminator()
-		if t == nil || t.Op != llir.CondBr || t.Sym == t.Sym2 {
+		if t == nil || t.Op != llir.CondBr || t.Sym == t.Else() {
 			continue
 		}
 		split := func(target string) string {
@@ -407,16 +431,18 @@ func (sc *scratch) splitCriticalEdges(f *llir.Func) {
 				if in.Op != llir.Phi {
 					break
 				}
-				for j := range in.Incomings {
-					if in.Incomings[j].Pred == b.Label {
-						in.Incomings[j].Pred = label
+				for j, inc := range in.Incomings() {
+					if inc.Pred == b.Label {
+						in.Ext.Incomings[j].Pred = label
 					}
 				}
 			}
 			return label
 		}
 		t.Sym = split(t.Sym)
-		t.Sym2 = split(t.Sym2)
+		if t.Ext != nil {
+			t.Ext.Else = split(t.Ext.Else)
+		}
 	}
 	f.Blocks = sc.blockPtr
 }

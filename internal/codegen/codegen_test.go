@@ -26,8 +26,8 @@ func compileAndRun(t *testing.T, f *llir.Func, args ...int64) string {
 		vals = append(vals, v)
 	}
 	res := mainFn.NewValue()
-	b.Insts = append(b.Insts, llir.Inst{Op: llir.Call, Dst: res, Sym: f.Name, Args: vals})
-	b.Insts = append(b.Insts, llir.Inst{Op: llir.Call, Sym: llir.RTPrintInt, Args: []llir.Value{res}})
+	b.Insts = append(b.Insts, llir.Inst{Op: llir.Call, Dst: res, Sym: f.Name, Ext: &llir.Ext{Args: vals}})
+	b.Insts = append(b.Insts, llir.Inst{Op: llir.Call, Sym: llir.RTPrintInt, Ext: &llir.Ext{Args: []llir.Value{res}}})
 	b.Insts = append(b.Insts, llir.Inst{Op: llir.Ret})
 	mainFn.Blocks = []*llir.Block{b}
 	m.AddFunc(mainFn)
@@ -75,16 +75,16 @@ func TestOutOfSSASwapCycle(t *testing.T) {
 		}},
 		{Label: "loop", Insts: []llir.Inst{
 			// a and b swap every iteration.
-			{Op: llir.Phi, Dst: phiA, Incomings: []llir.Incoming{{Pred: "entry", Val: c0}, {Pred: "latch", Val: phiB}}},
-			{Op: llir.Phi, Dst: phiB, Incomings: []llir.Incoming{{Pred: "entry", Val: c1}, {Pred: "latch", Val: phiA}}},
-			{Op: llir.Phi, Dst: phiI, Incomings: []llir.Incoming{{Pred: "entry", Val: i0}, {Pred: "latch", Val: iNext}}},
+			{Op: llir.Phi, Dst: phiA, Ext: &llir.Ext{Incomings: []llir.Incoming{{Pred: "entry", Val: c0}, {Pred: "latch", Val: phiB}}}},
+			{Op: llir.Phi, Dst: phiB, Ext: &llir.Ext{Incomings: []llir.Incoming{{Pred: "entry", Val: c1}, {Pred: "latch", Val: phiA}}}},
+			{Op: llir.Phi, Dst: phiI, Ext: &llir.Ext{Incomings: []llir.Incoming{{Pred: "entry", Val: i0}, {Pred: "latch", Val: iNext}}}},
 			{Op: llir.Br, Sym: "latch"},
 		}},
 		{Label: "latch", Insts: []llir.Inst{
 			{Op: llir.Const, Dst: one, Imm: 1},
 			{Op: llir.Bin, Dst: iNext, BinOp: llir.Add, A: phiI, B: one},
 			{Op: llir.Cmp, Dst: cond, Cond: llir.Lt, A: iNext, B: n},
-			{Op: llir.CondBr, A: cond, Sym: "loop", Sym2: "exit"},
+			{Op: llir.CondBr, A: cond, Sym: "loop", Ext: &llir.Ext{Else: "exit"}},
 		}},
 		{Label: "exit", Insts: []llir.Inst{
 			{Op: llir.Ret, A: phiA},
@@ -119,7 +119,7 @@ func TestSpilling(t *testing.T) {
 		vals = append(vals, v)
 	}
 	// A call makes everything live-across-call (callee-saved pressure).
-	b.Insts = append(b.Insts, llir.Inst{Op: llir.Call, Sym: llir.RTRetain, Args: []llir.Value{f.Param(0)}})
+	b.Insts = append(b.Insts, llir.Inst{Op: llir.Call, Sym: llir.RTRetain, Ext: &llir.Ext{Args: []llir.Value{f.Param(0)}}})
 	sum := vals[0]
 	for i := 1; i < nvals; i++ {
 		ns := f.NewValue()
@@ -184,7 +184,7 @@ func TestFrameOnlyWhenNeeded(t *testing.T) {
 	caller.NumValues = 1
 	r := caller.NewValue()
 	caller.Blocks = []*llir.Block{{Label: "entry", Insts: []llir.Inst{
-		{Op: llir.Call, Dst: r, Sym: "leaf", Args: []llir.Value{caller.Param(0)}},
+		{Op: llir.Call, Dst: r, Sym: "leaf", Ext: &llir.Ext{Args: []llir.Value{caller.Param(0)}}},
 		{Op: llir.Ret, A: r},
 	}}}
 	m.AddFunc(caller)
@@ -227,7 +227,7 @@ func TestErrorChannel(t *testing.T) {
 		{Label: "entry", Insts: []llir.Inst{
 			{Op: llir.Const, Dst: zero, Imm: 0},
 			{Op: llir.Cmp, Dst: cmp, Cond: llir.Lt, A: thrower.Param(0), B: zero},
-			{Op: llir.CondBr, A: cmp, Sym: "bad", Sym2: "good"},
+			{Op: llir.CondBr, A: cmp, Sym: "bad", Ext: &llir.Ext{Else: "good"}},
 		}},
 		{Label: "bad", Insts: []llir.Inst{
 			{Op: llir.Const, Dst: errv, Imm: 43},
@@ -247,8 +247,8 @@ func TestErrorChannel(t *testing.T) {
 	errd := mainFn.NewValue()
 	mainFn.Blocks = []*llir.Block{{Label: "entry", Insts: []llir.Inst{
 		{Op: llir.Const, Dst: arg, Imm: -5},
-		{Op: llir.Call, Dst: res, ErrDst: errd, Sym: "thrower", Args: []llir.Value{arg}, Throws: true},
-		{Op: llir.Call, Sym: llir.RTPrintInt, Args: []llir.Value{errd}},
+		{Op: llir.Call, Dst: res, Sym: "thrower", Throws: true, Ext: &llir.Ext{ErrDst: errd, Args: []llir.Value{arg}}},
+		{Op: llir.Call, Sym: llir.RTPrintInt, Ext: &llir.Ext{Args: []llir.Value{errd}}},
 		{Op: llir.Ret},
 	}}}
 	m.AddFunc(mainFn)
@@ -347,7 +347,7 @@ func TestCriticalEdgeSplitting(t *testing.T) {
 			{Op: llir.Cmp, Dst: cond, Cond: llir.Lt, A: f.Param(0), B: c0},
 			// Both successors join at "out" — the edges are critical when
 			// "out" has multiple predecessors and entry has two successors.
-			{Op: llir.CondBr, A: cond, Sym: "left", Sym2: "right"},
+			{Op: llir.CondBr, A: cond, Sym: "left", Ext: &llir.Ext{Else: "right"}},
 		}},
 		{Label: "left", Insts: []llir.Inst{
 			{Op: llir.Const, Dst: a, Imm: 111},
@@ -358,9 +358,9 @@ func TestCriticalEdgeSplitting(t *testing.T) {
 			{Op: llir.Br, Sym: "out"},
 		}},
 		{Label: "out", Insts: []llir.Inst{
-			{Op: llir.Phi, Dst: phi, Incomings: []llir.Incoming{
+			{Op: llir.Phi, Dst: phi, Ext: &llir.Ext{Incomings: []llir.Incoming{
 				{Pred: "left", Val: a}, {Pred: "right", Val: bv},
-			}},
+			}}},
 			{Op: llir.Ret, A: phi},
 		}},
 	}
@@ -372,9 +372,10 @@ func TestCriticalEdgeSplitting(t *testing.T) {
 	}
 }
 
-// A CondBr whose targets BOTH have phis from a multi-pred join requires two
-// splits on the same terminator.
-func TestCriticalEdgeBothTargets(t *testing.T) {
+// bothTargets is a function whose CondBr targets BOTH have phis from a
+// multi-pred join, so that out-of-SSA splits both edges of one terminator: it
+// retargets the CondBr's labels and the incomings of both joins' phis.
+func bothTargets() *llir.Func {
 	f := &llir.Func{Name: "both", NumParams: 1}
 	f.NumValues = 1
 	c0 := f.NewValue()
@@ -390,25 +391,32 @@ func TestCriticalEdgeBothTargets(t *testing.T) {
 			{Op: llir.Const, Dst: one, Imm: 1},
 			{Op: llir.Const, Dst: two, Imm: 2},
 			{Op: llir.Cmp, Dst: cond, Cond: llir.Gt, A: f.Param(0), B: c0},
-			{Op: llir.CondBr, A: cond, Sym: "ja", Sym2: "jb"},
+			{Op: llir.CondBr, A: cond, Sym: "ja", Ext: &llir.Ext{Else: "jb"}},
 		}},
 		{Label: "pre", Insts: []llir.Inst{ // second predecessor for both joins
 			{Op: llir.Br, Sym: "ja"},
 		}},
 		{Label: "ja", Insts: []llir.Inst{
-			{Op: llir.Phi, Dst: phiA, Incomings: []llir.Incoming{
+			{Op: llir.Phi, Dst: phiA, Ext: &llir.Ext{Incomings: []llir.Incoming{
 				{Pred: "entry", Val: one}, {Pred: "pre", Val: two},
-			}},
+			}}},
 			{Op: llir.Br, Sym: "jb"},
 		}},
 		{Label: "jb", Insts: []llir.Inst{
-			{Op: llir.Phi, Dst: phiB, Incomings: []llir.Incoming{
+			{Op: llir.Phi, Dst: phiB, Ext: &llir.Ext{Incomings: []llir.Incoming{
 				{Pred: "entry", Val: two}, {Pred: "ja", Val: phiA},
-			}},
+			}}},
 			{Op: llir.Bin, Dst: sum, BinOp: llir.Add, A: phiB, B: one},
 			{Op: llir.Ret, A: sum},
 		}},
 	}
+	return f
+}
+
+// A CondBr whose targets both have phis requires two splits on the same
+// terminator.
+func TestCriticalEdgeBothTargets(t *testing.T) {
+	f := bothTargets()
 	// x>0: entry->ja (phiA=1) -> jb (phiB=phiA=1) -> ret 2.
 	if got := compileAndRun(t, f, 7); got != "2\n" {
 		t.Errorf("taken path got %q", got)
@@ -416,5 +424,33 @@ func TestCriticalEdgeBothTargets(t *testing.T) {
 	// x<=0: entry->jb directly (phiB=2) -> ret 3.
 	if got := compileAndRun(t, f, -1); got != "3\n" {
 		t.Errorf("fallthrough path got %q", got)
+	}
+}
+
+// TestCompileLeavesSourceUnchanged: codegen splits critical edges in its own
+// copy of a function. The copy shares nothing the split retargets (the
+// CondBr's else label, the phis' incomings) with the source, so the source
+// prints as before and compiles to the same code again.
+func TestCompileLeavesSourceUnchanged(t *testing.T) {
+	m := llir.NewModule("T")
+	m.AddFunc(bothTargets())
+	want := m.String()
+	var c Compiler
+	first, err := c.Compile(m, 1, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(first.String(), "entry.crit2") {
+		t.Fatalf("no edge of the else target was split:\n%s", first)
+	}
+	if got := m.String(); got != want {
+		t.Fatalf("compiling changed the source:\n%s\nwant\n%s", got, want)
+	}
+	again, err := c.Compile(m, 1, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != first.String() {
+		t.Errorf("a second compile differs:\n%s\nfirst\n%s", again, first)
 	}
 }

@@ -92,11 +92,13 @@ func appendUses(dst []llir.Value, in *llir.Inst) []llir.Value {
 		add(in.A)
 		add(in.B)
 	}
-	for _, a := range in.Args {
-		add(a)
-	}
-	for _, inc := range in.Incomings {
-		add(inc.Val)
+	if e := in.Ext; e != nil {
+		for _, a := range e.Args {
+			add(a)
+		}
+		for _, inc := range e.Incomings {
+			add(inc.Val)
+		}
 	}
 	return dst
 }
@@ -117,8 +119,8 @@ func (sc *scratch) indexUses(f *llir.Func) {
 			if in.Dst != llir.None {
 				defOf[in.Dst] = in
 			}
-			if in.Op == llir.Call && in.ErrDst != llir.None {
-				defOf[in.ErrDst] = in
+			if in.Op == llir.Call && in.ErrDst() != llir.None {
+				defOf[in.ErrDst()] = in
 			}
 			buf = appendUses(buf[:0], in)
 			for _, u := range buf {
@@ -215,7 +217,7 @@ func argOnly(call *llir.Inst, v llir.Value) bool {
 	if call.A == v || call.B == v {
 		return false
 	}
-	for _, a := range call.Args {
+	for _, a := range call.Args() {
 		if a == v {
 			return true
 		}
@@ -310,19 +312,19 @@ func (sc *scratch) lower(f *llir.Func, in *llir.Inst) error {
 	case llir.Store:
 		sc.emitV(vinst{op: isa.STRui, rd: vreg(in.B), rn: vreg(in.A), imm: in.Imm})
 	case llir.Call:
-		if err := sc.emitArgs(in.Args); err != nil {
+		if err := sc.emitArgs(in.Args()); err != nil {
 			return err
 		}
 		sc.emitV(vinst{op: isa.BL, sym: in.Sym})
 		if in.Dst != llir.None {
 			sc.mov(vreg(in.Dst), phys(isa.X0))
 		}
-		if in.Throws && in.ErrDst != llir.None {
-			sc.mov(vreg(in.ErrDst), phys(isa.ErrReg))
+		if in.Throws && in.ErrDst() != llir.None {
+			sc.mov(vreg(in.ErrDst()), phys(isa.ErrReg))
 		}
 	case llir.CallInd:
 		sc.mov(phys(isa.X16), vreg(in.A))
-		if err := sc.emitArgs(in.Args); err != nil {
+		if err := sc.emitArgs(in.Args()); err != nil {
 			return err
 		}
 		sc.emitV(vinst{op: isa.BLR, rn: phys(isa.X16)})
@@ -350,7 +352,7 @@ func (sc *scratch) lower(f *llir.Func, in *llir.Inst) error {
 		} else {
 			sc.emitV(vinst{op: isa.CBNZ, rn: vreg(in.A), sym: in.Sym})
 		}
-		sc.emitV(vinst{op: isa.B, sym: in.Sym2})
+		sc.emitV(vinst{op: isa.B, sym: in.Else()})
 	case opCopy:
 		sc.mov(vreg(in.Dst), vreg(in.A))
 	case llir.Unreachable:

@@ -150,14 +150,22 @@ func MergeBySequenceAlignmentKeeping(m *Module, keep map[string]bool) FMSAStats 
 					out = append(out, in)
 					continue
 				}
-				args := append([]Value(nil), in.Args...)
+				// The call gets a record of its own: in shares the record of
+				// the instruction it was copied from.
+				var e Ext
+				if in.Ext != nil {
+					e = *in.Ext
+				}
+				e.Args = append([]Value(nil), e.Args...)
 				for _, c := range rw.consts {
 					cv := f.NewValue()
 					out = append(out, Inst{Op: Const, Dst: cv, Imm: c})
-					args = append(args, cv)
+					e.Args = append(e.Args, cv)
 				}
 				in.Sym = rw.to
-				in.Args = args
+				if in.Ext != nil || len(e.Args) > 0 {
+					in.Ext = &e
+				}
 				out = append(out, in)
 			}
 			b.Insts = out
@@ -234,19 +242,24 @@ func buildMergedFunc(rep *Func, differs []bool, nDiff int) *Func {
 				ci++
 			}
 			in.Dst = remap(in.Dst)
-			in.ErrDst = remap(in.ErrDst)
 			in.A = res(in.A)
 			in.B = res(in.B)
-			nargs := append([]Value(nil), in.Args...)
-			for j := range nargs {
-				nargs[j] = res(nargs[j])
+			if e := in.Ext; e != nil {
+				// A record of the clone's own, so rep keeps its operands.
+				ne := &Ext{
+					ErrDst:    remap(e.ErrDst),
+					Else:      e.Else,
+					Args:      append([]Value(nil), e.Args...),
+					Incomings: append([]Incoming(nil), e.Incomings...),
+				}
+				for j := range ne.Args {
+					ne.Args[j] = res(ne.Args[j])
+				}
+				for j := range ne.Incomings {
+					ne.Incomings[j].Val = res(ne.Incomings[j].Val)
+				}
+				in.Ext = ne
 			}
-			in.Args = nargs
-			nincs := append([]Incoming(nil), in.Incomings...)
-			for j := range nincs {
-				nincs[j].Val = res(nincs[j].Val)
-			}
-			in.Incomings = nincs
 			nb.Insts = append(nb.Insts, in)
 		}
 		merged.Blocks = append(merged.Blocks, nb)

@@ -78,8 +78,8 @@ func (l *Lowerer) FromSIR(m *sir.Module) (*Module, error) {
 // once, in SIR order, and every table is a slice indexed by block number,
 // SIR variable or LLIR value number; the slices keep their storage from one
 // function to the next, across modules on a Lowerer. What the lowered
-// function keeps — its instructions, argument lists and phi incomings — is
-// carved from fresh chunks the lowerer never reuses.
+// function keeps — its instructions, argument lists, phi incomings and Ext
+// records — is carved from fresh chunks the lowerer never reuses.
 type lowerer struct {
 	src *sir.Func
 	dst *Func
@@ -106,9 +106,10 @@ type lowerer struct {
 	entryConsts []Inst // zero constants for never-written variables, newest last
 	caps        []Value
 
-	// Output chunks (see newVals / newIncomings).
+	// Output chunks (see newVals / newIncomings / newExt).
 	valChunk []Value
 	incChunk []Incoming
+	extChunk []Ext
 
 	// assemble's grouping of phis by block.
 	phiOrder []int32
@@ -385,7 +386,7 @@ func (lo *lowerer) addPhiOperands(variable sir.Value, phiDst Value, block int32)
 		// the phi is addressed by index only after the loop.
 		incs = append(incs, Incoming{Pred: lo.src.Blocks[p].Label, Val: lo.readVar(variable, p)})
 	}
-	lo.phis[lo.phiOf[phiDst]-1].Incomings = incs
+	lo.phis[lo.phiOf[phiDst]-1].Ext = lo.newExt(Ext{Incomings: incs})
 }
 
 // newVals returns an empty argument list of capacity n carved from a chunk
@@ -408,6 +409,21 @@ func (lo *lowerer) newIncomings(n int) []Incoming {
 	s := lo.incChunk[:0:n]
 	lo.incChunk = lo.incChunk[n:]
 	return s
+}
+
+// newExt returns e as a record carved from a chunk the lowered function will
+// own, or nil when e holds nothing (Inst.Ext's invariant).
+func (lo *lowerer) newExt(e Ext) *Ext {
+	if e.ErrDst == None && e.Else == "" && len(e.Args) == 0 && len(e.Incomings) == 0 {
+		return nil
+	}
+	if len(lo.extChunk) == 0 {
+		lo.extChunk = make([]Ext, 128)
+	}
+	p := &lo.extChunk[0]
+	*p = e
+	lo.extChunk = lo.extChunk[1:]
+	return p
 }
 
 func (lo *lowerer) emit(in Inst) { lo.body = append(lo.body, in) }
@@ -433,8 +449,8 @@ func (lo *lowerer) readArgs(dst []Value, args []sir.Value, block int32) []Value 
 	return dst
 }
 
-// arg1 is the one-element argument list of the runtime calls.
-func (lo *lowerer) arg1(v Value) []Value { return append(lo.newVals(1), v) }
+// arg1 is the record of a runtime call's one-element argument list.
+func (lo *lowerer) arg1(v Value) *Ext { return lo.newExt(Ext{Args: append(lo.newVals(1), v)}) }
 
 // fillBlock translates one SIR block.
 func (lo *lowerer) fillBlock(label int32, b *sir.Block) error {
@@ -468,22 +484,24 @@ func (lo *lowerer) fillBlock(label int32, b *sir.Block) error {
 		case sir.Br:
 			emit(Inst{Op: Br, Sym: in.Sym})
 		case sir.CondBr:
-			emit(Inst{Op: CondBr, A: read(in.A), Sym: in.Sym, Sym2: in.Sym2})
+			emit(Inst{Op: CondBr, A: read(in.A), Sym: in.Sym, Ext: lo.newExt(Ext{Else: in.Sym2})})
 		case sir.Call:
-			call := Inst{Op: Call, Sym: in.Sym, Args: readArgs(in.Args), Throws: in.Throws}
+			call := Inst{Op: Call, Sym: in.Sym, Throws: in.Throws}
+			ext := Ext{Args: readArgs(in.Args)}
 			if in.Dst != sir.None {
 				call.Dst = def(in.Dst)
 			}
 			if in.Throws {
-				call.ErrDst = def(in.ErrDst)
+				ext.ErrDst = def(in.ErrDst)
 			}
+			call.Ext = lo.newExt(ext)
 			emit(call)
 		case sir.CallClosure:
 			clo := read(in.A)
 			fp := lo.dst.NewValue()
 			emit(Inst{Op: Load, Dst: fp, A: clo, Imm: 8})
 			args := append(lo.newVals(1+len(in.Args)), clo)
-			call := Inst{Op: CallInd, A: fp, Args: lo.readArgs(args, in.Args, label)}
+			call := Inst{Op: CallInd, A: fp, Ext: lo.newExt(Ext{Args: lo.readArgs(args, in.Args, label)})}
 			if in.Dst != sir.None {
 				call.Dst = def(in.Dst)
 			}
@@ -503,19 +521,19 @@ func (lo *lowerer) fillBlock(label int32, b *sir.Block) error {
 		case sir.Throw:
 			emit(Inst{Op: Ret, B: read(in.A)})
 		case sir.Retain:
-			emit(Inst{Op: Call, Sym: RTRetain, Args: lo.arg1(read(in.A))})
+			emit(Inst{Op: Call, Sym: RTRetain, Ext: lo.arg1(read(in.A))})
 		case sir.Release:
-			emit(Inst{Op: Call, Sym: RTRelease, Args: lo.arg1(read(in.A))})
+			emit(Inst{Op: Call, Sym: RTRelease, Ext: lo.arg1(read(in.A))})
 		case sir.AllocObject:
 			n := cnst(in.Imm)
-			emit(Inst{Op: Call, Sym: RTAllocObject, Dst: def(in.Dst), Args: lo.arg1(n)})
+			emit(Inst{Op: Call, Sym: RTAllocObject, Dst: def(in.Dst), Ext: lo.arg1(n)})
 		case sir.FieldGet:
 			emit(Inst{Op: Load, Dst: def(in.Dst), A: read(in.A), Imm: 8 * (1 + in.Imm)})
 		case sir.FieldSet:
 			a, bv := read(in.A), read(in.B)
 			emit(Inst{Op: Store, A: a, Imm: 8 * (1 + in.Imm), B: bv})
 		case sir.AllocArray:
-			emit(Inst{Op: Call, Sym: RTAllocArray, Dst: def(in.Dst), Args: lo.arg1(read(in.A))})
+			emit(Inst{Op: Call, Sym: RTAllocArray, Dst: def(in.Dst), Ext: lo.arg1(read(in.A))})
 		case sir.ArrayGet:
 			addr := lo.arrayAddr(read(in.A), read(in.B))
 			emit(Inst{Op: Load, Dst: def(in.Dst), A: addr, Imm: 16})
@@ -531,12 +549,12 @@ func (lo *lowerer) fillBlock(label int32, b *sir.Block) error {
 			emit(Inst{Op: Load, Dst: def(in.Dst), A: read(in.A), Imm: 0})
 		case sir.Append:
 			a, bv := read(in.A), read(in.B)
-			emit(Inst{Op: Call, Sym: RTArrayAppend, Dst: def(in.Dst), Args: append(lo.newVals(2), a, bv)})
+			emit(Inst{Op: Call, Sym: RTArrayAppend, Dst: def(in.Dst), Ext: lo.newExt(Ext{Args: append(lo.newVals(2), a, bv)})})
 		case sir.MakeClosure:
 			lo.caps = lo.readArgs(lo.caps[:0], in.Args, label)
 			n := cnst(int64(1 + len(in.Args)))
 			p := def(in.Dst)
-			emit(Inst{Op: Call, Sym: RTAllocObject, Dst: p, Args: lo.arg1(n)})
+			emit(Inst{Op: Call, Sym: RTAllocObject, Dst: p, Ext: lo.arg1(n)})
 			fa := lo.dst.NewValue()
 			emit(Inst{Op: GlobalAddr, Dst: fa, Sym: in.Sym})
 			emit(Inst{Op: Store, A: p, Imm: 8, B: fa})
@@ -544,11 +562,11 @@ func (lo *lowerer) fillBlock(label int32, b *sir.Block) error {
 				emit(Inst{Op: Store, A: p, Imm: int64(16 + 8*i), B: cv})
 			}
 		case sir.PrintInt:
-			emit(Inst{Op: Call, Sym: RTPrintInt, Args: lo.arg1(read(in.A))})
+			emit(Inst{Op: Call, Sym: RTPrintInt, Ext: lo.arg1(read(in.A))})
 		case sir.PrintBool:
-			emit(Inst{Op: Call, Sym: RTPrintBool, Args: lo.arg1(read(in.A))})
+			emit(Inst{Op: Call, Sym: RTPrintBool, Ext: lo.arg1(read(in.A))})
 		case sir.PrintStr:
-			emit(Inst{Op: Call, Sym: RTPrintStr, Args: lo.arg1(read(in.A))})
+			emit(Inst{Op: Call, Sym: RTPrintStr, Ext: lo.arg1(read(in.A))})
 		case sir.Unreachable:
 			emit(Inst{Op: Unreachable})
 		default:
@@ -587,7 +605,7 @@ func (lo *lowerer) removeTrivialPhis() {
 				}
 				var same Value
 				trivial := true
-				for _, inc := range in.Incomings {
+				for _, inc := range in.Incomings() {
 					if inc.Val == in.Dst || inc.Val == same {
 						continue
 					}
@@ -631,11 +649,13 @@ func (lo *lowerer) removeTrivialPhis() {
 				in := &b.Insts[i]
 				in.A = resolve(in.A)
 				in.B = resolve(in.B)
-				for j := range in.Args {
-					in.Args[j] = resolve(in.Args[j])
-				}
-				for j := range in.Incomings {
-					in.Incomings[j].Val = resolve(in.Incomings[j].Val)
+				if e := in.Ext; e != nil {
+					for j := range e.Args {
+						e.Args[j] = resolve(e.Args[j])
+					}
+					for j := range e.Incomings {
+						e.Incomings[j].Val = resolve(e.Incomings[j].Val)
+					}
 				}
 			}
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 // Value is an SSA value id. 0 means "none".
-type Value int
+type Value int32
 
 // None marks an absent value.
 const None Value = 0
@@ -40,7 +40,7 @@ const (
 	Ret // return A (None for void); in throwing functions B is the error
 	// channel value (0 = normal return)
 	Br     // branch Sym
-	CondBr // if A != 0 branch Sym else Sym2
+	CondBr // if A != 0 branch Sym else Else()
 	Phi    // Dst = φ(Incomings)
 
 	Unreachable
@@ -89,21 +89,66 @@ type Incoming struct {
 
 // Inst is one LLIR instruction.
 //
-// The byte-sized fields come first, packed into one word, as in sir.Inst
-// (128 bytes).
+// It is 48 bytes: the byte-sized fields packed into one word with Dst, A and
+// B, then Imm, Sym and a pointer to the operands only calls, phis and
+// conditional branches have (Ext). Const and Bin, most of every module, use
+// none of them. Read those operands through the nil-safe accessors (Args,
+// Incomings, Else, ErrDst).
+//
+// Copying an Inst shares its Ext: a pass that changes a copy's record gives
+// the copy a record of its own first. Passes that edit a function they own in
+// place change its records directly.
 type Inst struct {
-	Op        Op
-	BinOp     BinKind
-	Cond      CondKind
-	Throws    bool
-	Dst       Value
-	A, B      Value
+	Op     Op
+	BinOp  BinKind
+	Cond   CondKind
+	Throws bool
+	Dst    Value
+	A, B   Value
+	Imm    int64
+	Sym    string
+	Ext    *Ext // nil when the instruction has none of the record's operands
+}
+
+// Ext holds the operands an instruction has only as a call, a phi or a
+// conditional branch.
+type Ext struct {
 	ErrDst    Value // Call of a throwing function
-	Imm       int64
-	Sym       string
-	Sym2      string
+	Else      string
 	Args      []Value
 	Incomings []Incoming
+}
+
+// Args returns a call's arguments.
+func (in *Inst) Args() []Value {
+	if in.Ext == nil {
+		return nil
+	}
+	return in.Ext.Args
+}
+
+// Incomings returns a phi's inputs.
+func (in *Inst) Incomings() []Incoming {
+	if in.Ext == nil {
+		return nil
+	}
+	return in.Ext.Incomings
+}
+
+// Else returns a conditional branch's fall-back label (taken when A == 0).
+func (in *Inst) Else() string {
+	if in.Ext == nil {
+		return ""
+	}
+	return in.Ext.Else
+}
+
+// ErrDst returns the error value a call of a throwing function defines.
+func (in *Inst) ErrDst() Value {
+	if in.Ext == nil {
+		return None
+	}
+	return in.Ext.ErrDst
 }
 
 // IsTerminator reports whether op ends a block.
@@ -139,7 +184,7 @@ func (b *Block) Succs() []string {
 	case Br:
 		return []string{t.Sym}
 	case CondBr:
-		return []string{t.Sym, t.Sym2}
+		return []string{t.Sym, t.Else()}
 	}
 	return nil
 }
@@ -303,8 +348,8 @@ func (in Inst) String() string {
 	case Store:
 		return fmt.Sprintf("store [%s + %d] = %s", v(in.A), in.Imm, v(in.B))
 	case Call:
-		args := make([]string, len(in.Args))
-		for i, a := range in.Args {
+		args := make([]string, len(in.Args()))
+		for i, a := range in.Args() {
 			args[i] = v(a)
 		}
 		s := fmt.Sprintf("call @%s(%s)", in.Sym, strings.Join(args, ", "))
@@ -312,12 +357,12 @@ func (in Inst) String() string {
 			s = v(in.Dst) + " = " + s
 		}
 		if in.Throws {
-			s += " throws -> " + v(in.ErrDst)
+			s += " throws -> " + v(in.ErrDst())
 		}
 		return s
 	case CallInd:
-		args := make([]string, len(in.Args))
-		for i, a := range in.Args {
+		args := make([]string, len(in.Args()))
+		for i, a := range in.Args() {
 			args[i] = v(a)
 		}
 		s := fmt.Sprintf("call_ind %s(%s)", v(in.A), strings.Join(args, ", "))
@@ -337,10 +382,10 @@ func (in Inst) String() string {
 	case Br:
 		return "br " + in.Sym
 	case CondBr:
-		return fmt.Sprintf("condbr %s, %s, %s", v(in.A), in.Sym, in.Sym2)
+		return fmt.Sprintf("condbr %s, %s, %s", v(in.A), in.Sym, in.Else())
 	case Phi:
-		parts := make([]string, len(in.Incomings))
-		for i, inc := range in.Incomings {
+		parts := make([]string, len(in.Incomings()))
+		for i, inc := range in.Incomings() {
 			parts[i] = fmt.Sprintf("[%s: %s]", inc.Pred, v(inc.Val))
 		}
 		return fmt.Sprintf("%s = phi %s", v(in.Dst), strings.Join(parts, " "))

@@ -337,8 +337,8 @@ func main() {
 			in := &b.Insts[i]
 			if in.Op == Call && in.Sym == "v1$fmsa" {
 				calls++
-				if len(in.Args) != 2 {
-					t.Errorf("call args = %d, want 2", len(in.Args))
+				if len(in.Args()) != 2 {
+					t.Errorf("call args = %d, want 2", len(in.Args()))
 				}
 			}
 		}
@@ -434,5 +434,66 @@ func main() { print(v1(a: 1) + v2(a: 2)) }
 	}
 	if err := m.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFMSALeavesSourceUnchanged: FMSA builds the merged function and the
+// rewritten call sites from copies of the original instructions, whose Ext
+// records those copies share. Each copy gets records of its own before its
+// values are shifted or its arguments extended, so the originals keep their
+// Args and Incomings.
+func TestFMSALeavesSourceUnchanged(t *testing.T) {
+	m := lower(t, `
+func v1(a: Int) -> Int {
+  var acc = a
+  for i in 0 ..< 4 { acc = acc + i * 3 print(acc) }
+  return acc + 100
+}
+func v2(a: Int) -> Int {
+  var acc = a
+  for i in 0 ..< 4 { acc = acc + i * 3 print(acc) }
+  return acc + 200
+}
+func main() {
+  print(v1(a: 1) + v2(a: 2))
+}
+`)
+	for _, f := range m.Funcs {
+		SimplifyCFG(f)
+		DCE(f)
+	}
+	// render prints instructions, Args and Incomings included.
+	render := func(insts [][]Inst) string {
+		var b strings.Builder
+		for _, blk := range insts {
+			for _, in := range blk {
+				b.WriteString(in.String() + "\n")
+			}
+		}
+		return b.String()
+	}
+	var src [][]Inst // the originals' instruction slabs, main's call sites included
+	args, incs := 0, 0
+	for _, name := range []string{"v1", "v2", "main"} {
+		for _, b := range m.Func(name).Blocks {
+			src = append(src, b.Insts)
+			for i := range b.Insts {
+				args += len(b.Insts[i].Args())
+				incs += len(b.Insts[i].Incomings())
+			}
+		}
+	}
+	if args == 0 || incs == 0 {
+		t.Fatalf("the originals have %d arguments and %d phi incomings; want some of both", args, incs)
+	}
+	want := render(src)
+	if st := MergeBySequenceAlignment(m); st.Groups != 1 {
+		t.Fatalf("stats = %+v, want one group", st)
+	}
+	if err := m.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if got := render(src); got != want {
+		t.Errorf("merging changed the originals:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -35,13 +35,17 @@ func DCE(f *Func) {
 				// else read counts.
 				mark(in.A)
 				mark(in.B)
-				if in.Op != Call { // Call's ErrDst is a def
-					mark(in.ErrDst)
+				e := in.Ext
+				if e == nil {
+					continue
 				}
-				for _, a := range in.Args {
+				if in.Op != Call { // Call's ErrDst is a def
+					mark(e.ErrDst)
+				}
+				for _, a := range e.Args {
 					mark(a)
 				}
-				for _, inc := range in.Incomings {
+				for _, inc := range e.Incomings {
 					mark(inc.Val)
 				}
 			}
@@ -136,7 +140,7 @@ func (c *cfg) succs(b *Block) (s [2]int32, n int) {
 		add(t.Sym)
 	case CondBr:
 		add(t.Sym)
-		add(t.Sym2)
+		add(t.Else())
 	}
 	return s, n
 }
@@ -172,13 +176,17 @@ func (c *cfg) removeUnreachable() {
 			if in.Op != Phi {
 				break // phis always come first
 			}
-			keptInc := in.Incomings[:0]
-			for _, inc := range in.Incomings {
+			e := in.Ext
+			if e == nil {
+				continue
+			}
+			keptInc := e.Incomings[:0]
+			for _, inc := range e.Incomings {
 				if p, ok := c.idx[inc.Pred]; ok && c.reach[p] {
 					keptInc = append(keptInc, inc)
 				}
 			}
-			in.Incomings = keptInc
+			e.Incomings = keptInc
 		}
 	}
 }
@@ -227,7 +235,9 @@ func (c *cfg) threadEmptyBlocks() {
 			t.Sym = resolve(t.Sym)
 		case CondBr:
 			t.Sym = resolve(t.Sym)
-			t.Sym2 = resolve(t.Sym2)
+			if t.Ext != nil {
+				t.Ext.Else = resolve(t.Ext.Else)
+			}
 		}
 	}
 }
@@ -277,9 +287,9 @@ func (c *cfg) mergeStraightPairs() {
 				if in.Op != Phi {
 					break
 				}
-				for j := range in.Incomings {
-					if in.Incomings[j].Pred == b.Label {
-						in.Incomings[j].Pred = a.Label
+				for j, inc := range in.Incomings() {
+					if inc.Pred == b.Label {
+						in.Ext.Incomings[j].Pred = a.Label
 					}
 				}
 			}
@@ -446,7 +456,7 @@ func (h *funcHasher) key(f *Func) []byte {
 			b = h.value(append(b, '('), in.Dst)
 			b = h.value(append(b, ','), in.A)
 			b = h.value(append(b, ','), in.B)
-			b = h.value(append(b, ','), in.ErrDst)
+			b = h.value(append(b, ','), in.ErrDst())
 			imm := in.Imm
 			if h.eraseConsts && in.Op == Const {
 				imm = 0
@@ -461,12 +471,12 @@ func (h *funcHasher) key(f *Func) []byte {
 				b = h.label(append(b, ",L"...), in.Sym)
 			case CondBr:
 				b = h.label(append(b, ",L"...), in.Sym)
-				b = h.label(append(b, ",L"...), in.Sym2)
+				b = h.label(append(b, ",L"...), in.Else())
 			}
-			for _, a := range in.Args {
+			for _, a := range in.Args() {
 				b = h.value(append(b, ",a"...), a)
 			}
-			for _, inc := range in.Incomings {
+			for _, inc := range in.Incomings() {
 				b = h.label(append(b, ",[L"...), inc.Pred)
 				b = h.value(append(b, ':'), inc.Val)
 				b = append(b, ']')

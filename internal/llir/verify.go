@@ -95,11 +95,11 @@ func (f *Func) Verify() error {
 				if !inPhis {
 					return fmt.Errorf("llir: @%s/%s: phi after non-phi", f.Name, b.Label)
 				}
-				if len(in.Incomings) != nPreds {
+				if len(in.Incomings()) != nPreds {
 					return fmt.Errorf("llir: @%s/%s: phi has %d incomings, %d preds",
-						f.Name, b.Label, len(in.Incomings), nPreds)
+						f.Name, b.Label, len(in.Incomings()), nPreds)
 				}
-				for _, inc := range in.Incomings {
+				for _, inc := range in.Incomings() {
 					if p, ok := idx[inc.Pred]; !ok || isPred[p] != int32(bi)+1 {
 						return fmt.Errorf("llir: @%s/%s: phi incoming from non-pred %s",
 							f.Name, b.Label, inc.Pred)
@@ -113,8 +113,8 @@ func (f *Func) Verify() error {
 					return err
 				}
 			}
-			if in.Op == Call && in.ErrDst != None {
-				if err := define(b, in.ErrDst); err != nil {
+			if in.Op == Call && in.ErrDst() != None {
+				if err := define(b, in.ErrDst()); err != nil {
 					return err
 				}
 			}
@@ -125,7 +125,7 @@ func (f *Func) Verify() error {
 				}
 			case CondBr:
 				_, ok1 := idx[in.Sym]
-				_, ok2 := idx[in.Sym2]
+				_, ok2 := idx[in.Else()]
 				if !ok1 || !ok2 {
 					return fmt.Errorf("llir: @%s/%s: condbr to unknown label", f.Name, b.Label)
 				}

@@ -64,3 +64,7 @@ func KeyConfigs(cfg Config) map[string]string {
 	}
 	return out
 }
+
+// ScoreLayout is the image stage's layout scoring: the four layout/*_before
+// and *_after page counters, set on tr.
+var ScoreLayout = scoreLayout

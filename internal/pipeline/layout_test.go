@@ -9,6 +9,7 @@ import (
 	"outliner/internal/layout"
 	"outliner/internal/obs"
 	"outliner/internal/pipeline"
+	"outliner/internal/raceflag"
 )
 
 // The none policy is part of the determinism contract: an unset knob, an
@@ -186,5 +187,44 @@ func TestLayoutTelemetryAndPageCounters(t *testing.T) {
 				t.Error("c3 merged clusters but emitted no function-layout remarks")
 			}
 		})
+	}
+}
+
+// TestNilTracerSkipsLayoutScoring: the image stage scores a profiled layout's
+// page touches only for a tracer, the one holder of the counters it sets. A
+// traced build's counters are the scoring's of the untraced build's images,
+// which are still built, and the scoring allocates nothing without a tracer.
+func TestNilTracerSkipsLayoutScoring(t *testing.T) {
+	srcs := appgen.Sources(scaleCorpus(t, 24))
+	cfg := pipeline.OSize
+	prof, _ := collectMainProfile(t, cfg, srcs)
+	cfg.Profile = prof
+	cfg.Layout = layout.C3
+	res, err := pipeline.Build(srcs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PreLayoutImage == nil {
+		t.Fatal("an untraced build has no Result.PreLayoutImage")
+	}
+	scored := obs.New()
+	pipeline.ScoreLayout(scored, res, prof)
+	cfg.Tracer = obs.New()
+	if _, err := pipeline.Build(srcs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"layout/cross_page_calls_before", "layout/cross_page_calls_after",
+		"layout/touched_pages_before", "layout/touched_pages_after",
+	} {
+		if got, want := scored.Counter(name), cfg.Tracer.Counter(name); got != want || want == 0 {
+			t.Errorf("%s: scoring the untraced build's images gives %d, the traced build %d", name, got, want)
+		}
+	}
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	if n := testing.AllocsPerRun(10, func() { pipeline.ScoreLayout(nil, res, prof) }); n != 0 {
+		t.Errorf("layout scoring without a tracer: %v allocations, want 0", n)
 	}
 }

@@ -838,22 +838,28 @@ var postLink = []stage{{
 				return fmt.Errorf("image layout: %w", err)
 			}
 		}
-		if res.PreLayoutImage != nil {
-			// Score the reorder at binimg's native page size so the
-			// improvement is visible in counters (and hence -summary) without
-			// rerunning PageTouch.
-			dev := perf.Device{PageSize: binimg.PageSize}
-			before := perf.PageTouch(res.PreLayoutImage, b.cfg.Profile, dev)
-			after := perf.PageTouch(res.Image, b.cfg.Profile, dev)
-			tr.Set("layout/cross_page_calls_before", before.CrossPageCalls)
-			tr.Set("layout/cross_page_calls_after", after.CrossPageCalls)
-			tr.Set("layout/touched_pages_before", int64(before.TouchedPages))
-			tr.Set("layout/touched_pages_after", int64(after.TouchedPages))
-		}
+		scoreLayout(tr, res, b.cfg.Profile)
 		return nil
 	},
 	verify: linkedProgram,
 }}
+
+// scoreLayout scores a reorder at binimg's native page size, so that the
+// improvement is visible in counters (and hence -summary) without rerunning
+// PageTouch. Only a tracer keeps the counters, so without one nothing is
+// scored.
+func scoreLayout(tr *obs.Tracer, res *Result, prof *profile.Profile) {
+	if tr == nil || res.PreLayoutImage == nil {
+		return
+	}
+	dev := perf.Device{PageSize: binimg.PageSize}
+	before := perf.PageTouch(res.PreLayoutImage, prof, dev)
+	after := perf.PageTouch(res.Image, prof, dev)
+	tr.Set("layout/cross_page_calls_before", before.CrossPageCalls)
+	tr.Set("layout/cross_page_calls_after", after.CrossPageCalls)
+	tr.Set("layout/touched_pages_before", int64(before.TouchedPages))
+	tr.Set("layout/touched_pages_after", int64(after.TouchedPages))
+}
 
 // externSyms returns the symbols that are external during per-module
 // outlining: the runtime's plus everything any module defines.
