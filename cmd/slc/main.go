@@ -22,11 +22,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"text/tabwriter"
 
 	"outliner/internal/exec"
 	"outliner/internal/frontend"
@@ -43,7 +45,6 @@ func main() {
 		run      = flag.Bool("run", false, "execute main after compiling")
 		entry    = flag.String("entry", "main", "entry function for -run")
 		maxSteps = flag.Int64("max-steps", 500_000_000, "interpreter step limit for -run")
-		showOutl = flag.Bool("outline-stats", false, "print per-round outlining statistics")
 		outFile  = flag.String("o", "", "write a deterministic image listing to this file (byte-comparable across builds)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the build to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an end-of-build heap profile to this file (go tool pprof)")
@@ -108,6 +109,9 @@ func main() {
 		}
 	}()
 	fail := func(err error) { fatal(build.Finish(err)) }
+	if build.Summary() && res.Outline != nil {
+		writeRounds(os.Stderr, res.Outline.Rounds)
+	}
 	if prof := cfg.Profile; build.Summary() && prof != nil {
 		fmt.Fprintln(os.Stderr)
 		if err := profile.WriteHotReport(os.Stderr, prof, 10, cfg.OutlineColdThreshold); err != nil {
@@ -138,13 +142,6 @@ func main() {
 		}
 		if err := f.Close(); err != nil {
 			fail(err)
-		}
-	}
-
-	if *showOutl && res.Outline != nil {
-		for _, r := range res.Outline.Rounds {
-			fmt.Fprintf(os.Stderr, "round %d: %d sequences -> %d functions (%d bytes), saved %d bytes\n",
-				r.Round, r.SequencesOutlined, r.FunctionsCreated, r.OutlinedBytes, r.BytesSaved)
 		}
 	}
 
@@ -226,6 +223,19 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "executed %d instructions (%d calls, %.2f%% in outlined functions)\n",
 		st.DynamicInsts, st.Calls, 100*float64(st.OutlinedInsts)/float64(st.DynamicInsts))
+}
+
+// writeRounds prints the build's outlining rounds, whole-program or summed
+// over modules, as -summary's per-round table.
+func writeRounds(w io.Writer, rounds []outline.RoundStats) {
+	fmt.Fprintln(w, "\noutlining rounds:")
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "  round\tsequences\tfunctions\toutlined bytes\tbytes saved")
+	for _, r := range rounds {
+		fmt.Fprintf(tw, "  %d\t%d\t%d\t%d\t%d\n",
+			r.Round, r.SequencesOutlined, r.FunctionsCreated, r.OutlinedBytes, r.BytesSaved)
+	}
+	tw.Flush()
 }
 
 func fatal(err error) {

@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -178,5 +179,36 @@ func TestRunCountersReachTelemetry(t *testing.T) {
 	}
 	if got := counters(failed)["frontend/modules_parsed"]; got != 1 {
 		t.Errorf("the failed build's frontend/modules_parsed = %d, want 1", got)
+	}
+}
+
+// -summary prints the build's outlining rounds from its result, per-module
+// builds included; the counters carry no per-round copy of them.
+func TestSummaryPrintsRounds(t *testing.T) {
+	counters := filepath.Join(t.TempDir(), "c.json")
+	cmd := exec.Command(os.Args[0], "-whole-program=false", "-rounds", "2", "-summary",
+		"-counters", counters, "../../testdata/benchmarks/json.sl")
+	cmd.Env = append(os.Environ(), "SLC_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if _, err := cmd.Output(); err != nil {
+		t.Fatalf("slc -summary: %v\n%s", err, stderr.String())
+	}
+	if !regexp.MustCompile(`outlining rounds:\n.*\n  1 +[1-9]`).MatchString(stderr.String()) {
+		t.Errorf("-summary prints no round table with a non-zero round-1 row:\n%s", stderr.String())
+	}
+	data, err := os.ReadFile(counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c map[string]int64
+	if err := json.Unmarshal(data, &c); err != nil {
+		t.Fatal(err)
+	}
+	perRound := regexp.MustCompile(`^outline/round[0-9]`)
+	for name := range c {
+		if perRound.MatchString(name) {
+			t.Errorf("counter %s: round statistics are the build's result, not counters", name)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"outliner/internal/appgen"
@@ -22,42 +21,39 @@ type BuildTimeResult struct {
 	WholeNoOut  time.Duration
 	WholeRounds []time.Duration // index = rounds-1 (rounds 1..5)
 	// Stages sums the obs stage spans of the no-outlining whole-program
-	// build; Counters is the obs counter delta of the 5-round build (the
-	// configuration the paper ships).
-	Stages   map[string]time.Duration
-	Counters map[string]int64
+	// build. cmd/experiments -summary prints the builds' counters.
+	Stages map[string]time.Duration
 }
 
 // RunBuildTime measures wall-clock build times on the synthetic app.
 func RunBuildTime(w io.Writer, scale float64) (*BuildTimeResult, error) {
 	res := &BuildTimeResult{}
 	mods := appgen.Generate(appgen.UberRider, scale)
-	// Stage times and counters are read back from the build's tracer, the
-	// driver's or this private one.
+	// Stage times are read back from the build's tracer, the driver's or
+	// this private one.
 	tr := obs.New()
-	timeBuild := func(cfg pipeline.Config) (time.Duration, *pipeline.Result, map[string]int64, error) {
+	timeBuild := func(cfg pipeline.Config) (time.Duration, *pipeline.Result, error) {
 		cfg.Tracer = tr
 		start := time.Now()
-		r, counters, err := build(cfg, mods, nil)
-		return time.Since(start), r, counters, err
+		r, err := build(cfg, mods, nil)
+		return time.Since(start), r, err
 	}
 
 	var err error
-	if res.DefaultDur, _, _, err = timeBuild(baseline()); err != nil {
+	if res.DefaultDur, _, err = timeBuild(baseline()); err != nil {
 		return nil, err
 	}
 	var noOut *pipeline.Result
-	if res.WholeNoOut, noOut, _, err = timeBuild(oSize(0)); err != nil {
+	if res.WholeNoOut, noOut, err = timeBuild(oSize(0)); err != nil {
 		return nil, err
 	}
 	res.Stages = noOut.Timings
 	for rounds := 1; rounds <= 5; rounds++ {
-		d, _, counters, err := timeBuild(oSize(rounds))
+		d, _, err := timeBuild(oSize(rounds))
 		if err != nil {
 			return nil, err
 		}
 		res.WholeRounds = append(res.WholeRounds, d)
-		res.Counters = counters
 	}
 
 	ms := func(d time.Duration) string { return d.Round(time.Millisecond).String() }
@@ -80,14 +76,5 @@ func RunBuildTime(w io.Writer, scale float64) (*BuildTimeResult, error) {
 		srows = append(srows, []string{k, ms(res.Stages[k])})
 	}
 	table(w, srows)
-	fmt.Fprintln(w, "\npipeline counters (5 rounds; mem/* and per-round keys omitted):")
-	crows := [][]string{{"counter", "value"}}
-	for _, k := range sortedKeys(res.Counters) {
-		if strings.HasPrefix(k, "mem/") || strings.HasPrefix(k, "outline/round") {
-			continue
-		}
-		crows = append(crows, []string{k, fmt.Sprintf("%d", res.Counters[k])})
-	}
-	table(w, crows)
 	return res, nil
 }

@@ -31,13 +31,13 @@ var residencyOverride int
 // the spans.
 func RunDataLayout(w io.Writer, scale float64) (*DataLayoutResult, error) {
 	mods := appgen.Generate(appgen.UberRider, scale)
-	presRes, _, err := build(pipeline.OSize, mods, nil)
+	presRes, err := build(pipeline.OSize, mods, nil)
 	if err != nil {
 		return nil, err
 	}
 	inter := pipeline.OSize
 	inter.PreserveDataLayout = false
-	interRes, _, err := build(inter, mods, nil)
+	interRes, err := build(inter, mods, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -38,31 +38,17 @@ var Driver pipeline.Config
 // build runs one build of cfg: appgen.BuildGenerated (pipeline.Build) of
 // mods, or, when mods is nil, pipeline.BuildMIR's post-link tail on prog.
 // The build gets the driver's worker bound, and the driver's tracer when it
-// gave one; otherwise it keeps cfg.Tracer, the private counting tracer of
-// fig12 and buildtime (nil elsewhere). counters is what the build added to
-// its tracer's counters, nil without a tracer; experiments run one build at
-// a time, so a shared tracer's delta is this build's alone.
-func build(cfg pipeline.Config, mods []appgen.Module, prog *mir.Program) (res *pipeline.Result, counters map[string]int64, err error) {
+// gave one; otherwise it keeps cfg.Tracer, buildtime's private stage-timing
+// tracer (nil elsewhere).
+func build(cfg pipeline.Config, mods []appgen.Module, prog *mir.Program) (*pipeline.Result, error) {
 	cfg.Parallelism = Driver.Parallelism
 	if Driver.Tracer != nil {
 		cfg.Tracer = Driver.Tracer
 	}
-	before := cfg.Tracer.Counters()
 	if mods == nil {
-		res, err = pipeline.BuildMIR(prog, cfg)
-	} else {
-		res, err = appgen.BuildGenerated(mods, cfg)
+		return pipeline.BuildMIR(prog, cfg)
 	}
-	if err != nil || cfg.Tracer == nil {
-		return res, nil, err
-	}
-	counters = map[string]int64{}
-	for k, v := range cfg.Tracer.Counters() {
-		if d := v - before[k]; d != 0 {
-			counters[k] = d
-		}
-	}
-	return res, counters, nil
+	return appgen.BuildGenerated(mods, cfg)
 }
 
 // baseline is the default iOS pipeline the paper measures against:

@@ -40,11 +40,11 @@ func RunFig1(w io.Writer, snapshots int, maxScale float64) (*Fig1Result, error) 
 	for i := 0; i < snapshots; i++ {
 		scale := 0.3 + (maxScale-0.3)*float64(i)/float64(snapshots-1)
 		mods := appgen.Generate(appgen.UberRider, scale)
-		base, _, err := build(baseline(), mods, nil)
+		base, err := build(baseline(), mods, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fig1 snapshot %d baseline: %w", i, err)
 		}
-		opt, _, err := build(pipeline.OSize, mods, nil)
+		opt, err := build(pipeline.OSize, mods, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fig1 snapshot %d optimized: %w", i, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"outliner/internal/appgen"
-	"outliner/internal/obs"
 	"outliner/internal/outline"
 )
 
@@ -23,8 +22,8 @@ type Fig12Point struct {
 // statistics for the whole-program configuration).
 type Fig12Result struct {
 	Points []Fig12Point
-	// Table II cumulative statistics after rounds 1..5 (whole program),
-	// derived from the outliner's obs.RoundCounter counter stream.
+	// Table II cumulative statistics after rounds 1..5 (whole program):
+	// running sums of the max-rounds build's Result.Outline.
 	Table2 []outline.RoundStats
 }
 
@@ -36,30 +35,22 @@ func RunFig12(w io.Writer, scale float64, maxRounds int) (*Fig12Result, error) {
 		inter := oSize(rounds)
 		intra := inter
 		intra.WholeProgram = false
-		if rounds == 5 {
-			// Table II is derived from the obs counter stream the outliner
-			// emits (obs.RoundCounter), not from the pipeline's private
-			// Stats struct, so this build always has a tracer to count into.
-			inter.Tracer = obs.New()
-		}
-		interRes, counters, err := build(inter, mods, nil)
+		interRes, err := build(inter, mods, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fig12 inter rounds=%d: %w", rounds, err)
 		}
 		if rounds == 5 {
-			ran := int(counters["outline/rounds"])
-			cum := outline.RoundStats{}
-			for r := 1; r <= ran; r++ {
-				cum.SequencesOutlined += int(counters[obs.RoundCounter(r, obs.RoundSequences)])
-				cum.FunctionsCreated += int(counters[obs.RoundCounter(r, obs.RoundFunctions)])
-				cum.OutlinedBytes += int(counters[obs.RoundCounter(r, obs.RoundOutlinedBytes)])
-				cum.BytesSaved += int(counters[obs.RoundCounter(r, obs.RoundBytesSaved)])
-				c := cum
-				c.Round = r
-				res.Table2 = append(res.Table2, c)
+			var cum outline.RoundStats
+			for _, r := range interRes.Outline.Rounds {
+				cum.Round = r.Round
+				cum.SequencesOutlined += r.SequencesOutlined
+				cum.FunctionsCreated += r.FunctionsCreated
+				cum.OutlinedBytes += r.OutlinedBytes
+				cum.BytesSaved += r.BytesSaved
+				res.Table2 = append(res.Table2, cum)
 			}
 		}
-		intraRes, _, err := build(intra, mods, nil)
+		intraRes, err := build(intra, mods, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fig12 intra rounds=%d: %w", rounds, err)
 		}

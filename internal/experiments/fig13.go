@@ -41,11 +41,11 @@ func RunFig13(w io.Writer, scale float64, samples int) (*Fig13Result, error) {
 		samples = 3
 	}
 	mods := appgen.Generate(appgen.UberRider, scale)
-	base, _, err := build(baseline(), mods, nil)
+	base, err := build(baseline(), mods, nil)
 	if err != nil {
 		return nil, err
 	}
-	opt, _, err := build(pipeline.OSize, mods, nil)
+	opt, err := build(pipeline.OSize, mods, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -30,11 +30,11 @@ func RunGenerality(w io.Writer, scale float64) (*GeneralityResult, error) {
 
 	app := func(p appgen.Profile, paper string) error {
 		mods := appgen.Generate(p, scale)
-		base, _, err := build(baseline(), mods, nil)
+		base, err := build(baseline(), mods, nil)
 		if err != nil {
 			return fmt.Errorf("%s base: %w", p.Name, err)
 		}
-		opt, _, err := build(pipeline.OSize, mods, nil)
+		opt, err := build(pipeline.OSize, mods, nil)
 		if err != nil {
 			return fmt.Errorf("%s opt: %w", p.Name, err)
 		}
@@ -57,11 +57,11 @@ func RunGenerality(w io.Writer, scale float64) (*GeneralityResult, error) {
 
 	// Clang-like corpus through the full pipeline.
 	clangMods := appgen.GenerateClangLike(4242, int(14*scale)+4)
-	cb, _, err := build(noDedup(), clangMods, nil)
+	cb, err := build(noDedup(), clangMods, nil)
 	if err != nil {
 		return nil, fmt.Errorf("clang-like base: %w", err)
 	}
-	co, _, err := build(pipeline.OSize, clangMods, nil)
+	co, err := build(pipeline.OSize, clangMods, nil)
 	if err != nil {
 		return nil, fmt.Errorf("clang-like opt: %w", err)
 	}
@@ -77,7 +77,7 @@ func RunGenerality(w io.Writer, scale float64) (*GeneralityResult, error) {
 	baseSize := kb.CodeSize()
 	kernel := noDedup()
 	kernel.OutlineRounds, kernel.Verify = 5, true
-	ko, _, err := build(kernel, nil, kb)
+	ko, err := build(kernel, nil, kb)
 	if err != nil {
 		return nil, fmt.Errorf("kernel-like outline: %w", err)
 	}

@@ -29,7 +29,7 @@ type PatternsResult struct {
 func RunPatterns(w io.Writer, scale float64) (*PatternsResult, error) {
 	// The configuration the paper's statistics pass observes: the
 	// whole-program build with outlining off.
-	res, _, err := build(oSize(0), appgen.Generate(appgen.UberRider, scale), nil)
+	res, err := build(oSize(0), appgen.Generate(appgen.UberRider, scale), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -33,14 +33,14 @@ func RunTable1(w io.Writer, scale float64) (*Table1Result, error) {
 	// Reference build: whole-program pipeline, no dedup passes at all.
 	mods := appgen.Generate(appgen.UberRider, scale)
 	off := noDedup()
-	ref, _, err := build(off, mods, nil)
+	ref, err := build(off, mods, nil)
 	if err != nil {
 		return nil, err
 	}
 	refSize := float64(ref.CodeSize())
 
 	saving := func(cfg pipeline.Config) (float64, error) {
-		r, _, err := build(cfg, mods, nil)
+		r, err := build(cfg, mods, nil)
 		if err != nil {
 			return 0, err
 		}

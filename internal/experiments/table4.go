@@ -47,11 +47,11 @@ func RunTable4(w io.Writer) (*Table4Result, error) {
 
 	for _, name := range sortedKeys(benches) {
 		mods := benchModule(name, benches[name])
-		base, _, err := build(oSize(0), mods, nil)
+		base, err := build(oSize(0), mods, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s (base): %w", name, err)
 		}
-		opt, _, err := build(pipeline.OSize, mods, nil)
+		opt, err := build(pipeline.OSize, mods, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s (outlined): %w", name, err)
 		}
@@ -159,11 +159,11 @@ func work3(a: Int, b: Int) -> Int {
 }
 `
 	mods := benchModule("patho", multi)
-	baseM, _, err := build(oSize(0), mods, nil)
+	baseM, err := build(oSize(0), mods, nil)
 	if err != nil {
 		return 0, err
 	}
-	optM, _, err := build(pipeline.OSize, mods, nil)
+	optM, err := build(pipeline.OSize, mods, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -201,22 +201,19 @@ func TestRemarksRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSummary renders a summary with per-round counters and checks the
-// convergence table picks them up.
+// TestSummary renders a summary with a stage and counters and checks both
+// tables pick them up.
 func TestSummary(t *testing.T) {
 	tr := New()
 	tr.StartStage("llc", 0).End()
 	tr.Add("codegen/functions", 42)
-	tr.Add(RoundCounter(1, RoundSequences), 10)
-	tr.Add(RoundCounter(1, RoundBytesSaved), 120)
-	tr.Add(RoundCounter(2, RoundSequences), 3)
-	tr.Add(RoundCounter(2, RoundBytesSaved), 16)
+	tr.Add("outline/rounds", 2)
 	var buf bytes.Buffer
 	if err := tr.WriteSummary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"stage times", "llc", "outlining convergence", "codegen/functions", "120", "16"} {
+	for _, want := range []string{"stage times", "llc", "codegen/functions", "42", "outline/rounds"} {
 		if !bytes.Contains([]byte(out), []byte(want)) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}

@@ -8,24 +8,10 @@ import (
 	"time"
 )
 
-// Counter names the outliner emits per round; RoundCounter builds them so
-// the summary, the fig12 experiment, and the outliner itself agree on the
-// schema.
-const (
-	RoundSequences     = "sequences"
-	RoundFunctions     = "functions"
-	RoundOutlinedBytes = "outlined_bytes"
-	RoundBytesSaved    = "bytes_saved"
-)
-
-// RoundCounter returns the counter name for one per-round outlining metric,
-// e.g. RoundCounter(3, RoundBytesSaved) = "outline/round3/bytes_saved".
-func RoundCounter(round int, metric string) string {
-	return fmt.Sprintf("outline/round%d/%s", round, metric)
-}
-
 // WriteSummary renders the human-readable end-of-build report: stage times,
-// counter totals, and the per-round outlining convergence table.
+// the verifier, cache, single-flight and resilience scoreboards, and counter
+// totals. What outlining achieved round by round is the build's result, not a
+// counter (pipeline.Result.Outline); its callers print that themselves.
 func (t *Tracer) WriteSummary(w io.Writer) error {
 	if t == nil {
 		_, err := fmt.Fprintln(w, "telemetry disabled")
@@ -40,30 +26,6 @@ func (t *Tracer) WriteSummary(w io.Writer) error {
 		rows := [][]string{{"stage", "total"}}
 		for _, k := range sortedCounterKeys(totals) {
 			rows = append(rows, []string{k, totals[k].Round(time.Microsecond).String()})
-		}
-		writeTable(w, rows)
-	}
-
-	// Per-round convergence: every round r with any outline/round<r>/ key.
-	maxRound := 0
-	for name := range counters {
-		var r int
-		var metric string
-		if n, _ := fmt.Sscanf(name, "outline/round%d/%s", &r, &metric); n == 2 && r > maxRound {
-			maxRound = r
-		}
-	}
-	if maxRound > 0 {
-		fmt.Fprintln(w, "\noutlining convergence (per round):")
-		rows := [][]string{{"round", "sequences", "functions", "outlined bytes", "bytes saved"}}
-		for r := 1; r <= maxRound; r++ {
-			rows = append(rows, []string{
-				fmt.Sprintf("%d", r),
-				fmt.Sprintf("%d", counters[RoundCounter(r, RoundSequences)]),
-				fmt.Sprintf("%d", counters[RoundCounter(r, RoundFunctions)]),
-				fmt.Sprintf("%d", counters[RoundCounter(r, RoundOutlinedBytes)]),
-				fmt.Sprintf("%d", counters[RoundCounter(r, RoundBytesSaved)]),
-			})
 		}
 		writeTable(w, rows)
 	}
@@ -166,17 +128,10 @@ func (t *Tracer) WriteSummary(w io.Writer) error {
 		writeTable(w, rows)
 	}
 
-	general := make([]string, 0, len(counters))
-	for name := range counters {
-		if !strings.HasPrefix(name, "outline/round") {
-			general = append(general, name)
-		}
-	}
-	if len(general) > 0 {
-		sort.Strings(general)
+	if len(counters) > 0 {
 		fmt.Fprintln(w, "\ncounters:")
 		rows := [][]string{{"counter", "value"}}
-		for _, k := range general {
+		for _, k := range sortedCounterKeys(counters) {
 			rows = append(rows, []string{k, fmt.Sprintf("%d", counters[k])})
 		}
 		writeTable(w, rows)

@@ -126,10 +126,27 @@ type RoundStats struct {
 	BytesSaved        int // net code-size reduction achieved this round
 }
 
-// Stats aggregates all rounds. Cumulative* slices match Table II's rows:
-// entry i holds the totals after round i+1.
+// Stats aggregates all rounds: entry i of Rounds is round i+1. A per-module
+// build's Stats is its modules' summed round by round (see Add); Table II's
+// cumulative rows are running sums over Rounds.
 type Stats struct {
 	Rounds []RoundStats
+}
+
+// Add sums o into s round by round: o's round i is added to s's round i, and
+// s grows to the longer of the two, so modules that reached their fixed point
+// (or rolled rounds back) at different rounds add only the rounds they kept.
+func (s *Stats) Add(o *Stats) {
+	for i, r := range o.Rounds {
+		if i == len(s.Rounds) {
+			s.Rounds = append(s.Rounds, RoundStats{Round: i + 1})
+		}
+		t := &s.Rounds[i]
+		t.SequencesOutlined += r.SequencesOutlined
+		t.FunctionsCreated += r.FunctionsCreated
+		t.OutlinedBytes += r.OutlinedBytes
+		t.BytesSaved += r.BytesSaved
+	}
 }
 
 // TotalSequences returns the cumulative number of outlined sequences.
@@ -278,31 +295,14 @@ func (o *Outliner) Outline(prog *mir.Program, opts Options) (*Stats, error) {
 		}
 		sp.End()
 		tr.EmitBatch(opts.FuncPrefix, rems)
-		EmitRoundCounters(tr, rs)
+		// A round this build ran; what the rounds did is in the returned Stats.
+		tr.Add("outline/rounds", 1)
 		if rs.SequencesOutlined == 0 {
 			// Fixed point: later rounds cannot find anything either.
 			break
 		}
 	}
 	return stats, nil
-}
-
-// EmitRoundCounters adds one finished round's counters to tr. Outline calls it
-// after every round that passes verification; the pipeline calls it for every
-// round of a cached artifact, so a warm build's counters are the cold build's.
-// "outline/rounds" counts executed rounds; diffing it across Counters
-// snapshots tells a consumer how many rounds one build actually ran (the loop
-// stops early at a fixed point).
-func EmitRoundCounters(tr *obs.Tracer, rs RoundStats) {
-	tr.Add("outline/rounds", 1)
-	tr.Add(obs.RoundCounter(rs.Round, obs.RoundSequences), int64(rs.SequencesOutlined))
-	tr.Add(obs.RoundCounter(rs.Round, obs.RoundFunctions), int64(rs.FunctionsCreated))
-	tr.Add(obs.RoundCounter(rs.Round, obs.RoundOutlinedBytes), int64(rs.OutlinedBytes))
-	tr.Add(obs.RoundCounter(rs.Round, obs.RoundBytesSaved), int64(rs.BytesSaved))
-	tr.Add("outline/sequences", int64(rs.SequencesOutlined))
-	tr.Add("outline/functions", int64(rs.FunctionsCreated))
-	tr.Add("outline/outlined_bytes", int64(rs.OutlinedBytes))
-	tr.Add("outline/bytes_saved", int64(rs.BytesSaved))
 }
 
 // verifyRound runs the machine verifier after a round, so that a bad rewrite

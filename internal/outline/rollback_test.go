@@ -3,6 +3,7 @@ package outline
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -160,5 +161,45 @@ func TestUnknownVerifyModeRejected(t *testing.T) {
 	}
 	if p.String() != before {
 		t.Fatal("a rejected call changed the program")
+	}
+}
+
+// TestStatsAddSumsRoundByRound: a per-module build's stats are its modules'
+// summed round by round. Modules reach their fixed points at different
+// rounds, a rolled-back module adds only the rounds it kept, and one whose
+// outlining was disabled adds nothing.
+func TestStatsAddSumsRoundByRound(t *testing.T) {
+	rolled, err := Outline(multiRoundProgram(t), Options{
+		Rounds: 5, Verify: true, ExternSyms: externRT,
+		OnVerifyFailure: VerifyRollbackRound,
+		Fault:           corruptRound2(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rolled.Rounds) != 1 {
+		t.Fatalf("rolled-back module kept %d rounds, want 1", len(rolled.Rounds))
+	}
+	r1 := rolled.Rounds[0]
+	threeRounds := &Stats{Rounds: []RoundStats{
+		{Round: 1, SequencesOutlined: 10, FunctionsCreated: 3, OutlinedBytes: 40, BytesSaved: 100},
+		{Round: 2, SequencesOutlined: 2, FunctionsCreated: 1, OutlinedBytes: 8, BytesSaved: 12},
+		{Round: 3},
+	}}
+	var sum Stats
+	for _, m := range []*Stats{rolled, threeRounds, {Rounds: []RoundStats{}}} {
+		sum.Add(m)
+	}
+	want := []RoundStats{
+		{Round: 1, SequencesOutlined: 10 + r1.SequencesOutlined, FunctionsCreated: 3 + r1.FunctionsCreated,
+			OutlinedBytes: 40 + r1.OutlinedBytes, BytesSaved: 100 + r1.BytesSaved},
+		{Round: 2, SequencesOutlined: 2, FunctionsCreated: 1, OutlinedBytes: 8, BytesSaved: 12},
+		{Round: 3},
+	}
+	if !reflect.DeepEqual(sum.Rounds, want) {
+		t.Errorf("summed rounds\n got %+v\nwant %+v", sum.Rounds, want)
+	}
+	if got, want := sum.TotalSequences(), rolled.TotalSequences()+threeRounds.TotalSequences(); got != want {
+		t.Errorf("TotalSequences = %d, want %d", got, want)
 	}
 }

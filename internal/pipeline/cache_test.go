@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -121,6 +122,55 @@ func TestCacheColdWarmByteIdentical(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A per-module build's Result.Outline sums its modules' rounds whether each
+// module's machine entry was computed or decoded: cold, warm from memory and
+// warm from disk report the same rounds, at every parallelism level. The
+// outline/rounds counter counts only rounds this build ran: none when every
+// machine entry hits.
+func TestCacheWarmOutlineStats(t *testing.T) {
+	srcs := appgenApp(24)[0].srcs
+	for _, j := range []int{1, 4} {
+		t.Run(fmt.Sprintf("j%d", j), func(t *testing.T) {
+			dir := t.TempDir()
+			defer cache.Forget(dir)
+			cfg := pipeline.Default
+			cfg.CacheDir, cfg.Parallelism = dir, j
+			build := func() (*outline.Stats, int64) {
+				t.Helper()
+				tr := obs.New()
+				cfg.Tracer = tr
+				res, err := pipeline.Build(srcs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Outline, tr.Counter("outline/rounds")
+			}
+			cold, ran := build()
+			if cold == nil || cold.TotalSequences() == 0 {
+				t.Fatalf("cold build's Result.Outline = %+v, want the rounds it outlined", cold)
+			}
+			if ran == 0 {
+				t.Error("cold build counts no outline/rounds")
+			}
+			warm, ran := build()
+			if !reflect.DeepEqual(warm, cold) {
+				t.Errorf("warm (memory-tier) Result.Outline %+v, cold %+v", warm, cold)
+			}
+			if ran != 0 {
+				t.Errorf("all-hit warm build counts %d outline/rounds, want 0", ran)
+			}
+			c, err := cache.Shared(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.DropMemory()
+			if disk, _ := build(); !reflect.DeepEqual(disk, cold) {
+				t.Errorf("warm (disk-tier) Result.Outline %+v, cold %+v", disk, cold)
+			}
+		})
 	}
 }
 

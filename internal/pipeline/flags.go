@@ -46,7 +46,7 @@ var flagTable = map[string]struct {
 		func(f *Flags) any { return &f.trace }},
 	"remarks": {"Tracer", "write outliner decision remarks as JSONL (one record per candidate decision)",
 		func(f *Flags) any { return &f.remarks }},
-	"summary": {"Tracer", "print an end-of-build summary to stderr: stage times, counters, outlining convergence",
+	"summary": {"Tracer", "print an end-of-build summary to stderr: stage times, scoreboards, counters",
 		func(f *Flags) any { return &f.summary }},
 	"counters": {"Tracer", "write build counters as a JSON object to this file",
 		func(f *Flags) any { return &f.counters }},

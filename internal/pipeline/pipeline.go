@@ -193,8 +193,12 @@ type Source struct {
 
 // Result is a finished build.
 type Result struct {
-	Prog    *mir.Program
-	Image   *binimg.Image
+	Prog  *mir.Program
+	Image *binimg.Image
+	// Outline is the record of what machine outlining did, round by round
+	// (nil when Config.OutlineRounds is 0). A per-module build sums its
+	// modules' rounds, cached or compiled, so a warm build's equals a cold
+	// one's.
 	Outline *outline.Stats
 	// Layout reports what the function-layout pass did (nil when Config.Layout
 	// was unset). PreLayoutImage is the image the program would have produced
@@ -392,7 +396,7 @@ type build struct {
 	merged  *llir.Module           // link, opt
 	extern  map[string]bool        // per-module llc
 	refs    map[string]bool        // per-module llc
-	parts   []*mir.Program         // per-module llc
+	parts   []*machineCode         // per-module llc
 	prog    *mir.Program           // the linked program
 	// res is allocated apart from the build, so a caller holding the Result
 	// does not hold the build's cache handle and intermediate products.
@@ -671,7 +675,7 @@ var perModule = []stage{{
 			// definitions.
 			b.refs = crossModuleRefs(b.units)
 		}
-		b.parts = make([]*mir.Program, len(b.units))
+		b.parts = make([]*machineCode, len(b.units))
 		b.back = make([]backLane, par.Workers(b.cfg.Parallelism, len(b.units)))
 		return nil
 	},
@@ -697,7 +701,7 @@ var perModule = []stage{{
 	// system linker would see them. A hit is not verified again; the final
 	// whole-program verify still runs.
 	verify: func(b *build, v any) (*mir.Program, map[string]bool) { return v.(*machineCode).prog, b.extern },
-	done:   func(b *build, i int, v any) { b.parts[i] = v.(*machineCode).prog },
+	done:   func(b *build, i int, v any) { b.parts[i] = v.(*machineCode) },
 	end:    func(b *build) { b.back = nil },
 	// The key is derived from the module's stored llir bytes before anything
 	// touches its body. Without a profile the cold threshold cannot change
@@ -712,18 +716,8 @@ var perModule = []stage{{
 		return p
 	},
 	key: func(b *build, i int) string { return machineInput(b.units[i], b.refs) },
-	decode: func(b *build, _ int, data []byte, _ *obs.Span) (any, error) {
+	decode: func(_ *build, _ int, data []byte, _ *obs.Span) (any, error) {
 		p, st, err := artifact.DecodeMachine(data)
-		if err == nil && st != nil {
-			// Re-emit the per-round counters the skipped compute would have,
-			// so counter-derived reports (fig12's Table II, -summary's
-			// convergence table) agree between cold and warm builds.
-			// Discovery-internal counters (suffix-tree size, candidates
-			// found/rejected) are not stored and stay absent on warm builds.
-			for _, rs := range st.Rounds {
-				outline.EmitRoundCounters(b.cfg.Tracer, rs)
-			}
-		}
 		return &machineCode{prog: p, stats: st}, err
 	},
 	encode: func(v any) []byte {
@@ -734,6 +728,14 @@ var perModule = []stage{{
 	name: "ld", timing: "ld",
 	body: func(b *build) error {
 		b.prog = linkMachine(b.parts)
+		// Every module's outlining stats, computed or decoded, summed in
+		// module order: a warm build's Result.Outline is the cold build's.
+		if b.cfg.OutlineRounds > 0 {
+			b.res.Outline = new(outline.Stats)
+			for _, mc := range b.parts {
+				b.res.Outline.Add(mc.stats)
+			}
+		}
 		b.release()
 		return nil
 	},
@@ -908,18 +910,18 @@ func crossModuleRefs(units []*lowered) map[string]bool {
 
 // linkMachine concatenates per-module machine programs in module order (the
 // system linker's job in the default pipeline).
-func linkMachine(parts []*mir.Program) *mir.Program {
+func linkMachine(parts []*machineCode) *mir.Program {
 	nf, ng := 0, 0
-	for _, p := range parts {
-		nf += len(p.Funcs)
-		ng += len(p.Globals)
+	for _, mc := range parts {
+		nf += len(mc.prog.Funcs)
+		ng += len(mc.prog.Globals)
 	}
 	out := mir.NewProgramSized(nf, ng)
-	for _, p := range parts {
-		for _, f := range p.Funcs {
+	for _, mc := range parts {
+		for _, f := range mc.prog.Funcs {
 			out.AddFunc(f)
 		}
-		for _, g := range p.Globals {
+		for _, g := range mc.prog.Globals {
 			out.AddGlobal(g)
 		}
 	}

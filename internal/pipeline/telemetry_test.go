@@ -80,8 +80,7 @@ func TestTimingsSumAcrossRounds(t *testing.T) {
 	if res.Timings["machine-outline"] <= 0 {
 		t.Fatalf("Timings missing machine-outline: %v", res.Timings)
 	}
-	rounds := tr.Counter("outline/rounds")
-	if rounds < 2 {
+	if rounds := len(res.Outline.Rounds); rounds < 2 {
 		t.Fatalf("expected several outlining rounds, got %d", rounds)
 	}
 	if got, want := res.Timings["machine-outline"], tr.StageTotals()["machine-outline"]; got != want {
@@ -135,11 +134,19 @@ func TestNilTracerCostsNothing(t *testing.T) {
 }
 
 // TestRemarksCoverBuild cross-checks the remarks stream against the build's
-// own statistics: one "selected" remark per function the outliner created,
-// and every rejected remark names a reason.
+// own statistics, in both pipelines: one "selected" remark per function the
+// outliner created, and every rejected remark names a reason.
 func TestRemarksCoverBuild(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  pipeline.Config
+	}{{"osize", pipeline.OSize}, {"default", pipeline.Default}} {
+		t.Run(c.name, func(t *testing.T) { remarksCoverBuild(t, c.cfg) })
+	}
+}
+
+func remarksCoverBuild(t *testing.T, cfg pipeline.Config) {
 	tr := obs.New()
-	cfg := pipeline.OSize
 	cfg.Tracer = tr
 	res := buildParallel(t, cfg, 1)
 	selected := 0
@@ -158,16 +165,12 @@ func TestRemarksCoverBuild(t *testing.T) {
 			t.Errorf("unknown remark status %q", r.Status)
 		}
 	}
-	created := 0
-	for _, rs := range res.Outline.Rounds {
-		created += rs.FunctionsCreated
+	created := res.Outline.TotalFunctions()
+	if created == 0 {
+		t.Error("the build outlined nothing")
 	}
 	if selected != created {
 		t.Errorf("%d selected remarks but %d functions created", selected, created)
-	}
-	if created != int(tr.Counter("outline/functions")) {
-		t.Errorf("outline/functions counter %d, stats say %d",
-			tr.Counter("outline/functions"), created)
 	}
 
 	// The trace the same build produced must be valid Chrome trace JSON.

@@ -1,7 +1,7 @@
 // Package stats provides the statistical helpers the paper's evaluation
 // leans on: least-squares linear regression with R² (Fig 1's growth slopes),
 // power-law fitting via log-log regression (Fig 5's repetition frequency),
-// percentiles (Fig 13's P50 spans), geometric means, and histograms (Fig 8).
+// percentiles (Fig 13's P50 spans), and geometric means.
 package stats
 
 import (

@@ -1,6 +1,7 @@
 package outliner_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -151,5 +152,30 @@ func TestPublicMachineCodeDump(t *testing.T) {
 	}
 	if !strings.Contains(res.MachineCode(), "func @main") {
 		t.Error("machine code dump lacks main")
+	}
+}
+
+// The default pipeline outlines module by module; its Rounds are the modules'
+// rounds summed, one created function per OUTLINED_FUNCTION_ in the code.
+func TestPublicDefaultPipelineRounds(t *testing.T) {
+	text, err := os.ReadFile("testdata/benchmarks/json.sl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := outliner.Build([]outliner.Module{
+		{Name: "json", Files: map[string]string{"json.sl": string(text)}},
+	}, outliner.DefaultPipeline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rounds) == 0 {
+		t.Fatal("a per-module build that outlines reports no rounds")
+	}
+	created := 0
+	for _, r := range res.Rounds {
+		created += r.FunctionsCreated
+	}
+	if n := strings.Count(res.MachineCode(), "func @OUTLINED_FUNCTION_"); created != n || n == 0 {
+		t.Errorf("Rounds report %d functions created; the machine code has %d", created, n)
 	}
 }
