@@ -81,11 +81,11 @@ func BenchmarkFig12RoundsSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkFig13Spans regenerates Figure 13 / Table III (span performance
-// over the device/OS grid).
+// BenchmarkFig13Spans regenerates Figure 13 / Table III (span time ratios
+// per device).
 func BenchmarkFig13Spans(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig13(io.Discard, 0.5, 1)
+		res, err := experiments.RunFig13(io.Discard, 0.5)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,7 +11,7 @@
 //	table1      savings landscape by abstraction level
 //	patterns    Figures 5-8 + Listings: machine-code replication analysis
 //	fig12       size vs outlining rounds, inter- vs intra-module; Table II
-//	fig13       span performance heatmaps over the device/OS grid; Table III
+//	fig13       span time ratios per device and span; Table III
 //	table4      the 26-benchmark performance suite (+ pathological case)
 //	buildtime   wall-clock build time by configuration (§VII-C)
 //	generality  UberDriver/UberEats/clang-like/kernel-like (§VII-E)
@@ -31,7 +31,6 @@ import (
 func main() {
 	build := pipeline.NewFlags(flag.CommandLine, pipeline.Config{}, "j", "trace", "remarks", "summary")
 	scale := flag.Float64("scale", experiments.DefaultScale, "app scale (1.0 = full synthetic app)")
-	samples := flag.Int("samples", 3, "device-population samples per fig13 cell")
 	flag.Parse()
 	var err error
 	if experiments.Driver, err = build.Config(); err != nil {
@@ -62,7 +61,7 @@ func main() {
 			return err
 		},
 		"fig13": func() error {
-			_, err := experiments.RunFig13(os.Stdout, *scale, *samples)
+			_, err := experiments.RunFig13(os.Stdout, *scale)
 			return err
 		},
 		"table4": func() error {

@@ -23,9 +23,6 @@ type DataLayoutResult struct {
 	RegressionPct     float64
 }
 
-// residencyOverride lets tests sweep the memory-pressure knob.
-var residencyOverride int
-
 // RunDataLayout builds the app twice (whole-program, outlining on) with and
 // without module-order preservation and compares page faults and time over
 // the spans.
@@ -46,9 +43,6 @@ func RunDataLayout(w io.Writer, scale float64) (*DataLayoutResult, error) {
 	// working-set limits (background load states) and aggregate, the way
 	// production telemetry would.
 	residencies := []int{8, 10, 12, 14}
-	if residencyOverride > 0 {
-		residencies = []int{residencyOverride}
-	}
 	osm := perf.OSes[2]
 
 	res := &DataLayoutResult{}

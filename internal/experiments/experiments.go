@@ -156,8 +156,3 @@ func sortedKeys[V any](m map[string]V) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// Grid dimensions, exposed for tests.
-func appgenSpans() int           { return appgen.UberRider.Spans }
-func perfDevices() []perf.Device { return perf.Devices }
-func perfOSes() []perf.OS        { return perf.OSes }

@@ -14,18 +14,17 @@ import (
 // the simulator does. buildtime is left out: its rows are wall-clock times.
 var reportDigests = map[string]string{
 	"fig1":       "3a948d09bd0181410cff02135b5f0003287dfb747c9c7eb4f7c91f9eaa1bb867",
-	"table1":     "8a0094e28d44202958b4f0bc8efafa25fe7dc3b275ade728281bcf078bf7b332",
+	"table1":     "99a757efc76965214cc785c627206a06ac958bfb06afd88ee2978e7815c73f32",
 	"patterns":   "97f1bd6eaeebe17747e35f4ace683e0450d8b513293028d9632c7eb7a1d5206d",
 	"fig12":      "859c9b98a35cbf02d0f6872cf1ee20bdbcc4ffde39dcdb3374787965a56a96e0",
-	"fig13":      "0a8049aadd948e2daf7fd65837f0439e2c795920167ae7170c4278b747850f56",
+	"fig13":      "bfbda7b81951bd9d2a049bfad467a7325682b4acbc098c0cb01dbcfda24af177",
 	"table4":     "51d76e9a6516b2d9904524eb7ed729d51df499d14b2876f9b03cb3f2742ad507",
 	"generality": "af970f18eec513990bbe951feaf683dc1122be6995688fc3c79bb08f207743b8",
 	"datalayout": "8a826476aa6a5ea900e41e92f964e9f70fe3ba5d5a00e1a1357fa37afd84575e",
 }
 
-// TestReportsGolden runs the experiments as `experiments -scale 0.3
-// -samples 1` does and compares each report's digest with reportDigests.
-// fig13's device grid is the slow one, so it runs only without -short.
+// TestReportsGolden runs the experiments as `experiments -scale 0.3` does
+// and compares each report's digest with reportDigests.
 func TestReportsGolden(t *testing.T) {
 	const scale = 0.3
 	for _, e := range []struct {
@@ -36,7 +35,7 @@ func TestReportsGolden(t *testing.T) {
 		{"table1", func(w io.Writer) error { _, err := RunTable1(w, scale); return err }},
 		{"patterns", func(w io.Writer) error { _, err := RunPatterns(w, scale); return err }},
 		{"fig12", func(w io.Writer) error { _, err := RunFig12(w, scale, 6); return err }},
-		{"fig13", func(w io.Writer) error { _, err := RunFig13(w, scale, 1); return err }},
+		{"fig13", func(w io.Writer) error { _, err := RunFig13(w, scale); return err }},
 		{"table4", func(w io.Writer) error {
 			if _, err := RunTable4(w); err != nil {
 				return err
@@ -48,9 +47,6 @@ func TestReportsGolden(t *testing.T) {
 		{"datalayout", func(w io.Writer) error { _, err := RunDataLayout(w, scale); return err }},
 	} {
 		t.Run(e.name, func(t *testing.T) {
-			if e.name == "fig13" && testing.Short() {
-				t.Skip("fig13 grid is slow")
-			}
 			var report bytes.Buffer
 			if err := e.run(&report); err != nil {
 				t.Fatal(err)

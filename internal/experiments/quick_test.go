@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"testing"
 
 	"outliner/internal/appgen"
 	"outliner/internal/obs"
+	"outliner/internal/perf"
+	"outliner/internal/pipeline"
 )
 
 var sink io.Writer = io.Discard
@@ -182,12 +185,12 @@ func TestBuildTimeShape(t *testing.T) {
 	_ = os.Stdout
 }
 
+// TestFig13Shape checks that Fig. 13 has one cell per span and device, and
+// that a cell is exactly the ratio of one direct baseline/optimized run pair
+// on iOS 13.5.1.
 func TestFig13Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig13 grid is slow")
-	}
-	var buf bytes.Buffer
-	res, err := RunFig13(&buf, 0.3, 1)
+	const scale = 0.3
+	res, err := RunFig13(io.Discard, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +202,36 @@ func TestFig13Shape(t *testing.T) {
 	if res.OutlinedDynPct <= 0 {
 		t.Error("no dynamic instructions attributed to outlined functions")
 	}
-	if len(res.Cells) != appgenSpans()*len(perfDevices())*len(perfOSes()) {
-		t.Errorf("grid incomplete: %d cells", len(res.Cells))
+	nSpans := appgen.UberRider.Spans
+	if len(res.Cells) != nSpans*len(perf.Devices) {
+		t.Fatalf("%d cells, want %d spans × %d devices", len(res.Cells), nSpans, len(perf.Devices))
+	}
+
+	const d, span = 2, 4
+	cell := res.Cells[d*nSpans+span-1]
+	dev := perf.Devices[d]
+	if cell.Span != span || cell.Device != dev.Name {
+		t.Fatalf("cell %d is span%d on %s, want span%d on %s", d*nSpans+span-1, cell.Span, cell.Device, span, dev.Name)
+	}
+	mods := appgen.Generate(appgen.UberRider, scale)
+	base, err := build(baseline(), mods, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := build(pipeline.OSize, mods, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := fmt.Sprintf("span%d", span)
+	_, pb, err := runOnDevice(base, entry, dev, perf.OSes[2], 100_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, po, err := runOnDevice(opt, entry, dev, perf.OSes[2], 100_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := po.Seconds / pb.Seconds; cell.Ratio != want {
+		t.Errorf("span%d on %s: reported ratio %v, direct run pair gives %v", span, dev.Name, cell.Ratio, want)
 	}
 }

@@ -1,8 +1,8 @@
 // Package perf models the microarchitectural effects the paper's production
 // evaluation turns on: instruction-cache and iTLB pressure (smaller code
 // wins), branch/call overhead (outlining loses), data-page working sets
-// (llvm-link's global reordering loses, §VI-3), all parameterized over a
-// grid of device and OS models (Figure 13's axes).
+// (llvm-link's global reordering loses, §VI-3), all parameterized over
+// device and OS models (Figure 13's rows are the devices).
 //
 // The model consumes the instruction trace of internal/exec and produces
 // cycle counts. It is deliberately simple — in-order issue with additive
@@ -39,8 +39,9 @@ type Device struct {
 	ClockGHz         float64
 }
 
-// OS is an operating-system model (one column of Figure 13): scheduling and
-// runtime overhead scale all costs slightly.
+// OS is an operating-system model: scheduling and runtime overhead scale
+// every cycle by one constant factor. The factor cancels in Figure 13's
+// optimized/baseline ratios, so the figure runs one OS.
 type OS struct {
 	Name     string
 	Overhead float64 // multiplier ≥ 1.0

@@ -1,13 +1,12 @@
 // Package stats provides the statistical helpers the paper's evaluation
 // leans on: least-squares linear regression with R² (Fig 1's growth slopes),
 // power-law fitting via log-log regression (Fig 5's repetition frequency),
-// percentiles (Fig 13's P50 spans), and geometric means.
+// and arithmetic and geometric means.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // LinearFit is y = Slope*x + Intercept with goodness-of-fit R².
@@ -77,33 +76,6 @@ func PowerLaw(x, y []float64) PowerFit {
 	f := Linear(lx, ly)
 	return PowerFit{A: math.Exp(f.Intercept), B: f.Slope, R2: f.R2}
 }
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of values using
-// linear interpolation between closest ranks. It panics on empty input.
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		panic("stats: percentile of empty slice")
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median is the 50th percentile (the paper's P50).
-func Median(values []float64) float64 { return Percentile(values, 50) }
 
 // GeoMean returns the geometric mean of strictly positive values.
 func GeoMean(values []float64) float64 {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -76,34 +75,6 @@ func TestPowerLawSkipsNonPositive(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	v := []float64{15, 20, 35, 40, 50}
-	if got := Percentile(v, 0); got != 15 {
-		t.Errorf("P0 = %v", got)
-	}
-	if got := Percentile(v, 100); got != 50 {
-		t.Errorf("P100 = %v", got)
-	}
-	if got := Median(v); got != 35 {
-		t.Errorf("median = %v", got)
-	}
-	if got := Percentile(v, 25); got != 20 {
-		t.Errorf("P25 = %v", got)
-	}
-	// Interpolated value.
-	if got := Percentile([]float64{0, 10}, 50); got != 5 {
-		t.Errorf("interpolated P50 = %v, want 5", got)
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	v := []float64{3, 1, 2}
-	Percentile(v, 50)
-	if v[0] != 3 || v[1] != 1 || v[2] != 2 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{1, 100}); !approx(got, 10, 1e-9) {
 		t.Errorf("geomean = %v, want 10", got)
@@ -116,31 +87,5 @@ func TestGeoMean(t *testing.T) {
 func TestMean(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
 		t.Errorf("mean = %v", got)
-	}
-}
-
-// Property: percentile is monotone in p and bounded by min/max.
-func TestPercentileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, a, b float64) bool {
-		vals := raw[:0]
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return true
-		}
-		pa := math.Mod(math.Abs(a), 100)
-		pb := math.Mod(math.Abs(b), 100)
-		if pa > pb {
-			pa, pb = pb, pa
-		}
-		va, vb := Percentile(vals, pa), Percentile(vals, pb)
-		return va <= vb &&
-			va >= Percentile(vals, 0) && vb <= Percentile(vals, 100)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
