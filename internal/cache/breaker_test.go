@@ -79,7 +79,7 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 	if pr.Retries != 0 {
 		t.Fatalf("shed operation recorded %d retries, want 0 (the shard was never contacted)", pr.Retries)
 	}
-	if ppr := fx.remote.put(ctx, "entry2", []byte("x")); !errors.Is(ppr.RemoteErr, ErrShardOpen) {
+	if ppr := fx.remote.put(ctx, "entry2", [][]byte{[]byte("x")}); !errors.Is(ppr.RemoteErr, ErrShardOpen) {
 		t.Fatalf("open breaker did not shed the put: %v", ppr.RemoteErr)
 	}
 	if snap := fx.remote.Breaker(0); snap.Shed < 2 {
@@ -97,7 +97,7 @@ func TestBreakerRecoversViaProbe(t *testing.T) {
 	// Publish while healthy so there is an entry to hit after recovery. The
 	// shard validates ids and the entry framing, so use the real encodings.
 	id := remoteKey("survivor").id()
-	if pr := fx.remote.put(ctx, id, encodeEntry([]byte("payload"))); pr.RemoteErr != nil {
+	if pr := fx.remote.put(ctx, id, frameEntry([]byte("payload"))); pr.RemoteErr != nil {
 		t.Fatal(pr.RemoteErr)
 	}
 

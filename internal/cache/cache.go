@@ -273,7 +273,7 @@ func (c *Cache) GetProbeCtx(ctx context.Context, k Key) ([]byte, bool, Probe) {
 				// a failed disk promotion only costs the promotion.
 				if c.dir != "" {
 					var ppr Probe
-					if err := c.writeEntry(ctx, id, raw, &ppr); err == nil {
+					if err := c.writeEntry(ctx, id, [][]byte{raw}, &ppr); err == nil {
 						pr.Retries += ppr.Retries
 					}
 				}
@@ -342,17 +342,17 @@ func (c *Cache) PutProbeCtx(ctx context.Context, k Key, data []byte) Probe {
 	id := k.id()
 	c.store(id, data)
 	remote := c.getRemote()
-	var enc []byte
-	if c.dir != "" || remote != nil {
-		enc = encodeEntry(data)
+	if c.dir == "" && remote == nil {
+		return pr
 	}
+	fr := frameEntry(data)
 	if c.dir != "" {
-		if err := c.writeEntry(ctx, id, enc, &pr); err != nil {
+		if err := c.writeEntry(ctx, id, fr, &pr); err != nil {
 			pr.IOErr = err
 		}
 	}
 	if remote != nil {
-		pr.Merge(remote.put(ctx, id, enc))
+		pr.Merge(remote.put(ctx, id, fr))
 	}
 	return pr
 }
@@ -399,13 +399,13 @@ func (c *Cache) entryPath(id string) string {
 // of the payload. decodeEntry rejects anything that does not parse exactly.
 var entryMagic = [4]byte{'S', 'L', 'C', '1'}
 
-func encodeEntry(payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+4+8+sha256.Size)
-	out = append(out, entryMagic[:]...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
+// frameEntry returns payload's entry as the three slices that are written one
+// after another — header, payload, checksum — so framing never copies the
+// payload.
+func frameEntry(payload []byte) [][]byte {
+	head := binary.LittleEndian.AppendUint64(append(make([]byte, 0, 12), entryMagic[:]...), uint64(len(payload)))
 	sum := sha256.Sum256(payload)
-	return append(out, sum[:]...)
+	return [][]byte{head, payload, sum[:]}
 }
 
 func decodeEntry(raw []byte) ([]byte, error) {

@@ -2,15 +2,28 @@ package cache
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"outliner/internal/raceflag"
 )
+
+// encodeEntry returns payload's entry in one buffer, laid out independently
+// of frameEntry: magic, little-endian payload length, payload, SHA-256.
+func encodeEntry(payload []byte) []byte {
+	out := append([]byte("SLC1"), binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))...)
+	out = append(out, payload...)
+	sum := sha256.Sum256(payload)
+	return append(out, sum[:]...)
+}
 
 func testKey() Key {
 	return Key{Stage: "llir", Input: HashBytes([]byte("src")), Config: "verify=true", Schema: 1}
@@ -253,5 +266,56 @@ func TestHasherWriteStringAllocFree(t *testing.T) {
 	h := NewHasher()
 	if n := testing.AllocsPerRun(10, func() { h.WriteString(s) }); n != 0 {
 		t.Fatalf("WriteString of a 64 KiB string: %v allocs, want 0", n)
+	}
+}
+
+// TestEntryBytesUnchanged: an entry written as frameEntry's three slices is
+// the layout encodeEntry spells out, on disk and on a shard, and a remote hit
+// promotes the raw entry it received to disk as it came.
+func TestEntryBytesUnchanged(t *testing.T) {
+	fx := newRemoteFixture(t, 1)
+	k := remoteKey("framed")
+	payload := bytes.Repeat([]byte("artifact"), 1000)
+	want := encodeEntry(payload)
+	fx.c.Put(k, payload)
+	if got, err := os.ReadFile(fx.c.entryPath(k.id())); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("disk entry is %d bytes (%v), want the %d-byte layout", len(got), err, len(want))
+	}
+	if got, ok := fx.stores[0].Get(k.id()); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("shard entry is %d bytes (ok=%v), want the %d-byte layout", len(got), ok, len(want))
+	}
+	other := fx.freshCache(t)
+	if _, ok, pr := other.GetProbeCtx(context.Background(), k); !ok || !strings.HasPrefix(pr.Tier, "remote-shard-") {
+		t.Fatalf("probe tier = %q, %v; want a remote hit", pr.Tier, ok)
+	}
+	if got, err := os.ReadFile(other.entryPath(k.id())); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("promoted entry is %d bytes (%v), want the %d-byte layout", len(got), err, len(want))
+	}
+}
+
+// TestAllocBudgetEntryPut: publishing a payload to disk frames it where it
+// lies. A 1 MiB Put allocates under 64 KiB — the key, the temp file and the
+// frame's header and checksum — where copying the payload into one buffer
+// allocated more than the payload.
+func TestAllocBudgetEntryPut(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	const budget = 64 << 10
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0xa5}, 1<<20)
+	c.Put(testKey(), payload) // the directory's first file is not the entry's cost
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		c.Put(testKey(), payload)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= budget {
+		t.Errorf("a disk Put of a 1 MiB payload allocates %d bytes; budget %d", per, budget)
 	}
 }

@@ -1,11 +1,11 @@
 package cache
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -388,9 +388,10 @@ func (r *Remote) get(ctx context.Context, id string) (raw []byte, shard int, ok 
 	return raw, shard, ok, pr
 }
 
-// put publishes the encoded entry to its shard; failures degrade to an
-// unpublished entry, recorded on the probe.
-func (r *Remote) put(ctx context.Context, id string, enc []byte) (pr Probe) {
+// put publishes an entry, given as the slices it is made of in order, to its
+// shard as one request body; failures degrade to an unpublished entry,
+// recorded on the probe.
+func (r *Remote) put(ctx context.Context, id string, parts [][]byte) (pr Probe) {
 	if r == nil {
 		return pr
 	}
@@ -400,7 +401,7 @@ func (r *Remote) put(ctx context.Context, id string, enc []byte) (pr Probe) {
 		if err := r.slowOrError(fault.RemotePut, id, attempt); err != nil {
 			return err
 		}
-		status, _, err := r.do(ctx, http.MethodPut, r.entryURL(shard, id), enc)
+		status, _, err := r.do(ctx, http.MethodPut, r.entryURL(shard, id), parts)
 		switch {
 		case err != nil:
 			return err
@@ -454,18 +455,28 @@ func (r *Remote) drop(ctx context.Context, shard int, id string) {
 	}
 }
 
-// do runs one HTTP operation and returns status plus (for GET) the body.
-func (r *Remote) do(ctx context.Context, method, url string, body []byte) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
+// do runs one HTTP operation and returns status plus (for GET) the body. A
+// request body is the concatenation of body's slices, sent without joining
+// them.
+func (r *Remote) do(ctx context.Context, method, url string, body [][]byte) (int, []byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
 		return 0, nil, err
+	}
+	if body != nil {
+		for _, b := range body {
+			req.ContentLength += int64(len(b))
+		}
+		// The transport may resend a request on a fresh connection; GetBody
+		// gives it the whole body again.
+		req.GetBody = func() (io.ReadCloser, error) {
+			bufs := append(net.Buffers(nil), body...) // Read consumes its receiver
+			return io.NopCloser(&bufs), nil
+		}
+		req.Body, _ = req.GetBody()
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {

@@ -158,26 +158,31 @@ func (c *Cache) readEntry(ctx context.Context, id, path string, pr *Probe) (raw 
 	return raw, found, err
 }
 
-// writeEntry publishes an encoded entry under retry. Wherever a done ctx
-// ends the loop, publish guarantees no torn entry.
-func (c *Cache) writeEntry(ctx context.Context, id string, enc []byte, pr *Probe) error {
+// writeEntry publishes an entry, given as the slices it is made of in order
+// (frameEntry's, or a raw entry as one slice), under retry. Wherever a done
+// ctx ends the loop, publish guarantees no torn entry.
+func (c *Cache) writeEntry(ctx context.Context, id string, parts [][]byte, pr *Probe) error {
 	return retry(ctx, c.sleep, pr, func(attempt int) error {
 		if err := c.fault.MaybeError(fault.CacheWrite, attemptKey(id, attempt)); err != nil {
 			return err
 		}
-		return publish(c.dir, c.entryPath(id), enc)
+		return publish(c.dir, c.entryPath(id), parts...)
 	})
 }
 
-// publish writes data to path atomically: a temp file in dir, then a rename
-// over path, so readers see either no entry or a complete one. A failed
-// publish removes its temp file.
-func publish(dir, path string, data []byte) error {
+// publish writes parts, one after another, to path atomically: a temp file in
+// dir, then a rename over path, so readers see either no entry or a complete
+// one. A failed publish removes its temp file.
+func publish(dir, path string, parts ...[]byte) error {
 	tmp, err := os.CreateTemp(dir, "tmp-*")
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(data)
+	for _, p := range parts {
+		if _, err = tmp.Write(p); err != nil {
+			break
+		}
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

@@ -275,7 +275,7 @@ func TestRetry(t *testing.T) {
 		}},
 		{"disk-write", fault.CacheWrite, false, func(ctx context.Context, fx *retryFixture) (bool, Probe, error) {
 			var pr Probe
-			err := fx.c.writeEntry(ctx, fx.id, fx.enc, &pr)
+			err := fx.c.writeEntry(ctx, fx.id, fx.entry, &pr)
 			return err == nil, pr, err
 		}},
 		{"remote-get", fault.RemoteGet, true, func(ctx context.Context, fx *retryFixture) (bool, Probe, error) {
@@ -283,7 +283,7 @@ func TestRetry(t *testing.T) {
 			return ok, pr, pr.RemoteErr
 		}},
 		{"remote-put", fault.RemotePut, true, func(ctx context.Context, fx *retryFixture) (bool, Probe, error) {
-			pr := fx.remote.put(ctx, fx.id, fx.enc)
+			pr := fx.remote.put(ctx, fx.id, fx.entry)
 			return pr.RemoteErr == nil, pr, pr.RemoteErr
 		}},
 	}
@@ -342,7 +342,7 @@ type retryFixture struct {
 	c      *Cache
 	remote *Remote
 	id     string
-	enc    []byte
+	entry  [][]byte
 }
 
 func newRetryFixture(t *testing.T) *retryFixture {
@@ -356,17 +356,17 @@ func newRetryFixture(t *testing.T) *retryFixture {
 	fx := &retryFixture{
 		remote: NewRemoteWith([]string{srv.URL}, RemoteOptions{BreakerThreshold: 1, ProbeInterval: time.Hour}),
 		id:     retryTestKey().id(),
-		enc:    encodeEntry([]byte("artifact")),
+		entry:  frameEntry([]byte("artifact")),
 	}
 	t.Cleanup(fx.remote.Close)
 	if fx.c, err = Open(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	var pr Probe
-	if err := fx.c.writeEntry(context.Background(), fx.id, fx.enc, &pr); err != nil {
+	if err := fx.c.writeEntry(context.Background(), fx.id, fx.entry, &pr); err != nil {
 		t.Fatal(err)
 	}
-	if pr := fx.remote.put(context.Background(), fx.id, fx.enc); pr.RemoteErr != nil {
+	if pr := fx.remote.put(context.Background(), fx.id, fx.entry); pr.RemoteErr != nil {
 		t.Fatal(pr.RemoteErr)
 	}
 	return fx

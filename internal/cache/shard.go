@@ -1,10 +1,10 @@
 package cache
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -289,7 +289,14 @@ func (h *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(raw)
 	case http.MethodPut:
-		enc, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEntryUpload))
+		// Content-Length, which clients send with an entry, sizes the read;
+		// it is a hint, and the bound holds on the bytes read.
+		var body bytes.Buffer
+		if n := r.ContentLength; n > 0 && n <= maxEntryUpload {
+			body.Grow(int(n) + bytes.MinRead) // MinRead spare: ReadFrom meets EOF without regrowing
+		}
+		_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxEntryUpload))
+		enc := body.Bytes()
 		if err != nil {
 			http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 			return

@@ -17,7 +17,7 @@ var reportDigests = map[string]string{
 	"table1":     "99a757efc76965214cc785c627206a06ac958bfb06afd88ee2978e7815c73f32",
 	"patterns":   "97f1bd6eaeebe17747e35f4ace683e0450d8b513293028d9632c7eb7a1d5206d",
 	"fig12":      "859c9b98a35cbf02d0f6872cf1ee20bdbcc4ffde39dcdb3374787965a56a96e0",
-	"fig13":      "bfbda7b81951bd9d2a049bfad467a7325682b4acbc098c0cb01dbcfda24af177",
+	"fig13":      "e328a8eb867dec5bb64e89c517cd657049cd4d7ac9f338c7cfe095b1f6419c0a",
 	"table4":     "51d76e9a6516b2d9904524eb7ed729d51df499d14b2876f9b03cb3f2742ad507",
 	"generality": "af970f18eec513990bbe951feaf683dc1122be6995688fc3c79bb08f207743b8",
 	"datalayout": "8a826476aa6a5ea900e41e92f964e9f70fe3ba5d5a00e1a1357fa37afd84575e",

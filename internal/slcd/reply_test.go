@@ -16,10 +16,11 @@ import (
 
 // TestListingSurvivesTheWire: the listing a client decodes from POST /build is
 // the text WriteImageListing streams for an in-process build of the same
-// request, including a module name the MIR printer has to quote and the JSON
-// encoder has to escape.
+// request, including a module name the MIR printer has to quote and the
+// reply writer has to escape: a quote, a backslash, HTML's <&>, multi-byte
+// runes and U+2028, which symbol names carry raw.
 func TestListingSurvivesTheWire(t *testing.T) {
-	const awkward = "Ri\"der<&>é世"
+	const awkward = "Ri\"der<&>\\é世\u2028"
 	app := soakApp(t, 6)
 	app[1].Name = awkward
 
@@ -63,7 +64,7 @@ func TestListingSurvivesTheWire(t *testing.T) {
 	if resp.Listing != want.String() {
 		t.Errorf("the daemon's listing (%d bytes) differs from the in-process listing (%d bytes)", len(resp.Listing), want.Len())
 	}
-	if quoted := `module "Ri\"der<&>` + "é世" + `"`; !strings.Contains(resp.Listing, quoted) {
+	if quoted := `module "Ri\"der<&>\\` + "é世" + `\u2028"`; !strings.Contains(resp.Listing, quoted) {
 		t.Errorf("listing does not name the module as %s", quoted)
 	}
 	if resp.CodeSize != res.CodeSize() || resp.TotalSize != res.BinarySize() {

@@ -1,6 +1,7 @@
 // Package slcd is the compile daemon behind cmd/slcd: a long-running build
 // service that accepts concurrent build requests over HTTP and answers each
-// with the deterministic image listing plus the build's counters.
+// by streaming the deterministic image listing, with the build's counters,
+// onto the connection as the JSON encoder would have encoded it.
 //
 // What makes it a build-farm service rather than a loop around pipeline.Build:
 //
@@ -197,7 +198,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	}
 	// r.Context() makes a client disconnect cancel the build mid-stage
 	// instead of burning a build slot on an answer nobody will read.
-	resp := s.BuildCtx(r.Context(), &req)
+	resp, res := s.build(r.Context(), &req)
 	w.Header().Set("Content-Type", "application/json")
 	if resp.ErrorClass == "shed" || resp.ErrorClass == "drain" {
 		// Structured overload/shutdown refusal: the client should retry —
@@ -205,7 +206,9 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	json.NewEncoder(w).Encode(resp)
+	// The listing streams from res onto the connection; a write error means
+	// the client left, and there is no one to tell.
+	writeReply(w, resp, res)
 }
 
 // readBody reads a request body of at most maxRequestBody+1 bytes, so the
@@ -236,22 +239,33 @@ func (s *Server) Build(req *BuildRequest) *BuildResponse {
 // drain hard-cancel. Admission: a draining daemon refuses immediately; a full
 // queue sheds; otherwise the request waits for a build slot (cancellable).
 func (s *Server) BuildCtx(ctx context.Context, req *BuildRequest) *BuildResponse {
+	resp, res := s.build(ctx, req)
+	if res != nil {
+		resp.Listing = res.ImageListing()
+	}
+	return resp
+}
+
+// build is BuildCtx without the listing: a successful build's response comes
+// with its result, which the caller renders the listing from (BuildCtx into
+// Listing, the handler onto the connection); the result is nil otherwise.
+func (s *Server) build(ctx context.Context, req *BuildRequest) (*BuildResponse, *pipeline.Result) {
 	if s.draining.Load() {
-		return s.refuse("drain", "daemon is draining for shutdown")
+		return s.refuse("drain", "daemon is draining for shutdown"), nil
 	}
 	if depth := s.queued.Add(1); s.opts.MaxQueue >= 0 && depth > int64(s.opts.MaxQueue) {
 		s.queued.Add(-1)
-		return s.refuse("shed", fmt.Sprintf("daemon overloaded: admission queue full (%d waiting, max %d)", depth-1, s.opts.MaxQueue))
+		return s.refuse("shed", fmt.Sprintf("daemon overloaded: admission queue full (%d waiting, max %d)", depth-1, s.opts.MaxQueue)), nil
 	}
 	queuedAt := time.Now()
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		s.queued.Add(-1)
-		return s.refuse("canceled", "request cancelled while queued: "+ctx.Err().Error())
+		return s.refuse("canceled", "request cancelled while queued: "+ctx.Err().Error()), nil
 	case <-s.drainCh:
 		s.queued.Add(-1)
-		return s.refuse("drain", "daemon began draining while request was queued")
+		return s.refuse("drain", "daemon began draining while request was queued"), nil
 	}
 	s.queued.Add(-1)
 	queueWait := time.Since(queuedAt)
@@ -270,7 +284,7 @@ func (s *Server) BuildCtx(ctx context.Context, req *BuildRequest) *BuildResponse
 	if err != nil {
 		resp := &BuildResponse{OK: false, Error: err.Error(), ErrorClass: "build"}
 		s.finish(resp, queueWait)
-		return resp
+		return resp, nil
 	}
 	tr := obs.New()
 	cfg.Ctx = bctx
@@ -286,14 +300,14 @@ func (s *Server) BuildCtx(ctx context.Context, req *BuildRequest) *BuildResponse
 	if berr != nil {
 		resp.Error = berr.Error()
 		resp.ErrorClass = classifyError(berr)
+		res = nil
 	} else {
 		resp.OK = true
-		resp.Listing = res.ImageListing()
 		resp.CodeSize = res.CodeSize()
 		resp.TotalSize = res.BinarySize()
 	}
 	s.finish(resp, queueWait)
-	return resp
+	return resp, res
 }
 
 // buildContext assembles the build's context: ctx bounded by the smaller of
