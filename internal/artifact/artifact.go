@@ -44,7 +44,11 @@ import (
 // Version 5: code generation emits commutative operations in canonical
 // operand order, so every machine artifact's code can differ, and the
 // machine stage's key no longer renders the option that used to ask for it.
-const SchemaVersion = 5
+// Version 6: the function merger's similar policy (Config.FMSA) folds
+// identical functions too and merges only where a cost test says it saves
+// instructions, so a machine artifact built with it can differ under an
+// unchanged key.
+const SchemaVersion = 6
 
 // Artifact kinds (the byte after the header magic).
 const (

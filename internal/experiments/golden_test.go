@@ -14,7 +14,7 @@ import (
 // the simulator does. buildtime is left out: its rows are wall-clock times.
 var reportDigests = map[string]string{
 	"fig1":       "3a948d09bd0181410cff02135b5f0003287dfb747c9c7eb4f7c91f9eaa1bb867",
-	"table1":     "99a757efc76965214cc785c627206a06ac958bfb06afd88ee2978e7815c73f32",
+	"table1":     "ec8c6285b2655b051ae7f90c2c0b7927a2f944490d4e2bb64a4663ddc110f329",
 	"patterns":   "97f1bd6eaeebe17747e35f4ace683e0450d8b513293028d9632c7eb7a1d5206d",
 	"fig12":      "859c9b98a35cbf02d0f6872cf1ee20bdbcc4ffde39dcdb3374787965a56a96e0",
 	"fig13":      "e328a8eb867dec5bb64e89c517cd657049cd4d7ac9f338c7cfe095b1f6419c0a",

@@ -51,12 +51,16 @@ func TestFig1Shape(t *testing.T) {
 	}
 }
 
+// TestTable1Shape checks Table I's ordering: every pass measured against
+// noDedup() saves less than machine outlining does, and the similar policy,
+// which folds identical functions too, saves at least what MergeFunctions
+// saves.
 func TestTable1Shape(t *testing.T) {
 	res, err := RunTable1(sink, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 5 {
+	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	isa := res.Rows[4].SavingPct
@@ -66,11 +70,18 @@ func TestTable1Shape(t *testing.T) {
 				r.Technique, r.SavingPct, isa)
 		}
 	}
+	if merge, fmsa := res.Rows[2], res.Rows[3]; fmsa.SavingPct < merge.SavingPct {
+		t.Errorf("%s (%.2f%%) should save at least what %s saves (%.2f%%)",
+			fmsa.Technique, fmsa.SavingPct, merge.Technique, merge.SavingPct)
+	}
+	if r := res.Rows[5]; r.Against != "baseline()" || r.SavingPct <= 0 {
+		t.Errorf("%s against %s saves %.2f%%; want a saving against baseline()", r.Technique, r.Against, r.SavingPct)
+	}
 }
 
 // TestTable1ReachesDriverTracer checks that every Table I build runs under
-// the driver's tracer: the reference and the four single-pass builds each
-// count the app's modules into it.
+// the driver's tracer: the two reference builds and the five measured ones
+// each count the app's modules into it.
 func TestTable1ReachesDriverTracer(t *testing.T) {
 	const scale = 0.1
 	Driver.Tracer = obs.New()
@@ -79,8 +90,8 @@ func TestTable1ReachesDriverTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 	modules := int64(len(appgen.Generate(appgen.UberRider, scale)))
-	if got := Driver.Tracer.Counter("appgen/modules"); got != 5*modules {
-		t.Errorf("appgen/modules = %d, want 5 builds x %d modules", got, modules)
+	if got := Driver.Tracer.Counter("appgen/modules"); got != 7*modules {
+		t.Errorf("appgen/modules = %d, want 7 builds x %d modules", got, modules)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package llir defines the low-level SSA IR — the analog of LLVM IR in the
 // reproduction's pipeline. SIR lowers into LLIR (constructing SSA), the
-// mid-level size optimizations of the paper's Table I run here
-// (MergeFunctions, FMSA-lite, DCE, CFG simplification), llvm-link-style
+// mid-level size optimizations of the paper's Table I run here (one
+// function merger for the MergeFunctions and FMSA rows, DCE, CFG
+// simplification), llvm-link-style
 // module merging happens at this level (internal/irlink), and the code
 // generator destroys SSA again on the way to machine code.
 package llir
@@ -208,16 +209,6 @@ func (f *Func) NewValue() Value {
 	return Value(f.NumValues)
 }
 
-// Block returns the block labeled label, or nil.
-func (f *Func) Block(label string) *Block {
-	for _, b := range f.Blocks {
-		if b.Label == label {
-			return b
-		}
-	}
-	return nil
-}
-
 // NumInsts counts instructions.
 func (f *Func) NumInsts() int {
 	n := 0
@@ -269,20 +260,6 @@ func (m *Module) AddFunc(f *Func) {
 	}
 	m.funcIndex[f.Name] = f
 	m.Funcs = append(m.Funcs, f)
-}
-
-// RemoveFunc deletes a function by name (no-op if absent).
-func (m *Module) RemoveFunc(name string) {
-	if _, ok := m.funcIndex[name]; !ok {
-		return
-	}
-	delete(m.funcIndex, name)
-	for i, f := range m.Funcs {
-		if f.Name == name {
-			m.Funcs = append(m.Funcs[:i], m.Funcs[i+1:]...)
-			return
-		}
-	}
 }
 
 // Func returns a function by name, or nil.

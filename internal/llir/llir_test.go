@@ -313,7 +313,7 @@ func main() {
 		DCE(f)
 	}
 	before := len(m.Funcs)
-	stats := MergeBySequenceAlignment(m)
+	stats := MergeSimilarFunctions(m, nil)
 	if stats.Groups != 1 || stats.Removed != 2 {
 		t.Fatalf("stats = %+v, want 1 group / net 2 removed", stats)
 	}
@@ -328,7 +328,7 @@ func main() {
 		t.Errorf("merged params = %d, want 2", merged.NumParams)
 	}
 	if err := m.Verify(); err != nil {
-		t.Fatalf("verify after FMSA: %v\n%s", err, merged)
+		t.Fatalf("verify after merging: %v\n%s", err, merged)
 	}
 	// Call sites in main must pass the constant.
 	calls := 0
@@ -349,7 +349,7 @@ func main() {
 }
 
 func TestFMSASkipsAddressTaken(t *testing.T) {
-	m := lower(t, `
+	const src = `
 func w1(a: Int) -> Int { return a * 2 + 11 + a * 3 - 4 + a }
 func w2(a: Int) -> Int { return a * 2 + 22 + a * 3 - 4 + a }
 func use(f: (Int) -> Int) -> Int { return f(1) }
@@ -357,11 +357,64 @@ func main() {
   print(use(f: w1))
   print(w2(a: 5))
 }
+`
+	// The closure takes the address of w1's thunk, which calls w1: w1 and
+	// w2 may merge, and the thunk then passes w1's constant.
+	c := lower(t, src)
+	if st := MergeSimilarFunctions(c, nil); st.Groups != 1 || c.Func("w1$fmsa") == nil {
+		t.Fatalf("stats = %+v, want w1 and w2 merged:\n%s", st, c)
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	m := lower(t, src)
+	// Take w2's own address: a merged body replaces every member, and no
+	// caller through that address would pass the constant, so nothing merges.
+	main := m.Func("main").Blocks[0]
+	main.Insts = append([]Inst{{Op: GlobalAddr, Dst: m.Func("main").NewValue(), Sym: "w2"}}, main.Insts...)
+	if st := MergeSimilarFunctions(m, nil); st != (MergeStats{}) {
+		t.Fatalf("stats = %+v, want no merge of the address-taken w2:\n%s", st, m)
+	}
+	if m.Func("w1") == nil || m.Func("w2") == nil {
+		t.Fatal("a similar merge deleted an address-taken function")
+	}
+	if err := m.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMergeSimilarUnprofitable: short bodies that differ in several
+// constants and are called from many sites would cost more in the Consts
+// every call must now pass than the deleted bodies save, so they stay.
+func TestMergeSimilarUnprofitable(t *testing.T) {
+	m := lower(t, `
+func k1(a: Int) -> Int { return a * 3 + 5 }
+func k2(a: Int) -> Int { return a * 4 + 6 }
+func main() {
+  print(k1(a: 1) + k1(a: 2) + k1(a: 3) + k1(a: 4))
+  print(k2(a: 1) + k2(a: 2) + k2(a: 3) + k2(a: 4))
+}
 `)
-	// w1 is address-taken (through its thunk's GlobalAddr chain the thunk
-	// is; w1 itself is called from the thunk). Either way, FMSA must keep
-	// behaviour: run it and verify the module still checks out.
-	MergeBySequenceAlignment(m)
+	for _, f := range m.Funcs {
+		SimplifyCFG(f)
+		DCE(f)
+	}
+	before := m.String()
+	if st := MergeSimilarFunctions(m, nil); st != (MergeStats{}) {
+		t.Fatalf("stats = %+v, want the unprofitable pair left alone:\n%s", st, m)
+	}
+	if got := m.String(); got != before {
+		t.Errorf("an unprofitable merge changed the module:\n%s\nwant\n%s", got, before)
+	}
+	// The same pair called once each does merge.
+	m = lower(t, `
+func k1(a: Int) -> Int { return a * 3 + 5 }
+func k2(a: Int) -> Int { return a * 4 + 6 }
+func main() { print(k1(a: 1) + k2(a: 2)) }
+`)
+	if st := MergeSimilarFunctions(m, nil); st.Groups != 1 || st.Removed != 1 {
+		t.Fatalf("stats = %+v, want the pair merged", st)
+	}
 	if err := m.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -426,9 +479,9 @@ func main() { print(v1(a: 1) + v2(a: 2)) }
 		SimplifyCFG(f)
 		DCE(f)
 	}
-	// v2 is called from another module; FMSA deletes every group member it
-	// merges, so v2 must not participate at all.
-	MergeBySequenceAlignmentKeeping(m, map[string]bool{"v2": true})
+	// v2 is called from another module; a similar merge deletes every
+	// member it merges, so v2 must not participate at all.
+	MergeSimilarFunctions(m, map[string]bool{"v2": true})
 	if m.Func("v2") == nil {
 		t.Fatal("externally referenced v2 was deleted")
 	}
@@ -437,8 +490,8 @@ func main() { print(v1(a: 1) + v2(a: 2)) }
 	}
 }
 
-// TestFMSALeavesSourceUnchanged: FMSA builds the merged function and the
-// rewritten call sites from copies of the original instructions, whose Ext
+// TestFMSALeavesSourceUnchanged: the similar policy builds the merged
+// function and the rewritten call sites from copies of the original instructions, whose Ext
 // records those copies share. Each copy gets records of its own before its
 // values are shifted or its arguments extended, so the originals keep their
 // Args and Incomings.
@@ -487,7 +540,7 @@ func main() {
 		t.Fatalf("the originals have %d arguments and %d phi incomings; want some of both", args, incs)
 	}
 	want := render(src)
-	if st := MergeBySequenceAlignment(m); st.Groups != 1 {
+	if st := MergeSimilarFunctions(m, nil); st.Groups != 1 {
 		t.Fatalf("stats = %+v, want one group", st)
 	}
 	if err := m.Verify(); err != nil {

@@ -297,21 +297,19 @@ func (c *cfg) mergeStraightPairs() {
 	}
 }
 
-// ---- MergeFunctions ----
+// ---- Function merging ----
 
-// MergeStats reports what MergeFunctions did.
+// MergeStats reports what a merge did.
 type MergeStats struct {
-	Groups  int // sets of identical functions found
-	Removed int // functions deleted
+	Groups  int // sets of functions merged into one
+	Removed int // functions deleted, net of the merged functions added
 }
 
 // MergeFunctions deduplicates structurally identical functions (LLVM's
 // MergeFunctions pass — the 0.9% row of the paper's Table I): bodies that
 // hash identically after value/label normalization are collapsed onto one
 // representative and all call sites are rewritten.
-func MergeFunctions(m *Module) MergeStats {
-	return MergeFunctionsKeeping(m, nil)
-}
+func MergeFunctions(m *Module) MergeStats { return merge(m, nil, false) }
 
 // MergeFunctionsKeeping is MergeFunctions with external linkage: functions
 // named in keep may be referenced from outside the module (the per-module
@@ -320,80 +318,150 @@ func MergeFunctions(m *Module) MergeStats {
 // rewrite, and deleting a kept function would leave other modules calling
 // an undefined symbol.
 func MergeFunctionsKeeping(m *Module, keep map[string]bool) MergeStats {
-	// Group the functions by structural key. The key is exact — equal keys
-	// mean identical functions up to value and label naming — so the map
-	// compares whole keys and no digest stands in for them; only a key seen
-	// for the first time is copied out of the hasher's buffer.
-	var h funcHasher
+	return merge(m, keep, false)
+}
+
+// MergeSimilarFunctions is the similar policy (Table I's FMSA row, in the
+// exact-alignment form of an optimistic global function merger): it folds
+// identical functions as MergeFunctionsKeeping does, and merges functions
+// that differ only in integer constants into one body, named after the first
+// with a "$fmsa" suffix, that takes the differing constants as trailing
+// parameters every call site passes. A set merges only when that saves LLIR
+// instructions: (members−1)·body + differing > differing · call sites. Main,
+// address-taken and kept functions never merge this way: the merged body
+// replaces every member, and only the module's own calls pass the constants.
+func MergeSimilarFunctions(m *Module, keep map[string]bool) MergeStats {
+	return merge(m, keep, true)
+}
+
+// redirect is where references to a deleted function go: to, with consts
+// appended to a call's arguments.
+type redirect struct {
+	to     string
+	consts []int64
+}
+
+func merge(m *Module, keep map[string]bool, similar bool) MergeStats {
+	// Group the functions by structural key, hashing each once. The key is
+	// exact — equal keys mean identical functions up to value and label
+	// naming — so the map compares whole keys and no digest stands in for
+	// them; only a key seen for the first time is copied out of the hasher's
+	// buffer. Under the similar policy the key erases Const immediates, which
+	// the hasher collects instead: a group is then one shape, and its members
+	// with equal constants are identical.
+	h := funcHasher{eraseConsts: similar}
+	calls := make(map[string]int32)           // similar: call sites by callee
+	taken := make(map[string]bool)            // similar: functions whose address is taken
+	constOff := make([]int32, len(m.Funcs)+1) // by function: its constants in h.consts
 	groupOf := make(map[string]int32)
 	group := make([]int32, len(m.Funcs)) // by function: its group, -1 for main
 	var size []int32                     // by group
 	for i, f := range m.Funcs {
-		if f.Name == "main" {
-			group[i] = -1
+		group[i] = -1
+		if f.Name != "main" {
+			key := h.key(f)
+			g, ok := groupOf[string(key)]
+			if !ok {
+				g = int32(len(size))
+				groupOf[string(key)] = g
+				size = append(size, 0)
+			}
+			group[i] = g
+			size[g]++
+		}
+		constOff[i+1] = int32(len(h.consts))
+		if !similar {
 			continue
 		}
-		key := h.key(f)
-		g, ok := groupOf[string(key)]
-		if !ok {
-			g = int32(len(size))
-			groupOf[string(key)] = g
-			size = append(size, 0)
+		for _, b := range f.Blocks {
+			for j := range b.Insts {
+				if in := &b.Insts[j]; in.Op == Call {
+					calls[in.Sym]++
+				} else if in.Op == GlobalAddr {
+					taken[in.Sym] = true
+				}
+			}
 		}
-		group[i] = g
-		size[g]++
 	}
-	// Lay the groups out back to back, members in module order.
+	consts := func(i int32) []int64 { return h.consts[constOff[i]:constOff[i+1]] }
+	// Lay the groups out back to back, members (function indices) in module
+	// order.
 	off := make([]int32, len(size)+1)
 	for g, n := range size {
 		off[g+1] = off[g] + n
 	}
-	members := make([]*Func, off[len(size)])
-	for i, f := range m.Funcs {
+	members := make([]int32, off[len(size)])
+	for i := range m.Funcs {
 		if g := group[i]; g >= 0 {
-			members[off[g+1]-size[g]] = f
+			members[off[g+1]-size[g]] = int32(i)
 			size[g]--
 		}
 	}
 
-	replace := make(map[string]string)
+	redirects := make(map[string]redirect)
+	var added []*Func
 	var stats MergeStats
 	for g := range size {
 		dups := members[off[g]:off[g+1]]
 		if len(dups) < 2 {
 			continue
 		}
-		// A kept function is the preferred representative: the duplicates
-		// merged into it then resolve to a symbol that survives the link.
-		slices.SortFunc(dups, func(a, b *Func) int {
-			if keep[a.Name] != keep[b.Name] {
-				if keep[a.Name] {
+		// Members with equal constants are contiguous, and among them a kept
+		// function is the preferred representative: the duplicates folded
+		// into it then resolve to a symbol that survives the link.
+		slices.SortFunc(dups, func(a, b int32) int {
+			if c := slices.Compare(consts(a), consts(b)); c != 0 {
+				return c
+			}
+			fa, fb := m.Funcs[a], m.Funcs[b]
+			if keep[fa.Name] != keep[fb.Name] {
+				if keep[fa.Name] {
 					return -1
 				}
 				return 1
 			}
-			return strings.Compare(a.Name, b.Name)
+			return strings.Compare(fa.Name, fb.Name)
 		})
-		rep := dups[0]
-		removed := 0
-		for _, dup := range dups[1:] {
-			if keep[dup.Name] {
-				continue
+		var classes [][]int32 // similar: the sets of identical members that may merge
+		for len(dups) > 0 {
+			n := 1
+			for n < len(dups) && slices.Equal(consts(dups[0]), consts(dups[n])) {
+				n++
 			}
-			replace[dup.Name] = rep.Name
-			removed++
+			class := dups[:n]
+			dups = dups[n:]
+			rep := m.Funcs[class[0]]
+			removed, mergeable := 0, similar && !keep[rep.Name]
+			for _, i := range class {
+				f := m.Funcs[i]
+				mergeable = mergeable && !taken[f.Name]
+				if f != rep && !keep[f.Name] {
+					redirects[f.Name] = redirect{to: rep.Name}
+					removed++
+				}
+			}
+			if removed > 0 {
+				stats.Groups++
+				stats.Removed += removed
+			}
+			if mergeable {
+				classes = append(classes, class)
+			}
 		}
-		if removed > 0 {
-			stats.Groups++
-			stats.Removed += removed
+		if len(classes) > 1 {
+			if f := mergeSimilar(m, classes, consts, calls, redirects); f != nil {
+				added = append(added, f)
+				stats.Groups++
+				stats.Removed += len(classes) - 1
+			}
 		}
 	}
-	if len(replace) == 0 {
+	if len(redirects) == 0 {
 		return stats
 	}
 	kept := m.Funcs[:0]
 	for _, f := range m.Funcs {
-		if _, gone := replace[f.Name]; gone {
+		if _, gone := redirects[f.Name]; gone {
 			delete(m.funcIndex, f.Name)
 			continue
 		}
@@ -401,19 +469,158 @@ func MergeFunctionsKeeping(m *Module, keep map[string]bool) MergeStats {
 	}
 	clear(m.Funcs[len(kept):])
 	m.Funcs = kept
+	for _, f := range added {
+		m.AddFunc(f)
+	}
 	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			for i := range b.Insts {
-				in := &b.Insts[i]
-				if in.Op == Call || in.Op == GlobalAddr {
-					if to, ok := replace[in.Sym]; ok {
-						in.Sym = to
-					}
-				}
+		redirectCalls(f, redirects)
+	}
+	return stats
+}
+
+// mergeSimilar merges classes, the distinct functions of one shape, each
+// with the duplicates folded into it, into one parameterized function when
+// that saves instructions, and redirects every member to it. It returns the
+// merged function, or nil.
+func mergeSimilar(m *Module, classes [][]int32, consts func(int32) []int64, calls map[string]int32, redirects map[string]redirect) *Func {
+	rep, base := m.Funcs[classes[0][0]], consts(classes[0][0])
+	differs := make([]bool, len(base))
+	nDiff, sites := 0, 0
+	for _, class := range classes {
+		for _, i := range class {
+			sites += int(calls[m.Funcs[i].Name])
+		}
+		for k, c := range consts(class[0]) {
+			if c != base[k] && !differs[k] {
+				differs[k] = true
+				nDiff++
 			}
 		}
 	}
-	return stats
+	// Arguments travel in x0-x7. Every body but one goes, the constants
+	// leave it, and every call site gains a Const per differing constant.
+	if rep.NumParams+nDiff > 8 || (len(classes)-1)*rep.NumInsts()+nDiff <= nDiff*sites {
+		return nil
+	}
+	merged := mergedFunc(rep, differs, nDiff)
+	for _, class := range classes {
+		extra := make([]int64, 0, nDiff)
+		for k, c := range consts(class[0]) {
+			if differs[k] {
+				extra = append(extra, c)
+			}
+		}
+		for _, i := range class {
+			redirects[m.Funcs[i].Name] = redirect{to: merged.Name, consts: extra}
+		}
+	}
+	return merged
+}
+
+// mergedFunc clones rep with the constants at the sites differs marks turned
+// into fresh trailing parameters. Value ids above the old parameter range
+// shift up to make room for them. The clone's records are its own.
+func mergedFunc(rep *Func, differs []bool, nDiff int) *Func {
+	to := make([]Value, rep.NumValues+1) // old value -> new value
+	for v := range to {
+		to[v] = Value(v)
+		if v > rep.NumParams {
+			to[v] += Value(nDiff)
+		}
+	}
+	site, param := 0, Value(rep.NumParams)
+	for _, b := range rep.Blocks {
+		for i := range b.Insts {
+			if in := &b.Insts[i]; in.Op == Const {
+				if differs[site] {
+					param++
+					if uint(in.Dst) < uint(len(to)) {
+						to[in.Dst] = param
+					}
+				}
+				site++
+			}
+		}
+	}
+	res := func(v Value) Value {
+		if uint(v) < uint(len(to)) {
+			return to[v]
+		}
+		return v // only a malformed function has such a value
+	}
+	merged := &Func{
+		Name:      rep.Name + "$fmsa",
+		Module:    rep.Module,
+		NumParams: rep.NumParams + nDiff,
+		Throws:    rep.Throws,
+		NumValues: rep.NumValues + nDiff,
+	}
+	site = 0
+	for _, b := range rep.Blocks {
+		nb := &Block{Label: b.Label, Insts: make([]Inst, 0, len(b.Insts))}
+		for _, in := range b.Insts {
+			if in.Op == Const {
+				if site++; differs[site-1] {
+					continue // now a parameter
+				}
+			}
+			in.Dst, in.A, in.B = res(in.Dst), res(in.A), res(in.B)
+			if e := in.Ext; e != nil {
+				ne := &Ext{ErrDst: res(e.ErrDst), Else: e.Else, Args: slices.Clone(e.Args), Incomings: slices.Clone(e.Incomings)}
+				for j := range ne.Args {
+					ne.Args[j] = res(ne.Args[j])
+				}
+				for j := range ne.Incomings {
+					ne.Incomings[j].Val = res(ne.Incomings[j].Val)
+				}
+				in.Ext = ne
+			}
+			nb.Insts = append(nb.Insts, in)
+		}
+		merged.Blocks = append(merged.Blocks, nb)
+	}
+	return merged
+}
+
+// redirectCalls points f's references to deleted functions at their
+// replacements, in place where no constant is to be passed. A block with a
+// call that must now pass constants gets a new instruction slice, sized
+// once, with a Const before the call per constant, and the call a record of
+// its own, so the slice and record it was copied from keep their operands.
+func redirectCalls(f *Func, redirects map[string]redirect) {
+	for _, b := range f.Blocks {
+		extra := 0
+		for i := range b.Insts {
+			if in := &b.Insts[i]; in.Op == Call || in.Op == GlobalAddr {
+				if r, ok := redirects[in.Sym]; ok && len(r.consts) == 0 {
+					in.Sym = r.to
+				} else if ok {
+					extra += len(r.consts)
+				}
+			}
+		}
+		if extra == 0 {
+			continue
+		}
+		out := make([]Inst, 0, len(b.Insts)+extra)
+		for _, in := range b.Insts {
+			if r, ok := redirects[in.Sym]; ok && in.Op == Call {
+				var e Ext
+				if in.Ext != nil {
+					e = *in.Ext
+				}
+				e.Args = append(make([]Value, 0, len(e.Args)+len(r.consts)), e.Args...)
+				for _, c := range r.consts {
+					v := f.NewValue()
+					out = append(out, Inst{Op: Const, Dst: v, Imm: c})
+					e.Args = append(e.Args, v)
+				}
+				in.Sym, in.Ext = r.to, &e
+			}
+			out = append(out, in)
+		}
+		b.Insts = out
+	}
 }
 
 // funcHasher renders functions into structural keys: value numbers and
@@ -421,7 +628,8 @@ func MergeFunctionsKeeping(m *Module, keep map[string]bool) MergeStats {
 // naming or value numbering get equal keys. The key buffer and the renaming
 // tables are reused from function to function.
 type funcHasher struct {
-	eraseConsts bool // render every Const's immediate as 0 (FMSA's shape key)
+	eraseConsts bool    // render every Const's immediate as 0: the similar policy's shape key
+	consts      []int64 // eraseConsts: the erased immediates of every key so far, in order
 
 	buf      []byte
 	valNames []int32 // by value number: traversal-order name, 0 = not seen
@@ -459,6 +667,7 @@ func (h *funcHasher) key(f *Func) []byte {
 			b = h.value(append(b, ','), in.ErrDst())
 			imm := in.Imm
 			if h.eraseConsts && in.Op == Const {
+				h.consts = append(h.consts, imm)
 				imm = 0
 			}
 			b = strconv.AppendInt(append(b, ','), imm, 10)

@@ -4,11 +4,16 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"outliner/internal/isa"
 )
 
 // textChunk is how much rendered text a TextWriter holds before handing it to
-// its writer.
-const textChunk = 64 << 10
+// its writer. Renderers spill after every line, so a page's worth is enough:
+// every destination the listing streams to either buffers on its own (a
+// presized strings.Builder, slcd's 32 KB bufio.Writer) or takes page-sized
+// writes well (a file, a hash).
+const textChunk = 4 << 10
 
 // TextWriter streams rendered machine code to an io.Writer through one reused
 // chunk: renderers append to Buf and call Spill, which writes the chunk out
@@ -65,8 +70,7 @@ func (t *TextWriter) Program(p *Program) {
 		if i > 0 {
 			t.Buf = append(t.Buf, '\n')
 		}
-		t.Buf = f.AppendText(t.Buf)
-		t.Spill()
+		t.function(f)
 	}
 	for _, g := range p.Globals {
 		if t.err != nil {
@@ -96,6 +100,33 @@ func (p *Program) String() string {
 
 // AppendText appends the function in the textual MIR format.
 func (f *Function) AppendText(dst []byte) []byte {
+	dst = f.appendHead(dst)
+	for _, blk := range f.Blocks {
+		dst = append(append(dst, blk.Label...), ":\n"...)
+		for i := range blk.Insts {
+			dst = appendInstLine(dst, &blk.Insts[i])
+		}
+	}
+	return append(dst, "}\n"...)
+}
+
+// function renders f as AppendText does, spilling the chunk after every
+// line: the chunk then never holds more than one line beyond textChunk, and
+// no function, however large, regrows it.
+func (t *TextWriter) function(f *Function) {
+	t.Buf = f.appendHead(t.Buf)
+	for _, blk := range f.Blocks {
+		t.Buf = append(append(t.Buf, blk.Label...), ":\n"...)
+		for i := range blk.Insts {
+			t.Buf = appendInstLine(t.Buf, &blk.Insts[i])
+			t.Spill()
+		}
+	}
+	t.Buf = append(t.Buf, "}\n"...)
+}
+
+// appendHead appends the line that opens f's text.
+func (f *Function) appendHead(dst []byte) []byte {
 	dst = append(dst, "func @"...)
 	dst = append(dst, f.Name...)
 	if f.Module != "" {
@@ -105,17 +136,12 @@ func (f *Function) AppendText(dst []byte) []byte {
 	if f.Outlined {
 		dst = append(dst, " outlined"...)
 	}
-	dst = append(dst, " {\n"...)
-	for _, blk := range f.Blocks {
-		dst = append(dst, blk.Label...)
-		dst = append(dst, ":\n"...)
-		for i := range blk.Insts {
-			dst = append(dst, "  "...)
-			dst = blk.Insts[i].AppendText(dst)
-			dst = append(dst, '\n')
-		}
-	}
-	return append(dst, "}\n"...)
+	return append(dst, " {\n"...)
+}
+
+// appendInstLine appends one indented instruction line.
+func appendInstLine(dst []byte, in *isa.Inst) []byte {
+	return append(in.AppendText(append(dst, "  "...)), '\n')
 }
 
 // String renders a single function.

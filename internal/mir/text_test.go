@@ -167,11 +167,11 @@ func TestWriteToStreamsInChunks(t *testing.T) {
 		t.Errorf("WriteTo reported %d bytes, the writer took %d, String() has %d", n, w.taken, len(res.Prog.String()))
 	}
 	if len(w.writes) < 4 {
-		t.Errorf("%d bytes arrived in %d writes; expected 64 KB chunks", n, len(w.writes))
+		t.Errorf("%d bytes arrived in %d writes; expected 4 KB chunks", n, len(w.writes))
 	}
 	for i, size := range w.writes {
-		if size > 80<<10 {
-			t.Errorf("write %d carried %d bytes; a chunk is 64 KB plus the function that filled it", i, size)
+		if size > 5<<10 {
+			t.Errorf("write %d carried %d bytes; a chunk is 4 KB plus the line that filled it", i, size)
 		}
 	}
 }

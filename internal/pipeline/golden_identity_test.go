@@ -129,6 +129,8 @@ func compileText(t *testing.T, m *llir.Module, j int) string {
 //	merge          the IR-linked program after MergeFunctions (+ its stats)
 //	merge-keeping  each module after MergeFunctionsKeeping with every other
 //	               function kept (+ its stats)
+//	merge-similar  the IR-linked program after MergeSimilarFunctions (+ its
+//	               stats)
 //	mir            codegen.CompileWith of each module and of the merged program
 //	image-default  the final image listing under pipeline.Default
 //	image-osize    the same under pipeline.OSize
@@ -156,6 +158,10 @@ func corpusDigests(t *testing.T, apps []identityApp, j int) map[string]string {
 		st := llir.MergeFunctions(merged)
 		d.add("merge", fmt.Sprintf("%+v\n%s", st, merged.String()))
 		d.add("mir", compileText(t, merged, j))
+
+		similar := linkApp(t, app)
+		st = llir.MergeSimilarFunctions(similar, nil)
+		d.add("merge-similar", fmt.Sprintf("%+v\n%s", st, similar.String()))
 
 		for stage, cfg := range map[string]pipeline.Config{
 			"image-default": pipeline.Default, "image-osize": pipeline.OSize,

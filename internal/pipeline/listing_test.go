@@ -56,7 +56,7 @@ func TestImageListingReportsWriteErrors(t *testing.T) {
 	symbols := strings.Index(listing, "\nsymbols:\n")
 	program := strings.Index(listing, "\nprogram:\n")
 	if symbols < 0 || program < symbols || program < 100<<10 {
-		t.Fatalf("listing sections at %d and %d; the symbol table should span more than one 64 KB chunk", symbols, program)
+		t.Fatalf("listing sections at %d and %d; the symbol table should span many chunks", symbols, program)
 	}
 	for _, c := range []struct {
 		section string

@@ -65,8 +65,11 @@ type Config struct {
 	// row 3). In the default pipeline it runs per module; in the
 	// whole-program pipeline it runs after the IR link.
 	MergeFunctions bool
-	// FMSA enables merging of similar (not identical) functions by
-	// sequence alignment (Table I row 4).
+	// FMSA selects the function merger's similar policy (Table I row 4):
+	// functions that differ only in integer constants merge into one body
+	// that takes the constants as parameters, where that saves instructions.
+	// The policy implies identical folding: with FMSA set, MergeFunctions
+	// changes nothing.
 	FMSA bool
 	// FlatOutlineCost is the cost-model ablation (see outline.Options).
 	FlatOutlineCost bool
@@ -617,12 +620,7 @@ var wholeProgram = []stage{{
 }, {
 	name: "opt", timing: "opt",
 	body: func(b *build) error {
-		if b.cfg.MergeFunctions {
-			llir.MergeFunctions(b.merged)
-		}
-		if b.cfg.FMSA {
-			llir.MergeBySequenceAlignment(b.merged)
-		}
+		mergeFunctions(&b.cfg, b.merged, nil)
 		return nil
 	},
 	tasks: func(b *build) []string {
@@ -650,6 +648,19 @@ var wholeProgram = []stage{{
 	},
 	verify: linkedProgram,
 }}
+
+// mergeFunctions runs the function merger cfg asks for over m, keeping the
+// functions named in keep: the similar policy when FMSA is set (it folds
+// identical functions too), identical folding alone when only
+// MergeFunctions is.
+func mergeFunctions(cfg *Config, m *llir.Module, keep map[string]bool) {
+	switch {
+	case cfg.FMSA:
+		llir.MergeSimilarFunctions(m, keep)
+	case cfg.MergeFunctions:
+		llir.MergeFunctionsKeeping(m, keep)
+	}
+}
 
 // linkedProgram is what a stage working on the linked program verifies: the
 // whole program, with only the runtime external.
@@ -689,12 +700,7 @@ var perModule = []stage{{
 		if err != nil {
 			return nil, err
 		}
-		if cfg.MergeFunctions {
-			llir.MergeFunctionsKeeping(lm, b.refs)
-		}
-		if cfg.FMSA {
-			llir.MergeBySequenceAlignmentKeeping(lm, b.refs)
-		}
+		mergeFunctions(cfg, lm, b.refs)
 		return compileModule(u.name, lm, cfg, b.extern, lane, &b.back[lane])
 	},
 	// Cross-module references are external at this point, exactly as the

@@ -30,7 +30,7 @@ type BuildConfig struct {
 	WholeProgram    bool   `json:"whole_program"`
 	OutlineRounds   int    `json:"outline_rounds"`
 	MergeFunctions  bool   `json:"merge_functions"`
-	FMSA            bool   `json:"fmsa"`
+	FMSA            bool   `json:"fmsa"` // the merger's similar policy; implies identical folding
 	FlatOutlineCost bool   `json:"flat_outline_cost"`
 	Verify          bool   `json:"verify"`
 	KeepGoing       bool   `json:"keep_going"`
