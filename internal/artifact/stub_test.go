@@ -184,7 +184,7 @@ class Box {
 `
 	fresh := digestOf(t, src)
 	analyzed := parse(t, src)
-	if _, err := frontend.Check("M", analyzed); err != nil {
+	if _, err := frontend.CheckModule("M", nil, analyzed); err != nil {
 		t.Fatal(err)
 	}
 	if analyzed.Classes[0].Init == nil {

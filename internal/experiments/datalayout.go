@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"outliner/internal/appgen"
+	"outliner/internal/exec"
 	"outliner/internal/perf"
 	"outliner/internal/pipeline"
 	"outliner/internal/stats"
@@ -21,6 +23,9 @@ type DataLayoutResult struct {
 	InterleavedSec    float64
 	PreservedSec      float64
 	RegressionPct     float64
+	// OutputsMatch reports whether both builds' main print the same: the
+	// comparison is only valid if they run the same program.
+	OutputsMatch bool
 }
 
 // RunDataLayout builds the app twice (whole-program, outlining on) with and
@@ -45,7 +50,15 @@ func RunDataLayout(w io.Writer, scale float64) (*DataLayoutResult, error) {
 	residencies := []int{8, 10, 12, 14}
 	osm := perf.OSes[2]
 
-	res := &DataLayoutResult{}
+	presOut, err := runMain(presRes)
+	if err != nil {
+		return nil, err
+	}
+	interOut, err := runMain(interRes)
+	if err != nil {
+		return nil, err
+	}
+	res := &DataLayoutResult{OutputsMatch: presOut == interOut}
 	var presSecs, interSecs []float64
 	for _, pages := range residencies {
 		dev := perf.Devices[0]
@@ -80,5 +93,20 @@ func RunDataLayout(w io.Writer, scale float64) (*DataLayoutResult, error) {
 	}
 	table(w, rows)
 	fmt.Fprintf(w, "\nregression from interleaving: %+.1f%%\n", res.RegressionPct)
+	if res.OutputsMatch {
+		fmt.Fprintln(w, "main output, preserved vs interleaved: same")
+	} else {
+		fmt.Fprintf(w, "main output, preserved vs interleaved: DIFFERENT (%s vs %s)\n",
+			strings.TrimSpace(presOut), strings.TrimSpace(interOut))
+	}
 	return res, nil
+}
+
+// runMain runs a build's main, unsimulated, and returns what it prints.
+func runMain(res *pipeline.Result) (string, error) {
+	m, err := exec.New(res.Prog, exec.Options{MaxSteps: 200_000_000})
+	if err != nil {
+		return "", err
+	}
+	return m.Run("main")
 }

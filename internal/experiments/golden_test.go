@@ -20,7 +20,7 @@ var reportDigests = map[string]string{
 	"fig13":      "e328a8eb867dec5bb64e89c517cd657049cd4d7ac9f338c7cfe095b1f6419c0a",
 	"table4":     "51d76e9a6516b2d9904524eb7ed729d51df499d14b2876f9b03cb3f2742ad507",
 	"generality": "af970f18eec513990bbe951feaf683dc1122be6995688fc3c79bb08f207743b8",
-	"datalayout": "8a826476aa6a5ea900e41e92f964e9f70fe3ba5d5a00e1a1357fa37afd84575e",
+	"datalayout": "621bf4c109268ae19def1116018a3e0f7b7f4513378054c43efd9f32da022c88",
 }
 
 // TestReportsGolden runs the experiments as `experiments -scale 0.3` does

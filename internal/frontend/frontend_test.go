@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -18,7 +19,7 @@ func parse(t *testing.T, src string) *File {
 func check(t *testing.T, src string) *Program {
 	t.Helper()
 	f := parse(t, src)
-	p, err := Check("TestModule", f)
+	p, err := CheckModule("TestModule", nil, f)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -29,7 +30,7 @@ func checkErr(t *testing.T, src, wantSub string) {
 	t.Helper()
 	f, err := ParseFile("test.sl", src)
 	if err == nil {
-		_, err = Check("TestModule", f)
+		_, err = CheckModule("TestModule", nil, f)
 	}
 	if err == nil {
 		t.Fatalf("expected error containing %q, got none", wantSub)
@@ -158,19 +159,117 @@ func main() {
 	}
 }
 
+// render prints an expression fully parenthesized.
+func render(e Expr) string {
+	switch e := e.(type) {
+	case *IdentExpr:
+		return e.Name
+	case *UnaryExpr:
+		return "(" + tokNames[e.Op] + render(e.X) + ")"
+	case *BinaryExpr:
+		return "(" + render(e.L) + " " + tokNames[e.Op] + " " + render(e.R) + ")"
+	}
+	return fmt.Sprintf("<%T>", e)
+}
+
+// TestParsePrecedence renders each parse fully parenthesized: for every
+// pair of operators from different levels, in both orders, the tighter one
+// groups first; within a level, operators associate to the left; prefix
+// operators bind tighter than any binary one; and comparisons do not chain.
 func TestParsePrecedence(t *testing.T) {
-	f := parse(t, `func f(a: Int, b: Int, c: Int) -> Bool { return a + b * c < a * b + c }`)
-	ret := f.Funcs[0].Body.Stmts[0].(*ReturnStmt)
-	cmp := ret.E.(*BinaryExpr)
-	if cmp.Op != TokLt {
-		t.Fatalf("top op = %v", cmp.Op)
+	levels := [][]string{ // loosest first
+		{"||"},
+		{"&&"},
+		{"==", "!=", "<", "<=", ">", ">="},
+		{"+", "-"},
+		{"*", "/", "%"},
 	}
-	l := cmp.L.(*BinaryExpr)
-	if l.Op != TokPlus {
-		t.Fatalf("lhs op = %v", l.Op)
+	type tc struct{ src, want string }
+	cases := []tc{
+		{"-a * b", "((-a) * b)"},
+		{"!a && b", "((!a) && b)"},
+		{"a * -b", "(a * (-b))"},
+		{"a || b && c < d + e * f", "(a || (b && (c < (d + (e * f)))))"},
+		{"a * b + c < d && e || f", "(((((a * b) + c) < d) && e) || f)"},
 	}
-	if _, ok := l.R.(*BinaryExpr); !ok {
-		t.Fatal("b*c must bind tighter than +")
+	for i, loose := range levels {
+		for _, x := range loose {
+			for _, tight := range levels[i+1:] {
+				for _, y := range tight {
+					cases = append(cases,
+						tc{"a " + x + " b " + y + " c", "(a " + x + " (b " + y + " c))"},
+						tc{"a " + y + " b " + x + " c", "((a " + y + " b) " + x + " c)"})
+				}
+			}
+			if i == 2 {
+				continue // comparisons do not chain
+			}
+			for _, y := range loose {
+				cases = append(cases, tc{"a " + x + " b " + y + " c", "((a " + x + " b) " + y + " c)"})
+			}
+		}
+	}
+	for _, c := range cases {
+		f, err := ParseFile("p.sl", "func f() {\n  return "+c.src+"\n}\n")
+		if err != nil {
+			t.Errorf("%s: %v", c.src, err)
+			continue
+		}
+		if got := render(f.Funcs[0].Body.Stmts[0].(*ReturnStmt).E); got != c.want {
+			t.Errorf("%s parsed as %s, want %s", c.src, got, c.want)
+		}
+	}
+	_, err := ParseFile("p.sl", "func f() {\n  return a < b < c\n}\n")
+	if err == nil || err.Error() != "p.sl:2:16: expected expression, found <" {
+		t.Errorf("chained comparison: error %v", err)
+	}
+}
+
+// TestNestingBoundary pins, for each construct that counts a nesting level,
+// the longest chain the parser accepts: one more link must fail with the
+// nesting limit. The counts include the levels the enclosing function body,
+// return expression or parameter list already holds, so a change in what
+// counts a level (or in where the count is restored) moves a boundary here.
+// An optional suffix counts no level of its own; `[T]?` counts its bracket.
+func TestNestingBoundary(t *testing.T) {
+	r := strings.Repeat
+	ret := func(e string) string { return "func f(a: Int) -> Int {\n  return " + e + "\n}\n" }
+	param := func(ty string) string { return "func f(a: " + ty + ") {}\n" }
+	body := func(open, mid, close string, n int) string {
+		return "func f() {\n" + r(open, n) + mid + r(close, n) + "}\n"
+	}
+	for _, tc := range []struct {
+		name    string
+		longest int
+		src     func(n int) string
+	}{
+		{"or", 998, func(n int) string { return ret("a" + r(" || a", n)) }},
+		{"and", 998, func(n int) string { return ret("a" + r(" && a", n)) }},
+		{"add-sub", 998, func(n int) string { return ret("a" + r(" + a - a", n/2) + r(" + a", n%2)) }},
+		{"mul-div-rem", 998, func(n int) string { return ret("a" + r(" * a / a % a", n/3) + r(" * a", n%3)) }},
+		{"all-levels", 995, func(n int) string { return ret("a" + r(" || a && a < a + a * a", n)) }},
+		{"prefix-minus", 998, func(n int) string { return ret(r("- ", n) + "a") }},
+		{"prefix-not", 998, func(n int) string { return ret(r("! ", n) + "a") }},
+		{"prefix-try", 997, func(n int) string { return ret(r("try ", n) + "g()") }},
+		{"parens", 998, func(n int) string { return ret(r("(", n) + "a" + r(")", n)) }},
+		{"field-chain", 998, func(n int) string { return ret("a" + r(".b", n)) }},
+		{"call-chain", 998, func(n int) string { return ret("g" + r("()", n)) }},
+		{"array-type", 999, func(n int) string { return param(r("[", n) + "Int" + r("]", n)) }},
+		{"func-type", 999, func(n int) string { return param(r("(Int) -> ", n) + "Int") }},
+		{"optional-array-type", 999, func(n int) string { return param(r("[", n) + "Int" + r("]?", n)) }},
+		{"while-blocks", 996, func(n int) string { return body("while true {\n", "print(1)\n", "}\n", n) }},
+		{"nested-if", 498, func(n int) string { return body("if true {\n", "print(1)\n", "}\n", n) }},
+		{"else-if-chain", 995, func(n int) string { return body("if true { print(1) } else ", "{ print(2) }\n", "", n) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ParseFile("deep.sl", tc.src(tc.longest)); err != nil {
+				t.Fatalf("chain of %d: %v", tc.longest, err)
+			}
+			_, err := ParseFile("deep.sl", tc.src(tc.longest+1))
+			if err == nil || !strings.Contains(err.Error(), "nesting deeper than 1000 levels") {
+				t.Fatalf("chain of %d: error %v, want the nesting limit", tc.longest+1, err)
+			}
+		})
 	}
 }
 
@@ -413,9 +512,10 @@ func f(s: String) -> Int {
 `)
 }
 
-// CloneFunc must deep-copy: mutating the clone's body or types must not
-// affect the original (generic instantiation depends on this).
-func TestCloneFuncDeep(t *testing.T) {
+// An instantiation is a deep copy of its template: mutating the
+// instantiation's header, statements or nested expressions must not touch
+// the template, which later instantiations copy again.
+func TestSpecializeCopiesTemplate(t *testing.T) {
 	f := parse(t, `
 func g<T>(a: T, b: Int) -> T {
   var x = b + 1
@@ -426,21 +526,72 @@ func g<T>(a: T, b: Int) -> T {
 }
 `)
 	orig := f.Funcs[0]
-	clone := CloneFunc(orig)
-	clone.Name = "changed"
-	clone.Params[0].Name = "zzz"
-	clone.Body.Stmts[0].(*VarStmt).Name = "renamed"
-	inner := clone.Body.Stmts[1].(*IfStmt)
-	inner.Then.Stmts[0].(*AssignStmt).LHS.(*IdentExpr).Name = "mutated"
+	inst := specializer{"T": IntType}.fn(orig)
+	inst.Name = "changed"
+	inst.Params[0].Name = "zzz"
+	inst.Body.Stmts[0].(*VarStmt).Name = "renamed"
+	inst.Body.Stmts[1].(*IfStmt).Then.Stmts[0].(*AssignStmt).LHS.(*IdentExpr).Name = "mutated"
+	inst.Body.Stmts[2].(*VarStmt).Init.(*ClosureExpr).Params[0].Name = "w"
 
-	if orig.Name != "g" || orig.Params[0].Name != "a" {
-		t.Error("clone shares header storage")
+	if orig.Name != "g" || orig.Params[0].Name != "a" || len(orig.Generics) != 1 {
+		t.Error("instantiation shares header storage")
+	}
+	if orig.Params[0].Type.Kind != TGeneric || orig.Ret.Kind != TGeneric {
+		t.Error("instantiation rewrote the template's signature")
 	}
 	if orig.Body.Stmts[0].(*VarStmt).Name != "x" {
-		t.Error("clone shares statement storage")
+		t.Error("instantiation shares statement storage")
 	}
 	if orig.Body.Stmts[1].(*IfStmt).Then.Stmts[0].(*AssignStmt).LHS.(*IdentExpr).Name != "x" {
-		t.Error("clone shares nested expression storage")
+		t.Error("instantiation shares nested expression storage")
+	}
+	if orig.Body.Stmts[2].(*VarStmt).Init.(*ClosureExpr).Params[0].Name != "v" {
+		t.Error("instantiation shares closure parameters")
+	}
+}
+
+// Specialization substitutes the type arguments wherever the body names a
+// type: var annotations, explicit call type arguments, and closure
+// signatures, as well as the function's own signature.
+func TestSpecializeSubstitutesBodyTypes(t *testing.T) {
+	f := parse(t, `
+func id<T>(v: T) -> T { return v }
+func wrap<T>(v: T) -> [T]? {
+  var x: [T]? = nil
+  x = [id<T>(v)]
+  let c = { (u: T) -> [T] in return [u] }
+  print(c(v).count)
+  return x
+}
+func main() {
+  if let w = wrap<String>(v: "s") { print(w.count) }
+}
+`)
+	p, err := CheckModule("TestModule", nil, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := p.Funcs["wrap$String"]
+	if inst == nil {
+		t.Fatalf("no wrap$String among %v", p.FuncOrder)
+	}
+	if got := inst.Params[0].Type.String() + " -> " + inst.Ret.String(); got != "String -> [String]?" {
+		t.Errorf("signature = %s", got)
+	}
+	if got := inst.Body.Stmts[0].(*VarStmt).Type.String(); got != "[String]?" {
+		t.Errorf("var annotation = %s", got)
+	}
+	call := inst.Body.Stmts[1].(*AssignStmt).RHS.(*ArrayLit).Elems[0].(*CallExpr)
+	if len(call.TypeArgs) != 1 || call.TypeArgs[0].Kind != TString || call.ResolvedSym != "id$String" {
+		t.Errorf("call type arguments = %v, callee %s", call.TypeArgs, call.ResolvedSym)
+	}
+	cl := inst.Body.Stmts[2].(*VarStmt).Init.(*ClosureExpr)
+	if got := cl.Params[0].Type.String() + " -> " + cl.Ret.String(); got != "String -> [String]" {
+		t.Errorf("closure signature = %s", got)
+	}
+	tmpl := f.Funcs[1]
+	if got := tmpl.Body.Stmts[0].(*VarStmt).Type.String(); got != "[T]?" {
+		t.Errorf("template var annotation = %s after specialization", got)
 	}
 }
 

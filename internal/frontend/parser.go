@@ -1,6 +1,9 @@
 package frontend
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Parser builds the AST for one SwiftLite file. It pulls tokens from the
 // lexer as it needs them and keeps only a window: the current token, the one
@@ -595,110 +598,54 @@ func (p *Parser) parseExpr() (Expr, error) {
 	if err := p.nest(); err != nil {
 		return nil, err
 	}
-	e, err := p.parseOr()
+	e, err := p.parseBinary(0)
 	p.depth--
 	return e, err
 }
 
-func (p *Parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
+// binaryLevels lists the binary operators by precedence, loosest first; all
+// associate to the left. A comparison takes at most one operator
+// (comparisons do not chain) and counts no nesting level. Every link of
+// another level's chain counts one, because the left-deep tree the chain
+// builds is as deep as the chain is long.
+var binaryLevels = []struct {
+	ops   []TokKind
+	chain bool
+}{
+	{[]TokKind{TokOr}, true},
+	{[]TokKind{TokAnd}, true},
+	{[]TokKind{TokEq, TokNe, TokLt, TokLe, TokGt, TokGe}, false},
+	{[]TokKind{TokPlus, TokMinus}, true},
+	{[]TokKind{TokStar, TokSlash, TokPercent}, true},
+}
+
+// parseBinary parses the operators of binaryLevels[level] and tighter.
+func (p *Parser) parseBinary(level int) (Expr, error) {
+	if level == len(binaryLevels) {
+		return p.parseUnary()
+	}
+	lv := binaryLevels[level]
+	l, err := p.parseBinary(level + 1)
 	if err != nil {
 		return nil, err
 	}
 	d := p.depth
-	for p.at(TokOr) {
-		if err := p.nest(); err != nil {
-			return nil, err
-		}
-		line := p.advance().Line
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: TokOr, L: l, R: r, Line: line}
-	}
-	p.depth = d
-	return l, nil
-}
-
-func (p *Parser) parseAnd() (Expr, error) {
-	l, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	d := p.depth
-	for p.at(TokAnd) {
-		if err := p.nest(); err != nil {
-			return nil, err
-		}
-		line := p.advance().Line
-		r, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: TokAnd, L: l, R: r, Line: line}
-	}
-	p.depth = d
-	return l, nil
-}
-
-func (p *Parser) parseCmp() (Expr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	switch p.cur().Kind {
-	case TokEq, TokNe, TokLt, TokLe, TokGt, TokGe:
-		op := p.cur().Kind
-		line := p.advance().Line
-		r, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return &BinaryExpr{Op: op, L: l, R: r, Line: line}, nil
-	}
-	return l, nil
-}
-
-func (p *Parser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	d := p.depth
-	for p.at(TokPlus) || p.at(TokMinus) {
-		if err := p.nest(); err != nil {
-			return nil, err
+	for slices.Contains(lv.ops, p.cur().Kind) {
+		if lv.chain {
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 		}
 		op := p.cur().Kind
 		line := p.advance().Line
-		r, err := p.parseMul()
+		r, err := p.parseBinary(level + 1)
 		if err != nil {
 			return nil, err
 		}
 		l = &BinaryExpr{Op: op, L: l, R: r, Line: line}
-	}
-	p.depth = d
-	return l, nil
-}
-
-func (p *Parser) parseMul() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	d := p.depth
-	for p.at(TokStar) || p.at(TokSlash) || p.at(TokPercent) {
-		if err := p.nest(); err != nil {
-			return nil, err
+		if !lv.chain {
+			break
 		}
-		op := p.cur().Kind
-		line := p.advance().Line
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: op, L: l, R: r, Line: line}
 	}
 	p.depth = d
 	return l, nil

@@ -49,15 +49,11 @@ func ensureMemberwiseInit(cd *ClassDecl) {
 	}
 }
 
-// Check type-checks files into one module. Generic functions are
+// CheckModule type-checks files into one module, with the declarations
+// imports exposes visible (nil imports none). Generic functions are
 // monomorphized: each explicit instantiation `f<Int>(...)` produces a
 // specialized copy `f$Int` — the mechanism behind the paper's
 // closure-specialization replication pattern (§IV, Listing 9).
-func Check(module string, files ...*File) (*Program, error) {
-	return CheckModule(module, nil, files...)
-}
-
-// CheckModule is Check with cross-module imports.
 func CheckModule(module string, imports *Imports, files ...*File) (*Program, error) {
 	c := &checker{
 		prog: &Program{
@@ -65,14 +61,12 @@ func CheckModule(module string, imports *Imports, files ...*File) (*Program, err
 			Classes: make(map[string]*ClassDecl),
 			Funcs:   make(map[string]*FuncDecl),
 		},
-		generics:        make(map[string]*FuncDecl),
-		imports:         imports,
-		importedClasses: make(map[string]bool),
+		generics: make(map[string]*FuncDecl),
+		imports:  imports,
 	}
 	if imports != nil {
 		imports.EachClass(func(name string, cd *ClassDecl) {
 			c.prog.Classes[name] = cd
-			c.importedClasses[name] = true
 		})
 	}
 	if err := c.collect(files); err != nil {
@@ -127,10 +121,9 @@ type checker struct {
 	prog     *Program
 	generics map[string]*FuncDecl // generic templates by source name
 	queue    []*FuncDecl          // functions awaiting body checking
-	imports  *Imports
-	// importedClasses tracks classes that came from imports: visible for
-	// typing, but their inits/methods are compiled by their home module.
-	importedClasses map[string]bool
+	// imports' classes join prog.Classes for typing; their home module
+	// compiles their inits and methods.
+	imports *Imports
 }
 
 // importedFunc resolves a free function from the import set.
@@ -139,11 +132,6 @@ func (c *checker) importedFunc(name string) *FuncDecl {
 		return nil
 	}
 	return c.imports.Func(name)
-}
-
-// classIsImported reports whether name came from imports.
-func (c *checker) classIsImported(name string) bool {
-	return c.importedClasses[name]
 }
 
 func (c *checker) errf(line int, format string, args ...any) error {
@@ -223,131 +211,217 @@ func (c *checker) instantiate(tmpl *FuncDecl, typeArgs []*Type, line int) (strin
 	if _, done := c.prog.Funcs[sym]; done {
 		return sym, nil
 	}
-	sub := make(map[string]*Type, len(typeArgs))
+	sp := make(specializer, len(typeArgs))
 	for i, g := range tmpl.Generics {
-		sub[g] = typeArgs[i]
+		sp[g] = typeArgs[i]
 	}
-	inst := CloneFunc(tmpl)
+	inst := sp.fn(tmpl)
 	inst.Name = sym
-	inst.Generics = nil
-	for i := range inst.Params {
-		inst.Params[i].Type = substType(inst.Params[i].Type, sub)
-	}
-	inst.Ret = substType(inst.Ret, sub)
-	substBlock(inst.Body, sub)
 	c.prog.Funcs[sym] = inst
 	c.prog.FuncOrder = append(c.prog.FuncOrder, sym)
 	c.queue = append(c.queue, inst)
 	return sym, nil
 }
 
-func substType(t *Type, sub map[string]*Type) *Type {
+// specializer maps a generic template's type parameters to one
+// instantiation's type arguments. It copies the template and substitutes the
+// arguments in the same walk, so each instantiation is type-checked on its
+// own nodes and checked types never leak between instantiations. Templates
+// are never checked themselves, so their nodes carry no checked types.
+//
+// The parser reads a type parameter as TGeneric only in the signature; in
+// the body (var annotations, explicit type arguments, closure signatures) it
+// reads every type name as a class. So a class name that names a type
+// parameter is substituted too: inside the template the parameter shadows
+// any class of that name.
+type specializer map[string]*Type
+
+func (sp specializer) fn(f *FuncDecl) *FuncDecl {
+	nf := *f
+	nf.Generics = nil
+	nf.Params = sp.params(f.Params)
+	nf.Ret = sp.typ(f.Ret)
+	nf.Body = sp.block(f.Body)
+	return &nf
+}
+
+func (sp specializer) params(ps []Param) []Param {
+	out := make([]Param, len(ps))
+	for i, p := range ps {
+		out[i] = Param{Name: p.Name, Type: sp.typ(p.Type)}
+	}
+	return out
+}
+
+func (sp specializer) typ(t *Type) *Type {
 	if t == nil {
 		return nil
 	}
 	switch t.Kind {
-	case TGeneric:
-		if r, ok := sub[t.Name]; ok {
+	case TGeneric, TClass:
+		if r, ok := sp[t.Name]; ok {
 			return r
 		}
-		return t
 	case TArray:
-		return ArrayType(substType(t.Elem, sub))
+		return ArrayType(sp.typ(t.Elem))
 	case TOptional:
-		return OptionalType(substType(t.Elem, sub))
+		return OptionalType(sp.typ(t.Elem))
 	case TFunc:
-		nt := &Type{Kind: TFunc, Throws: t.Throws, Ret: substType(t.Ret, sub)}
-		for _, p := range t.Params {
-			nt.Params = append(nt.Params, substType(p, sub))
-		}
-		return nt
+		return &Type{Kind: TFunc, Params: sp.types(t.Params), Ret: sp.typ(t.Ret), Throws: t.Throws}
 	}
 	return t
 }
 
-// substBlock rewrites type annotations inside a cloned generic body.
-func substBlock(b *BlockStmt, sub map[string]*Type) {
-	if b == nil {
-		return
+func (sp specializer) types(ts []*Type) []*Type {
+	var out []*Type
+	for _, t := range ts {
+		out = append(out, sp.typ(t))
 	}
-	for _, s := range b.Stmts {
-		substStmt(s, sub)
-	}
+	return out
 }
 
-func substStmt(s Stmt, sub map[string]*Type) {
+func (sp specializer) block(b *BlockStmt) *BlockStmt {
+	if b == nil {
+		return nil
+	}
+	nb := &BlockStmt{Stmts: make([]Stmt, len(b.Stmts))}
+	for i, s := range b.Stmts {
+		nb.Stmts[i] = sp.stmt(s)
+	}
+	return nb
+}
+
+func (sp specializer) stmt(s Stmt) Stmt {
 	switch s := s.(type) {
 	case *BlockStmt:
-		substBlock(s, sub)
+		return sp.block(s)
 	case *VarStmt:
-		s.Type = substType(s.Type, sub)
-		substExpr(s.Init, sub)
+		n := *s
+		n.Type = sp.typ(s.Type)
+		n.Init = sp.expr(s.Init)
+		return &n
 	case *AssignStmt:
-		substExpr(s.LHS, sub)
-		substExpr(s.RHS, sub)
+		n := *s
+		n.LHS = sp.expr(s.LHS)
+		n.RHS = sp.expr(s.RHS)
+		return &n
 	case *ExprStmt:
-		substExpr(s.E, sub)
+		n := *s
+		n.E = sp.expr(s.E)
+		return &n
 	case *IfStmt:
-		substExpr(s.Cond, sub)
-		substBlock(s.Then, sub)
+		n := *s
+		n.Cond = sp.expr(s.Cond)
+		n.Then = sp.block(s.Then)
 		if s.Else != nil {
-			substStmt(s.Else, sub)
+			n.Else = sp.stmt(s.Else)
 		}
+		return &n
 	case *WhileStmt:
-		substExpr(s.Cond, sub)
-		substBlock(s.Body, sub)
+		n := *s
+		n.Cond = sp.expr(s.Cond)
+		n.Body = sp.block(s.Body)
+		return &n
 	case *ForStmt:
-		substExpr(s.Lo, sub)
-		substExpr(s.Hi, sub)
-		substBlock(s.Body, sub)
+		n := *s
+		n.Lo = sp.expr(s.Lo)
+		n.Hi = sp.expr(s.Hi)
+		n.Body = sp.block(s.Body)
+		return &n
 	case *ReturnStmt:
+		n := *s
 		if s.E != nil {
-			substExpr(s.E, sub)
+			n.E = sp.expr(s.E)
 		}
+		return &n
 	case *ThrowStmt:
-		substExpr(s.E, sub)
+		n := *s
+		n.E = sp.expr(s.E)
+		return &n
 	case *DoCatchStmt:
-		substBlock(s.Body, sub)
-		substBlock(s.Catch, sub)
+		n := *s
+		n.Body = sp.block(s.Body)
+		n.Catch = sp.block(s.Catch)
+		return &n
+	case *BreakStmt:
+		n := *s
+		return &n
+	case *ContinueStmt:
+		n := *s
+		return &n
 	}
+	panic("frontend: unknown statement in specialization")
 }
 
-func substExpr(e Expr, sub map[string]*Type) {
+func (sp specializer) expr(e Expr) Expr {
 	switch e := e.(type) {
+	case *IntLit:
+		n := *e
+		return &n
+	case *BoolLit:
+		n := *e
+		return &n
+	case *StringLit:
+		n := *e
+		return &n
+	case *NilLit:
+		n := *e
+		return &n
+	case *IdentExpr:
+		n := *e
+		return &n
+	case *SelfExpr:
+		n := *e
+		return &n
 	case *UnaryExpr:
-		substExpr(e.X, sub)
+		n := *e
+		n.X = sp.expr(e.X)
+		return &n
 	case *BinaryExpr:
-		substExpr(e.L, sub)
-		substExpr(e.R, sub)
+		n := *e
+		n.L = sp.expr(e.L)
+		n.R = sp.expr(e.R)
+		return &n
 	case *CallExpr:
-		substExpr(e.Fn, sub)
-		for i := range e.TypeArgs {
-			e.TypeArgs[i] = substType(e.TypeArgs[i], sub)
-		}
-		for _, a := range e.Args {
-			substExpr(a, sub)
-		}
+		n := *e
+		n.Fn = sp.expr(e.Fn)
+		n.TypeArgs = sp.types(e.TypeArgs)
+		n.Args = sp.exprs(e.Args)
+		return &n
 	case *MethodCallExpr:
-		substExpr(e.Recv, sub)
-		for _, a := range e.Args {
-			substExpr(a, sub)
-		}
+		n := *e
+		n.Recv = sp.expr(e.Recv)
+		n.Args = sp.exprs(e.Args)
+		return &n
 	case *FieldExpr:
-		substExpr(e.Recv, sub)
+		n := *e
+		n.Recv = sp.expr(e.Recv)
+		return &n
 	case *IndexExpr:
-		substExpr(e.Recv, sub)
-		substExpr(e.Index, sub)
+		n := *e
+		n.Recv = sp.expr(e.Recv)
+		n.Index = sp.expr(e.Index)
+		return &n
 	case *ArrayLit:
-		for _, el := range e.Elems {
-			substExpr(el, sub)
-		}
+		n := *e
+		n.Elems = sp.exprs(e.Elems)
+		return &n
 	case *ClosureExpr:
-		for i := range e.Params {
-			e.Params[i].Type = substType(e.Params[i].Type, sub)
-		}
-		e.Ret = substType(e.Ret, sub)
-		substBlock(e.Body, sub)
+		n := *e
+		n.Params = sp.params(e.Params)
+		n.Ret = sp.typ(e.Ret)
+		n.Body = sp.block(e.Body)
+		return &n
 	}
+	panic("frontend: unknown expression in specialization")
+}
+
+func (sp specializer) exprs(es []Expr) []Expr {
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		out[i] = sp.expr(e)
+	}
+	return out
 }
 
 // ---- scope and function context ----

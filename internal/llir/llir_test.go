@@ -14,7 +14,7 @@ func lower(t *testing.T, src string) *Module {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	prog, err := frontend.Check("M", f)
+	prog, err := frontend.CheckModule("M", nil, f)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
