@@ -207,7 +207,7 @@ func TestBreakerCountersSurface(t *testing.T) {
 // per-operation timeout is an option, defaulted when zero, surfaced by
 // Timeout(), and nil remotes report 0.
 func TestRemoteTimeoutConfigurable(t *testing.T) {
-	if d := NewRemote([]string{"http://a"}).Timeout(); d != defaultRemoteTimeout {
+	if d := NewRemoteWith([]string{"http://a"}, RemoteOptions{}).Timeout(); d != defaultRemoteTimeout {
 		t.Fatalf("default timeout = %v, want %v", d, defaultRemoteTimeout)
 	}
 	r := NewRemoteWith([]string{"http://a"}, RemoteOptions{Timeout: 123 * time.Millisecond})

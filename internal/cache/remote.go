@@ -65,7 +65,7 @@ const (
 )
 
 // RemoteOptions tunes the remote tier client. The zero value selects the
-// defaults; NewRemote is NewRemoteWith(urls, RemoteOptions{}).
+// defaults.
 type RemoteOptions struct {
 	// Timeout bounds one shard HTTP operation (0 = 5s).
 	Timeout time.Duration
@@ -132,14 +132,9 @@ type breaker struct {
 	shed        int64
 }
 
-// NewRemote returns a client over the given shard base URLs with default
-// options. An empty list returns nil — a valid "no remote tier" value
-// everywhere a *Remote is accepted.
-func NewRemote(shardURLs []string) *Remote {
-	return NewRemoteWith(shardURLs, RemoteOptions{})
-}
-
-// NewRemoteWith is NewRemote with explicit options (zero fields default).
+// NewRemoteWith returns a client over the given shard base URLs; zero option
+// fields take their defaults. An empty list returns nil — a valid "no remote
+// tier" value everywhere a *Remote is accepted.
 func NewRemoteWith(shardURLs []string, opts RemoteOptions) *Remote {
 	if len(shardURLs) == 0 {
 		return nil

@@ -40,7 +40,7 @@ func newRemoteFixture(t *testing.T, shards int) *remoteFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.remote = NewRemote(urls)
+	fx.remote = NewRemoteWith(urls, RemoteOptions{})
 	fx.remote.sleep = func(time.Duration) {}
 	c.SetRemote(fx.remote)
 	fx.c = c
@@ -196,8 +196,8 @@ func TestRemoteClientSideCorruptionDropsEntry(t *testing.T) {
 // TestRemoteShardRoutingIsDeterministic: ShardFor is a pure function — every
 // client maps an id to the same shard — and ids spread across shards.
 func TestRemoteShardRoutingIsDeterministic(t *testing.T) {
-	a := NewRemote([]string{"http://a", "http://b", "http://c"})
-	b := NewRemote([]string{"http://x", "http://y", "http://z"})
+	a := NewRemoteWith([]string{"http://a", "http://b", "http://c"}, RemoteOptions{})
+	b := NewRemoteWith([]string{"http://x", "http://y", "http://z"}, RemoteOptions{})
 	seen := map[int]bool{}
 	for i := 0; i < 64; i++ {
 		id := remoteKey(strings.Repeat("q", i+1)).id()

@@ -18,37 +18,56 @@ type allocation struct {
 	hasCalls  bool
 }
 
-// operand roles: which vinst fields are written and read, per opcode.
+// allocRoles holds, per Op value, the slots of the registers an instruction
+// defines and reads, in the order its row of the opcode table prints them,
+// derived at start-up: the allocator asks for them several times per
+// instruction. A Frame row has none: instruction selection never emits one,
+// and frame lowering places them around the allocated code.
+var allocRoles = func() (t [256]struct{ defs, uses []isa.Slot }) {
+	for op := isa.Op(0); op < isa.NumOps; op++ {
+		if info := op.Info(); !info.Frame {
+			for _, o := range info.Operands {
+				if o.Role&isa.Def != 0 {
+					t[op].defs = append(t[op].defs, o.Slot)
+				}
+				if o.Role&isa.Use != 0 {
+					t[op].uses = append(t[op].uses, o.Slot)
+				}
+			}
+		}
+	}
+	return t
+}()
 
 // def returns the register in writes (vnone when it writes none).
 func (in *vinst) def() vreg {
-	switch in.op {
-	case isa.MOVZ, isa.ORRrs, isa.ANDrs, isa.EORrs, isa.ADDrs, isa.ADDri,
-		isa.SUBrs, isa.SUBri, isa.MUL, isa.SDIV, isa.MSUB, isa.LSLri,
-		isa.LSRri, isa.ASRri, isa.CSET, isa.LDRui, isa.ADR:
-		return in.rd
+	if d := allocRoles[in.op].defs; len(d) > 0 {
+		return in.reg(d[0])
 	}
 	return vnone
 }
 
 // uses returns the registers in reads: the first n entries of u.
 func (in *vinst) uses() (u [3]vreg, n int) {
-	switch in.op {
-	case isa.ORRrs, isa.ANDrs, isa.EORrs, isa.ADDrs, isa.SUBrs, isa.MUL, isa.SDIV, isa.CMPrs:
-		return [3]vreg{in.rn, in.rm}, 2
-	case isa.MSUB:
-		return [3]vreg{in.rn, in.rm, in.rd2}, 3
-	case isa.ADDri, isa.SUBri, isa.LSLri, isa.LSRri, isa.ASRri, isa.CMPri, isa.LDRui:
-		return [3]vreg{in.rn}, 1
-	case isa.STRui:
-		return [3]vreg{in.rd, in.rn}, 2
-	case isa.CBZ, isa.CBNZ, isa.BLR:
-		return [3]vreg{in.rn}, 1
+	for _, s := range allocRoles[in.op].uses {
+		u[n] = in.reg(s)
+		n++
 	}
-	return u, 0
+	return u, n
 }
 
-func isCallOp(op isa.Op) bool { return op == isa.BL || op == isa.BLR }
+// reg returns the register operand in slot s, a register slot.
+func (in *vinst) reg(s isa.Slot) vreg {
+	switch s {
+	case isa.SlotRd:
+		return in.rd
+	case isa.SlotRd2:
+		return in.rd2
+	case isa.SlotRn:
+		return in.rn
+	}
+	return in.rm
+}
 
 // interval is a virtual register's live interval over linearized instruction
 // positions. Intervals are indexed by the vreg's dense id.
@@ -111,7 +130,7 @@ func (sc *scratch) allocateRegisters(maxVreg int) {
 	calls := int32(0)
 	for p := range vinsts {
 		callPrefix[p] = calls
-		if isCallOp(vinsts[p].op) {
+		if vinsts[p].op.IsCall() {
 			calls++
 		}
 	}

@@ -230,7 +230,8 @@ func TestParsePrecedence(t *testing.T) {
 // nesting limit. The counts include the levels the enclosing function body,
 // return expression or parameter list already holds, so a change in what
 // counts a level (or in where the count is restored) moves a boundary here.
-// An optional suffix counts no level of its own; `[T]?` counts its bracket.
+// A type counts a level per node of its tree, so each `?` of an optional
+// suffix counts one and `[T]?` counts two.
 func TestNestingBoundary(t *testing.T) {
 	r := strings.Repeat
 	ret := func(e string) string { return "func f(a: Int) -> Int {\n  return " + e + "\n}\n" }
@@ -256,7 +257,8 @@ func TestNestingBoundary(t *testing.T) {
 		{"call-chain", 998, func(n int) string { return ret("g" + r("()", n)) }},
 		{"array-type", 999, func(n int) string { return param(r("[", n) + "Int" + r("]", n)) }},
 		{"func-type", 999, func(n int) string { return param(r("(Int) -> ", n) + "Int") }},
-		{"optional-array-type", 999, func(n int) string { return param(r("[", n) + "Int" + r("]?", n)) }},
+		{"optional-array-type", 499, func(n int) string { return param(r("[", n) + "Int" + r("]?", n)) }},
+		{"optional-chain", 999, func(n int) string { return param("Int" + r("?", n)) }},
 		{"while-blocks", 996, func(n int) string { return body("while true {\n", "print(1)\n", "}\n", n) }},
 		{"nested-if", 498, func(n int) string { return body("if true {\n", "print(1)\n", "}\n", n) }},
 		{"else-if-chain", 995, func(n int) string { return body("if true { print(1) } else ", "{ print(2) }\n", "", n) }},

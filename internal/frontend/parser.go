@@ -307,10 +307,21 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 }
 
 func (p *Parser) parseType(generics []string) (*Type, error) {
+	t, _, err := p.parseTypeTree(generics)
+	return t, err
+}
+
+// parseTypeTree parses a type and returns the height of its tree. Every node
+// of that tree counts a nesting level: brackets and function types nest as
+// they parse, and each optional suffix wraps the type parsed so far once
+// more, so it pushes everything below it one level deeper (`[[Int]?]?` is
+// five levels, not three).
+func (p *Parser) parseTypeTree(generics []string) (*Type, int, error) {
 	if err := p.nest(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var base *Type
+	height := 1
 	switch {
 	case p.at(TokIdent):
 		name := p.advance().Text
@@ -332,50 +343,56 @@ func (p *Parser) parseType(generics []string) (*Type, error) {
 		}
 	case p.at(TokLBracket):
 		p.advance()
-		elem, err := p.parseType(generics)
+		elem, h, err := p.parseTypeTree(generics)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if _, err := p.expect(TokRBracket); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		base = ArrayType(elem)
+		base, height = ArrayType(elem), 1+h
 	case p.at(TokLParen):
 		p.advance()
 		ft := &Type{Kind: TFunc, Ret: VoidType}
 		for !p.at(TokRParen) {
-			pt, err := p.parseType(generics)
+			pt, h, err := p.parseTypeTree(generics)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			ft.Params = append(ft.Params, pt)
+			height = max(height, 1+h)
 			if !p.accept(TokComma) {
 				break
 			}
 		}
 		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if p.accept(TokThrows) {
 			ft.Throws = true
 		}
 		if _, err := p.expect(TokArrow); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		rt, err := p.parseType(generics)
+		rt, h, err := p.parseTypeTree(generics)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		ft.Ret = rt
-		base = ft
+		base, height = ft, max(height, 1+h)
 	default:
-		return nil, p.errf("expected type, found %s", p.cur())
+		return nil, 0, p.errf("expected type, found %s", p.cur())
 	}
-	for p.accept(TokQuestion) {
+	// The tree's deepest node sits height-1 levels below this one.
+	for p.at(TokQuestion) {
+		if height++; p.depth+height-1 > maxNesting {
+			return nil, 0, p.errf("nesting deeper than %d levels", maxNesting)
+		}
+		p.advance()
 		base = OptionalType(base)
 	}
 	p.depth--
-	return base, nil
+	return base, height, nil
 }
 
 func contains(ss []string, s string) bool {

@@ -22,7 +22,7 @@ const (
 	SUBri // SUBXri Rd, Rn, #imm     Rd = Rn - imm
 	MUL   // MADDXrrr Rd, Rn, Rm     Rd = Rn * Rm (xzr accumulator)
 	SDIV  // SDIVXr Rd, Rn, Rm       Rd = Rn / Rm (signed, trap on /0)
-	MSUB  // MSUBXrrr Rd, Rn, Rm, Ra Rd = Ra - Rn*Rm (used for remainder)
+	MSUB  // MSUBXrrr Rd, Rn, Rm, Ra Rd = Ra - Rn*Rm (used for remainder; Ra is in Rd2)
 	LSLri // LSLXri Rd, Rn, #imm     Rd = Rn << imm
 	LSRri // LSRXri Rd, Rn, #imm     Rd = Rn >> imm (logical)
 	ASRri // ASRXri Rd, Rn, #imm     Rd = Rn >> imm (arithmetic)
@@ -101,53 +101,143 @@ type Inst struct {
 	Sym  string // branch label, call target, or global symbol
 }
 
-// Mnemonic spellings indexed by Op, for printing and parsing.
-var opNames = [NumOps]string{
-	BAD:     "BAD",
-	MOVZ:    "MOVZXi",
-	ORRrs:   "ORRXrs",
-	ANDrs:   "ANDXrs",
-	EORrs:   "EORXrs",
-	ADDrs:   "ADDXrs",
-	ADDri:   "ADDXri",
-	SUBrs:   "SUBXrs",
-	SUBri:   "SUBXri",
-	MUL:     "MULXrr",
-	SDIV:    "SDIVXr",
-	MSUB:    "MSUBXrr",
-	LSLri:   "LSLXri",
-	LSRri:   "LSRXri",
-	ASRri:   "ASRXri",
-	CMPrs:   "CMPXrs",
-	CMPri:   "CMPXri",
-	CSET:    "CSETXr",
-	LDRui:   "LDRXui",
-	STRui:   "STRXui",
-	LDPui:   "LDPXi",
-	STPui:   "STPXi",
-	STPpre:  "STPXpre",
-	LDPpost: "LDPXpost",
-	STRpre:  "STRXpre",
-	LDRpost: "LDRXpost",
-	ADR:     "ADRP",
-	B:       "B",
-	Bcc:     "Bcc",
-	CBZ:     "CBZX",
-	CBNZ:    "CBNZX",
-	BL:      "BL",
-	BLR:     "BLR",
-	RET:     "RET",
-	BRK:     "BRK",
-	NOP:     "NOP",
+// Slot names one operand field of Inst.
+type Slot uint8
+
+// Operand slots: the four registers, then the immediate (printed #imm), the
+// symbol (@sym) and the condition code.
+const (
+	SlotRd Slot = iota
+	SlotRd2
+	SlotRn
+	SlotRm
+	SlotImm
+	SlotSym
+	SlotCond
+)
+
+// Role is what an instruction does with a register: reads it, writes it, or
+// both (the base register of a pre/post-indexed access, written back).
+type Role uint8
+
+// Register roles.
+const (
+	Use Role = 1 << iota
+	Def
+	DefUse = Def | Use
+)
+
+// Operand is one operand of an opcode's row: the slot it prints and, for a
+// register, its role.
+type Operand struct {
+	Slot Slot
+	Role Role
 }
 
-// OpName returns the mnemonic for op.
-func OpName(op Op) string {
-	if op < NumOps {
-		return opNames[op]
-	}
-	return "BAD"
+// OpInfo is one opcode's row of the opcode table. The printer, the MIR
+// parser, the def/use masks and the register allocator all read it, so an
+// opcode's format and register roles are written down once.
+type OpInfo struct {
+	Name string // mnemonic
+	// Operands lists the printed operands in order. A leading SlotCond is
+	// a mnemonic suffix ("Bcc.ne"); elsewhere it prints as an operand.
+	Operands []Operand
+	LR       Role // implicit link-register role: BL and BLR define LR, RET reads it
+	Term     bool // ends a basic block
+	// Frame marks the pair and pre/post-indexed loads and stores. Only code
+	// around an allocated body uses them (the prologue and epilogue, the
+	// outliner's LR spill); instruction selection never emits one.
+	Frame bool
 }
+
+// roles holds, per Op value, the register slots (bit s for slot s) and the
+// implicit LR (bit lrSlot) that its row defines and uses, derived from
+// opTable at start-up. DefMask, UseMask and IsCall run per instruction on
+// every outlining round; sized to every Op value, roles needs no bounds check,
+// and a value past the table has no roles, as BAD has none.
+var roles [256]struct{ defs, uses uint8 }
+
+// lrSlot stands for the implicit LR in roles.
+const lrSlot = 7
+
+func init() {
+	for op := range opTable {
+		r := &opTable[op]
+		// The implicit LR counts as one more operand, in slot lrSlot.
+		for _, o := range append(r.Operands[:len(r.Operands):len(r.Operands)], Operand{lrSlot, r.LR}) {
+			if o.Role&Def != 0 {
+				roles[op].defs |= 1 << o.Slot
+			}
+			if o.Role&Use != 0 {
+				roles[op].uses |= 1 << o.Slot
+			}
+		}
+	}
+}
+
+// Operand lists shared by several rows.
+var (
+	rdRnRm  = []Operand{{SlotRd, Def}, {SlotRn, Use}, {SlotRm, Use}}
+	rdRnImm = []Operand{{SlotRd, Def}, {SlotRn, Use}, {SlotImm, 0}}
+	target  = []Operand{{SlotSym, 0}}
+	rnSym   = []Operand{{SlotRn, Use}, {SlotSym, 0}}
+)
+
+// opTable is the opcode table: one row per opcode.
+var opTable = [NumOps]OpInfo{
+	BAD:     {Name: "BAD"},
+	MOVZ:    {Name: "MOVZXi", Operands: []Operand{{SlotRd, Def}, {SlotImm, 0}}},
+	ORRrs:   {Name: "ORRXrs", Operands: rdRnRm},
+	ANDrs:   {Name: "ANDXrs", Operands: rdRnRm},
+	EORrs:   {Name: "EORXrs", Operands: rdRnRm},
+	ADDrs:   {Name: "ADDXrs", Operands: rdRnRm},
+	ADDri:   {Name: "ADDXri", Operands: rdRnImm},
+	SUBrs:   {Name: "SUBXrs", Operands: rdRnRm},
+	SUBri:   {Name: "SUBXri", Operands: rdRnImm},
+	MUL:     {Name: "MULXrr", Operands: rdRnRm},
+	SDIV:    {Name: "SDIVXr", Operands: rdRnRm},
+	MSUB:    {Name: "MSUBXrr", Operands: []Operand{{SlotRd, Def}, {SlotRn, Use}, {SlotRm, Use}, {SlotRd2, Use}}},
+	LSLri:   {Name: "LSLXri", Operands: rdRnImm},
+	LSRri:   {Name: "LSRXri", Operands: rdRnImm},
+	ASRri:   {Name: "ASRXri", Operands: rdRnImm},
+	CMPrs:   {Name: "CMPXrs", Operands: []Operand{{SlotRn, Use}, {SlotRm, Use}}},
+	CMPri:   {Name: "CMPXri", Operands: []Operand{{SlotRn, Use}, {SlotImm, 0}}},
+	CSET:    {Name: "CSETXr", Operands: []Operand{{SlotRd, Def}, {SlotCond, 0}}},
+	LDRui:   {Name: "LDRXui", Operands: rdRnImm},
+	STRui:   {Name: "STRXui", Operands: []Operand{{SlotRd, Use}, {SlotRn, Use}, {SlotImm, 0}}},
+	LDPui:   {Name: "LDPXi", Operands: []Operand{{SlotRd, Def}, {SlotRd2, Def}, {SlotRn, Use}, {SlotImm, 0}}, Frame: true},
+	STPui:   {Name: "STPXi", Operands: []Operand{{SlotRd, Use}, {SlotRd2, Use}, {SlotRn, Use}, {SlotImm, 0}}, Frame: true},
+	STPpre:  {Name: "STPXpre", Operands: []Operand{{SlotRd, Use}, {SlotRd2, Use}, {SlotRn, DefUse}, {SlotImm, 0}}, Frame: true},
+	LDPpost: {Name: "LDPXpost", Operands: []Operand{{SlotRd, Def}, {SlotRd2, Def}, {SlotRn, DefUse}, {SlotImm, 0}}, Frame: true},
+	STRpre:  {Name: "STRXpre", Operands: []Operand{{SlotRd, Use}, {SlotRn, DefUse}, {SlotImm, 0}}, Frame: true},
+	LDRpost: {Name: "LDRXpost", Operands: []Operand{{SlotRd, Def}, {SlotRn, DefUse}, {SlotImm, 0}}, Frame: true},
+	ADR:     {Name: "ADRP", Operands: []Operand{{SlotRd, Def}, {SlotSym, 0}}},
+	B:       {Name: "B", Operands: target, Term: true},
+	Bcc:     {Name: "Bcc", Operands: []Operand{{SlotCond, 0}, {SlotSym, 0}}, Term: true},
+	CBZ:     {Name: "CBZX", Operands: rnSym, Term: true},
+	CBNZ:    {Name: "CBNZX", Operands: rnSym, Term: true},
+	BL:      {Name: "BL", Operands: target, LR: Def},
+	BLR:     {Name: "BLR", Operands: []Operand{{SlotRn, Use}}, LR: Def},
+	RET:     {Name: "RET", LR: Use, Term: true},
+	BRK:     {Name: "BRK", Operands: []Operand{{SlotImm, 0}}, Term: true},
+	NOP:     {Name: "NOP"},
+}
+
+// Info returns op's row of the opcode table, which callers must not modify.
+// An op past the table gets BAD's row.
+func (op Op) Info() *OpInfo {
+	if op >= NumOps {
+		op = BAD
+	}
+	return &opTable[op]
+}
+
+// IsCall reports whether op transfers control with a link (BL/BLR): whether
+// it defines LR.
+func (op Op) IsCall() bool { return roles[op].defs&(1<<lrSlot) != 0 }
+
+// OpName returns the mnemonic for op.
+func OpName(op Op) string { return op.Info().Name }
 
 // OpFromName returns the opcode with the given mnemonic.
 func OpFromName(name string) (Op, bool) {
@@ -158,10 +248,26 @@ func OpFromName(name string) (Op, bool) {
 var opByName = func() map[string]Op {
 	m := make(map[string]Op, NumOps)
 	for op := Op(0); op < NumOps; op++ {
-		m[opNames[op]] = op
+		m[opTable[op].Name] = op
 	}
 	return m
 }()
+
+// RegField returns the register field that slot s names, or nil for a slot
+// that holds no register.
+func (in *Inst) RegField(s Slot) *Reg {
+	switch s {
+	case SlotRd:
+		return &in.Rd
+	case SlotRd2:
+		return &in.Rd2
+	case SlotRn:
+		return &in.Rn
+	case SlotRm:
+		return &in.Rm
+	}
+	return nil
+}
 
 // Size returns the encoded size of the instruction in bytes. AArch64 is
 // fixed-width (4 bytes); the ADR pseudo stands for an ADRP+ADD pair.
@@ -179,78 +285,36 @@ func (in Inst) Size() int {
 //	STPXpre $x26, $x25, $sp, #-64
 //
 // It is the one renderer of machine code: String, the mir text format and the
-// image listing are all built on it. Operands print whatever they hold — an
-// out-of-range opcode is "BAD", an out-of-range register "badreg(n)" — because
-// the paths that report a malformed instruction print it.
+// image listing are all built on it. It prints the operands of the opcode's
+// row in order. Operands print whatever they hold — an out-of-range opcode is
+// "BAD", an out-of-range register "badreg(n)" — because the paths that
+// report a malformed instruction print it.
 func (in Inst) AppendText(dst []byte) []byte {
-	dst = append(dst, OpName(in.Op)...)
-	const first, next = " ", ", "
-	switch in.Op {
-	case MOVZ:
-		dst = appendReg(dst, first, in.Rd)
-		dst = appendImm(dst, next, in.Imm)
-	case ORRrs, ANDrs, EORrs, ADDrs, SUBrs, MUL, SDIV, MSUB:
-		dst = appendReg(dst, first, in.Rd)
-		dst = appendReg(dst, next, in.Rn)
-		dst = appendReg(dst, next, in.Rm)
-		if in.Op == MSUB {
-			dst = appendReg(dst, next, in.Rd2)
+	info := in.Op.Info()
+	dst = append(dst, info.Name...)
+	operands := info.Operands
+	if len(operands) > 0 && operands[0].Slot == SlotCond { // a mnemonic suffix: Bcc.ne
+		dst = append(append(dst, '.'), in.Cond.String()...)
+		operands = operands[1:]
+	}
+	regs := [...]Reg{SlotRd: in.Rd, SlotRd2: in.Rd2, SlotRn: in.Rn, SlotRm: in.Rm}
+	for i, o := range operands {
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-	case ADDri, SUBri, LSLri, LSRri, ASRri, LDRui, STRui, STRpre, LDRpost:
-		dst = appendReg(dst, first, in.Rd)
-		dst = appendReg(dst, next, in.Rn)
-		dst = appendImm(dst, next, in.Imm)
-	case CMPrs:
-		dst = appendReg(dst, first, in.Rn)
-		dst = appendReg(dst, next, in.Rm)
-	case CMPri:
-		dst = appendReg(dst, first, in.Rn)
-		dst = appendImm(dst, next, in.Imm)
-	case CSET:
-		dst = appendReg(dst, first, in.Rd)
-		dst = append(dst, next...)
-		dst = append(dst, in.Cond.String()...)
-	case LDPui, STPui, STPpre, LDPpost:
-		dst = appendReg(dst, first, in.Rd)
-		dst = appendReg(dst, next, in.Rd2)
-		dst = appendReg(dst, next, in.Rn)
-		dst = appendImm(dst, next, in.Imm)
-	case ADR:
-		dst = appendReg(dst, first, in.Rd)
-		dst = appendSym(dst, next, in.Sym)
-	case B, BL:
-		dst = appendSym(dst, first, in.Sym)
-	case Bcc:
-		dst = append(dst, '.')
-		dst = append(dst, in.Cond.String()...)
-		dst = appendSym(dst, first, in.Sym)
-	case CBZ, CBNZ:
-		dst = appendReg(dst, first, in.Rn)
-		dst = appendSym(dst, next, in.Sym)
-	case BLR:
-		dst = appendReg(dst, first, in.Rn)
-	case BRK:
-		dst = appendImm(dst, first, in.Imm)
+		dst = append(dst, ' ')
+		switch o.Slot {
+		case SlotRd, SlotRd2, SlotRn, SlotRm:
+			dst = regs[o.Slot].appendName(append(dst, '$'))
+		case SlotImm:
+			dst = strconv.AppendInt(append(dst, '#'), in.Imm, 10)
+		case SlotSym:
+			dst = append(append(dst, '@'), in.Sym...)
+		case SlotCond:
+			dst = append(dst, in.Cond.String()...)
+		}
 	}
 	return dst
-}
-
-func appendReg(dst []byte, sep string, r Reg) []byte {
-	dst = append(dst, sep...)
-	dst = append(dst, '$')
-	return r.appendName(dst)
-}
-
-func appendImm(dst []byte, sep string, v int64) []byte {
-	dst = append(dst, sep...)
-	dst = append(dst, '#')
-	return strconv.AppendInt(dst, v, 10)
-}
-
-func appendSym(dst []byte, sep, sym string) []byte {
-	dst = append(dst, sep...)
-	dst = append(dst, '@')
-	return append(dst, sym...)
 }
 
 // String renders the instruction as AppendText does.

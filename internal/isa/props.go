@@ -1,5 +1,7 @@
 package isa
 
+import "math/bits"
+
 // regBit is r's bit in a def/use mask. NoReg and XZR have none: the zero
 // register reads as zero and discards writes, so it is never tracked.
 func regBit(r Reg) uint64 {
@@ -10,65 +12,34 @@ func regBit(r Reg) uint64 {
 }
 
 // DefMask returns the registers written by in as a bitset (bit r set for
-// register r), without allocating. The NZCV flags are not in it: only the
-// compare instructions write them. A call's mask is LR, which its encoding
-// writes; the rest of the caller-saved set it clobbers is the calling
-// convention's, not the instruction's, and is not reported here.
-func (in Inst) DefMask() uint64 {
-	switch in.Op {
-	case MOVZ, ORRrs, ANDrs, EORrs, ADDrs, ADDri, SUBrs, SUBri,
-		MUL, SDIV, MSUB, LSLri, LSRri, ASRri, CSET, LDRui, ADR:
-		return regBit(in.Rd)
-	case LDPui:
-		return regBit(in.Rd) | regBit(in.Rd2)
-	case LDPpost:
-		return regBit(in.Rd) | regBit(in.Rd2) | regBit(in.Rn) // writeback
-	case LDRpost:
-		return regBit(in.Rd) | regBit(in.Rn) // writeback
-	case STPpre, STRpre:
-		return regBit(in.Rn) // writeback
-	case BL, BLR:
-		return regBit(LR)
-	}
-	return 0
-}
+// register r), without allocating: the operands its opcode's row defines. The
+// NZCV flags are not in it: only the compare instructions write them. A
+// call's mask is LR, which its encoding writes; the rest of the caller-saved
+// set it clobbers is the calling convention's, not the instruction's, and is
+// not reported here.
+func (in Inst) DefMask() uint64 { return mask(roles[in.Op].defs, in.Rd, in.Rd2, in.Rn, in.Rm) }
 
 // UseMask returns the registers read by in as a bitset, without allocating.
-func (in Inst) UseMask() uint64 {
-	switch in.Op {
-	case ORRrs, ANDrs, EORrs, ADDrs, SUBrs, MUL, SDIV, CMPrs:
-		return regBit(in.Rn) | regBit(in.Rm)
-	case MSUB:
-		// Rd = Ra - Rn*Rm with Ra in Rd pre-state is not modeled; our MSUB
-		// reads Rn, Rm and the accumulator carried in Rd2.
-		return regBit(in.Rn) | regBit(in.Rm) | regBit(in.Rd2)
-	case ADDri, SUBri, LSLri, LSRri, ASRri, CMPri, LDRui:
-		return regBit(in.Rn)
-	case STRui, STRpre:
-		return regBit(in.Rd) | regBit(in.Rn)
-	case STPui, STPpre:
-		return regBit(in.Rd) | regBit(in.Rd2) | regBit(in.Rn)
-	case LDPui, LDPpost, LDRpost:
-		return regBit(in.Rn)
-	case CBZ, CBNZ, BLR:
-		return regBit(in.Rn)
-	case RET:
-		return regBit(LR)
+func (in Inst) UseMask() uint64 { return mask(roles[in.Op].uses, in.Rd, in.Rd2, in.Rn, in.Rm) }
+
+// mask ORs the registers of the slots in set (see roles). It takes the
+// registers one by one, not the Inst: DefMask and UseMask run per
+// instruction on every outlining round, and copying a whole Inst costs more
+// than the rest of the call.
+func mask(set uint8, rd, rd2, rn, rm Reg) uint64 {
+	regs := [...]Reg{SlotRd: rd, SlotRd2: rd2, SlotRn: rn, SlotRm: rm, lrSlot: LR}
+	var m uint64
+	for ; set != 0; set &= set - 1 {
+		m |= regBit(regs[bits.TrailingZeros8(set)])
 	}
-	return 0
+	return m
 }
 
 // IsTerminator reports whether in ends a basic block.
-func (in Inst) IsTerminator() bool {
-	switch in.Op {
-	case B, Bcc, CBZ, CBNZ, RET, BRK:
-		return true
-	}
-	return false
-}
+func (in Inst) IsTerminator() bool { return in.Op.Info().Term }
 
 // IsCall reports whether in transfers control with a link (BL/BLR).
-func (in Inst) IsCall() bool { return in.Op == BL || in.Op == BLR }
+func (in Inst) IsCall() bool { return in.Op.IsCall() }
 
 // ModifiesSP reports whether in writes the stack pointer. Such instructions
 // (frame setup/destruction, SP adjustment) are never outlined: moving them
@@ -102,11 +73,10 @@ func (in Inst) ReadsSP() bool {
 }
 
 // UsesLR reports whether in explicitly reads or writes the link register
-// outside of the implicit call/return semantics.
+// outside of the implicit call/return semantics: whether an operand slot
+// holds it. (RET's implicit LR read is handled by strategy.)
 func (in Inst) UsesLR() bool {
-	lr := regBit(LR)
-	if in.UseMask()&lr != 0 {
-		return in.Op != RET // RET's implicit LR read is handled by strategy
-	}
-	return in.DefMask()&lr != 0 && !in.IsCall()
+	r := roles[in.Op]
+	explicit := (r.defs | r.uses) &^ (1 << lrSlot)
+	return mask(explicit, in.Rd, in.Rd2, in.Rn, in.Rm)&regBit(LR) != 0
 }

@@ -11,6 +11,13 @@
 // instruction is 4 bytes except the ADR pseudo (which stands for an
 // ADRP+ADD pair, 8 bytes), matching the fixed-width property the paper
 // relies on when counting size savings.
+//
+// Each opcode's mnemonic, operand slots in printed order, and register roles
+// are one row of the opcode table (Op.Info). The printer (Inst.AppendText),
+// the MIR parser, the def/use masks and the code generator's register
+// allocator all read that row, so adding an opcode is one constant and one
+// row here, plus its semantics in the interpreter (internal/exec), the
+// verifier (internal/verify) and the timing model (internal/perf).
 package isa
 
 import (

@@ -9,8 +9,8 @@ import (
 
 // referenceText is the fmt-based renderer AppendText replaced, kept as the
 // reference AppendText is compared against. It differs from what it was in
-// one place: the mnemonic goes through OpName, because indexing opNames with
-// an out-of-range opcode panicked.
+// one place: the mnemonic goes through OpName, because indexing the mnemonic
+// table with an out-of-range opcode panicked.
 func referenceText(in Inst) string {
 	var b strings.Builder
 	b.WriteString(OpName(in.Op))

@@ -144,133 +144,70 @@ func parseGlobal(line string) (*Global, error) {
 	return g, nil
 }
 
-// ParseInst parses a single instruction in the format produced by
-// isa.Inst.String.
+// ParseInst parses a single instruction in the format isa.Inst.AppendText
+// prints. It reads the operands of the opcode's row of the opcode table in
+// order, as the printer writes them, so every operand the printer writes is
+// one it reads back. BAD, which the printer writes for an opcode outside the
+// table, does not parse.
 func ParseInst(line string) (isa.Inst, error) {
 	var in isa.Inst
 	mnemonic, rest, _ := strings.Cut(line, " ")
-	// Bcc carries its condition as a suffix: "Bcc.ne @label".
-	if base, cond, ok := strings.Cut(mnemonic, "."); ok && base == "Bcc" {
-		mnemonic = base
-		c, err := parseCond(cond)
+	name, suffix, hasSuffix := strings.Cut(mnemonic, ".")
+	op, ok := isa.OpFromName(name)
+	operands := op.Info().Operands
+	// Only a row that leads with its condition (Bcc) takes a ".cond" suffix.
+	leadCond := len(operands) > 0 && operands[0].Slot == isa.SlotCond
+	switch {
+	case !ok || hasSuffix && !leadCond:
+		return in, fmt.Errorf("unknown opcode %q", mnemonic)
+	case op == isa.BAD:
+		return in, fmt.Errorf("unhandled opcode %q", mnemonic)
+	}
+	in.Op = op
+	if leadCond {
+		operands = operands[1:]
+		if hasSuffix {
+			c, err := parseCond(suffix)
+			if err != nil {
+				return in, err
+			}
+			in.Cond = c
+		}
+	}
+	var toks []string
+	if rest = strings.TrimSpace(rest); rest != "" {
+		toks = strings.Split(rest, ",")
+	}
+	for i, o := range operands {
+		if i >= len(toks) {
+			return in, fmt.Errorf("%s: missing operand %d", name, i)
+		}
+		tok := strings.TrimSpace(toks[i])
+		var err error
+		switch o.Slot {
+		case isa.SlotImm:
+			if !strings.HasPrefix(tok, "#") {
+				return in, fmt.Errorf("%s: expected immediate, got %q", name, tok)
+			}
+			in.Imm, err = strconv.ParseInt(tok[1:], 10, 64)
+		case isa.SlotSym:
+			if !strings.HasPrefix(tok, "@") {
+				return in, fmt.Errorf("%s: expected @symbol, got %q", name, tok)
+			}
+			in.Sym = tok[1:]
+		case isa.SlotCond:
+			in.Cond, err = parseCond(tok)
+		default:
+			*in.RegField(o.Slot), err = parseReg(tok)
+		}
 		if err != nil {
 			return in, err
 		}
-		in.Cond = c
 	}
-	op, ok := isa.OpFromName(mnemonic)
-	if !ok {
-		return in, fmt.Errorf("unknown opcode %q", mnemonic)
-	}
-	in.Op = op
-	var operands []string
-	if rest = strings.TrimSpace(rest); rest != "" {
-		operands = strings.Split(rest, ",")
-		for i := range operands {
-			operands[i] = strings.TrimSpace(operands[i])
-		}
-	}
-	pos := 0
-	next := func() (string, error) {
-		if pos >= len(operands) {
-			return "", fmt.Errorf("%s: missing operand %d", mnemonic, pos)
-		}
-		tok := operands[pos]
-		pos++
-		return tok, nil
-	}
-	reg := func(dst *isa.Reg) error {
-		tok, err := next()
-		if err != nil {
-			return err
-		}
-		r, err := parseReg(tok)
-		if err != nil {
-			return err
-		}
-		*dst = r
-		return nil
-	}
-	imm := func() error {
-		tok, err := next()
-		if err != nil {
-			return err
-		}
-		if !strings.HasPrefix(tok, "#") {
-			return fmt.Errorf("%s: expected immediate, got %q", mnemonic, tok)
-		}
-		v, err := strconv.ParseInt(tok[1:], 10, 64)
-		if err != nil {
-			return err
-		}
-		in.Imm = v
-		return nil
-	}
-	sym := func() error {
-		tok, err := next()
-		if err != nil {
-			return err
-		}
-		if !strings.HasPrefix(tok, "@") {
-			return fmt.Errorf("%s: expected @symbol, got %q", mnemonic, tok)
-		}
-		in.Sym = tok[1:]
-		return nil
-	}
-	var err error
-	switch op {
-	case isa.MOVZ:
-		err = firstErr(reg(&in.Rd), imm())
-	case isa.ORRrs, isa.ANDrs, isa.EORrs, isa.ADDrs, isa.SUBrs, isa.MUL, isa.SDIV:
-		err = firstErr(reg(&in.Rd), reg(&in.Rn), reg(&in.Rm))
-	case isa.MSUB:
-		err = firstErr(reg(&in.Rd), reg(&in.Rn), reg(&in.Rm), reg(&in.Rd2))
-	case isa.ADDri, isa.SUBri, isa.LSLri, isa.LSRri, isa.ASRri, isa.LDRui, isa.STRui,
-		isa.STRpre, isa.LDRpost:
-		err = firstErr(reg(&in.Rd), reg(&in.Rn), imm())
-	case isa.CMPrs:
-		err = firstErr(reg(&in.Rn), reg(&in.Rm))
-	case isa.CMPri:
-		err = firstErr(reg(&in.Rn), imm())
-	case isa.CSET:
-		if err = reg(&in.Rd); err == nil {
-			var tok string
-			if tok, err = next(); err == nil {
-				in.Cond, err = parseCond(tok)
-			}
-		}
-	case isa.LDPui, isa.STPui, isa.STPpre, isa.LDPpost:
-		err = firstErr(reg(&in.Rd), reg(&in.Rd2), reg(&in.Rn), imm())
-	case isa.ADR:
-		err = firstErr(reg(&in.Rd), sym())
-	case isa.B, isa.BL, isa.Bcc:
-		err = sym()
-	case isa.CBZ, isa.CBNZ:
-		err = firstErr(reg(&in.Rn), sym())
-	case isa.BLR:
-		err = reg(&in.Rn)
-	case isa.BRK:
-		err = imm()
-	case isa.RET, isa.NOP:
-	default:
-		err = fmt.Errorf("unhandled opcode %q", mnemonic)
-	}
-	if err != nil {
-		return in, err
-	}
-	if pos != len(operands) {
-		return in, fmt.Errorf("%s: %d extra operand(s)", mnemonic, len(operands)-pos)
+	if len(toks) != len(operands) {
+		return in, fmt.Errorf("%s: %d extra operand(s)", name, len(toks)-len(operands))
 	}
 	return in, nil
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func parseReg(tok string) (isa.Reg, error) {
